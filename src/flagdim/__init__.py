@@ -18,7 +18,8 @@ experiment runner.
 from . import circle
 from .dynamics import (Arc, OrbitTrace, SpectrumEstimate, forward_orbit,
                        interval_decay_curve, interval_pullforward,
-                       lyapunov_spectrum, oseledets_stable_line, push_arc,
+                       line_coordinates, lyapunov_spectrum,
+                       oseledets_stable_line, pull_forward, push_arc,
                        stable_coordinates, stationary_interval,
                        stationary_orbit)
 from .ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler, bern2,

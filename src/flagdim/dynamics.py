@@ -1,12 +1,16 @@
 """Orbits of the flag cocycle and everything read off them.
 
-Two engines share the QR step.  The streaming engine keeps only the current
-flag bases of a batch of replicas and accumulates log determinant
-increments: that is all a Lyapunov spectrum needs, and it runs a million
-steps in seconds.  The rich engine ('OrbitTrace') additionally keeps the
-flags, the fiber coordinates, and the induced circle map of every step over
-a short window; the interval machinery and the stable-line computations
-work on traces.
+Every orbit advances through one QR step, ``batched_orthonormalize``, on a
+stack of flag bases.  The spectrum streams that step over many replicas
+and keeps only log determinant increments.  An orbit trace keeps, for R
+replicas over one window of T steps, arrays with the replica on the
+leading axis: the flag bases (R, T+1, d, d), the completion frames of the
+fiber planes (R, T+1, d, 2), the induced 2x2 fiber maps (R, T, 2, 2) and
+the fiber coordinates (R, T+1).  The stable-line pass and the interval
+pushes then run over every replica at once; per-step Flag, PartialFlag
+and CircleMap objects are built only on demand, for checking one step.
+A d = 2 orbit that needs nothing but its coordinates runs through
+``line_coordinates`` and forms no basis at all.
 
 Composed circle maps are never formed as long matrix products.  Intervals
 are carried as an anchor plus two signed offsets and pushed one step at a
@@ -15,16 +19,24 @@ like e^(-gap n) stay fully resolved long after the endpoints' absolute
 coordinates have collapsed onto one double.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import circle
 from .ensemble import SeededSampler, sample_batch
-from .errors import DegenerateFiberPair, GapTooSmall, IntervalWrap
-from .flagcore import CircleMap, Flag, partial_flag
+from .errors import (DegenerateBasis, DegenerateFiberPair, GapTooSmall,
+                     IntervalWrap)
+from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
+                       completion_frames, det2, fiber_coordinates,
+                       fiber_map_image)
 
 PRODUCT_COND_CAP = 1e10   # stop extending singular products past this
+CONFORMAL_TOL = 1e-8      # singular values closer than this share no order
+DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
+_LINE_CHUNK = 4096        # blocks per list conversion in line_coordinates
+_TIME_BLOCK = 128         # times per block when a trace derives its frames
 
 
 def batched_orthonormalize(mats):
@@ -146,6 +158,97 @@ def lyapunov_spectrum(spec, n_steps, burnin=1000, replicas=64, sampler=None):
                             gap_stderrs=gap_stderrs)
 
 
+def _samplers(sampler):
+    """One sampler, or a sequence of them, as a list with one per replica."""
+    return [sampler] if isinstance(sampler, SeededSampler) else list(sampler)
+
+
+def _draws(spec, samplers, steps):
+    """(R, steps, d, d): each replica's matrices, one call per sampler."""
+    mats = np.empty((len(samplers), steps, spec.dim, spec.dim))
+    for r, s in enumerate(samplers):
+        mats[r] = sample_batch(spec, s, steps)
+    return mats
+
+
+def _max_deviation(frames):
+    """Largest entry of |F^T F - I| over a stack of orthonormal frames."""
+    gram = np.einsum("...ki,...kj->...ij", frames, frames)
+    gram -= np.eye(frames.shape[-1])
+    return np.max(np.abs(gram, out=gram), initial=0.0)
+
+
+def burn_in(spec, sampler, steps, keep=0):
+    """Draw each replica's burn-in and run the standard flag through it.
+
+    ``sampler`` is one sampler or one per replica; each draws its ``steps``
+    matrices in one call.  All replicas advance through one stacked QR
+    step per time, so a burn-in costs ``steps`` steps whatever the count.
+    Returns the last ``keep`` matrices of each replica (R, keep, d, d),
+    its pinned recent past, and the flags reached (R, d, d).
+    """
+    mats = _draws(spec, _samplers(sampler), steps)
+    bases = np.broadcast_to(np.eye(spec.dim), (len(mats), spec.dim, spec.dim))
+    for t in range(steps):
+        bases, _ = batched_orthonormalize(mats[:, t] @ bases)
+    return mats[:, steps - keep:].copy(), np.array(bases)
+
+
+def _cond2(b):
+    """Condition numbers of a stack of 2x2 matrices, in closed form.
+
+    With f = |B|_F^2 and D = |det B| the squared singular values are
+    (f +- sqrt(f^2 - 4 D^2)) / 2, so cond = (f + sqrt(f^2 - 4 D^2)) / 2D.
+    """
+    f = np.sum(b * b, axis=(-2, -1))
+    det = np.abs(det2(b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(np.maximum((f - 2 * det) * (f + 2 * det), 0.0))
+        return (f + disc) / (2 * det)
+
+
+def line_coordinates(mats, start, every):
+    """Coordinates of the line R e_1 of a d = 2 orbit under ``mats``.
+
+    Read after ``start`` steps and then after every ``every`` steps while
+    matrices last.  A d = 2 fiber coordinate is the angle of the flag's
+    line, and the line follows v -> A v / |A v|, so no basis, frame or QR
+    step is formed.  Each run of ``every`` steps is folded into one 2x2
+    product when no such product's condition number exceeds
+    PRODUCT_COND_CAP (otherwise every step acts on its own), and the
+    direction is renormalized once per product, in Python floats.
+    """
+    mats = np.asarray(mats, dtype=float)
+    if not (1 <= start <= len(mats) and every >= 1):
+        raise ValueError(f"cannot read after {start} steps, every {every}, "
+                         f"of {len(mats)}")
+    count = (len(mats) - start) // every + 1
+    used = mats[: start + every * (count - 1)]
+    head = start % every
+    body = used[head:].reshape(-1, every, 2, 2)
+    folded = body[:, 0]
+    for m in range(1, every):
+        folded = body[:, m] @ folded
+    if np.all(_cond2(folded) <= PRODUCT_COND_CAP):
+        blocks = np.concatenate([used[:head], folded])
+        first, stride = head + start // every, 1
+    else:
+        blocks, first, stride = used, start, every
+    angles = np.empty(len(blocks))
+    v0, v1 = 1.0, 0.0
+    for lo in range(0, len(blocks), _LINE_CHUNK):
+        chunk = blocks[lo: lo + _LINE_CHUNK].reshape(-1, 4).tolist()
+        out = []
+        for a, b, c, d in chunk:
+            v0, v1 = a * v0 + b * v1, c * v0 + d * v1
+            norm = math.hypot(v0, v1)
+            v0 /= norm
+            v1 /= norm
+            out.append(math.atan2(v1, v0))
+        angles[lo: lo + len(out)] = out
+    return circle.wrap(angles[first - 1:: stride])
+
+
 def circle_map_between(a_entries, src, dst):
     """CircleMap of a matrix between two already-built partial flags."""
     su, sw = src.frame
@@ -157,23 +260,24 @@ def circle_map_between(a_entries, src, dst):
 
 @dataclass(frozen=True, eq=False)
 class OrbitTrace:
-    """A realization over a window of consecutive integer times.
+    """Realizations of R replicas over one window of consecutive times.
 
-    flags[k] is the flag at time times[k]; matrices[k] maps it to
-    flags[k+1]; maps[k] is the induced circle diffeomorphism between the
-    corresponding fibers; x[k] is the fiber coordinate of the flag's own
-    i-dimensional subspace; log_r[k] holds the per-step log determinant
-    increments.
+    Replica r's flag at time times[k] has basis bases[r, k];
+    matrices[r, k] maps it to bases[r, k+1]; frames[r, k] holds the
+    completion frame (u, w) of its fiber plane as columns; maps[r, k] is
+    the induced fiber map between consecutive frames; x[r, k] is the fiber
+    coordinate of the flag's own i-dimensional subspace; log_r[r, k] holds
+    the step's log determinant increments.
     """
 
     fiber_index: int
-    times: np.ndarray
-    matrices: np.ndarray
-    flags: tuple
-    partials: tuple
-    maps: tuple
-    x: np.ndarray
-    log_r: np.ndarray
+    times: np.ndarray      # (T+1,)
+    matrices: np.ndarray   # (R, T, d, d)
+    bases: np.ndarray      # (R, T+1, d, d)
+    frames: np.ndarray     # (R, T+1, d, 2)
+    maps: np.ndarray       # (R, T, 2, 2)
+    x: np.ndarray          # (R, T+1)
+    log_r: np.ndarray      # (R, T, d)
 
     def index(self, t):
         k = int(t) - int(self.times[0])
@@ -185,41 +289,86 @@ class OrbitTrace:
     def window(self):
         return int(self.times[0]), int(self.times[-1])
 
+    def select(self, rows):
+        """The trace of the replicas ``rows`` alone (itself when all, in order)."""
+        if np.array_equal(rows, np.arange(len(self.x))):
+            return self
+        return replace(self, matrices=self.matrices[rows],
+                       bases=self.bases[rows], frames=self.frames[rows],
+                       maps=self.maps[rows], x=self.x[rows],
+                       log_r=self.log_r[rows])
+
+    # per-step objects, built on demand to check single steps
+    def flag(self, k, r=0):
+        return Flag(self.bases[r, k])
+
+    def partial(self, k, r=0):
+        i = self.fiber_index
+        b = self.bases[r, k]
+        return PartialFlag(missing=i, basis=np.column_stack(
+            [b[:, : i - 1], self.frames[r, k], b[:, i + 1:]]))
+
+    def circle_map(self, k, r=0):
+        return CircleMap(source=self.partial(k, r),
+                         target=self.partial(k + 1, r), matrix=self.maps[r, k])
+
 
 def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
-    """Run the cocycle from a given flag, keeping the full trace."""
+    """Run the cocycle from given flags, keeping the full trace.
+
+    ``f0`` is one Flag or a stack of R bases, ``sampler`` one sampler or a
+    sequence of R, and replica r draws its n_steps matrices in one call on
+    its own sampler.  Every basis and frame must be orthonormal, as Flag
+    and PartialFlag require, and every fiber map invertible.
+    """
     i = fiber_index
     d = spec.dim
-    mats = sample_batch(spec, sampler, n_steps)
-    flags = [f0]
-    log_r = np.zeros((n_steps, d))
+    if not 1 <= i <= d - 1:
+        raise ValueError(f"fiber index {i} outside 1..{d - 1}")
+    samplers = _samplers(sampler)
+    start = np.reshape(f0.basis if isinstance(f0, Flag) else f0, (-1, d, d))
+    if len(start) != len(samplers):
+        raise ValueError(f"{len(start)} start flags for {len(samplers)} samplers")
+    mats = _draws(spec, samplers, n_steps)
+    bases = np.empty((len(start), n_steps + 1, d, d))
+    bases[:, 0] = start
+    log_r = np.empty((len(start), n_steps, d))
     for t in range(n_steps):
-        q, logr = batched_orthonormalize(mats[t] @ flags[-1].basis)
-        flags.append(Flag(q))
-        log_r[t] = logr
-    partials = tuple(partial_flag(f, i) for f in flags)
-    maps = tuple(circle_map_between(mats[t], partials[t], partials[t + 1])
-                 for t in range(n_steps))
-    x = np.empty(n_steps + 1)
-    for k, (f, p) in enumerate(zip(flags, partials)):
-        u, w = p.frame
-        b = f.basis[:, i - 1]
-        x[k] = circle.wrap(np.arctan2(b @ w, b @ u))
+        bases[:, t + 1], log_r[:, t] = batched_orthonormalize(mats[:, t] @ bases[:, t])
+    # frames and coordinates a block of times at a time, so temporaries
+    # stay small next to the trace itself
+    frames = np.empty((len(start), n_steps + 1, d, 2))
+    x = np.empty((len(start), n_steps + 1))
+    err = 0.0
+    for lo in range(0, n_steps + 1, _TIME_BLOCK):
+        block = bases[:, lo: lo + _TIME_BLOCK]
+        frames[:, lo: lo + _TIME_BLOCK] = completion_frames(block[..., i - 1: i + 1])
+        x[:, lo: lo + _TIME_BLOCK] = fiber_coordinates(
+            block, frames[:, lo: lo + _TIME_BLOCK], i)
+        err = max(err, _max_deviation(block),
+                  _max_deviation(frames[:, lo: lo + _TIME_BLOCK]))
+    if not err < ORTHO_TOL:
+        raise DegenerateBasis(f"basis is not orthonormal (deviation {err:.3e})")
+    maps = np.einsum("...ki,...kl,...lj->...ij", frames[:, 1:], mats, frames[:, :-1])
+    det = det2(maps)
+    if not np.all(np.isfinite(det) & (det != 0.0)):
+        raise DegenerateBasis("induced fiber map is singular")
     return OrbitTrace(fiber_index=i, times=np.arange(t0, t0 + n_steps + 1),
-                      matrices=mats, flags=tuple(flags), partials=partials,
-                      maps=maps, x=x, log_r=log_r)
+                      matrices=mats, bases=bases, frames=frames, maps=maps,
+                      x=x, log_r=log_r)
 
 
 def stationary_orbit(spec, fiber_index, n_steps, burnin, sampler, t_end=0):
-    """A trace whose window ends at ``t_end``, started from burn-in.
+    """Traces whose window ends at ``t_end``, each started from burn-in.
 
-    The window covers times [t_end - n_steps, t_end]; the burn-in approximates
-    drawing the first window flag from the stationary distribution.
+    ``sampler`` is one sampler or one per replica; each draws its burn-in
+    matrices and then its window's.  The window covers times
+    [t_end - n_steps, t_end]; the burn-in approximates drawing the first
+    window flag from the stationary distribution.
     """
-    base = np.eye(spec.dim)
-    for a in sample_batch(spec, sampler, burnin):
-        base, _ = batched_orthonormalize(a @ base)
-    return forward_orbit(spec, Flag(base), n_steps, sampler,
+    samplers = _samplers(sampler)
+    start = burn_in(spec, samplers, burnin)[1]
+    return forward_orbit(spec, start, n_steps, samplers,
                          fiber_index=fiber_index, t0=t_end - n_steps)
 
 
@@ -231,40 +380,55 @@ class StableLine:
 
 
 def _contracted_direction(maps, start, lookahead):
-    """Most contracted source direction of maps[start .. start+lookahead)."""
+    """Most contracted source direction of maps[start .. start+lookahead).
+
+    Returns the direction's coordinate, the steps used, and whether the
+    product's singular values are apart at all: a conformal product
+    contracts no direction, and its singular vectors are rounding noise.
+    """
     p = np.eye(2)
     used = 0
     for k in range(start, start + lookahead):
-        p = maps[k].matrix @ p
+        p = maps[k] @ p
         p = p / np.linalg.norm(p)
         used += 1
         sv = np.linalg.svd(p, compute_uv=False)
         if sv[0] > PRODUCT_COND_CAP * sv[-1]:
             break  # direction resolved to working precision
-    v = np.linalg.svd(p)[2][-1]
-    return float(circle.wrap(np.arctan2(v[1], v[0]))), used
+    _, sv, vt = np.linalg.svd(p)
+    v = vt[-1]
+    return (float(circle.wrap(np.arctan2(v[1], v[0]))), used,
+            sv[0] - sv[-1] > CONFORMAL_TOL * sv[0])
 
 
 def oseledets_stable_line(trace, t, lookahead=None, tol=1e-2):
-    """Fiber coordinate of the slow line of the quotient cocycle at time t.
+    """Fiber coordinate of the first replica's slow line at time t.
 
-    The slow (stable) line is the most contracted right singular direction
-    of the composed 2x2 fiber maps looking forward from t.  The reported
-    shift compares half against full lookahead and decays like
-    exp(-gap * lookahead / 2), so mild-gap ensembles need long windows;
-    when the full window cannot pin the direction down to ``tol`` the gap
-    is too small to trust the downstream interval machinery.  ``tol=None``
-    skips the check and reports the shift as-is.
+    The slow (stable) line of the quotient cocycle is the most contracted
+    right singular direction of the composed 2x2 fiber maps looking
+    forward from t.  The reported shift compares half against full
+    lookahead and decays like exp(-gap * lookahead / 2), so mild-gap
+    ensembles need long windows; when the full window cannot pin the
+    direction down to ``tol`` the gap is too small to trust the downstream
+    interval machinery.  A window that composes to a conformal map (an
+    isometric action) contracts no direction and is refused the same way,
+    whatever its rounding makes of the shift.  ``tol=None`` skips both
+    checks and reports the shift as-is.
     """
     k = trace.index(t)
-    avail = len(trace.maps) - k
+    maps = trace.maps[0]
+    avail = len(maps) - k
     if lookahead is None:
         lookahead = avail
     if lookahead < 2 or lookahead > avail:
         raise ValueError(f"lookahead {lookahead} outside 2..{avail}")
-    full, used = _contracted_direction(trace.maps, k, lookahead)
-    half, _ = _contracted_direction(trace.maps, k, max(1, lookahead // 2))
+    full, used, contracts = _contracted_direction(maps, k, lookahead)
+    half, _, _ = _contracted_direction(maps, k, max(1, lookahead // 2))
     shift = float(circle.distance(full, half))
+    if tol is not None and not contracts:
+        raise GapTooSmall(
+            f"the fiber maps over {lookahead} steps compose to a conformal "
+            "map, which contracts no direction")
     if tol is not None and shift > tol:
         raise GapTooSmall(
             f"stable line moved {shift:.2e} between lookaheads {lookahead // 2} "
@@ -272,8 +436,8 @@ def oseledets_stable_line(trace, t, lookahead=None, tol=1e-2):
     return StableLine(coordinate=full, shift=shift, lookahead=used)
 
 
-def stable_coordinates(trace, lookahead=None, tol=1e-2):
-    """Stable-line coordinates on the window's prefix, with certification.
+def stable_coordinates(trace, lookahead=None):
+    """Stable-line coordinates on the window's prefix, with certificates.
 
     Two transverse directions pulled back from the window's end both
     converge to the stable line (backward iteration contracts toward it at
@@ -282,29 +446,36 @@ def stable_coordinates(trace, lookahead=None, tol=1e-2):
     time only contracts further.  The anchor sits ``lookahead`` steps
     before the window's end, so the certifying event is a function of the
     maps after the anchor alone; callers that drop uncertified replicas
-    do not bias statistics collected before it.  Raises GapTooSmall when
-    the anchor resolution exceeds ``tol`` (``tol=None`` skips the check,
-    for isometric actions where no stable line exists).
+    do not bias statistics collected before it.  Every replica steps back
+    at once, each step a closed-form 2x2 solve (adjugate over determinant).
+
+    Returns (times, y, resolution): y[r] holds replica r's coordinates at
+    times[: anchor + 1] and resolution[r] its resolution at the anchor,
+    which callers hold against their tolerance (an isometric action has
+    no stable line and never resolves).
     """
-    n_maps = len(trace.maps)
+    maps = trace.maps
+    count, n_maps = maps.shape[:2]
     if lookahead is None:
         lookahead = min(n_maps, 400)
     anchor_k = n_maps - lookahead
     if anchor_k < 0:
         raise ValueError("window shorter than the requested lookahead")
-    pair = np.eye(2)
-    angles = np.empty((n_maps + 1, 2))
-    angles[n_maps] = (0.0, circle.HALF_TURN / 2)
+    pair = np.broadcast_to(np.eye(2), (count, 2, 2))
+    kept = np.empty((count, anchor_k + 1, 2, 2))
+    if anchor_k == n_maps:
+        kept[:, anchor_k] = pair
     for k in range(n_maps - 1, -1, -1):
-        pair = np.linalg.solve(trace.maps[k].matrix, pair)
-        pair = pair / np.linalg.norm(pair, axis=0, keepdims=True)
-        angles[k] = circle.wrap(np.arctan2(pair[1], pair[0]))
-    resolution = circle.distance(angles[anchor_k, 0], angles[anchor_k, 1])
-    if tol is not None and resolution > tol:
-        raise GapTooSmall(
-            f"stable line resolved only to {resolution:.2e} at the anchor "
-            f"({lookahead} steps from the window end, tolerance {tol:g})")
-    return trace.times[: anchor_k + 1], angles[: anchor_k + 1, 0]
+        (a, b), (c, d) = np.moveaxis(maps[:, k], 0, -1)
+        adjugate = np.stack([np.stack([d, -b], axis=-1),
+                             np.stack([-c, a], axis=-1)], axis=-2)
+        pair = adjugate / det2(maps[:, k])[:, None, None] @ pair
+        pair = pair / np.linalg.norm(pair, axis=-2, keepdims=True)
+        if k <= anchor_k:
+            kept[:, k] = pair
+    angles = circle.wrap(np.arctan2(kept[..., 1, :], kept[..., 0, :]))
+    resolution = circle.distance(angles[:, anchor_k, 0], angles[:, anchor_k, 1])
+    return trace.times[: anchor_k + 1], angles[..., 0], resolution
 
 
 @dataclass(frozen=True)
@@ -319,10 +490,13 @@ class AngleDecayReport:
 
 
 def angle_decay_check(trace, lookahead=None, tol=1e-2):
-    """Regression slope of log dist(x_n, y_n) against n; sublinear means ~0."""
-    times, y = stable_coordinates(trace, lookahead=lookahead, tol=tol)
-    x = trace.x[: len(y)]
-    d = circle.distance(x, y)
+    """Slope of log dist(x_n, y_n) against n on the first replica; ~0 expected."""
+    times, y, resolution = stable_coordinates(trace, lookahead=lookahead)
+    if tol is not None and resolution[0] > tol:
+        raise GapTooSmall(
+            f"stable line resolved only to {resolution[0]:.2e} at the anchor "
+            f"(tolerance {tol:g})")
+    d = circle.distance(trace.x[0, : len(times)], y[0])
     if np.any(d <= 0):
         raise DegenerateFiberPair("x and y coincide somewhere in the window")
     t = times.astype(float)
@@ -334,23 +508,25 @@ def angle_decay_check(trace, lookahead=None, tol=1e-2):
     return AngleDecayReport(slope=float(slope), stderr=stderr, n_points=len(t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Arc:
-    """Closed arc {anchor + t : lo <= t <= hi} with lo <= 0 <= hi.
+    """Closed arcs {anchor + t : lo <= t <= hi} with lo <= 0 <= hi.
 
-    Offsets are kept separate from the anchor so lengths far below the
-    anchor's own floating point resolution remain exact.
+    The fields are floats, or arrays of one shape holding one arc per
+    entry.  Offsets are kept separate from the anchor so lengths far below
+    the anchor's own floating point resolution remain exact.
     """
 
-    anchor: float
-    lo: float
-    hi: float
+    anchor: object
+    lo: object
+    hi: object
 
     def __post_init__(self):
-        if not (self.lo <= 0.0 <= self.hi):
+        if not np.all((self.lo <= 0.0) & (self.hi >= 0.0)):
             raise IntervalWrap(f"anchor left the arc: offsets [{self.lo}, {self.hi}]")
-        if self.hi - self.lo >= circle.HALF_TURN:
-            raise IntervalWrap(f"arc of length {self.hi - self.lo} covers the circle")
+        if np.any(self.hi - self.lo >= circle.HALF_TURN):
+            raise IntervalWrap(f"arc of length {np.max(self.hi - self.lo)} "
+                               "covers the circle")
 
     @property
     def length(self):
@@ -358,8 +534,8 @@ class Arc:
 
     @property
     def endpoints(self):
-        return (float(circle.wrap(self.anchor + self.lo)),
-                float(circle.wrap(self.anchor + self.hi)))
+        return (circle.wrap(self.anchor + self.lo),
+                circle.wrap(self.anchor + self.hi))
 
     def contains(self, theta):
         d = np.mod(np.asarray(theta, dtype=float) - (self.anchor + self.lo),
@@ -371,56 +547,114 @@ class Arc:
 
 
 def stationary_interval(trace, t, y=None, lookahead=None):
-    """The arc around x_t excluding the half-distance ball at the stable line.
+    """The arcs around x_t excluding the half-distance ball at the stable line.
 
-    ``y`` may be passed when stable coordinates were already computed for
-    the whole window; otherwise the stable line is estimated here.
+    ``t`` is one time or a sequence; the result holds one arc per replica,
+    and per time for a sequence.  ``y`` may be passed when stable
+    coordinates were already computed; otherwise the first replica's
+    stable line is estimated here.
     """
-    k = trace.index(t)
-    x = float(trace.x[k])
+    ks = [trace.index(s) for s in np.ravel(t)]
+    x = trace.x[:, ks] if np.ndim(t) else trace.x[:, ks[0]]
     if y is None:
         y = oseledets_stable_line(trace, t, lookahead=lookahead).coordinate
-    y = float(y)
-    rho = float(circle.distance(x, y))
-    if rho < 1e-12:
-        raise DegenerateFiberPair(f"x and y coincide at time {t} (distance {rho:.2e})")
+    rho = circle.distance(x, y)
+    if np.any(rho < DEGENERATE_DISTANCE):
+        raise DegenerateFiberPair(
+            f"x and y coincide at time {t} (distance {np.min(rho):.2e})")
     start = y + rho / 2.0  # forward endpoint of the excluded ball
-    lo = -float(np.mod(x - start, circle.HALF_TURN))
+    lo = -np.mod(x - start, circle.HALF_TURN)
     return Arc(anchor=x, lo=lo, hi=lo + (circle.HALF_TURN - rho))
+
+
+def _map_offsets(b, anchor, delta):
+    """``CircleMap.map_offset`` over broadcast stacks of maps and offsets.
+
+    The closed form is exact while the image offset stays under pi/2,
+    which holds when cond(B) |delta| < 1; larger offsets are cut into
+    ceil(cond(B) |delta|) + 1 pieces, as map_offset cuts them.
+    """
+    det = det2(b)
+    span = np.abs(delta) * _cond2(b)
+    pieces = np.where(span < 1.0, 1.0, np.ceil(span) + 1.0)
+    sub = delta / pieces
+    c, s = np.cos(sub), np.sin(sub)
+    total = np.zeros(np.broadcast(anchor, sub).shape)
+    theta = anchor
+    for m in range(int(np.max(pieces, initial=1.0))):
+        u = circle.unit_vector(theta)
+        bu = np.einsum("...ij,...j->...i", b, u)
+        bup = np.einsum("...ij,...j->...i", b, np.stack([-u[..., 1], u[..., 0]], axis=-1))
+        term = np.arctan2(s * det, c * np.sum(bu * bu, axis=-1)
+                          + s * np.sum(bu * bup, axis=-1))
+        total = total + np.where(m < pieces, term, 0.0)
+        theta = theta + sub
+    return total
+
+
+def _push(b, anchor, lo, hi):
+    d1 = _map_offsets(b, anchor, lo)
+    d2 = _map_offsets(b, anchor, hi)
+    return Arc(anchor=fiber_map_image(b, anchor), lo=np.minimum(d1, d2),
+               hi=np.maximum(d1, d2))
 
 
 def push_arc(cmap, arc):
     """Image of an arc under one circle map, anchored offsets throughout."""
-    d1 = cmap.map_offset(arc.anchor, arc.lo)
-    d2 = cmap.map_offset(arc.anchor, arc.hi)
-    lo, hi = (d1, d2) if d1 <= d2 else (d2, d1)
-    return Arc(anchor=cmap(arc.anchor), lo=lo, hi=hi)
+    return _push(cmap.matrix, arc.anchor, arc.lo, arc.hi)
+
+
+def pull_forward(trace, arc, t):
+    """Images at time 0 of arcs given at times t <= 0, replica by replica.
+
+    ``arc`` holds one arc per replica for one time ``t``, or per replica
+    and time for a sequence of times.  Each arc is pushed through its own
+    replica's maps T_t, ..., T_{-1}; all arcs advance together, each from
+    the step its time comes up.  The anchor rides at x, so every image
+    contains x_0 by construction, and the Arc invariant is asserted at
+    every step.
+    """
+    starts = np.array([trace.index(s) for s in np.ravel(t)])
+    shape = np.shape(arc.anchor)
+    anchor, lo, hi = (np.array(np.broadcast_to(v, shape), dtype=float)
+                      .reshape(len(trace.maps), len(starts))
+                      for v in (arc.anchor, arc.lo, arc.hi))
+    for step in range(int(starts.min()), trace.index(0)):
+        live = starts <= step
+        pushed = _push(trace.maps[:, step, None], anchor[:, live],
+                       lo[:, live], hi[:, live])
+        anchor[:, live], lo[:, live], hi[:, live] = pushed.anchor, pushed.lo, pushed.hi
+    return Arc(anchor=anchor.reshape(shape), lo=lo.reshape(shape),
+               hi=hi.reshape(shape))
 
 
 def interval_pullforward(trace, n, y=None, lookahead=None):
-    """Image at time 0 of the stationary interval at time -n.
+    """Images at time 0 of the stationary intervals at times -n.
 
-    Applies the step maps T_{-n}, ..., T_{-1} to I_{-n}; the anchor rides
-    at x, so the result contains x_0 by construction and the containment
-    is asserted by the Arc invariant at every step.
+    ``n`` is one depth or a grid of them; the stationary interval at -n is
+    pushed by T_{-n}, ..., T_{-1} (see pull_forward).
     """
-    if n < 1:
+    n = np.asarray(n)
+    if np.any(n < 1):
         raise ValueError("need n >= 1")
-    arc = stationary_interval(trace, -n, y=y, lookahead=lookahead)
-    k = trace.index(-n)
-    k0 = trace.index(0)
-    for step in range(k, k0):
-        arc = push_arc(trace.maps[step], arc)
-    return arc
+    return pull_forward(trace, stationary_interval(trace, -n, y=y,
+                                                   lookahead=lookahead), -n)
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalDecayReport:
     n_grid: np.ndarray
-    mean_log_length: np.ndarray
+    log_lengths: np.ndarray   # (certified replicas, grid points)
     slope: float
     slope_stderr: float
-    replicas: int
+
+    @property
+    def replicas(self):
+        return len(self.log_lengths)
+
+    @property
+    def mean_log_length(self):
+        return self.log_lengths.mean(axis=0)
 
     def summary(self):
         return (f"log length(J_n) slope {self.slope:.5f} "
@@ -429,52 +663,41 @@ class IntervalDecayReport:
 
 def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
                          burnin=1000, lookahead=900, tol=1e-2):
-    """Mean log length of pulled-forward stationary intervals on a grid of n.
+    """Log lengths of pulled-forward stationary intervals on a grid of n.
 
     Each replica runs one stationary window covering [-max n, lookahead]
-    and contributes every grid point; the regression slope of the means
-    should match the negative exponent gap.  Replicas whose future window
-    cannot certify the stable line are dropped; the certificate involves
-    only maps after time 0, so dropping them leaves the lengths unbiased.
+    and contributes every grid point; the slope should match the negative
+    exponent gap.  The slope is the mean of the replicas' own least-squares
+    slopes (equal to the slope fitted to the mean curve, least squares
+    being linear in the data) and its stderr their spread over sqrt(R),
+    so the variation between replicas is counted.  Replicas whose future
+    window cannot certify the stable line are dropped; the certificate
+    involves only maps after time 0, so dropping them leaves the lengths
+    unbiased.
     """
     n_grid = np.asarray(sorted(int(n) for n in n_grid))
     n_max = int(n_grid[-1])
-    rows = []
-    for r in range(replicas):
-        child = sampler.child(r)
-        trace = stationary_orbit(spec, fiber_index, n_max + lookahead, burnin,
-                                 child, t_end=lookahead)
-        try:
-            times, y = stable_coordinates(trace, lookahead=lookahead, tol=tol)
-        except GapTooSmall:
-            continue
-        row = np.empty(len(n_grid))
-        for j, n in enumerate(n_grid):
-            k = trace.index(-n)
-            arc = stationary_interval(trace, -n, y=y[k])
-            for step in range(k, trace.index(0)):
-                arc = push_arc(trace.maps[step], arc)
-            row[j] = np.log(arc.length)
-        rows.append(row)
-    if not rows:
+    trace = stationary_orbit(spec, fiber_index, n_max + lookahead, burnin,
+                             [sampler.child(r) for r in range(replicas)],
+                             t_end=lookahead)
+    _, y, resolution = stable_coordinates(trace, lookahead=lookahead)
+    keep = np.flatnonzero(resolution <= (np.inf if tol is None else tol))
+    if not len(keep):
         raise GapTooSmall(
             f"no replica of {replicas} certified a stable line at "
             f"lookahead {lookahead}")
-    rows = np.asarray(rows)
-    replicas = len(rows)
-    mean = rows.mean(axis=0)
-    t = n_grid.astype(float)
-    slope, intercept = np.polyfit(t, mean, 1)
-    resid = mean - (slope * t + intercept)
-    denom = float(np.sum((t - t.mean()) ** 2))
-    stderr = float(np.sqrt(np.sum(resid ** 2) / max(len(t) - 2, 1) / denom))
-    return IntervalDecayReport(n_grid=n_grid, mean_log_length=mean,
-                               slope=float(slope), slope_stderr=stderr,
-                               replicas=replicas)
+    ks = [trace.index(-n) for n in n_grid]
+    arc = interval_pullforward(trace.select(keep), n_grid, y=y[keep][:, ks])
+    rows = np.log(arc.length)
+    slopes = np.polyfit(n_grid.astype(float), rows.T, 1)[0]
+    stderr = (float(slopes.std(ddof=1) / np.sqrt(len(slopes)))
+              if len(slopes) > 1 else float("inf"))
+    return IntervalDecayReport(n_grid=n_grid, log_lengths=rows,
+                               slope=float(slopes.mean()), slope_stderr=stderr)
 
 
 def trace_to_csv(trace, path, y=None):
-    """One row per time: n, log-det increments, x, optional y, step interval."""
+    """The first replica, one row per time: n, log-det increments, x, optional y."""
     import csv as _csv
 
     d = trace.matrices.shape[-1]
@@ -483,7 +706,7 @@ def trace_to_csv(trace, path, y=None):
         header = ["n"] + [f"log_r_{i}" for i in range(1, d + 1)] + ["x", "y"]
         writer.writerow(header)
         for k, t in enumerate(trace.times):
-            logs = ["" for _ in range(d)] if k >= len(trace.log_r) else \
-                [repr(float(v)) for v in trace.log_r[k]]
+            logs = ["" for _ in range(d)] if k >= trace.log_r.shape[1] else \
+                [repr(float(v)) for v in trace.log_r[0, k]]
             yv = "" if y is None or k >= len(y) else repr(float(y[k]))
-            writer.writerow([int(t)] + logs + [repr(float(trace.x[k])), yv])
+            writer.writerow([int(t)] + logs + [repr(float(trace.x[0, k])), yv])

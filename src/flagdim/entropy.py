@@ -37,15 +37,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circle
-from .dynamics import (Arc, batched_orthonormalize, circle_map_between,
-                       evolve_flags, forward_orbit, lyapunov_spectrum,
-                       push_arc, push_flags, stable_coordinates,
+from .dynamics import (DEGENERATE_DISTANCE, Arc, burn_in, evolve_flags,
+                       forward_orbit, line_coordinates, lyapunov_spectrum,
+                       pull_forward, push_flags, stable_coordinates,
                        stationary_flag_pool, stationary_interval)
 from .ensemble import SeededSampler, sample_batch
-from .errors import (AtomicFiber, BandwidthTooSmall, DegenerateFiberPair,
-                     GapTooSmall, HypothesisNotMet, InsufficientMass,
-                     NoAcceptedReplicas)
-from .flagcore import Flag, partial_flag
+from .errors import (AtomicFiber, BandwidthTooSmall, GapTooSmall,
+                     HypothesisNotMet, InsufficientMass, NoAcceptedReplicas)
+from .flagcore import (Flag, fiber_coordinates, fiber_map_derivative,
+                       fiber_map_image, partial_flag)
 from .measures import (KDE_MIN_NEIGHBORS, EmpiricalCircleMeasure,
                        default_radius_grid, kde_density, kernel_sums,
                        local_dimension, max_cluster_weight, neighbor_counts,
@@ -81,19 +81,6 @@ def _default_pin(spec, pin_length):
     return 0 if spec.dim == 2 else 60
 
 
-def _fiber_coordinates(bases, reference):
-    """Coordinates of each base's missing subspace in the reference frame.
-
-    The tail replicas carry their own full flags; their i-th basis vectors
-    are read in the single reference fiber frame, which is what makes the
-    replicas one empirical measure rather than many.
-    """
-    i = reference.missing
-    u, w = reference.frame
-    b = bases[:, :, i - 1]
-    return np.mod(np.arctan2(b @ w, b @ u), circle.HALF_TURN)
-
-
 def _atomic_gate(coords, context):
     """Refuse when half and full samples agree on a dominant atom."""
     full = EmpiricalCircleMeasure.from_samples(coords)
@@ -104,19 +91,6 @@ def _atomic_gate(coords, context):
         raise AtomicFiber(
             f"{context}: cluster of weight {wf:.3f} at resolution "
             f"{ATOM_RESOLUTION:g} persists across sample sizes")
-
-
-def _realization(spec, pin_length, sampler, burnin):
-    """One pinned recent past and the flag it produces.
-
-    Returns (pinned matrices, flag at the pin's end); the preceding burn-in
-    approximates a stationary start.
-    """
-    mats = sample_batch(spec, sampler, burnin + pin_length)
-    base = np.eye(spec.dim)
-    for a in mats:
-        base, _ = batched_orthonormalize(a @ base)
-    return mats[burnin:], Flag(base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +124,11 @@ def conditional_fiber_sample(spec, fiber_index, pin_length=None,
     sampler = sampler or SeededSampler(0)
     pin_length = _default_pin(spec, pin_length)
     if pinned is None:
-        pinned, f_end = _realization(spec, pin_length, sampler.child(0),
-                                     realization_burnin)
-        reference = partial_flag(f_end, fiber_index)
+        # the burn-in before the pin approximates a stationary start
+        pinned, f_end = burn_in(spec, sampler.child(0),
+                                realization_burnin + pin_length, keep=pin_length)
+        pinned = pinned[0]
+        reference = partial_flag(Flag(f_end[0]), fiber_index)
     else:
         pinned = np.asarray(pinned, dtype=float)
         if reference is None:
@@ -160,9 +136,12 @@ def conditional_fiber_sample(spec, fiber_index, pin_length=None,
     if pool is None:
         pool = stationary_flag_pool(spec, tail_replicas, tail_burnin,
                                     sampler.child(1))
-    coords = _fiber_coordinates(push_flags(pinned, pool), reference)
-    half = _fiber_coordinates(push_flags(pinned[len(pinned) // 2:], pool),
-                              reference)
+    # the tail replicas carry their own full flags; reading them all in
+    # the one reference frame makes them one empirical measure
+    frame = np.column_stack(reference.frame)
+    coords = fiber_coordinates(push_flags(pinned, pool), frame, fiber_index)
+    half = fiber_coordinates(push_flags(pinned[len(pinned) // 2:], pool),
+                             frame, fiber_index)
     diag = wasserstein_circle(EmpiricalCircleMeasure.from_samples(coords),
                               EmpiricalCircleMeasure.from_samples(half))
     if convergence_tol is not None and diag > convergence_tol:
@@ -225,36 +204,33 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
     i = fiber_index
     pool0 = stationary_flag_pool(spec, tail_replicas, tail_burnin, sampler.child(1))
     pool1 = stationary_flag_pool(spec, tail_replicas, tail_burnin, sampler.child(2))
+    # every realization's burn-in and pinned past, then its step 0 -> 1
+    children = [sampler.child(10, r) for r in range(orbit_samples)]
+    pins, f0 = burn_in(spec, children, realization_burnin + pin_length,
+                       keep=pin_length)
+    step = forward_orbit(spec, f0, 1, children, fiber_index=i)
     kappas = []
     skipped = 0
     diag = None
-    for r in range(orbit_samples):
-        child = sampler.child(10, r)
-        pin0, f0 = _realization(spec, pin_length, child, realization_burnin)
-        a0 = sample_batch(spec, child, 1)[0]
-        q1, _ = batched_orthonormalize(a0 @ f0.basis)
-        f1 = Flag(q1)
-        p0 = partial_flag(f0, i)
-        p1 = partial_flag(f1, i)
-        tmap = circle_map_between(a0, p0, p1)
-        b = f1.basis[:, i - 1]
-        u, w = p1.frame
-        x1 = float(np.mod(np.arctan2(b @ w, b @ u), circle.HALF_TURN))
-        tail = np.concatenate([pin0, a0[None]], axis=0)
+    for r, child in enumerate(children):
+        pin0 = pins[r]
+        frame0, frame1 = step.frames[r]
+        x1 = float(step.x[r, 1])
+        tail = np.concatenate([pin0, step.matrices[r]], axis=0)
         pin1 = tail[len(tail) - pin_length:]
-        coords0 = _fiber_coordinates(push_flags(pin0, pool0), p0)
-        coords1 = _fiber_coordinates(push_flags(pin1, pool1), p1)
+        coords0 = fiber_coordinates(push_flags(pin0, pool0), frame0, i)
+        coords1 = fiber_coordinates(push_flags(pin1, pool1), frame1, i)
         if r == 0:
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
-            half = _fiber_coordinates(
-                push_flags(pin1[len(pin1) // 2:], pool1), p1)
+            half = fiber_coordinates(
+                push_flags(pin1[len(pin1) // 2:], pool1), frame1, i)
             diag = wasserstein_circle(
                 EmpiricalCircleMeasure.from_samples(coords1),
                 EmpiricalCircleMeasure.from_samples(half))
             if convergence_tol is not None and diag > convergence_tol:
                 raise GapTooSmall(
                     f"half-pin diagnostic {diag:.4f} exceeds {convergence_tol:g}")
-        pushed_all = tmap(coords0)
+        pushed_all = fiber_map_image(step.maps[r, 0], coords0)
         pushed = EmpiricalCircleMeasure.from_samples(pushed_all[::2])
         target = EmpiricalCircleMeasure.from_samples(coords1[::2])
         if len(_screened(np.array([x1]), (pushed, target), bandwidth)) == 0:
@@ -286,10 +262,9 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
 
 
 def _isometric_fiber_action(trace):
-    """True when every step's fiber map has unit metric derivative."""
-    logs = [abs(np.log(m.derivative(float(x))))
-            for m, x in zip(trace.maps, trace.x[:-1])]
-    return max(logs) < 1e-9
+    """Per replica: True when every step's fiber map has unit metric derivative."""
+    logs = np.abs(np.log(fiber_map_derivative(trace.maps, trace.x[:, :-1])))
+    return np.max(logs, axis=1) < 1e-9
 
 
 def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
@@ -321,68 +296,70 @@ def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
     estimator correctly reads ~0.  Non-isometric replicas whose future
     window cannot certify the stable line are dropped and counted; the
     certificate depends only on maps after time 0, so the drop is
-    independent of the masses measured on [-n, 0].
+    independent of the masses measured on [-n, 0].  The atomic gate and
+    the pin diagnostic read the first replica that survives these drops.
     """
     sampler = sampler or SeededSampler(0)
     pin_length = 0 if pin_length is None else int(pin_length)
     i = fiber_index
     pool_a = stationary_flag_pool(spec, tail_replicas, tail_burnin, sampler.child(1))
     pool_b = stationary_flag_pool(spec, tail_replicas, tail_burnin, sampler.child(2))
+    # every replica's realization and window [-n, lookahead], all at once
+    children = [sampler.child(10, r) for r in range(replicas)]
+    pins, start = burn_in(spec, children, realization_burnin + pin_length,
+                          keep=pin_length)
+    trace = forward_orbit(spec, start, n + lookahead, children,
+                          fiber_index=i, t0=-n)
+    _, y, resolution = stable_coordinates(trace, lookahead=lookahead)
+    x, y = trace.x[:, 0], y[:, 0]
+    resolved = resolution <= stable_tol
+    lost = ~resolved & ~_isometric_fiber_action(trace)
+    coincide = resolved & (circle.distance(x, y) < DEGENERATE_DISTANCE)
+    rows = np.flatnonzero(~lost & ~coincide)
+    # the isometric substitute arc, replaced where the line is certified
+    lo = np.full(len(rows), -0.4 * circle.HALF_TURN)
+    hi = np.full(len(rows), 0.4 * circle.HALF_TURN)
+    certified = resolved[rows]
+    if certified.any():
+        arc = stationary_interval(trace.select(rows[certified]), -n,
+                                  y=y[rows[certified]])
+        lo[certified], hi[certified] = arc.lo, arc.hi
+    intervals = Arc(anchor=x[rows], lo=lo, hi=hi)
+    images = pull_forward(trace.select(rows), intervals, -n)
     accepted = []
     rejected = 0
     zero_mass = 0
-    degenerate = 0
-    unresolved = 0
     diag = None
-    for r in range(replicas):
-        child = sampler.child(10, r)
-        burn = sample_batch(spec, child, realization_burnin + pin_length)
-        base = np.eye(spec.dim)
-        for a in burn:
-            base, _ = batched_orthonormalize(a @ base)
-        pin_minus = burn[len(burn) - pin_length:]
-        trace = forward_orbit(spec, Flag(base), n + lookahead, child,
-                              fiber_index=i, t0=-n)
-        try:
-            _, y = stable_coordinates(trace, lookahead=lookahead, tol=stable_tol)
-            interval = stationary_interval(trace, -n, y=y[0])
-        except GapTooSmall:
-            if not _isometric_fiber_action(trace):
-                unresolved += 1
-                continue
-            interval = Arc(anchor=float(trace.x[0]),
-                           lo=-0.4 * circle.HALF_TURN, hi=0.4 * circle.HALF_TURN)
-        except DegenerateFiberPair:
-            degenerate += 1
-            continue
-        arc = interval
-        for step in range(trace.index(-n), trace.index(0)):
-            arc = push_arc(trace.maps[step], arc)
-        ref_minus = trace.partials[trace.index(-n)]
-        coords_minus = _fiber_coordinates(push_flags(pin_minus, pool_a), ref_minus)
-        if r == 0:
+    for j, r in enumerate(rows):
+        pin_minus = pins[r]
+        frame_minus = trace.frames[r, trace.index(-n)]
+        coords_minus = fiber_coordinates(push_flags(pin_minus, pool_a),
+                                         frame_minus, i)
+        if diag is None:
             _atomic_gate(coords_minus, f"{spec.name} fiber {i}")
-            half = _fiber_coordinates(
-                push_flags(pin_minus[pin_length // 2:], pool_a), ref_minus)
+            half = fiber_coordinates(
+                push_flags(pin_minus[pin_length // 2:], pool_a), frame_minus, i)
             diag = wasserstein_circle(
                 EmpiricalCircleMeasure.from_samples(coords_minus),
                 EmpiricalCircleMeasure.from_samples(half))
         m_minus = EmpiricalCircleMeasure.from_samples(coords_minus)
-        mass_i = m_minus.arc_mass(interval.anchor + interval.lo, interval.length)
+        mass_i = m_minus.arc_mass(x[r] + lo[j], hi[j] - lo[j])
         if mass_i < 0.5:
             rejected += 1
             continue
-        seq = np.concatenate([burn, trace.matrices], axis=0)
-        cut = len(burn) + n
-        pin_zero = seq[cut - pin_length: cut]
-        ref_zero = trace.partials[trace.index(0)]
-        coords_zero = _fiber_coordinates(push_flags(pin_zero, pool_b), ref_zero)
+        # the pin before time 0: the last pin_length matrices up to it
+        pin_zero = np.concatenate([pin_minus, trace.matrices[r]])[n: n + pin_length]
+        coords_zero = fiber_coordinates(push_flags(pin_zero, pool_b),
+                                        trace.frames[r, trace.index(0)], i)
         m_zero = EmpiricalCircleMeasure.from_samples(coords_zero)
-        mass_j = m_zero.arc_mass(arc.anchor + arc.lo, arc.length)
+        mass_j = m_zero.arc_mass(images.anchor[j] + images.lo[j],
+                                 images.hi[j] - images.lo[j])
         if mass_j <= 0:
             zero_mass += 1
             continue
         accepted.append((np.log(mass_i) - np.log(mass_j)) / n)
+    degenerate = int(np.count_nonzero(coincide))
+    unresolved = int(np.count_nonzero(lost))
     if not accepted:
         raise NoAcceptedReplicas(
             f"all {replicas} replicas rejected (mass filter {rejected}, "
@@ -449,7 +426,8 @@ def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
     start = np.zeros((tail_replicas, 2, 1))
     start[:, 0, 0] = 1.0
     lines = evolve_flags(spec, start, burnin, sampler.child(1))
-    x = circle.wrap(np.arctan2(lines[:, 1, 0], lines[:, 0, 0]))
+    # the fiber plane of d = 2 is the whole plane, framed by e_1, e_2
+    x = fiber_coordinates(lines, np.eye(2), 1)
     _atomic_gate(x, f"{spec.name} stationary measure")
     if not 2 <= orbit_samples <= tail_replicas:
         raise ValueError("orbit_samples must lie between 2 and tail_replicas")
@@ -457,7 +435,6 @@ def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
     owner = np.arange(len(x)) % orbit_samples
     n_groups = min(JACKKNIFE_GROUPS, orbit_samples)
     group = owner % n_groups
-    base = circle.unit_vector(x)
     h = float(bandwidth)
     # per-matrix mean log ratios: with every replica, and with each
     # jackknife group's replicas left out of the kernel sums
@@ -467,8 +444,7 @@ def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
     queries = 0
     dropped = 0
     for r, a in enumerate(mats):
-        img = base @ a.T
-        image = circle.wrap(np.arctan2(img[:, 1], img[:, 0]))
+        image = fiber_map_image(a, x)
         asked = np.flatnonzero(owner == r)
         # each query's own replica is left out of both kernel sums
         sp, cp = kernel_sums(image, image[asked], h, labels=group,
@@ -525,19 +501,12 @@ def conditional_independence_diagnostic(spec, fiber_index, pin_length=50,
     i = fiber_index
     pinned = sample_batch(spec, sampler.child(0), pin_length)
     pool = stationary_flag_pool(spec, replicas, tail_burnin, sampler.child(1))
-    bases = push_flags(pinned, pool)
-    xs = np.empty(replicas)
-    ys = np.empty(replicas)
-    for r in range(replicas):
-        f = Flag(bases[r])
-        p = partial_flag(f, i)
-        u, w = p.frame
-        b = f.basis[:, i - 1]
-        xs[r] = np.mod(np.arctan2(b @ w, b @ u), circle.HALF_TURN)
-        trace = forward_orbit(spec, f, future_steps, sampler.child(2, r),
-                              fiber_index=i)
-        _, y = stable_coordinates(trace, lookahead=future_steps, tol=None)
-        ys[r] = y[0]
+    trace = forward_orbit(spec, push_flags(pinned, pool), future_steps,
+                          [sampler.child(2, r) for r in range(replicas)],
+                          fiber_index=i)
+    # no certificate: the correlation is read whatever the resolution
+    _, y, _ = stable_coordinates(trace, lookahead=future_steps)
+    xs, ys = trace.x[:, 0], y[:, 0]
     ex = np.stack([np.cos(2 * xs), np.sin(2 * xs)])
     ey = np.stack([np.cos(2 * ys), np.sin(2 * ys)])
     rho = 0.0
@@ -715,19 +684,10 @@ def dimension_formula_report(spec, fiber_index, sampler=None, spectrum=None,
         r_grid = default_radius_grid()
     rng = sampler.child(400, i).rng
     if spec.dim == 2:
-        child = sampler.child(500)
-        v = np.array([1.0, 0.0])
-        total = 1000 + stationary_samples * thinning
-        mats = sample_batch(spec, child, total)
-        pts = np.empty(stationary_samples)
-        for t, a in enumerate(mats):
-            v = a @ v
-            v /= np.linalg.norm(v)
-            k = t - 1000
-            if k >= 0 and k % thinning == 0:
-                pts[k // thinning] = np.arctan2(v[1], v[0])
+        mats = sample_batch(spec, sampler.child(500),
+                            1000 + stationary_samples * thinning)
         measure = EmpiricalCircleMeasure.from_samples(
-            np.mod(pts, circle.HALF_TURN))
+            line_coordinates(mats, 1001, thinning))
         slopes, skipped = _slope_distribution(measure, rng, base_points, r_grid)
     else:
         slopes = []

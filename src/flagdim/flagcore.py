@@ -196,6 +196,79 @@ def _completion_pair(plane):
     raise DegenerateBasis("completion rule found no independent directions")
 
 
+def completion_frames(planes):
+    """``_completion_pair`` over a stack of planes, (..., d, 2) -> (..., d, 2).
+
+    The projection of e_j onto a plane with orthonormal columns P is
+    P c_j, c_j being row j of P, so |P c_j| = |c_j|, and its residual
+    against u = P a is |c_j - (a . c_j) a|: the rule's choices of e_j
+    are read off the rows in the plane's own coordinates, with no d x d
+    projector.  The chosen u and w are then formed as the rule forms them.
+    """
+    planes = np.asarray(planes, dtype=float)
+    d = planes.shape[-2]
+
+    def projection(j):
+        row = np.take_along_axis(planes, j[..., None, None], axis=-2)[..., 0, :]
+        return np.einsum("...ik,...k->...i", planes, row)
+
+    ju = np.argmax(np.linalg.norm(planes, axis=-1) > _PROJ_TOL, axis=-1)
+    u = projection(ju)
+    u = _first_significant_positive(u / np.linalg.norm(u, axis=-1, keepdims=True))
+    a = np.einsum("...ik,...i->...k", planes, u)
+    along = np.einsum("...jk,...k->...j", planes, a)
+    residual = np.linalg.norm(planes - along[..., None] * a[..., None, :], axis=-1)
+    ok = (residual > _PROJ_TOL) & (np.arange(d) > ju[..., None])
+    if not np.all(np.any(ok, axis=-1)):
+        raise DegenerateBasis("completion rule found no independent directions")
+    w = projection(np.argmax(ok, axis=-1))
+    # small residuals amplify roundoff; the second pass restores
+    # orthogonality to machine precision
+    for _ in range(2):
+        w = w - np.sum(u * w, axis=-1, keepdims=True) * u
+        w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    return np.stack([u, _first_significant_positive(w)], axis=-1)
+
+
+def _first_significant_positive(v):
+    """Flip each vector so its first component above _PROJ_TOL is positive."""
+    k = np.argmax(np.abs(v) > _PROJ_TOL, axis=-1)
+    lead = np.take_along_axis(v, k[..., None], axis=-1)
+    return np.where(lead < 0, -v, v)
+
+
+def fiber_coordinates(bases, frames, i):
+    """Coordinate of each basis's S_i in a fiber frame, in [0, pi).
+
+    ``bases`` (..., d, d) and ``frames`` (..., d, 2) broadcast, so one
+    reference frame can read a whole stack of flags.
+    """
+    b = np.asarray(bases)[..., :, i - 1]
+    return circle.wrap(np.arctan2(np.sum(b * frames[..., 1], axis=-1),
+                                  np.sum(b * frames[..., 0], axis=-1)))
+
+
+def det2(b):
+    """Determinants of a stack of 2x2 matrices (..., 2, 2)."""
+    return b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
+
+
+def fiber_map_image(b, theta):
+    """Images of fiber coordinates under 2x2 fiber maps, broadcasting.
+
+    ``b`` (..., 2, 2) acts in the completion frames: theta goes to the
+    angle of B (cos theta, sin theta), in [0, pi).
+    """
+    y = np.einsum("...ij,...j->...i", b, circle.unit_vector(theta))
+    return circle.wrap(np.arctan2(y[..., 1], y[..., 0]))
+
+
+def fiber_map_derivative(b, theta):
+    """Metric derivatives |T'(theta)| = |det B| / |B (cos, sin)|^2, broadcasting."""
+    y = np.einsum("...ij,...j->...i", b, circle.unit_vector(theta))
+    return np.abs(det2(b)) / np.sum(y * y, axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class PartialFlag:
     """A complete flag with its i-dimensional subspace removed.
@@ -254,9 +327,7 @@ def fiber_embed(fi, theta):
 def fiber_coordinate(f, i):
     """Position of S_i within the fiber circle over the rest of the flag."""
     fi = partial_flag(f, i)
-    u, w = fi.frame
-    b = f.basis[:, i - 1]
-    return float(circle.wrap(np.arctan2(b @ w, b @ u)))
+    return float(fiber_coordinates(f.basis, np.column_stack(fi.frame), i))
 
 
 def act_partial(a, fi):
@@ -284,7 +355,7 @@ class CircleMap:
 
     def __post_init__(self):
         b = np.array(self.matrix, dtype=float)
-        det = float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
+        det = float(det2(b))
         if det == 0.0 or not np.isfinite(det):
             raise DegenerateBasis("induced fiber map is singular")
         b.setflags(write=False)
@@ -293,16 +364,12 @@ class CircleMap:
         object.__setattr__(self, "_cond", float(np.linalg.cond(b)))
 
     def __call__(self, theta):
-        v = circle.unit_vector(theta)
-        y = v @ self.matrix.T
-        out = circle.wrap(np.arctan2(y[..., 1], y[..., 0]))
+        out = fiber_map_image(self.matrix, theta)
         return float(out) if np.isscalar(theta) else out
 
     def derivative(self, theta):
         """Metric derivative |T'(theta)|; reciprocal of the fiber density."""
-        v = circle.unit_vector(theta)
-        y = v @ self.matrix.T
-        out = abs(self._det) / np.sum(y * y, axis=-1)
+        out = fiber_map_derivative(self.matrix, theta)
         return float(out) if np.isscalar(theta) else out
 
     def map_offset(self, anchor, delta):

@@ -39,10 +39,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import _svg
-from .dynamics import (interval_decay_curve, lyapunov_spectrum,
-                       stationary_orbit)
+from .dynamics import (interval_decay_curve, line_coordinates,
+                       lyapunov_spectrum)
 from .ensemble import (BENCHMARKS, SeededSampler, from_text,
-                       mean_log_abs_det, validate)
+                       mean_log_abs_det, sample_batch, validate)
 from .entropy import (GapRow, conditional_fiber_sample,
                       dimension_formula_report, furstenberg_entropy_d2,
                       kappa_density_estimator, kappa_interval_estimator)
@@ -355,8 +355,11 @@ def run_entropy(cfg, threads=1):
 def _ball_curves(cfg, spec, i, sampler, points=6):
     """Radius/mass curves behind the dimension figure (and its CSV)."""
     if spec.dim == 2:
-        trace = stationary_orbit(spec, i, 30_000, cfg.burnin, sampler)
-        measure = EmpiricalCircleMeasure.from_samples(trace.x[::3])
+        # one orbit: cfg.burnin steps, then every third of 30 000 steps
+        mats = np.concatenate([sample_batch(spec, sampler, cfg.burnin),
+                               sample_batch(spec, sampler, 30_000)])
+        measure = EmpiricalCircleMeasure.from_samples(
+            line_coordinates(mats, cfg.burnin, 3))
     else:
         measure = conditional_fiber_sample(
             spec, i, pin_length=cfg.pin_length,

@@ -3,15 +3,17 @@ import pytest
 
 from flagdim import circle
 from flagdim.dynamics import (Arc, angle_decay_check, batched_orthonormalize,
-                              forward_orbit, interval_decay_curve,
-                              interval_pullforward, lyapunov_spectrum,
+                              circle_map_between, forward_orbit,
+                              interval_decay_curve, interval_pullforward,
+                              line_coordinates, lyapunov_spectrum,
                               oseledets_stable_line, push_arc,
                               stable_coordinates, stationary_interval,
                               stationary_orbit, trace_to_csv)
 from flagdim.ensemble import (SeededSampler, bern2, diag3eps, finite_support,
-                              rot2)
+                              rot2, sample_batch)
 from flagdim.errors import (DegenerateFiberPair, GapTooSmall, IntervalWrap)
-from flagdim.flagcore import Flag, LinearMap, act_flag
+from flagdim.flagcore import (Flag, LinearMap, act_flag, fiber_coordinate,
+                              partial_flag)
 
 from conftest import random_invertible
 
@@ -22,6 +24,23 @@ def single(name, mat):
 
 HYPER2 = single("hyper2", np.diag([2.0, 0.5]))
 HYPER3 = single("hyper3", np.diag([3.0, 1.0, 1 / 3.0]))
+
+
+def givens(d, a, b, angle):
+    g = np.eye(d)
+    g[[a, a, b, b], [a, b, a, b]] = [np.cos(angle), -np.sin(angle),
+                                     np.sin(angle), np.cos(angle)]
+    return g
+
+
+def hyper3mix():
+    # two hyperbolic atoms in general position: gaps at both fibers and
+    # replicas that differ, unlike a single atom
+    stretch = np.diag([3.0, 1.0, 1 / 3.0])
+    return finite_support("hyper3mix",
+                          [givens(3, 0, 1, 0.7) @ stretch,
+                           givens(3, 1, 2, 1.1) @ givens(3, 0, 2, 0.4) @ stretch],
+                          [0.5, 0.5])
 
 
 def strong2(angle=0.9, stretch=0.8):
@@ -115,10 +134,10 @@ def test_forward_orbit_composition_invariant(rng):
     trace = forward_orbit(spec, Flag.standard(2), 25, SeededSampler(7))
     prod = np.eye(2)
     for k in range(25):
-        prod = trace.matrices[k] @ prod
-        direct = act_flag(LinearMap(prod), trace.flags[0])
+        prod = trace.matrices[0, k] @ prod
+        direct = act_flag(LinearMap(prod), trace.flag(0))
         p1 = direct.basis[:, :1] @ direct.basis[:, :1].T
-        p2 = trace.flags[k + 1].basis[:, :1] @ trace.flags[k + 1].basis[:, :1].T
+        p2 = trace.bases[0, k + 1][:, :1] @ trace.bases[0, k + 1][:, :1].T
         assert np.max(np.abs(p1 - p2)) < 1e-8
 
 
@@ -126,8 +145,8 @@ def test_forward_orbit_steps_through_maps():
     trace = forward_orbit(diag3eps(), Flag.standard(3), 40, SeededSampler(8),
                           fiber_index=2)
     for k in range(40):
-        assert circle.distance(trace.maps[k](trace.x[k]),
-                               trace.x[k + 1]) < 1e-9
+        assert circle.distance(trace.circle_map(k)(trace.x[0, k]),
+                               trace.x[0, k + 1]) < 1e-9
 
 
 def test_trace_window_and_index():
@@ -161,11 +180,12 @@ def test_stable_line_gate_on_isometries():
 
 def test_stable_coordinates_certified(rng):
     trace = forward_orbit(strong2(), Flag.standard(2), 140, SeededSampler(13))
-    times, y = stable_coordinates(trace, lookahead=60)
-    assert len(times) == len(y) > 0
+    times, y, resolution = stable_coordinates(trace, lookahead=60)
+    assert resolution[0] <= 1e-2
+    assert len(times) == len(y[0]) > 0
     # recompute one point directly
     line = oseledets_stable_line(trace, int(times[3]), lookahead=60)
-    assert circle.distance(y[3], line.coordinate) < 1e-9
+    assert circle.distance(y[0, 3], line.coordinate) < 1e-9
 
 
 def test_angle_decay_slope_near_zero_deterministic():
@@ -207,7 +227,7 @@ def test_stationary_interval_worked_example():
     # x = 0 and y = pi/2 give the arc from 3pi/4 of length pi/2
     trace = forward_orbit(HYPER2, Flag.standard(2), 60, SeededSampler(16))
     arc = stationary_interval(trace, 0, lookahead=50)
-    assert circle.distance(trace.x[0], 0.0) < 1e-12
+    assert circle.distance(trace.x[0, 0], 0.0) < 1e-12
     assert arc.length == pytest.approx(np.pi / 2, abs=1e-9)
     lo, hi = arc.endpoints
     assert lo == pytest.approx(3 * np.pi / 4, abs=1e-9)
@@ -220,7 +240,7 @@ def test_stationary_interval_worked_example():
 def test_stationary_interval_rejects_coinciding_pair():
     trace = forward_orbit(HYPER2, Flag.standard(2), 60, SeededSampler(17))
     with pytest.raises(DegenerateFiberPair):
-        stationary_interval(trace, 0, y=float(trace.x[trace.index(0)]))
+        stationary_interval(trace, 0, y=float(trace.x[0, trace.index(0)]))
 
 
 def test_mobius_contraction_closed_form():
@@ -263,7 +283,7 @@ def test_pullforward_contains_x_and_excludes_y():
             except IntervalWrap:
                 wrapped += 1
                 continue
-            x0 = float(trace.x[trace.index(0)])
+            x0 = float(trace.x[0, trace.index(0)])
             assert arc.contains(x0)
             if arc.length < circle.distance(x0, y0):
                 assert not arc.contains(y0)
@@ -275,7 +295,7 @@ def test_pullforward_contains_x_bern2():
                              t_end=1550)
     for n in (20, 80, 140):
         arc = interval_pullforward(trace, n, lookahead=1500)
-        assert arc.contains(float(trace.x[trace.index(0)]))
+        assert arc.contains(float(trace.x[0, trace.index(0)]))
 
 
 def test_trace_csv(tmp_path):
@@ -285,3 +305,102 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "n,log_r_1,log_r_2,x,y"
     assert len(lines) == 14  # header + 13 states
+
+
+@pytest.mark.parametrize("spec, i", [(bern2(), 1), (diag3eps(), 2),
+                                     (hyper3mix(), 1)],
+                         ids=["bern2", "diag3eps", "hyper3mix"])
+def test_batch_matches_single_replicas(spec, i):
+    # a batch of R replicas equals R runs of one, replica by replica
+    n, lookahead = 40, 60
+    grid = np.array([5, 20, 40])
+    batch = stationary_orbit(spec, i, n + lookahead, 50,
+                             [SeededSampler(23, (r,)) for r in range(4)],
+                             t_end=lookahead)
+    _, y, resolution = stable_coordinates(batch, lookahead=lookahead)
+    ks = [batch.index(-m) for m in grid]
+    arcs = interval_pullforward(batch, grid, y=y[:, ks])
+    for r in range(4):
+        one = stationary_orbit(spec, i, n + lookahead, 50,
+                               SeededSampler(23, (r,)), t_end=lookahead)
+        _, y1, resolution1 = stable_coordinates(one, lookahead=lookahead)
+        arc1 = interval_pullforward(one, grid, y=y1[:, ks])
+        assert np.max(np.abs(one.x[0] - batch.x[r])) < 1e-12
+        assert np.max(np.abs(one.maps[0] - batch.maps[r])) < 1e-12
+        assert np.max(circle.distance(y1[0], y[r])) < 1e-12
+        assert abs(resolution1[0] - resolution[r]) < 1e-12
+        assert np.allclose(arc1.length[0], arcs.length[r], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("spec, i", [(diag3eps(), 2), (hyper3mix(), 1)],
+                         ids=["diag3eps", "hyper3mix"])
+def test_trace_arrays_match_per_step_objects(spec, i):
+    # the arrays against Flag / PartialFlag / CircleMap built step by step,
+    # the backward pass against LU solves, and the pushes against
+    # CircleMap.map_offset
+    trace = stationary_orbit(spec, i, 80, 40,
+                             [SeededSampler(24, (r,)) for r in range(3)],
+                             t_end=50)
+    _, y, _ = stable_coordinates(trace, lookahead=50)
+    n = 30
+    arcs = interval_pullforward(trace, n, y=y[:, trace.index(-n)])
+    for r in range(3):
+        partials = [partial_flag(trace.flag(k, r), i) for k in range(81)]
+        for k in range(80):
+            assert np.max(np.abs(trace.frames[r, k]
+                                 - np.column_stack(partials[k].frame))) < 1e-12
+            assert circle.distance(trace.x[r, k],
+                                   fiber_coordinate(trace.flag(k, r), i)) < 1e-12
+            want = circle_map_between(trace.matrices[r, k], partials[k],
+                                      partials[k + 1]).matrix
+            assert np.max(np.abs(trace.maps[r, k] - want)) < 1e-12
+        pair = np.eye(2)
+        for k in range(79, -1, -1):
+            pair = np.linalg.solve(trace.maps[r, k], pair)
+            pair /= np.linalg.norm(pair, axis=0, keepdims=True)
+            if k <= 30:
+                want = circle.wrap(np.arctan2(pair[1, 0], pair[0, 0]))
+                assert circle.distance(y[r, k], want) < 1e-12
+        arc = stationary_interval(trace.select([r]), -n, y=y[r, trace.index(-n)])
+        anchor, lo, hi = float(arc.anchor[0]), float(arc.lo[0]), float(arc.hi[0])
+        for k in range(trace.index(-n), trace.index(0)):
+            cmap = trace.circle_map(k, r)
+            d1, d2 = cmap.map_offset(anchor, lo), cmap.map_offset(anchor, hi)
+            anchor, lo, hi = cmap(anchor), min(d1, d2), max(d1, d2)
+        assert circle.distance(anchor, arcs.anchor[r]) < 1e-12
+        assert (hi - lo) == pytest.approx(float(arcs.length[r]), rel=1e-10)
+
+
+def test_decay_slope_stderr_is_the_replica_spread():
+    # least squares is linear in the data, so the mean of the replicas'
+    # slopes is the slope of their mean curve; the stderr is their spread
+    rep = interval_decay_curve(bern2(), 1, [10, 30, 50, 70, 90], 6,
+                               SeededSampler(25), burnin=200, lookahead=600)
+    t = rep.n_grid.astype(float)
+    slopes = np.array([np.polyfit(t, row, 1)[0] for row in rep.log_lengths])
+    assert rep.replicas == len(slopes) >= 2
+    assert rep.slope == pytest.approx(np.polyfit(t, rep.mean_log_length, 1)[0],
+                                      abs=1e-12)
+    assert rep.slope == pytest.approx(slopes.mean(), abs=1e-12)
+    assert rep.slope_stderr == pytest.approx(
+        slopes.std(ddof=1) / np.sqrt(len(slopes)), rel=1e-12)
+
+
+@pytest.mark.parametrize("stretch", [0.8, 3.0])
+def test_line_coordinates_match_stepwise_orbit(stretch):
+    # at stretch 3 some products of 5 steps exceed PRODUCT_COND_CAP, so
+    # those reads apply every step on its own, while products of 3 or 4
+    # steps are folded; all must match a plain renormalized orbit
+    spec = strong2(stretch=stretch)
+    mats = sample_batch(spec, SeededSampler(26), 1200)
+    v = np.array([1.0, 0.0])
+    orbit = []
+    for a in mats:
+        v = a @ v
+        v /= np.linalg.norm(v)
+        orbit.append(circle.wrap(np.arctan2(v[1], v[0])))
+    for start, every in ((1001, 5), (1000, 3), (7, 1), (1200, 4)):
+        got = line_coordinates(mats, start, every)
+        want = np.array(orbit[start - 1::every])
+        assert len(got) == len(want)
+        assert np.max(circle.distance(got, want)) < 1e-12

@@ -144,6 +144,18 @@ def test_interval_estimator_diag3eps_positive():
     assert est.diagnostics["acceptance_rate"] > 0.5
 
 
+def test_interval_estimator_gates_on_first_surviving_replica():
+    # the first replica's stable line stays unresolved at this tolerance;
+    # the atomic gate and the pin diagnostic move to the next replica
+    est = kappa_interval_estimator(bern2(), 1, n=20, replicas=6,
+                                   tail_replicas=300, lookahead=200,
+                                   stable_tol=0.02, realization_burnin=100,
+                                   sampler=SeededSampler(3))
+    assert est.diagnostics["unresolved_replicas"] >= 1
+    assert np.isfinite(est.diagnostics["pin_diagnostic"])
+    assert np.isfinite(est.kappa)
+
+
 def test_interval_estimator_rejects_unresolvable_depth():
     # at n = 800 the image interval is ~1e-8 of the circle, far below the
     # resolution of a 150-point pool, so every replica lands empty

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from flagdim import circle
 from flagdim.errors import DegenerateBasis, ZeroVector
-from flagdim.flagcore import (CircleMap, Flag, LinearMap, act_flag,
-                              angle_between_lines, det_on_subspace,
+from flagdim.flagcore import (CircleMap, Flag, LinearMap, _completion_pair,
+                              act_flag, angle_between_lines,
+                              completion_frames, det_on_subspace,
                               fiber_coordinate, fiber_embed, flag_jacobian,
                               induced_circle_map, orthonormalize,
                               partial_flag)
@@ -219,6 +220,25 @@ def test_completion_rule_deterministic(rng):
     u, w = a.frame
     assert abs(u @ u - 1) < 1e-12 and abs(w @ w - 1) < 1e-12
     assert abs(u @ w) < 1e-12
+
+
+def test_completion_frames_match_scalar_rule(rng):
+    # random planes, and planes on coordinate axes, where projections of
+    # whole basis vectors vanish and the rule must skip them
+    for d in (2, 3, 4, 5):
+        planes = [random_flag(rng, d).basis[:, 1:3] if d > 2
+                  else random_flag(rng, d).basis for _ in range(50)]
+        e = np.eye(d)
+        for a in range(d):
+            for b in range(a + 1, d):
+                axes = e[:, [a, b]]
+                planes += [axes, axes[:, ::-1], -axes,
+                           np.column_stack([axes @ [1, 1], axes @ [1, -1]])
+                           / np.sqrt(2)]
+        got = completion_frames(np.stack(planes))
+        for plane, frame in zip(planes, got):
+            u, w = _completion_pair(plane)
+            assert np.max(np.abs(frame - np.column_stack([u, w]))) < 1e-12
 
 
 def test_induced_circle_map_identity(rng):
