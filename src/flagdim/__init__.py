@@ -9,28 +9,25 @@ acting on complete flags of R^d:
 - the local dimension of those conditional measures, checked against
   entropy over gap (``measures`` + ``entropy`` reports).
 
-``flagcore`` holds the flag/fiber geometry, ``ensemble`` the matrix
-distributions and seeded sampling, ``infotheory`` exact finite-space
-information identities, and ``harness``/``cli`` the reproducible
-experiment runner.
+``flagcore`` holds the flag/fiber geometry, ``circle`` the angle
+arithmetic on a fiber, ``ensemble`` the matrix distributions and seeded
+sampling, and ``harness``/``cli`` the reproducible experiment runner.
 """
 
 from . import circle
 from .dynamics import (Arc, OrbitTrace, SpectrumEstimate, forward_orbit,
                        interval_decay_curve, interval_pullforward,
-                       line_coordinates, lyapunov_spectrum,
-                       oseledets_stable_line, pull_forward, push_arc,
-                       stable_coordinates, stationary_interval,
+                       line_coordinates, lyapunov_spectrum, pull_forward,
+                       push_arc, stable_coordinates, stationary_interval,
                        stationary_orbit)
 from .ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler, bern2,
-                       diag3eps, finite_support, from_text, rot2, sample,
+                       diag3eps, finite_support, from_text, rot2,
                        sample_batch, to_text, validate)
 from .entropy import (ConditionalFiberSample, KappaEstimate,
                       conditional_fiber_sample,
                       conditional_independence_diagnostic,
                       dimension_formula_report, furstenberg_entropy_d2,
-                      gap_inequality_report, kappa_density_estimator,
-                      kappa_interval_estimator)
+                      kappa_density_estimator, kappa_interval_estimator)
 from .errors import FlagdimError
 from .flagcore import (CircleMap, Flag, LinearMap, PartialFlag, act_flag,
                        fiber_coordinate, fiber_embed, flag_jacobian,
@@ -38,12 +35,8 @@ from .flagcore import (CircleMap, Flag, LinearMap, PartialFlag, act_flag,
 from .harness import (ExperimentConfig, ResultBundle, emit_outputs,
                       load_config, run_dimension, run_entropy, run_spectrum,
                       run_verify)
-from .infotheory import (DiscreteJoint, chain_rule_check,
-                         conditional_mutual_information, gyp_check,
-                         mutual_information, semicontinuity_smoke)
-from .measures import (EmpiricalCircleMeasure, ball_mass, density_ratio,
-                       kde_density, local_dimension, maximal_function,
-                       wasserstein_circle)
+from .measures import (EmpiricalCircleMeasure, ball_mass, kde_density,
+                       local_dimension, wasserstein_circle)
 from .version import __version__
 
 __all__ = [name for name in dir() if not name.startswith("_")]

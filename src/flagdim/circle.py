@@ -26,20 +26,6 @@ def distance(a, b):
     return np.minimum(d, HALF_TURN - d)
 
 
-def signed_difference(a, b):
-    """Signed displacement from ``b`` to ``a``, in (-pi/2, pi/2].
-
-    ``wrap(b + signed_difference(a, b)) == wrap(a)``.
-    """
-    d = np.mod(a - b, HALF_TURN)
-    return np.where(d > HALF_TURN / 2, d - HALF_TURN, d)
-
-
-def line_angle(v0, v1):
-    """Coordinate of the line spanned by the plane vector (v0, v1), in [0, pi)."""
-    return np.mod(np.arctan2(v1, v0), HALF_TURN)
-
-
 def unit_vector(theta):
     """Unit plane vector (cos theta, sin theta) for a fiber coordinate."""
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)

@@ -33,7 +33,6 @@ from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
                        fiber_map_image)
 
 PRODUCT_COND_CAP = 1e10   # stop extending singular products past this
-CONFORMAL_TOL = 1e-8      # singular values closer than this share no order
 DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
 _LINE_CHUNK = 4096        # blocks per list conversion in line_coordinates
 _TIME_BLOCK = 128         # times per block when a trace derives its frames
@@ -372,70 +371,6 @@ def stationary_orbit(spec, fiber_index, n_steps, burnin, sampler, t_end=0):
                          fiber_index=fiber_index, t0=t_end - n_steps)
 
 
-@dataclass(frozen=True)
-class StableLine:
-    coordinate: float
-    shift: float       # coordinate change between half and full lookahead
-    lookahead: int
-
-
-def _contracted_direction(maps, start, lookahead):
-    """Most contracted source direction of maps[start .. start+lookahead).
-
-    Returns the direction's coordinate, the steps used, and whether the
-    product's singular values are apart at all: a conformal product
-    contracts no direction, and its singular vectors are rounding noise.
-    """
-    p = np.eye(2)
-    used = 0
-    for k in range(start, start + lookahead):
-        p = maps[k] @ p
-        p = p / np.linalg.norm(p)
-        used += 1
-        sv = np.linalg.svd(p, compute_uv=False)
-        if sv[0] > PRODUCT_COND_CAP * sv[-1]:
-            break  # direction resolved to working precision
-    _, sv, vt = np.linalg.svd(p)
-    v = vt[-1]
-    return (float(circle.wrap(np.arctan2(v[1], v[0]))), used,
-            sv[0] - sv[-1] > CONFORMAL_TOL * sv[0])
-
-
-def oseledets_stable_line(trace, t, lookahead=None, tol=1e-2):
-    """Fiber coordinate of the first replica's slow line at time t.
-
-    The slow (stable) line of the quotient cocycle is the most contracted
-    right singular direction of the composed 2x2 fiber maps looking
-    forward from t.  The reported shift compares half against full
-    lookahead and decays like exp(-gap * lookahead / 2), so mild-gap
-    ensembles need long windows; when the full window cannot pin the
-    direction down to ``tol`` the gap is too small to trust the downstream
-    interval machinery.  A window that composes to a conformal map (an
-    isometric action) contracts no direction and is refused the same way,
-    whatever its rounding makes of the shift.  ``tol=None`` skips both
-    checks and reports the shift as-is.
-    """
-    k = trace.index(t)
-    maps = trace.maps[0]
-    avail = len(maps) - k
-    if lookahead is None:
-        lookahead = avail
-    if lookahead < 2 or lookahead > avail:
-        raise ValueError(f"lookahead {lookahead} outside 2..{avail}")
-    full, used, contracts = _contracted_direction(maps, k, lookahead)
-    half, _, _ = _contracted_direction(maps, k, max(1, lookahead // 2))
-    shift = float(circle.distance(full, half))
-    if tol is not None and not contracts:
-        raise GapTooSmall(
-            f"the fiber maps over {lookahead} steps compose to a conformal "
-            "map, which contracts no direction")
-    if tol is not None and shift > tol:
-        raise GapTooSmall(
-            f"stable line moved {shift:.2e} between lookaheads {lookahead // 2} "
-            f"and {lookahead} (tolerance {tol:g})")
-    return StableLine(coordinate=full, shift=shift, lookahead=used)
-
-
 def stable_coordinates(trace, lookahead=None):
     """Stable-line coordinates on the window's prefix, with certificates.
 
@@ -478,36 +413,6 @@ def stable_coordinates(trace, lookahead=None):
     return trace.times[: anchor_k + 1], angles[..., 0], resolution
 
 
-@dataclass(frozen=True)
-class AngleDecayReport:
-    slope: float
-    stderr: float
-    n_points: int
-
-    @property
-    def band(self):
-        return (self.slope - 2 * self.stderr, self.slope + 2 * self.stderr)
-
-
-def angle_decay_check(trace, lookahead=None, tol=1e-2):
-    """Slope of log dist(x_n, y_n) against n on the first replica; ~0 expected."""
-    times, y, resolution = stable_coordinates(trace, lookahead=lookahead)
-    if tol is not None and resolution[0] > tol:
-        raise GapTooSmall(
-            f"stable line resolved only to {resolution[0]:.2e} at the anchor "
-            f"(tolerance {tol:g})")
-    d = circle.distance(trace.x[0, : len(times)], y[0])
-    if np.any(d <= 0):
-        raise DegenerateFiberPair("x and y coincide somewhere in the window")
-    t = times.astype(float)
-    logd = np.log(d)
-    slope, intercept = np.polyfit(t, logd, 1)
-    resid = logd - (slope * t + intercept)
-    denom = float(np.sum((t - t.mean()) ** 2))
-    stderr = float(np.sqrt(np.sum(resid ** 2) / max(len(t) - 2, 1) / denom))
-    return AngleDecayReport(slope=float(slope), stderr=stderr, n_points=len(t))
-
-
 @dataclass(frozen=True, eq=False)
 class Arc:
     """Closed arcs {anchor + t : lo <= t <= hi} with lo <= 0 <= hi.
@@ -546,18 +451,15 @@ class Arc:
         return d <= self.length + 1e-12
 
 
-def stationary_interval(trace, t, y=None, lookahead=None):
+def stationary_interval(trace, t, y):
     """The arcs around x_t excluding the half-distance ball at the stable line.
 
     ``t`` is one time or a sequence; the result holds one arc per replica,
-    and per time for a sequence.  ``y`` may be passed when stable
-    coordinates were already computed; otherwise the first replica's
-    stable line is estimated here.
+    and per time for a sequence.  ``y`` holds the stable-line coordinates
+    at those times, as ``stable_coordinates`` reads them.
     """
     ks = [trace.index(s) for s in np.ravel(t)]
     x = trace.x[:, ks] if np.ndim(t) else trace.x[:, ks[0]]
-    if y is None:
-        y = oseledets_stable_line(trace, t, lookahead=lookahead).coordinate
     rho = circle.distance(x, y)
     if np.any(rho < DEGENERATE_DISTANCE):
         raise DegenerateFiberPair(
@@ -628,17 +530,17 @@ def pull_forward(trace, arc, t):
                hi=hi.reshape(shape))
 
 
-def interval_pullforward(trace, n, y=None, lookahead=None):
+def interval_pullforward(trace, n, y):
     """Images at time 0 of the stationary intervals at times -n.
 
-    ``n`` is one depth or a grid of them; the stationary interval at -n is
-    pushed by T_{-n}, ..., T_{-1} (see pull_forward).
+    ``n`` is one depth or a grid of them and ``y`` the stable-line
+    coordinates at -n; the stationary interval at -n is pushed by
+    T_{-n}, ..., T_{-1} (see pull_forward).
     """
     n = np.asarray(n)
     if np.any(n < 1):
         raise ValueError("need n >= 1")
-    return pull_forward(trace, stationary_interval(trace, -n, y=y,
-                                                   lookahead=lookahead), -n)
+    return pull_forward(trace, stationary_interval(trace, -n, y), -n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -694,19 +596,3 @@ def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
               if len(slopes) > 1 else float("inf"))
     return IntervalDecayReport(n_grid=n_grid, log_lengths=rows,
                                slope=float(slopes.mean()), slope_stderr=stderr)
-
-
-def trace_to_csv(trace, path, y=None):
-    """The first replica, one row per time: n, log-det increments, x, optional y."""
-    import csv as _csv
-
-    d = trace.matrices.shape[-1]
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        header = ["n"] + [f"log_r_{i}" for i in range(1, d + 1)] + ["x", "y"]
-        writer.writerow(header)
-        for k, t in enumerate(trace.times):
-            logs = ["" for _ in range(d)] if k >= trace.log_r.shape[1] else \
-                [repr(float(v)) for v in trace.log_r[0, k]]
-            yv = "" if y is None or k >= len(y) else repr(float(y[k]))
-            writer.writerow([int(t)] + logs + [repr(float(trace.x[0, k])), yv])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec
-from .flagcore import COND_CAP, LinearMap, orthonormalize
+from .flagcore import COND_CAP, orthonormalize
 
 KINDS = ("finite_support", "rotation_invariant", "diagonal", "perturbed")
 SPEC_SCHEMA = 1
@@ -200,17 +200,6 @@ def sample_batch(spec, sampler, n):
     raise InvalidSpec([f"unknown ensemble kind {spec.kind!r}"])
 
 
-def sample(spec, sampler):
-    """Draw one matrix as a LinearMap."""
-    return LinearMap(sample_batch(spec, sampler, 1)[0])
-
-
-def log_singular_values(a):
-    """log sigma_1 >= ... >= log sigma_d; entries sum to log|det A|."""
-    entries = a.entries if isinstance(a, LinearMap) else np.asarray(a, dtype=float)
-    return np.log(np.linalg.svd(entries, compute_uv=False))
-
-
 def mean_log_abs_det(spec, sampler=None, draws=4096):
     """E log|det A|, exact for finite support, Monte Carlo otherwise."""
     if spec.kind == "finite_support":
@@ -286,13 +275,6 @@ def diag3eps():
 
 
 BENCHMARKS = {"rot2": rot2, "bern2": bern2, "diag3eps": diag3eps}
-
-
-def benchmark(name):
-    try:
-        return BENCHMARKS[name]()
-    except KeyError:
-        raise InvalidSpec([f"unknown benchmark {name!r}; choose from {sorted(BENCHMARKS)}"])
 
 
 def _row_text(values):

@@ -93,6 +93,24 @@ def _atomic_gate(coords, context):
             f"{ATOM_RESOLUTION:g} persists across sample sizes")
 
 
+def _half_pin_diagnostic(pinned, pool, frame, i, coords, convergence_tol=None):
+    """Wasserstein distance between the full- and half-pin fiber samples.
+
+    ``coords`` is the pool pushed through the whole pin and read in
+    ``frame``; the half-pin sample keeps only the pin's later half.  When
+    ``convergence_tol`` is given a larger distance raises GapTooSmall.
+    """
+    half = fiber_coordinates(push_flags(pinned[len(pinned) // 2:], pool),
+                             frame, i)
+    diag = wasserstein_circle(EmpiricalCircleMeasure.from_samples(coords),
+                              EmpiricalCircleMeasure.from_samples(half))
+    if convergence_tol is not None and diag > convergence_tol:
+        raise GapTooSmall(
+            f"half-pin diagnostic {diag:.4f} exceeds {convergence_tol:g}; "
+            f"pin length {len(pinned)} does not determine the fiber measure")
+    return float(diag)
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionalFiberSample:
     fiber_index: int
@@ -140,19 +158,13 @@ def conditional_fiber_sample(spec, fiber_index, pin_length=None,
     # the one reference frame makes them one empirical measure
     frame = np.column_stack(reference.frame)
     coords = fiber_coordinates(push_flags(pinned, pool), frame, fiber_index)
-    half = fiber_coordinates(push_flags(pinned[len(pinned) // 2:], pool),
-                             frame, fiber_index)
-    diag = wasserstein_circle(EmpiricalCircleMeasure.from_samples(coords),
-                              EmpiricalCircleMeasure.from_samples(half))
-    if convergence_tol is not None and diag > convergence_tol:
-        raise GapTooSmall(
-            f"half-pin diagnostic {diag:.4f} exceeds {convergence_tol:g}; "
-            f"pin length {len(pinned)} does not determine the fiber measure")
+    diag = _half_pin_diagnostic(pinned, pool, frame, fiber_index, coords,
+                                convergence_tol)
     return ConditionalFiberSample(
         fiber_index=fiber_index, pin_length=int(len(pinned)),
         tail_replicas=len(pool),
         measure=EmpiricalCircleMeasure.from_samples(coords),
-        diagnostic=float(diag), reference=reference)
+        diagnostic=diag, reference=reference)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,14 +234,8 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
         coords1 = fiber_coordinates(push_flags(pin1, pool1), frame1, i)
         if r == 0:
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
-            half = fiber_coordinates(
-                push_flags(pin1[len(pin1) // 2:], pool1), frame1, i)
-            diag = wasserstein_circle(
-                EmpiricalCircleMeasure.from_samples(coords1),
-                EmpiricalCircleMeasure.from_samples(half))
-            if convergence_tol is not None and diag > convergence_tol:
-                raise GapTooSmall(
-                    f"half-pin diagnostic {diag:.4f} exceeds {convergence_tol:g}")
+            diag = _half_pin_diagnostic(pin1, pool1, frame1, i, coords1,
+                                        convergence_tol)
         pushed_all = fiber_map_image(step.maps[r, 0], coords0)
         pushed = EmpiricalCircleMeasure.from_samples(pushed_all[::2])
         target = EmpiricalCircleMeasure.from_samples(coords1[::2])
@@ -258,7 +264,7 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
                      "undersampled_skips": skipped,
                      "eval_points": eval_points, "bandwidth": bandwidth,
                      "pin_length": pin_length, "tail_replicas": tail_replicas,
-                     "pin_diagnostic": float(diag)})
+                     "pin_diagnostic": diag})
 
 
 def _isometric_fiber_action(trace):
@@ -337,11 +343,8 @@ def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
                                          frame_minus, i)
         if diag is None:
             _atomic_gate(coords_minus, f"{spec.name} fiber {i}")
-            half = fiber_coordinates(
-                push_flags(pin_minus[pin_length // 2:], pool_a), frame_minus, i)
-            diag = wasserstein_circle(
-                EmpiricalCircleMeasure.from_samples(coords_minus),
-                EmpiricalCircleMeasure.from_samples(half))
+            diag = _half_pin_diagnostic(pin_minus, pool_a, frame_minus, i,
+                                        coords_minus)
         m_minus = EmpiricalCircleMeasure.from_samples(coords_minus)
         mass_i = m_minus.arc_mass(x[r] + lo[j], hi[j] - lo[j])
         if mass_i < 0.5:
@@ -377,7 +380,7 @@ def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
                      "empty_image_replicas": zero_mass,
                      "degenerate_replicas": degenerate,
                      "unresolved_replicas": unresolved,
-                     "pin_diagnostic": float(diag)})
+                     "pin_diagnostic": diag})
 
 
 def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
@@ -521,6 +524,7 @@ def conditional_independence_diagnostic(spec, fiber_index, pin_length=50,
 @dataclass(frozen=True, eq=False)
 class GapRow:
     fiber_index: int
+    method: str
     kappa: float
     kappa_stderr: float
     gap: float
@@ -538,57 +542,10 @@ class GapRow:
     def line(self):
         verdict = "ok" if self.bound_satisfied else "VIOLATED"
         zero = " (consistent with invariance, kappa ~ 0)" if self.zero_consistent else ""
-        return (f"fiber {self.fiber_index}: kappa = {self.kappa:.5f} "
+        return (f"fiber {self.fiber_index} ({self.method}): "
+                f"kappa = {self.kappa:.5f} "
                 f"+- {self.kappa_stderr:.5f} <= gap = {self.gap:.5f} "
                 f"+- {self.gap_stderr:.5f}: {verdict}{zero}")
-
-
-@dataclass(frozen=True, eq=False)
-class GapInequalityReport:
-    spec_name: str
-    spectrum: object
-    rows: tuple
-    agreement: dict    # fiber -> (density kappa, interval kappa, relative gap)
-
-    @property
-    def all_satisfied(self):
-        return all(r.bound_satisfied for r in self.rows)
-
-    def lines(self):
-        out = [f"entropy/gap inequality on {self.spec_name}:"]
-        out += ["  " + r.line() for r in self.rows]
-        for i, (kd, ki, rel) in sorted(self.agreement.items()):
-            out.append(f"  fiber {i}: density {kd:.5f} vs interval {ki:.5f} "
-                       f"(relative difference {rel:.1%})")
-        return out
-
-
-def gap_inequality_report(spec, sampler=None, fiber_indices=None,
-                          spectrum=None, spectrum_steps=20_000,
-                          include_interval=False, density_kwargs=None,
-                          interval_kwargs=None):
-    """Entropy against exponent gap, fiber by fiber."""
-    sampler = sampler or SeededSampler(0)
-    if spectrum is None:
-        spectrum = lyapunov_spectrum(spec, spectrum_steps, sampler=sampler.child(100))
-    if fiber_indices is None:
-        fiber_indices = range(1, spec.dim)
-    density_kwargs = dict(density_kwargs or {})
-    interval_kwargs = dict(interval_kwargs or {})
-    rows = []
-    agreement = {}
-    for i in fiber_indices:
-        kd = kappa_density_estimator(spec, i, sampler=sampler.child(200, i),
-                                     **density_kwargs)
-        rows.append(GapRow(fiber_index=i, kappa=kd.kappa, kappa_stderr=kd.stderr,
-                           gap=spectrum.gap(i), gap_stderr=spectrum.gap_stderr(i)))
-        if include_interval:
-            ki = kappa_interval_estimator(spec, i, sampler=sampler.child(300, i),
-                                          **interval_kwargs)
-            scale = max(abs(kd.kappa), abs(ki.kappa), 1e-12)
-            agreement[i] = (kd.kappa, ki.kappa, abs(kd.kappa - ki.kappa) / scale)
-    return GapInequalityReport(spec_name=spec.name, spectrum=spectrum,
-                               rows=tuple(rows), agreement=agreement)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,10 +9,6 @@ class DegenerateBasis(FlagdimError):
     """A basis (or a leading block of one) is numerically singular."""
 
 
-class ZeroVector(FlagdimError):
-    """A direction argument has (numerically) zero length."""
-
-
 class InvalidSpec(FlagdimError):
     """An ensemble description failed validation.
 
@@ -56,14 +52,6 @@ class NoAcceptedReplicas(FlagdimError):
 
 class HypothesisNotMet(FlagdimError):
     """A theorem hypothesis (e.g. significantly positive entropy) is not met."""
-
-
-class AbsolutelyContinuousViolation(FlagdimError):
-    """A joint distribution charges a cell that the product of marginals does not."""
-
-    def __init__(self, cell):
-        self.cell = cell
-        super().__init__(f"joint charges product-null cell {cell!r}")
 
 
 class ConfigError(FlagdimError):

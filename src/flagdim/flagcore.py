@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circle
-from .errors import DegenerateBasis, ZeroVector
+from .errors import DegenerateBasis
 
 COND_CAP = 1e12          # invertibility threshold for maps and bases
 ORTHO_TOL = 1e-10        # allowed deviation of basis^T basis from identity
@@ -150,18 +150,6 @@ def flag_jacobian(a, f, i):
         raise ValueError(f"fiber index {i} outside 1..{f.dim - 1}")
     r = np.abs(np.diag(np.linalg.qr(a.entries @ f.basis, mode="r")))
     return float(r[i - 1] / r[i])
-
-
-def angle_between_lines(u, v):
-    """Angle in [0, pi/2] between the lines spanned by u and v."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < 1e-12 or nv < 1e-12:
-        raise ZeroVector("cannot take the angle of a zero-length direction")
-    c = abs(float(u @ v)) / (nu * nv)
-    return float(np.arccos(min(c, 1.0)))
 
 
 def _completion_pair(plane):

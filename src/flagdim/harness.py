@@ -199,6 +199,10 @@ def load_config(path=None, overrides=None, environ=None):
     return cfg.validate()
 
 
+def _refusal(err):
+    return f"{type(err).__name__}: {err}"
+
+
 @dataclass(frozen=True, eq=False)
 class ResultBundle:
     """Self-describing result set: every number traces to (config, seed)."""
@@ -213,7 +217,7 @@ class ResultBundle:
     dimension_reports: tuple = ()
     decay: object = None
     ball_curves: tuple = ()           # (fiber, point, r array, mass array)
-    refusals: dict = field(default_factory=dict)
+    refusals: dict = field(default_factory=dict)   # leg -> gate error
     diagnostics: dict = field(default_factory=dict)
 
     def summary_lines(self):
@@ -239,8 +243,8 @@ class ResultBundle:
             out.extend(rep.lines())
         if self.decay is not None:
             out.append(self.decay.summary())
-        for leg, message in sorted(self.refusals.items()):
-            out.append(f"{leg}: refused ({message})")
+        for leg, err in sorted(self.refusals.items()):
+            out.append(f"{leg}: refused ({_refusal(err)})")
         return out
 
 
@@ -262,7 +266,7 @@ def _catching(fn, refusals, leg):
         try:
             return fn()
         except GATE_ERRORS as err:
-            refusals[leg] = f"{type(err).__name__}: {err}"
+            refusals[leg] = err
             return None
     return run
 
@@ -281,7 +285,7 @@ def run_spectrum(cfg, threads=1):
                         spectrum=spectrum, diagnostics=diag)
 
 
-def _entropy_jobs(cfg, sampler, refusals, include_interval=True):
+def _entropy_jobs(cfg, sampler, refusals):
     spec = cfg.spec()
     jobs = []
     for i in cfg.fibers():
@@ -300,16 +304,14 @@ def _entropy_jobs(cfg, sampler, refusals, include_interval=True):
                 sampler=sampler.child(2, i), realization_burnin=cfg.burnin)
         jobs.append((("density", i), _catching(density, refusals,
                                                f"entropy density fiber {i}")))
-        if include_interval:
-            def interval(i=i):
-                return kappa_interval_estimator(
-                    spec, i, n=cfg.interval_n, replicas=cfg.replicas,
-                    pin_length=cfg.pin_length,
-                    tail_replicas=cfg.tail_replicas,
-                    realization_burnin=cfg.burnin, sampler=sampler.child(3, i))
-            jobs.append((("interval", i),
-                         _catching(interval, refusals,
-                                   f"entropy interval fiber {i}")))
+
+        def interval(i=i):
+            return kappa_interval_estimator(
+                spec, i, n=cfg.interval_n, replicas=cfg.replicas,
+                pin_length=cfg.pin_length, tail_replicas=cfg.tail_replicas,
+                realization_burnin=cfg.burnin, sampler=sampler.child(3, i))
+        jobs.append((("interval", i), _catching(interval, refusals,
+                                                f"entropy interval fiber {i}")))
     return jobs
 
 
@@ -323,10 +325,10 @@ def _entropy_bundle(cfg, spectrum, results, refusals, start):
         for est in (kd, ki):
             if est is not None:
                 kappas.append(est)
-        if kd is not None:
-            rows.append(GapRow(fiber_index=i, kappa=kd.kappa,
-                               kappa_stderr=kd.stderr, gap=spectrum.gap(i),
-                               gap_stderr=spectrum.gap_stderr(i)))
+                rows.append(GapRow(fiber_index=i, method=est.method,
+                                   kappa=est.kappa, kappa_stderr=est.stderr,
+                                   gap=spectrum.gap(i),
+                                   gap_stderr=spectrum.gap_stderr(i)))
         if kd is not None and ki is not None:
             both_zero = (abs(kd.kappa) <= 2 * kd.stderr
                          and abs(ki.kappa) <= 2 * ki.stderr)
@@ -510,8 +512,8 @@ def emit_outputs(bundle, out_dir, figures=None):
     for i, (kd, ki, rel) in sorted(bundle.agreement.items()):
         diag_rows.append((f"agreement fiber {i}", "relative_difference",
                           float(rel)))
-    for leg, message in sorted(bundle.refusals.items()):
-        diag_rows.append(("refusal", leg, message))
+    for leg, err in sorted(bundle.refusals.items()):
+        diag_rows.append(("refusal", leg, _refusal(err)))
     _write_csv(out("diagnostics.csv"), "diagnostics",
                ["section", "key", "value"], diag_rows)
     if bundle.decay is not None:
@@ -534,7 +536,7 @@ def emit_outputs(bundle, out_dir, figures=None):
 
 def _emit_figures(bundle, out_dir, out):
     if bundle.gap_rows:
-        cats = [f"fiber {r.fiber_index}" for r in bundle.gap_rows]
+        cats = [f"fiber {r.fiber_index} {r.method}" for r in bundle.gap_rows]
         _svg.bar_pairs(out("kappa_gap.svg"),
                        "fiber entropy against exponent gap", "nats/step",
                        cats, [r.kappa for r in bundle.gap_rows],
@@ -560,18 +562,6 @@ def _emit_figures(bundle, out_dir, out):
             _svg.line_plot(out("dimension_slopes.svg"),
                            "ball mass scaling at sample points", "log r",
                            "log mass", series)
-
-
-def bench(cfg, steps=20_000, replicas=64):
-    """Throughput of the QR cocycle in orbit steps per second."""
-    from .dynamics import evolve_flags
-    spec = cfg.spec()
-    start = np.broadcast_to(np.eye(spec.dim), (replicas, spec.dim, spec.dim))
-    t0 = time.perf_counter()
-    evolve_flags(spec, start, steps, SeededSampler(int(cfg.seed)).child(7))
-    dt = time.perf_counter() - t0
-    return {"steps": steps * replicas, "seconds": dt,
-            "steps_per_second": steps * replicas / dt}
 
 
 def ensemble_report(cfg):

@@ -2,8 +2,9 @@
 
 An empirical measure is a sorted list of coordinates in [0, pi) with
 positive weights summing to one.  Prefix sums make every arc-mass query a
-pair of binary searches, which keeps the dimension fits and maximal
-functions exact rather than binned.
+pair of binary searches, which keeps the dimension fits and cluster
+weights exact rather than binned.  Kernel density queries visit only a
+sorted window around each query point.
 
 Local dimension is reported as a least-squares slope of log mass against
 log radius over a geometric radius grid; the liminf in the definition is
@@ -12,7 +13,6 @@ is exact dimensional a single slope is the honest summary and the fit
 residual plus the spread over base points quantify how believable it is.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,72 +183,6 @@ def max_cluster_weight(m, eps):
     return float(max(0.0, mass.max()))
 
 
-@dataclass(frozen=True)
-class NonatomicityReport:
-    resolution: float
-    sizes: tuple
-    cluster_weights: tuple
-
-    @property
-    def decreasing(self):
-        w = self.cluster_weights
-        return all(b <= a * 1.05 + 1e-12 for a, b in zip(w, w[1:]))
-
-    @property
-    def final_weight(self):
-        return self.cluster_weights[-1]
-
-
-def nonatomicity_diagnostic(measures, resolution=1e-3):
-    """Max cluster weight at a fixed resolution across growing sample sizes.
-
-    A persistent heavy cluster as samples grow is the signature of an atom;
-    entropy estimators use this to refuse rather than average garbage.
-    """
-    measures = list(measures)
-    if not measures:
-        raise ValueError("need at least one measure")
-    sizes = tuple(len(m) for m in measures)
-    weights = tuple(max_cluster_weight(m, resolution) for m in measures)
-    return NonatomicityReport(resolution=float(resolution), sizes=sizes,
-                              cluster_weights=weights)
-
-
-def maximal_function(f, m, x):
-    """Supremum over arcs containing x of the arc average of f.
-
-    ``f`` gives one nonnegative value per sample point of m.  Endpoints
-    range over sample points (the supremum for an empirical measure is
-    attained there); singleton arcs are included, so the value dominates
-    f at any atom of positive weight.
-    """
-    f = np.asarray(f, dtype=float)
-    n = len(m)
-    if f.shape != (n,):
-        raise ValueError("f must assign one value to each sample point")
-    if np.any(f < 0):
-        raise ValueError("f must be nonnegative")
-    pts = m.points
-    w = m.weights
-    fw = f * w
-    cw = np.cumsum(w)
-    cfw = np.cumsum(fw)
-    x = float(circle.wrap(x))
-    # offset of x and of every endpoint ahead of every start, mod pi
-    off_x = np.mod(x - pts, circle.HALF_TURN)[:, None]          # (start, 1)
-    off_end = np.mod(pts[None, :] - pts[:, None], circle.HALF_TURN)
-    contains = off_end >= off_x - 1e-15
-    # arc mass/integral from start a to end b inclusive; ends with smaller
-    # index wrap past pi and pick up the full total once
-    mass = cw[None, :] - cw[:, None] + w[:, None]
-    integ = cfw[None, :] - cfw[:, None] + fw[:, None]
-    below = np.arange(n)[None, :] < np.arange(n)[:, None]
-    mass = np.where(below, 1.0 + mass, mass)
-    integ = np.where(below, float(fw.sum()) + integ, integ)
-    ratios = np.where(contains, integ / mass, -np.inf)
-    return float(ratios.max())
-
-
 def _circle_windows(points, x, bandwidth):
     """Sorted copies of the points on three turns and each query's window.
 
@@ -362,13 +296,6 @@ def neighbor_counts(m, x, bandwidth):
     return hi - lo
 
 
-def density_ratio(m1, m2, bandwidth=0.05):
-    """Pointwise ratio of the two kernel density estimates (shared bandwidth)."""
-    def ratio(x):
-        return kde_density(m1, x, bandwidth) / kde_density(m2, x, bandwidth)
-    return ratio
-
-
 def wasserstein_circle(m1, m2):
     """Exact 1-Wasserstein distance between two circle measures.
 
@@ -384,28 +311,3 @@ def wasserstein_circle(m1, m2):
     k = min(int(np.searchsorted(csum, csum[-1] / 2.0)), len(grid) - 1)
     median = d[order][k]
     return float(np.sum(seg * np.abs(d - median)))
-
-
-def kolmogorov_uniform_distance(m):
-    """Sup distance between the CDF of m and the uniform CDF."""
-    t = m.points
-    above = np.abs(m.cdf(t) - t / circle.HALF_TURN)
-    below = np.abs((m.cdf(t) - m.weights) - t / circle.HALF_TURN)
-    return float(max(above.max(), below.max()))
-
-
-def to_csv(m, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "weight"])
-        for t, w in zip(m.points, m.weights):
-            writer.writerow([repr(float(t)), repr(float(w))])
-
-
-def from_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["theta", "weight"]:
-        raise ValueError(f"{path}: expected a theta,weight header")
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
-    return EmpiricalCircleMeasure(data[:, 0], data[:, 1])

@@ -1,0 +1,63 @@
+import csv
+import os
+
+import pytest
+
+from flagdim import cli
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    """No FLAGDIM_* setting leaks in from the calling shell."""
+    for name in list(os.environ):
+        if name.startswith("FLAGDIM_"):
+            monkeypatch.delenv(name)
+    return monkeypatch
+
+
+def error_rows(out_dir):
+    with open(out_dir / "error.csv", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_validate_exits_zero(clean_env, tmp_path):
+    assert cli.main(["validate", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert not (tmp_path / "error.csv").exists()
+
+
+def test_missing_seed_exits_one(clean_env, tmp_path):
+    assert cli.main(["spectrum", "--out", str(tmp_path)]) == 1
+    header, row = error_rows(tmp_path)
+    assert header == ["exit_code", "error_type", "message"]
+    assert row[:2] == ["1", "ConfigError"]
+    assert "seed is mandatory" in row[2]
+
+
+def test_every_leg_refused_exits_two_with_the_gate_class(clean_env, tmp_path):
+    # rot2 acts isometrically: kappa is zero and the dimension gate refuses
+    for name, value in (("SPECTRUM_STEPS", "400"), ("TAIL_REPLICAS", "1500"),
+                        ("ORBIT_SAMPLES", "8"), ("BANDWIDTH", "0.1")):
+        clean_env.setenv("FLAGDIM_" + name, value)
+    code = cli.main(["dimension", "--ensemble", "rot2", "--seed", "3",
+                     "--out", str(tmp_path), "--no-figures"])
+    assert code == 2
+    _, row = error_rows(tmp_path)
+    assert row[:2] == ["2", "HypothesisNotMet"]
+    assert row[2].startswith("kappa[1] = ")
+
+
+def test_config_precedence_file_then_environment_then_flags(clean_env,
+                                                             tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[experiment]\nschema = 1\nseed = 1\nensemble = rot2\n"
+                    "replicas = 5\norbit_samples = 6\n")
+    clean_env.setenv("FLAGDIM_SEED", "2")
+    clean_env.setenv("FLAGDIM_ENSEMBLE", "diag3eps")
+    clean_env.setenv("FLAGDIM_ORBIT_SAMPLES", "16")
+    args = cli._parser().parse_args(
+        ["spectrum", "--config", str(path), "--seed", "3",
+         "--ensemble", "bern2"])
+    cfg = cli._config(args)
+    assert cfg.replicas == 5            # file over default
+    assert cfg.orbit_samples == 16      # environment over file
+    assert (cfg.seed, cfg.ensemble) == (3, "bern2")   # flags over both

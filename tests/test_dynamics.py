@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from flagdim import circle
-from flagdim.dynamics import (Arc, angle_decay_check, batched_orthonormalize,
-                              circle_map_between, forward_orbit,
-                              interval_decay_curve, interval_pullforward,
-                              line_coordinates, lyapunov_spectrum,
-                              oseledets_stable_line, push_arc,
-                              stable_coordinates, stationary_interval,
-                              stationary_orbit, trace_to_csv)
+from flagdim.dynamics import (Arc, batched_orthonormalize, circle_map_between,
+                              forward_orbit, interval_decay_curve,
+                              interval_pullforward, line_coordinates,
+                              lyapunov_spectrum, push_arc, stable_coordinates,
+                              stationary_interval, stationary_orbit)
 from flagdim.ensemble import (SeededSampler, bern2, diag3eps, finite_support,
                               rot2, sample_batch)
 from flagdim.errors import (DegenerateFiberPair, GapTooSmall, IntervalWrap)
@@ -16,6 +14,7 @@ from flagdim.flagcore import (Flag, LinearMap, act_flag, fiber_coordinate,
                               partial_flag)
 
 from conftest import random_invertible
+from stable_line_reference import oseledets_stable_line
 
 
 def single(name, mat):
@@ -188,6 +187,21 @@ def test_stable_coordinates_certified(rng):
     assert circle.distance(y[0, 3], line.coordinate) < 1e-9
 
 
+def log_distance_slope(trace, lookahead):
+    """Slope of log dist(x_n, y_n) against n on the first replica, with its
+    least-squares stderr; y_n are the certified stable coordinates."""
+    times, y, resolution = stable_coordinates(trace, lookahead=lookahead)
+    assert resolution[0] <= 1e-2
+    d = circle.distance(trace.x[0, : len(times)], y[0])
+    assert np.all(d > 0)
+    t = times.astype(float)
+    logd = np.log(d)
+    slope, intercept = np.polyfit(t, logd, 1)
+    resid = logd - (slope * t + intercept)
+    denom = float(np.sum((t - t.mean()) ** 2))
+    return slope, np.sqrt(np.sum(resid ** 2) / max(len(t) - 2, 1) / denom)
+
+
 def test_angle_decay_slope_near_zero_deterministic():
     # x_n converges to the attractor, y_n sits at the repeller: their
     # distance tends to a constant, so the log-distance slope vanishes.
@@ -198,16 +212,16 @@ def test_angle_decay_slope_near_zero_deterministic():
     tilted = single("tilted2", q @ np.diag([2.0, 0.5]) @ q.T)
     f0 = Flag.from_matrix(np.array([[1.0, 0.0], [0.7, 1.0]]))
     trace = forward_orbit(tilted, f0, 120, SeededSampler(14))
-    rep = angle_decay_check(trace, lookahead=40)
-    assert abs(rep.slope) < 5e-3
+    slope, _ = log_distance_slope(trace, lookahead=40)
+    assert abs(slope) < 5e-3
 
 
 def test_angle_decay_slope_near_zero_strong2():
     trace = forward_orbit(strong2(), Flag.standard(2), 400,
                           SeededSampler(15))
-    rep = angle_decay_check(trace, lookahead=80)
-    lo, hi = rep.band
-    assert lo < 0 < hi or abs(rep.slope) < 0.02
+    slope, stderr = log_distance_slope(trace, lookahead=80)
+    lo, hi = slope - 2 * stderr, slope + 2 * stderr
+    assert lo < 0 < hi or abs(slope) < 0.02
 
 
 def test_arc_invariants():
@@ -226,7 +240,8 @@ def test_arc_invariants():
 def test_stationary_interval_worked_example():
     # x = 0 and y = pi/2 give the arc from 3pi/4 of length pi/2
     trace = forward_orbit(HYPER2, Flag.standard(2), 60, SeededSampler(16))
-    arc = stationary_interval(trace, 0, lookahead=50)
+    y = oseledets_stable_line(trace, 0, lookahead=50).coordinate
+    arc = stationary_interval(trace, 0, y)
     assert circle.distance(trace.x[0, 0], 0.0) < 1e-12
     assert arc.length == pytest.approx(np.pi / 2, abs=1e-9)
     lo, hi = arc.endpoints
@@ -279,7 +294,8 @@ def test_pullforward_contains_x_and_excludes_y():
         y0 = oseledets_stable_line(trace, 0, lookahead=55).coordinate
         for n in range(2, 100, 7):
             try:
-                arc = interval_pullforward(trace, n, lookahead=55)
+                y = oseledets_stable_line(trace, -n, lookahead=55).coordinate
+                arc = interval_pullforward(trace, n, y)
             except IntervalWrap:
                 wrapped += 1
                 continue
@@ -294,17 +310,9 @@ def test_pullforward_contains_x_bern2():
     trace = stationary_orbit(bern2(), 1, 1700, 200, SeededSampler(21),
                              t_end=1550)
     for n in (20, 80, 140):
-        arc = interval_pullforward(trace, n, lookahead=1500)
+        y = oseledets_stable_line(trace, -n, lookahead=1500).coordinate
+        arc = interval_pullforward(trace, n, y)
         assert arc.contains(float(trace.x[0, trace.index(0)]))
-
-
-def test_trace_csv(tmp_path):
-    trace = forward_orbit(bern2(), Flag.standard(2), 12, SeededSampler(22))
-    path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,log_r_1,log_r_2,x,y"
-    assert len(lines) == 14  # header + 13 states
 
 
 @pytest.mark.parametrize("spec, i", [(bern2(), 1), (diag3eps(), 2),

@@ -3,11 +3,11 @@ import pytest
 
 from flagdim import ensemble
 from flagdim.ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler, bern2,
-                              benchmark, diag3eps, finite_support, from_text,
-                              log_singular_values, mean_log_abs_det, rot2,
-                              sample, sample_batch, to_text, validate)
-from flagdim.errors import InvalidSpec
-from flagdim.flagcore import LinearMap
+                              diag3eps, finite_support, from_text,
+                              mean_log_abs_det, rot2, sample_batch, to_text,
+                              validate)
+from flagdim.errors import ConfigError, InvalidSpec
+from flagdim.harness import load_config
 
 
 def test_sampler_is_reproducible():
@@ -34,7 +34,7 @@ def test_child_key_paths_are_distinct():
 def test_single_atom_sample_is_constant():
     spec = finite_support("single", [np.diag([2.0, 0.5])], [1.0])
     for k in range(5):
-        assert np.array_equal(sample(spec, SeededSampler(k)).entries,
+        assert np.array_equal(sample_batch(spec, SeededSampler(k), 1)[0],
                               np.diag([2.0, 0.5]))
 
 
@@ -88,17 +88,6 @@ def test_unknown_kind_rejected():
         EnsembleSpec(name="x", dim=2, kind="mystery")
 
 
-def test_log_singular_values_examples(rng):
-    got = log_singular_values(LinearMap(np.diag([2.0, 0.5])))
-    assert np.allclose(got, [np.log(2), -np.log(2)], atol=1e-14)
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    assert np.allclose(log_singular_values(LinearMap(q)), 0.0, atol=1e-12)
-    a = rng.standard_normal((4, 4)) + 2 * np.eye(4)
-    lsv = log_singular_values(LinearMap(a))
-    assert np.all(np.diff(lsv) <= 1e-12)
-    assert np.isclose(np.sum(lsv), np.log(abs(np.linalg.det(a))), rtol=1e-8)
-
-
 def test_mean_log_abs_det_exact_for_benchmarks():
     value, stderr = mean_log_abs_det(bern2())
     assert value == pytest.approx(0.0, abs=1e-14) and stderr == 0.0
@@ -110,9 +99,10 @@ def test_mean_log_abs_det_exact_for_benchmarks():
 
 def test_benchmark_lookup():
     assert set(BENCHMARKS) == {"rot2", "bern2", "diag3eps"}
-    assert benchmark("bern2").name == "bern2"
-    with pytest.raises(InvalidSpec):
-        benchmark("nope")
+    assert BENCHMARKS["bern2"]().name == "bern2"
+    # a name that is neither a benchmark nor a spec file is refused
+    with pytest.raises(ConfigError):
+        load_config(None, {"ensemble": "nope", "seed": 1}, environ={})
 
 
 def test_rotation_invariant_samples_are_orthogonal_times_stretch():
@@ -127,7 +117,7 @@ def test_diagonal_kind_samples():
     spec = EnsembleSpec("dg", 2, "diagonal",
                         {"log_means": np.array([0.5, -0.5]),
                          "log_sds": np.array([0.0, 0.0])})
-    m = sample(spec, SeededSampler(3)).entries
+    m = sample_batch(spec, SeededSampler(3), 1)[0]
     assert np.allclose(m, np.diag([np.exp(0.5), np.exp(-0.5)]), atol=1e-12)
 
 

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from flagdim import circle
+from flagdim import circle, harness
 from flagdim.ensemble import SeededSampler, bern2, diag3eps, finite_support, rot2
 from flagdim.entropy import (conditional_fiber_sample,
                              conditional_independence_diagnostic,
                              dimension_formula_report, furstenberg_entropy_d2,
-                             gap_inequality_report, kappa_density_estimator,
-                             kappa_interval_estimator)
+                             kappa_density_estimator, kappa_interval_estimator)
 from flagdim.errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
                             NoAcceptedReplicas)
 from flagdim.dynamics import lyapunov_spectrum, stationary_flag_pool
@@ -180,16 +179,14 @@ def test_conditional_independence_diag3eps():
 
 
 def test_gap_inequality_report_lines():
-    rep = gap_inequality_report(
-        bern2(), sampler=SeededSampler(50), spectrum_steps=6000,
-        include_interval=True,
-        density_kwargs=dict(tail_replicas=2000, orbit_samples=25,
-                            bandwidth=0.04),
-        interval_kwargs=dict(n=60, replicas=40, tail_replicas=2000,
-                             lookahead=900))
-    assert rep.all_satisfied
+    cfg = harness.load_config(None, dict(
+        ensemble="bern2", seed=50, spectrum_steps=6000, tail_replicas=2000,
+        orbit_samples=25, bandwidth=0.04, interval_n=60, replicas=40),
+        environ={})
+    rep = harness.run_entropy(cfg)
+    assert all(r.bound_satisfied for r in rep.gap_rows)
     assert 1 in rep.agreement
-    text = "\n".join(rep.lines())
+    text = "\n".join(rep.summary_lines())
     assert "fiber 1" in text and "relative difference" in text
 
 
