@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagdim import circle
@@ -333,6 +333,26 @@ def test_rotated_completion_rule_gives_same_map(rng):
                           t.derivative(theta), rtol=1e-9)
 
 
+def angle_between_lines(a, b):
+    """Angle between the lines R a and R b of the plane: the circle distance
+    of the fiber coordinates of the flags they start."""
+    coords = [fiber_coordinate(Flag.from_matrix(np.column_stack([v, [-v[1], v[0]]])), 1)
+              for v in (a, b)]
+    return float(circle.distance(*coords))
+
+
+def test_angle_between_lines_examples():
+    e1, e2 = np.eye(2)
+    assert np.isclose(angle_between_lines(e1, e2), np.pi / 2, atol=1e-14)
+    assert angle_between_lines(e1, e1) == 0.0
+    assert np.isclose(angle_between_lines(e1, e1 + e2), np.pi / 4, atol=1e-12)
+    # sign of either vector is irrelevant for lines
+    assert np.isclose(angle_between_lines(e1, -(e1 + e2)), np.pi / 4,
+                      atol=1e-12)
+    with pytest.raises(DegenerateBasis):
+        angle_between_lines(e1, np.zeros(2))
+
+
 @given(st.floats(0, np.pi, exclude_max=True),
        st.floats(0, np.pi, exclude_max=True))
 def test_circle_distance_bounds(a, b):
@@ -347,3 +367,17 @@ def test_circle_wrap_range(theta):
     assert 0 <= w < np.pi
     assert np.isclose(np.tan(w), np.tan(theta), atol=1e-6) or \
         abs(np.cos(theta)) < 1e-3
+
+
+IDENTITY_FIBER_MAP = induced_circle_map(LinearMap(np.eye(2)),
+                                        partial_flag(Flag.standard(2), 1))
+
+
+@given(st.floats(0, np.pi, exclude_max=True),
+       st.floats(-1.5, 1.5))
+@settings(max_examples=60)
+def test_signed_difference_recovers_offset(base, off):
+    # the identity's signed image offset is the offset itself, up to a turn
+    got = IDENTITY_FIBER_MAP.map_offset(base, off)
+    assert abs(circle.wrap(base + got) - circle.wrap(base + off)) < 1e-9 or \
+        np.isclose(circle.distance(base + got, base + off), 0.0, atol=1e-9)

@@ -258,3 +258,24 @@ def test_wasserstein_rotation_of_grid():
     m2 = EmpiricalCircleMeasure.from_samples(
         np.mod(grid + 5 * np.pi / n, np.pi))
     assert wasserstein_circle(m1, m2) == pytest.approx(0.0, abs=1e-12)
+
+
+def uniform_cdf_distance(m):
+    """Sup distance between the CDF of m and the uniform CDF on [0, pi),
+    read off ``m.cdf`` on both sides of each atom."""
+    t = m.points
+    above = np.abs(m.cdf(t) - t / circle.HALF_TURN)
+    below = np.abs((m.cdf(t) - m.weights) - t / circle.HALF_TURN)
+    return float(max(above.max(), below.max()))
+
+
+def test_kolmogorov_distance_examples(rng):
+    n = 2000
+    mid = EmpiricalCircleMeasure.from_samples(
+        (np.arange(n) + 0.5) * np.pi / n)
+    assert uniform_cdf_distance(mid) < 1.0 / n + 1e-12
+    atom = EmpiricalCircleMeasure.from_samples(np.array([0.0]))
+    assert uniform_cdf_distance(atom) == pytest.approx(1.0, abs=1e-12)
+    half = EmpiricalCircleMeasure.from_samples(
+        rng.uniform(0, np.pi / 2, 20_000))
+    assert uniform_cdf_distance(half) == pytest.approx(0.5, abs=0.02)
