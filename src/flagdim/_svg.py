@@ -15,20 +15,21 @@ MARGIN_R = 20
 MARGIN_T = 40
 MARGIN_B = 55
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+PAD = 0.06               # axis margin beyond the data, as a share of its span
 
 
 def _fmt(x):
     return f"{float(x):.6g}"
 
 
-def _limits(values, pad=0.06):
+def _limits(values):
     lo = float(min(values))
     hi = float(max(values))
     if hi - lo < 1e-12:
         lo -= 0.5
         hi += 0.5
     span = hi - lo
-    return lo - pad * span, hi + pad * span
+    return lo - PAD * span, hi + PAD * span
 
 
 class _Canvas:

@@ -34,6 +34,7 @@ from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
 
 PRODUCT_COND_CAP = 1e10   # stop extending singular products past this
 DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
+DECAY_STABLE_TOL = 1e-2   # stable-line resolution a decay replica must reach
 _LINE_CHUNK = 4096        # blocks per list conversion in line_coordinates
 _TIME_BLOCK = 128         # times per block when a trace derives its frames
 
@@ -41,18 +42,11 @@ _TIME_BLOCK = 128         # times per block when a trace derives its frames
 def batched_orthonormalize(mats):
     """QR with positive diagonal across a stack; returns Q and log|diag R|.
 
-    Stacked inputs take a vectorized Gram-Schmidt path: LAPACK's per-matrix
-    overhead dominates np.linalg.qr for tiny matrices, and the pool pushes
-    in the entropy estimators live or die on this loop.
+    A vectorized Gram-Schmidt over the stack (..., d, d): LAPACK's
+    per-matrix overhead dominates np.linalg.qr for tiny matrices, and the
+    pool pushes in the entropy estimators live or die on this loop.
     """
-    mats = np.asarray(mats, dtype=float)
-    if mats.ndim < 3:
-        q, r = np.linalg.qr(mats)
-        diag = np.einsum("...ii->...i", r)
-        signs = np.sign(diag)
-        signs[signs == 0] = 1.0
-        return q * signs[..., None, :], np.log(np.abs(diag))
-    q = mats.copy()
+    q = np.array(mats, dtype=float)
     d = q.shape[-1]
     logs = np.empty(q.shape[:-2] + (d,))
     for j in range(d):
@@ -371,7 +365,7 @@ def stationary_orbit(spec, fiber_index, n_steps, burnin, sampler, t_end=0):
                          fiber_index=fiber_index, t0=t_end - n_steps)
 
 
-def stable_coordinates(trace, lookahead=None):
+def stable_coordinates(trace, lookahead):
     """Stable-line coordinates on the window's prefix, with certificates.
 
     Two transverse directions pulled back from the window's end both
@@ -391,8 +385,6 @@ def stable_coordinates(trace, lookahead=None):
     """
     maps = trace.maps
     count, n_maps = maps.shape[:2]
-    if lookahead is None:
-        lookahead = min(n_maps, 400)
     anchor_k = n_maps - lookahead
     if anchor_k < 0:
         raise ValueError("window shorter than the requested lookahead")
@@ -564,7 +556,7 @@ class IntervalDecayReport:
 
 
 def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
-                         burnin=1000, lookahead=900, tol=1e-2):
+                         burnin=1000, lookahead=900):
     """Log lengths of pulled-forward stationary intervals on a grid of n.
 
     Each replica runs one stationary window covering [-max n, lookahead]
@@ -575,7 +567,8 @@ def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
     so the variation between replicas is counted.  Replicas whose future
     window cannot certify the stable line are dropped; the certificate
     involves only maps after time 0, so dropping them leaves the lengths
-    unbiased.
+    unbiased.  A replica is certified when its resolution is at most
+    DECAY_STABLE_TOL.
     """
     n_grid = np.asarray(sorted(int(n) for n in n_grid))
     n_max = int(n_grid[-1])
@@ -583,7 +576,7 @@ def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
                              [sampler.child(r) for r in range(replicas)],
                              t_end=lookahead)
     _, y, resolution = stable_coordinates(trace, lookahead=lookahead)
-    keep = np.flatnonzero(resolution <= (np.inf if tol is None else tol))
+    keep = np.flatnonzero(resolution <= DECAY_STABLE_TOL)
     if not len(keep):
         raise GapTooSmall(
             f"no replica of {replicas} certified a stable line at "

@@ -26,6 +26,10 @@ from .flagcore import COND_CAP, orthonormalize
 
 KINDS = ("finite_support", "rotation_invariant", "diagonal", "perturbed")
 SPEC_SCHEMA = 1
+MOMENT_DRAWS = 4096      # Monte Carlo draws behind validate's moments
+MOMENT_SEED = 0
+LOGDET_DRAWS = 4096      # Monte Carlo draws behind mean_log_abs_det
+LOGDET_SEED = 0
 
 
 class SeededSampler:
@@ -84,12 +88,13 @@ def finite_support(name, atoms, probs):
     )
 
 
-def validate(spec, moment_draws=4096, moment_seed=0):
+def validate(spec):
     """Check the spec and estimate the log singular value moments.
 
     Raises InvalidSpec with the full reason list on structural problems.
     For parametric kinds the moments E|log sigma_i| are Monte Carlo
-    estimates (finite support is summed exactly, stderr 0).
+    estimates over MOMENT_DRAWS draws (finite support is summed exactly,
+    stderr 0).
     """
     reasons = []
     d = spec.dim
@@ -138,11 +143,11 @@ def validate(spec, moment_draws=4096, moment_seed=0):
         moments = probs @ logs
         stderr = np.zeros(d)
     else:
-        sampler = SeededSampler(moment_seed, (0xA11D,))
-        batch = sample_batch(spec, sampler, moment_draws)
+        sampler = SeededSampler(MOMENT_SEED, (0xA11D,))
+        batch = sample_batch(spec, sampler, MOMENT_DRAWS)
         logs = np.abs(np.log(np.linalg.svd(batch, compute_uv=False)))
         moments = logs.mean(axis=0)
-        stderr = logs.std(axis=0, ddof=1) / np.sqrt(moment_draws)
+        stderr = logs.std(axis=0, ddof=1) / np.sqrt(MOMENT_DRAWS)
     return ValidationReport(name=spec.name, dim=d, kind=spec.kind,
                             log_sv_moments=moments, moment_stderr=stderr)
 
@@ -200,15 +205,15 @@ def sample_batch(spec, sampler, n):
     raise InvalidSpec([f"unknown ensemble kind {spec.kind!r}"])
 
 
-def mean_log_abs_det(spec, sampler=None, draws=4096):
+def mean_log_abs_det(spec):
     """E log|det A|, exact for finite support, Monte Carlo otherwise."""
     if spec.kind == "finite_support":
         dets = np.abs(np.linalg.det(spec.params["atoms"]))
         return float(spec.params["probs"] @ np.log(dets)), 0.0
-    sampler = sampler or SeededSampler(0, (0xDE7,))
-    batch = sample_batch(spec, sampler, draws)
+    batch = sample_batch(spec, SeededSampler(LOGDET_SEED, (0xDE7,)),
+                         LOGDET_DRAWS)
     logs = np.log(np.abs(np.linalg.det(batch)))
-    return float(logs.mean()), float(logs.std(ddof=1) / np.sqrt(draws))
+    return float(logs.mean()), float(logs.std(ddof=1) / np.sqrt(LOGDET_DRAWS))
 
 
 def _rotation2(angle):

@@ -38,22 +38,26 @@ import numpy as np
 
 from . import circle
 from .dynamics import (DEGENERATE_DISTANCE, Arc, burn_in, evolve_flags,
-                       forward_orbit, line_coordinates, lyapunov_spectrum,
-                       pull_forward, push_flags, stable_coordinates,
-                       stationary_flag_pool, stationary_interval)
+                       forward_orbit, line_coordinates, pull_forward,
+                       push_flags, stable_coordinates, stationary_flag_pool,
+                       stationary_interval)
 from .ensemble import SeededSampler, sample_batch
 from .errors import (AtomicFiber, BandwidthTooSmall, GapTooSmall,
                      HypothesisNotMet, InsufficientMass, NoAcceptedReplicas)
 from .flagcore import (Flag, fiber_coordinates, fiber_map_derivative,
                        fiber_map_image, partial_flag)
 from .measures import (KDE_MIN_NEIGHBORS, EmpiricalCircleMeasure,
-                       default_radius_grid, kde_density, kernel_sums,
-                       local_dimension, max_cluster_weight, neighbor_counts,
-                       wasserstein_circle)
+                       kde_density, kernel_sums, local_dimension,
+                       max_cluster_weight, neighbor_counts, wasserstein_circle)
 
 ATOM_RESOLUTION = 1e-6
 ATOM_THRESHOLD = 0.5
 JACKKNIFE_GROUPS = 20
+TAIL_BURNIN = 300        # steps from the standard flag to a stationary tail flag
+EVAL_POINTS = 64         # held-out queries per orbit sample of the density route
+THINNING = 5             # d = 2 dimension orbit: steps between read points
+PIN_REALIZATIONS = 6     # d >= 3 dimension fits: pinned pasts sampled
+SIGNIFICANCE = 2.0       # kappa must exceed this many stderrs for a dimension
 
 
 def _screened(candidates, measures, bandwidth):
@@ -118,22 +122,20 @@ class ConditionalFiberSample:
     tail_replicas: int
     measure: EmpiricalCircleMeasure
     diagnostic: float   # Wasserstein distance between full- and half-pin versions
-    reference: object
 
 
 def conditional_fiber_sample(spec, fiber_index, pin_length=None,
                              tail_replicas=10_000, sampler=None,
-                             tail_burnin=300, realization_burnin=1000,
-                             pinned=None, reference=None, pool=None,
-                             convergence_tol=None):
+                             realization_burnin=1000, convergence_tol=None):
     """Empirical conditional measure on the fiber over one partial flag.
 
-    All tail replicas share the pinned recent past and differ in the
-    remote past.  When ``pinned``/``reference`` are given (an (M, d, d)
-    array and a PartialFlag) the realization step is skipped; ``pool``
-    likewise reuses stationary tail flags across calls.
-    ``pin_length=None`` resolves to 0 when d = 2 and 60 otherwise (a
-    trivial partial flag needs no pin).
+    One realization runs ``realization_burnin`` steps from the standard
+    flag and then its ``pin_length`` pinned steps; the partial flag it
+    reaches is the reference.  All ``tail_replicas`` tail flags (each
+    TAIL_BURNIN steps from the standard flag) share that pinned recent
+    past and differ in the remote past, and each is read in the
+    reference's fiber frame.  ``pin_length=None`` resolves to 0 when
+    d = 2 and 60 otherwise (a trivial partial flag needs no pin).
 
     The diagnostic is always reported; when ``convergence_tol`` is given
     a diagnostic above it raises GapTooSmall (the pin did not determine
@@ -141,19 +143,13 @@ def conditional_fiber_sample(spec, fiber_index, pin_length=None,
     """
     sampler = sampler or SeededSampler(0)
     pin_length = _default_pin(spec, pin_length)
-    if pinned is None:
-        # the burn-in before the pin approximates a stationary start
-        pinned, f_end = burn_in(spec, sampler.child(0),
-                                realization_burnin + pin_length, keep=pin_length)
-        pinned = pinned[0]
-        reference = partial_flag(Flag(f_end[0]), fiber_index)
-    else:
-        pinned = np.asarray(pinned, dtype=float)
-        if reference is None:
-            raise ValueError("a reference partial flag must accompany a pinned past")
-    if pool is None:
-        pool = stationary_flag_pool(spec, tail_replicas, tail_burnin,
-                                    sampler.child(1))
+    # the burn-in before the pin approximates a stationary start
+    pinned, f_end = burn_in(spec, sampler.child(0),
+                            realization_burnin + pin_length, keep=pin_length)
+    pinned = pinned[0]
+    reference = partial_flag(Flag(f_end[0]), fiber_index)
+    pool = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN,
+                                sampler.child(1))
     # the tail replicas carry their own full flags; reading them all in
     # the one reference frame makes them one empirical measure
     frame = np.column_stack(reference.frame)
@@ -164,7 +160,7 @@ def conditional_fiber_sample(spec, fiber_index, pin_length=None,
         fiber_index=fiber_index, pin_length=int(len(pinned)),
         tail_replicas=len(pool),
         measure=EmpiricalCircleMeasure.from_samples(coords),
-        diagnostic=diag, reference=reference)
+        diagnostic=diag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,9 +180,8 @@ class KappaEstimate:
 
 def kappa_density_estimator(spec, fiber_index, pin_length=None,
                             tail_replicas=10_000, orbit_samples=100,
-                            bandwidth=0.05, sampler=None, tail_burnin=300,
-                            realization_burnin=1000, eval_points=64,
-                            convergence_tol=None):
+                            bandwidth=0.05, sampler=None,
+                            realization_burnin=1000, convergence_tol=None):
     """Entropy via kernel density ratios of pushed conditional samples.
 
     Per orbit sample: pin a fresh recent past, build the conditional
@@ -214,8 +209,8 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
     sampler = sampler or SeededSampler(0)
     pin_length = _default_pin(spec, pin_length)
     i = fiber_index
-    pool0 = stationary_flag_pool(spec, tail_replicas, tail_burnin, sampler.child(1))
-    pool1 = stationary_flag_pool(spec, tail_replicas, tail_burnin, sampler.child(2))
+    pool0 = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, sampler.child(1))
+    pool1 = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, sampler.child(2))
     # every realization's burn-in and pinned past, then its step 0 -> 1
     children = [sampler.child(10, r) for r in range(orbit_samples)]
     pins, f0 = burn_in(spec, children, realization_burnin + pin_length,
@@ -243,7 +238,7 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
             skipped += 1
             continue
         held_out = _screened(pushed_all[1::2], (pushed, target), bandwidth)
-        take = min(eval_points, len(held_out))
+        take = min(EVAL_POINTS, len(held_out))
         queries = np.concatenate(
             [[x1], child.rng.choice(held_out, size=take, replace=False)]
         ) if take else np.array([x1])
@@ -262,7 +257,7 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
         method="density", fiber_index=i,
         diagnostics={"effective_samples": len(kappas),
                      "undersampled_skips": skipped,
-                     "eval_points": eval_points, "bandwidth": bandwidth,
+                     "eval_points": EVAL_POINTS, "bandwidth": bandwidth,
                      "pin_length": pin_length, "tail_replicas": tail_replicas,
                      "pin_diagnostic": diag})
 
@@ -275,8 +270,8 @@ def _isometric_fiber_action(trace):
 
 def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
                              sampler=None, pin_length=None, tail_replicas=10_000,
-                             tail_burnin=300, realization_burnin=1000,
-                             lookahead=600, stable_tol=0.05):
+                             realization_burnin=1000, lookahead=600,
+                             stable_tol=0.05):
     """Entropy via conditional masses of pulled-forward stationary intervals.
 
     kappa_r = (log mass_{-n}(I_{-n}) - log mass_0(J_n)) / n over replicas
@@ -308,8 +303,8 @@ def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
     sampler = sampler or SeededSampler(0)
     pin_length = 0 if pin_length is None else int(pin_length)
     i = fiber_index
-    pool_a = stationary_flag_pool(spec, tail_replicas, tail_burnin, sampler.child(1))
-    pool_b = stationary_flag_pool(spec, tail_replicas, tail_burnin, sampler.child(2))
+    pool_a = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, sampler.child(1))
+    pool_b = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, sampler.child(2))
     # every replica's realization and window [-n, lookahead], all at once
     children = [sampler.child(10, r) for r in range(replicas)]
     pins, start = burn_in(spec, children, realization_burnin + pin_length,
@@ -384,14 +379,14 @@ def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
 
 
 def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
-                           bandwidth=0.05, sampler=None, burnin=300):
+                           bandwidth=0.05, sampler=None):
     """d = 2 specialization: kappa = E_a KL(a_* nu || nu), nu stationary.
 
     The partial flag is trivial for d = 2, so the fiber measure is the
     stationary measure nu on the projective line itself.
 
     Stationary sample: ``tail_replicas`` independent replicas, each run
-    ``burnin`` steps from the standard flag as ``stationary_flag_pool``
+    TAIL_BURNIN steps from the standard flag as ``stationary_flag_pool``
     runs them.  Points of one long orbit would not do: on bern2 the
     transfer operator has eigenvalue -0.917 on the 4 theta mode, so orbit
     points stay correlated for tens of steps, kernels built from one part
@@ -428,7 +423,7 @@ def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
     # only the line of each flag is used, so only the leading column runs
     start = np.zeros((tail_replicas, 2, 1))
     start[:, 0, 0] = 1.0
-    lines = evolve_flags(spec, start, burnin, sampler.child(1))
+    lines = evolve_flags(spec, start, TAIL_BURNIN, sampler.child(1))
     # the fiber plane of d = 2 is the whole plane, framed by e_1, e_2
     x = fiber_coordinates(lines, np.eye(2), 1)
     _atomic_gate(x, f"{spec.name} stationary measure")
@@ -485,13 +480,13 @@ def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
         diagnostics={"effective_samples": queries - dropped,
                      "dropped_queries": dropped,
                      "jackknife_groups": n_groups,
-                     "bandwidth": h, "burnin": burnin,
+                     "bandwidth": h, "burnin": TAIL_BURNIN,
                      "tail_replicas": tail_replicas})
 
 
 def conditional_independence_diagnostic(spec, fiber_index, pin_length=50,
                                         replicas=200, sampler=None,
-                                        tail_burnin=300, future_steps=400):
+                                        future_steps=400):
     """Correlation between past-determined x and future-determined y.
 
     Replicas share the pinned recent past (pinning the reference fiber)
@@ -503,7 +498,7 @@ def conditional_independence_diagnostic(spec, fiber_index, pin_length=50,
     sampler = sampler or SeededSampler(0)
     i = fiber_index
     pinned = sample_batch(spec, sampler.child(0), pin_length)
-    pool = stationary_flag_pool(spec, replicas, tail_burnin, sampler.child(1))
+    pool = stationary_flag_pool(spec, replicas, TAIL_BURNIN, sampler.child(1))
     trace = forward_orbit(spec, push_flags(pinned, pool), future_steps,
                           [sampler.child(2, r) for r in range(replicas)],
                           fiber_index=i)
@@ -576,14 +571,14 @@ class DimensionReport:
         ]
 
 
-def _slope_distribution(measure, rng, base_points, r_grid):
+def _slope_distribution(measure, rng, base_points):
     slopes = []
     skipped = 0
     idx = rng.choice(len(measure.points),
                      size=min(base_points, len(measure.points)), replace=False)
     for k in idx:
         try:
-            est = local_dimension(measure, float(measure.points[k]), r_grid)
+            est = local_dimension(measure, float(measure.points[k]))
         except InsufficientMass:
             skipped += 1
             continue
@@ -591,70 +586,58 @@ def _slope_distribution(measure, rng, base_points, r_grid):
     return np.asarray(slopes), skipped
 
 
-def dimension_formula_report(spec, fiber_index, sampler=None, spectrum=None,
-                             kappa=None, spectrum_steps=20_000,
-                             base_points=200, r_grid=None,
-                             stationary_samples=100_000, thinning=5,
-                             density_kwargs=None, pin_realizations=6,
-                             sample_kwargs=None, significance=2.0):
+def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
+                             base_points=200, stationary_samples=100_000,
+                             pin_length=None, tail_replicas=10_000,
+                             burnin=1000):
     """Local dimension of the fiber measures against kappa over gap.
 
-    Refuses (HypothesisNotMet) when kappa <= ``significance`` * stderr; a
-    dimension number under a failed hypothesis would be noise with a
-    confident face.  The gate reads the stderr the kappa estimate carries,
-    so it is only as sound as that stderr.
+    ``spectrum`` (a SpectrumEstimate) gives the gap and ``kappa`` (a
+    KappaEstimate of fiber ``fiber_index``) the entropy; the report does
+    not estimate either.  It refuses (HypothesisNotMet) when kappa <=
+    SIGNIFICANCE * stderr; a dimension number under a failed hypothesis
+    would be noise with a confident face.  The gate reads the stderr the
+    kappa estimate carries, so it is only as sound as that stderr.
 
-    d = 2: the fiber measure is the stationary measure itself.  kappa
-    defaults to furstenberg_entropy_d2 with ``density_kwargs``.  Its
-    stationary sample is independent replicas, and its stderr, a
-    jackknife over groups of drawn matrices with the replicas they query,
-    covers the error of that shared sample as well as the sampling of
-    queries and matrices, so the gate weighs kappa against all of its
-    sampling error.  The slopes are fitted on ``stationary_samples``
-    points of one orbit, one every ``thinning`` steps after 1000 steps of
-    burn-in: correlation along the orbit slows the convergence of its
-    empirical measure but does not bias it.
+    The slopes are fitted by ``local_dimension`` on the default radius
+    grid at up to ``base_points`` sample points.
 
-    d >= 3: kappa defaults to kappa_density_estimator, whose stderr is
-    the spread over orbit samples that share their tail pools, and the
-    slopes are taken on conditional samples across several pinned pasts.
+    d = 2: the fiber measure is the stationary measure itself.  The
+    slopes are fitted on ``stationary_samples`` points of one orbit, one
+    every THINNING steps after ``burnin`` + 1 steps: correlation along
+    the orbit slows the convergence of its empirical measure but does
+    not bias it.
+
+    d >= 3: the slopes are taken on PIN_REALIZATIONS conditional samples
+    (``conditional_fiber_sample`` with ``pin_length``, ``tail_replicas``
+    and ``burnin`` as its realization burn-in), each over its own pinned
+    past.
     """
     sampler = sampler or SeededSampler(0)
     i = fiber_index
-    if spectrum is None:
-        spectrum = lyapunov_spectrum(spec, spectrum_steps, sampler=sampler.child(100))
-    if kappa is None:
-        if spec.dim == 2:
-            kappa = furstenberg_entropy_d2(spec, sampler=sampler.child(200),
-                                           **dict(density_kwargs or {}))
-        else:
-            kappa = kappa_density_estimator(spec, i, sampler=sampler.child(200, i),
-                                            **dict(density_kwargs or {}))
-    if kappa.kappa <= significance * kappa.stderr:
+    if kappa.kappa <= SIGNIFICANCE * kappa.stderr:
         raise HypothesisNotMet(
             f"kappa[{i}] = {kappa.kappa:.5f} +- {kappa.stderr:.5f} is not "
             "significantly positive; the dimension formula does not apply")
     gap = spectrum.gap(i)
     if gap <= 0:
         raise HypothesisNotMet(f"exponent gap at fiber {i} is not positive")
-    if r_grid is None:
-        r_grid = default_radius_grid()
     rng = sampler.child(400, i).rng
     if spec.dim == 2:
         mats = sample_batch(spec, sampler.child(500),
-                            1000 + stationary_samples * thinning)
+                            burnin + stationary_samples * THINNING)
         measure = EmpiricalCircleMeasure.from_samples(
-            line_coordinates(mats, 1001, thinning))
-        slopes, skipped = _slope_distribution(measure, rng, base_points, r_grid)
+            line_coordinates(mats, burnin + 1, THINNING))
+        slopes, skipped = _slope_distribution(measure, rng, base_points)
     else:
         slopes = []
         skipped = 0
-        per = max(8, base_points // pin_realizations)
-        for k in range(pin_realizations):
-            cs = conditional_fiber_sample(spec, i,
-                                          sampler=sampler.child(600, i, k),
-                                          **dict(sample_kwargs or {}))
-            s, sk = _slope_distribution(cs.measure, rng, per, r_grid)
+        per = max(8, base_points // PIN_REALIZATIONS)
+        for k in range(PIN_REALIZATIONS):
+            cs = conditional_fiber_sample(
+                spec, i, pin_length=pin_length, tail_replicas=tail_replicas,
+                sampler=sampler.child(600, i, k), realization_burnin=burnin)
+            s, sk = _slope_distribution(cs.measure, rng, per)
             slopes.append(s)
             skipped += sk
         slopes = np.concatenate(slopes)

@@ -119,10 +119,6 @@ class Flag:
         """Flag spanned by the leading column blocks of an arbitrary basis."""
         return Flag(orthonormalize(m))
 
-    @staticmethod
-    def random(d, rng):
-        return Flag.from_matrix(rng.standard_normal((d, d)))
-
 
 def act_flag(a, f):
     """Image flag with subspaces A(S_i)."""

@@ -5,6 +5,16 @@ own child sampler keyed by a fixed job tag, cross-job reductions happen
 in tag order, and emitted files carry no clocks or machine identifiers,
 so outputs are byte-identical across repeats and across thread counts.
 
+Each command runs one spectrum and then its legs.  The density leg
+(``_density_leg``) is the one place that picks the entropy estimator by
+dimension: ``furstenberg_entropy_d2`` for d = 2, ``kappa_density_estimator``
+otherwise.  The dimension report takes the run's spectrum and a density
+kappa as inputs: ``verify`` hands it the estimate of its own density leg
+(a fiber whose density leg was refused gets no report), and ``dimension``
+runs the density leg for the report on streams of its own.  Settings the
+config does not carry (tail-pool burn-ins, query counts, the significance
+gate, the radius grid of every dimension fit) are module constants.
+
 The config format is INI with one [experiment] section and a mandatory
 schema version; unknown sections or keys are hard errors.  Every field
 can be overridden by an environment variable named FLAGDIM_<FIELD> (the
@@ -48,11 +58,12 @@ from .entropy import (GapRow, conditional_fiber_sample,
                       kappa_density_estimator, kappa_interval_estimator)
 from .errors import (AtomicFiber, BandwidthTooSmall, ConfigError, GapTooSmall,
                      HypothesisNotMet, NoAcceptedReplicas)
-from .measures import EmpiricalCircleMeasure, ball_mass
+from .measures import EmpiricalCircleMeasure, ball_mass, default_radius_grid
 from .version import __version__
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "FLAGDIM_"
+BALL_CURVE_POINTS = 6    # sample points behind the dimension figure
 
 # estimators refuse rather than report under a violated hypothesis; the
 # CLI maps exactly these to exit code 2
@@ -78,9 +89,6 @@ class ExperimentConfig:
     tail_replicas: int = 10_000
     pin_length: object = None       # None: per-estimator default
     bandwidth: float = 0.05
-    r_max: float = float(np.pi / 8)
-    r_ratio: float = 2.0
-    r_levels: int = 12
     seed: object = None
     out_dir: str = "out"
     emit_figures: bool = True
@@ -94,14 +102,13 @@ class ExperimentConfig:
         if self.seed is None:
             problems.append("seed is mandatory (there is no clock default)")
         for name in ("spectrum_steps", "burnin", "interval_n", "replicas",
-                     "orbit_samples", "tail_replicas", "r_levels"):
+                     "tail_replicas"):
             if int(getattr(self, name)) <= 0:
                 problems.append(f"{name} must be positive")
-        for name in ("bandwidth", "r_max"):
-            if float(getattr(self, name)) <= 0:
-                problems.append(f"{name} must be positive")
-        if float(self.r_ratio) <= 1:
-            problems.append("r_ratio must exceed 1")
+        if not 2 <= int(self.orbit_samples) <= int(self.tail_replicas):
+            problems.append("orbit_samples must lie between 2 and tail_replicas")
+        if not 0 < float(self.bandwidth) < np.pi / 2:
+            problems.append("bandwidth must lie in (0, pi/2)")
         if self.fiber_index != "all" and int(self.fiber_index) < 1:
             problems.append("fiber_index must be positive or 'all'")
         if self.pin_length is not None and int(self.pin_length) < 0:
@@ -125,10 +132,6 @@ class ExperimentConfig:
             raise ConfigError(f"fiber_index {i} out of range for d = {d}")
         return (i,)
 
-    def radius_grid(self):
-        return float(self.r_max) / float(self.r_ratio) ** np.arange(
-            int(self.r_levels))
-
     def echo(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -144,9 +147,6 @@ _PARSERS = {
     "tail_replicas": int,
     "pin_length": lambda s: None if s == "auto" else int(s),
     "bandwidth": float,
-    "r_max": float,
-    "r_ratio": float,
-    "r_levels": int,
     "seed": int,
     "out_dir": str,
     "emit_figures": lambda s: {"true": True, "1": True, "yes": True,
@@ -271,18 +271,39 @@ def _catching(fn, refusals, leg):
     return run
 
 
+def _run_diagnostics(spec, spectrum):
+    """Checks of the spectrum against the ensemble: sum chi = E log|det A|."""
+    logdet, logdet_err = mean_log_abs_det(spec)
+    return {"sum_chi": float(spectrum.chi.sum()),
+            "mean_log_abs_det": logdet,
+            "mean_log_abs_det_stderr": logdet_err}
+
+
 def run_spectrum(cfg, threads=1):
     start = time.perf_counter()
     sampler = SeededSampler(int(cfg.seed))
-    spectrum = lyapunov_spectrum(cfg.spec(), cfg.spectrum_steps,
-                                 burnin=cfg.burnin, sampler=sampler.child(1))
-    logdet, logdet_err = mean_log_abs_det(cfg.spec())
-    diag = {"sum_chi": float(spectrum.chi.sum()),
-            "mean_log_abs_det": logdet,
-            "mean_log_abs_det_stderr": logdet_err}
+    spec = cfg.spec()
+    spectrum = lyapunov_spectrum(spec, cfg.spectrum_steps, burnin=cfg.burnin,
+                                 sampler=sampler.child(1))
     return ResultBundle(config=cfg.echo(), version=__version__,
                         wall_time=time.perf_counter() - start,
-                        spectrum=spectrum, diagnostics=diag)
+                        spectrum=spectrum,
+                        diagnostics=_run_diagnostics(spec, spectrum))
+
+
+def _density_leg(cfg, spec, i, sampler):
+    """Density-route kappa of fiber i; the estimator follows the dimension."""
+    if spec.dim == 2:
+        # cfg.burnin is for single orbits; the replica pool keeps
+        # the estimator's own burn-in, as the d >= 3 tail pools do
+        return furstenberg_entropy_d2(
+            spec, tail_replicas=cfg.tail_replicas,
+            orbit_samples=cfg.orbit_samples, bandwidth=cfg.bandwidth,
+            sampler=sampler)
+    return kappa_density_estimator(
+        spec, i, pin_length=cfg.pin_length, tail_replicas=cfg.tail_replicas,
+        orbit_samples=cfg.orbit_samples, bandwidth=cfg.bandwidth,
+        sampler=sampler, realization_burnin=cfg.burnin)
 
 
 def _entropy_jobs(cfg, sampler, refusals):
@@ -290,18 +311,7 @@ def _entropy_jobs(cfg, sampler, refusals):
     jobs = []
     for i in cfg.fibers():
         def density(i=i):
-            if spec.dim == 2:
-                # cfg.burnin is for single orbits; the replica pool keeps
-                # the estimator's own burn-in, as the d >= 3 tail pools do
-                return furstenberg_entropy_d2(
-                    spec, tail_replicas=cfg.tail_replicas,
-                    orbit_samples=cfg.orbit_samples, bandwidth=cfg.bandwidth,
-                    sampler=sampler.child(2, i))
-            return kappa_density_estimator(
-                spec, i, pin_length=cfg.pin_length,
-                tail_replicas=cfg.tail_replicas,
-                orbit_samples=cfg.orbit_samples, bandwidth=cfg.bandwidth,
-                sampler=sampler.child(2, i), realization_burnin=cfg.burnin)
+            return _density_leg(cfg, spec, i, sampler.child(2, i))
         jobs.append((("density", i), _catching(density, refusals,
                                                f"entropy density fiber {i}")))
 
@@ -354,7 +364,7 @@ def run_entropy(cfg, threads=1):
     return _entropy_bundle(cfg, spectrum, results, refusals, start)
 
 
-def _ball_curves(cfg, spec, i, sampler, points=6):
+def _ball_curves(cfg, spec, i, sampler):
     """Radius/mass curves behind the dimension figure (and its CSV)."""
     if spec.dim == 2:
         # one orbit: cfg.burnin steps, then every third of 30 000 steps
@@ -367,9 +377,10 @@ def _ball_curves(cfg, spec, i, sampler, points=6):
             spec, i, pin_length=cfg.pin_length,
             tail_replicas=cfg.tail_replicas, sampler=sampler,
             realization_burnin=cfg.burnin).measure
-    grid = cfg.radius_grid()
+    grid = default_radius_grid()
     rng = sampler.child(1).rng
-    idx = rng.choice(len(measure.points), size=points, replace=False)
+    idx = rng.choice(len(measure.points), size=BALL_CURVE_POINTS,
+                     replace=False)
     curves = []
     for p, k in enumerate(idx):
         x = float(measure.points[k])
@@ -378,27 +389,19 @@ def _ball_curves(cfg, spec, i, sampler, points=6):
     return curves
 
 
-def run_dimension(cfg, threads=1, spectrum=None, kappa_by_fiber=None):
-    start = time.perf_counter()
-    sampler = SeededSampler(int(cfg.seed))
-    spec = cfg.spec()
-    if spectrum is None:
-        spectrum = lyapunov_spectrum(spec, cfg.spectrum_steps,
-                                     burnin=cfg.burnin,
-                                     sampler=sampler.child(1))
-    refusals = {}
+def _dimension_legs(cfg, spec, spectrum, kappa, sampler, threads, refusals):
+    """Dimension reports and ball curves of every fiber, in fiber order.
+
+    ``kappa(i)`` returns fiber i's density estimate or raises the gate
+    error that refuses the fiber's report.
+    """
     jobs = []
     for i in cfg.fibers():
         def report(i=i):
-            kappa = (kappa_by_fiber or {}).get(i)
             return dimension_formula_report(
-                spec, i, sampler=sampler.child(4, i), spectrum=spectrum,
-                kappa=kappa, r_grid=cfg.radius_grid(),
-                density_kwargs={"tail_replicas": cfg.tail_replicas,
-                                "orbit_samples": cfg.orbit_samples,
-                                "bandwidth": cfg.bandwidth},
-                sample_kwargs={"pin_length": cfg.pin_length,
-                               "tail_replicas": cfg.tail_replicas})
+                spec, i, spectrum, kappa(i), sampler=sampler.child(4, i),
+                pin_length=cfg.pin_length, tail_replicas=cfg.tail_replicas,
+                burnin=cfg.burnin)
         jobs.append((("dimension", i),
                      _catching(report, refusals, f"dimension fiber {i}")))
 
@@ -412,10 +415,28 @@ def run_dimension(cfg, threads=1, spectrum=None, kappa_by_fiber=None):
     curves = []
     for i in cfg.fibers():
         curves.extend(results.get(("curves", i)) or ())
+    return reports, tuple(curves)
+
+
+def run_dimension(cfg, threads=1):
+    start = time.perf_counter()
+    sampler = SeededSampler(int(cfg.seed))
+    spec = cfg.spec()
+    spectrum = lyapunov_spectrum(spec, cfg.spectrum_steps, burnin=cfg.burnin,
+                                 sampler=sampler.child(1))
+
+    def kappa(i):
+        # the streams the report drew its own kappa on, kept so that
+        # outputs repeat across versions
+        key = (4, i, 200) if spec.dim == 2 else (4, i, 200, i)
+        return _density_leg(cfg, spec, i, sampler.child(*key))
+    refusals = {}
+    reports, curves = _dimension_legs(cfg, spec, spectrum, kappa, sampler,
+                                      threads, refusals)
     return ResultBundle(config=cfg.echo(), version=__version__,
                         wall_time=time.perf_counter() - start,
                         spectrum=spectrum, dimension_reports=reports,
-                        ball_curves=tuple(curves), refusals=refusals)
+                        ball_curves=curves, refusals=refusals)
 
 
 def run_verify(cfg, threads=1):
@@ -436,24 +457,25 @@ def run_verify(cfg, threads=1):
     jobs.append((("decay",), _catching(decay, refusals, "interval decay")))
     results = _run_jobs(jobs, threads)
     entropy = _entropy_bundle(cfg, spectrum, results, refusals, start)
-    kappa_by_fiber = {i: results[("density", i)] for i in cfg.fibers()
-                      if results.get(("density", i)) is not None}
-    dim_bundle = run_dimension(cfg, threads, spectrum=spectrum,
-                               kappa_by_fiber=kappa_by_fiber)
-    refusals.update(dim_bundle.refusals)
-    logdet, logdet_err = mean_log_abs_det(spec)
-    diag = {"sum_chi": float(spectrum.chi.sum()),
-            "mean_log_abs_det": logdet,
-            "mean_log_abs_det_stderr": logdet_err}
+
+    def kappa(i):
+        est = results.get(("density", i))
+        if est is None:
+            raise HypothesisNotMet(
+                f"no kappa[{i}]: the leg 'entropy density fiber {i}' "
+                "was refused")
+        return est
+    reports, curves = _dimension_legs(cfg, spec, spectrum, kappa, sampler,
+                                      threads, refusals)
     return ResultBundle(config=cfg.echo(), version=__version__,
                         wall_time=time.perf_counter() - start,
                         spectrum=spectrum, kappas=entropy.kappas,
                         gap_rows=entropy.gap_rows,
                         agreement=entropy.agreement,
-                        dimension_reports=dim_bundle.dimension_reports,
+                        dimension_reports=reports,
                         decay=results.get(("decay",)),
-                        ball_curves=dim_bundle.ball_curves,
-                        refusals=refusals, diagnostics=diag)
+                        ball_curves=curves, refusals=refusals,
+                        diagnostics=_run_diagnostics(spec, spectrum))
 
 
 def _write_csv(path, schema_tag, header, rows):
@@ -467,14 +489,13 @@ def _write_csv(path, schema_tag, header, rows):
                              for v in row])
 
 
-def emit_outputs(bundle, out_dir, figures=None):
-    """CSV tables, a text summary, and (optionally) SVG figures.
+def emit_outputs(bundle, out_dir):
+    """CSV tables, a text summary, and SVG figures unless the config's
+    ``emit_figures`` is off.
 
     Every figure's numbers are also present in one of the CSVs.
     """
     os.makedirs(out_dir, exist_ok=True)
-    if figures is None:
-        figures = bool(bundle.config.get("emit_figures", True))
     paths = []
 
     def out(name):
@@ -529,7 +550,7 @@ def emit_outputs(bundle, out_dir, figures=None):
                    ["fiber", "point", "radius", "mass"], rows)
     with open(out("summary.txt"), "w") as fh:
         fh.write("\n".join(bundle.summary_lines()) + "\n")
-    if figures:
+    if bundle.config["emit_figures"]:
         _emit_figures(bundle, out_dir, out)
     return paths
 

@@ -104,9 +104,9 @@ def ball_mass(m, x, r):
     return float(out[0]) if scalar else out
 
 
-def default_radius_grid(r_max=np.pi / 8, ratio=2.0, levels=12):
-    """Geometric radii r_max, r_max/ratio, ...; largest first."""
-    return r_max / ratio ** np.arange(levels)
+def default_radius_grid():
+    """Twelve geometric radii from pi/8 down, each half the last."""
+    return np.pi / 8 / 2.0 ** np.arange(12)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,6 +33,24 @@ def test_missing_seed_exits_one(clean_env, tmp_path):
     assert "seed is mandatory" in row[2]
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("BANDWIDTH", "2", "bandwidth must lie in (0, pi/2)"),
+    ("ORBIT_SAMPLES", "1", "orbit_samples must lie between 2 and tail_replicas"),
+], ids=["bandwidth", "orbit_samples"])
+def test_out_of_range_setting_exits_one(clean_env, tmp_path, name, value,
+                                        message):
+    # refused with the config, before any estimator runs
+    clean_env.setenv("FLAGDIM_SPECTRUM_STEPS", "400")
+    clean_env.setenv("FLAGDIM_TAIL_REPLICAS", "1500")
+    clean_env.setenv("FLAGDIM_" + name, value)
+    code = cli.main(["entropy", "--ensemble", "bern2", "--seed", "1",
+                     "--out", str(tmp_path), "--no-figures"])
+    assert code == 1
+    _, row = error_rows(tmp_path)
+    assert row[:2] == ["1", "ConfigError"]
+    assert message in row[2]
+
+
 def test_every_leg_refused_exits_two_with_the_gate_class(clean_env, tmp_path):
     # rot2 acts isometrically: kappa is zero and the dimension gate refuses
     for name, value in (("SPECTRUM_STEPS", "400"), ("TAIL_REPLICAS", "1500"),

@@ -190,21 +190,32 @@ def test_gap_inequality_report_lines():
     assert "fiber 1" in text and "relative difference" in text
 
 
+def _report_inputs(spec, seed, spectrum_steps, **density):
+    # the spectrum and kappa the report once estimated itself, on its
+    # streams 100 and 200
+    sampler = SeededSampler(seed)
+    spectrum = lyapunov_spectrum(spec, spectrum_steps,
+                                 sampler=sampler.child(100))
+    kappa = furstenberg_entropy_d2(spec, sampler=sampler.child(200), **density)
+    return sampler, spectrum, kappa
+
+
 def test_dimension_report_refuses_zero_kappa():
+    sampler, spectrum, kappa = _report_inputs(
+        rot2(), 51, 4000, tail_replicas=2000, orbit_samples=25,
+        bandwidth=0.08)
     with pytest.raises(HypothesisNotMet):
-        dimension_formula_report(
-            rot2(), 1, sampler=SeededSampler(51), spectrum_steps=4000,
-            stationary_samples=4000, base_points=20,
-            density_kwargs=dict(tail_replicas=2000, orbit_samples=25,
-                                bandwidth=0.08))
+        dimension_formula_report(rot2(), 1, spectrum, kappa, sampler=sampler,
+                                 stationary_samples=4000, base_points=20)
 
 
 def test_dimension_report_bern2_smoke():
-    rep = dimension_formula_report(
-        bern2(), 1, sampler=SeededSampler(52), spectrum_steps=8000,
-        stationary_samples=30_000, base_points=60,
-        density_kwargs=dict(tail_replicas=6000, orbit_samples=60,
-                            bandwidth=0.03))
+    sampler, spectrum, kappa = _report_inputs(
+        bern2(), 52, 8000, tail_replicas=6000, orbit_samples=60,
+        bandwidth=0.03)
+    rep = dimension_formula_report(bern2(), 1, spectrum, kappa,
+                                   sampler=sampler,
+                                   stationary_samples=30_000, base_points=60)
     assert 0 < rep.predicted < 1.5
     assert rep.mean_slope > 0
     assert rep.relative_error < 0.5

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -5,9 +6,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from flagdim import harness
+from flagdim import entropy, harness
 from flagdim.dynamics import SpectrumEstimate
 from flagdim.entropy import KappaEstimate
+from flagdim.errors import BandwidthTooSmall, ConfigError, HypothesisNotMet
 
 # small enough to run in seconds; refusals are outputs too and must repeat
 TINY = dict(seed=11, spectrum_steps=400, burnin=100, interval_n=20,
@@ -15,23 +17,94 @@ TINY = dict(seed=11, spectrum_steps=400, burnin=100, interval_n=20,
             emit_figures=False)
 
 
-def _outputs(ensemble, threads, out_dir):
+def _outputs(command, ensemble, threads, out_dir):
     cfg = harness.load_config(None, dict(TINY, ensemble=ensemble),
                               environ={})
-    paths = harness.emit_outputs(harness.run_verify(cfg, threads=threads),
-                                 str(out_dir))
+    runner = {"verify": harness.run_verify,
+              "dimension": harness.run_dimension}[command]
+    paths = harness.emit_outputs(runner(cfg, threads=threads), str(out_dir))
     return {pathlib.Path(p).name: pathlib.Path(p).read_bytes() for p in paths}
 
 
-@pytest.mark.parametrize("ensemble", ["bern2", "diag3eps"])
-def test_verify_outputs_repeat_byte_for_byte(ensemble, tmp_path):
+FILES = {"verify": {"spectrum.csv", "kappa.csv", "decay.csv",
+                    "diagnostics.csv", "summary.txt"},
+         "dimension": {"spectrum.csv", "ballmass.csv", "diagnostics.csv",
+                       "summary.txt"}}
+
+
+@pytest.mark.parametrize(
+    "command, ensemble",
+    [("verify", "bern2"), ("verify", "diag3eps"),
+     ("dimension", "bern2"), ("dimension", "diag3eps")],
+    ids=["bern2", "diag3eps", "dimension-bern2", "dimension-diag3eps"])
+def test_verify_outputs_repeat_byte_for_byte(command, ensemble, tmp_path):
     # the CSVs and summary.txt depend on (config, seed) alone: not on the
     # run, and not on how many threads run the legs
-    first = _outputs(ensemble, 1, tmp_path / "a")
-    assert {"spectrum.csv", "kappa.csv", "decay.csv", "diagnostics.csv",
-            "summary.txt"} <= set(first)
-    assert _outputs(ensemble, 1, tmp_path / "b") == first
-    assert _outputs(ensemble, 2, tmp_path / "c") == first
+    first = _outputs(command, ensemble, 1, tmp_path / "a")
+    assert FILES[command] <= set(first)
+    assert _outputs(command, ensemble, 1, tmp_path / "b") == first
+    assert _outputs(command, ensemble, 2, tmp_path / "c") == first
+
+
+def test_parsers_name_exactly_the_config_fields():
+    assert set(harness._PARSERS) == {
+        f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+
+
+def test_config_file_with_a_radius_key_is_refused(tmp_path):
+    # the radius grid is measures.default_radius_grid, not a setting
+    path = tmp_path / "run.ini"
+    path.write_text("[experiment]\nschema = 1\nseed = 1\nr_max = 0.3\n")
+    with pytest.raises(ConfigError, match="unknown keys: r_max"):
+        harness.load_config(str(path), environ={})
+
+
+def test_dimension_report_burns_in_the_configured_steps(monkeypatch):
+    # the report's d = 2 orbit and its d >= 3 pinned realizations burn in
+    # cfg.burnin steps, as the ball curves and the entropy legs do; a
+    # fixed kappa keeps the significance gate out of the way
+    seen = []
+
+    def spy(fn, burnin_of):
+        def wrapped(*args, **kwargs):
+            seen.append(burnin_of(args, kwargs))
+            return fn(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(entropy, "line_coordinates", spy(
+        entropy.line_coordinates, lambda a, k: a[1] - 1))
+    monkeypatch.setattr(entropy, "conditional_fiber_sample", spy(
+        entropy.conditional_fiber_sample,
+        lambda a, k: k["realization_burnin"]))
+    monkeypatch.setattr(harness, "_density_leg", lambda cfg, spec, i, s:
+                        KappaEstimate(kappa=1.0, stderr=0.0,
+                                      method="density", fiber_index=i))
+    # one orbit for bern2; six realizations per fiber for diag3eps
+    for ensemble, calls in (("bern2", 1), ("diag3eps", 12)):
+        seen.clear()
+        cfg = harness.load_config(
+            None, dict(TINY, ensemble=ensemble, burnin=250), environ={})
+        harness.run_dimension(cfg)
+        assert seen == [250] * calls
+
+
+def test_verify_reports_no_dimension_without_its_density_leg(monkeypatch):
+    # a refused density leg leaves the fiber's report without a kappa; no
+    # second estimate is drawn on another stream
+    calls = []
+
+    def refused(cfg, spec, i, sampler):
+        calls.append(i)
+        raise BandwidthTooSmall("stub refusal")
+    monkeypatch.setattr(harness, "_density_leg", refused)
+    cfg = harness.load_config(None, dict(TINY, ensemble="bern2"), environ={})
+    bundle = harness.run_verify(cfg)
+    assert calls == [1]
+    assert bundle.dimension_reports == ()
+    assert isinstance(bundle.refusals["entropy density fiber 1"],
+                      BandwidthTooSmall)
+    err = bundle.refusals["dimension fiber 1"]
+    assert isinstance(err, HypothesisNotMet)
+    assert "'entropy density fiber 1'" in str(err)
 
 
 def test_interval_row_above_the_gap_reads_violated():
