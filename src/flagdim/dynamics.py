@@ -1,8 +1,18 @@
 """Orbits of the flag cocycle and everything read off them.
 
-Every orbit advances through one QR step, ``batched_orthonormalize``, on a
-stack of flag bases.  The spectrum streams that step over many replicas
-and keeps only log determinant increments.  An orbit trace keeps, for R
+A stack of flag bases advances through one primitive, ``advance``: it
+multiplies up to FOLD_STEPS consecutive matrices of each replica into one
+product (a fixed sequence, such as a pinned past, as far as the product
+stays well conditioned) and runs a single QR step, ``batched_orthonormalize``,
+per product.  The diagonal of R for a product is the product of the
+per-step diagonals, so log|diag R| sums are those of the stepwise orbit up
+to rounding; each product's closed-form condition bound is held under
+FOLD_COND_CAP, which keeps that rounding near machine precision and the
+Gram-Schmidt step orthogonal.  Fresh matrices come from ``draw_blocks``,
+one ``sample_batch`` call per block of steps.  The spectrum, the
+stationary pools, the pool pushes and every burn-in advance this way and
+keep only what they need: the spectrum its summed log increments, the
+others the flags reached.  An orbit trace keeps, for R
 replicas over one window of T steps, arrays with the replica on the
 leading axis: the flag bases (R, T+1, d, d), the completion frames of the
 fiber planes (R, T+1, d, 2), the induced 2x2 fiber maps (R, T, 2, 2) and
@@ -33,18 +43,25 @@ from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
                        fiber_map_image)
 
 PRODUCT_COND_CAP = 1e10   # stop extending singular products past this
+# Cap on |P|_F^d / |det P|, which bounds cond(P), for a product folded
+# before one QR step: its rounding and the Gram-Schmidt loss of
+# orthogonality grow like eps * cond(P) = 2e-12 at the cap, far below
+# ORTHO_TOL.  Eight steps of bern2 or diag3eps stay under 50.
+FOLD_COND_CAP = 1e4
+FOLD_STEPS = 8            # drawn matrices folded into one product at most
+DRAW_BLOCK = 4096         # matrices per draw block, or one fold of the stack
 DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
 DECAY_STABLE_TOL = 1e-2   # stable-line resolution a decay replica must reach
-_LINE_CHUNK = 4096        # blocks per list conversion in line_coordinates
 _TIME_BLOCK = 128         # times per block when a trace derives its frames
 
 
 def batched_orthonormalize(mats):
     """QR with positive diagonal across a stack; returns Q and log|diag R|.
 
-    A vectorized Gram-Schmidt over the stack (..., d, d): LAPACK's
-    per-matrix overhead dominates np.linalg.qr for tiny matrices, and the
-    pool pushes in the entropy estimators live or die on this loop.
+    A vectorized modified Gram-Schmidt over the stack (..., d, k): LAPACK's
+    per-matrix overhead dominates np.linalg.qr for tiny matrices.  Stacks
+    advance through it once per folded product (see ``advance``), so a
+    call stands for up to FOLD_STEPS steps of the cocycle.
     """
     q = np.array(mats, dtype=float)
     d = q.shape[-1]
@@ -60,30 +77,136 @@ def batched_orthonormalize(mats):
     return q, logs
 
 
-def evolve_flags(spec, bases, n_steps, sampler, accumulate=None):
+def _log_cond_bound(p):
+    """log(|P|_F^d / |det P|) over a stack, an upper bound on log cond(P).
+
+    |P|_F >= sigma_1 and |det P| <= sigma_1^(d-1) sigma_d, so the ratio
+    bounds sigma_1 / sigma_d with no SVD: the d x d analogue of
+    ``_cond2``.  A singular or non-finite product reads inf or nan.
+    """
+    d = p.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return (0.5 * d * np.log(np.sum(p * p, axis=(-2, -1)))
+                - np.log(np.abs(np.linalg.det(p))))
+
+
+def _under_cap(p):
+    """Whether FOLD_COND_CAP holds for every product of each (m, d, d) stack.
+
+    ``p`` is one stack (m, d, d), or several (..., m, d, d) read one per
+    leading index.
+    """
+    return np.all(_log_cond_bound(p) <= math.log(FOLD_COND_CAP), axis=-1)
+
+
+def _split(run):
+    """Greedy products of consecutive matrices of run (L, m, d, d) under the cap.
+
+    Each product is the longest prefix of what is left that keeps the cap
+    for the whole stack; a matrix that breaks it alone acts alone.
+    """
+    out = []
+    while len(run):
+        prefixes = [run[0]]
+        for a in run[1:]:
+            prefixes.append(a @ prefixes[-1])
+        ok = _under_cap(np.stack(prefixes))
+        k = len(ok) if ok.all() else max(1, int(np.argmin(ok)))
+        out.append(prefixes[k - 1])
+        run = run[k:]
+    return out
+
+
+def _products(mats, max_fold):
+    """Consecutive products of mats (T, m, d, d), each under FOLD_COND_CAP.
+
+    Runs of ``max_fold`` matrices (the last one shorter when T is not a
+    multiple) are multiplied out all at once; a run whose product breaks
+    the cap for any member of the stack is cut by ``_split``.  Returns the
+    (m, d, d) products in order.
+    """
+    full = len(mats) // max_fold * max_fold
+    out = []
+    for part, width in ((mats[:full], max_fold), (mats[full:], len(mats) - full)):
+        if not len(part):
+            continue
+        runs = part.reshape((-1, width) + part.shape[1:])
+        prod = runs[:, 0]
+        for j in range(1, width):
+            prod = runs[:, j] @ prod
+        for run, p, ok in zip(runs, prod, _under_cap(prod)):
+            out.extend([p] if ok else _split(run))
+    return out
+
+
+def advance(bases, mats, max_fold=FOLD_STEPS):
+    """Advance a stack of flag bases through given matrices.
+
+    ``mats`` is (T, m, d, d): step t applies mats[t, r] to replica r, or
+    mats[t, 0] to every replica when m = 1.  A stack of leading columns,
+    shape (n, d, k) with k < d, advances the first k subspaces of each
+    flag: Gram-Schmidt never reads a later column.  Up to ``max_fold``
+    consecutive matrices are folded into one product under FOLD_COND_CAP
+    (see ``_products``) and each product takes one QR step.  Returns the
+    bases reached and each replica's log|diag R| summed over the steps
+    (n, k), equal to the stepwise sums up to rounding.
+    """
+    bases = np.asarray(bases, dtype=float)
+    logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
+    for p in _products(np.asarray(mats, dtype=float), max_fold):
+        bases, logr = batched_orthonormalize(p @ bases)
+        logs += logr
+    return bases, logs
+
+
+def draw_blocks(spec, sampler, n, steps):
+    """The next ``steps`` draws of an n-stack, as blocks (T, n, d, d).
+
+    Each block is one ``sample_batch(spec, sampler, T n)`` call, which
+    reproduces T calls of ``sample_batch(spec, sampler, n)`` byte for byte:
+    the finite-support, Haar and diagonal kinds consume their stream in
+    draw order.  The ``perturbed`` kind interleaves its index and rotation
+    draws within one call, so it draws step by step, one call per step.
+    A block holds at most DRAW_BLOCK matrices, or one fold of the stack
+    (FOLD_STEPS steps) when that is more, and a whole number of folds
+    except at the end.
+    """
+    per = max(1, DRAW_BLOCK // (max(n, 1) * FOLD_STEPS)) * FOLD_STEPS
+    d = spec.dim
+    for lo in range(0, steps, per):
+        t = min(per, steps - lo)
+        if spec.kind == "perturbed":
+            yield np.stack([sample_batch(spec, sampler, n) for _ in range(t)])
+        else:
+            yield sample_batch(spec, sampler, t * n).reshape(t, n, d, d)
+
+
+def evolve_flags(spec, bases, n_steps, sampler):
     """Advance a stack of flag bases n_steps with fresh draws.
 
-    A stack of leading columns, shape (count, d, k) with k < d, advances
-    the first k subspaces of each flag: Gram-Schmidt never reads a later
-    column.  ``accumulate`` receives (step, log_r) per step when given;
-    used by the spectrum estimator without retaining the whole history.
+    Step t draws one matrix per replica, as ``sample_batch(spec, sampler,
+    n)`` would; the draws come in blocks from ``draw_blocks`` and each
+    block goes through ``advance``, so no fold spans two calls.  Returns
+    the bases reached and each replica's summed log|diag R|, as
+    ``advance`` does.
     """
-    bases = np.array(bases, dtype=float)
-    n = bases.shape[0]
-    for t in range(n_steps):
-        mats = sample_batch(spec, sampler, n)
-        bases, logr = batched_orthonormalize(mats @ bases)
-        if accumulate is not None:
-            accumulate(t, logr)
-    return bases
+    bases = np.asarray(bases, dtype=float)
+    logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
+    for block in draw_blocks(spec, sampler, len(bases), n_steps):
+        bases, block_logs = advance(bases, block)
+        logs += block_logs
+    return bases, logs
 
 
 def push_flags(pinned, bases):
-    """Apply a fixed matrix sequence to every base in the stack."""
-    bases = np.array(bases, dtype=float)
-    for a in pinned:
-        bases, _ = batched_orthonormalize(a @ bases)
-    return bases
+    """Apply a fixed matrix sequence to every base in the stack.
+
+    The sequence is composed once, into as few products as FOLD_COND_CAP
+    allows, so a push costs one QR step of the stack per product rather
+    than one per matrix.
+    """
+    pinned = np.asarray(pinned, dtype=float)
+    return advance(bases, pinned[:, None], max_fold=max(1, len(pinned)))[0]
 
 
 def stationary_flag_pool(spec, count, burnin, sampler):
@@ -93,7 +216,7 @@ def stationary_flag_pool(spec, count, burnin, sampler):
     ``burnin`` steps; with a positive gap they forget the start exponentially.
     """
     start = np.broadcast_to(np.eye(spec.dim), (count, spec.dim, spec.dim))
-    return evolve_flags(spec, start, burnin, sampler)
+    return evolve_flags(spec, start, burnin, sampler)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,16 +254,13 @@ def lyapunov_spectrum(spec, n_steps, burnin=1000, replicas=64, sampler=None):
         sampler = SeededSampler(0)
     d = spec.dim
     start = np.broadcast_to(np.eye(d), (replicas, d, d))
-    sums = np.zeros((replicas, d))
-
-    def accumulate(t, logr):
-        if t >= burnin:
-            sums[...] += logr
-
     # one child stream per replica would forbid batching across replicas;
     # instead the whole batch advances under one stream, and determinism
-    # follows from the fixed call sequence.
-    evolve_flags(spec, start, burnin + n_steps, sampler.child(0xCC), accumulate)
+    # follows from the fixed call sequence.  Burn-in and measurement are
+    # two advances on that stream, so no fold straddles the burn-in.
+    stream = sampler.child(0xCC)
+    bases, _ = evolve_flags(spec, start, burnin, stream)
+    _, sums = evolve_flags(spec, bases, n_steps, stream)
     means = sums / n_steps
     chi = means.mean(axis=0)
     stderr = means.std(axis=0, ddof=1) / np.sqrt(replicas)
@@ -175,15 +295,16 @@ def burn_in(spec, sampler, steps, keep=0):
     """Draw each replica's burn-in and run the standard flag through it.
 
     ``sampler`` is one sampler or one per replica; each draws its ``steps``
-    matrices in one call.  All replicas advance through one stacked QR
-    step per time, so a burn-in costs ``steps`` steps whatever the count.
-    Returns the last ``keep`` matrices of each replica (R, keep, d, d),
-    its pinned recent past, and the flags reached (R, d, d).
+    matrices in one call.  All replicas advance together through
+    ``advance``, one QR step per fold of FOLD_STEPS matrices, so a burn-in
+    costs about steps / FOLD_STEPS QR steps whatever the count (a single
+    realization included).  Returns the last ``keep`` matrices of each
+    replica (R, keep, d, d), its pinned recent past, and the flags reached
+    (R, d, d).
     """
     mats = _draws(spec, _samplers(sampler), steps)
-    bases = np.broadcast_to(np.eye(spec.dim), (len(mats), spec.dim, spec.dim))
-    for t in range(steps):
-        bases, _ = batched_orthonormalize(mats[:, t] @ bases)
+    start = np.broadcast_to(np.eye(spec.dim), (len(mats), spec.dim, spec.dim))
+    bases, _ = advance(start, mats.swapaxes(0, 1))
     return mats[:, steps - keep:].copy(), np.array(bases)
 
 
@@ -200,46 +321,83 @@ def _cond2(b):
         return (f + disc) / (2 * det)
 
 
+def _walk(blocks, v):
+    """Push the unit vector v through 2x2 blocks, in Python floats.
+
+    Returns the angle after each block and the vector reached.
+    """
+    v0, v1 = v
+    out = []
+    for a, b, c, d in blocks.reshape(-1, 4).tolist():
+        v0, v1 = a * v0 + b * v1, c * v0 + d * v1
+        norm = math.hypot(v0, v1)
+        v0 /= norm
+        v1 /= norm
+        out.append(math.atan2(v1, v0))
+    return np.array(out), (v0, v1)
+
+
 def line_coordinates(mats, start, every):
     """Coordinates of the line R e_1 of a d = 2 orbit under ``mats``.
 
-    Read after ``start`` steps and then after every ``every`` steps while
-    matrices last.  A d = 2 fiber coordinate is the angle of the flag's
-    line, and the line follows v -> A v / |A v|, so no basis, frame or QR
-    step is formed.  Each run of ``every`` steps is folded into one 2x2
-    product when no such product's condition number exceeds
-    PRODUCT_COND_CAP (otherwise every step acts on its own), and the
-    direction is renormalized once per product, in Python floats.
+    ``mats`` is an (N, 2, 2) array, or an iterable of such arrays holding
+    the orbit's matrices in order (such as ``draw_blocks`` with n = 1);
+    the coordinates do not depend on where the blocks are cut.  Read after
+    ``start`` steps and then after every ``every`` steps while matrices
+    last.  A d = 2 fiber coordinate is the angle of the flag's line, and
+    the line follows v -> A v / |A v|, so no basis, frame or QR step is
+    formed.  The first start % every steps act one at a time; after them
+    each run of ``every`` steps is folded into one 2x2 product when its
+    condition number is at most PRODUCT_COND_CAP, and otherwise its steps
+    act one at a time.  The direction is renormalized once per product or
+    lone step, in Python floats.  A block is folded as it comes and only
+    its products are kept, so a stream needs memory for one block.
     """
-    mats = np.asarray(mats, dtype=float)
-    if not (1 <= start <= len(mats) and every >= 1):
-        raise ValueError(f"cannot read after {start} steps, every {every}, "
-                         f"of {len(mats)}")
-    count = (len(mats) - start) // every + 1
-    used = mats[: start + every * (count - 1)]
+    if not (start >= 1 and every >= 1):
+        raise ValueError(f"cannot read after {start} steps, every {every}")
+    blocks = mats
+    if isinstance(mats, np.ndarray):
+        blocks = (mats[lo: lo + DRAW_BLOCK] for lo in range(0, len(mats), DRAW_BLOCK))
     head = start % every
-    body = used[head:].reshape(-1, every, 2, 2)
-    folded = body[:, 0]
-    for m in range(1, every):
-        folded = body[:, m] @ folded
-    if np.all(_cond2(folded) <= PRODUCT_COND_CAP):
-        blocks = np.concatenate([used[:head], folded])
-        first, stride = head + start // every, 1
-    else:
-        blocks, first, stride = used, start, every
-    angles = np.empty(len(blocks))
-    v0, v1 = 1.0, 0.0
-    for lo in range(0, len(blocks), _LINE_CHUNK):
-        chunk = blocks[lo: lo + _LINE_CHUNK].reshape(-1, 4).tolist()
-        out = []
-        for a, b, c, d in chunk:
-            v0, v1 = a * v0 + b * v1, c * v0 + d * v1
-            norm = math.hypot(v0, v1)
-            v0 /= norm
-            v1 /= norm
-            out.append(math.atan2(v1, v0))
-        angles[lo: lo + len(out)] = out
-    return circle.wrap(angles[first - 1:: stride])
+    skip = start // every - 1   # runs after the head before the first read
+    v = (1.0, 0.0)
+    total = runs_done = 0
+    pending = np.empty((0, 2, 2))
+    reads = []
+    for block in blocks:
+        block = np.asarray(block, dtype=float).reshape(-1, 2, 2)
+        total += len(block)
+        pending = np.concatenate([pending, block]) if len(pending) else block
+        if head:
+            k = min(head, len(pending))
+            angles, v = _walk(pending[:k], v)
+            head -= k
+            if head == 0 and skip < 0:
+                reads.append(angles[-1:])
+            pending = pending[k:]
+        runs = len(pending) // every
+        if not runs:
+            continue
+        body = pending[: runs * every].reshape(runs, every, 2, 2)
+        pending = pending[runs * every:]
+        folded = body[:, 0]
+        for m in range(1, every):
+            folded = body[:, m] @ folded
+        ok = _cond2(folded) <= PRODUCT_COND_CAP
+        if ok.all():
+            angles, v = _walk(folded, v)
+        else:
+            # runs over the cap act step by step; read each at its end
+            angles, v = _walk(np.concatenate(
+                [folded[f: f + 1] if ok[f] else body[f] for f in range(runs)]), v)
+            ends = np.cumsum(np.where(ok, 1, every)) - 1
+            angles = angles[ends]
+        reads.append(angles[max(skip - runs_done, 0):])
+        runs_done += runs
+    if total < start:
+        raise ValueError(f"cannot read after {start} steps, every {every}, "
+                         f"of {total}")
+    return circle.wrap(np.concatenate(reads))
 
 
 def circle_map_between(a_entries, src, dst):

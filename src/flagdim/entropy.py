@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circle
-from .dynamics import (DEGENERATE_DISTANCE, Arc, burn_in, evolve_flags,
-                       forward_orbit, line_coordinates, pull_forward,
-                       push_flags, stable_coordinates, stationary_flag_pool,
-                       stationary_interval)
+from .dynamics import (DEGENERATE_DISTANCE, Arc, burn_in, draw_blocks,
+                       evolve_flags, forward_orbit, line_coordinates,
+                       pull_forward, push_flags, stable_coordinates,
+                       stationary_flag_pool, stationary_interval)
 from .ensemble import SeededSampler, sample_batch
 from .errors import (AtomicFiber, BandwidthTooSmall, GapTooSmall,
                      HypothesisNotMet, InsufficientMass, NoAcceptedReplicas)
@@ -423,7 +423,7 @@ def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
     # only the line of each flag is used, so only the leading column runs
     start = np.zeros((tail_replicas, 2, 1))
     start[:, 0, 0] = 1.0
-    lines = evolve_flags(spec, start, TAIL_BURNIN, sampler.child(1))
+    lines, _ = evolve_flags(spec, start, TAIL_BURNIN, sampler.child(1))
     # the fiber plane of d = 2 is the whole plane, framed by e_1, e_2
     x = fiber_coordinates(lines, np.eye(2), 1)
     _atomic_gate(x, f"{spec.name} stationary measure")
@@ -606,7 +606,8 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
     slopes are fitted on ``stationary_samples`` points of one orbit, one
     every THINNING steps after ``burnin`` + 1 steps: correlation along
     the orbit slows the convergence of its empirical measure but does
-    not bias it.
+    not bias it.  The orbit's matrices come from ``draw_blocks`` and are
+    read a block at a time, so only one block is held.
 
     d >= 3: the slopes are taken on PIN_REALIZATIONS conditional samples
     (``conditional_fiber_sample`` with ``pin_length``, ``tail_replicas``
@@ -624,10 +625,10 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
         raise HypothesisNotMet(f"exponent gap at fiber {i} is not positive")
     rng = sampler.child(400, i).rng
     if spec.dim == 2:
-        mats = sample_batch(spec, sampler.child(500),
-                            burnin + stationary_samples * THINNING)
+        blocks = draw_blocks(spec, sampler.child(500), 1,
+                             burnin + stationary_samples * THINNING)
         measure = EmpiricalCircleMeasure.from_samples(
-            line_coordinates(mats, burnin + 1, THINNING))
+            line_coordinates(blocks, burnin + 1, THINNING))
         slopes, skipped = _slope_distribution(measure, rng, base_points)
     else:
         slopes = []

@@ -368,10 +368,10 @@ def _ball_curves(cfg, spec, i, sampler):
     """Radius/mass curves behind the dimension figure (and its CSV)."""
     if spec.dim == 2:
         # one orbit: cfg.burnin steps, then every third of 30 000 steps
-        mats = np.concatenate([sample_batch(spec, sampler, cfg.burnin),
-                               sample_batch(spec, sampler, 30_000)])
+        blocks = [sample_batch(spec, sampler, cfg.burnin),
+                  sample_batch(spec, sampler, 30_000)]
         measure = EmpiricalCircleMeasure.from_samples(
-            line_coordinates(mats, cfg.burnin, 3))
+            line_coordinates(blocks, cfg.burnin, 3))
     else:
         measure = conditional_fiber_sample(
             spec, i, pin_length=cfg.pin_length,

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from flagdim import circle
-from flagdim.dynamics import (Arc, batched_orthonormalize, circle_map_between,
+from flagdim import circle, dynamics
+from flagdim.dynamics import (DRAW_BLOCK, FOLD_STEPS, Arc,
+                              batched_orthonormalize, burn_in,
+                              circle_map_between, draw_blocks, evolve_flags,
                               forward_orbit, interval_decay_curve,
                               interval_pullforward, line_coordinates,
-                              lyapunov_spectrum, push_arc, stable_coordinates,
+                              lyapunov_spectrum, push_arc, push_flags,
+                              stable_coordinates, stationary_flag_pool,
                               stationary_interval, stationary_orbit)
-from flagdim.ensemble import (SeededSampler, bern2, diag3eps, finite_support,
-                              rot2, sample_batch)
+from flagdim.ensemble import (EnsembleSpec, SeededSampler, bern2, diag3eps,
+                              finite_support, rot2, sample_batch)
 from flagdim.errors import (DegenerateFiberPair, GapTooSmall, IntervalWrap)
 from flagdim.flagcore import (Flag, LinearMap, act_flag, fiber_coordinate,
                               partial_flag)
@@ -59,6 +62,100 @@ def test_batched_orthonormalize_matches_scalar(rng):
         assert np.allclose(logr[k], np.log(np.abs(np.diag(rk))), atol=1e-10)
 
 
+ISO3 = EnsembleSpec("iso3", 3, "rotation_invariant",
+                    {"stretch": np.diag([np.exp(0.20), 1.0, np.exp(-0.17)])})
+DIAG3 = EnsembleSpec("dg3", 3, "diagonal",
+                     {"log_means": np.array([0.2, 0.0, -0.2]),
+                      "log_sds": np.array([0.3, 0.2, 0.3])})
+PERTURBED2 = EnsembleSpec("pt2", 2, "perturbed",
+                          {"atoms": np.array([np.diag([2.0, 0.5]),
+                                              givens(2, 0, 1, 0.6)]),
+                           "probs": np.array([0.3, 0.7]), "magnitude": 0.05})
+
+
+@pytest.mark.parametrize("spec", [bern2(), ISO3, DIAG3, PERTURBED2],
+                         ids=lambda s: s.kind)
+def test_block_draws_equal_stepwise_draws(spec):
+    n, steps = 100, 90   # blocks of 40, 40 and 10 steps
+    blocks = list(draw_blocks(spec, SeededSampler(40), n, steps))
+    assert [len(b) for b in blocks] == [40, 40, 10]
+    stream = SeededSampler(40)
+    stepwise = np.stack([sample_batch(spec, stream, n) for _ in range(steps)])
+    assert np.array_equal(np.concatenate(blocks), stepwise)
+    one_call = sample_batch(spec, SeededSampler(40), steps * n)
+    # perturbed interleaves index and rotation draws within a call, which
+    # is why its blocks are drawn step by step
+    assert np.array_equal(one_call, stepwise.reshape(one_call.shape)) == (
+        spec.kind != "perturbed")
+
+
+def stepwise_advance(spec, bases, steps, sampler):
+    """The reference: one draw and one QR step per step."""
+    logs = 0.0
+    for _ in range(steps):
+        bases, logr = batched_orthonormalize(
+            sample_batch(spec, sampler, len(bases)) @ bases)
+        logs = logs + logr
+    return bases, logs
+
+
+def assert_matches_stepwise(got, want):
+    (got_b, got_l), (want_b, want_l) = got, want
+    assert np.max(np.abs(got_b - want_b)) < 1e-12
+    assert np.max(np.abs(got_l - want_l)) <= 1e-12 * np.max(np.abs(want_l))
+
+
+@pytest.mark.parametrize("spec", [bern2(), diag3eps(), ISO3, DIAG3],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("columns", [1, None])
+def test_folded_advance_matches_stepwise(spec, columns):
+    # 203 steps: whole folds and a short last one, over several blocks
+    d = spec.dim
+    start = np.broadcast_to(np.eye(d)[:, :columns], (50, d, columns or d))
+    got = evolve_flags(spec, start, 203, SeededSampler(41))
+    assert_matches_stepwise(got, stepwise_advance(spec, start, 203,
+                                                  SeededSampler(41)))
+
+
+def test_pushed_pin_and_burn_in_match_stepwise():
+    spec = diag3eps()
+    pool = stationary_flag_pool(spec, 200, 100, SeededSampler(42))
+    pinned = sample_batch(spec, SeededSampler(43), 60)
+    want = pool
+    for a in pinned:
+        want, _ = batched_orthonormalize(a @ want)
+    assert np.max(np.abs(push_flags(pinned, pool) - want)) < 1e-12
+    pins, flags = burn_in(spec, [SeededSampler(44, r) for r in range(5)],
+                          150, keep=20)
+    for r in range(5):
+        ref, _ = stepwise_advance(spec, np.eye(3)[None], 150,
+                                  SeededSampler(44, r))
+        assert np.max(np.abs(flags[r] - ref[0])) < 1e-12
+        assert np.array_equal(
+            pins[r], sample_batch(spec, SeededSampler(44, r), 150)[130:])
+
+
+@pytest.mark.parametrize("stretch", [2.0, 3.45])
+def test_ill_conditioned_folds_split_and_match_stepwise(monkeypatch, stretch):
+    # atoms of condition number e^4 ~ 55 and e^6.9 ~ 1e3: eight-step
+    # products reach 1e14 and 1e24, so folds must be cut under
+    # FOLD_COND_CAP, into pairs at the first stretch and single steps at
+    # the second
+    spec = strong2(stretch=stretch)
+    calls = []
+
+    def counted(mats):
+        calls.append(1)
+        return batched_orthonormalize(mats)
+    monkeypatch.setattr(dynamics, "batched_orthonormalize", counted)
+    start = np.broadcast_to(np.eye(2), (30, 2, 2))
+    got = evolve_flags(spec, start, 400, SeededSampler(45))
+    assert 400 // FOLD_STEPS < len(calls)
+    monkeypatch.undo()
+    assert_matches_stepwise(got, stepwise_advance(spec, start, 400,
+                                                  SeededSampler(45)))
+
+
 def test_deterministic_spectrum_exact():
     est = lyapunov_spectrum(single("d21", np.diag([2.0, 1.0])), 200,
                             burnin=10, replicas=4,
@@ -77,7 +174,6 @@ def test_rotation_spectrum_is_zero():
 
 
 def test_spectrum_sum_rule_diagonal_ensemble():
-    from flagdim.ensemble import EnsembleSpec
     spec = EnsembleSpec("dg", 2, "diagonal",
                         {"log_means": np.array([0.2, -0.1]),
                          "log_sds": np.array([0.3, 0.2])})
@@ -394,11 +490,13 @@ def test_decay_slope_stderr_is_the_replica_spread():
         slopes.std(ddof=1) / np.sqrt(len(slopes)), rel=1e-12)
 
 
-@pytest.mark.parametrize("stretch", [0.8, 3.0])
+# at stretch 2.683 about half the 5-step products of SeededSampler(27)'s
+# draws exceed PRODUCT_COND_CAP, and at stretch 3 all of them do
+@pytest.mark.parametrize("stretch", [0.8, 2.683, 3.0])
 def test_line_coordinates_match_stepwise_orbit(stretch):
-    # at stretch 3 some products of 5 steps exceed PRODUCT_COND_CAP, so
-    # those reads apply every step on its own, while products of 3 or 4
-    # steps are folded; all must match a plain renormalized orbit
+    # runs over PRODUCT_COND_CAP apply every step on their own, while the
+    # other runs (all products of 3 or 4 steps) are folded; all must
+    # match a plain renormalized orbit
     spec = strong2(stretch=stretch)
     mats = sample_batch(spec, SeededSampler(26), 1200)
     v = np.array([1.0, 0.0])
@@ -412,3 +510,22 @@ def test_line_coordinates_match_stepwise_orbit(stretch):
         want = np.array(orbit[start - 1::every])
         assert len(got) == len(want)
         assert np.max(circle.distance(got, want)) < 1e-12
+
+
+@pytest.mark.parametrize("stretch", [0.8, 2.683, 3.0])
+def test_streamed_line_read_equals_one_shot(stretch):
+    # the read must not depend on where the stream is cut, also where
+    # folded runs and runs of single steps alternate
+    spec = strong2(stretch=stretch)
+    n = 2 * DRAW_BLOCK + 17
+    mats = sample_batch(spec, SeededSampler(27), n)
+    # cuts every 13 matrices land inside the head and inside runs
+    cuts = list(range(0, n, 13)) + [n]
+    for start, every in ((1001, 5), (3, 5), (1000, 1)):
+        once = line_coordinates(mats, start, every)
+        streamed = line_coordinates(draw_blocks(spec, SeededSampler(27), 1, n),
+                                    start, every)
+        assert np.array_equal(streamed, once)
+        cut = line_coordinates([mats[a:b] for a, b in zip(cuts, cuts[1:])],
+                               start, every)
+        assert np.array_equal(cut, once)
