@@ -9,10 +9,19 @@ per-step diagonals, so log|diag R| sums are those of the stepwise orbit up
 to rounding; each product's closed-form condition bound is held under
 FOLD_COND_CAP, which keeps that rounding near machine precision and the
 Gram-Schmidt step orthogonal.  Fresh matrices come from ``draw_blocks``,
-one ``sample_batch`` call per block of steps.  The spectrum, the
-stationary pools, the pool pushes and every burn-in advance this way and
-keep only what they need: the spectrum its summed log increments, the
-others the flags reached.  An orbit trace keeps, for R
+one ``sample_batch`` call per block of steps.  A finite-support spec
+evolved without keeping its matrices (the spectrum, the stationary pools,
+the d = 2 leading-column pool and every burn-in) draws atom indices
+instead, from the same stream, and folds them as words: a fold of
+FOLD_STEPS indices is cut into base-K sub-words of width h, the largest of
+8, 4, 2 and 1 with K^h <= WORD_TABLE, and its product is the product, left
+to right, of the sub-words' entries in a per-spec table of every
+left-associated product of h atoms, built on first use.  The cap bound
+then reads log|det P| as a sum of tabled log-determinants.  With two
+atoms (h = 8) a fold is one gather, bit for bit the product of its drawn
+matrices.  The spectrum, the stationary pools, the pool pushes and every
+burn-in keep only what they need: the spectrum its summed log increments,
+the others the flags reached.  An orbit trace keeps, for R
 replicas over one window of T steps, arrays with the replica on the
 leading axis: the flag bases (R, T+1, d, d), the completion frames of the
 fiber planes (R, T+1, d, 2), the induced 2x2 fiber maps (R, T, 2, 2) and
@@ -30,12 +39,13 @@ coordinates have collapsed onto one double.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import circle
-from .ensemble import SeededSampler, sample_batch
+from .ensemble import SeededSampler, atom_indices, sample_batch
 from .errors import (DegenerateBasis, DegenerateFiberPair, GapTooSmall,
                      IntervalWrap)
 from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
@@ -50,6 +60,7 @@ PRODUCT_COND_CAP = 1e10   # stop extending singular products past this
 FOLD_COND_CAP = 1e4
 FOLD_STEPS = 8            # drawn matrices folded into one product at most
 DRAW_BLOCK = 4096         # matrices per draw block, or one fold of the stack
+WORD_TABLE = 256          # products per word table at most (K^h <= this)
 DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
 DECAY_STABLE_TOL = 1e-2   # stable-line resolution a decay replica must reach
 _TIME_BLOCK = 128         # times per block when a trace derives its frames
@@ -77,26 +88,29 @@ def batched_orthonormalize(mats):
     return q, logs
 
 
-def _log_cond_bound(p):
+def _log_cond_bound(p, log_det=None):
     """log(|P|_F^d / |det P|) over a stack, an upper bound on log cond(P).
 
     |P|_F >= sigma_1 and |det P| <= sigma_1^(d-1) sigma_d, so the ratio
     bounds sigma_1 / sigma_d with no SVD: the d x d analogue of
-    ``_cond2``.  A singular or non-finite product reads inf or nan.
+    ``_cond2``.  ``log_det`` gives log|det P| when it is known; otherwise
+    it is computed.  A singular or non-finite product reads inf or nan.
     """
     d = p.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return (0.5 * d * np.log(np.sum(p * p, axis=(-2, -1)))
-                - np.log(np.abs(np.linalg.det(p))))
+        if log_det is None:
+            log_det = np.log(np.abs(np.linalg.det(p)))
+        return 0.5 * d * np.log(np.sum(p * p, axis=(-2, -1))) - log_det
 
 
-def _under_cap(p):
+def _under_cap(p, log_det=None):
     """Whether FOLD_COND_CAP holds for every product of each (m, d, d) stack.
 
     ``p`` is one stack (m, d, d), or several (..., m, d, d) read one per
-    leading index.
+    leading index; ``log_det`` is as for ``_log_cond_bound``.
     """
-    return np.all(_log_cond_bound(p) <= math.log(FOLD_COND_CAP), axis=-1)
+    return np.all(_log_cond_bound(p, log_det) <= math.log(FOLD_COND_CAP),
+                  axis=-1)
 
 
 def _split(run):
@@ -117,6 +131,22 @@ def _split(run):
     return out
 
 
+def _runs(seq, max_fold):
+    """seq (T, ...) as runs (F, max_fold, ...), then one shorter run if left."""
+    full = len(seq) // max_fold * max_fold
+    for part, width in ((seq[:full], max_fold), (seq[full:], len(seq) - full)):
+        if len(part):
+            yield part.reshape((-1, width) + part.shape[1:])
+
+
+def _kept(prod, ok, run_mats):
+    """prod[f] for each run f under the cap, else ``_split(run_mats(f))``."""
+    out = []
+    for f, p in enumerate(prod):
+        out.extend([p] if ok[f] else _split(run_mats(f)))
+    return out
+
+
 def _products(mats, max_fold):
     """Consecutive products of mats (T, m, d, d), each under FOLD_COND_CAP.
 
@@ -125,18 +155,83 @@ def _products(mats, max_fold):
     the cap for any member of the stack is cut by ``_split``.  Returns the
     (m, d, d) products in order.
     """
-    full = len(mats) // max_fold * max_fold
     out = []
-    for part, width in ((mats[:full], max_fold), (mats[full:], len(mats) - full)):
-        if not len(part):
-            continue
-        runs = part.reshape((-1, width) + part.shape[1:])
+    for runs in _runs(mats, max_fold):
         prod = runs[:, 0]
-        for j in range(1, width):
+        for j in range(1, runs.shape[1]):
             prod = runs[:, j] @ prod
-        for run, p, ok in zip(runs, prod, _under_cap(prod)):
-            out.extend([p] if ok else _split(run))
+        out.extend(_kept(prod, _under_cap(prod), lambda f: runs[f]))
     return out
+
+
+# spec -> _word_tables(spec): a pure function of the spec, dropped with it
+_WORD_TABLES = weakref.WeakKeyDictionary()
+
+
+def _word_tables(spec):
+    """A finite-support spec's word width h and its tables, built on first use.
+
+    For each length l = 1..h the table holds the product of every word of
+    l atom indices (i_0, ..., i_{l-1}), i_0 acting first, at its base-K
+    code i_0 + i_1 K + ... + i_{l-1} K^(l-1), as the left-associated
+    a_{i_{l-1}} (... (a_{i_1} a_{i_0})) that ``_products`` forms, and the
+    word's log|det| as the sum of its atoms'.  h is the largest of 8, 4, 2
+    and 1 with K^h <= WORD_TABLE, so no table holds more than WORD_TABLE
+    products except the atoms themselves when K exceeds it.
+    """
+    tables = _WORD_TABLES.get(spec)
+    if tables is None:
+        atoms = spec.params["atoms"]
+        k, d = len(atoms), spec.dim
+        h = next(w for w in (8, 4, 2, 1) if k ** w <= WORD_TABLE or w == 1)
+        prods = [atoms]
+        log_dets = [np.log(np.abs(np.linalg.det(atoms)))]
+        for _ in range(1, h):
+            prods.append((atoms[:, None] @ prods[-1][None]).reshape(-1, d, d))
+            log_dets.append((log_dets[0][:, None] + log_dets[-1][None]).ravel())
+        tables = _WORD_TABLES.setdefault(spec, (h, prods, log_dets))
+    return tables
+
+
+def _word_products(spec, idx):
+    """``_products`` of the atoms idx (T, m) names, read from word tables.
+
+    Each run of FOLD_STEPS indices is cut into sub-words of h (see
+    ``_word_tables``); its product is the sub-words' tabled products
+    multiplied left to right, and log|det| the sum of their tabled
+    log-determinants, so no determinant is taken.  A run over the cap is
+    cut by ``_split`` on its gathered atoms, as in ``_products``.
+    """
+    atoms = spec.params["atoms"]
+    h, prods, log_dets = _word_tables(spec)
+    weights = len(atoms) ** np.arange(h)
+    out = []
+    for runs in _runs(idx, FOLD_STEPS):
+        prod = log_det = None
+        for lo in range(0, runs.shape[1], h):
+            sub = runs[:, lo: lo + h]
+            length = sub.shape[1]
+            code = np.einsum("fjm,j->fm", sub, weights[:length])
+            p = prods[length - 1][code]
+            ld = log_dets[length - 1][code]
+            prod = p if prod is None else p @ prod
+            log_det = ld if log_det is None else log_det + ld
+        out.extend(_kept(prod, _under_cap(prod, log_det),
+                         lambda f: atoms[runs[f]]))
+    return out
+
+
+def _apply(bases, products):
+    """One QR step of the stack per product, in order.
+
+    Returns the bases reached and each replica's summed log|diag R|.
+    """
+    bases = np.asarray(bases, dtype=float)
+    logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
+    for p in products:
+        bases, logr = batched_orthonormalize(p @ bases)
+        logs += logr
+    return bases, logs
 
 
 def advance(bases, mats, max_fold=FOLD_STEPS):
@@ -151,12 +246,14 @@ def advance(bases, mats, max_fold=FOLD_STEPS):
     bases reached and each replica's log|diag R| summed over the steps
     (n, k), equal to the stepwise sums up to rounding.
     """
-    bases = np.asarray(bases, dtype=float)
-    logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
-    for p in _products(np.asarray(mats, dtype=float), max_fold):
-        bases, logr = batched_orthonormalize(p @ bases)
-        logs += logr
-    return bases, logs
+    return _apply(bases, _products(np.asarray(mats, dtype=float), max_fold))
+
+
+def _block_steps(n, steps):
+    """Steps per draw block of an n-stack: see ``draw_blocks``."""
+    per = max(1, DRAW_BLOCK // (max(n, 1) * FOLD_STEPS)) * FOLD_STEPS
+    for lo in range(0, steps, per):
+        yield min(per, steps - lo)
 
 
 def draw_blocks(spec, sampler, n, steps):
@@ -171,10 +268,8 @@ def draw_blocks(spec, sampler, n, steps):
     (FOLD_STEPS steps) when that is more, and a whole number of folds
     except at the end.
     """
-    per = max(1, DRAW_BLOCK // (max(n, 1) * FOLD_STEPS)) * FOLD_STEPS
     d = spec.dim
-    for lo in range(0, steps, per):
-        t = min(per, steps - lo)
+    for t in _block_steps(n, steps):
         if spec.kind == "perturbed":
             yield np.stack([sample_batch(spec, sampler, n) for _ in range(t)])
         else:
@@ -185,15 +280,26 @@ def evolve_flags(spec, bases, n_steps, sampler):
     """Advance a stack of flag bases n_steps with fresh draws.
 
     Step t draws one matrix per replica, as ``sample_batch(spec, sampler,
-    n)`` would; the draws come in blocks from ``draw_blocks`` and each
-    block goes through ``advance``, so no fold spans two calls.  Returns
-    the bases reached and each replica's summed log|diag R|, as
-    ``advance`` does.
+    n)`` would; the draws come in the blocks of ``draw_blocks`` and each
+    block is folded as ``advance`` folds it, so no fold spans two calls.
+    A finite-support spec draws each block as atom indices, one
+    ``atom_indices`` call on the same stream, and folds them as words
+    (``_word_products``); every other kind draws matrices.  Returns the
+    bases reached and each replica's summed log|diag R|, as ``advance``
+    does.
     """
     bases = np.asarray(bases, dtype=float)
+    n = len(bases)
+    if spec.kind == "finite_support":
+        blocks = (_word_products(spec, atom_indices(spec, sampler, t * n)
+                                 .reshape(t, n))
+                  for t in _block_steps(n, n_steps))
+    else:
+        blocks = (_products(block, FOLD_STEPS)
+                  for block in draw_blocks(spec, sampler, n, n_steps))
     logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
-    for block in draw_blocks(spec, sampler, len(bases), n_steps):
-        bases, block_logs = advance(bases, block)
+    for products in blocks:
+        bases, block_logs = _apply(bases, products)
         logs += block_logs
     return bases, logs
 
@@ -295,15 +401,22 @@ def burn_in(spec, sampler, steps, keep=0):
     """Draw each replica's burn-in and run the standard flag through it.
 
     ``sampler`` is one sampler or one per replica; each draws its ``steps``
-    matrices in one call.  All replicas advance together through
-    ``advance``, one QR step per fold of FOLD_STEPS matrices, so a burn-in
-    costs about steps / FOLD_STEPS QR steps whatever the count (a single
-    realization included).  Returns the last ``keep`` matrices of each
-    replica (R, keep, d, d), its pinned recent past, and the flags reached
+    matrices in one call (a finite-support spec draws their atom indices,
+    one ``atom_indices`` call on the same stream, and folds them as words,
+    as ``evolve_flags`` does).  All replicas advance together, one QR step
+    per fold of FOLD_STEPS matrices, so a burn-in costs about steps /
+    FOLD_STEPS QR steps whatever the count (a single realization
+    included).  Returns the last ``keep`` matrices of each replica
+    (R, keep, d, d), its pinned recent past, and the flags reached
     (R, d, d).
     """
-    mats = _draws(spec, _samplers(sampler), steps)
-    start = np.broadcast_to(np.eye(spec.dim), (len(mats), spec.dim, spec.dim))
+    samplers = _samplers(sampler)
+    start = np.broadcast_to(np.eye(spec.dim), (len(samplers), spec.dim, spec.dim))
+    if spec.kind == "finite_support":
+        idx = np.stack([atom_indices(spec, s, steps) for s in samplers])
+        bases, _ = _apply(start, _word_products(spec, idx.T))
+        return spec.params["atoms"][idx[:, steps - keep:]], np.array(bases)
+    mats = _draws(spec, samplers, steps)
     bases, _ = advance(start, mats.swapaxes(0, 1))
     return mats[:, steps - keep:].copy(), np.array(bases)
 

@@ -174,6 +174,17 @@ def _haar_orthogonal(rng, d, n):
     return q * signs[:, None, :]
 
 
+def atom_indices(spec, sampler, n):
+    """Draw n atom indices of a finite-support or perturbed spec by probs.
+
+    ``spec.params["atoms"][atom_indices(spec, sampler, n)]`` is what
+    ``sample_batch(spec, sampler, n)`` returns for finite support, and the
+    two leave the stream at the same place.
+    """
+    probs = spec.params["probs"]
+    return sampler.rng.choice(len(probs), size=n, p=probs)
+
+
 def sample_batch(spec, sampler, n):
     """Draw n matrices as an (n, d, d) array.
 
@@ -183,8 +194,7 @@ def sample_batch(spec, sampler, n):
     rng = sampler.rng
     d = spec.dim
     if spec.kind == "finite_support":
-        idx = rng.choice(len(spec.params["probs"]), size=n, p=spec.params["probs"])
-        return spec.params["atoms"][idx]
+        return spec.params["atoms"][atom_indices(spec, sampler, n)]
     if spec.kind == "rotation_invariant":
         return _haar_orthogonal(rng, d, n) @ spec.params["stretch"]
     if spec.kind == "diagonal":
@@ -194,8 +204,7 @@ def sample_batch(spec, sampler, n):
         out[:, step, step] = np.exp(g)
         return out
     if spec.kind == "perturbed":
-        idx = rng.choice(len(spec.params["probs"]), size=n, p=spec.params["probs"])
-        base = spec.params["atoms"][idx]
+        base = spec.params["atoms"][atom_indices(spec, sampler, n)]
         eps = float(spec.params["magnitude"])
         g = rng.standard_normal((n, d, d))
         skew = (g - np.swapaxes(g, 1, 2)) / np.sqrt(2.0)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from flagdim import circle, dynamics
-from flagdim.dynamics import (DRAW_BLOCK, FOLD_STEPS, Arc,
-                              batched_orthonormalize, burn_in,
+from flagdim import circle, dynamics, harness
+from flagdim.dynamics import (DRAW_BLOCK, FOLD_STEPS, WORD_TABLE, Arc,
+                              advance, batched_orthonormalize, burn_in,
                               circle_map_between, draw_blocks, evolve_flags,
                               forward_orbit, interval_decay_curve,
                               interval_pullforward, line_coordinates,
@@ -11,7 +11,8 @@ from flagdim.dynamics import (DRAW_BLOCK, FOLD_STEPS, Arc,
                               stable_coordinates, stationary_flag_pool,
                               stationary_interval, stationary_orbit)
 from flagdim.ensemble import (EnsembleSpec, SeededSampler, bern2, diag3eps,
-                              finite_support, rot2, sample_batch)
+                              finite_support, from_text, rot2, sample_batch,
+                              to_text)
 from flagdim.errors import (DegenerateFiberPair, GapTooSmall, IntervalWrap)
 from flagdim.flagcore import (Flag, LinearMap, act_flag, fiber_coordinate,
                               partial_flag)
@@ -99,22 +100,68 @@ def stepwise_advance(spec, bases, steps, sampler):
     return bases, logs
 
 
+def matrix_path(spec, bases, steps, sampler):
+    """evolve_flags through drawn matrices, the path of the continuous kinds."""
+    logs = 0.0
+    for block in draw_blocks(spec, sampler, len(bases), steps):
+        bases, block_logs = advance(bases, block)
+        logs = logs + block_logs
+    return bases, logs
+
+
 def assert_matches_stepwise(got, want):
     (got_b, got_l), (want_b, want_l) = got, want
     assert np.max(np.abs(got_b - want_b)) < 1e-12
     assert np.max(np.abs(got_l - want_l)) <= 1e-12 * np.max(np.abs(want_l))
 
 
-@pytest.mark.parametrize("spec", [bern2(), diag3eps(), ISO3, DIAG3],
-                         ids=lambda s: s.name)
+def rotations(name, d, k):
+    """k atoms: a stretch behind rotations spread over the (0, 1) plane."""
+    stretch = np.diag(np.exp(np.linspace(0.2, -0.15, d)))
+    return finite_support(name, [givens(d, 0, 1, 2 * np.pi * j / k)
+                                 @ givens(d, d - 2, d - 1, 0.3 * j) @ stretch
+                                 for j in range(k)],
+                          np.arange(1, k + 1) / (k * (k + 1) / 2))
+
+
+# word widths h: 8 for bern2, 4 for diag3eps and THREE, 1 for SEVENTEEN
+THREE = rotations("three", 3, 3)
+SEVENTEEN = rotations("seventeen", 2, 17)
+
+
+@pytest.mark.parametrize("spec", [bern2(), diag3eps(), THREE, SEVENTEEN,
+                                  ISO3, DIAG3], ids=lambda s: s.name)
 @pytest.mark.parametrize("columns", [1, None])
 def test_folded_advance_matches_stepwise(spec, columns):
-    # 203 steps: whole folds and a short last one, over several blocks
+    # 203 steps: whole folds and a short last one, over several blocks;
+    # finite support folds atom-index words, which for two atoms (one
+    # word per fold) are the drawn matrices' products bit for bit
     d = spec.dim
     start = np.broadcast_to(np.eye(d)[:, :columns], (50, d, columns or d))
     got = evolve_flags(spec, start, 203, SeededSampler(41))
     assert_matches_stepwise(got, stepwise_advance(spec, start, 203,
                                                   SeededSampler(41)))
+    drawn = matrix_path(spec, start, 203, SeededSampler(41))
+    assert_matches_stepwise(got, drawn)
+    if spec.kind != "finite_support" or len(spec.params["atoms"]) == 2:
+        assert np.array_equal(got[0], drawn[0])
+        assert np.array_equal(got[1], drawn[1])
+
+
+def test_specs_and_configs_build_no_word_table():
+    cfg = harness.load_config(None, {"ensemble": "diag3eps", "seed": 7},
+                              environ={})
+    # fresh specs: THREE and SEVENTEEN may hold tables from other tests
+    specs = [bern2(), diag3eps(), cfg.spec(), from_text(to_text(THREE)),
+             rotations("seventeen", 2, 17)]
+    assert not any(spec in dynamics._WORD_TABLES for spec in specs)
+    for spec in specs:
+        evolve_flags(spec, np.eye(spec.dim)[None], 10, SeededSampler(47))
+    widths = [dynamics._WORD_TABLES[spec][0] for spec in specs]
+    assert widths == [8, 4, 4, 4, 1]
+    assert all(len(table) <= WORD_TABLE
+               for _, prods, _ in dynamics._WORD_TABLES.values()
+               for table in prods)
 
 
 def test_pushed_pin_and_burn_in_match_stepwise():
@@ -140,7 +187,7 @@ def test_ill_conditioned_folds_split_and_match_stepwise(monkeypatch, stretch):
     # atoms of condition number e^4 ~ 55 and e^6.9 ~ 1e3: eight-step
     # products reach 1e14 and 1e24, so folds must be cut under
     # FOLD_COND_CAP, into pairs at the first stretch and single steps at
-    # the second
+    # the second; index words are cut exactly where drawn matrices are
     spec = strong2(stretch=stretch)
     calls = []
 
@@ -150,8 +197,12 @@ def test_ill_conditioned_folds_split_and_match_stepwise(monkeypatch, stretch):
     monkeypatch.setattr(dynamics, "batched_orthonormalize", counted)
     start = np.broadcast_to(np.eye(2), (30, 2, 2))
     got = evolve_flags(spec, start, 400, SeededSampler(45))
-    assert 400 // FOLD_STEPS < len(calls)
+    folds = len(calls)
+    drawn = matrix_path(spec, start, 400, SeededSampler(45))
+    assert 400 // FOLD_STEPS < folds == len(calls) - folds
     monkeypatch.undo()
+    assert np.array_equal(got[0], drawn[0])
+    assert np.array_equal(got[1], drawn[1])
     assert_matches_stepwise(got, stepwise_advance(spec, start, 400,
                                                   SeededSampler(45)))
 
@@ -183,6 +234,19 @@ def test_spectrum_sum_rule_diagonal_ensemble():
     sigma = float(np.sqrt(np.sum(est.stderr ** 2)))
     # E log|det| = sum of the entrywise log means, exactly
     assert abs(total - 0.1) <= 3 * sigma
+
+
+def test_isotropic_spectrum_matches_closed_form():
+    # A = K S with K Haar on O(2): the stationary measure is uniform on
+    # the circle, so chi_1 = E log|S v| over uniform v = log((s_1 + s_2) / 2)
+    # = log cosh 0.15, and chi_1 + chi_2 = log|det S| = 0 in every replica
+    iso2 = EnsembleSpec("iso2", 2, "rotation_invariant",
+                        {"stretch": np.diag([np.exp(0.15), np.exp(-0.15)])})
+    est = lyapunov_spectrum(iso2, 20_000, burnin=1000, replicas=64,
+                            sampler=SeededSampler(9))
+    assert abs(est.chi[0] - np.log(np.cosh(0.15))) <= 3 * est.stderr[0]
+    # exact to rounding, far inside 3 stderr
+    assert abs(float(np.sum(est.chi))) < 1e-12
 
 
 def test_spectrum_sum_rule_exact_determinant_benchmarks():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from flagdim import ensemble
-from flagdim.ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler, bern2,
-                              diag3eps, finite_support, from_text,
-                              mean_log_abs_det, rot2, sample_batch, to_text,
-                              validate)
+from flagdim.ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler,
+                              atom_indices, bern2, diag3eps, finite_support,
+                              from_text, mean_log_abs_det, rot2, sample_batch,
+                              to_text, validate)
 from flagdim.errors import ConfigError, InvalidSpec
 from flagdim.harness import load_config
 
@@ -36,6 +36,17 @@ def test_single_atom_sample_is_constant():
     for k in range(5):
         assert np.array_equal(sample_batch(spec, SeededSampler(k), 1)[0],
                               np.diag([2.0, 0.5]))
+
+
+@pytest.mark.parametrize("spec", [bern2(), diag3eps()], ids=lambda s: s.name)
+def test_atom_indices_gather_to_sample_batch(spec):
+    by_index, by_matrix = SeededSampler(46), SeededSampler(46)
+    idx = atom_indices(spec, by_index, 1000)
+    assert np.array_equal(spec.params["atoms"][idx],
+                          sample_batch(spec, by_matrix, 1000))
+    # both leave the stream at the same place
+    assert np.array_equal(sample_batch(spec, by_index, 300),
+                          sample_batch(spec, by_matrix, 300))
 
 
 def test_two_atom_frequencies_binomial():
