@@ -12,14 +12,16 @@ Gram-Schmidt step orthogonal.  Fresh matrices come from ``draw_blocks``,
 one ``sample_batch`` call per block of steps.  A finite-support spec
 evolved without keeping its matrices (the spectrum, the stationary pools,
 the d = 2 leading-column pool and every burn-in) draws atom indices
-instead, from the same stream, and folds them as words: a fold of
-FOLD_STEPS indices is cut into base-K sub-words of width h, the largest of
-8, 4, 2 and 1 with K^h <= WORD_TABLE, and its product is the product, left
-to right, of the sub-words' entries in a per-spec table of every
-left-associated product of h atoms, built on first use.  The cap bound
-then reads log|det P| as a sum of tabled log-determinants.  With two
-atoms (h = 8) a fold is one gather, bit for bit the product of its drawn
-matrices.  The spectrum, the stationary pools, the pool pushes and every
+instead, from the same stream, and folds them as words.  A per-spec table,
+built on first use, holds every left-associated product of l atoms for
+l = 1..h, h the largest of 8, 4, 2 and 1 with K^h <= WORD_TABLE, and the
+largest condition number c_l over each length.  A fold of W = q h + r
+steps is the product, left to right, of q tabled h-words and one r-word,
+so its condition number is at most c_h^q c_r by submultiplicativity; the
+fold width W is derived from the table so that this bound, for every
+width up to W, stays under FOLD_COND_CAP.  No fold is checked or cut
+while the orbit runs.  bern2 folds 40 steps and diag3eps 32 into one QR
+step.  The spectrum, the stationary pools, the pool pushes and every
 burn-in keep only what they need: the spectrum its summed log increments,
 the others the flags reached.  An orbit trace keeps, for R
 replicas over one window of T steps, arrays with the replica on the
@@ -53,12 +55,14 @@ from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
                        fiber_map_image)
 
 PRODUCT_COND_CAP = 1e10   # stop extending singular products past this
-# Cap on |P|_F^d / |det P|, which bounds cond(P), for a product folded
-# before one QR step: its rounding and the Gram-Schmidt loss of
-# orthogonality grow like eps * cond(P) = 2e-12 at the cap, far below
-# ORTHO_TOL.  Eight steps of bern2 or diag3eps stay under 50.
+# Cap on the condition number of a product folded before one QR step:
+# its rounding and the Gram-Schmidt loss of orthogonality grow like
+# eps * cond(P) = 2e-12 at the cap, far below ORTHO_TOL.  The matrix path
+# holds each fold's closed-form bound |P|_F^d / |det P| under it; the word
+# path holds c_h^q c_r under it by its choice of fold width.
 FOLD_COND_CAP = 1e4
 FOLD_STEPS = 8            # drawn matrices folded into one product at most
+WORD_FOLD_STEPS = 64      # atom indices folded into one product at most
 DRAW_BLOCK = 4096         # matrices per draw block, or one fold of the stack
 WORD_TABLE = 256          # products per word table at most (K^h <= this)
 DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
@@ -71,46 +75,44 @@ def batched_orthonormalize(mats):
 
     A vectorized modified Gram-Schmidt over the stack (..., d, k): LAPACK's
     per-matrix overhead dominates np.linalg.qr for tiny matrices.  Stacks
-    advance through it once per folded product (see ``advance``), so a
-    call stands for up to FOLD_STEPS steps of the cocycle.
+    advance through it once per folded product (see ``advance`` and
+    ``_word_products``), so a call stands for up to FOLD_STEPS drawn steps
+    of the cocycle, or up to WORD_FOLD_STEPS drawn atom indices.
     """
-    q = np.array(mats, dtype=float)
-    d = q.shape[-1]
-    logs = np.empty(q.shape[:-2] + (d,))
+    mats = np.asarray(mats, dtype=float)
+    d = mats.shape[-1]
+    cols = []
+    logs = np.empty(mats.shape[:-2] + (d,))
     for j in range(d):
-        col = q[..., :, j]
-        for k in range(j):
-            prev = q[..., :, k]
-            col = col - np.sum(prev * col, axis=-1, keepdims=True) * prev
-        nrm = np.linalg.norm(col, axis=-1, keepdims=True)
-        q[..., :, j] = col / nrm
-        logs[..., j] = np.log(nrm[..., 0])
-    return q, logs
+        col = mats[..., :, j]
+        for prev in cols:
+            col = col - np.einsum("...i,...i->...", prev, col)[..., None] * prev
+        nrm = np.sqrt(np.einsum("...i,...i->...", col, col))
+        cols.append(col / nrm[..., None])
+        logs[..., j] = np.log(nrm)
+    return np.stack(cols, axis=-1), logs
 
 
-def _log_cond_bound(p, log_det=None):
+def _log_cond_bound(p):
     """log(|P|_F^d / |det P|) over a stack, an upper bound on log cond(P).
 
     |P|_F >= sigma_1 and |det P| <= sigma_1^(d-1) sigma_d, so the ratio
     bounds sigma_1 / sigma_d with no SVD: the d x d analogue of
-    ``_cond2``.  ``log_det`` gives log|det P| when it is known; otherwise
-    it is computed.  A singular or non-finite product reads inf or nan.
+    ``_cond2``.  A singular or non-finite product reads inf or nan.
     """
     d = p.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if log_det is None:
-            log_det = np.log(np.abs(np.linalg.det(p)))
-        return 0.5 * d * np.log(np.sum(p * p, axis=(-2, -1))) - log_det
+        return (0.5 * d * np.log(np.sum(p * p, axis=(-2, -1)))
+                - np.log(np.abs(np.linalg.det(p))))
 
 
-def _under_cap(p, log_det=None):
+def _under_cap(p):
     """Whether FOLD_COND_CAP holds for every product of each (m, d, d) stack.
 
     ``p`` is one stack (m, d, d), or several (..., m, d, d) read one per
-    leading index; ``log_det`` is as for ``_log_cond_bound``.
+    leading index.
     """
-    return np.all(_log_cond_bound(p, log_det) <= math.log(FOLD_COND_CAP),
-                  axis=-1)
+    return np.all(_log_cond_bound(p) <= math.log(FOLD_COND_CAP), axis=-1)
 
 
 def _split(run):
@@ -139,14 +141,6 @@ def _runs(seq, max_fold):
             yield part.reshape((-1, width) + part.shape[1:])
 
 
-def _kept(prod, ok, run_mats):
-    """prod[f] for each run f under the cap, else ``_split(run_mats(f))``."""
-    out = []
-    for f, p in enumerate(prod):
-        out.extend([p] if ok[f] else _split(run_mats(f)))
-    return out
-
-
 def _products(mats, max_fold):
     """Consecutive products of mats (T, m, d, d), each under FOLD_COND_CAP.
 
@@ -160,7 +154,8 @@ def _products(mats, max_fold):
         prod = runs[:, 0]
         for j in range(1, runs.shape[1]):
             prod = runs[:, j] @ prod
-        out.extend(_kept(prod, _under_cap(prod), lambda f: runs[f]))
+        for run, p, ok in zip(runs, prod, _under_cap(prod)):
+            out.extend([p] if ok else _split(run))
     return out
 
 
@@ -168,16 +163,36 @@ def _products(mats, max_fold):
 _WORD_TABLES = weakref.WeakKeyDictionary()
 
 
-def _word_tables(spec):
-    """A finite-support spec's word width h and its tables, built on first use.
+def _fold_width(h, conds):
+    """Steps per word fold, from the largest condition number of each length.
 
-    For each length l = 1..h the table holds the product of every word of
-    l atom indices (i_0, ..., i_{l-1}), i_0 acting first, at its base-K
-    code i_0 + i_1 K + ... + i_{l-1} K^(l-1), as the left-associated
-    a_{i_{l-1}} (... (a_{i_1} a_{i_0})) that ``_products`` forms, and the
-    word's log|det| as the sum of its atoms'.  h is the largest of 8, 4, 2
-    and 1 with K^h <= WORD_TABLE, so no table holds more than WORD_TABLE
-    products except the atoms themselves when K exceeds it.
+    ``conds[l]`` is c_l for l = 1..h (``conds[0]`` = 1).  A fold of
+    w = q h + r steps multiplies q h-words and one r-word, so its condition
+    number is at most c_h^q c_r.  The width is the longest w, up to
+    WORD_FOLD_STEPS, whose every width from 1 on keeps that bound under
+    FOLD_COND_CAP, so a shorter last fold keeps it too; from h on it is cut
+    to whole h-words, since a part word costs a gather and a matmul to
+    save a fraction of a QR step.  An atom that breaks the cap alone gives
+    width 1.
+    """
+    w = 0
+    while (w < WORD_FOLD_STEPS and conds[h] ** ((w + 1) // h)
+           * conds[(w + 1) % h] <= FOLD_COND_CAP):
+        w += 1
+    return max(1, w // h * h if w >= h else w)
+
+
+def _word_tables(spec):
+    """A finite-support spec's word length h, fold width and tables.
+
+    Built on first use.  For each length l = 1..h the table holds the
+    product of every word of l atom indices (i_0, ..., i_{l-1}), i_0 acting
+    first, at its base-K code i_0 + i_1 K + ... + i_{l-1} K^(l-1), as the
+    left-associated a_{i_{l-1}} (... (a_{i_1} a_{i_0})) that ``_products``
+    forms.  h is the largest of 8, 4, 2 and 1 with K^h <= WORD_TABLE, so
+    no table holds more than WORD_TABLE products except the atoms
+    themselves when K exceeds it.  The fold width comes from each length's
+    largest 2-norm condition number (see ``_fold_width``).
     """
     tables = _WORD_TABLES.get(spec)
     if tables is None:
@@ -185,39 +200,37 @@ def _word_tables(spec):
         k, d = len(atoms), spec.dim
         h = next(w for w in (8, 4, 2, 1) if k ** w <= WORD_TABLE or w == 1)
         prods = [atoms]
-        log_dets = [np.log(np.abs(np.linalg.det(atoms)))]
         for _ in range(1, h):
             prods.append((atoms[:, None] @ prods[-1][None]).reshape(-1, d, d))
-            log_dets.append((log_dets[0][:, None] + log_dets[-1][None]).ravel())
-        tables = _WORD_TABLES.setdefault(spec, (h, prods, log_dets))
+        conds = [1.0] + [float(np.max(np.linalg.cond(p))) for p in prods]
+        tables = _WORD_TABLES.setdefault(spec, (h, _fold_width(h, conds), prods))
     return tables
 
 
 def _word_products(spec, idx):
-    """``_products`` of the atoms idx (T, m) names, read from word tables.
+    """Fold products of the atoms idx (T, m) names, read from word tables.
 
-    Each run of FOLD_STEPS indices is cut into sub-words of h (see
-    ``_word_tables``); its product is the sub-words' tabled products
-    multiplied left to right, and log|det| the sum of their tabled
-    log-determinants, so no determinant is taken.  A run over the cap is
-    cut by ``_split`` on its gathered atoms, as in ``_products``.
+    Each run of the spec's fold width W (the last one shorter when T is not
+    a multiple) is cut into sub-words of h (see ``_word_tables``); its
+    product is the sub-words' tabled products multiplied left to right.
+    The width keeps every product under FOLD_COND_CAP, so none is checked
+    or cut.  Returns the (m, d, d) products in order.
     """
-    atoms = spec.params["atoms"]
-    h, prods, log_dets = _word_tables(spec)
-    weights = len(atoms) ** np.arange(h)
+    h, width, prods = _word_tables(spec)
+    weights = len(spec.params["atoms"]) ** np.arange(h)
     out = []
-    for runs in _runs(idx, FOLD_STEPS):
-        prod = log_det = None
-        for lo in range(0, runs.shape[1], h):
-            sub = runs[:, lo: lo + h]
-            length = sub.shape[1]
-            code = np.einsum("fjm,j->fm", sub, weights[:length])
-            p = prods[length - 1][code]
-            ld = log_dets[length - 1][code]
-            prod = p if prod is None else p @ prod
-            log_det = ld if log_det is None else log_det + ld
-        out.extend(_kept(prod, _under_cap(prod, log_det),
-                         lambda f: atoms[runs[f]]))
+    for runs in _runs(idx, width):
+        f, w, m = runs.shape
+        q, r = divmod(w, h)
+        words = list(prods[h - 1][np.einsum(
+            "fqjm,j->qfm", runs[:, :q * h].reshape(f, q, h, m), weights)])
+        if r:
+            words.append(prods[r - 1][np.einsum(
+                "fjm,j->fm", runs[:, q * h:], weights[:r])])
+        prod = words[0]
+        for p in words[1:]:
+            prod = p @ prod
+        out.extend(prod)
     return out
 
 
@@ -249,9 +262,13 @@ def advance(bases, mats, max_fold=FOLD_STEPS):
     return _apply(bases, _products(np.asarray(mats, dtype=float), max_fold))
 
 
-def _block_steps(n, steps):
-    """Steps per draw block of an n-stack: see ``draw_blocks``."""
-    per = max(1, DRAW_BLOCK // (max(n, 1) * FOLD_STEPS)) * FOLD_STEPS
+def _block_steps(n, steps, width=FOLD_STEPS):
+    """Steps per draw block of an n-stack folded ``width`` steps at a time.
+
+    A block holds at most DRAW_BLOCK draws, or one fold of the stack when
+    that is more, and a whole number of folds except at the end.
+    """
+    per = max(1, DRAW_BLOCK // (max(n, 1) * width)) * width
     for lo in range(0, steps, per):
         yield min(per, steps - lo)
 
@@ -280,20 +297,22 @@ def evolve_flags(spec, bases, n_steps, sampler):
     """Advance a stack of flag bases n_steps with fresh draws.
 
     Step t draws one matrix per replica, as ``sample_batch(spec, sampler,
-    n)`` would; the draws come in the blocks of ``draw_blocks`` and each
-    block is folded as ``advance`` folds it, so no fold spans two calls.
-    A finite-support spec draws each block as atom indices, one
-    ``atom_indices`` call on the same stream, and folds them as words
-    (``_word_products``); every other kind draws matrices.  Returns the
-    bases reached and each replica's summed log|diag R|, as ``advance``
-    does.
+    n)`` would.  A finite-support spec draws blocks of atom indices, one
+    ``atom_indices`` call on the same stream per block, and folds each
+    block's words W steps at a time (``_word_products``; W is derived from
+    the atoms, 40 for bern2 and 32 for diag3eps), so the stack takes about
+    n_steps / W QR steps.  Every other kind draws matrices in the blocks
+    of ``draw_blocks`` and folds each as ``advance`` does, about n_steps /
+    FOLD_STEPS QR steps.  No fold spans two blocks.  Returns the bases
+    reached and each replica's summed log|diag R|, as ``advance`` does.
     """
     bases = np.asarray(bases, dtype=float)
     n = len(bases)
     if spec.kind == "finite_support":
+        width = _word_tables(spec)[1]
         blocks = (_word_products(spec, atom_indices(spec, sampler, t * n)
                                  .reshape(t, n))
-                  for t in _block_steps(n, n_steps))
+                  for t in _block_steps(n, n_steps, width))
     else:
         blocks = (_products(block, FOLD_STEPS)
                   for block in draw_blocks(spec, sampler, n, n_steps))
@@ -401,14 +420,14 @@ def burn_in(spec, sampler, steps, keep=0):
     """Draw each replica's burn-in and run the standard flag through it.
 
     ``sampler`` is one sampler or one per replica; each draws its ``steps``
-    matrices in one call (a finite-support spec draws their atom indices,
-    one ``atom_indices`` call on the same stream, and folds them as words,
-    as ``evolve_flags`` does).  All replicas advance together, one QR step
-    per fold of FOLD_STEPS matrices, so a burn-in costs about steps /
-    FOLD_STEPS QR steps whatever the count (a single realization
-    included).  Returns the last ``keep`` matrices of each replica
-    (R, keep, d, d), its pinned recent past, and the flags reached
-    (R, d, d).
+    matrices in one call.  All replicas advance together, one QR step per
+    fold, so a burn-in costs about steps / FOLD_STEPS QR steps whatever
+    the count (a single realization included).  A finite-support spec
+    draws atom indices instead, one ``atom_indices`` call on the same
+    stream, and folds them as words W steps at a time, as ``evolve_flags``
+    does: about steps / W QR steps.  Returns the last ``keep`` matrices of
+    each replica (R, keep, d, d), its pinned recent past, and the flags
+    reached (R, d, d).
     """
     samplers = _samplers(sampler)
     start = np.broadcast_to(np.eye(spec.dim), (len(samplers), spec.dim, spec.dim))

@@ -17,6 +17,7 @@ draw, so replicas can run in any order or thread count with identical
 output.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,11 @@ MOMENT_DRAWS = 4096      # Monte Carlo draws behind validate's moments
 MOMENT_SEED = 0
 LOGDET_DRAWS = 4096      # Monte Carlo draws behind mean_log_abs_det
 LOGDET_SEED = 0
+# atoms up to which an index draw counts cdf comparisons; past it a binary
+# search is faster (crossover between 32 and 40 atoms at 16 000 indices on
+# a 2-core x86-64 container)
+COUNT_ATOMS = 32
+PROB_TOL = np.sqrt(np.finfo(float).eps)   # Generator.choice's tolerance on sum(p)
 
 
 class SeededSampler:
@@ -179,10 +185,27 @@ def atom_indices(spec, sampler, n):
 
     ``spec.params["atoms"][atom_indices(spec, sampler, n)]`` is what
     ``sample_batch(spec, sampler, n)`` returns for finite support, and the
-    two leave the stream at the same place.
+    two leave the stream at the same place.  The draw is that of
+    ``rng.choice(K, size=n, p=probs)``, byte for byte and with the same
+    stream use: one uniform u in [0, 1) per index, read as the number of
+    entries of the normalized cdf at or below u (the last entry is 1, so
+    never).  Up to COUNT_ATOMS atoms that number is summed from K - 1
+    comparisons rather than found by choice's binary search.  Probabilities
+    that are negative, NaN or do not sum to 1 within choice's tolerance
+    raise ValueError, as choice does.
     """
     probs = spec.params["probs"]
-    return sampler.rng.choice(len(probs), size=n, p=probs)
+    if not (np.all(probs >= 0) and abs(math.fsum(probs) - 1.0) <= PROB_TOL):
+        raise ValueError(f"atom probabilities {probs} are not a distribution")
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    u = sampler.rng.random(n)
+    if len(cdf) > COUNT_ATOMS:
+        return cdf.searchsorted(u, side="right")
+    idx = np.zeros(n, dtype=np.int64)
+    for c in cdf[:-1]:
+        idx += u >= c
+    return idx
 
 
 def sample_batch(spec, sampler, n):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from flagdim import circle, dynamics, harness
-from flagdim.dynamics import (DRAW_BLOCK, FOLD_STEPS, WORD_TABLE, Arc,
+from flagdim.dynamics import (DRAW_BLOCK, FOLD_COND_CAP, FOLD_STEPS,
+                              WORD_FOLD_STEPS, WORD_TABLE, Arc,
                               advance, batched_orthonormalize, burn_in,
                               circle_map_between, draw_blocks, evolve_flags,
                               forward_orbit, interval_decay_curve,
@@ -18,6 +19,7 @@ from flagdim.flagcore import (Flag, LinearMap, act_flag, fiber_coordinate,
                               partial_flag)
 
 from conftest import random_invertible
+from iso_reference import iso3_exponents
 from stable_line_reference import oseledets_stable_line
 
 
@@ -124,7 +126,7 @@ def rotations(name, d, k):
                           np.arange(1, k + 1) / (k * (k + 1) / 2))
 
 
-# word widths h: 8 for bern2, 4 for diag3eps and THREE, 1 for SEVENTEEN
+# word lengths h: 8 for bern2, 4 for diag3eps and THREE, 1 for SEVENTEEN
 THREE = rotations("three", 3, 3)
 SEVENTEEN = rotations("seventeen", 2, 17)
 
@@ -133,9 +135,11 @@ SEVENTEEN = rotations("seventeen", 2, 17)
                                   ISO3, DIAG3], ids=lambda s: s.name)
 @pytest.mark.parametrize("columns", [1, None])
 def test_folded_advance_matches_stepwise(spec, columns):
-    # 203 steps: whole folds and a short last one, over several blocks;
-    # finite support folds atom-index words, which for two atoms (one
-    # word per fold) are the drawn matrices' products bit for bit
+    # 203 steps: whole folds and a short last one, over several blocks.
+    # Finite support folds atom-index words W steps at a time (W = 40 for
+    # bern2), a different association from the matrix path's 8-step
+    # products, so it matches within rounding; the continuous kinds take
+    # the matrix path itself, bit for bit
     d = spec.dim
     start = np.broadcast_to(np.eye(d)[:, :columns], (50, d, columns or d))
     got = evolve_flags(spec, start, 203, SeededSampler(41))
@@ -143,9 +147,55 @@ def test_folded_advance_matches_stepwise(spec, columns):
                                                   SeededSampler(41)))
     drawn = matrix_path(spec, start, 203, SeededSampler(41))
     assert_matches_stepwise(got, drawn)
-    if spec.kind != "finite_support" or len(spec.params["atoms"]) == 2:
+    if spec.kind != "finite_support":
         assert np.array_equal(got[0], drawn[0])
         assert np.array_equal(got[1], drawn[1])
+
+
+@pytest.mark.parametrize("spec", [bern2(), diag3eps(), THREE, SEVENTEEN],
+                         ids=lambda s: s.name)
+def test_word_tables_hold_left_associated_products(spec):
+    # entry i_0 + i_1 K + ... of the length-l table is
+    # a_{i_{l-1}} (... (a_{i_1} a_{i_0})), bit for bit
+    atoms = spec.params["atoms"]
+    k = len(atoms)
+    _, _, prods = dynamics._word_tables(spec)
+    for length, table in enumerate(prods, start=1):
+        assert len(table) == k ** length
+        for code, entry in enumerate(table):
+            word = [code // k ** j % k for j in range(length)]
+            want = atoms[word[0]]
+            for i in word[1:]:
+                want = atoms[i] @ want
+            assert np.array_equal(entry, want)
+
+
+# finite-support rotations: every word has condition number 1, so the
+# fold width is WORD_FOLD_STEPS
+ROTS2 = finite_support("rots2", [givens(2, 0, 1, 0.8), givens(2, 0, 1, -0.8)],
+                       [0.5, 0.5])
+
+
+@pytest.mark.parametrize("spec, width", [
+    (bern2(), 40), (diag3eps(), 32), (THREE, 24), (SEVENTEEN, 26),
+    (ROTS2, WORD_FOLD_STEPS), (strong2(stretch=2.0), 2),
+    (strong2(stretch=3.45), 1)], ids=lambda v: getattr(v, "name", str(v)))
+def test_word_folds_stay_under_the_cap(spec, width):
+    # the fold width derived from the tables' condition numbers keeps every
+    # word product of at most W steps under FOLD_COND_CAP in 2-norm
+    # condition: random words, and the worst tabled word of each length
+    # repeated over W steps, the case the bound c_h^q c_r is built from
+    h, got_width, prods = dynamics._word_tables(spec)
+    assert got_width == width
+    k = len(spec.params["atoms"])
+    idx = np.random.default_rng(48).integers(k, size=(width, 2000))
+    for length in range(1, h + 1):
+        worst = int(np.argmax(np.linalg.cond(prods[length - 1])))
+        word = [worst // k ** j % k for j in range(length)]
+        idx[:, length - 1] = np.resize(word, width)
+    for steps in range(1, width + 1):
+        (prod,) = dynamics._word_products(spec, idx[:steps])
+        assert np.max(np.linalg.cond(prod)) <= FOLD_COND_CAP
 
 
 def test_specs_and_configs_build_no_word_table():
@@ -157,10 +207,11 @@ def test_specs_and_configs_build_no_word_table():
     assert not any(spec in dynamics._WORD_TABLES for spec in specs)
     for spec in specs:
         evolve_flags(spec, np.eye(spec.dim)[None], 10, SeededSampler(47))
-    widths = [dynamics._WORD_TABLES[spec][0] for spec in specs]
-    assert widths == [8, 4, 4, 4, 1]
+    tables = [dynamics._WORD_TABLES[spec] for spec in specs]
+    assert [h for h, _, _ in tables] == [8, 4, 4, 4, 1]
+    assert [width for _, width, _ in tables] == [40, 32, 32, 24, 26]
     assert all(len(table) <= WORD_TABLE
-               for _, prods, _ in dynamics._WORD_TABLES.values()
+               for _, _, prods in dynamics._WORD_TABLES.values()
                for table in prods)
 
 
@@ -247,6 +298,19 @@ def test_isotropic_spectrum_matches_closed_form():
     assert abs(est.chi[0] - np.log(np.cosh(0.15))) <= 3 * est.stderr[0]
     # exact to rounding, far inside 3 stderr
     assert abs(float(np.sum(est.chi))) < 1e-12
+
+
+def test_isotropic_d3_spectrum_matches_quadrature():
+    # iso3 = Haar(O(3)) diag(e^0.20, 1, e^-0.17): the stationary measure is
+    # rotation invariant, so the exponents are sphere averages, computed by
+    # quadrature in iso_reference (0.023711, 0.009884, -0.003595)
+    want = iso3_exponents(ISO3.params["stretch"])
+    assert np.allclose(want, [0.023711, 0.009884, -0.003595], atol=1e-6)
+    est = lyapunov_spectrum(ISO3, 20_000, burnin=1000, replicas=64,
+                            sampler=SeededSampler(7))
+    assert np.all(np.abs(est.chi - want) <= 3 * est.stderr)
+    # the sum is log|det S| = 0.03 in every replica, to rounding
+    assert float(np.sum(est.chi)) == pytest.approx(0.03, abs=1e-12)
 
 
 def test_spectrum_sum_rule_exact_determinant_benchmarks():

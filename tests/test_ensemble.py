@@ -49,6 +49,40 @@ def test_atom_indices_gather_to_sample_batch(spec):
                           sample_batch(spec, by_matrix, 300))
 
 
+def unequal(name, k):
+    """k scaled identities with probabilities proportional to 1..k."""
+    return finite_support(name, [np.eye(2) * (1.0 + j / k) for j in range(k)],
+                          np.arange(1, k + 1) / (k * (k + 1) / 2))
+
+
+@pytest.mark.parametrize("spec", [
+    bern2(), diag3eps(), unequal("three", 3), unequal("seventeen", 17),
+    unequal("eighty", 80)], ids=lambda s: s.name)
+def test_atom_indices_equal_generator_choice(spec):
+    # the counted (and, past COUNT_ATOMS, searched) draw is choice's, byte
+    # for byte, and leaves the stream where choice leaves it
+    probs = spec.params["probs"]
+    for seed in range(3):
+        ours, theirs = SeededSampler(seed, 49), SeededSampler(seed, 49)
+        got = atom_indices(spec, ours, 16_000)
+        want = theirs.rng.choice(len(probs), size=16_000, p=probs)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert ours.rng.random() == theirs.rng.random()
+    assert (len(probs) > ensemble.COUNT_ATOMS) == (spec.name == "eighty")
+
+
+@pytest.mark.parametrize("probs", [[0.5, 0.6], [-0.5, 1.5], [np.nan, 1.0]])
+def test_atom_indices_refuse_what_choice_refuses(probs):
+    # a spec file is not validated before it runs, so the draw keeps
+    # choice's refusal of probabilities that are not a distribution
+    spec = finite_support("bad", [np.eye(2), np.diag([2.0, 0.5])], probs)
+    with pytest.raises(ValueError):
+        SeededSampler(0).rng.choice(2, size=4, p=spec.params["probs"])
+    with pytest.raises(ValueError):
+        atom_indices(spec, SeededSampler(0), 4)
+
+
 def test_two_atom_frequencies_binomial():
     # 1e6 draws from a fair two-atom ensemble; distinguish atoms by a
     # matrix entry and compare the count against the binomial oracle
