@@ -175,9 +175,11 @@ def _fold_width(h, conds):
     save a fraction of a QR step.  An atom that breaks the cap alone gives
     width 1.
     """
+    def bound(w):
+        return conds[h] ** (w // h) * conds[w % h]
+
     w = 0
-    while (w < WORD_FOLD_STEPS and conds[h] ** ((w + 1) // h)
-           * conds[(w + 1) % h] <= FOLD_COND_CAP):
+    while w < WORD_FOLD_STEPS and bound(w + 1) <= FOLD_COND_CAP:
         w += 1
     return max(1, w // h * h if w >= h else w)
 
