@@ -20,7 +20,7 @@ steps is the product, left to right, of q tabled h-words and one r-word,
 so its condition number is at most c_h^q c_r by submultiplicativity; the
 fold width W is derived from the table so that this bound, for every
 width up to W, stays under FOLD_COND_CAP.  No fold is checked or cut
-while the orbit runs.  bern2 folds 40 steps and diag3eps 32 into one QR
+while the orbit runs.  bern2 folds 43 steps and diag3eps 32 into one QR
 step.  The spectrum, the stationary pools, the pool pushes and every
 burn-in keep only what they need: the spectrum its summed log increments,
 the others the flags reached.  An orbit trace keeps, for R
@@ -170,10 +170,8 @@ def _fold_width(h, conds):
     w = q h + r steps multiplies q h-words and one r-word, so its condition
     number is at most c_h^q c_r.  The width is the longest w, up to
     WORD_FOLD_STEPS, whose every width from 1 on keeps that bound under
-    FOLD_COND_CAP, so a shorter last fold keeps it too; from h on it is cut
-    to whole h-words, since a part word costs a gather and a matmul to
-    save a fraction of a QR step.  An atom that breaks the cap alone gives
-    width 1.
+    FOLD_COND_CAP, so a shorter last fold keeps it too.  An atom that
+    breaks the cap alone gives width 1.
     """
     def bound(w):
         return conds[h] ** (w // h) * conds[w % h]
@@ -181,7 +179,7 @@ def _fold_width(h, conds):
     w = 0
     while w < WORD_FOLD_STEPS and bound(w + 1) <= FOLD_COND_CAP:
         w += 1
-    return max(1, w // h * h if w >= h else w)
+    return max(1, w)
 
 
 def _word_tables(spec):
@@ -302,7 +300,7 @@ def evolve_flags(spec, bases, n_steps, sampler):
     n)`` would.  A finite-support spec draws blocks of atom indices, one
     ``atom_indices`` call on the same stream per block, and folds each
     block's words W steps at a time (``_word_products``; W is derived from
-    the atoms, 40 for bern2 and 32 for diag3eps), so the stack takes about
+    the atoms, 43 for bern2 and 32 for diag3eps), so the stack takes about
     n_steps / W QR steps.  Every other kind draws matrices in the blocks
     of ``draw_blocks`` and folds each as ``advance`` does, about n_steps /
     FOLD_STEPS QR steps.  No fold spans two blocks.  Returns the bases

@@ -31,10 +31,6 @@ MOMENT_DRAWS = 4096      # Monte Carlo draws behind validate's moments
 MOMENT_SEED = 0
 LOGDET_DRAWS = 4096      # Monte Carlo draws behind mean_log_abs_det
 LOGDET_SEED = 0
-# atoms up to which an index draw counts cdf comparisons; past it a binary
-# search is faster (crossover between 32 and 40 atoms at 16 000 indices on
-# a 2-core x86-64 container)
-COUNT_ATOMS = 32
 PROB_TOL = np.sqrt(np.finfo(float).eps)   # Generator.choice's tolerance on sum(p)
 
 
@@ -94,13 +90,12 @@ def finite_support(name, atoms, probs):
     )
 
 
-def validate(spec):
-    """Check the spec and estimate the log singular value moments.
+def check_spec(spec):
+    """Raise InvalidSpec with the full reason list on structural problems.
 
-    Raises InvalidSpec with the full reason list on structural problems.
-    For parametric kinds the moments E|log sigma_i| are Monte Carlo
-    estimates over MOMENT_DRAWS draws (finite support is summed exactly,
-    stderr 0).
+    Draws nothing, so a spec file is checked this way as it is loaded:
+    non-finite entries and probabilities that are not a distribution are
+    refused before any orbit runs.
     """
     reasons = []
     d = spec.dim
@@ -116,9 +111,9 @@ def validate(spec):
         elif len(probs) != len(atoms):
             reasons.append("atom and probability counts differ")
         else:
-            if np.any(probs <= 0):
+            if not np.all(probs > 0):
                 reasons.append("probabilities must be strictly positive")
-            if abs(float(probs.sum()) - 1.0) > 1e-12:
+            if not abs(float(probs.sum()) - 1.0) <= 1e-12:
                 reasons.append(f"probabilities sum to {probs.sum():.15g}, not 1")
             for k, a in enumerate(atoms):
                 if not np.all(np.isfinite(a)) or np.linalg.cond(a) > COND_CAP:
@@ -131,18 +126,30 @@ def validate(spec):
         stretch = np.asarray(spec.params.get("stretch", np.eye(d)), dtype=float)
         if stretch.shape != (d, d):
             reasons.append(f"stretch must be {d}x{d}, got {stretch.shape}")
-        elif np.linalg.cond(stretch) > COND_CAP:
+        elif not np.all(np.isfinite(stretch)) or np.linalg.cond(stretch) > COND_CAP:
             reasons.append("stretch matrix is singular or ill-conditioned")
     elif spec.kind == "diagonal":
         means = np.asarray(spec.params.get("log_means", ()), dtype=float)
         sds = np.asarray(spec.params.get("log_sds", ()), dtype=float)
         if means.shape != (d,) or sds.shape != (d,):
             reasons.append("log_means and log_sds must each have one entry per dimension")
+        elif not (np.all(np.isfinite(means)) and np.all(np.isfinite(sds))):
+            reasons.append("log_means and log_sds must be finite")
         elif np.any(sds < 0):
             reasons.append("log_sds must be nonnegative")
     if reasons:
         raise InvalidSpec(reasons)
 
+
+def validate(spec):
+    """Check the spec and estimate the log singular value moments.
+
+    Raises InvalidSpec as ``check_spec`` does.  For parametric kinds the
+    moments E|log sigma_i| are Monte Carlo estimates over MOMENT_DRAWS
+    draws (finite support is summed exactly, stderr 0).
+    """
+    check_spec(spec)
+    d = spec.dim
     if spec.kind == "finite_support":
         probs = spec.params["probs"]
         logs = np.abs(np.log(np.linalg.svd(spec.params["atoms"], compute_uv=False)))
@@ -189,10 +196,11 @@ def atom_indices(spec, sampler, n):
     ``rng.choice(K, size=n, p=probs)``, byte for byte and with the same
     stream use: one uniform u in [0, 1) per index, read as the number of
     entries of the normalized cdf at or below u (the last entry is 1, so
-    never).  Up to COUNT_ATOMS atoms that number is summed from K - 1
-    comparisons rather than found by choice's binary search.  Probabilities
-    that are negative, NaN or do not sum to 1 within choice's tolerance
-    raise ValueError, as choice does.
+    never).  That number is summed from K - 1 comparisons rather than found
+    by choice's binary search, whose branches on random u cost more than
+    the K - 1 passes at the benchmark ensembles' 2 and 4 atoms; the cost
+    grows with K.  Probabilities that are negative, NaN or do not sum to 1
+    within choice's tolerance raise ValueError, as choice does.
     """
     probs = spec.params["probs"]
     if not (np.all(probs >= 0) and abs(math.fsum(probs) - 1.0) <= PROB_TOL):
@@ -200,8 +208,6 @@ def atom_indices(spec, sampler, n):
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     u = sampler.rng.random(n)
-    if len(cdf) > COUNT_ATOMS:
-        return cdf.searchsorted(u, side="right")
     idx = np.zeros(n, dtype=np.int64)
     for c in cdf[:-1]:
         idx += u >= c

@@ -36,7 +36,9 @@ support atom:
 Kinds and their keys: finite_support (probs, atom...), perturbed
 (probs, atom..., magnitude), rotation_invariant (stretch), diagonal
 (log_means, log_sds).  Blank lines and lines starting with # are
-ignored; ensemble.to_text / ensemble.from_text round trip exactly.
+ignored; ensemble.to_text / ensemble.from_text round trip exactly.  A
+spec file is checked as it is loaded (ensemble.check_spec), so a bad
+entry stops the command with InvalidSpec and an error.csv.
 """
 
 import configparser
@@ -51,7 +53,7 @@ import numpy as np
 from . import _svg
 from .dynamics import (interval_decay_curve, line_coordinates,
                        lyapunov_spectrum)
-from .ensemble import (BENCHMARKS, SeededSampler, from_text,
+from .ensemble import (BENCHMARKS, SeededSampler, check_spec, from_text,
                        mean_log_abs_det, sample_batch, validate)
 from .entropy import (GapRow, conditional_fiber_sample,
                       dimension_formula_report, furstenberg_entropy_d2,
@@ -121,7 +123,9 @@ class ExperimentConfig:
         if self.ensemble in BENCHMARKS:
             return BENCHMARKS[self.ensemble]()
         with open(self.ensemble) as fh:
-            return from_text(fh.read())
+            spec = from_text(fh.read())
+        check_spec(spec)
+        return spec
 
     def fibers(self):
         d = self.spec().dim

@@ -1,9 +1,11 @@
 import csv
 import os
 
+import numpy as np
 import pytest
 
 from flagdim import cli
+from flagdim.ensemble import finite_support, to_text
 
 
 @pytest.fixture
@@ -62,6 +64,25 @@ def test_every_leg_refused_exits_two_with_the_gate_class(clean_env, tmp_path):
     _, row = error_rows(tmp_path)
     assert row[:2] == ["2", "HypothesisNotMet"]
     assert row[2].startswith("kappa[1] = ")
+
+
+@pytest.mark.parametrize("atom, probs, reason", [
+    (np.nan, [0.5, 0.5], "support matrix 0 is singular or ill-conditioned"),
+    (2.0, [0.5, 0.6], "probabilities sum to 1.1"),
+    (2.0, [np.nan, 0.5], "probabilities must be strictly positive"),
+], ids=["nan_atom", "probs_sum", "nan_prob"])
+def test_bad_spec_file_exits_one_with_invalid_spec(clean_env, tmp_path, atom,
+                                                   probs, reason):
+    # a spec file is checked as the config loads it, before any draw or fold
+    path = tmp_path / "bad.spec"
+    path.write_text(to_text(finite_support(
+        "bad", [np.diag([atom, 0.5]), np.eye(2)], probs)))
+    code = cli.main(["spectrum", "--ensemble", str(path), "--seed", "1",
+                     "--out", str(tmp_path), "--no-figures"])
+    assert code == 1
+    _, row = error_rows(tmp_path)
+    assert row[:2] == ["1", "InvalidSpec"]
+    assert reason in row[2]
 
 
 def test_config_precedence_file_then_environment_then_flags(clean_env,

@@ -59,8 +59,8 @@ def unequal(name, k):
     bern2(), diag3eps(), unequal("three", 3), unequal("seventeen", 17),
     unequal("eighty", 80)], ids=lambda s: s.name)
 def test_atom_indices_equal_generator_choice(spec):
-    # the counted (and, past COUNT_ATOMS, searched) draw is choice's, byte
-    # for byte, and leaves the stream where choice leaves it
+    # the counted draw is choice's, byte for byte, and leaves the stream
+    # where choice leaves it
     probs = spec.params["probs"]
     for seed in range(3):
         ours, theirs = SeededSampler(seed, 49), SeededSampler(seed, 49)
@@ -69,18 +69,29 @@ def test_atom_indices_equal_generator_choice(spec):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         assert ours.rng.random() == theirs.rng.random()
-    assert (len(probs) > ensemble.COUNT_ATOMS) == (spec.name == "eighty")
 
 
 @pytest.mark.parametrize("probs", [[0.5, 0.6], [-0.5, 1.5], [np.nan, 1.0]])
 def test_atom_indices_refuse_what_choice_refuses(probs):
-    # a spec file is not validated before it runs, so the draw keeps
+    # a spec built in code runs without validate, so the draw keeps
     # choice's refusal of probabilities that are not a distribution
     spec = finite_support("bad", [np.eye(2), np.diag([2.0, 0.5])], probs)
     with pytest.raises(ValueError):
         SeededSampler(0).rng.choice(2, size=4, p=spec.params["probs"])
     with pytest.raises(ValueError):
         atom_indices(spec, SeededSampler(0), 4)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("rotation_invariant", {"stretch": np.array([[np.nan, 0.0], [0.0, 1.0]])}),
+    ("diagonal", {"log_means": np.array([np.nan, 0.0]),
+                  "log_sds": np.array([0.1, 0.1])}),
+    ("diagonal", {"log_means": np.zeros(2),
+                  "log_sds": np.array([np.inf, 0.1])}),
+], ids=["stretch", "log_means", "log_sds"])
+def test_check_spec_refuses_non_finite_parameters(kind, params):
+    with pytest.raises(InvalidSpec):
+        ensemble.check_spec(EnsembleSpec("bad", 2, kind, params))
 
 
 def test_two_atom_frequencies_binomial():
