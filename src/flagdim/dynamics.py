@@ -28,15 +28,21 @@ replicas over one window of T steps, arrays with the replica on the
 leading axis: the flag bases (R, T+1, d, d), the completion frames of the
 fiber planes (R, T+1, d, 2), the induced 2x2 fiber maps (R, T, 2, 2) and
 the fiber coordinates (R, T+1).  The stable-line pass and the interval
-pushes then run over every replica at once; per-step Flag, PartialFlag
-and CircleMap objects are built only on demand, for checking one step.
-A d = 2 orbit that needs nothing but its coordinates runs through
-``line_coordinates`` and forms no basis at all.
+pushes then run over every replica at once, with each step's inverse,
+determinant and condition number formed for many steps in one vectorized
+pass before their loops; per-step Flag, PartialFlag and CircleMap objects
+are built only on demand, for checking one step.  A d = 2 orbit that
+needs nothing but its coordinates runs through ``line_coordinates`` and
+forms no basis at all: it folds runs of steps into 2x2 products and
+walks them in chunks, forming each chunk's prefix products at once, so
+Python renormalizes the direction once per chunk of LINE_CHUNK products
+rather than once per product.
 
-Composed circle maps are never formed as long matrix products.  Intervals
-are carried as an anchor plus two signed offsets and pushed one step at a
-time through each map's closed-form offset formula, so lengths that decay
-like e^(-gap n) stay fully resolved long after the endpoints' absolute
+Composed circle maps are never formed as long matrix products in the
+interval pushes.  Intervals are carried as an anchor plus two signed
+offsets and pushed one step at a time through each map's closed-form
+offset formula, both ends in one pass, so lengths that decay like
+e^(-gap n) stay fully resolved long after the endpoints' absolute
 coordinates have collapsed onto one double.
 """
 
@@ -68,6 +74,8 @@ WORD_TABLE = 256          # products per word table at most (K^h <= this)
 DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
 DECAY_STABLE_TOL = 1e-2   # stable-line resolution a decay replica must reach
 _TIME_BLOCK = 128         # times per block when a trace derives its frames
+LINE_CHUNK = 64           # d = 2 line walk: products per chunk of prefixes
+LINE_FLUSH = 16_384       # d = 2 line walk: products walked at once
 
 
 def batched_orthonormalize(mats):
@@ -453,20 +461,100 @@ def _cond2(b):
         return (f + disc) / (2 * det)
 
 
-def _walk(blocks, v):
-    """Push the unit vector v through 2x2 blocks, in Python floats.
+def _line_steps(blocks, head, every):
+    """The steps of a d = 2 line walk, block by block, with the steps read.
 
-    Returns the angle after each block and the vector reached.
+    Yields (steps (n, 2, 2), read (n,)).  The first ``head`` matrices act
+    one at a time and the last of them is read; after them each run of
+    ``every`` matrices is folded into one 2x2 product, which is read, when
+    its condition number is at most PRODUCT_COND_CAP, and otherwise its
+    matrices act one at a time and the last of them is read.  A run is
+    folded when its last matrix arrives, so the steps do not depend on
+    where the blocks are cut.
     """
+    pending = np.empty((0, 2, 2))
+    for block in blocks:
+        block = np.asarray(block, dtype=float).reshape(-1, 2, 2)
+        pending = np.concatenate([pending, block]) if len(pending) else block
+        if head:
+            k = min(head, len(pending))
+            head -= k
+            read = np.zeros(k, dtype=bool)
+            read[-1] = head == 0
+            yield pending[:k], read
+            pending = pending[k:]
+        runs = len(pending) // every
+        if not runs:
+            continue
+        body = pending[: runs * every].reshape(runs, every, 2, 2)
+        pending = pending[runs * every:]
+        folded = body[:, 0]
+        for m in range(1, every):
+            folded = body[:, m] @ folded
+        ok = _cond2(folded) <= PRODUCT_COND_CAP
+        if ok.all():
+            yield folded, np.ones(runs, dtype=bool)
+            continue
+        steps = np.concatenate(
+            [folded[f: f + 1] if ok[f] else body[f] for f in range(runs)])
+        read = np.zeros(len(steps), dtype=bool)
+        read[np.cumsum(np.where(ok, 1, every)) - 1] = True
+        yield steps, read
+
+
+def _rebuffered(pieces, size):
+    """(steps, read) pieces regrouped into pieces of ``size`` steps.
+
+    The last piece holds what is left, so where the input is cut does not
+    move where the output is cut.
+    """
+    held, count = [], 0
+    for piece in pieces:
+        held.append(piece)
+        count += len(piece[0])
+        if count < size:
+            continue
+        steps, read = (np.concatenate(part) for part in zip(*held))
+        whole = count // size * size
+        for lo in range(0, whole, size):
+            yield steps[lo: lo + size], read[lo: lo + size]
+        held, count = [(steps[whole:], read[whole:])], count - whole
+    if count:
+        yield tuple(np.concatenate(part) for part in zip(*held))
+
+
+def _chunk_walk(steps, v):
+    """Angles of the unit vector v pushed through steps (n, 2, 2), in order.
+
+    The steps go in chunks of LINE_CHUNK, the last one padded with
+    identities.  The prefix products of every chunk are formed at once,
+    each rescaled to unit Frobenius norm as it is formed; one Python step
+    per chunk carries v across the chunk's end.  Each angle is the atan2
+    of a prefix applied to its chunk's start vector.  Returns the angles
+    and the unit vector reached.
+    """
+    n = len(steps)
+    count = -(-n // LINE_CHUNK)
+    chunks = np.empty((count * LINE_CHUNK, 2, 2))
+    chunks[:n] = steps
+    chunks[n:] = np.eye(2)
+    chunks = chunks.reshape(count, LINE_CHUNK, 2, 2)
+    prefix = np.empty_like(chunks)
+    p = np.broadcast_to(np.eye(2), (count, 2, 2))
+    for j in range(LINE_CHUNK):
+        p = chunks[:, j] @ p
+        p /= np.sqrt(np.einsum("kab,kab->k", p, p))[:, None, None]
+        prefix[:, j] = p
     v0, v1 = v
-    out = []
-    for a, b, c, d in blocks.reshape(-1, 4).tolist():
+    starts = []
+    for a, b, c, d in prefix[:, -1].reshape(-1, 4).tolist():
+        starts.append((v0, v1))
         v0, v1 = a * v0 + b * v1, c * v0 + d * v1
         norm = math.hypot(v0, v1)
         v0 /= norm
         v1 /= norm
-        out.append(math.atan2(v1, v0))
-    return np.array(out), (v0, v1)
+    w = np.einsum("kjab,kb->kja", prefix, np.array(starts))
+    return np.arctan2(w[..., 1], w[..., 0]).reshape(-1)[:n], (v0, v1)
 
 
 def line_coordinates(mats, start, every):
@@ -481,9 +569,13 @@ def line_coordinates(mats, start, every):
     formed.  The first start % every steps act one at a time; after them
     each run of ``every`` steps is folded into one 2x2 product when its
     condition number is at most PRODUCT_COND_CAP, and otherwise its steps
-    act one at a time.  The direction is renormalized once per product or
-    lone step, in Python floats.  A block is folded as it comes and only
-    its products are kept, so a stream needs memory for one block.
+    act one at a time (see ``_line_steps``).  The products and lone steps
+    are walked LINE_FLUSH at a time in chunks of LINE_CHUNK (see
+    ``_chunk_walk``): the direction is renormalized in Python floats once
+    per chunk, not once per product, and the chunk's prefix products carry
+    it to every read inside the chunk.  Blocks are folded as they come and
+    at most LINE_FLUSH products are held, so a stream needs memory for
+    about one block.
     """
     if not (start >= 1 and every >= 1):
         raise ValueError(f"cannot read after {start} steps, every {every}")
@@ -491,45 +583,17 @@ def line_coordinates(mats, start, every):
     if isinstance(mats, np.ndarray):
         blocks = (mats[lo: lo + DRAW_BLOCK] for lo in range(0, len(mats), DRAW_BLOCK))
     head = start % every
-    skip = start // every - 1   # runs after the head before the first read
     v = (1.0, 0.0)
-    total = runs_done = 0
-    pending = np.empty((0, 2, 2))
-    reads = []
-    for block in blocks:
-        block = np.asarray(block, dtype=float).reshape(-1, 2, 2)
-        total += len(block)
-        pending = np.concatenate([pending, block]) if len(pending) else block
-        if head:
-            k = min(head, len(pending))
-            angles, v = _walk(pending[:k], v)
-            head -= k
-            if head == 0 and skip < 0:
-                reads.append(angles[-1:])
-            pending = pending[k:]
-        runs = len(pending) // every
-        if not runs:
-            continue
-        body = pending[: runs * every].reshape(runs, every, 2, 2)
-        pending = pending[runs * every:]
-        folded = body[:, 0]
-        for m in range(1, every):
-            folded = body[:, m] @ folded
-        ok = _cond2(folded) <= PRODUCT_COND_CAP
-        if ok.all():
-            angles, v = _walk(folded, v)
-        else:
-            # runs over the cap act step by step; read each at its end
-            angles, v = _walk(np.concatenate(
-                [folded[f: f + 1] if ok[f] else body[f] for f in range(runs)]), v)
-            ends = np.cumsum(np.where(ok, 1, every)) - 1
-            angles = angles[ends]
-        reads.append(angles[max(skip - runs_done, 0):])
-        runs_done += runs
-    if total < start:
-        raise ValueError(f"cannot read after {start} steps, every {every}, "
-                         f"of {total}")
-    return circle.wrap(np.concatenate(reads))
+    reads = [np.empty(0)]
+    for steps, read in _rebuffered(_line_steps(blocks, head, every), LINE_FLUSH):
+        angles, v = _chunk_walk(steps, v)
+        reads.append(angles[read])
+    # drop the reads before step ``start``: the head's and the first runs'
+    reads = np.concatenate(reads)[start // every - (head == 0):]
+    if not len(reads):
+        raise ValueError(f"cannot read after {start} steps, every {every}: "
+                         "the orbit is shorter")
+    return circle.wrap(reads)
 
 
 def circle_map_between(a_entries, src, dst):
@@ -665,8 +729,10 @@ def stable_coordinates(trace, lookahead):
     time only contracts further.  The anchor sits ``lookahead`` steps
     before the window's end, so the certifying event is a function of the
     maps after the anchor alone; callers that drop uncertified replicas
-    do not bias statistics collected before it.  Every replica steps back
-    at once, each step a closed-form 2x2 solve (adjugate over determinant).
+    do not bias statistics collected before it.  The steps' inverses
+    (adjugate over determinant) are formed in one vectorized pass per
+    block of _TIME_BLOCK steps; the backward loop then steps every replica
+    back at once, one 2x2 product and one renormalization per step.
 
     Returns (times, y, resolution): y[r] holds replica r's coordinates at
     times[: anchor + 1] and resolution[r] its resolution at the anchor,
@@ -682,14 +748,22 @@ def stable_coordinates(trace, lookahead):
     kept = np.empty((count, anchor_k + 1, 2, 2))
     if anchor_k == n_maps:
         kept[:, anchor_k] = pair
-    for k in range(n_maps - 1, -1, -1):
-        (a, b), (c, d) = np.moveaxis(maps[:, k], 0, -1)
-        adjugate = np.stack([np.stack([d, -b], axis=-1),
-                             np.stack([-c, a], axis=-1)], axis=-2)
-        pair = adjugate / det2(maps[:, k])[:, None, None] @ pair
-        pair = pair / np.linalg.norm(pair, axis=-2, keepdims=True)
-        if k <= anchor_k:
-            kept[:, k] = pair
+    # the inverses a block of steps at a time, time-major so that each
+    # step's stack is contiguous, and small next to the trace
+    for top in range(n_maps, 0, -_TIME_BLOCK):
+        bottom = max(top - _TIME_BLOCK, 0)
+        steps = maps[:, bottom:top].swapaxes(0, 1)
+        inverse = np.empty(steps.shape)
+        inverse[..., 0, 0] = steps[..., 1, 1]
+        inverse[..., 0, 1] = -steps[..., 0, 1]
+        inverse[..., 1, 0] = -steps[..., 1, 0]
+        inverse[..., 1, 1] = steps[..., 0, 0]
+        inverse /= det2(steps)[..., None, None]
+        for k in range(top - 1, bottom - 1, -1):
+            pair = inverse[k - bottom] @ pair
+            pair = pair / np.linalg.norm(pair, axis=-2, keepdims=True)
+            if k <= anchor_k:
+                kept[:, k] = pair
     angles = circle.wrap(np.arctan2(kept[..., 1, :], kept[..., 0, :]))
     resolution = circle.distance(angles[:, anchor_k, 0], angles[:, anchor_k, 1])
     return trace.times[: anchor_k + 1], angles[..., 0], resolution
@@ -751,41 +825,46 @@ def stationary_interval(trace, t, y):
     return Arc(anchor=x, lo=lo, hi=lo + (circle.HALF_TURN - rho))
 
 
-def _map_offsets(b, anchor, delta):
+def _map_offsets(b, anchor, delta, det, cond):
     """``CircleMap.map_offset`` over broadcast stacks of maps and offsets.
 
-    The closed form is exact while the image offset stays under pi/2,
-    which holds when cond(B) |delta| < 1; larger offsets are cut into
-    ceil(cond(B) |delta|) + 1 pieces, as map_offset cuts them.
+    ``det`` and ``cond`` are the maps' determinants and condition numbers
+    (``det2`` and ``_cond2`` of ``b``).  The closed form is exact while the
+    image offset stays under pi/2, which holds when cond(B) |delta| < 1;
+    larger offsets are cut into ceil(cond(B) |delta|) + 1 pieces, as
+    map_offset cuts them.  An offset that needs fewer pieces than the
+    largest adds exact zeros for the rest, so each offset's image does not
+    depend on what it is stacked with.
     """
-    det = det2(b)
-    span = np.abs(delta) * _cond2(b)
+    span = np.abs(delta) * cond
     pieces = np.where(span < 1.0, 1.0, np.ceil(span) + 1.0)
     sub = delta / pieces
     c, s = np.cos(sub), np.sin(sub)
     total = np.zeros(np.broadcast(anchor, sub).shape)
     theta = anchor
+    b00, b01, b10, b11 = (b[..., j, k] for j in (0, 1) for k in (0, 1))
     for m in range(int(np.max(pieces, initial=1.0))):
-        u = circle.unit_vector(theta)
-        bu = np.einsum("...ij,...j->...i", b, u)
-        bup = np.einsum("...ij,...j->...i", b, np.stack([-u[..., 1], u[..., 0]], axis=-1))
-        term = np.arctan2(s * det, c * np.sum(bu * bu, axis=-1)
-                          + s * np.sum(bu * bup, axis=-1))
+        # B u and B u_perp for u = (cos theta, sin theta), u_perp = (-sin, cos)
+        cos, sin = np.cos(theta), np.sin(theta)
+        p, q = b00 * cos + b01 * sin, b10 * cos + b11 * sin
+        pp, qp = b01 * cos - b00 * sin, b11 * cos - b10 * sin
+        term = np.arctan2(s * det, c * (p * p + q * q) + s * (p * pp + q * qp))
         total = total + np.where(m < pieces, term, 0.0)
         theta = theta + sub
     return total
 
 
-def _push(b, anchor, lo, hi):
-    d1 = _map_offsets(b, anchor, lo)
-    d2 = _map_offsets(b, anchor, hi)
+def _push(b, anchor, lo, hi, det, cond):
+    """Image of the arcs (anchor, lo, hi) under b; both ends in one pass."""
+    d1, d2 = _map_offsets(b, anchor, np.stack([lo, hi]), det, cond)
     return Arc(anchor=fiber_map_image(b, anchor), lo=np.minimum(d1, d2),
                hi=np.maximum(d1, d2))
 
 
 def push_arc(cmap, arc):
     """Image of an arc under one circle map, anchored offsets throughout."""
-    return _push(cmap.matrix, arc.anchor, arc.lo, arc.hi)
+    b = cmap.matrix
+    return _push(b, arc.anchor, arc.lo, arc.hi, det2(b), _cond2(b))
 
 
 def pull_forward(trace, arc, t):
@@ -794,7 +873,9 @@ def pull_forward(trace, arc, t):
     ``arc`` holds one arc per replica for one time ``t``, or per replica
     and time for a sequence of times.  Each arc is pushed through its own
     replica's maps T_t, ..., T_{-1}; all arcs advance together, each from
-    the step its time comes up.  The anchor rides at x, so every image
+    the step its time comes up, both ends in one ``_map_offsets`` pass per
+    step.  The window's determinants and condition numbers are computed
+    once, before the steps.  The anchor rides at x, so every image
     contains x_0 by construction, and the Arc invariant is asserted at
     every step.
     """
@@ -803,10 +884,12 @@ def pull_forward(trace, arc, t):
     anchor, lo, hi = (np.array(np.broadcast_to(v, shape), dtype=float)
                       .reshape(len(trace.maps), len(starts))
                       for v in (arc.anchor, arc.lo, arc.hi))
+    det, cond = det2(trace.maps), _cond2(trace.maps)
     for step in range(int(starts.min()), trace.index(0)):
         live = starts <= step
         pushed = _push(trace.maps[:, step, None], anchor[:, live],
-                       lo[:, live], hi[:, live])
+                       lo[:, live], hi[:, live], det[:, step, None],
+                       cond[:, step, None])
         anchor[:, live], lo[:, live], hi[:, live] = pushed.anchor, pushed.lo, pushed.hi
     return Arc(anchor=anchor.reshape(shape), lo=lo.reshape(shape),
                hi=hi.reshape(shape))

@@ -43,11 +43,11 @@ from .dynamics import (DEGENERATE_DISTANCE, Arc, burn_in, draw_blocks,
                        stationary_flag_pool, stationary_interval)
 from .ensemble import SeededSampler, sample_batch
 from .errors import (AtomicFiber, BandwidthTooSmall, GapTooSmall,
-                     HypothesisNotMet, InsufficientMass, NoAcceptedReplicas)
+                     HypothesisNotMet, NoAcceptedReplicas)
 from .flagcore import (Flag, fiber_coordinates, fiber_map_derivative,
                        fiber_map_image, partial_flag)
 from .measures import (KDE_MIN_NEIGHBORS, EmpiricalCircleMeasure,
-                       kde_density, kernel_sums, local_dimension,
+                       kde_density, kernel_sums, local_slopes,
                        max_cluster_weight, neighbor_counts, wasserstein_circle)
 
 ATOM_RESOLUTION = 1e-6
@@ -572,18 +572,18 @@ class DimensionReport:
 
 
 def _slope_distribution(measure, rng, base_points):
-    slopes = []
-    skipped = 0
+    """Local slopes at up to ``base_points`` sample points, and the skips.
+
+    The points are drawn without replacement from ``rng``; their slopes
+    come from one batched fit (``local_slopes``), which agrees with
+    ``local_dimension`` point by point.  A point ``local_dimension`` would
+    refuse with InsufficientMass is skipped and counted.
+    """
     idx = rng.choice(len(measure.points),
                      size=min(base_points, len(measure.points)), replace=False)
-    for k in idx:
-        try:
-            est = local_dimension(measure, float(measure.points[k]))
-        except InsufficientMass:
-            skipped += 1
-            continue
-        slopes.append(est.slope)
-    return np.asarray(slopes), skipped
+    slopes = local_slopes(measure, measure.points[idx])
+    fitted = ~np.isnan(slopes)
+    return slopes[fitted], int(np.count_nonzero(~fitted))
 
 
 def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
@@ -599,8 +599,9 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
     would be noise with a confident face.  The gate reads the stderr the
     kappa estimate carries, so it is only as sound as that stderr.
 
-    The slopes are fitted by ``local_dimension`` on the default radius
-    grid at up to ``base_points`` sample points.
+    The slopes are fitted on the default radius grid at up to
+    ``base_points`` sample points, as ``local_dimension`` fits them, in one
+    batched pass per measure (``_slope_distribution``).
 
     d = 2: the fiber measure is the stationary measure itself.  The
     slopes are fitted on ``stationary_samples`` points of one orbit, one

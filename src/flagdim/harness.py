@@ -5,7 +5,10 @@ own child sampler keyed by a fixed job tag, cross-job reductions happen
 in tag order, and emitted files carry no clocks or machine identifiers,
 so outputs are byte-identical across repeats and across thread counts.
 
-Each command runs one spectrum and then its legs.  The density leg
+Each command builds its ensemble spec once and hands that one object to
+the spectrum and to every leg, so a spec file is read and checked once
+per run and its word tables are built once.  Each command runs one
+spectrum and then its legs.  The density leg
 (``_density_leg``) is the one place that picks the entropy estimator by
 dimension: ``furstenberg_entropy_d2`` for d = 2, ``kappa_density_estimator``
 otherwise.  The dimension report takes the run's spectrum and a density
@@ -127,8 +130,8 @@ class ExperimentConfig:
         check_spec(spec)
         return spec
 
-    def fibers(self):
-        d = self.spec().dim
+    def fibers(self, d):
+        """The fibers a run covers on a spec of dimension ``d``."""
         if self.fiber_index == "all":
             return tuple(range(1, d))
         i = int(self.fiber_index)
@@ -310,10 +313,9 @@ def _density_leg(cfg, spec, i, sampler):
         sampler=sampler, realization_burnin=cfg.burnin)
 
 
-def _entropy_jobs(cfg, sampler, refusals):
-    spec = cfg.spec()
+def _entropy_jobs(cfg, spec, sampler, refusals):
     jobs = []
-    for i in cfg.fibers():
+    for i in cfg.fibers(spec.dim):
         def density(i=i):
             return _density_leg(cfg, spec, i, sampler.child(2, i))
         jobs.append((("density", i), _catching(density, refusals,
@@ -333,7 +335,7 @@ def _entropy_bundle(cfg, spectrum, results, refusals, start):
     kappas = []
     rows = []
     agreement = {}
-    for i in cfg.fibers():
+    for i in cfg.fibers(spectrum.dim):
         kd = results.get(("density", i))
         ki = results.get(("interval", i))
         for est in (kd, ki):
@@ -361,10 +363,11 @@ def _entropy_bundle(cfg, spectrum, results, refusals, start):
 def run_entropy(cfg, threads=1):
     start = time.perf_counter()
     sampler = SeededSampler(int(cfg.seed))
-    spectrum = lyapunov_spectrum(cfg.spec(), cfg.spectrum_steps,
+    spec = cfg.spec()
+    spectrum = lyapunov_spectrum(spec, cfg.spectrum_steps,
                                  burnin=cfg.burnin, sampler=sampler.child(1))
     refusals = {}
-    results = _run_jobs(_entropy_jobs(cfg, sampler, refusals), threads)
+    results = _run_jobs(_entropy_jobs(cfg, spec, sampler, refusals), threads)
     return _entropy_bundle(cfg, spectrum, results, refusals, start)
 
 
@@ -399,8 +402,9 @@ def _dimension_legs(cfg, spec, spectrum, kappa, sampler, threads, refusals):
     ``kappa(i)`` returns fiber i's density estimate or raises the gate
     error that refuses the fiber's report.
     """
+    fibers = cfg.fibers(spec.dim)
     jobs = []
-    for i in cfg.fibers():
+    for i in fibers:
         def report(i=i):
             return dimension_formula_report(
                 spec, i, spectrum, kappa(i), sampler=sampler.child(4, i),
@@ -414,10 +418,10 @@ def _dimension_legs(cfg, spec, spectrum, kappa, sampler, threads, refusals):
         jobs.append((("curves", i),
                      _catching(curves, refusals, f"ball curves fiber {i}")))
     results = _run_jobs(jobs, threads)
-    reports = tuple(results[("dimension", i)] for i in cfg.fibers()
+    reports = tuple(results[("dimension", i)] for i in fibers
                     if results.get(("dimension", i)) is not None)
     curves = []
-    for i in cfg.fibers():
+    for i in fibers:
         curves.extend(results.get(("curves", i)) or ())
     return reports, tuple(curves)
 
@@ -451,11 +455,11 @@ def run_verify(cfg, threads=1):
     spectrum = lyapunov_spectrum(spec, cfg.spectrum_steps, burnin=cfg.burnin,
                                  sampler=sampler.child(1))
     refusals = {}
-    jobs = _entropy_jobs(cfg, sampler, refusals)
+    jobs = _entropy_jobs(cfg, spec, sampler, refusals)
 
     def decay():
         grid = np.unique(np.linspace(10, cfg.interval_n, 8, dtype=int))
-        return interval_decay_curve(spec, cfg.fibers()[0], grid,
+        return interval_decay_curve(spec, cfg.fibers(spec.dim)[0], grid,
                                     cfg.replicas, sampler.child(5),
                                     burnin=cfg.burnin)
     jobs.append((("decay",), _catching(decay, refusals, "interval decay")))

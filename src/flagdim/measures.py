@@ -165,6 +165,58 @@ def local_dimension(m, x, r_grid=None):
     )
 
 
+def local_slopes(m, x):
+    """``local_dimension``'s slope at every point of ``x``, on the default grid.
+
+    One pass over the (point x radius) grid reads every ball mass
+    (``_ball_masses``, equal to ``ball_mass``).  Each point keeps the
+    levels ``local_dimension`` keeps and gets the closed-form
+    least-squares slope of log mass against log radius over them; a point
+    whose every ball holds the same near-total mass gets slope 0, and a
+    point where ``local_dimension`` raises InsufficientMass gets NaN.
+    """
+    r = default_radius_grid()
+    masses = _ball_masses(m, x, r)
+    keep = (masses > MASS_FLOOR_COUNT / len(m)) & (masses <= MASS_CEILING)
+    levels = keep.sum(axis=1)
+    slopes = np.full(len(masses), np.nan)
+    slopes[np.all(masses > MASS_CEILING, axis=1)
+           & (np.ptp(masses, axis=1) < 1e-12)] = 0.0
+    fit = levels >= MIN_FIT_LEVELS
+    keep = keep[fit]
+    lr = np.where(keep, np.log(r), 0.0)
+    lm = np.log(np.where(keep, masses[fit], 1.0))
+    n = levels[fit]
+    dr = np.where(keep, lr - (lr.sum(axis=1) / n)[:, None], 0.0)
+    dm = lm - (lm.sum(axis=1) / n)[:, None]
+    slopes[fit] = np.sum(dr * dm, axis=1) / np.sum(dr * dr, axis=1)
+    return slopes
+
+
+def _ball_masses(m, x, r):
+    """``ball_mass`` of m at every point of x (P,) and radius of r (L,), (P, L).
+
+    Every radius must lie under pi/2, so no ball covers the circle.
+    """
+    r = np.asarray(r, dtype=float)
+    return _arc_masses(m, np.asarray(x, dtype=float)[:, None] - r, 2.0 * r)
+
+
+def _arc_masses(m, start, length):
+    """``m.arc_mass`` over broadcast arrays of starts and lengths under pi.
+
+    The same closed-arc and wrap rules: a wrapped start, and an arc that
+    reaches pi split into two closed segments whose masses add in order.
+    """
+    lo = circle.wrap(start)
+    hi = lo + length
+    wraps = hi >= circle.HALF_TURN
+    end = np.where(wraps, np.nextafter(circle.HALF_TURN, np.inf), hi)
+    mass = m._segment_mass(lo, end)
+    mass[wraps] += m._segment_mass(0.0, hi[wraps] - circle.HALF_TURN)
+    return mass
+
+
 def max_cluster_weight(m, eps):
     """Largest mass carried by any closed arc of length eps.
 
@@ -173,13 +225,8 @@ def max_cluster_weight(m, eps):
     """
     if eps >= circle.HALF_TURN:
         return 1.0
-    # arc_mass at every sample point at once, wrapping arcs split in two
-    lo = m.points
-    hi = lo + float(eps)
-    wraps = hi >= circle.HALF_TURN
-    end = np.where(wraps, np.nextafter(circle.HALF_TURN, np.inf), hi)
-    mass = m._segment_mass(lo, end)
-    mass[wraps] += m._segment_mass(0.0, hi[wraps] - circle.HALF_TURN)
+    # arc_mass at every sample point at once
+    mass = _arc_masses(m, m.points, float(eps))
     return float(max(0.0, mass.max()))
 
 

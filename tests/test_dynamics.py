@@ -3,7 +3,8 @@ import pytest
 
 from flagdim import circle, dynamics, harness
 from flagdim.dynamics import (DRAW_BLOCK, FOLD_COND_CAP, FOLD_STEPS,
-                              WORD_FOLD_STEPS, WORD_TABLE, Arc,
+                              LINE_CHUNK, LINE_FLUSH, WORD_FOLD_STEPS,
+                              WORD_TABLE, Arc,
                               advance, batched_orthonormalize, burn_in,
                               circle_map_between, draw_blocks, evolve_flags,
                               forward_orbit, interval_decay_curve,
@@ -15,11 +16,12 @@ from flagdim.ensemble import (EnsembleSpec, SeededSampler, bern2, diag3eps,
                               finite_support, from_text, rot2, sample_batch,
                               to_text)
 from flagdim.errors import (DegenerateFiberPair, GapTooSmall, IntervalWrap)
-from flagdim.flagcore import (Flag, LinearMap, act_flag, fiber_coordinate,
-                              partial_flag)
+from flagdim.flagcore import (Flag, LinearMap, act_flag, det2,
+                              fiber_coordinate, fiber_map_image, partial_flag)
 
 from conftest import random_invertible
 from iso_reference import iso3_exponents
+from line_walk_reference import stepwise_line_coordinates
 from stable_line_reference import oseledets_stable_line
 
 
@@ -602,6 +604,81 @@ def test_trace_arrays_match_per_step_objects(spec, i):
         assert (hi - lo) == pytest.approx(float(arcs.length[r]), rel=1e-10)
 
 
+def stepwise_stable_coordinates(trace, lookahead):
+    """The backward pass forming each step's adjugate solve at that step;
+    returns (times, y, resolution) as ``stable_coordinates`` does."""
+    count, n_maps = trace.maps.shape[:2]
+    anchor_k = n_maps - lookahead
+    pair = np.broadcast_to(np.eye(2), (count, 2, 2))
+    kept = np.empty((count, anchor_k + 1, 2, 2))
+    if anchor_k == n_maps:
+        kept[:, anchor_k] = pair
+    for k in range(n_maps - 1, -1, -1):
+        (a, b), (c, d) = np.moveaxis(trace.maps[:, k], 0, -1)
+        adjugate = np.stack([np.stack([d, -b], axis=-1),
+                             np.stack([-c, a], axis=-1)], axis=-2)
+        pair = adjugate / det2(trace.maps[:, k])[:, None, None] @ pair
+        pair = pair / np.linalg.norm(pair, axis=-2, keepdims=True)
+        if k <= anchor_k:
+            kept[:, k] = pair
+    angles = circle.wrap(np.arctan2(kept[..., 1, :], kept[..., 0, :]))
+    resolution = circle.distance(angles[:, anchor_k, 0], angles[:, anchor_k, 1])
+    return trace.times[: anchor_k + 1], angles[..., 0], resolution
+
+
+def stepwise_pull_forward(trace, arc, t):
+    """``pull_forward`` with each step's determinants and condition numbers
+    formed at that step and one ``_map_offsets`` call per arc end; also
+    returns the largest cond(B) |offset| met, which cuts offsets into
+    pieces from 1 on."""
+    starts = np.array([trace.index(s) for s in np.ravel(t)])
+    anchor, lo, hi = (np.array(np.broadcast_to(v, np.shape(arc.anchor)),
+                               dtype=float).reshape(len(trace.maps), -1)
+                      for v in (arc.anchor, arc.lo, arc.hi))
+    widest = 0.0
+    for step in range(int(starts.min()), trace.index(0)):
+        live = starts <= step
+        b = trace.maps[:, step, None]
+        det, cond = det2(b), dynamics._cond2(b)
+        a, low, high = anchor[:, live], lo[:, live], hi[:, live]
+        d1 = dynamics._map_offsets(b, a, low, det, cond)
+        d2 = dynamics._map_offsets(b, a, high, det, cond)
+        widest = max(widest, float(np.max(cond * np.maximum(-low, high))))
+        anchor[:, live] = fiber_map_image(b, a)
+        lo[:, live], hi[:, live] = np.minimum(d1, d2), np.maximum(d1, d2)
+    shape = np.shape(arc.anchor)
+    return (Arc(anchor=anchor.reshape(shape), lo=lo.reshape(shape),
+                hi=hi.reshape(shape)), widest)
+
+
+@pytest.mark.parametrize("spec, i", [(bern2(), 1), (diag3eps(), 1),
+                                     (diag3eps(), 2)],
+                         ids=["bern2", "diag3eps-1", "diag3eps-2"])
+def test_hoisted_backward_pass_and_pushes_equal_stepwise(spec, i):
+    # the window's inverses formed at once, and both arc ends pushed in
+    # one pass with the window's determinants and condition numbers formed
+    # once, do per element the arithmetic of the stepwise loops: equal
+    # bit for bit, also where long arcs are cut into several pieces
+    n, lookahead = 60, 200
+    trace = stationary_orbit(spec, i, n + lookahead, 100,
+                             [SeededSampler(28, (r,)) for r in range(5)],
+                             t_end=lookahead)
+    got = stable_coordinates(trace, lookahead=lookahead)
+    want = stepwise_stable_coordinates(trace, lookahead)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    y = got[1]
+    grid = np.array([3, 10, 25, 60])
+    arcs = stationary_interval(trace, -grid, y[:, [trace.index(-m) for m in grid]])
+    one = stationary_interval(trace, -n, y[:, trace.index(-n)])
+    for arc, t in ((arcs, -grid), (one, -n)):
+        pushed = dynamics.pull_forward(trace, arc, t)
+        reference, widest = stepwise_pull_forward(trace, arc, t)
+        assert widest >= 2.0   # some offsets took three pieces or more
+        for f in ("anchor", "lo", "hi"):
+            assert np.array_equal(getattr(pushed, f), getattr(reference, f))
+
+
 def test_decay_slope_stderr_is_the_replica_spread():
     # least squares is linear in the data, so the mean of the replicas'
     # slopes is the slope of their mean curve; the stderr is their spread
@@ -622,21 +699,33 @@ def test_decay_slope_stderr_is_the_replica_spread():
 @pytest.mark.parametrize("stretch", [0.8, 2.683, 3.0])
 def test_line_coordinates_match_stepwise_orbit(stretch):
     # runs over PRODUCT_COND_CAP apply every step on their own, while the
-    # other runs (all products of 3 or 4 steps) are folded; all must
-    # match a plain renormalized orbit
+    # other runs (all products of 3 or 4 steps) are folded; the chunked
+    # walk over them must match the plain walk one matrix at a time
     spec = strong2(stretch=stretch)
     mats = sample_batch(spec, SeededSampler(26), 1200)
-    v = np.array([1.0, 0.0])
-    orbit = []
-    for a in mats:
-        v = a @ v
-        v /= np.linalg.norm(v)
-        orbit.append(circle.wrap(np.arctan2(v[1], v[0])))
-    for start, every in ((1001, 5), (1000, 3), (7, 1), (1200, 4)):
-        got = line_coordinates(mats, start, every)
-        want = np.array(orbit[start - 1::every])
-        assert len(got) == len(want)
+    # start % every != 0; a read every step; one read at the last step;
+    # orbits shorter than one chunk of products
+    for n, start, every in ((1200, 1001, 5), (1200, 1000, 3), (1200, 7, 1),
+                            (1200, 1200, 4), (1200, 3, 5), (90, 4, 3),
+                            (LINE_CHUNK - 1, 1, 1)):
+        got = line_coordinates(mats[:n], start, every)
+        want = stepwise_line_coordinates(mats[:n], start, every)
+        assert len(got) == len(want) > 0
         assert np.max(circle.distance(got, want)) < 1e-12
+    # a stream of more products than one walk holds, cut into blocks at
+    # different places: the same read, bit for bit, matching the plain walk
+    n = LINE_FLUSH + 3 * LINE_CHUNK + 5
+    mats = sample_batch(spec, SeededSampler(29), n)
+    want = stepwise_line_coordinates(mats, 2, 1)
+    once = line_coordinates(mats, 2, 1)
+    assert len(once) == len(want)
+    assert np.max(circle.distance(once, want)) < 1e-12
+    for cuts in ([LINE_FLUSH], [LINE_FLUSH - 1, LINE_FLUSH + 1],
+                 list(range(977, n, 977)), [LINE_CHUNK, 5 * LINE_CHUNK + 3]):
+        edges = [0] + cuts + [n]
+        cut = line_coordinates([mats[a:b] for a, b in zip(edges, edges[1:])],
+                               2, 1)
+        assert np.array_equal(cut, once)
 
 
 @pytest.mark.parametrize("stretch", [0.8, 2.683, 3.0])

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from flagdim import circle, harness
+from flagdim import circle, entropy, harness, measures
 from flagdim.ensemble import SeededSampler, bern2, diag3eps, finite_support, rot2
-from flagdim.entropy import (conditional_fiber_sample,
+from flagdim.entropy import (THINNING, conditional_fiber_sample,
                              conditional_independence_diagnostic,
                              dimension_formula_report, furstenberg_entropy_d2,
                              kappa_density_estimator, kappa_interval_estimator)
 from flagdim.errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
-                            NoAcceptedReplicas)
-from flagdim.dynamics import lyapunov_spectrum, stationary_flag_pool
+                            InsufficientMass, NoAcceptedReplicas)
+from flagdim.dynamics import (draw_blocks, line_coordinates,
+                              lyapunov_spectrum, stationary_flag_pool)
+from flagdim.measures import (EmpiricalCircleMeasure, ball_mass,
+                              default_radius_grid, local_dimension,
+                              local_slopes)
 
 
 def test_rot2_density_kappa_zero():
@@ -220,3 +224,61 @@ def test_dimension_report_bern2_smoke():
     assert rep.mean_slope > 0
     assert rep.relative_error < 0.5
     assert rep.n_points > 40
+
+
+def per_point_slopes(measure, rng, base_points):
+    """The report's fits one ``local_dimension`` call per point: the slopes
+    in draw order and the count of InsufficientMass skips."""
+    slopes, skipped = [], 0
+    for k in rng.choice(len(measure.points),
+                        size=min(base_points, len(measure.points)),
+                        replace=False):
+        try:
+            slopes.append(local_dimension(measure, float(measure.points[k])).slope)
+        except InsufficientMass:
+            skipped += 1
+    return np.asarray(slopes), skipped
+
+
+def test_batched_slope_fits_match_local_dimension():
+    # bern2's measure as the d = 2 report builds it at the default budget
+    n = 100_000
+    stationary = EmpiricalCircleMeasure.from_samples(line_coordinates(
+        draw_blocks(bern2(), SeededSampler(500), 1, 1000 + n * THINNING),
+        1001, THINNING))
+    assert len(stationary) == n
+    rng = np.random.default_rng(42)
+    # an atom of weight 0.95 alone in every ball around it, and a thin rest
+    atom = EmpiricalCircleMeasure.from_samples(np.concatenate(
+        [np.full(950, 0.3), rng.uniform(1.5, 2.5, 50)]))
+    # so few points that most levels fall under the mass floor
+    small = EmpiricalCircleMeasure.from_samples(rng.uniform(0, np.pi, 30))
+    near_ends = np.concatenate([stationary.points[:100],
+                                stationary.points[-100:]])
+    assert np.all(circle.distance(near_ends, 0.0) < np.pi / 8)
+    grid = default_radius_grid()
+    fits = flat = refused = 0
+    for m, x in ((stationary, stationary.points[rng.choice(n, 200, replace=False)]),
+                 (stationary, near_ends),
+                 (atom, atom.points[945:]), (small, small.points)):
+        masses = measures._ball_masses(m, x, grid)
+        slopes = local_slopes(m, x)
+        for p, point in enumerate(x):
+            assert np.array_equal(masses[p], ball_mass(m, point, grid))
+            try:
+                want = local_dimension(m, point).slope
+            except InsufficientMass:
+                assert np.isnan(slopes[p])
+                refused += 1
+                continue
+            assert abs(slopes[p] - want) < 1e-12
+            fits += 1
+            flat += slopes[p] == 0.0
+    assert fits > 400 and flat >= 1 and refused >= 30
+    # the report's draw: the same points, slopes and skip count
+    for m in (stationary, atom, small):
+        got, skipped = entropy._slope_distribution(m, SeededSampler(43).rng, 200)
+        want, want_skipped = per_point_slopes(m, SeededSampler(43).rng, 200)
+        assert skipped == want_skipped
+        assert len(got) == len(want)
+        assert np.max(np.abs(got - want), initial=0.0) < 1e-12

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import importlib
 import importlib.util
@@ -6,8 +7,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from flagdim import entropy, harness
+from flagdim import dynamics, entropy, harness
 from flagdim.dynamics import SpectrumEstimate
+from flagdim.ensemble import bern2, to_text
 from flagdim.entropy import KappaEstimate
 from flagdim.errors import BandwidthTooSmall, ConfigError, HypothesisNotMet
 
@@ -141,3 +143,31 @@ def test_traced_functions_resolve():
                if not hasattr(importlib.import_module(f"flagdim.{module}"),
                               name)]
     assert len(tracer.TRACED) > 20 and missing == []
+
+
+def test_verify_on_a_spec_file_reads_it_once(monkeypatch, tmp_path):
+    # one spec object serves every leg: the file is opened and checked
+    # once, so d cannot change between legs, and its word tables are built
+    # once
+    path = tmp_path / "onespec.txt"
+    path.write_text(to_text(dataclasses.replace(bern2(), name="onespec")))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+    tabled = []   # holds every spec tabled, so none leaves _WORD_TABLES
+    real_tables = dynamics._word_tables
+
+    def spying_tables(spec):
+        tabled.append(spec)
+        return real_tables(spec)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(dynamics, "_word_tables", spying_tables)
+    cfg = harness.load_config(None, dict(TINY, ensemble=str(path)), environ={})
+    harness.run_verify(cfg)
+    assert len(opened) == 1
+    assert len({id(spec) for spec in tabled}) == 1
+    assert [s.name for s in dynamics._WORD_TABLES].count("onespec") == 1
