@@ -528,10 +528,13 @@ def _chunk_walk(steps, v):
 
     The steps go in chunks of LINE_CHUNK, the last one padded with
     identities.  The prefix products of every chunk are formed at once,
-    each rescaled to unit Frobenius norm as it is formed; one Python step
-    per chunk carries v across the chunk's end.  Each angle is the atan2
-    of a prefix applied to its chunk's start vector.  Returns the angles
-    and the unit vector reached.
+    each rescaled to unit Frobenius norm as it is formed.  A prefix is
+    held under PRODUCT_COND_CAP, as a folded product is: a step that would
+    take it over the cap starts a new prefix instead, so a prefix applied
+    to any unit vector keeps a resolved direction.  One Python step per
+    prefix run carries v across the run's end, and each angle is the atan2
+    of a prefix applied to its run's start vector.  Returns the angles and
+    the unit vector reached.
     """
     n = len(steps)
     count = -(-n // LINE_CHUNK)
@@ -540,21 +543,30 @@ def _chunk_walk(steps, v):
     chunks[n:] = np.eye(2)
     chunks = chunks.reshape(count, LINE_CHUNK, 2, 2)
     prefix = np.empty_like(chunks)
+    fresh = np.zeros((count, LINE_CHUNK), dtype=bool)   # a run starts here
+    fresh[:, 0] = True
     p = np.broadcast_to(np.eye(2), (count, 2, 2))
     for j in range(LINE_CHUNK):
         p = chunks[:, j] @ p
+        over = _cond2(p) > PRODUCT_COND_CAP
+        if j and over.any():
+            p[over] = chunks[over, j]
+            fresh[over, j] = True
         p /= np.sqrt(np.einsum("kab,kab->k", p, p))[:, None, None]
         prefix[:, j] = p
+    prefix = prefix.reshape(-1, 2, 2)
+    fresh = fresh.reshape(-1)
+    firsts = np.flatnonzero(fresh)
     v0, v1 = v
     starts = []
-    for a, b, c, d in prefix[:, -1].reshape(-1, 4).tolist():
+    for a, b, c, d in prefix[np.append(firsts[1:], len(fresh)) - 1].reshape(-1, 4).tolist():
         starts.append((v0, v1))
         v0, v1 = a * v0 + b * v1, c * v0 + d * v1
         norm = math.hypot(v0, v1)
         v0 /= norm
         v1 /= norm
-    w = np.einsum("kjab,kb->kja", prefix, np.array(starts))
-    return np.arctan2(w[..., 1], w[..., 0]).reshape(-1)[:n], (v0, v1)
+    w = np.einsum("nab,nb->na", prefix, np.array(starts)[np.cumsum(fresh) - 1])
+    return np.arctan2(w[:n, 1], w[:n, 0]), (v0, v1)
 
 
 def line_coordinates(mats, start, every):
@@ -572,10 +584,10 @@ def line_coordinates(mats, start, every):
     act one at a time (see ``_line_steps``).  The products and lone steps
     are walked LINE_FLUSH at a time in chunks of LINE_CHUNK (see
     ``_chunk_walk``): the direction is renormalized in Python floats once
-    per chunk, not once per product, and the chunk's prefix products carry
-    it to every read inside the chunk.  Blocks are folded as they come and
-    at most LINE_FLUSH products are held, so a stream needs memory for
-    about one block.
+    per chunk, not once per product, and the chunk's prefix products, held
+    under PRODUCT_COND_CAP, carry it to every read inside the chunk.
+    Blocks are folded as they come and at most LINE_FLUSH products are
+    held, so a stream needs memory for about one block.
     """
     if not (start >= 1 and every >= 1):
         raise ValueError(f"cannot read after {start} steps, every {every}")
@@ -840,6 +852,7 @@ def _map_offsets(b, anchor, delta, det, cond):
     pieces = np.where(span < 1.0, 1.0, np.ceil(span) + 1.0)
     sub = delta / pieces
     c, s = np.cos(sub), np.sin(sub)
+    sdet = s * det
     total = np.zeros(np.broadcast(anchor, sub).shape)
     theta = anchor
     b00, b01, b10, b11 = (b[..., j, k] for j in (0, 1) for k in (0, 1))
@@ -848,7 +861,7 @@ def _map_offsets(b, anchor, delta, det, cond):
         cos, sin = np.cos(theta), np.sin(theta)
         p, q = b00 * cos + b01 * sin, b10 * cos + b11 * sin
         pp, qp = b01 * cos - b00 * sin, b11 * cos - b10 * sin
-        term = np.arctan2(s * det, c * (p * p + q * q) + s * (p * pp + q * qp))
+        term = np.arctan2(sdet, c * (p * p + q * q) + s * (p * pp + q * qp))
         total = total + np.where(m < pieces, term, 0.0)
         theta = theta + sub
     return total

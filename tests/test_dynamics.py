@@ -728,6 +728,17 @@ def test_line_coordinates_match_stepwise_orbit(stretch):
         assert np.array_equal(cut, once)
 
 
+def test_line_walk_holds_prefixes_under_the_cap():
+    # e_1 spans a line every step contracts by 1e-6 against the other: a
+    # chunk's prefix product would lose it below the rounding of the
+    # expanding line, so prefixes past PRODUCT_COND_CAP start afresh
+    mats = np.tile(np.diag([1e-3, 1e3]), (3 * LINE_CHUNK, 1, 1))
+    for start, every in ((1, 1), (2, 3)):
+        got = line_coordinates(mats, start, every)
+        assert np.array_equal(got, stepwise_line_coordinates(mats, start, every))
+        assert np.array_equal(got, np.zeros(len(got)))
+
+
 @pytest.mark.parametrize("stretch", [0.8, 2.683, 3.0])
 def test_streamed_line_read_equals_one_shot(stretch):
     # the read must not depend on where the stream is cut, also where
