@@ -76,6 +76,7 @@ DECAY_STABLE_TOL = 1e-2   # stable-line resolution a decay replica must reach
 _TIME_BLOCK = 128         # times per block when a trace derives its frames
 LINE_CHUNK = 64           # d = 2 line walk: products per chunk of prefixes
 LINE_FLUSH = 16_384       # d = 2 line walk: products walked at once
+PIECE_BLOCK = 8           # arc offset pieces pushed through a map at once
 
 
 def batched_orthonormalize(mats):
@@ -545,14 +546,19 @@ def _chunk_walk(steps, v):
     prefix = np.empty_like(chunks)
     fresh = np.zeros((count, LINE_CHUNK), dtype=bool)   # a run starts here
     fresh[:, 0] = True
+    # cond(P) > PRODUCT_COND_CAP exactly when |det P| / |P|_F^2, which is
+    # r / (1 + r^2) for r = sigma_2 / sigma_1, falls under this floor
+    floor = PRODUCT_COND_CAP / (1.0 + PRODUCT_COND_CAP ** 2)
     p = np.broadcast_to(np.eye(2), (count, 2, 2))
     for j in range(LINE_CHUNK):
         p = chunks[:, j] @ p
-        over = _cond2(p) > PRODUCT_COND_CAP
+        size = np.einsum("kab,kab->k", p, p)
+        over = np.abs(det2(p)) < floor * size
         if j and over.any():
             p[over] = chunks[over, j]
+            size[over] = np.einsum("kab,kab->k", p[over], p[over])
             fresh[over, j] = True
-        p /= np.sqrt(np.einsum("kab,kab->k", p, p))[:, None, None]
+        p /= np.sqrt(size)[:, None, None]
         prefix[:, j] = p
     prefix = prefix.reshape(-1, 2, 2)
     fresh = fresh.reshape(-1)
@@ -773,7 +779,7 @@ def stable_coordinates(trace, lookahead):
         inverse /= det2(steps)[..., None, None]
         for k in range(top - 1, bottom - 1, -1):
             pair = inverse[k - bottom] @ pair
-            pair = pair / np.linalg.norm(pair, axis=-2, keepdims=True)
+            pair = pair / np.sqrt(np.sum(pair * pair, axis=-2, keepdims=True))
             if k <= anchor_k:
                 kept[:, k] = pair
     angles = circle.wrap(np.arctan2(kept[..., 1, :], kept[..., 0, :]))
@@ -853,17 +859,28 @@ def _map_offsets(b, anchor, delta, det, cond):
     sub = delta / pieces
     c, s = np.cos(sub), np.sin(sub)
     sdet = s * det
-    total = np.zeros(np.broadcast(anchor, sub).shape)
-    theta = anchor
+    shape = np.broadcast(anchor, sub).shape
+    total = np.zeros(shape)
+    theta = np.broadcast_to(anchor, shape)
     b00, b01, b10, b11 = (b[..., j, k] for j in (0, 1) for k in (0, 1))
-    for m in range(int(np.max(pieces, initial=1.0))):
+    count = int(np.max(pieces, initial=1.0))
+    # up to PIECE_BLOCK pieces at once: their start angles by a running
+    # sum, the same additions one piece at a time would make
+    for first in range(0, count, PIECE_BLOCK):
+        m = np.arange(first, min(first + PIECE_BLOCK, count))
+        thetas = np.empty((len(m),) + shape)
+        thetas[0] = theta
+        thetas[1:] = sub
+        np.cumsum(thetas, axis=0, out=thetas)
         # B u and B u_perp for u = (cos theta, sin theta), u_perp = (-sin, cos)
-        cos, sin = np.cos(theta), np.sin(theta)
+        cos, sin = np.cos(thetas), np.sin(thetas)
         p, q = b00 * cos + b01 * sin, b10 * cos + b11 * sin
         pp, qp = b01 * cos - b00 * sin, b11 * cos - b10 * sin
-        term = np.arctan2(sdet, c * (p * p + q * q) + s * (p * pp + q * qp))
-        total = total + np.where(m < pieces, term, 0.0)
-        theta = theta + sub
+        terms = np.arctan2(sdet, c * (p * p + q * q) + s * (p * pp + q * qp))
+        terms = np.where(m.reshape((-1,) + (1,) * len(shape)) < pieces, terms, 0.0)
+        for term in terms:
+            total = total + term
+        theta = thetas[-1] + sub
     return total
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from flagdim import circle, dynamics, harness
 from flagdim.dynamics import (DRAW_BLOCK, FOLD_COND_CAP, FOLD_STEPS,
-                              LINE_CHUNK, LINE_FLUSH, WORD_FOLD_STEPS,
-                              WORD_TABLE, Arc,
+                              LINE_CHUNK, LINE_FLUSH, PIECE_BLOCK,
+                              WORD_FOLD_STEPS, WORD_TABLE, Arc,
                               advance, batched_orthonormalize, burn_in,
                               circle_map_between, draw_blocks, evolve_flags,
                               forward_orbit, interval_decay_curve,
@@ -626,11 +626,32 @@ def stepwise_stable_coordinates(trace, lookahead):
     return trace.times[: anchor_k + 1], angles[..., 0], resolution
 
 
+def piecewise_map_offsets(b, anchor, delta):
+    """``CircleMap.map_offset`` over broadcast stacks, one piece at a time:
+    the images T(anchor + delta) - T(anchor) and the largest cond(B)
+    |delta|, from which offsets are cut into pieces."""
+    det, span = det2(b), np.abs(delta) * dynamics._cond2(b)
+    pieces = np.where(span < 1.0, 1.0, np.ceil(span) + 1.0)
+    sub = delta / pieces
+    c, s = np.cos(sub), np.sin(sub)
+    total = np.zeros(np.broadcast(anchor, sub).shape)
+    theta = anchor
+    for m in range(int(np.max(pieces, initial=1.0))):
+        u = circle.unit_vector(theta)
+        bu = np.einsum("...ij,...j->...i", b, u)
+        bup = np.einsum("...ij,...j->...i", b,
+                        np.stack([-u[..., 1], u[..., 0]], axis=-1))
+        term = np.arctan2(s * det, c * np.sum(bu * bu, axis=-1)
+                          + s * np.sum(bu * bup, axis=-1))
+        total = total + np.where(m < pieces, term, 0.0)
+        theta = theta + sub
+    return total, float(np.max(span, initial=0.0))
+
+
 def stepwise_pull_forward(trace, arc, t):
-    """``pull_forward`` with each step's determinants and condition numbers
-    formed at that step and one ``_map_offsets`` call per arc end; also
-    returns the largest cond(B) |offset| met, which cuts offsets into
-    pieces from 1 on."""
+    """``pull_forward`` with each step's maps read at that step and each
+    arc end pushed on its own, one piece at a time; also returns the
+    largest cond(B) |offset| met."""
     starts = np.array([trace.index(s) for s in np.ravel(t)])
     anchor, lo, hi = (np.array(np.broadcast_to(v, np.shape(arc.anchor)),
                                dtype=float).reshape(len(trace.maps), -1)
@@ -639,11 +660,10 @@ def stepwise_pull_forward(trace, arc, t):
     for step in range(int(starts.min()), trace.index(0)):
         live = starts <= step
         b = trace.maps[:, step, None]
-        det, cond = det2(b), dynamics._cond2(b)
-        a, low, high = anchor[:, live], lo[:, live], hi[:, live]
-        d1 = dynamics._map_offsets(b, a, low, det, cond)
-        d2 = dynamics._map_offsets(b, a, high, det, cond)
-        widest = max(widest, float(np.max(cond * np.maximum(-low, high))))
+        a = anchor[:, live]
+        d1, span1 = piecewise_map_offsets(b, a, lo[:, live])
+        d2, span2 = piecewise_map_offsets(b, a, hi[:, live])
+        widest = max(widest, span1, span2)
         anchor[:, live] = fiber_map_image(b, a)
         lo[:, live], hi[:, live] = np.minimum(d1, d2), np.maximum(d1, d2)
     shape = np.shape(arc.anchor)
@@ -651,14 +671,18 @@ def stepwise_pull_forward(trace, arc, t):
                 hi=hi.reshape(shape)), widest)
 
 
-@pytest.mark.parametrize("spec, i", [(bern2(), 1), (diag3eps(), 1),
-                                     (diag3eps(), 2)],
-                         ids=["bern2", "diag3eps-1", "diag3eps-2"])
-def test_hoisted_backward_pass_and_pushes_equal_stepwise(spec, i):
-    # the window's inverses formed at once, and both arc ends pushed in
-    # one pass with the window's determinants and condition numbers formed
-    # once, do per element the arithmetic of the stepwise loops: equal
-    # bit for bit, also where long arcs are cut into several pieces
+# cond(B) |offset| >= 2 cuts an offset into three pieces or more; strong2
+# at stretch 2 cuts some into more than one block of PIECE_BLOCK pieces
+@pytest.mark.parametrize("spec, i, widest_at_least", [
+    (bern2(), 1, 2.0), (diag3eps(), 1, 2.0), (diag3eps(), 2, 2.0),
+    (strong2(stretch=2.0), 1, 2.0 * PIECE_BLOCK)],
+    ids=["bern2", "diag3eps-1", "diag3eps-2", "strong2"])
+def test_hoisted_backward_pass_and_pushes_equal_stepwise(spec, i,
+                                                         widest_at_least):
+    # the inverses formed a block of steps at once, and both arc ends
+    # pushed in one pass, PIECE_BLOCK pieces at a time, with the window's
+    # determinants and condition numbers formed once, do per element the
+    # arithmetic of the stepwise loops: equal bit for bit
     n, lookahead = 60, 200
     trace = stationary_orbit(spec, i, n + lookahead, 100,
                              [SeededSampler(28, (r,)) for r in range(5)],
@@ -674,7 +698,7 @@ def test_hoisted_backward_pass_and_pushes_equal_stepwise(spec, i):
     for arc, t in ((arcs, -grid), (one, -n)):
         pushed = dynamics.pull_forward(trace, arc, t)
         reference, widest = stepwise_pull_forward(trace, arc, t)
-        assert widest >= 2.0   # some offsets took three pieces or more
+        assert widest >= widest_at_least
         for f in ("anchor", "lo", "hi"):
             assert np.array_equal(getattr(pushed, f), getattr(reference, f))
 
