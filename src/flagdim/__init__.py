@@ -17,8 +17,8 @@ sampling, and ``harness``/``cli`` the reproducible experiment runner.
 from . import circle
 from .dynamics import (Arc, OrbitTrace, SpectrumEstimate, forward_orbit,
                        interval_decay_curve, interval_pullforward,
-                       line_coordinates, lyapunov_spectrum, pull_forward,
-                       push_arc, stable_coordinates, stationary_interval,
+                       lyapunov_spectrum, pull_forward, push_arc,
+                       stable_coordinates, stationary_interval,
                        stationary_orbit)
 from .ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler, bern2,
                        diag3eps, finite_support, from_text, rot2,

@@ -31,12 +31,13 @@ the fiber coordinates (R, T+1).  The stable-line pass and the interval
 pushes then run over every replica at once, with each step's inverse,
 determinant and condition number formed for many steps in one vectorized
 pass before their loops; per-step Flag, PartialFlag and CircleMap objects
-are built only on demand, for checking one step.  A d = 2 orbit that
-needs nothing but its coordinates runs through ``line_coordinates`` and
-forms no basis at all: it folds runs of steps into 2x2 products and
-walks them in chunks, forming each chunk's prefix products at once, so
-Python renormalizes the direction once per chunk of LINE_CHUNK products
-rather than once per product.
+are built only on demand, for checking one step.  A d = 2 sample of the
+stationary measure needs nothing but the line of each flag:
+``stationary_lines`` runs leading columns (R, 2, 1) from e_1 through
+``evolve_flags`` and reads their angles after a burn-in and again every
+THINNING steps.  The sample is read off independent replicas, not off
+one orbit: on bern2, cos 4 theta has autocorrelation -0.64 at lag 5
+along one orbit, so the points of one thinned orbit sample nu poorly.
 
 Composed circle maps are never formed as long matrix products in the
 interval pushes.  Intervals are carried as an anchor plus two signed
@@ -60,7 +61,6 @@ from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
                        completion_frames, det2, fiber_coordinates,
                        fiber_map_image)
 
-PRODUCT_COND_CAP = 1e10   # stop extending singular products past this
 # Cap on the condition number of a product folded before one QR step:
 # its rounding and the Gram-Schmidt loss of orthogonality grow like
 # eps * cond(P) = 2e-12 at the cap, far below ORTHO_TOL.  The matrix path
@@ -74,9 +74,8 @@ WORD_TABLE = 256          # products per word table at most (K^h <= this)
 DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
 DECAY_STABLE_TOL = 1e-2   # stable-line resolution a decay replica must reach
 _TIME_BLOCK = 128         # times per block when a trace derives its frames
-LINE_CHUNK = 64           # d = 2 line walk: products per chunk of prefixes
-LINE_FLUSH = 16_384       # d = 2 line walk: products walked at once
 PIECE_BLOCK = 8           # arc offset pieces pushed through a map at once
+THINNING = 5              # d = 2 stationary sample: steps between reads
 
 
 def batched_orthonormalize(mats):
@@ -353,6 +352,26 @@ def stationary_flag_pool(spec, count, burnin, sampler):
     return evolve_flags(spec, start, burnin, sampler)[0]
 
 
+def stationary_lines(spec, replicas, burnin, count, sampler):
+    """``count`` angles of d = 2 lines, approximate draws from nu.
+
+    ``replicas`` leading columns (R, 2, 1) start at e_1 and run ``burnin``
+    steps through ``evolve_flags``; their fiber coordinates are read then,
+    and again every THINNING steps, until ``count`` angles are held (the
+    last read cut short).  Reads of one replica are correlated, reads of
+    different replicas independent.  Only the angles are kept.
+    """
+    start = np.zeros((replicas, 2, 1))
+    start[:, 0, 0] = 1.0
+    # the fiber plane of d = 2 is the whole plane, framed by e_1, e_2
+    lines, _ = evolve_flags(spec, start, burnin, sampler)
+    reads = [fiber_coordinates(lines, np.eye(2), 1)]
+    for _ in range(1, -(-count // replicas)):
+        lines, _ = evolve_flags(spec, lines, THINNING, sampler)
+        reads.append(fiber_coordinates(lines, np.eye(2), 1))
+    return np.concatenate(reads)[:count]
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumEstimate:
     chi: np.ndarray
@@ -462,158 +481,6 @@ def _cond2(b):
         return (f + disc) / (2 * det)
 
 
-def _line_steps(blocks, head, every):
-    """The steps of a d = 2 line walk, block by block, with the steps read.
-
-    Yields (steps (n, 2, 2), read (n,)).  The first ``head`` matrices act
-    one at a time and the last of them is read; after them each run of
-    ``every`` matrices is folded into one 2x2 product, which is read, when
-    its condition number is at most PRODUCT_COND_CAP, and otherwise its
-    matrices act one at a time and the last of them is read.  A run is
-    folded when its last matrix arrives, so the steps do not depend on
-    where the blocks are cut.
-    """
-    pending = np.empty((0, 2, 2))
-    for block in blocks:
-        block = np.asarray(block, dtype=float).reshape(-1, 2, 2)
-        pending = np.concatenate([pending, block]) if len(pending) else block
-        if head:
-            k = min(head, len(pending))
-            head -= k
-            read = np.zeros(k, dtype=bool)
-            read[-1] = head == 0
-            yield pending[:k], read
-            pending = pending[k:]
-        runs = len(pending) // every
-        if not runs:
-            continue
-        body = pending[: runs * every].reshape(runs, every, 2, 2)
-        pending = pending[runs * every:]
-        folded = body[:, 0]
-        for m in range(1, every):
-            folded = body[:, m] @ folded
-        ok = _cond2(folded) <= PRODUCT_COND_CAP
-        if ok.all():
-            yield folded, np.ones(runs, dtype=bool)
-            continue
-        steps = np.concatenate(
-            [folded[f: f + 1] if ok[f] else body[f] for f in range(runs)])
-        read = np.zeros(len(steps), dtype=bool)
-        read[np.cumsum(np.where(ok, 1, every)) - 1] = True
-        yield steps, read
-
-
-def _rebuffered(pieces, size):
-    """(steps, read) pieces regrouped into pieces of ``size`` steps.
-
-    The last piece holds what is left, so where the input is cut does not
-    move where the output is cut.
-    """
-    held, count = [], 0
-    for piece in pieces:
-        held.append(piece)
-        count += len(piece[0])
-        if count < size:
-            continue
-        steps, read = (np.concatenate(part) for part in zip(*held))
-        whole = count // size * size
-        for lo in range(0, whole, size):
-            yield steps[lo: lo + size], read[lo: lo + size]
-        held, count = [(steps[whole:], read[whole:])], count - whole
-    if count:
-        yield tuple(np.concatenate(part) for part in zip(*held))
-
-
-def _chunk_walk(steps, v):
-    """Angles of the unit vector v pushed through steps (n, 2, 2), in order.
-
-    The steps go in chunks of LINE_CHUNK, the last one padded with
-    identities.  The prefix products of every chunk are formed at once,
-    each rescaled to unit Frobenius norm as it is formed.  A prefix is
-    held under PRODUCT_COND_CAP, as a folded product is: a step that would
-    take it over the cap starts a new prefix instead, so a prefix applied
-    to any unit vector keeps a resolved direction.  One Python step per
-    prefix run carries v across the run's end, and each angle is the atan2
-    of a prefix applied to its run's start vector.  Returns the angles and
-    the unit vector reached.
-    """
-    n = len(steps)
-    count = -(-n // LINE_CHUNK)
-    chunks = np.empty((count * LINE_CHUNK, 2, 2))
-    chunks[:n] = steps
-    chunks[n:] = np.eye(2)
-    chunks = chunks.reshape(count, LINE_CHUNK, 2, 2)
-    prefix = np.empty_like(chunks)
-    fresh = np.zeros((count, LINE_CHUNK), dtype=bool)   # a run starts here
-    fresh[:, 0] = True
-    # cond(P) > PRODUCT_COND_CAP exactly when |det P| / |P|_F^2, which is
-    # r / (1 + r^2) for r = sigma_2 / sigma_1, falls under this floor
-    floor = PRODUCT_COND_CAP / (1.0 + PRODUCT_COND_CAP ** 2)
-    p = np.broadcast_to(np.eye(2), (count, 2, 2))
-    for j in range(LINE_CHUNK):
-        p = chunks[:, j] @ p
-        size = np.einsum("kab,kab->k", p, p)
-        over = np.abs(det2(p)) < floor * size
-        if j and over.any():
-            p[over] = chunks[over, j]
-            size[over] = np.einsum("kab,kab->k", p[over], p[over])
-            fresh[over, j] = True
-        p /= np.sqrt(size)[:, None, None]
-        prefix[:, j] = p
-    prefix = prefix.reshape(-1, 2, 2)
-    fresh = fresh.reshape(-1)
-    firsts = np.flatnonzero(fresh)
-    v0, v1 = v
-    starts = []
-    for a, b, c, d in prefix[np.append(firsts[1:], len(fresh)) - 1].reshape(-1, 4).tolist():
-        starts.append((v0, v1))
-        v0, v1 = a * v0 + b * v1, c * v0 + d * v1
-        norm = math.hypot(v0, v1)
-        v0 /= norm
-        v1 /= norm
-    w = np.einsum("nab,nb->na", prefix, np.array(starts)[np.cumsum(fresh) - 1])
-    return np.arctan2(w[:n, 1], w[:n, 0]), (v0, v1)
-
-
-def line_coordinates(mats, start, every):
-    """Coordinates of the line R e_1 of a d = 2 orbit under ``mats``.
-
-    ``mats`` is an (N, 2, 2) array, or an iterable of such arrays holding
-    the orbit's matrices in order (such as ``draw_blocks`` with n = 1);
-    the coordinates do not depend on where the blocks are cut.  Read after
-    ``start`` steps and then after every ``every`` steps while matrices
-    last.  A d = 2 fiber coordinate is the angle of the flag's line, and
-    the line follows v -> A v / |A v|, so no basis, frame or QR step is
-    formed.  The first start % every steps act one at a time; after them
-    each run of ``every`` steps is folded into one 2x2 product when its
-    condition number is at most PRODUCT_COND_CAP, and otherwise its steps
-    act one at a time (see ``_line_steps``).  The products and lone steps
-    are walked LINE_FLUSH at a time in chunks of LINE_CHUNK (see
-    ``_chunk_walk``): the direction is renormalized in Python floats once
-    per chunk, not once per product, and the chunk's prefix products, held
-    under PRODUCT_COND_CAP, carry it to every read inside the chunk.
-    Blocks are folded as they come and at most LINE_FLUSH products are
-    held, so a stream needs memory for about one block.
-    """
-    if not (start >= 1 and every >= 1):
-        raise ValueError(f"cannot read after {start} steps, every {every}")
-    blocks = mats
-    if isinstance(mats, np.ndarray):
-        blocks = (mats[lo: lo + DRAW_BLOCK] for lo in range(0, len(mats), DRAW_BLOCK))
-    head = start % every
-    v = (1.0, 0.0)
-    reads = [np.empty(0)]
-    for steps, read in _rebuffered(_line_steps(blocks, head, every), LINE_FLUSH):
-        angles, v = _chunk_walk(steps, v)
-        reads.append(angles[read])
-    # drop the reads before step ``start``: the head's and the first runs'
-    reads = np.concatenate(reads)[start // every - (head == 0):]
-    if not len(reads):
-        raise ValueError(f"cannot read after {start} steps, every {every}: "
-                         "the orbit is shorter")
-    return circle.wrap(reads)
-
-
 def circle_map_between(a_entries, src, dst):
     """CircleMap of a matrix between two already-built partial flags."""
     su, sw = src.frame
@@ -631,8 +498,7 @@ class OrbitTrace:
     matrices[r, k] maps it to bases[r, k+1]; frames[r, k] holds the
     completion frame (u, w) of its fiber plane as columns; maps[r, k] is
     the induced fiber map between consecutive frames; x[r, k] is the fiber
-    coordinate of the flag's own i-dimensional subspace; log_r[r, k] holds
-    the step's log determinant increments.
+    coordinate of the flag's own i-dimensional subspace.
     """
 
     fiber_index: int
@@ -642,7 +508,6 @@ class OrbitTrace:
     frames: np.ndarray     # (R, T+1, d, 2)
     maps: np.ndarray       # (R, T, 2, 2)
     x: np.ndarray          # (R, T+1)
-    log_r: np.ndarray      # (R, T, d)
 
     def index(self, t):
         k = int(t) - int(self.times[0])
@@ -660,8 +525,7 @@ class OrbitTrace:
             return self
         return replace(self, matrices=self.matrices[rows],
                        bases=self.bases[rows], frames=self.frames[rows],
-                       maps=self.maps[rows], x=self.x[rows],
-                       log_r=self.log_r[rows])
+                       maps=self.maps[rows], x=self.x[rows])
 
     # per-step objects, built on demand to check single steps
     def flag(self, k, r=0):
@@ -697,9 +561,8 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
     mats = _draws(spec, samplers, n_steps)
     bases = np.empty((len(start), n_steps + 1, d, d))
     bases[:, 0] = start
-    log_r = np.empty((len(start), n_steps, d))
     for t in range(n_steps):
-        bases[:, t + 1], log_r[:, t] = batched_orthonormalize(mats[:, t] @ bases[:, t])
+        bases[:, t + 1] = batched_orthonormalize(mats[:, t] @ bases[:, t])[0]
     # frames and coordinates a block of times at a time, so temporaries
     # stay small next to the trace itself
     frames = np.empty((len(start), n_steps + 1, d, 2))
@@ -720,7 +583,7 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
         raise DegenerateBasis("induced fiber map is singular")
     return OrbitTrace(fiber_index=i, times=np.arange(t0, t0 + n_steps + 1),
                       matrices=mats, bases=bases, frames=frames, maps=maps,
-                      x=x, log_r=log_r)
+                      x=x)
 
 
 def stationary_orbit(spec, fiber_index, n_steps, burnin, sampler, t_end=0):

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circle
-from .dynamics import (DEGENERATE_DISTANCE, Arc, burn_in, draw_blocks,
-                       evolve_flags, forward_orbit, line_coordinates,
+from .dynamics import (DEGENERATE_DISTANCE, Arc, burn_in, forward_orbit,
                        pull_forward, push_flags, stable_coordinates,
-                       stationary_flag_pool, stationary_interval)
+                       stationary_flag_pool, stationary_interval,
+                       stationary_lines)
 from .ensemble import SeededSampler, sample_batch
 from .errors import (AtomicFiber, BandwidthTooSmall, GapTooSmall,
                      HypothesisNotMet, NoAcceptedReplicas)
@@ -55,7 +55,7 @@ ATOM_THRESHOLD = 0.5
 JACKKNIFE_GROUPS = 20
 TAIL_BURNIN = 300        # steps from the standard flag to a stationary tail flag
 EVAL_POINTS = 64         # held-out queries per orbit sample of the density route
-THINNING = 5             # d = 2 dimension orbit: steps between read points
+LINE_REPLICAS = 1000     # d = 2 dimension sample: independent replicas read
 PIN_REALIZATIONS = 6     # d >= 3 dimension fits: pinned pasts sampled
 SIGNIFICANCE = 2.0       # kappa must exceed this many stderrs for a dimension
 
@@ -386,12 +386,12 @@ def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
     stationary measure nu on the projective line itself.
 
     Stationary sample: ``tail_replicas`` independent replicas, each run
-    TAIL_BURNIN steps from the standard flag as ``stationary_flag_pool``
-    runs them.  Points of one long orbit would not do: on bern2 the
-    transfer operator has eigenvalue -0.917 on the 4 theta mode, so orbit
-    points stay correlated for tens of steps, kernels built from one part
-    of an orbit are not independent of queries taken from the rest, and
-    the estimate runs low.
+    TAIL_BURNIN steps from e_1 and read once (``stationary_lines``).
+    Points of one long orbit would not do: on bern2 the transfer operator
+    has eigenvalue -0.917 on the 4 theta mode, so orbit points stay
+    correlated for tens of steps, kernels built from one part of an orbit
+    are not independent of queries taken from the rest, and the estimate
+    runs low.
 
     Scoring: ``orbit_samples`` matrices are drawn, whatever the kind of
     ensemble, and each scores its own block of replicas, so every replica
@@ -420,12 +420,9 @@ def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
     if spec.dim != 2:
         raise ValueError("the shortcut applies to d = 2 only")
     sampler = sampler or SeededSampler(0)
-    # only the line of each flag is used, so only the leading column runs
-    start = np.zeros((tail_replicas, 2, 1))
-    start[:, 0, 0] = 1.0
-    lines, _ = evolve_flags(spec, start, TAIL_BURNIN, sampler.child(1))
-    # the fiber plane of d = 2 is the whole plane, framed by e_1, e_2
-    x = fiber_coordinates(lines, np.eye(2), 1)
+    # one read of every replica: only the line of each flag is used
+    x = stationary_lines(spec, tail_replicas, TAIL_BURNIN, tail_replicas,
+                         sampler.child(1))
     _atomic_gate(x, f"{spec.name} stationary measure")
     if not 2 <= orbit_samples <= tail_replicas:
         raise ValueError("orbit_samples must lie between 2 and tail_replicas")
@@ -604,11 +601,13 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
     batched pass per measure (``_slope_distribution``).
 
     d = 2: the fiber measure is the stationary measure itself.  The
-    slopes are fitted on ``stationary_samples`` points of one orbit, one
-    every THINNING steps after ``burnin`` + 1 steps: correlation along
-    the orbit slows the convergence of its empirical measure but does
-    not bias it.  The orbit's matrices come from ``draw_blocks`` and are
-    read a block at a time, so only one block is held.
+    slopes are fitted on ``stationary_samples`` angles read off
+    LINE_REPLICAS independent replicas (``stationary_lines``), each read
+    after ``burnin`` steps and then every THINNING steps.  Independent
+    replicas rather than one orbit: on bern2 the 4 theta mode barely
+    mixes (cos 4 theta has autocorrelation -0.64 at lag 5 along one
+    orbit), so the points of one thinned orbit sample nu poorly, while
+    reads of different replicas are independent.
 
     d >= 3: the slopes are taken on PIN_REALIZATIONS conditional samples
     (``conditional_fiber_sample`` with ``pin_length``, ``tail_replicas``
@@ -626,10 +625,9 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
         raise HypothesisNotMet(f"exponent gap at fiber {i} is not positive")
     rng = sampler.child(400, i).rng
     if spec.dim == 2:
-        blocks = draw_blocks(spec, sampler.child(500), 1,
-                             burnin + stationary_samples * THINNING)
-        measure = EmpiricalCircleMeasure.from_samples(
-            line_coordinates(blocks, burnin + 1, THINNING))
+        measure = EmpiricalCircleMeasure.from_samples(stationary_lines(
+            spec, LINE_REPLICAS, burnin, stationary_samples,
+            sampler.child(500)))
         slopes, skipped = _slope_distribution(measure, rng, base_points)
     else:
         slopes = []

@@ -54,11 +54,11 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import _svg
-from .dynamics import (interval_decay_curve, line_coordinates,
-                       lyapunov_spectrum)
+from .dynamics import (interval_decay_curve, lyapunov_spectrum,
+                       stationary_lines)
 from .ensemble import (BENCHMARKS, SeededSampler, check_spec, from_text,
-                       mean_log_abs_det, sample_batch, validate)
-from .entropy import (GapRow, conditional_fiber_sample,
+                       mean_log_abs_det, validate)
+from .entropy import (LINE_REPLICAS, GapRow, conditional_fiber_sample,
                       dimension_formula_report, furstenberg_entropy_d2,
                       kappa_density_estimator, kappa_interval_estimator)
 from .errors import (AtomicFiber, BandwidthTooSmall, ConfigError, GapTooSmall,
@@ -69,6 +69,7 @@ from .version import __version__
 SCHEMA_VERSION = 1
 ENV_PREFIX = "FLAGDIM_"
 BALL_CURVE_POINTS = 6    # sample points behind the dimension figure
+BALL_CURVE_SAMPLE = 10_000   # d = 2: stationary angles those points come from
 
 # estimators refuse rather than report under a violated hypothesis; the
 # CLI maps exactly these to exit code 2
@@ -374,11 +375,8 @@ def run_entropy(cfg, threads=1):
 def _ball_curves(cfg, spec, i, sampler):
     """Radius/mass curves behind the dimension figure (and its CSV)."""
     if spec.dim == 2:
-        # one orbit: cfg.burnin steps, then every third of 30 000 steps
-        blocks = [sample_batch(spec, sampler, cfg.burnin),
-                  sample_batch(spec, sampler, 30_000)]
-        measure = EmpiricalCircleMeasure.from_samples(
-            line_coordinates(blocks, cfg.burnin, 3))
+        measure = EmpiricalCircleMeasure.from_samples(stationary_lines(
+            spec, LINE_REPLICAS, cfg.burnin, BALL_CURVE_SAMPLE, sampler))
     else:
         measure = conditional_fiber_sample(
             spec, i, pin_length=cfg.pin_length,
@@ -388,12 +386,8 @@ def _ball_curves(cfg, spec, i, sampler):
     rng = sampler.child(1).rng
     idx = rng.choice(len(measure.points), size=BALL_CURVE_POINTS,
                      replace=False)
-    curves = []
-    for p, k in enumerate(idx):
-        x = float(measure.points[k])
-        mass = np.array([ball_mass(measure, x, r) for r in grid])
-        curves.append((i, p, grid, mass))
-    return curves
+    return [(i, p, grid, ball_mass(measure, measure.points[k], grid))
+            for p, k in enumerate(idx)]
 
 
 def _dimension_legs(cfg, spec, spectrum, kappa, sampler, threads, refusals):

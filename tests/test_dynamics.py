@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from flagdim import circle, dynamics, harness
-from flagdim.dynamics import (DRAW_BLOCK, FOLD_COND_CAP, FOLD_STEPS,
-                              LINE_CHUNK, LINE_FLUSH, PIECE_BLOCK,
-                              WORD_FOLD_STEPS, WORD_TABLE, Arc,
+from flagdim.dynamics import (FOLD_COND_CAP, FOLD_STEPS, PIECE_BLOCK,
+                              THINNING, WORD_FOLD_STEPS, WORD_TABLE, Arc,
                               advance, batched_orthonormalize, burn_in,
                               circle_map_between, draw_blocks, evolve_flags,
                               forward_orbit, interval_decay_curve,
-                              interval_pullforward, line_coordinates,
-                              lyapunov_spectrum, push_arc, push_flags,
-                              stable_coordinates, stationary_flag_pool,
-                              stationary_interval, stationary_orbit)
+                              interval_pullforward, lyapunov_spectrum,
+                              push_arc, push_flags, stable_coordinates,
+                              stationary_flag_pool, stationary_interval,
+                              stationary_lines, stationary_orbit)
 from flagdim.ensemble import (EnsembleSpec, SeededSampler, bern2, diag3eps,
                               finite_support, from_text, rot2, sample_batch,
                               to_text)
@@ -21,7 +20,6 @@ from flagdim.flagcore import (Flag, LinearMap, act_flag, det2,
 
 from conftest import random_invertible
 from iso_reference import iso3_exponents
-from line_walk_reference import stepwise_line_coordinates
 from stable_line_reference import oseledets_stable_line
 
 
@@ -718,65 +716,20 @@ def test_decay_slope_stderr_is_the_replica_spread():
         slopes.std(ddof=1) / np.sqrt(len(slopes)), rel=1e-12)
 
 
-# at stretch 2.683 about half the 5-step products of SeededSampler(27)'s
-# draws exceed PRODUCT_COND_CAP, and at stretch 3 all of them do
-@pytest.mark.parametrize("stretch", [0.8, 2.683, 3.0])
-def test_line_coordinates_match_stepwise_orbit(stretch):
-    # runs over PRODUCT_COND_CAP apply every step on their own, while the
-    # other runs (all products of 3 or 4 steps) are folded; the chunked
-    # walk over them must match the plain walk one matrix at a time
-    spec = strong2(stretch=stretch)
-    mats = sample_batch(spec, SeededSampler(26), 1200)
-    # start % every != 0; a read every step; one read at the last step;
-    # orbits shorter than one chunk of products
-    for n, start, every in ((1200, 1001, 5), (1200, 1000, 3), (1200, 7, 1),
-                            (1200, 1200, 4), (1200, 3, 5), (90, 4, 3),
-                            (LINE_CHUNK - 1, 1, 1)):
-        got = line_coordinates(mats[:n], start, every)
-        want = stepwise_line_coordinates(mats[:n], start, every)
-        assert len(got) == len(want) > 0
-        assert np.max(circle.distance(got, want)) < 1e-12
-    # a stream of more products than one walk holds, cut into blocks at
-    # different places: the same read, bit for bit, matching the plain walk
-    n = LINE_FLUSH + 3 * LINE_CHUNK + 5
-    mats = sample_batch(spec, SeededSampler(29), n)
-    want = stepwise_line_coordinates(mats, 2, 1)
-    once = line_coordinates(mats, 2, 1)
-    assert len(once) == len(want)
-    assert np.max(circle.distance(once, want)) < 1e-12
-    for cuts in ([LINE_FLUSH], [LINE_FLUSH - 1, LINE_FLUSH + 1],
-                 list(range(977, n, 977)), [LINE_CHUNK, 5 * LINE_CHUNK + 3]):
-        edges = [0] + cuts + [n]
-        cut = line_coordinates([mats[a:b] for a, b in zip(edges, edges[1:])],
-                               2, 1)
-        assert np.array_equal(cut, once)
-
-
-def test_line_walk_holds_prefixes_under_the_cap():
-    # e_1 spans a line every step contracts by 1e-6 against the other: a
-    # chunk's prefix product would lose it below the rounding of the
-    # expanding line, so prefixes past PRODUCT_COND_CAP start afresh
-    mats = np.tile(np.diag([1e-3, 1e3]), (3 * LINE_CHUNK, 1, 1))
-    for start, every in ((1, 1), (2, 3)):
-        got = line_coordinates(mats, start, every)
-        assert np.array_equal(got, stepwise_line_coordinates(mats, start, every))
-        assert np.array_equal(got, np.zeros(len(got)))
-
-
-@pytest.mark.parametrize("stretch", [0.8, 2.683, 3.0])
-def test_streamed_line_read_equals_one_shot(stretch):
-    # the read must not depend on where the stream is cut, also where
-    # folded runs and runs of single steps alternate
-    spec = strong2(stretch=stretch)
-    n = 2 * DRAW_BLOCK + 17
-    mats = sample_batch(spec, SeededSampler(27), n)
-    # cuts every 13 matrices land inside the head and inside runs
-    cuts = list(range(0, n, 13)) + [n]
-    for start, every in ((1001, 5), (3, 5), (1000, 1)):
-        once = line_coordinates(mats, start, every)
-        streamed = line_coordinates(draw_blocks(spec, SeededSampler(27), 1, n),
-                                    start, every)
-        assert np.array_equal(streamed, once)
-        cut = line_coordinates([mats[a:b] for a, b in zip(cuts, cuts[1:])],
-                               start, every)
-        assert np.array_equal(cut, once)
+@pytest.mark.parametrize("spec", [bern2(), PERTURBED2], ids=lambda s: s.kind)
+def test_stationary_lines_read_replicas_every_thinning_steps(spec):
+    # the folded word and matrix paths against one QR step per draw: a
+    # read after the burn-in, then one every THINNING steps, the last cut
+    replicas, burnin, count = 7, 30, 31
+    got = stationary_lines(spec, replicas, burnin, count, SeededSampler(45))
+    stream = SeededSampler(45)
+    lines = np.zeros((replicas, 2, 1))
+    lines[:, 0, 0] = 1.0
+    lines = stepwise_advance(spec, lines, burnin, stream)[0]
+    want = []
+    for _ in range(5):   # four whole reads of 7 replicas and three angles
+        want.append(np.arctan2(lines[:, 1, 0], lines[:, 0, 0]))
+        lines = stepwise_advance(spec, lines, THINNING, stream)[0]
+    want = circle.wrap(np.concatenate(want)[:count])
+    assert len(got) == count
+    assert np.max(circle.distance(got, want)) < 1e-12

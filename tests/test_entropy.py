@@ -3,14 +3,14 @@ import pytest
 
 from flagdim import circle, entropy, harness, measures
 from flagdim.ensemble import SeededSampler, bern2, diag3eps, finite_support, rot2
-from flagdim.entropy import (THINNING, conditional_fiber_sample,
+from flagdim.entropy import (LINE_REPLICAS, conditional_fiber_sample,
                              conditional_independence_diagnostic,
                              dimension_formula_report, furstenberg_entropy_d2,
                              kappa_density_estimator, kappa_interval_estimator)
 from flagdim.errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
                             InsufficientMass, NoAcceptedReplicas)
-from flagdim.dynamics import (draw_blocks, line_coordinates,
-                              lyapunov_spectrum, stationary_flag_pool)
+from flagdim.dynamics import (lyapunov_spectrum, stationary_flag_pool,
+                              stationary_lines)
 from flagdim.measures import (EmpiricalCircleMeasure, ball_mass,
                               default_radius_grid, local_dimension,
                               local_slopes)
@@ -243,9 +243,8 @@ def per_point_slopes(measure, rng, base_points):
 def test_batched_slope_fits_match_local_dimension():
     # bern2's measure as the d = 2 report builds it at the default budget
     n = 100_000
-    stationary = EmpiricalCircleMeasure.from_samples(line_coordinates(
-        draw_blocks(bern2(), SeededSampler(500), 1, 1000 + n * THINNING),
-        1001, THINNING))
+    stationary = EmpiricalCircleMeasure.from_samples(stationary_lines(
+        bern2(), LINE_REPLICAS, 1000, n, SeededSampler(500)))
     assert len(stationary) == n
     rng = np.random.default_rng(42)
     # an atom of weight 0.95 alone in every ball around it, and a thin rest

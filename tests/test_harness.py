@@ -62,8 +62,8 @@ def test_config_file_with_a_radius_key_is_refused(tmp_path):
 
 
 def test_dimension_report_burns_in_the_configured_steps(monkeypatch):
-    # the report's d = 2 orbit and its d >= 3 pinned realizations burn in
-    # cfg.burnin steps, as the ball curves and the entropy legs do; a
+    # the report's d = 2 replicas and its d >= 3 pinned realizations burn
+    # in cfg.burnin steps, as the ball curves and the entropy legs do; a
     # fixed kappa keeps the significance gate out of the way
     seen = []
 
@@ -72,8 +72,8 @@ def test_dimension_report_burns_in_the_configured_steps(monkeypatch):
             seen.append(burnin_of(args, kwargs))
             return fn(*args, **kwargs)
         return wrapped
-    monkeypatch.setattr(entropy, "line_coordinates", spy(
-        entropy.line_coordinates, lambda a, k: a[1] - 1))
+    monkeypatch.setattr(entropy, "stationary_lines", spy(
+        entropy.stationary_lines, lambda a, k: a[2]))
     monkeypatch.setattr(entropy, "conditional_fiber_sample", spy(
         entropy.conditional_fiber_sample,
         lambda a, k: k["realization_burnin"]))

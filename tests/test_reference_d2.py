@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from flagdim.dynamics import lyapunov_spectrum
+from flagdim.dynamics import lyapunov_spectrum, stationary_lines
 from flagdim.ensemble import SeededSampler, bern2, finite_support
-from flagdim.entropy import furstenberg_entropy_d2
+from flagdim.entropy import LINE_REPLICAS, furstenberg_entropy_d2
+from flagdim.harness import BALL_CURVE_SAMPLE
 
 from ulam_reference import ulam_reference
 
@@ -55,3 +56,20 @@ def test_spectrum_gap_matches_ulam_reference(bern2_reference):
     spectrum = lyapunov_spectrum(bern2(), 8000, sampler=SeededSampler(61))
     assert (abs(spectrum.gap(1) - bern2_reference.gap)
             <= 3 * spectrum.gap_stderr(1))
+
+
+@pytest.mark.parametrize("count", [100_000, BALL_CURVE_SAMPLE])
+def test_d2_dimension_sample_matches_ulam_measure(bern2_reference, count):
+    # the dimension report's sample (and the ball curves') at the default
+    # burn-in, in Kolmogorov distance from the oracle's piecewise-linear
+    # CDF.  Reads of one replica are correlated, so the bound is DKW at 1%
+    # with the replica count as the sample size, which errs safe
+    x = np.sort(stationary_lines(bern2(), LINE_REPLICAS, 1000, count,
+                                 SeededSampler(62).child(500)))
+    masses = bern2_reference.masses
+    edges = np.arange(len(masses) + 1) * np.pi / len(masses)
+    cdf = np.interp(x, edges, np.concatenate([[0.0], np.cumsum(masses)]))
+    steps = np.arange(1, count + 1) / count
+    distance = max(np.max(steps - cdf), np.max(cdf - (steps - 1 / count)))
+    assert len(x) == count
+    assert distance <= 1.63 / np.sqrt(LINE_REPLICAS)
