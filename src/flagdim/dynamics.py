@@ -11,33 +11,36 @@ FOLD_COND_CAP, which keeps that rounding near machine precision and the
 Gram-Schmidt step orthogonal.  Fresh matrices come from ``draw_blocks``,
 one ``sample_batch`` call per block of steps.  A finite-support spec
 evolved without keeping its matrices (the spectrum, the stationary pools,
-the d = 2 leading-column pool and every burn-in) draws atom indices
-instead, from the same stream, and folds them as words.  A per-spec table,
-built on first use, holds every left-associated product of l atoms for
-l = 1..h, h the largest of 8, 4, 2 and 1 with K^h <= WORD_TABLE, and the
-largest condition number c_l over each length.  A fold of W = q h + r
-steps is the product, left to right, of q tabled h-words and one r-word,
-so its condition number is at most c_h^q c_r by submultiplicativity; the
-fold width W is derived from the table so that this bound, for every
-width up to W, stays under FOLD_COND_CAP.  No fold is checked or cut
-while the orbit runs.  bern2 folds 43 steps and diag3eps 32 into one QR
-step.  The spectrum, the stationary pools, the pool pushes and every
-burn-in keep only what they need: the spectrum its summed log increments,
-the others the flags reached.  An orbit trace keeps, for R
-replicas over one window of T steps, arrays with the replica on the
-leading axis: the flag bases (R, T+1, d, d), the completion frames of the
-fiber planes (R, T+1, d, 2), the induced 2x2 fiber maps (R, T, 2, 2) and
-the fiber coordinates (R, T+1).  The stable-line pass and the interval
-pushes then run over every replica at once, with each step's inverse,
-determinant and condition number formed for many steps in one vectorized
-pass before their loops; per-step Flag, PartialFlag and CircleMap objects
-are built only on demand, for checking one step.  A d = 2 sample of the
-stationary measure needs nothing but the line of each flag:
-``stationary_lines`` runs leading columns (R, 2, 1) from e_1 through
-``evolve_flags`` and reads their angles after a burn-in and again every
-THINNING steps.  The sample is read off independent replicas, not off
-one orbit: on bern2, cos 4 theta has autocorrelation -0.64 at lag 5
-along one orbit, so the points of one thinned orbit sample nu poorly.
+every burn-in among them, and the d = 2 leading columns) draws atom
+indices instead, from the same stream, and folds them as words.  A per-spec table, built on first
+use, holds every left-associated product of l atoms for l = 1..h, h the
+largest of 8, 4, 2 and 1 with K^h <= WORD_TABLE, and the largest
+condition number c_l over each length.  A fold of W = q h + r steps is
+the product, left to right, of q tabled h-words and one r-word, so its
+condition number is at most c_h^q c_r by submultiplicativity; the fold
+width W is derived from the table so that this bound, for every width up
+to W, stays under FOLD_COND_CAP.  No fold is checked or cut while the
+orbit runs.  bern2 folds 43 steps and diag3eps 32 into one QR step.
+
+Every stack of replicas draws from one sampler: step t takes one matrix
+per replica, in replica order, so a replica's draws depend on the stack
+it runs in.  A burn-in is a ``stationary_flag_pool`` on the stack's
+stream; an orbit window (``stationary_orbit``) draws on that stream after
+it, and a realization's pinned past is the start of its own window.  An
+orbit trace keeps, for R replicas over one window of T steps, arrays with
+the replica on the leading axis: the flag bases (R, T+1, d, d), the
+completion frames of the fiber planes (R, T+1, d, 2), the induced 2x2
+fiber maps (R, T, 2, 2) and the fiber coordinates (R, T+1).  The
+stable-line pass and the interval pushes then run over every replica at
+once, with each step's inverse, determinant and condition number formed
+for many steps in one vectorized pass before their loops; per-step Flag,
+PartialFlag and CircleMap objects are built only on demand, for checking
+one step.  A d = 2 sample of the stationary measure needs nothing but the
+line of each flag: ``stationary_lines`` runs leading columns (R, 2, 1)
+from e_1 through ``evolve_flags`` and reads their angles after a burn-in
+and again every THINNING steps, off independent replicas rather than one
+orbit: on bern2, cos 4 theta has autocorrelation -0.64 at lag 5 along
+one orbit, so the points of one thinned orbit sample nu poorly.
 
 Composed circle maps are never formed as long matrix products in the
 interval pushes.  Intervals are carried as an anchor plus two signed
@@ -405,14 +408,10 @@ def lyapunov_spectrum(spec, n_steps, burnin=1000, replicas=64, sampler=None):
     """
     if sampler is None:
         sampler = SeededSampler(0)
-    d = spec.dim
-    start = np.broadcast_to(np.eye(d), (replicas, d, d))
-    # one child stream per replica would forbid batching across replicas;
-    # instead the whole batch advances under one stream, and determinism
-    # follows from the fixed call sequence.  Burn-in and measurement are
-    # two advances on that stream, so no fold straddles the burn-in.
+    # burn-in and measurement are two advances on one stream, so no fold
+    # straddles the burn-in
     stream = sampler.child(0xCC)
-    bases, _ = evolve_flags(spec, start, burnin, stream)
+    bases = stationary_flag_pool(spec, replicas, burnin, stream)
     _, sums = evolve_flags(spec, bases, n_steps, stream)
     means = sums / n_steps
     chi = means.mean(axis=0)
@@ -424,48 +423,11 @@ def lyapunov_spectrum(spec, n_steps, burnin=1000, replicas=64, sampler=None):
                             gap_stderrs=gap_stderrs)
 
 
-def _samplers(sampler):
-    """One sampler, or a sequence of them, as a list with one per replica."""
-    return [sampler] if isinstance(sampler, SeededSampler) else list(sampler)
-
-
-def _draws(spec, samplers, steps):
-    """(R, steps, d, d): each replica's matrices, one call per sampler."""
-    mats = np.empty((len(samplers), steps, spec.dim, spec.dim))
-    for r, s in enumerate(samplers):
-        mats[r] = sample_batch(spec, s, steps)
-    return mats
-
-
 def _max_deviation(frames):
     """Largest entry of |F^T F - I| over a stack of orthonormal frames."""
     gram = np.einsum("...ki,...kj->...ij", frames, frames)
     gram -= np.eye(frames.shape[-1])
     return np.max(np.abs(gram, out=gram), initial=0.0)
-
-
-def burn_in(spec, sampler, steps, keep=0):
-    """Draw each replica's burn-in and run the standard flag through it.
-
-    ``sampler`` is one sampler or one per replica; each draws its ``steps``
-    matrices in one call.  All replicas advance together, one QR step per
-    fold, so a burn-in costs about steps / FOLD_STEPS QR steps whatever
-    the count (a single realization included).  A finite-support spec
-    draws atom indices instead, one ``atom_indices`` call on the same
-    stream, and folds them as words W steps at a time, as ``evolve_flags``
-    does: about steps / W QR steps.  Returns the last ``keep`` matrices of
-    each replica (R, keep, d, d), its pinned recent past, and the flags
-    reached (R, d, d).
-    """
-    samplers = _samplers(sampler)
-    start = np.broadcast_to(np.eye(spec.dim), (len(samplers), spec.dim, spec.dim))
-    if spec.kind == "finite_support":
-        idx = np.stack([atom_indices(spec, s, steps) for s in samplers])
-        bases, _ = _apply(start, _word_products(spec, idx.T))
-        return spec.params["atoms"][idx[:, steps - keep:]], np.array(bases)
-    mats = _draws(spec, samplers, steps)
-    bases, _ = advance(start, mats.swapaxes(0, 1))
-    return mats[:, steps - keep:].copy(), np.array(bases)
 
 
 def _cond2(b):
@@ -545,20 +507,19 @@ class OrbitTrace:
 def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
     """Run the cocycle from given flags, keeping the full trace.
 
-    ``f0`` is one Flag or a stack of R bases, ``sampler`` one sampler or a
-    sequence of R, and replica r draws its n_steps matrices in one call on
-    its own sampler.  Every basis and frame must be orthonormal, as Flag
+    ``f0`` is one Flag or a stack of R bases; the window's n_steps
+    matrices per replica are the next draws on ``sampler``, in the blocks
+    of ``draw_blocks``.  Every basis and frame must be orthonormal, as Flag
     and PartialFlag require, and every fiber map invertible.
     """
     i = fiber_index
     d = spec.dim
     if not 1 <= i <= d - 1:
         raise ValueError(f"fiber index {i} outside 1..{d - 1}")
-    samplers = _samplers(sampler)
     start = np.reshape(f0.basis if isinstance(f0, Flag) else f0, (-1, d, d))
-    if len(start) != len(samplers):
-        raise ValueError(f"{len(start)} start flags for {len(samplers)} samplers")
-    mats = _draws(spec, samplers, n_steps)
+    # time-major blocks, read replica-major: each step's stack stays contiguous
+    mats = np.concatenate([np.empty((0, len(start), d, d)), *draw_blocks(
+        spec, sampler, len(start), n_steps)]).swapaxes(0, 1)
     bases = np.empty((len(start), n_steps + 1, d, d))
     bases[:, 0] = start
     for t in range(n_steps):
@@ -586,17 +547,17 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
                       x=x)
 
 
-def stationary_orbit(spec, fiber_index, n_steps, burnin, sampler, t_end=0):
-    """Traces whose window ends at ``t_end``, each started from burn-in.
+def stationary_orbit(spec, fiber_index, n_steps, burnin, sampler, t_end=0,
+                     replicas=1):
+    """Traces of ``replicas`` replicas whose window ends at ``t_end``.
 
-    ``sampler`` is one sampler or one per replica; each draws its burn-in
-    matrices and then its window's.  The window covers times
-    [t_end - n_steps, t_end]; the burn-in approximates drawing the first
-    window flag from the stationary distribution.
+    The replicas burn in from the standard flag as a
+    ``stationary_flag_pool`` on ``sampler``, which approximates drawing
+    the first window flag from the stationary distribution; the window,
+    covering times [t_end - n_steps, t_end], draws on the same stream.
     """
-    samplers = _samplers(sampler)
-    start = burn_in(spec, samplers, burnin)[1]
-    return forward_orbit(spec, start, n_steps, samplers,
+    start = stationary_flag_pool(spec, replicas, burnin, sampler)
+    return forward_orbit(spec, start, n_steps, sampler,
                          fiber_index=fiber_index, t0=t_end - n_steps)
 
 
@@ -839,8 +800,7 @@ def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
     n_grid = np.asarray(sorted(int(n) for n in n_grid))
     n_max = int(n_grid[-1])
     trace = stationary_orbit(spec, fiber_index, n_max + lookahead, burnin,
-                             [sampler.child(r) for r in range(replicas)],
-                             t_end=lookahead)
+                             sampler, t_end=lookahead, replicas=replicas)
     _, y, resolution = stable_coordinates(trace, lookahead=lookahead)
     keep = np.flatnonzero(resolution <= DECAY_STABLE_TOL)
     if not len(keep):

@@ -13,8 +13,9 @@ dynamics.  Four kinds are supported:
   rotation of fixed magnitude (orthonormalized I + eps K, K random skew).
 
 Sampling is counter-based: a (seed, stream) pair fully determines every
-draw, so replicas can run in any order or thread count with identical
-output.
+draw.  Each job of a run draws on streams of its own, so jobs can run in
+any order or thread count with identical output; the replicas of one
+stack share the stack's stream (see ``dynamics``).
 """
 
 import math

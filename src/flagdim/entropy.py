@@ -2,10 +2,11 @@
 
 The fiber entropy kappa_i is the mean log density of the pushed conditional
 fiber measure against the conditional measure at the image flag.  Neither
-measure has a closed form, so both are realized empirically by the same
-trick: pin the recent past of a realization, resample the remote past from
-a pool of stationary flags, and read off where each resampled history puts
-the missing subspace inside the reference fiber.  Convergence in the pin
+measure has a closed form, so the density route and the conditional
+samples realize both empirically: pin the recent past of a realization
+(the start of its orbit window), resample the remote past from a pool of
+stationary flags, and read off where each resampled history puts the
+missing subspace inside the reference fiber.  Convergence in the pin
 length is a reported diagnostic (Wasserstein distance between full- and
 half-pin versions), not an assumption.
 
@@ -16,8 +17,8 @@ Two independent estimators must agree:
   points of the pushed sample (the realized coordinate x_1 is one of
   them; the others have the same conditional law and shrink the variance).
 - interval route: pull the stationary interval at time -n forward and
-  compare its conditional mass at both ends; replicas whose interval
-  carries less than half the conditional mass at time -n are filtered
+  compare its mass under unpinned stationary pools at both ends; replicas
+  whose interval carries less than half the mass at time -n are filtered
   out, and that acceptance rate is part of the result.
 
 Estimators refuse (rather than return noise) when fibers are atomic or
@@ -28,8 +29,8 @@ Pin length matters in both directions: too short and the reference fiber
 is not pinned down across tails, too long and the resampled coordinate
 collapses below the working resolution (the fiber synchronizes at rate
 gap_i, so gap_i * M should stay around one while the other gaps pin the
-base).  The defaults suit the benchmark ensembles; M is a parameter
-everywhere.
+base).  The defaults suit the benchmark ensembles; M is a parameter of
+every pinned estimator.
 """
 
 from dataclasses import dataclass, field
@@ -37,15 +38,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circle
-from .dynamics import (DEGENERATE_DISTANCE, Arc, burn_in, forward_orbit,
+from .dynamics import (DEGENERATE_DISTANCE, Arc, forward_orbit,
                        pull_forward, push_flags, stable_coordinates,
                        stationary_flag_pool, stationary_interval,
-                       stationary_lines)
+                       stationary_lines, stationary_orbit)
 from .ensemble import SeededSampler, sample_batch
 from .errors import (AtomicFiber, BandwidthTooSmall, GapTooSmall,
                      HypothesisNotMet, NoAcceptedReplicas)
-from .flagcore import (Flag, fiber_coordinates, fiber_map_derivative,
-                       fiber_map_image, partial_flag)
+from .flagcore import (fiber_coordinates, fiber_map_derivative,
+                       fiber_map_image)
 from .measures import (KDE_MIN_NEIGHBORS, EmpiricalCircleMeasure,
                        kde_density, kernel_sums, local_slopes,
                        max_cluster_weight, neighbor_counts, wasserstein_circle)
@@ -130,11 +131,11 @@ def conditional_fiber_sample(spec, fiber_index, pin_length=None,
     """Empirical conditional measure on the fiber over one partial flag.
 
     One realization runs ``realization_burnin`` steps from the standard
-    flag and then its ``pin_length`` pinned steps; the partial flag it
-    reaches is the reference.  All ``tail_replicas`` tail flags (each
-    TAIL_BURNIN steps from the standard flag) share that pinned recent
-    past and differ in the remote past, and each is read in the
-    reference's fiber frame.  ``pin_length=None`` resolves to 0 when
+    flag and then a window of its ``pin_length`` pinned steps; the fiber
+    frame at the window's end is the reference.  All ``tail_replicas``
+    tail flags (each TAIL_BURNIN steps from the standard flag) share that
+    pinned recent past and differ in the remote past, and each is read in
+    the reference's fiber frame.  ``pin_length=None`` resolves to 0 when
     d = 2 and 60 otherwise (a trivial partial flag needs no pin).
 
     The diagnostic is always reported; when ``convergence_tol`` is given
@@ -144,15 +145,13 @@ def conditional_fiber_sample(spec, fiber_index, pin_length=None,
     sampler = sampler or SeededSampler(0)
     pin_length = _default_pin(spec, pin_length)
     # the burn-in before the pin approximates a stationary start
-    pinned, f_end = burn_in(spec, sampler.child(0),
-                            realization_burnin + pin_length, keep=pin_length)
-    pinned = pinned[0]
-    reference = partial_flag(Flag(f_end[0]), fiber_index)
+    trace = stationary_orbit(spec, fiber_index, pin_length, realization_burnin,
+                             sampler.child(0))
+    pinned, frame = trace.matrices[0], trace.frames[0, -1]
     pool = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN,
                                 sampler.child(1))
     # the tail replicas carry their own full flags; reading them all in
     # the one reference frame makes them one empirical measure
-    frame = np.column_stack(reference.frame)
     coords = fiber_coordinates(push_flags(pinned, pool), frame, fiber_index)
     diag = _half_pin_diagnostic(pinned, pool, frame, fiber_index, coords,
                                 convergence_tol)
@@ -184,7 +183,10 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
                             realization_burnin=1000, convergence_tol=None):
     """Entropy via kernel density ratios of pushed conditional samples.
 
-    Per orbit sample: pin a fresh recent past, build the conditional
+    The ``orbit_samples`` realizations are one stack on one stream: each
+    burns in ``realization_burnin`` steps and runs a window over times
+    [-M, 1], whose first M steps are its pinned past at time 0 (and steps
+    1..M its pin at time 1).  Per realization: build the conditional
     measures at times 0 and 1 from two independent tail pools, push the
     time-0 sample through the realized matrix, and average the log density
     ratio at points of the pushed sample (x_1 together with held-out
@@ -211,27 +213,26 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
     i = fiber_index
     pool0 = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, sampler.child(1))
     pool1 = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, sampler.child(2))
-    # every realization's burn-in and pinned past, then its step 0 -> 1
-    children = [sampler.child(10, r) for r in range(orbit_samples)]
-    pins, f0 = burn_in(spec, children, realization_burnin + pin_length,
-                       keep=pin_length)
-    step = forward_orbit(spec, f0, 1, children, fiber_index=i)
+    # every realization's window [-M, 1]; the held-out queries are drawn
+    # on the same stream after it
+    stream = sampler.child(10)
+    trace = stationary_orbit(spec, i, pin_length + 1, realization_burnin,
+                             stream, t_end=1, replicas=orbit_samples)
     kappas = []
     skipped = 0
     diag = None
-    for r, child in enumerate(children):
-        pin0 = pins[r]
-        frame0, frame1 = step.frames[r]
-        x1 = float(step.x[r, 1])
-        tail = np.concatenate([pin0, step.matrices[r]], axis=0)
-        pin1 = tail[len(tail) - pin_length:]
+    for r in range(orbit_samples):
+        pin0 = trace.matrices[r, :pin_length]
+        pin1 = trace.matrices[r, 1:]
+        frame0, frame1 = trace.frames[r, -2:]
+        x1 = float(trace.x[r, -1])
         coords0 = fiber_coordinates(push_flags(pin0, pool0), frame0, i)
         coords1 = fiber_coordinates(push_flags(pin1, pool1), frame1, i)
         if r == 0:
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
             diag = _half_pin_diagnostic(pin1, pool1, frame1, i, coords1,
                                         convergence_tol)
-        pushed_all = fiber_map_image(step.maps[r, 0], coords0)
+        pushed_all = fiber_map_image(trace.maps[r, -1], coords0)
         pushed = EmpiricalCircleMeasure.from_samples(pushed_all[::2])
         target = EmpiricalCircleMeasure.from_samples(coords1[::2])
         if len(_screened(np.array([x1]), (pushed, target), bandwidth)) == 0:
@@ -240,7 +241,7 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
         held_out = _screened(pushed_all[1::2], (pushed, target), bandwidth)
         take = min(EVAL_POINTS, len(held_out))
         queries = np.concatenate(
-            [[x1], child.rng.choice(held_out, size=take, replace=False)]
+            [[x1], stream.rng.choice(held_out, size=take, replace=False)]
         ) if take else np.array([x1])
         vals = (np.log(kde_density(pushed, queries, bandwidth))
                 - np.log(kde_density(target, queries, bandwidth)))
@@ -269,48 +270,46 @@ def _isometric_fiber_action(trace):
 
 
 def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
-                             sampler=None, pin_length=None, tail_replicas=10_000,
+                             sampler=None, tail_replicas=10_000,
                              realization_burnin=1000, lookahead=600,
                              stable_tol=0.05):
-    """Entropy via conditional masses of pulled-forward stationary intervals.
+    """Entropy via pool masses of pulled-forward stationary intervals.
 
     kappa_r = (log mass_{-n}(I_{-n}) - log mass_0(J_n)) / n over replicas
-    whose interval carries at least half the conditional mass at time -n.
+    whose interval carries at least half the pool mass at time -n.
     The masses at the two times use independent tail pools (a shared pool
     would make the two masses equal by construction).  Replicas whose
     image interval captures no tail sample are dropped and reported; when
     many are, the expected count R exp(-kappa n) is too small and n
     should shrink.
 
-    ``pin_length=None`` resolves to 0 here, for every dimension.  A time-0
-    pin necessarily overlaps the measurement window, and along the overlap
-    the shared composed fiber map cancels between the image interval and
-    the pushed pool, so those steps stop contributing and the estimate
-    reads roughly kappa (n - M) / n (measured: M = 60 recovers about half
-    of the M = 0 value at n = 100).  With no pin the image interval probes
-    the unconditioned fiber-coordinate measure, which scales like the
+    The pools are read in each replica's fiber frames with no pin.  A
+    time-0 pin of M steps would overlap the measurement window, and along
+    the overlap the shared composed fiber map cancels between the image
+    interval and the pushed pool, so the estimate would read roughly
+    kappa (n - M) / n (measured: M = 60 recovers about half of the M = 0
+    value at n = 100).  With no pin the image interval probes the
+    unconditioned fiber-coordinate measure, which scales like the
     conditionals do at the interval's scale; the residual bias is the
-    O(1/n) local-density offset shared with every interval method.
+    O(1/n) local-density offset shared with every interval method.  The
+    replicas are one stack on one stream: each burns in
+    ``realization_burnin`` steps and runs its window [-n, lookahead].
 
     Isometric fiber actions have no stable line; there any fixed arc is
     mass-preserved in law, so one anchored at x substitutes and the
     estimator correctly reads ~0.  Non-isometric replicas whose future
     window cannot certify the stable line are dropped and counted; the
     certificate depends only on maps after time 0, so the drop is
-    independent of the masses measured on [-n, 0].  The atomic gate and
-    the pin diagnostic read the first replica that survives these drops.
+    independent of the masses measured on [-n, 0].  The atomic gate reads
+    the first replica that survives these drops.
     """
     sampler = sampler or SeededSampler(0)
-    pin_length = 0 if pin_length is None else int(pin_length)
     i = fiber_index
     pool_a = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, sampler.child(1))
     pool_b = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, sampler.child(2))
-    # every replica's realization and window [-n, lookahead], all at once
-    children = [sampler.child(10, r) for r in range(replicas)]
-    pins, start = burn_in(spec, children, realization_burnin + pin_length,
-                          keep=pin_length)
-    trace = forward_orbit(spec, start, n + lookahead, children,
-                          fiber_index=i, t0=-n)
+    trace = stationary_orbit(spec, i, n + lookahead, realization_burnin,
+                             sampler.child(10), t_end=lookahead,
+                             replicas=replicas)
     _, y, resolution = stable_coordinates(trace, lookahead=lookahead)
     x, y = trace.x[:, 0], y[:, 0]
     resolved = resolution <= stable_tol
@@ -330,25 +329,16 @@ def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
     accepted = []
     rejected = 0
     zero_mass = 0
-    diag = None
     for j, r in enumerate(rows):
-        pin_minus = pins[r]
-        frame_minus = trace.frames[r, trace.index(-n)]
-        coords_minus = fiber_coordinates(push_flags(pin_minus, pool_a),
-                                         frame_minus, i)
-        if diag is None:
+        coords_minus = fiber_coordinates(pool_a, trace.frames[r, 0], i)
+        if j == 0:
             _atomic_gate(coords_minus, f"{spec.name} fiber {i}")
-            diag = _half_pin_diagnostic(pin_minus, pool_a, frame_minus, i,
-                                        coords_minus)
         m_minus = EmpiricalCircleMeasure.from_samples(coords_minus)
         mass_i = m_minus.arc_mass(x[r] + lo[j], hi[j] - lo[j])
         if mass_i < 0.5:
             rejected += 1
             continue
-        # the pin before time 0: the last pin_length matrices up to it
-        pin_zero = np.concatenate([pin_minus, trace.matrices[r]])[n: n + pin_length]
-        coords_zero = fiber_coordinates(push_flags(pin_zero, pool_b),
-                                        trace.frames[r, trace.index(0)], i)
+        coords_zero = fiber_coordinates(pool_b, trace.frames[r, n], i)
         m_zero = EmpiricalCircleMeasure.from_samples(coords_zero)
         mass_j = m_zero.arc_mass(images.anchor[j] + images.lo[j],
                                  images.hi[j] - images.lo[j])
@@ -374,8 +364,7 @@ def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
                      "mass_filter_rejections": rejected,
                      "empty_image_replicas": zero_mass,
                      "degenerate_replicas": degenerate,
-                     "unresolved_replicas": unresolved,
-                     "pin_diagnostic": diag})
+                     "unresolved_replicas": unresolved})
 
 
 def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
@@ -497,8 +486,7 @@ def conditional_independence_diagnostic(spec, fiber_index, pin_length=50,
     pinned = sample_batch(spec, sampler.child(0), pin_length)
     pool = stationary_flag_pool(spec, replicas, TAIL_BURNIN, sampler.child(1))
     trace = forward_orbit(spec, push_flags(pinned, pool), future_steps,
-                          [sampler.child(2, r) for r in range(replicas)],
-                          fiber_index=i)
+                          sampler.child(2), fiber_index=i)
     # no certificate: the correlation is read whatever the resolution
     _, y, _ = stable_coordinates(trace, lookahead=future_steps)
     xs, ys = trace.x[:, 0], y[:, 0]

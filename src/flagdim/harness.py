@@ -14,9 +14,12 @@ dimension: ``furstenberg_entropy_d2`` for d = 2, ``kappa_density_estimator``
 otherwise.  The dimension report takes the run's spectrum and a density
 kappa as inputs: ``verify`` hands it the estimate of its own density leg
 (a fiber whose density leg was refused gets no report), and ``dimension``
-runs the density leg for the report on streams of its own.  Settings the
-config does not carry (tail-pool burn-ins, query counts, the significance
-gate, the radius grid of every dimension fit) are module constants.
+runs the density leg for the report on streams of its own.  The config's
+``pin_length`` governs the d >= 3 density route and the conditional
+samples behind the dimension report and the ball curves; the interval
+route reads its pools with no pin.  Settings the config does not carry
+(tail-pool burn-ins, query counts, the significance gate, the radius grid
+of every dimension fit) are module constants.
 
 The config format is INI with one [experiment] section and a mandatory
 schema version; unknown sections or keys are hard errors.  Every field
@@ -325,7 +328,7 @@ def _entropy_jobs(cfg, spec, sampler, refusals):
         def interval(i=i):
             return kappa_interval_estimator(
                 spec, i, n=cfg.interval_n, replicas=cfg.replicas,
-                pin_length=cfg.pin_length, tail_replicas=cfg.tail_replicas,
+                tail_replicas=cfg.tail_replicas,
                 realization_burnin=cfg.burnin, sampler=sampler.child(3, i))
         jobs.append((("interval", i), _catching(interval, refusals,
                                                 f"entropy interval fiber {i}")))

@@ -4,7 +4,7 @@ import pytest
 from flagdim import circle, dynamics, harness
 from flagdim.dynamics import (FOLD_COND_CAP, FOLD_STEPS, PIECE_BLOCK,
                               THINNING, WORD_FOLD_STEPS, WORD_TABLE, Arc,
-                              advance, batched_orthonormalize, burn_in,
+                              advance, batched_orthonormalize,
                               circle_map_between, draw_blocks, evolve_flags,
                               forward_orbit, interval_decay_curve,
                               interval_pullforward, lyapunov_spectrum,
@@ -222,14 +222,18 @@ def test_pushed_pin_and_burn_in_match_stepwise():
     for a in pinned:
         want, _ = batched_orthonormalize(a @ want)
     assert np.max(np.abs(push_flags(pinned, pool) - want)) < 1e-12
-    pins, flags = burn_in(spec, [SeededSampler(44, r) for r in range(5)],
-                          150, keep=20)
+    # a window after a pool burn-in draws on the pool's stream, and a
+    # prefix of a replica's window, pushed as a pin, reaches its flag
+    trace = stationary_orbit(spec, 1, 150, 100, SeededSampler(44), replicas=5)
+    stream = SeededSampler(44)
+    start = stationary_flag_pool(spec, 5, 100, stream)
+    blocks = np.concatenate(list(draw_blocks(spec, stream, 5, 150)))
+    assert np.array_equal(trace.matrices, blocks.swapaxes(0, 1))
+    assert np.array_equal(trace.bases[:, 0], start)
     for r in range(5):
-        ref, _ = stepwise_advance(spec, np.eye(3)[None], 150,
-                                  SeededSampler(44, r))
-        assert np.max(np.abs(flags[r] - ref[0])) < 1e-12
-        assert np.array_equal(
-            pins[r], sample_batch(spec, SeededSampler(44, r), 150)[130:])
+        for k in (1, 20, 150):
+            pushed = push_flags(trace.matrices[r, :k], start[r:r + 1])[0]
+            assert np.max(np.abs(pushed - trace.bases[r, k])) < 1e-12
 
 
 @pytest.mark.parametrize("stretch", [2.0, 3.45])
@@ -538,40 +542,14 @@ def test_pullforward_contains_x_bern2():
         assert arc.contains(float(trace.x[0, trace.index(0)]))
 
 
-@pytest.mark.parametrize("spec, i", [(bern2(), 1), (diag3eps(), 2),
-                                     (hyper3mix(), 1)],
-                         ids=["bern2", "diag3eps", "hyper3mix"])
-def test_batch_matches_single_replicas(spec, i):
-    # a batch of R replicas equals R runs of one, replica by replica
-    n, lookahead = 40, 60
-    grid = np.array([5, 20, 40])
-    batch = stationary_orbit(spec, i, n + lookahead, 50,
-                             [SeededSampler(23, (r,)) for r in range(4)],
-                             t_end=lookahead)
-    _, y, resolution = stable_coordinates(batch, lookahead=lookahead)
-    ks = [batch.index(-m) for m in grid]
-    arcs = interval_pullforward(batch, grid, y=y[:, ks])
-    for r in range(4):
-        one = stationary_orbit(spec, i, n + lookahead, 50,
-                               SeededSampler(23, (r,)), t_end=lookahead)
-        _, y1, resolution1 = stable_coordinates(one, lookahead=lookahead)
-        arc1 = interval_pullforward(one, grid, y=y1[:, ks])
-        assert np.max(np.abs(one.x[0] - batch.x[r])) < 1e-12
-        assert np.max(np.abs(one.maps[0] - batch.maps[r])) < 1e-12
-        assert np.max(circle.distance(y1[0], y[r])) < 1e-12
-        assert abs(resolution1[0] - resolution[r]) < 1e-12
-        assert np.allclose(arc1.length[0], arcs.length[r], rtol=1e-12, atol=0)
-
-
 @pytest.mark.parametrize("spec, i", [(diag3eps(), 2), (hyper3mix(), 1)],
                          ids=["diag3eps", "hyper3mix"])
 def test_trace_arrays_match_per_step_objects(spec, i):
     # the arrays against Flag / PartialFlag / CircleMap built step by step,
     # the backward pass against LU solves, and the pushes against
     # CircleMap.map_offset
-    trace = stationary_orbit(spec, i, 80, 40,
-                             [SeededSampler(24, (r,)) for r in range(3)],
-                             t_end=50)
+    trace = stationary_orbit(spec, i, 80, 40, SeededSampler(24), t_end=50,
+                             replicas=3)
     _, y, _ = stable_coordinates(trace, lookahead=50)
     n = 30
     arcs = interval_pullforward(trace, n, y=y[:, trace.index(-n)])
@@ -682,9 +660,8 @@ def test_hoisted_backward_pass_and_pushes_equal_stepwise(spec, i,
     # determinants and condition numbers formed once, do per element the
     # arithmetic of the stepwise loops: equal bit for bit
     n, lookahead = 60, 200
-    trace = stationary_orbit(spec, i, n + lookahead, 100,
-                             [SeededSampler(28, (r,)) for r in range(5)],
-                             t_end=lookahead)
+    trace = stationary_orbit(spec, i, n + lookahead, 100, SeededSampler(28),
+                             t_end=lookahead, replicas=5)
     got = stable_coordinates(trace, lookahead=lookahead)
     want = stepwise_stable_coordinates(trace, lookahead)
     for g, w in zip(got, want):

@@ -63,13 +63,22 @@ def test_d2_dimension_sample_matches_ulam_measure(bern2_reference, count):
     # the dimension report's sample (and the ball curves') at the default
     # burn-in, in Kolmogorov distance from the oracle's piecewise-linear
     # CDF.  Reads of one replica are correlated, so the bound is DKW at 1%
-    # with the replica count as the sample size, which errs safe
-    x = np.sort(stationary_lines(bern2(), LINE_REPLICAS, 1000, count,
-                                 SeededSampler(62).child(500)))
+    # on the effective size count / tau: tau is the batch-means variance
+    # ratio of the indicator below each quartile of the reference CDF,
+    # each replica's reads one batch, at its largest and at least 1
+    raw = stationary_lines(bern2(), LINE_REPLICAS, 1000, count,
+                           SeededSampler(62).child(500))
     masses = bern2_reference.masses
     edges = np.arange(len(masses) + 1) * np.pi / len(masses)
-    cdf = np.interp(x, edges, np.concatenate([[0.0], np.cumsum(masses)]))
+    levels = np.concatenate([[0.0], np.cumsum(masses)])
+    # the reads come a round of every replica at a time
+    below = raw[None, :] <= np.interp([0.25, 0.5, 0.75], levels, edges)[:, None]
+    batches = below.reshape(3, -1, LINE_REPLICAS).mean(axis=1)
+    ratio = (count // LINE_REPLICAS) * batches.var(axis=1, ddof=1) / below.var(axis=1)
+    tau = max(1.0, float(ratio.max()))
+    x = np.sort(raw)
+    cdf = np.interp(x, edges, levels)
     steps = np.arange(1, count + 1) / count
     distance = max(np.max(steps - cdf), np.max(cdf - (steps - 1 / count)))
     assert len(x) == count
-    assert distance <= 1.63 / np.sqrt(LINE_REPLICAS)
+    assert distance <= np.sqrt(np.log(2 / 0.01) * tau / (2 * count))
