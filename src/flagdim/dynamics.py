@@ -477,10 +477,6 @@ class OrbitTrace:
             raise IndexError(f"time {t} outside window [{self.times[0]}, {self.times[-1]}]")
         return k
 
-    @property
-    def window(self):
-        return int(self.times[0]), int(self.times[-1])
-
     def select(self, rows):
         """The trace of the replicas ``rows`` alone (itself when all, in order)."""
         if np.array_equal(rows, np.arange(len(self.x))):
@@ -795,9 +791,12 @@ def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
     window cannot certify the stable line are dropped; the certificate
     involves only maps after time 0, so dropping them leaves the lengths
     unbiased.  A replica is certified when its resolution is at most
-    DECAY_STABLE_TOL.
+    DECAY_STABLE_TOL.  A grid of fewer than two distinct depths has no
+    slope and raises ValueError.
     """
     n_grid = np.asarray(sorted(int(n) for n in n_grid))
+    if len(set(n_grid.tolist())) < 2:
+        raise ValueError(f"need two distinct depths n, got {n_grid.tolist()}")
     n_max = int(n_grid[-1])
     trace = stationary_orbit(spec, fiber_index, n_max + lookahead, burnin,
                              sampler, t_end=lookahead, replicas=replicas)

@@ -6,9 +6,11 @@ measure has a closed form, so the density route and the conditional
 samples realize both empirically: pin the recent past of a realization
 (the start of its orbit window), resample the remote past from a pool of
 stationary flags, and read off where each resampled history puts the
-missing subspace inside the reference fiber.  Convergence in the pin
-length is a reported diagnostic (Wasserstein distance between full- and
-half-pin versions), not an assumption.
+missing subspace inside the reference fiber.  The density route reports
+convergence in the pin length as a diagnostic (Wasserstein distance
+between full- and half-pin versions of one conditional), not an
+assumption; the conditional samples behind the dimension fits
+(``conditional_fiber_sample``) carry no such check.
 
 Two independent estimators must agree:
 
@@ -58,6 +60,8 @@ TAIL_BURNIN = 300        # steps from the standard flag to a stationary tail fla
 EVAL_POINTS = 64         # held-out queries per orbit sample of the density route
 LINE_REPLICAS = 1000     # d = 2 dimension sample: independent replicas read
 PIN_REALIZATIONS = 6     # d >= 3 dimension fits: pinned pasts sampled
+BASE_POINTS = 200        # dimension fits: sample points, shared by the measures
+STATIONARY_SAMPLES = 100_000   # d = 2 dimension fits: stationary angles read
 SIGNIFICANCE = 2.0       # kappa must exceed this many stderrs for a dimension
 
 
@@ -116,50 +120,37 @@ def _half_pin_diagnostic(pinned, pool, frame, i, coords, convergence_tol=None):
     return float(diag)
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalFiberSample:
-    fiber_index: int
-    pin_length: int
-    tail_replicas: int
-    measure: EmpiricalCircleMeasure
-    diagnostic: float   # Wasserstein distance between full- and half-pin versions
-
-
-def conditional_fiber_sample(spec, fiber_index, pin_length=None,
+def conditional_fiber_sample(spec, fiber_index, realizations, pin_length=None,
                              tail_replicas=10_000, sampler=None,
-                             realization_burnin=1000, convergence_tol=None):
-    """Empirical conditional measure on the fiber over one partial flag.
+                             realization_burnin=1000):
+    """Empirical conditional measures on the fiber over pinned pasts.
 
-    One realization runs ``realization_burnin`` steps from the standard
-    flag and then a window of its ``pin_length`` pinned steps; the fiber
-    frame at the window's end is the reference.  All ``tail_replicas``
-    tail flags (each TAIL_BURNIN steps from the standard flag) share that
-    pinned recent past and differ in the remote past, and each is read in
-    the reference's fiber frame.  ``pin_length=None`` resolves to 0 when
-    d = 2 and 60 otherwise (a trivial partial flag needs no pin).
-
-    The diagnostic is always reported; when ``convergence_tol`` is given
-    a diagnostic above it raises GapTooSmall (the pin did not determine
-    the fiber measure).
+    The ``realizations`` pinned pasts are one stack on one stream
+    (``sampler.child(0)``): each burns in ``realization_burnin`` steps
+    from the standard flag and then runs a window of its ``pin_length``
+    pinned steps; the fiber frame at the window's end is its reference.
+    Realization r reads the r-th pool of ``tail_replicas`` tail flags
+    (each TAIL_BURNIN steps from the standard flag) drawn in turn on
+    ``sampler.child(1)``: the pool shares that pinned recent past, differs
+    in the remote past, and is read in the reference's fiber frame.
+    Returns one EmpiricalCircleMeasure per realization.  ``pin_length=None``
+    resolves to 0 when d = 2 and 60 otherwise (a trivial partial flag
+    needs no pin).
     """
     sampler = sampler or SeededSampler(0)
     pin_length = _default_pin(spec, pin_length)
     # the burn-in before the pin approximates a stationary start
     trace = stationary_orbit(spec, fiber_index, pin_length, realization_burnin,
-                             sampler.child(0))
-    pinned, frame = trace.matrices[0], trace.frames[0, -1]
-    pool = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN,
-                                sampler.child(1))
-    # the tail replicas carry their own full flags; reading them all in
-    # the one reference frame makes them one empirical measure
-    coords = fiber_coordinates(push_flags(pinned, pool), frame, fiber_index)
-    diag = _half_pin_diagnostic(pinned, pool, frame, fiber_index, coords,
-                                convergence_tol)
-    return ConditionalFiberSample(
-        fiber_index=fiber_index, pin_length=int(len(pinned)),
-        tail_replicas=len(pool),
-        measure=EmpiricalCircleMeasure.from_samples(coords),
-        diagnostic=diag)
+                             sampler.child(0), replicas=realizations)
+    tails = sampler.child(1)
+    measures = []
+    for pinned, frame in zip(trace.matrices, trace.frames[:, -1]):
+        pool = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, tails)
+        # the tail replicas carry their own full flags; reading them all in
+        # the one reference frame makes them one empirical measure
+        measures.append(EmpiricalCircleMeasure.from_samples(
+            fiber_coordinates(push_flags(pinned, pool), frame, fiber_index)))
+    return measures
 
 
 @dataclass(frozen=True, eq=False)
@@ -572,7 +563,6 @@ def _slope_distribution(measure, rng, base_points):
 
 
 def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
-                             base_points=200, stationary_samples=100_000,
                              pin_length=None, tail_replicas=10_000,
                              burnin=1000):
     """Local dimension of the fiber measures against kappa over gap.
@@ -584,12 +574,13 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
     would be noise with a confident face.  The gate reads the stderr the
     kappa estimate carries, so it is only as sound as that stderr.
 
-    The slopes are fitted on the default radius grid at up to
-    ``base_points`` sample points, as ``local_dimension`` fits them, in one
-    batched pass per measure (``_slope_distribution``).
+    The slopes are fitted on the default radius grid at BASE_POINTS
+    sample points in all, shared evenly between the measures (at least 8
+    each), as ``local_dimension`` fits them, in one batched pass per
+    measure (``_slope_distribution``).
 
     d = 2: the fiber measure is the stationary measure itself.  The
-    slopes are fitted on ``stationary_samples`` angles read off
+    slopes are fitted on STATIONARY_SAMPLES angles read off
     LINE_REPLICAS independent replicas (``stationary_lines``), each read
     after ``burnin`` steps and then every THINNING steps.  Independent
     replicas rather than one orbit: on bern2 the 4 theta mode barely
@@ -597,10 +588,10 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
     orbit), so the points of one thinned orbit sample nu poorly, while
     reads of different replicas are independent.
 
-    d >= 3: the slopes are taken on PIN_REALIZATIONS conditional samples
-    (``conditional_fiber_sample`` with ``pin_length``, ``tail_replicas``
-    and ``burnin`` as its realization burn-in), each over its own pinned
-    past.
+    d >= 3: the slopes are taken on the PIN_REALIZATIONS conditional
+    measures of one ``conditional_fiber_sample`` call (with
+    ``pin_length``, ``tail_replicas`` and ``burnin`` as its realization
+    burn-in), each over its own pinned past.
     """
     sampler = sampler or SeededSampler(0)
     i = fiber_index
@@ -613,22 +604,22 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
         raise HypothesisNotMet(f"exponent gap at fiber {i} is not positive")
     rng = sampler.child(400, i).rng
     if spec.dim == 2:
-        measure = EmpiricalCircleMeasure.from_samples(stationary_lines(
-            spec, LINE_REPLICAS, burnin, stationary_samples,
-            sampler.child(500)))
-        slopes, skipped = _slope_distribution(measure, rng, base_points)
+        measures = [EmpiricalCircleMeasure.from_samples(stationary_lines(
+            spec, LINE_REPLICAS, burnin, STATIONARY_SAMPLES,
+            sampler.child(500)))]
     else:
-        slopes = []
-        skipped = 0
-        per = max(8, base_points // PIN_REALIZATIONS)
-        for k in range(PIN_REALIZATIONS):
-            cs = conditional_fiber_sample(
-                spec, i, pin_length=pin_length, tail_replicas=tail_replicas,
-                sampler=sampler.child(600, i, k), realization_burnin=burnin)
-            s, sk = _slope_distribution(cs.measure, rng, per)
-            slopes.append(s)
-            skipped += sk
-        slopes = np.concatenate(slopes)
+        measures = conditional_fiber_sample(
+            spec, i, PIN_REALIZATIONS, pin_length=pin_length,
+            tail_replicas=tail_replicas, sampler=sampler.child(600, i),
+            realization_burnin=burnin)
+    per = max(8, BASE_POINTS // len(measures))
+    slopes = []
+    skipped = 0
+    for measure in measures:
+        s, sk = _slope_distribution(measure, rng, per)
+        slopes.append(s)
+        skipped += sk
+    slopes = np.concatenate(slopes)
     if len(slopes) < 8:
         raise HypothesisNotMet(
             f"only {len(slopes)} usable dimension fits (needed 8)")

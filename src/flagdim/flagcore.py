@@ -106,10 +106,6 @@ class Flag:
     def dim(self):
         return self.basis.shape[0]
 
-    def subspace(self, i):
-        """Orthonormal basis of S_i (d x i array)."""
-        return self.basis[:, :i]
-
     @staticmethod
     def standard(d):
         return Flag(np.eye(d))

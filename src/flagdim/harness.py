@@ -16,10 +16,11 @@ kappa as inputs: ``verify`` hands it the estimate of its own density leg
 (a fiber whose density leg was refused gets no report), and ``dimension``
 runs the density leg for the report on streams of its own.  The config's
 ``pin_length`` governs the d >= 3 density route and the conditional
-samples behind the dimension report and the ball curves; the interval
-route reads its pools with no pin.  Settings the config does not carry
-(tail-pool burn-ins, query counts, the significance gate, the radius grid
-of every dimension fit) are module constants.
+samples behind the dimension report (one stack of PIN_REALIZATIONS
+pinned pasts per fiber) and the ball curves (one pinned past per fiber);
+the interval route reads its pools with no pin.  Settings the config does
+not carry (tail-pool burn-ins, query counts, the significance gate, the
+sample sizes and radius grid of every dimension fit) are module constants.
 
 The config format is INI with one [experiment] section and a mandatory
 schema version; unknown sections or keys are hard errors.  Every field
@@ -122,6 +123,9 @@ class ExperimentConfig:
             problems.append("fiber_index must be positive or 'all'")
         if self.pin_length is not None and int(self.pin_length) < 0:
             problems.append("pin_length must be nonnegative")
+        if int(self.interval_n) > 0 and len(self.decay_grid()) < 2:
+            problems.append(f"interval_n {self.interval_n} gives a decay "
+                            "grid of one depth; a slope needs two")
         if problems:
             raise ConfigError("; ".join(problems))
         return self
@@ -133,6 +137,12 @@ class ExperimentConfig:
             spec = from_text(fh.read())
         check_spec(spec)
         return spec
+
+    def decay_grid(self):
+        """The depths n of verify's interval decay curve, up to interval_n."""
+        # a set rather than np.unique, which imports numpy.ma on first use
+        return sorted(set(np.linspace(10, int(self.interval_n), 8,
+                                      dtype=int).tolist()))
 
     def fibers(self, d):
         """The fibers a run covers on a spec of dimension ``d``."""
@@ -381,10 +391,10 @@ def _ball_curves(cfg, spec, i, sampler):
         measure = EmpiricalCircleMeasure.from_samples(stationary_lines(
             spec, LINE_REPLICAS, cfg.burnin, BALL_CURVE_SAMPLE, sampler))
     else:
-        measure = conditional_fiber_sample(
-            spec, i, pin_length=cfg.pin_length,
+        (measure,) = conditional_fiber_sample(
+            spec, i, 1, pin_length=cfg.pin_length,
             tail_replicas=cfg.tail_replicas, sampler=sampler,
-            realization_burnin=cfg.burnin).measure
+            realization_burnin=cfg.burnin)
     grid = default_radius_grid()
     rng = sampler.child(1).rng
     idx = rng.choice(len(measure.points), size=BALL_CURVE_POINTS,
@@ -455,10 +465,9 @@ def run_verify(cfg, threads=1):
     jobs = _entropy_jobs(cfg, spec, sampler, refusals)
 
     def decay():
-        grid = np.unique(np.linspace(10, cfg.interval_n, 8, dtype=int))
-        return interval_decay_curve(spec, cfg.fibers(spec.dim)[0], grid,
-                                    cfg.replicas, sampler.child(5),
-                                    burnin=cfg.burnin)
+        return interval_decay_curve(spec, cfg.fibers(spec.dim)[0],
+                                    cfg.decay_grid(), cfg.replicas,
+                                    sampler.child(5), burnin=cfg.burnin)
     jobs.append((("decay",), _catching(decay, refusals, "interval decay")))
     results = _run_jobs(jobs, threads)
     entropy = _entropy_bundle(cfg, spectrum, results, refusals, start)

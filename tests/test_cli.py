@@ -53,6 +53,18 @@ def test_out_of_range_setting_exits_one(clean_env, tmp_path, name, value,
     assert message in row[2]
 
 
+def test_single_depth_decay_grid_exits_one(clean_env, tmp_path):
+    # interval_n = 10 leaves verify's decay grid at the one depth 10, where
+    # a slope fit is a line through a single point
+    clean_env.setenv("FLAGDIM_INTERVAL_N", "10")
+    code = cli.main(["verify", "--ensemble", "bern2", "--seed", "11",
+                     "--out", str(tmp_path), "--no-figures"])
+    assert code == 1
+    _, row = error_rows(tmp_path)
+    assert row[:2] == ["1", "ConfigError"]
+    assert "decay grid of one depth" in row[2]
+
+
 def test_every_leg_refused_exits_two_with_the_gate_class(clean_env, tmp_path):
     # rot2 acts isometrically: kappa is zero and the dimension gate refuses
     for name, value in (("SPECTRUM_STEPS", "400"), ("TAIL_REPLICAS", "1500"),

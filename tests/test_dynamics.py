@@ -512,6 +512,12 @@ def test_interval_decay_slope_deterministic():
     assert rep.replicas == 3
 
 
+def test_interval_decay_curve_refuses_a_single_depth():
+    # a line through one depth n is no slope; refused before any draw
+    with pytest.raises(ValueError, match="two distinct depths"):
+        interval_decay_curve(strong2(), 1, [10, 10], 3, SeededSampler(19))
+
+
 def test_pullforward_contains_x_and_excludes_y():
     spec = strong2()
     wrapped = 0

@@ -80,8 +80,9 @@ def test_dimension_report_burns_in_the_configured_steps(monkeypatch):
     monkeypatch.setattr(harness, "_density_leg", lambda cfg, spec, i, s:
                         KappaEstimate(kappa=1.0, stderr=0.0,
                                       method="density", fiber_index=i))
-    # one orbit for bern2; six realizations per fiber for diag3eps
-    for ensemble, calls in (("bern2", 1), ("diag3eps", 12)):
+    # one orbit for bern2; one stack of six realizations per fiber for
+    # diag3eps
+    for ensemble, calls in (("bern2", 1), ("diag3eps", 2)):
         seen.clear()
         cfg = harness.load_config(
             None, dict(TINY, ensemble=ensemble, burnin=250), environ={})
