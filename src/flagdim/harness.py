@@ -387,18 +387,21 @@ def run_entropy(cfg, threads=1):
 
 def _ball_curves(cfg, spec, i, sampler):
     """Radius/mass curves behind the dimension figure (and its CSV)."""
+    # the curves' centers draw on a stream the sample does not read
     if spec.dim == 2:
         measure = EmpiricalCircleMeasure.from_samples(stationary_lines(
             spec, LINE_REPLICAS, cfg.burnin, BALL_CURVE_SAMPLE, sampler))
+        centers = sampler.child(1)
     else:
+        # the sample draws on sampler.child(0) and sampler.child(1)
         (measure,) = conditional_fiber_sample(
             spec, i, 1, pin_length=cfg.pin_length,
             tail_replicas=cfg.tail_replicas, sampler=sampler,
             realization_burnin=cfg.burnin)
+        centers = sampler.child(2)
     grid = default_radius_grid()
-    rng = sampler.child(1).rng
-    idx = rng.choice(len(measure.points), size=BALL_CURVE_POINTS,
-                     replace=False)
+    idx = centers.rng.choice(len(measure.points), size=BALL_CURVE_POINTS,
+                             replace=False)
     return [(i, p, grid, ball_mass(measure, measure.points[k], grid))
             for p, k in enumerate(idx)]
 

@@ -9,7 +9,7 @@ import pytest
 
 from flagdim import dynamics, entropy, harness
 from flagdim.dynamics import SpectrumEstimate
-from flagdim.ensemble import bern2, to_text
+from flagdim.ensemble import SeededSampler, bern2, to_text
 from flagdim.entropy import KappaEstimate
 from flagdim.errors import BandwidthTooSmall, ConfigError, HypothesisNotMet
 
@@ -172,3 +172,26 @@ def test_verify_on_a_spec_file_reads_it_once(monkeypatch, tmp_path):
     assert len(opened) == 1
     assert len({id(spec) for spec in tabled}) == 1
     assert [s.name for s in dynamics._WORD_TABLES].count("onespec") == 1
+
+
+class _KeyLog(SeededSampler):
+    """A sampler that logs the stream key of itself and of every child."""
+
+    def __init__(self, seed, stream=(), log=None):
+        super().__init__(seed, stream)
+        self.log = [] if log is None else log
+        self.log.append(self.stream)
+
+    def child(self, *subkey):
+        return _KeyLog(self.seed, self.stream + subkey, self.log)
+
+
+@pytest.mark.parametrize("ensemble", ["bern2", "diag3eps"])
+def test_ball_curve_centers_draw_on_a_stream_of_their_own(ensemble):
+    # two generators on one key start from the same bits, so the curves'
+    # centers would follow the draws of the sample they are picked from
+    cfg = harness.load_config(None, dict(TINY, ensemble=ensemble), environ={})
+    sampler = _KeyLog(cfg.seed, (6, 1))
+    curves = harness._ball_curves(cfg, cfg.spec(), 1, sampler)
+    assert len(curves) == harness.BALL_CURVE_POINTS
+    assert len(set(sampler.log)) == len(sampler.log)
