@@ -411,33 +411,37 @@ def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
     n_groups = min(JACKKNIFE_GROUPS, orbit_samples)
     group = owner % n_groups
     h = float(bandwidth)
+    # matrix r scores the images of its own block of replicas; every
+    # block reads the one stationary sample x in a single call, in matrix
+    # order, and each query leaves its own replica out of both kernel sums
+    asked = [np.flatnonzero(owner == r) for r in range(orbit_samples)]
+    images = [fiber_map_image(a, x[rows]) for a, rows in zip(mats, asked)]
+    st, ct = kernel_sums(x, np.concatenate(images), h, labels=group,
+                         n_labels=n_groups, exclude=np.concatenate(asked))
+    # of the counts, keep the fewest neighbors left with one group out
+    ct = ct.sum(1) - ct.max(1)
+    cuts = np.cumsum([len(rows) for rows in asked])[:-1]
     # per-matrix mean log ratios: with every replica, and with each
     # jackknife group's replicas left out of the kernel sums
     owners = []
     full = []
     left_out = []
-    queries = 0
+    queries = len(x)
     dropped = 0
-    for r, a in enumerate(mats):
-        image = fiber_map_image(a, x)
-        asked = np.flatnonzero(owner == r)
-        # each query's own replica is left out of both kernel sums
-        sp, cp = kernel_sums(image, image[asked], h, labels=group,
-                             n_labels=n_groups, exclude=asked)
-        st, ct = kernel_sums(x, image[asked], h, labels=group,
-                             n_labels=n_groups, exclude=asked)
-        ok = np.minimum(cp.sum(1) - cp.max(1),
-                        ct.sum(1) - ct.max(1)) >= KDE_MIN_NEIGHBORS
-        queries += len(asked)
+    for r, (a, rows, image, st_r, ct_r) in enumerate(zip(
+            mats, asked, images, np.split(st, cuts), np.split(ct, cuts))):
+        sp, cp = kernel_sums(fiber_map_image(a, x), image, h, labels=group,
+                             n_labels=n_groups, exclude=rows)
+        ok = np.minimum(cp.sum(1) - cp.max(1), ct_r) >= KDE_MIN_NEIGHBORS
         dropped += int(np.count_nonzero(~ok))
         if not ok.any():
             continue
-        sp, st = sp[ok], st[ok]
-        tp, tt = sp.sum(1), st.sum(1)
+        sp, st_r = sp[ok], st_r[ok]
+        tp, tt = sp.sum(1), st_r.sum(1)
         owners.append(r % n_groups)
         full.append(np.mean(np.log(tp) - np.log(tt)))
         left_out.append(np.mean(np.log(tp[:, None] - sp)
-                                - np.log(tt[:, None] - st), axis=0))
+                                - np.log(tt[:, None] - st_r), axis=0))
     if dropped > 0.1 * queries:
         raise BandwidthTooSmall(
             f"{dropped} of {queries} queries have fewer than "
