@@ -22,6 +22,15 @@ width W is derived from the table so that this bound, for every width up
 to W, stays under FOLD_COND_CAP.  No fold is checked or cut while the
 orbit runs.  bern2 folds 43 steps and diag3eps 32 into one QR step.
 
+Stacks that advance this way (pools of thousands of replicas, the
+spectrum's 64) keep their shape (n, d, k) but are held replica-last: the
+replica axis is innermost in memory.  Word tables are (d, d, K^l)
+buffers, so a gather of words comes out replica-last; the words are
+folded by ``einsum``, each product times the stack is formed in Fortran
+order, and ``batched_orthonormalize`` returns Q in its input's order.
+Every elementwise step of the fold, the product and Gram-Schmidt then
+runs over contiguous replicas instead of once per 3x3 matrix.
+
 Every stack of replicas draws from one sampler: step t takes one matrix
 per replica, in replica order, so a replica's draws depend on the stack
 it runs in.  A burn-in is a ``stationary_flag_pool`` on the stack's
@@ -30,12 +39,16 @@ it, and a realization's pinned past is the start of its own window.  An
 orbit trace keeps, for R replicas over one window of T steps, arrays with
 the replica on the leading axis: the flag bases (R, T+1, d, d), the
 completion frames of the fiber planes (R, T+1, d, 2), the induced 2x2
-fiber maps (R, T, 2, 2) and the fiber coordinates (R, T+1).  The
-stable-line pass and the interval pushes then run over every replica at
-once, with each step's inverse, determinant and condition number formed
-for many steps in one vectorized pass before their loops; per-step Flag,
-PartialFlag and CircleMap objects are built only on demand, for checking
-one step.  A d = 2 sample of the stationary measure needs nothing but the
+fiber maps (R, T, 2, 2) and the fiber coordinates (R, T+1).  A trace
+keeps every flag of its window, so it cannot skip the times inside a
+fold: it forms each fold's prefix products and orthonormalizes them, all
+the fold's times at once, in one QR call per fold of the word-table
+width (one step for the kinds without a table).  The stable-line pass
+and the interval pushes then run over every replica at once, with each
+step's inverse, determinant and condition number formed for many steps
+in one vectorized pass before their loops; per-step Flag, PartialFlag
+and CircleMap objects are built only on demand, for checking one step.
+A d = 2 sample of the stationary measure needs nothing but the
 line of each flag: ``stationary_lines`` runs leading columns (R, 2, 1)
 from e_1 through ``evolve_flags`` and reads their angles after a burn-in
 and again every THINNING steps, off independent replicas rather than one
@@ -85,23 +98,28 @@ def batched_orthonormalize(mats):
     """QR with positive diagonal across a stack; returns Q and log|diag R|.
 
     A vectorized modified Gram-Schmidt over the stack (..., d, k): LAPACK's
-    per-matrix overhead dominates np.linalg.qr for tiny matrices.  Stacks
-    advance through it once per folded product (see ``advance`` and
-    ``_word_products``), so a call stands for up to FOLD_STEPS drawn steps
-    of the cocycle, or up to WORD_FOLD_STEPS drawn atom indices.
+    per-matrix overhead dominates np.linalg.qr for tiny matrices.  Q is
+    allocated like ``mats``, so it comes back in the input's memory order:
+    a replica-last stack (see ``_apply``) stays replica-last, and every
+    column operation then runs over contiguous replicas.  Stacks advance
+    through it once per folded product (see ``_apply``), so a call stands
+    for up to FOLD_STEPS drawn steps of the cocycle, or up to
+    WORD_FOLD_STEPS drawn atom indices; a trace orthonormalizes the prefix
+    products of a whole fold in one call (see ``forward_orbit``).
     """
     mats = np.asarray(mats, dtype=float)
-    d = mats.shape[-1]
-    cols = []
-    logs = np.empty(mats.shape[:-2] + (d,))
-    for j in range(d):
+    k = mats.shape[-1]
+    q = np.empty_like(mats)
+    logs = np.empty(mats.shape[:-2] + (k,))
+    for j in range(k):
         col = mats[..., :, j]
-        for prev in cols:
+        for i in range(j):
+            prev = q[..., :, i]
             col = col - np.einsum("...i,...i->...", prev, col)[..., None] * prev
         nrm = np.sqrt(np.einsum("...i,...i->...", col, col))
-        cols.append(col / nrm[..., None])
+        np.divide(col, nrm[..., None], out=q[..., :, j])
         logs[..., j] = np.log(nrm)
-    return np.stack(cols, axis=-1), logs
+    return q, logs
 
 
 def _log_cond_bound(p):
@@ -203,7 +221,9 @@ def _word_tables(spec):
     forms.  h is the largest of 8, 4, 2 and 1 with K^h <= WORD_TABLE, so
     no table holds more than WORD_TABLE products except the atoms
     themselves when K exceeds it.  The fold width comes from each length's
-    largest 2-norm condition number (see ``_fold_width``).
+    largest 2-norm condition number (see ``_fold_width``).  Each table is
+    a (d, d, K^l) buffer read through a (K^l, d, d) view, so that a
+    gather along its last axis (``_gather``) comes out replica-last.
     """
     tables = _WORD_TABLES.get(spec)
     if tables is None:
@@ -214,8 +234,21 @@ def _word_tables(spec):
         for _ in range(1, h):
             prods.append((atoms[:, None] @ prods[-1][None]).reshape(-1, d, d))
         conds = [1.0] + [float(np.max(np.linalg.cond(p))) for p in prods]
-        tables = _WORD_TABLES.setdefault(spec, (h, _fold_width(h, conds), prods))
+        views = [np.moveaxis(np.ascontiguousarray(np.moveaxis(p, 0, -1)), -1, 0)
+                 for p in prods]
+        tables = _WORD_TABLES.setdefault(spec, (h, _fold_width(h, conds), views))
     return tables
+
+
+def _gather(table, codes):
+    """``table[codes]``, shape (*codes.shape, d, d), held replica-last.
+
+    ``np.take`` along the last axis of the table's (d, d, K^l) buffer
+    writes each entry's words contiguously, so the codes' axes, the
+    replica axis among them, are innermost in memory.
+    """
+    return np.moveaxis(np.take(np.moveaxis(table, 0, -1), codes, axis=-1),
+                       (0, 1), (-2, -1))
 
 
 def _word_products(spec, idx):
@@ -225,35 +258,40 @@ def _word_products(spec, idx):
     a multiple) is cut into sub-words of h (see ``_word_tables``); its
     product is the sub-words' tabled products multiplied left to right.
     The width keeps every product under FOLD_COND_CAP, so none is checked
-    or cut.  Returns the (m, d, d) products in order.
+    or cut.  Returns the (m, d, d) products in order, replica-last.
     """
-    h, width, prods = _word_tables(spec)
+    h, width, tables = _word_tables(spec)
     weights = len(spec.params["atoms"]) ** np.arange(h)
     out = []
     for runs in _runs(idx, width):
         f, w, m = runs.shape
         q, r = divmod(w, h)
-        words = list(prods[h - 1][np.einsum(
-            "fqjm,j->qfm", runs[:, :q * h].reshape(f, q, h, m), weights)])
+        words = list(_gather(tables[h - 1], np.einsum(
+            "fqjm,j->qfm", runs[:, :q * h].reshape(f, q, h, m), weights)))
         if r:
-            words.append(prods[r - 1][np.einsum(
-                "fjm,j->fm", runs[:, q * h:], weights[:r])])
+            words.append(_gather(tables[r - 1], np.einsum(
+                "fjm,j->fm", runs[:, q * h:], weights[:r])))
         prod = words[0]
         for p in words[1:]:
-            prod = p @ prod
+            prod = np.einsum("...ij,...jk->...ik", p, prod)
         out.extend(prod)
     return out
 
 
 def _apply(bases, products):
-    """One QR step of the stack per product, in order.
+    """One QR step of the stack (n, d, k) per product, in order.
 
-    Returns the bases reached and each replica's summed log|diag R|.
+    Each product multiplies the stack into a replica-last stack (Fortran
+    order: the replica axis innermost in memory), which
+    ``batched_orthonormalize`` keeps, so both run over contiguous replicas
+    whatever order the products come in.  Returns the bases reached and
+    each replica's summed log|diag R|.
     """
     bases = np.asarray(bases, dtype=float)
     logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
     for p in products:
-        bases, logr = batched_orthonormalize(p @ bases)
+        bases, logr = batched_orthonormalize(
+            np.einsum("...ij,...jk->...ik", p, bases, order="F"))
         logs += logr
     return bases, logs
 
@@ -267,8 +305,9 @@ def advance(bases, mats, max_fold=FOLD_STEPS):
     flag: Gram-Schmidt never reads a later column.  Up to ``max_fold``
     consecutive matrices are folded into one product under FOLD_COND_CAP
     (see ``_products``) and each product takes one QR step.  Returns the
-    bases reached and each replica's log|diag R| summed over the steps
-    (n, k), equal to the stepwise sums up to rounding.
+    bases reached, held replica-last (see ``_apply``), and each replica's
+    log|diag R| summed over the steps (n, k), equal to the stepwise sums
+    up to rounding.
     """
     return _apply(bases, _products(np.asarray(mats, dtype=float), max_fold))
 
@@ -319,18 +358,18 @@ def evolve_flags(spec, bases, n_steps, sampler):
     """
     bases = np.asarray(bases, dtype=float)
     n = len(bases)
-    if spec.kind == "finite_support":
-        width = _word_tables(spec)[1]
-        blocks = (_word_products(spec, atom_indices(spec, sampler, t * n)
-                                 .reshape(t, n))
-                  for t in _block_steps(n, n_steps, width))
-    else:
-        blocks = (_products(block, FOLD_STEPS)
-                  for block in draw_blocks(spec, sampler, n, n_steps))
     logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
-    for products in blocks:
-        bases, block_logs = _apply(bases, products)
-        logs += block_logs
+    if spec.kind == "finite_support":
+        # a block's indices and words live only through its own _apply
+        # call, so none is held while the next block is drawn
+        for t in _block_steps(n, n_steps, _word_tables(spec)[1]):
+            bases, block_logs = _apply(bases, _word_products(
+                spec, atom_indices(spec, sampler, t * n).reshape(t, n)))
+            logs += block_logs
+    else:
+        for block in draw_blocks(spec, sampler, n, n_steps):
+            bases, block_logs = _apply(bases, _products(block, FOLD_STEPS))
+            logs += block_logs
     return bases, logs
 
 
@@ -500,12 +539,40 @@ class OrbitTrace:
                          target=self.partial(k + 1, r), matrix=self.maps[r, k])
 
 
+def _fold_trace(start, mats, width):
+    """Bases (R, T+1, d, d) of start (R, d, d) under mats (R, T, d, d).
+
+    The window is cut into folds of ``width`` steps.  A fold's prefix
+    products (its first w matrices, w = 1..width) are formed first; the
+    flags at the fold's times are then one ``batched_orthonormalize`` call
+    on those products times the flag the fold starts from, the stepwise
+    flags up to rounding while every product stays under FOLD_COND_CAP.
+    """
+    # prefix[:, t] = mats[:, t] ... mats[:, lo], lo the start of t's fold
+    prefix = mats.copy()
+    for w in range(1, width):
+        later = mats[:, w::width]
+        prefix[:, w::width] = later @ prefix[:, w - 1::width][:, :later.shape[1]]
+    count, n_steps = mats.shape[:2]
+    bases = np.empty((count, n_steps + 1) + start.shape[1:])
+    bases[:, 0] = start
+    for lo in range(0, n_steps, width):
+        hi = min(lo + width, n_steps)
+        bases[:, lo + 1: hi + 1] = batched_orthonormalize(
+            prefix[:, lo:hi] @ bases[:, lo, None])[0]
+    return bases
+
+
 def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
     """Run the cocycle from given flags, keeping the full trace.
 
     ``f0`` is one Flag or a stack of R bases; the window's n_steps
     matrices per replica are the next draws on ``sampler``, in the blocks
-    of ``draw_blocks``.  Every basis and frame must be orthonormal, as Flag
+    of ``draw_blocks``.  The flags are formed one fold of W steps at a
+    time (``_fold_trace``): W is the word-table fold width for finite
+    support, where any product of at most W atoms has condition number at
+    most c_h^q c_r <= FOLD_COND_CAP (see ``_fold_width``), and 1 for
+    every other kind.  Every basis and frame must be orthonormal, as Flag
     and PartialFlag require, and every fiber map invertible.
     """
     i = fiber_index
@@ -516,10 +583,8 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
     # time-major blocks, read replica-major: each step's stack stays contiguous
     mats = np.concatenate([np.empty((0, len(start), d, d)), *draw_blocks(
         spec, sampler, len(start), n_steps)]).swapaxes(0, 1)
-    bases = np.empty((len(start), n_steps + 1, d, d))
-    bases[:, 0] = start
-    for t in range(n_steps):
-        bases[:, t + 1] = batched_orthonormalize(mats[:, t] @ bases[:, t])[0]
+    width = _word_tables(spec)[1] if spec.kind == "finite_support" else 1
+    bases = _fold_trace(start, mats, width)
     # frames and coordinates a block of times at a time, so temporaries
     # stay small next to the trace itself
     frames = np.empty((len(start), n_steps + 1, d, 2))
@@ -534,7 +599,7 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
                   _max_deviation(frames[:, lo: lo + _TIME_BLOCK]))
     if not err < ORTHO_TOL:
         raise DegenerateBasis(f"basis is not orthonormal (deviation {err:.3e})")
-    maps = np.einsum("...ki,...kl,...lj->...ij", frames[:, 1:], mats, frames[:, :-1])
+    maps = frames[:, 1:].swapaxes(-1, -2) @ (mats @ frames[:, :-1])
     det = det2(maps)
     if not np.all(np.isfinite(det) & (det != 0.0)):
         raise DegenerateBasis("induced fiber map is singular")

@@ -224,7 +224,8 @@ def sample_batch(spec, sampler, n):
     rng = sampler.rng
     d = spec.dim
     if spec.kind == "finite_support":
-        return spec.params["atoms"][atom_indices(spec, sampler, n)]
+        return np.take(spec.params["atoms"], atom_indices(spec, sampler, n),
+                       axis=0)
     if spec.kind == "rotation_invariant":
         return _haar_orthogonal(rng, d, n) @ spec.params["stretch"]
     if spec.kind == "diagonal":

@@ -15,8 +15,9 @@ from flagdim.ensemble import (EnsembleSpec, SeededSampler, bern2, diag3eps,
                               finite_support, from_text, rot2, sample_batch,
                               to_text)
 from flagdim.errors import (DegenerateFiberPair, GapTooSmall, IntervalWrap)
-from flagdim.flagcore import (Flag, LinearMap, act_flag, det2,
-                              fiber_coordinate, fiber_map_image, partial_flag)
+from flagdim.flagcore import (Flag, LinearMap, act_flag, completion_frames,
+                              det2, fiber_coordinate, fiber_coordinates,
+                              fiber_map_image, partial_flag)
 
 from conftest import random_invertible
 from iso_reference import iso3_exponents
@@ -63,6 +64,24 @@ def test_batched_orthonormalize_matches_scalar(rng):
         sign = np.sign(np.diag(rk))
         assert np.allclose(q[k], qk * sign, atol=1e-10)
         assert np.allclose(logr[k], np.log(np.abs(np.diag(rk))), atol=1e-10)
+
+
+@pytest.mark.parametrize("layout", ["F", "replica-last"])
+def test_batched_orthonormalize_keeps_the_memory_order(rng, layout):
+    # a stack whose replica axis is innermost in memory comes back in the
+    # same order, with the C-ordered stack's Q and log|diag R|
+    mats = rng.standard_normal((500, 3, 3)) + 2 * np.eye(3)
+    q, logr = batched_orthonormalize(mats)
+    assert q.flags.c_contiguous
+    if layout == "F":
+        copy = np.asfortranarray(mats)
+    else:
+        copy = np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, 0, -1)),
+                           -1, 0)
+    got_q, got_logr = batched_orthonormalize(copy)
+    assert got_q.strides == copy.strides
+    assert np.max(np.abs(got_q - q)) < 1e-14
+    assert np.max(np.abs(got_logr - logr)) < 1e-14
 
 
 ISO3 = EnsembleSpec("iso3", 3, "rotation_invariant",
@@ -373,6 +392,29 @@ def test_forward_orbit_steps_through_maps():
     for k in range(40):
         assert circle.distance(trace.circle_map(k)(trace.x[0, k]),
                                trace.x[0, k + 1]) < 1e-9
+
+
+@pytest.mark.parametrize("spec, i", [(bern2(), 1), (diag3eps(), 2),
+                                     (strong2(stretch=3.45), 1)],
+                         ids=["bern2", "diag3eps", "strong2-3.45"])
+def test_folded_trace_matches_stepwise_qr(spec, i):
+    # forward_orbit orthonormalizes each fold's prefix products in one call
+    # (W = 43 steps for bern2, 32 for diag3eps, 1 for strong2 at stretch
+    # 3.45); the reference takes one QR step per matrix of the trace, and
+    # the last fold of the 150-step window is a short one
+    trace = stationary_orbit(spec, i, 150, 40, SeededSampler(49), replicas=4)
+    bases = [trace.bases[:, 0]]
+    for k in range(150):
+        bases.append(batched_orthonormalize(trace.matrices[:, k] @ bases[-1])[0])
+    bases = np.stack(bases, axis=1)
+    frames = completion_frames(bases[..., i - 1: i + 1])
+    maps = np.einsum("...ki,...kl,...lj->...ij", frames[:, 1:],
+                     trace.matrices, frames[:, :-1])
+    assert np.max(np.abs(trace.bases - bases)) < 1e-12
+    assert np.max(np.abs(trace.frames - frames)) < 1e-12
+    assert np.max(np.abs(trace.maps - maps)) < 1e-12
+    assert np.max(circle.distance(trace.x,
+                                  fiber_coordinates(bases, frames, i))) < 1e-12
 
 
 def test_trace_window_and_index():
