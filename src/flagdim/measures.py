@@ -24,7 +24,7 @@ MASS_FLOOR_COUNT = 10   # minimum expected sample count per usable radius level
 MASS_CEILING = 0.9      # saturated balls carry no scaling information
 MIN_FIT_LEVELS = 4
 KDE_MIN_NEIGHBORS = 5
-KERNEL_PAIR_CHUNK = 1 << 15  # (query, point) pairs expanded at once
+KERNEL_PAIR_CHUNK = 1 << 15  # (query, point) pairs expanded at once, ~50 B each
 
 
 @dataclass(frozen=True, eq=False)
