@@ -24,7 +24,6 @@ from .ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler, bern2,
                        diag3eps, finite_support, from_text, rot2,
                        sample_batch, to_text, validate)
 from .entropy import (KappaEstimate, conditional_fiber_sample,
-                      conditional_independence_diagnostic,
                       dimension_formula_report, furstenberg_entropy_d2,
                       kappa_density_estimator, kappa_interval_estimator)
 from .errors import FlagdimError

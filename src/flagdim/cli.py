@@ -93,7 +93,7 @@ def main(argv=None):
             print(line)
         refused_all = (
             (args.command == "dimension" and not bundle.dimension_reports)
-            or (args.command == "entropy" and not bundle.kappas))
+            or (args.command in ("entropy", "verify") and not bundle.kappas))
         if refused_all:
             # the gate error of the first refused leg, as a direct raise
             # would record it

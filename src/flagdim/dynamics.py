@@ -43,11 +43,12 @@ fiber maps (R, T, 2, 2) and the fiber coordinates (R, T+1).  A trace
 keeps every flag of its window, so it cannot skip the times inside a
 fold: it forms each fold's prefix products and orthonormalizes them, all
 the fold's times at once, in one QR call per fold of the word-table
-width (one step for the kinds without a table).  The stable-line pass
-and the interval pushes then run over every replica at once, with each
-step's inverse, determinant and condition number formed for many steps
-in one vectorized pass before their loops; per-step Flag, PartialFlag
-and CircleMap objects are built only on demand, for checking one step.
+width (one step for rotation_invariant, which has no table).  The
+stable-line pass and the interval pushes then run over every replica at
+once, with each step's inverse, determinant and condition number formed
+for many steps in one vectorized pass before their loops; per-step Flag,
+PartialFlag and CircleMap objects are built only on demand, for checking
+one step.
 A d = 2 sample of the stationary measure needs nothing but the
 line of each flag: ``stationary_lines`` runs leading columns (R, 2, 1)
 from e_1 through ``evolve_flags`` and reads their angles after a burn-in
@@ -328,19 +329,13 @@ def draw_blocks(spec, sampler, n, steps):
 
     Each block is one ``sample_batch(spec, sampler, T n)`` call, which
     reproduces T calls of ``sample_batch(spec, sampler, n)`` byte for byte:
-    the finite-support, Haar and diagonal kinds consume their stream in
-    draw order.  The ``perturbed`` kind interleaves its index and rotation
-    draws within one call, so it draws step by step, one call per step.
-    A block holds at most DRAW_BLOCK matrices, or one fold of the stack
-    (FOLD_STEPS steps) when that is more, and a whole number of folds
-    except at the end.
+    both kinds consume their stream in draw order.  A block holds at most
+    DRAW_BLOCK matrices, or one fold of the stack (FOLD_STEPS steps) when
+    that is more, and a whole number of folds except at the end.
     """
     d = spec.dim
     for t in _block_steps(n, steps):
-        if spec.kind == "perturbed":
-            yield np.stack([sample_batch(spec, sampler, n) for _ in range(t)])
-        else:
-            yield sample_batch(spec, sampler, t * n).reshape(t, n, d, d)
+        yield sample_batch(spec, sampler, t * n).reshape(t, n, d, d)
 
 
 def evolve_flags(spec, bases, n_steps, sampler):
@@ -351,10 +346,11 @@ def evolve_flags(spec, bases, n_steps, sampler):
     ``atom_indices`` call on the same stream per block, and folds each
     block's words W steps at a time (``_word_products``; W is derived from
     the atoms, 43 for bern2 and 32 for diag3eps), so the stack takes about
-    n_steps / W QR steps.  Every other kind draws matrices in the blocks
-    of ``draw_blocks`` and folds each as ``advance`` does, about n_steps /
-    FOLD_STEPS QR steps.  No fold spans two blocks.  Returns the bases
-    reached and each replica's summed log|diag R|, as ``advance`` does.
+    n_steps / W QR steps.  A rotation_invariant spec draws Haar matrices
+    in the blocks of ``draw_blocks`` and folds each as ``advance`` does,
+    about n_steps / FOLD_STEPS QR steps.  No fold spans two blocks.
+    Returns the bases reached and each replica's summed log|diag R|, as
+    ``advance`` does.
     """
     bases = np.asarray(bases, dtype=float)
     n = len(bases)
@@ -572,8 +568,9 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
     time (``_fold_trace``): W is the word-table fold width for finite
     support, where any product of at most W atoms has condition number at
     most c_h^q c_r <= FOLD_COND_CAP (see ``_fold_width``), and 1 for
-    every other kind.  Every basis and frame must be orthonormal, as Flag
-    and PartialFlag require, and every fiber map invertible.
+    rotation_invariant, which has no word table.  Every basis and frame
+    must be orthonormal, as Flag and PartialFlag require, and every fiber
+    map invertible.
     """
     i = fiber_index
     d = spec.dim

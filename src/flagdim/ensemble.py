@@ -1,16 +1,17 @@
 """Matrix ensembles: description, validation, and reproducible sampling.
 
 An ensemble is the distribution of the i.i.d. matrices driving the flag
-dynamics.  Four kinds are supported:
+dynamics.  Two kinds are supported:
 
 - ``finite_support``: a list of matrices with probabilities.  Every moment
   hypothesis holds automatically, so this is the benchmark family.
 - ``rotation_invariant``: Haar orthogonal matrices times a fixed stretch.
   With the identity stretch the fiber action preserves arc length, the
   entropy vanishes, and the ensemble serves as the zero control.
-- ``diagonal``: diagonal matrices with normal log-entries.
-- ``perturbed``: a finite-support base composed with a small random
-  rotation of fixed magnitude (orthonormalized I + eps K, K random skew).
+
+A Haar matrix K times the stretch S has the singular values and the
+|det| of S, so every moment of either kind is a weighted sum over a
+finite list of matrices (``_support``) and is read in closed form.
 
 Sampling is counter-based: a (seed, stream) pair fully determines every
 draw.  Each job of a run draws on streams of its own, so jobs can run in
@@ -24,14 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec
-from .flagcore import COND_CAP, orthonormalize
+from .flagcore import COND_CAP
 
-KINDS = ("finite_support", "rotation_invariant", "diagonal", "perturbed")
+KINDS = ("finite_support", "rotation_invariant")
 SPEC_SCHEMA = 1
-MOMENT_DRAWS = 4096      # Monte Carlo draws behind validate's moments
-MOMENT_SEED = 0
-LOGDET_DRAWS = 4096      # Monte Carlo draws behind mean_log_abs_det
-LOGDET_SEED = 0
 PROB_TOL = np.sqrt(np.finfo(float).eps)   # Generator.choice's tolerance on sum(p)
 
 
@@ -66,8 +63,6 @@ class EnsembleSpec:
 
     - finite_support: atoms (k, d, d array), probs (k,)
     - rotation_invariant: stretch (d, d)
-    - diagonal: log_means (d,), log_sds (d,)
-    - perturbed: atoms, probs, magnitude (scalar rotation size)
     """
 
     name: str
@@ -102,7 +97,7 @@ def check_spec(spec):
     d = spec.dim
     if d < 2:
         reasons.append(f"dimension must be at least 2, got {d}")
-    if spec.kind in ("finite_support", "perturbed"):
+    if spec.kind == "finite_support":
         atoms = np.asarray(spec.params.get("atoms", np.zeros((0, d, d))), dtype=float)
         probs = np.asarray(spec.params.get("probs", np.zeros(0)), dtype=float)
         if atoms.ndim != 3 or atoms.shape[1:] != (d, d):
@@ -119,51 +114,40 @@ def check_spec(spec):
             for k, a in enumerate(atoms):
                 if not np.all(np.isfinite(a)) or np.linalg.cond(a) > COND_CAP:
                     reasons.append(f"support matrix {k} is singular or ill-conditioned")
-        if spec.kind == "perturbed":
-            eps = spec.params.get("magnitude")
-            if eps is None or not 0 < float(eps) < 1:
-                reasons.append("perturbation magnitude must lie in (0, 1)")
-    elif spec.kind == "rotation_invariant":
+    else:
         stretch = np.asarray(spec.params.get("stretch", np.eye(d)), dtype=float)
         if stretch.shape != (d, d):
             reasons.append(f"stretch must be {d}x{d}, got {stretch.shape}")
         elif not np.all(np.isfinite(stretch)) or np.linalg.cond(stretch) > COND_CAP:
             reasons.append("stretch matrix is singular or ill-conditioned")
-    elif spec.kind == "diagonal":
-        means = np.asarray(spec.params.get("log_means", ()), dtype=float)
-        sds = np.asarray(spec.params.get("log_sds", ()), dtype=float)
-        if means.shape != (d,) or sds.shape != (d,):
-            reasons.append("log_means and log_sds must each have one entry per dimension")
-        elif not (np.all(np.isfinite(means)) and np.all(np.isfinite(sds))):
-            reasons.append("log_means and log_sds must be finite")
-        elif np.any(sds < 0):
-            reasons.append("log_sds must be nonnegative")
     if reasons:
         raise InvalidSpec(reasons)
 
 
-def validate(spec):
-    """Check the spec and estimate the log singular value moments.
+def _support(spec):
+    """Matrices and weights whose weighted sums are the spec's moments.
 
-    Raises InvalidSpec as ``check_spec`` does.  For parametric kinds the
-    moments E|log sigma_i| are Monte Carlo estimates over MOMENT_DRAWS
-    draws (finite support is summed exactly, stderr 0).
+    The atoms and their probabilities for finite support; the stretch with
+    weight 1 for Haar times a stretch, which has the stretch's singular
+    values and |det| in every draw.
+    """
+    if spec.kind == "finite_support":
+        return spec.params["atoms"], spec.params["probs"]
+    return spec.params["stretch"][None], np.ones(1)
+
+
+def validate(spec):
+    """Check the spec and sum the log singular value moments exactly.
+
+    Raises InvalidSpec as ``check_spec`` does.  The moments E|log sigma_i|
+    are weighted sums over ``_support``, so their stderr is 0.
     """
     check_spec(spec)
-    d = spec.dim
-    if spec.kind == "finite_support":
-        probs = spec.params["probs"]
-        logs = np.abs(np.log(np.linalg.svd(spec.params["atoms"], compute_uv=False)))
-        moments = probs @ logs
-        stderr = np.zeros(d)
-    else:
-        sampler = SeededSampler(MOMENT_SEED, (0xA11D,))
-        batch = sample_batch(spec, sampler, MOMENT_DRAWS)
-        logs = np.abs(np.log(np.linalg.svd(batch, compute_uv=False)))
-        moments = logs.mean(axis=0)
-        stderr = logs.std(axis=0, ddof=1) / np.sqrt(MOMENT_DRAWS)
-    return ValidationReport(name=spec.name, dim=d, kind=spec.kind,
-                            log_sv_moments=moments, moment_stderr=stderr)
+    mats, weights = _support(spec)
+    logs = np.abs(np.log(np.linalg.svd(mats, compute_uv=False)))
+    return ValidationReport(name=spec.name, dim=spec.dim, kind=spec.kind,
+                            log_sv_moments=weights @ logs,
+                            moment_stderr=np.zeros(spec.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +173,7 @@ def _haar_orthogonal(rng, d, n):
 
 
 def atom_indices(spec, sampler, n):
-    """Draw n atom indices of a finite-support or perturbed spec by probs.
+    """Draw n atom indices of a finite-support spec by probs.
 
     ``spec.params["atoms"][atom_indices(spec, sampler, n)]`` is what
     ``sample_batch(spec, sampler, n)`` returns for finite support, and the
@@ -224,39 +208,16 @@ def sample_batch(spec, sampler, n):
     Consumes the sampler's stream once per call in a fixed pattern, so a
     given (seed, stream, call sequence) always yields the same bytes.
     """
-    rng = sampler.rng
-    d = spec.dim
     if spec.kind == "finite_support":
         return np.take(spec.params["atoms"], atom_indices(spec, sampler, n),
                        axis=0)
-    if spec.kind == "rotation_invariant":
-        return _haar_orthogonal(rng, d, n) @ spec.params["stretch"]
-    if spec.kind == "diagonal":
-        g = rng.normal(spec.params["log_means"], spec.params["log_sds"], size=(n, d))
-        out = np.zeros((n, d, d))
-        step = np.arange(d)
-        out[:, step, step] = np.exp(g)
-        return out
-    if spec.kind == "perturbed":
-        base = spec.params["atoms"][atom_indices(spec, sampler, n)]
-        eps = float(spec.params["magnitude"])
-        g = rng.standard_normal((n, d, d))
-        skew = (g - np.swapaxes(g, 1, 2)) / np.sqrt(2.0)
-        skew /= np.linalg.norm(skew, axis=(1, 2), keepdims=True)
-        rots = np.stack([orthonormalize(np.eye(d) + eps * k) for k in skew])
-        return rots @ base
-    raise InvalidSpec([f"unknown ensemble kind {spec.kind!r}"])
+    return _haar_orthogonal(sampler.rng, spec.dim, n) @ spec.params["stretch"]
 
 
 def mean_log_abs_det(spec):
-    """E log|det A|, exact for finite support, Monte Carlo otherwise."""
-    if spec.kind == "finite_support":
-        dets = np.abs(np.linalg.det(spec.params["atoms"]))
-        return float(spec.params["probs"] @ np.log(dets)), 0.0
-    batch = sample_batch(spec, SeededSampler(LOGDET_SEED, (0xDE7,)),
-                         LOGDET_DRAWS)
-    logs = np.log(np.abs(np.linalg.det(batch)))
-    return float(logs.mean()), float(logs.std(ddof=1) / np.sqrt(LOGDET_DRAWS))
+    """E log|det A|, summed exactly over ``_support`` (stderr 0)."""
+    mats, weights = _support(spec)
+    return float(weights @ np.log(np.abs(np.linalg.det(mats)))), 0.0
 
 
 def _rotation2(angle):
@@ -346,16 +307,11 @@ def to_text(spec):
         f"dim = {spec.dim}",
     ]
     p = spec.params
-    if spec.kind in ("finite_support", "perturbed"):
+    if spec.kind == "finite_support":
         lines.append(f"probs = {_row_text(p['probs'])}")
         lines.extend(f"atom = {_matrix_text(a)}" for a in p["atoms"])
-        if spec.kind == "perturbed":
-            lines.append(f"magnitude = {float(p['magnitude'])!r}")
-    elif spec.kind == "rotation_invariant":
+    else:
         lines.append(f"stretch = {_matrix_text(p['stretch'])}")
-    elif spec.kind == "diagonal":
-        lines.append(f"log_means = {_row_text(p['log_means'])}")
-        lines.append(f"log_sds = {_row_text(p['log_sds'])}")
     return "\n".join(lines) + "\n"
 
 
@@ -408,24 +364,15 @@ def from_text(text):
     except ValueError:
         raise InvalidSpec([f"dim must be an integer, got {fields['dim']!r}"])
     params = {}
-    if kind in ("finite_support", "perturbed"):
+    if kind == "finite_support":
         if "probs" not in fields:
             raise InvalidSpec(["missing key 'probs'"])
         if not atom_rows:
             raise InvalidSpec(["finite support needs at least one 'atom =' line"])
         params["probs"] = _parse_row(fields["probs"], "probs")
         params["atoms"] = np.array([_parse_matrix(a, "atom") for a in atom_rows])
-        if kind == "perturbed":
-            if "magnitude" not in fields:
-                raise InvalidSpec(["missing key 'magnitude'"])
-            params["magnitude"] = float(fields["magnitude"])
-    elif kind == "rotation_invariant":
+    else:
         if "stretch" not in fields:
             raise InvalidSpec(["missing key 'stretch'"])
         params["stretch"] = _parse_matrix(fields["stretch"], "stretch")
-    elif kind == "diagonal":
-        for key in ("log_means", "log_sds"):
-            if key not in fields:
-                raise InvalidSpec([f"missing key {key!r}"])
-            params[key] = _parse_row(fields[key], key)
     return EnsembleSpec(name=fields["name"], dim=dim, kind=kind, params=params)

@@ -40,10 +40,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circle
-from .dynamics import (DEGENERATE_DISTANCE, Arc, forward_orbit,
-                       pull_forward, push_flags, stable_coordinates,
-                       stationary_flag_pool, stationary_interval,
-                       stationary_lines, stationary_orbit)
+from .dynamics import (DEGENERATE_DISTANCE, Arc, pull_forward, push_flags,
+                       stable_coordinates, stationary_flag_pool,
+                       stationary_interval, stationary_lines,
+                       stationary_orbit)
 from .ensemble import SeededSampler, sample_batch
 from .errors import (AtomicFiber, BandwidthTooSmall, GapTooSmall,
                      HypothesisNotMet, NoAcceptedReplicas)
@@ -463,37 +463,6 @@ def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
                      "jackknife_groups": n_groups,
                      "bandwidth": h, "burnin": TAIL_BURNIN,
                      "tail_replicas": tail_replicas})
-
-
-def conditional_independence_diagnostic(spec, fiber_index, pin_length=50,
-                                        replicas=200, sampler=None,
-                                        future_steps=400):
-    """Correlation between past-determined x and future-determined y.
-
-    Replicas share the pinned recent past (pinning the reference fiber)
-    but draw independent remote pasts and independent futures.  Under the
-    conditional independence statement the correlation between the two
-    fiber coordinates drops as the pin grows; reported as the largest
-    absolute correlation between the doubled-angle embeddings.
-    """
-    sampler = sampler or SeededSampler(0)
-    i = fiber_index
-    pinned = sample_batch(spec, sampler.child(0), pin_length)
-    pool = stationary_flag_pool(spec, replicas, TAIL_BURNIN, sampler.child(1))
-    trace = forward_orbit(spec, push_flags(pinned, pool), future_steps,
-                          sampler.child(2), fiber_index=i)
-    # no certificate: the correlation is read whatever the resolution
-    _, y, _ = stable_coordinates(trace, lookahead=future_steps)
-    xs, ys = trace.x[:, 0], y[:, 0]
-    ex = np.stack([np.cos(2 * xs), np.sin(2 * xs)])
-    ey = np.stack([np.cos(2 * ys), np.sin(2 * ys)])
-    rho = 0.0
-    for a in ex:
-        for b in ey:
-            if a.std() > 1e-12 and b.std() > 1e-12:
-                rho = max(rho, abs(float(np.corrcoef(a, b)[0, 1])))
-    return {"pin_length": pin_length, "replicas": replicas,
-            "max_abs_corr": rho}
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,9 +40,8 @@ support atom:
     probs = 1.0
     atom = 2.0 0.0 ; 0.0 0.5
 
-Kinds and their keys: finite_support (probs, atom...), perturbed
-(probs, atom..., magnitude), rotation_invariant (stretch), diagonal
-(log_means, log_sds).  Blank lines and lines starting with # are
+Kinds and their keys: finite_support (probs, atom...) and
+rotation_invariant (stretch).  Blank lines and lines starting with # are
 ignored; ensemble.to_text / ensemble.from_text round trip exactly.  A
 spec file is checked as it is loaded (ensemble.check_spec), so a bad
 entry stops the command with InvalidSpec and an error.csv.

@@ -78,6 +78,39 @@ def test_every_leg_refused_exits_two_with_the_gate_class(clean_env, tmp_path):
     assert row[2].startswith("kappa[1] = ")
 
 
+def test_verify_with_every_kappa_leg_refused_exits_two(clean_env, tmp_path):
+    # two commuting diagonal atoms fix the coordinate flag: every fiber is
+    # atomic, so no density or interval leg of any fiber yields a kappa
+    path = tmp_path / "twodiag.spec"
+    path.write_text(to_text(finite_support(
+        "twodiag", [np.diag([1.2, 1.0, 0.8]), np.diag([1.3, 0.9, 0.85])],
+        [0.5, 0.5])))
+    for name, value in (("SPECTRUM_STEPS", "2000"), ("TAIL_REPLICAS", "1500"),
+                        ("ORBIT_SAMPLES", "8"), ("REPLICAS", "12"),
+                        ("INTERVAL_N", "60")):
+        clean_env.setenv("FLAGDIM_" + name, value)
+    code = cli.main(["verify", "--ensemble", str(path), "--seed", "7",
+                     "--out", str(tmp_path / "out"), "--no-figures"])
+    assert code == 2
+    _, row = error_rows(tmp_path / "out")
+    assert row[:2] == ["2", "HypothesisNotMet"]
+    assert "entropy density fiber 1" in row[2]
+
+
+def test_spec_file_of_a_removed_kind_exits_one(clean_env, tmp_path):
+    # the format of the diagonal kind, which has no stationary measure to
+    # check and is no longer read
+    path = tmp_path / "dg.spec"
+    path.write_text("flagdim ensemble schema 1\nname = dg\nkind = diagonal\n"
+                    "dim = 2\nlog_means = 0.2 -0.1\nlog_sds = 0.3 0.2\n")
+    code = cli.main(["spectrum", "--ensemble", str(path), "--seed", "1",
+                     "--out", str(tmp_path), "--no-figures"])
+    assert code == 1
+    _, row = error_rows(tmp_path)
+    assert row[:2] == ["1", "InvalidSpec"]
+    assert "unknown ensemble kind 'diagonal'" in row[2]
+
+
 @pytest.mark.parametrize("atom, probs, reason", [
     (np.nan, [0.5, 0.5], "support matrix 0 is singular or ill-conditioned"),
     (2.0, [0.5, 0.6], "probabilities sum to 1.1"),

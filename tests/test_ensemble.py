@@ -84,11 +84,7 @@ def test_atom_indices_refuse_what_choice_refuses(probs):
 
 @pytest.mark.parametrize("kind, params", [
     ("rotation_invariant", {"stretch": np.array([[np.nan, 0.0], [0.0, 1.0]])}),
-    ("diagonal", {"log_means": np.array([np.nan, 0.0]),
-                  "log_sds": np.array([0.1, 0.1])}),
-    ("diagonal", {"log_means": np.zeros(2),
-                  "log_sds": np.array([np.inf, 0.1])}),
-], ids=["stretch", "log_means", "log_sds"])
+], ids=["stretch"])
 def test_check_spec_refuses_non_finite_parameters(kind, params):
     with pytest.raises(InvalidSpec):
         ensemble.check_spec(EnsembleSpec("bad", 2, kind, params))
@@ -139,9 +135,23 @@ def test_validate_collects_all_reasons():
     assert len(exc.value.reasons) >= 2
 
 
-def test_unknown_kind_rejected():
+@pytest.mark.parametrize("kind", ["mystery", "diagonal", "perturbed"])
+def test_unknown_kind_rejected(kind):
     with pytest.raises(InvalidSpec):
-        EnsembleSpec(name="x", dim=2, kind="mystery")
+        EnsembleSpec(name="x", dim=2, kind=kind)
+
+
+# Haar on O(3) times diag(e^0.20, 1, e^-0.17): every draw has the
+# stretch's singular values and |det|
+ISO3 = EnsembleSpec("iso3", 3, "rotation_invariant",
+                    {"stretch": np.diag([np.exp(0.20), 1.0, np.exp(-0.17)])})
+
+
+def test_validate_rotation_invariant_moments_in_closed_form():
+    rep = validate(ISO3)
+    assert np.allclose(rep.log_sv_moments, [0.20, 0.0, 0.17], rtol=0,
+                       atol=1e-12)
+    assert np.array_equal(rep.moment_stderr, [0.0, 0.0, 0.0])
 
 
 def test_mean_log_abs_det_exact_for_benchmarks():
@@ -149,8 +159,10 @@ def test_mean_log_abs_det_exact_for_benchmarks():
     assert value == pytest.approx(0.0, abs=1e-14) and stderr == 0.0
     value, stderr = mean_log_abs_det(diag3eps())
     assert value == pytest.approx(0.03, abs=1e-12) and stderr == 0.0
-    value, _ = mean_log_abs_det(rot2())
-    assert value == pytest.approx(0.0, abs=1e-12)
+    value, stderr = mean_log_abs_det(rot2())
+    assert value == pytest.approx(0.0, abs=1e-12) and stderr == 0.0
+    value, stderr = mean_log_abs_det(ISO3)
+    assert value == pytest.approx(0.03, abs=1e-12) and stderr == 0.0
 
 
 def test_benchmark_lookup():
@@ -169,24 +181,8 @@ def test_rotation_invariant_samples_are_orthogonal_times_stretch():
         assert abs(abs(np.linalg.det(m)) - 1.0) < 1e-10
 
 
-def test_diagonal_kind_samples():
-    spec = EnsembleSpec("dg", 2, "diagonal",
-                        {"log_means": np.array([0.5, -0.5]),
-                         "log_sds": np.array([0.0, 0.0])})
-    m = sample_batch(spec, SeededSampler(3), 1)[0]
-    assert np.allclose(m, np.diag([np.exp(0.5), np.exp(-0.5)]), atol=1e-12)
-
-
 def test_text_round_trip_all_kinds():
-    specs = [bern2(), rot2(), diag3eps(),
-             EnsembleSpec("dg", 3, "diagonal",
-                          {"log_means": np.array([0.3, 0.0, -0.3]),
-                           "log_sds": np.array([0.1, 0.2, 0.3])}),
-             EnsembleSpec("pt", 2, "perturbed",
-                          {"atoms": np.array([np.diag([2.0, 0.5])]),
-                           "probs": np.array([1.0]),
-                           "magnitude": 0.05})]
-    for spec in specs:
+    for spec in [bern2(), rot2(), diag3eps(), ISO3]:
         text = to_text(spec)
         back = from_text(text)
         assert (back.name, back.kind, back.dim) == (spec.name, spec.kind,
