@@ -97,9 +97,9 @@ def main(argv=None):
         if refused_all:
             # the gate error of the first refused leg, as a direct raise
             # would record it
-            first = sorted(bundle.refusals.items())
-            err = first[0][1] if first else FlagdimError("refused")
-            _record_error(cfg.out_dir, 2, err)
+            err = bundle.first_refusal()
+            _record_error(cfg.out_dir, 2,
+                          FlagdimError("refused") if err is None else err)
             return 2
         return 0
     except GATE_ERRORS as err:

@@ -1,26 +1,26 @@
 """Orbits of the flag cocycle and everything read off them.
 
-A stack of flag bases advances through one primitive, ``advance``: it
-multiplies up to FOLD_STEPS consecutive matrices of each replica into one
-product (a fixed sequence, such as a pinned past, as far as the product
-stays well conditioned) and runs a single QR step, ``batched_orthonormalize``,
-per product.  The diagonal of R for a product is the product of the
-per-step diagonals, so log|diag R| sums are those of the stepwise orbit up
-to rounding; each product's closed-form condition bound is held under
-FOLD_COND_CAP, which keeps that rounding near machine precision and the
-Gram-Schmidt step orthogonal.  Fresh matrices come from ``draw_blocks``,
-one ``sample_batch`` call per block of steps.  A finite-support spec
-evolved without keeping its matrices (the spectrum, the stationary pools,
-every burn-in among them, and the d = 2 leading columns) draws atom
-indices instead, from the same stream, and folds them as words.  A per-spec table, built on first
-use, holds every left-associated product of l atoms for l = 1..h, h the
-largest of 8, 4, 2 and 1 with K^h <= WORD_TABLE, and the largest
-condition number c_l over each length.  A fold of W = q h + r steps is
-the product, left to right, of q tabled h-words and one r-word, so its
-condition number is at most c_h^q c_r by submultiplicativity; the fold
-width W is derived from the table so that this bound, for every width up
-to W, stays under FOLD_COND_CAP.  No fold is checked or cut while the
-orbit runs.  bern2 folds 43 steps and diag3eps 32 into one QR step.
+Every stack of flag bases folds W = ``fold_width(spec)`` consecutive
+draws of each replica into one product and runs a single QR step,
+``batched_orthonormalize``, per product.  The diagonal of R for a product
+is the product of the per-step diagonals, so log|diag R| sums are those
+of the stepwise orbit up to rounding.  W is derived from the spec so that
+every product's condition number stays under FOLD_COND_CAP, which keeps
+that rounding near machine precision and the Gram-Schmidt step
+orthogonal; no fold is checked or cut while an orbit runs.  Fresh
+matrices come from ``draw_blocks``, one ``sample_batch`` call per block
+of steps.  A finite-support spec evolved without keeping its matrices
+(the spectrum, the stationary pools, every burn-in among them, and the
+d = 2 leading columns) draws atom indices instead, from the same stream,
+and folds them as words.  A per-spec table, built on first use, holds
+every left-associated product of l atoms for l = 1..h, h the largest of
+8, 4, 2 and 1 with K^h <= WORD_TABLE, and the largest condition number
+c_l over each length.  A fold of W = q h + r steps is the product, left
+to right, of q tabled h-words and one r-word, so its condition number is
+at most c_h^q c_r by submultiplicativity: bern2 folds 43 steps and
+diag3eps 32.  A rotation_invariant draw K S has the singular values of
+S, so the bound is cond(S)^W: iso2 folds 30 steps, iso3 24 and rot2 64.
+A pinned past is a sequence of the spec's draws and folds at W too.
 
 Stacks that advance this way (pools of thousands of replicas, the
 spectrum's 64) keep their shape (n, d, k) but are held replica-last: the
@@ -42,13 +42,12 @@ completion frames of the fiber planes (R, T+1, d, 2), the induced 2x2
 fiber maps (R, T, 2, 2) and the fiber coordinates (R, T+1).  A trace
 keeps every flag of its window, so it cannot skip the times inside a
 fold: it forms each fold's prefix products and orthonormalizes them, all
-the fold's times at once, in one QR call per fold of the word-table
-width (one step for rotation_invariant, which has no table).  The
-stable-line pass and the interval pushes then run over every replica at
-once, with each step's inverse, determinant and condition number formed
-for many steps in one vectorized pass before their loops; per-step Flag,
-PartialFlag and CircleMap objects are built only on demand, for checking
-one step.
+the fold's times at once, in one QR call per fold of the spec's width.
+The stable-line pass and the interval pushes then run over every replica
+at once, with each step's inverse, determinant and condition number
+formed for many steps in one vectorized pass before their loops;
+per-step Flag, PartialFlag and CircleMap objects are built only on
+demand, for checking one step.
 A d = 2 sample of the stationary measure needs nothing but the
 line of each flag: ``stationary_lines`` runs leading columns (R, 2, 1)
 from e_1 through ``evolve_flags`` and reads their angles after a burn-in
@@ -64,7 +63,6 @@ e^(-gap n) stay fully resolved long after the endpoints' absolute
 coordinates have collapsed onto one double.
 """
 
-import math
 import weakref
 from dataclasses import dataclass, replace
 
@@ -80,12 +78,11 @@ from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
 
 # Cap on the condition number of a product folded before one QR step:
 # its rounding and the Gram-Schmidt loss of orthogonality grow like
-# eps * cond(P) = 2e-12 at the cap, far below ORTHO_TOL.  The matrix path
-# holds each fold's closed-form bound |P|_F^d / |det P| under it; the word
-# path holds c_h^q c_r under it by its choice of fold width.
+# eps * cond(P) = 2e-12 at the cap, far below ORTHO_TOL.  Every spec's
+# fold width (``fold_width``) keeps a bound on that condition number under
+# it, so no product is checked.
 FOLD_COND_CAP = 1e4
-FOLD_STEPS = 8            # drawn matrices folded into one product at most
-WORD_FOLD_STEPS = 64      # atom indices folded into one product at most
+WORD_FOLD_STEPS = 64      # steps folded into one product at most
 DRAW_BLOCK = 4096         # matrices per draw block, or one fold of the stack
 WORD_TABLE = 256          # products per word table at most (K^h <= this)
 DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
@@ -104,9 +101,8 @@ def batched_orthonormalize(mats):
     a replica-last stack (see ``_apply``) stays replica-last, and every
     column operation then runs over contiguous replicas.  Stacks advance
     through it once per folded product (see ``_apply``), so a call stands
-    for up to FOLD_STEPS drawn steps of the cocycle, or up to
-    WORD_FOLD_STEPS drawn atom indices; a trace orthonormalizes the prefix
-    products of a whole fold in one call (see ``forward_orbit``).
+    for up to the spec's fold width of steps; a trace orthonormalizes the
+    prefix products of a whole fold in one call (see ``forward_orbit``).
     """
     mats = np.asarray(mats, dtype=float)
     k = mats.shape[-1]
@@ -123,84 +119,29 @@ def batched_orthonormalize(mats):
     return q, logs
 
 
-def _log_cond_bound(p):
-    """log(|P|_F^d / |det P|) over a stack, an upper bound on log cond(P).
-
-    |P|_F >= sigma_1 and |det P| <= sigma_1^(d-1) sigma_d, so the ratio
-    bounds sigma_1 / sigma_d with no SVD: the d x d analogue of
-    ``_cond2``.  A singular or non-finite product reads inf or nan.
-    """
-    d = p.shape[-1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return (0.5 * d * np.log(np.sum(p * p, axis=(-2, -1)))
-                - np.log(np.abs(np.linalg.det(p))))
-
-
-def _under_cap(p):
-    """Whether FOLD_COND_CAP holds for every product of each (m, d, d) stack.
-
-    ``p`` is one stack (m, d, d), or several (..., m, d, d) read one per
-    leading index.
-    """
-    return np.all(_log_cond_bound(p) <= math.log(FOLD_COND_CAP), axis=-1)
-
-
-def _split(run):
-    """Greedy products of consecutive matrices of run (L, m, d, d) under the cap.
-
-    Each product is the longest prefix of what is left that keeps the cap
-    for the whole stack; a matrix that breaks it alone acts alone.
-    """
-    out = []
-    while len(run):
-        prefixes = [run[0]]
-        for a in run[1:]:
-            prefixes.append(a @ prefixes[-1])
-        ok = _under_cap(np.stack(prefixes))
-        k = len(ok) if ok.all() else max(1, int(np.argmin(ok)))
-        out.append(prefixes[k - 1])
-        run = run[k:]
-    return out
-
-
-def _runs(seq, max_fold):
-    """seq (T, ...) as runs (F, max_fold, ...), then one shorter run if left."""
-    full = len(seq) // max_fold * max_fold
-    for part, width in ((seq[:full], max_fold), (seq[full:], len(seq) - full)):
+def _runs(seq, width):
+    """seq (T, ...) as runs (F, width, ...), then one shorter run if left."""
+    full = len(seq) // width * width
+    for part, w in ((seq[:full], width), (seq[full:], len(seq) - full)):
         if len(part):
-            yield part.reshape((-1, width) + part.shape[1:])
+            yield part.reshape((-1, w) + part.shape[1:])
 
 
-def _products(mats, max_fold):
-    """Consecutive products of mats (T, m, d, d), each under FOLD_COND_CAP.
-
-    Runs of ``max_fold`` matrices (the last one shorter when T is not a
-    multiple) are multiplied out all at once; a run whose product breaks
-    the cap for any member of the stack is cut by ``_split``.  Returns the
-    (m, d, d) products in order.
-    """
-    out = []
-    for runs in _runs(mats, max_fold):
-        prod = runs[:, 0]
-        for j in range(1, runs.shape[1]):
-            prod = runs[:, j] @ prod
-        for run, p, ok in zip(runs, prod, _under_cap(prod)):
-            out.extend([p] if ok else _split(run))
-    return out
-
-
-# spec -> _word_tables(spec): a pure function of the spec, dropped with it
+# spec -> _word_tables(spec) and spec -> fold_width(spec): pure functions
+# of the spec, dropped with it
 _WORD_TABLES = weakref.WeakKeyDictionary()
+_FOLD_WIDTHS = weakref.WeakKeyDictionary()
 
 
 def _fold_width(h, conds):
-    """Steps per word fold, from the largest condition number of each length.
+    """Steps per fold, from the largest condition number of each length.
 
-    ``conds[l]`` is c_l for l = 1..h (``conds[0]`` = 1).  A fold of
-    w = q h + r steps multiplies q h-words and one r-word, so its condition
-    number is at most c_h^q c_r.  The width is the longest w, up to
+    ``conds[l]`` bounds the condition number c_l of any l-step product for
+    l = 1..h (``conds[0]`` = 1).  A fold of w = q h + r steps multiplies
+    q h-step products and one r-step product, so its condition number is
+    at most c_h^q c_r.  The width is the longest w, up to
     WORD_FOLD_STEPS, whose every width from 1 on keeps that bound under
-    FOLD_COND_CAP, so a shorter last fold keeps it too.  An atom that
+    FOLD_COND_CAP, so a shorter last fold keeps it too.  A step that
     breaks the cap alone gives width 1.
     """
     def bound(w):
@@ -218,7 +159,7 @@ def _word_tables(spec):
     Built on first use.  For each length l = 1..h the table holds the
     product of every word of l atom indices (i_0, ..., i_{l-1}), i_0 acting
     first, at its base-K code i_0 + i_1 K + ... + i_{l-1} K^(l-1), as the
-    left-associated a_{i_{l-1}} (... (a_{i_1} a_{i_0})) that ``_products``
+    left-associated a_{i_{l-1}} (... (a_{i_1} a_{i_0})) that ``advance``
     forms.  h is the largest of 8, 4, 2 and 1 with K^h <= WORD_TABLE, so
     no table holds more than WORD_TABLE products except the atoms
     themselves when K exceeds it.  The fold width comes from each length's
@@ -239,6 +180,25 @@ def _word_tables(spec):
                  for p in prods]
         tables = _WORD_TABLES.setdefault(spec, (h, _fold_width(h, conds), views))
     return tables
+
+
+def fold_width(spec):
+    """The steps W that every stack of the spec folds into one product.
+
+    Built on first use.  Finite support takes the word tables' width (see
+    ``_word_tables``).  Every rotation_invariant draw K S has the
+    singular values of S, and 2-norm condition numbers are
+    submultiplicative, so ``_fold_width`` reads c_1 = cond(S) alone.
+    """
+    width = _FOLD_WIDTHS.get(spec)
+    if width is None:
+        if spec.kind == "finite_support":
+            width = _word_tables(spec)[1]
+        else:
+            cond = float(np.linalg.cond(spec.params["stretch"]))
+            width = _fold_width(1, [1.0, cond])
+        width = _FOLD_WIDTHS.setdefault(spec, width)
+    return width
 
 
 def _gather(table, codes):
@@ -297,23 +257,29 @@ def _apply(bases, products):
     return bases, logs
 
 
-def advance(bases, mats, max_fold=FOLD_STEPS):
-    """Advance a stack of flag bases through given matrices.
+def advance(spec, bases, mats):
+    """Advance a stack of flag bases through given draws of the spec.
 
     ``mats`` is (T, m, d, d): step t applies mats[t, r] to replica r, or
     mats[t, 0] to every replica when m = 1.  A stack of leading columns,
     shape (n, d, k) with k < d, advances the first k subspaces of each
-    flag: Gram-Schmidt never reads a later column.  Up to ``max_fold``
-    consecutive matrices are folded into one product under FOLD_COND_CAP
-    (see ``_products``) and each product takes one QR step.  Returns the
-    bases reached, held replica-last (see ``_apply``), and each replica's
-    log|diag R| summed over the steps (n, k), equal to the stepwise sums
-    up to rounding.
+    flag: Gram-Schmidt never reads a later column.  Runs of
+    ``fold_width(spec)`` matrices (the last one shorter when T is not a
+    multiple) are multiplied out, left-associated, and each product takes
+    one QR step.  Returns the bases reached, held replica-last (see
+    ``_apply``), and each replica's log|diag R| summed over the steps
+    (n, k), equal to the stepwise sums up to rounding.
     """
-    return _apply(bases, _products(np.asarray(mats, dtype=float), max_fold))
+    products = []
+    for runs in _runs(np.asarray(mats, dtype=float), fold_width(spec)):
+        prod = runs[:, 0]
+        for j in range(1, runs.shape[1]):
+            prod = runs[:, j] @ prod
+        products.extend(prod)
+    return _apply(bases, products)
 
 
-def _block_steps(n, steps, width=FOLD_STEPS):
+def _block_steps(n, steps, width):
     """Steps per draw block of an n-stack folded ``width`` steps at a time.
 
     A block holds at most DRAW_BLOCK draws, or one fold of the stack when
@@ -329,12 +295,11 @@ def draw_blocks(spec, sampler, n, steps):
 
     Each block is one ``sample_batch(spec, sampler, T n)`` call, which
     reproduces T calls of ``sample_batch(spec, sampler, n)`` byte for byte:
-    both kinds consume their stream in draw order.  A block holds at most
-    DRAW_BLOCK matrices, or one fold of the stack (FOLD_STEPS steps) when
-    that is more, and a whole number of folds except at the end.
+    both kinds consume their stream in draw order.  Blocks hold whole folds
+    of ``fold_width(spec)`` steps (see ``_block_steps``).
     """
     d = spec.dim
-    for t in _block_steps(n, steps):
+    for t in _block_steps(n, steps, fold_width(spec)):
         yield sample_batch(spec, sampler, t * n).reshape(t, n, d, d)
 
 
@@ -342,42 +307,37 @@ def evolve_flags(spec, bases, n_steps, sampler):
     """Advance a stack of flag bases n_steps with fresh draws.
 
     Step t draws one matrix per replica, as ``sample_batch(spec, sampler,
-    n)`` would.  A finite-support spec draws blocks of atom indices, one
-    ``atom_indices`` call on the same stream per block, and folds each
-    block's words W steps at a time (``_word_products``; W is derived from
-    the atoms, 43 for bern2 and 32 for diag3eps), so the stack takes about
-    n_steps / W QR steps.  A rotation_invariant spec draws Haar matrices
-    in the blocks of ``draw_blocks`` and folds each as ``advance`` does,
-    about n_steps / FOLD_STEPS QR steps.  No fold spans two blocks.
-    Returns the bases reached and each replica's summed log|diag R|, as
-    ``advance`` does.
+    n)`` would, in the blocks of ``draw_blocks``, each folded W =
+    ``fold_width(spec)`` steps at a time: about n_steps / W QR steps.  Only
+    the draw differs between the kinds.  Finite support draws a block's
+    atom indices on the same stream and folds them as words
+    (``_word_products``); rotation_invariant draws the matrices and folds
+    them by ``advance``, whose return value this has.
     """
     bases = np.asarray(bases, dtype=float)
-    n = len(bases)
+    n, d = len(bases), spec.dim
     logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
-    if spec.kind == "finite_support":
-        # a block's indices and words live only through its own _apply
-        # call, so none is held while the next block is drawn
-        for t in _block_steps(n, n_steps, _word_tables(spec)[1]):
+    # a block's draws live only through its own fold, so none is held
+    # while the next block is drawn
+    for t in _block_steps(n, n_steps, fold_width(spec)):
+        if spec.kind == "finite_support":
             bases, block_logs = _apply(bases, _word_products(
                 spec, atom_indices(spec, sampler, t * n).reshape(t, n)))
-            logs += block_logs
-    else:
-        for block in draw_blocks(spec, sampler, n, n_steps):
-            bases, block_logs = _apply(bases, _products(block, FOLD_STEPS))
-            logs += block_logs
+        else:
+            bases, block_logs = advance(spec, bases, sample_batch(
+                spec, sampler, t * n).reshape(t, n, d, d))
+        logs += block_logs
     return bases, logs
 
 
-def push_flags(pinned, bases):
-    """Apply a fixed matrix sequence to every base in the stack.
+def push_flags(pinned, bases, spec):
+    """Apply a fixed sequence of the spec's draws to every base in the stack.
 
-    The sequence is composed once, into as few products as FOLD_COND_CAP
-    allows, so a push costs one QR step of the stack per product rather
-    than one per matrix.
+    The sequence folds ``fold_width(spec)`` steps at a time, as any draws
+    of the spec do, so a push costs one QR step of the stack per fold
+    rather than one per matrix.
     """
-    pinned = np.asarray(pinned, dtype=float)
-    return advance(bases, pinned[:, None], max_fold=max(1, len(pinned)))[0]
+    return advance(spec, bases, np.asarray(pinned, dtype=float)[:, None])[0]
 
 
 def stationary_flag_pool(spec, count, burnin, sampler):
@@ -542,7 +502,8 @@ def _fold_trace(start, mats, width):
     products (its first w matrices, w = 1..width) are formed first; the
     flags at the fold's times are then one ``batched_orthonormalize`` call
     on those products times the flag the fold starts from, the stepwise
-    flags up to rounding while every product stays under FOLD_COND_CAP.
+    flags up to rounding, since ``fold_width`` keeps every product under
+    FOLD_COND_CAP.
     """
     # prefix[:, t] = mats[:, t] ... mats[:, lo], lo the start of t's fold
     prefix = mats.copy()
@@ -564,13 +525,10 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
 
     ``f0`` is one Flag or a stack of R bases; the window's n_steps
     matrices per replica are the next draws on ``sampler``, in the blocks
-    of ``draw_blocks``.  The flags are formed one fold of W steps at a
-    time (``_fold_trace``): W is the word-table fold width for finite
-    support, where any product of at most W atoms has condition number at
-    most c_h^q c_r <= FOLD_COND_CAP (see ``_fold_width``), and 1 for
-    rotation_invariant, which has no word table.  Every basis and frame
-    must be orthonormal, as Flag and PartialFlag require, and every fiber
-    map invertible.
+    of ``draw_blocks``.  The flags are formed one fold of W =
+    ``fold_width(spec)`` steps at a time (``_fold_trace``), as every other
+    stack of the spec folds.  Every basis and frame must be orthonormal,
+    as Flag and PartialFlag require, and every fiber map invertible.
     """
     i = fiber_index
     d = spec.dim
@@ -580,8 +538,7 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
     # time-major blocks, read replica-major: each step's stack stays contiguous
     mats = np.concatenate([np.empty((0, len(start), d, d)), *draw_blocks(
         spec, sampler, len(start), n_steps)]).swapaxes(0, 1)
-    width = _word_tables(spec)[1] if spec.kind == "finite_support" else 1
-    bases = _fold_trace(start, mats, width)
+    bases = _fold_trace(start, mats, fold_width(spec))
     # frames and coordinates a block of times at a time, so temporaries
     # stay small next to the trace itself
     frames = np.empty((len(start), n_steps + 1, d, 2))

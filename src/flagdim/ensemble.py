@@ -140,14 +140,13 @@ def validate(spec):
     """Check the spec and sum the log singular value moments exactly.
 
     Raises InvalidSpec as ``check_spec`` does.  The moments E|log sigma_i|
-    are weighted sums over ``_support``, so their stderr is 0.
+    are weighted sums over ``_support``, exact up to rounding.
     """
     check_spec(spec)
     mats, weights = _support(spec)
     logs = np.abs(np.log(np.linalg.svd(mats, compute_uv=False)))
     return ValidationReport(name=spec.name, dim=spec.dim, kind=spec.kind,
-                            log_sv_moments=weights @ logs,
-                            moment_stderr=np.zeros(spec.dim))
+                            log_sv_moments=weights @ logs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,12 +155,11 @@ class ValidationReport:
     dim: int
     kind: str
     log_sv_moments: np.ndarray  # E|log sigma_i|, i = 1..d
-    moment_stderr: np.ndarray
 
     def lines(self):
         out = [f"ensemble {self.name}: kind={self.kind} dim={self.dim} valid"]
-        for i, (m, s) in enumerate(zip(self.log_sv_moments, self.moment_stderr), start=1):
-            out.append(f"  E|log sigma_{i}| = {m:.6f} (stderr {s:.2e})")
+        for i, m in enumerate(self.log_sv_moments, start=1):
+            out.append(f"  E|log sigma_{i}| = {m:.6f}")
         return out
 
 
@@ -215,9 +213,9 @@ def sample_batch(spec, sampler, n):
 
 
 def mean_log_abs_det(spec):
-    """E log|det A|, summed exactly over ``_support`` (stderr 0)."""
+    """E log|det A|, summed exactly over ``_support``."""
     mats, weights = _support(spec)
-    return float(weights @ np.log(np.abs(np.linalg.det(mats)))), 0.0
+    return float(weights @ np.log(np.abs(np.linalg.det(mats))))
 
 
 def _rotation2(angle):
@@ -236,10 +234,16 @@ def _rotation3(angle, plane):
     return r
 
 
+def _haar_times(name, log_stretch):
+    """Haar orthogonal matrices times the stretch diag(e^log_stretch)."""
+    return EnsembleSpec(name=name, dim=len(log_stretch),
+                        kind="rotation_invariant",
+                        params={"stretch": np.diag(np.exp(log_stretch))})
+
+
 def rot2():
     """Haar rotations of the plane: isometric fiber action, zero entropy."""
-    return EnsembleSpec(name="rot2", dim=2, kind="rotation_invariant",
-                        params={"stretch": np.eye(2)})
+    return _haar_times("rot2", (0.0, 0.0))
 
 
 # bern2 pairs one mild stretch with opposite rotations.  The rotations
@@ -283,7 +287,22 @@ def diag3eps():
     return finite_support("diag3eps", atoms, [0.25, 0.25, 0.25, 0.25])
 
 
-BENCHMARKS = {"rot2": rot2, "bern2": bern2, "diag3eps": diag3eps}
+# iso2 and iso3: nu is rotation invariant, so every fiber conditional is
+# uniform, kappa_i = gap_i and every fiber has dimension 1.
+def iso2():
+    """Haar(O(2)) diag(e^0.15, e^-0.15): chi_1 = log cosh 0.15, so
+    kappa = gap = 2 log cosh 0.15 = 0.022416."""
+    return _haar_times("iso2", (0.15, -0.15))
+
+
+def iso3():
+    """Haar(O(3)) diag(e^0.20, 1, e^-0.17): by quadrature chi = (0.023711,
+    0.009884, -0.003595), so kappa = gap = (0.013828, 0.013479)."""
+    return _haar_times("iso3", (0.20, 0.0, -0.17))
+
+
+BENCHMARKS = {"rot2": rot2, "bern2": bern2, "diag3eps": diag3eps,
+              "iso2": iso2, "iso3": iso3}
 
 
 def _row_text(values):

@@ -102,15 +102,16 @@ def _atomic_gate(coords, context):
             f"{ATOM_RESOLUTION:g} persists across sample sizes")
 
 
-def _half_pin_diagnostic(pinned, pool, frame, i, coords, convergence_tol=None):
+def _half_pin_diagnostic(spec, pinned, pool, frame, i, coords,
+                         convergence_tol=None):
     """Wasserstein distance between the full- and half-pin fiber samples.
 
     ``coords`` is the pool pushed through the whole pin and read in
     ``frame``; the half-pin sample keeps only the pin's later half.  When
     ``convergence_tol`` is given a larger distance raises GapTooSmall.
     """
-    half = fiber_coordinates(push_flags(pinned[len(pinned) // 2:], pool),
-                             frame, i)
+    half = fiber_coordinates(
+        push_flags(pinned[len(pinned) // 2:], pool, spec), frame, i)
     diag = wasserstein_circle(EmpiricalCircleMeasure.from_samples(coords),
                               EmpiricalCircleMeasure.from_samples(half))
     if convergence_tol is not None and diag > convergence_tol:
@@ -149,7 +150,8 @@ def conditional_fiber_sample(spec, fiber_index, realizations, pin_length=None,
         # the tail replicas carry their own full flags; reading them all in
         # the one reference frame makes them one empirical measure
         measures.append(EmpiricalCircleMeasure.from_samples(
-            fiber_coordinates(push_flags(pinned, pool), frame, fiber_index)))
+            fiber_coordinates(push_flags(pinned, pool, spec), frame,
+                              fiber_index)))
     return measures
 
 
@@ -217,12 +219,12 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
         pin1 = trace.matrices[r, 1:]
         frame0, frame1 = trace.frames[r, -2:]
         x1 = float(trace.x[r, -1])
-        coords0 = fiber_coordinates(push_flags(pin0, pool0), frame0, i)
-        coords1 = fiber_coordinates(push_flags(pin1, pool1), frame1, i)
+        coords0 = fiber_coordinates(push_flags(pin0, pool0, spec), frame0, i)
+        coords1 = fiber_coordinates(push_flags(pin1, pool1, spec), frame1, i)
         if r == 0:
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
-            diag = _half_pin_diagnostic(pin1, pool1, frame1, i, coords1,
-                                        convergence_tol)
+            diag = _half_pin_diagnostic(spec, pin1, pool1, frame1, i,
+                                        coords1, convergence_tol)
         pushed_all = fiber_map_image(trace.maps[r, -1], coords0)
         pushed = EmpiricalCircleMeasure.from_samples(pushed_all[::2])
         target = EmpiricalCircleMeasure.from_samples(coords1[::2])

@@ -27,11 +27,11 @@ schema version; unknown sections or keys are hard errors.  Every field
 can be overridden by an environment variable named FLAGDIM_<FIELD> (the
 documented prefix), and command-line flags override both.
 
-The ensemble field names a benchmark (rot2, bern2, diag3eps) or a path
-to an ensemble spec file.  Spec files are plain text, one "key = value"
-per line after a schema header, vectors as whitespace separated floats
-and matrices as semicolon separated rows, with one "atom =" line per
-support atom:
+The ensemble field names a benchmark (rot2, bern2, diag3eps, iso2, iso3)
+or a path to an ensemble spec file.  Spec files are plain text, one
+"key = value" per line after a schema header, vectors as whitespace
+separated floats and matrices as semicolon separated rows, with one
+"atom =" line per support atom:
 
     flagdim ensemble schema 1
     name = contraction
@@ -267,6 +267,18 @@ class ResultBundle:
             out.append(f"{leg}: refused ({_refusal(err)})")
         return out
 
+    def first_refusal(self):
+        """The first refused leg's gate error, or None: legs in the order
+        they feed each other, each kind fiber by fiber, so neither the leg
+        names nor the order threads finish in decide it."""
+        kinds = ("entropy density", "entropy interval", "interval decay",
+                 "dimension", "ball curves")
+
+        def order(item):
+            kind, _, fiber = item[0].partition(" fiber ")
+            return kinds.index(kind), int(fiber or 0)
+        return min(self.refusals.items(), key=order, default=(None, None))[1]
+
 
 def _run_jobs(jobs, threads):
     """jobs: list of (tag, callable); results keyed by tag, in tag order.
@@ -293,10 +305,8 @@ def _catching(fn, refusals, leg):
 
 def _run_diagnostics(spec, spectrum):
     """Checks of the spectrum against the ensemble: sum chi = E log|det A|."""
-    logdet, logdet_err = mean_log_abs_det(spec)
     return {"sum_chi": float(spectrum.chi.sum()),
-            "mean_log_abs_det": logdet,
-            "mean_log_abs_det_stderr": logdet_err}
+            "mean_log_abs_det": mean_log_abs_det(spec)}
 
 
 def run_spectrum(cfg, threads=1):

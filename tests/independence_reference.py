@@ -25,7 +25,7 @@ def conditional_independence_diagnostic(spec, fiber_index, pin_length,
     """
     pinned = sample_batch(spec, sampler.child(0), pin_length)
     pool = stationary_flag_pool(spec, replicas, TAIL_BURNIN, sampler.child(1))
-    trace = forward_orbit(spec, push_flags(pinned, pool), future_steps,
+    trace = forward_orbit(spec, push_flags(pinned, pool, spec), future_steps,
                           sampler.child(2), fiber_index=fiber_index)
     # no certificate: the correlation is read whatever the resolution
     _, y, _ = stable_coordinates(trace, lookahead=future_steps)

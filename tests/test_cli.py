@@ -92,9 +92,11 @@ def test_verify_with_every_kappa_leg_refused_exits_two(clean_env, tmp_path):
     code = cli.main(["verify", "--ensemble", str(path), "--seed", "7",
                      "--out", str(tmp_path / "out"), "--no-figures"])
     assert code == 2
+    # the gate that fired first, the density leg of fiber 1, rather than
+    # a dimension leg's refusal derived from it
     _, row = error_rows(tmp_path / "out")
-    assert row[:2] == ["2", "HypothesisNotMet"]
-    assert "entropy density fiber 1" in row[2]
+    assert row[:2] == ["2", "AtomicFiber"]
+    assert row[2].startswith("twodiag fiber 1: cluster of weight")
 
 
 def test_spec_file_of_a_removed_kind_exits_one(clean_env, tmp_path):

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from flagdim import circle, dynamics, harness
-from flagdim.dynamics import (FOLD_COND_CAP, FOLD_STEPS, PIECE_BLOCK,
-                              THINNING, WORD_FOLD_STEPS, WORD_TABLE, Arc,
-                              advance, batched_orthonormalize,
-                              circle_map_between, draw_blocks, evolve_flags,
+from flagdim.dynamics import (FOLD_COND_CAP, PIECE_BLOCK, THINNING,
+                              WORD_FOLD_STEPS, WORD_TABLE, Arc, advance,
+                              batched_orthonormalize, circle_map_between,
+                              draw_blocks, evolve_flags, fold_width,
                               forward_orbit, interval_decay_curve,
                               interval_pullforward, lyapunov_spectrum,
                               push_arc, push_flags, stable_coordinates,
                               stationary_flag_pool, stationary_interval,
                               stationary_lines, stationary_orbit)
-from flagdim.ensemble import (EnsembleSpec, SeededSampler, bern2, diag3eps,
-                              finite_support, from_text, rot2, sample_batch,
+from flagdim.ensemble import (SeededSampler, bern2, diag3eps, finite_support,
+                              from_text, iso2, iso3, rot2, sample_batch,
                               to_text)
 from flagdim.errors import (DegenerateFiberPair, GapTooSmall, IntervalWrap)
 from flagdim.flagcore import (Flag, LinearMap, act_flag, completion_frames,
@@ -84,19 +84,15 @@ def test_batched_orthonormalize_keeps_the_memory_order(rng, layout):
     assert np.max(np.abs(got_logr - logr)) < 1e-14
 
 
-ISO2 = EnsembleSpec("iso2", 2, "rotation_invariant",
-                    {"stretch": np.diag([np.exp(0.15), np.exp(-0.15)])})
-ISO3 = EnsembleSpec("iso3", 3, "rotation_invariant",
-                    {"stretch": np.diag([np.exp(0.20), 1.0, np.exp(-0.17)])})
-
-
-@pytest.mark.parametrize("spec",
-                         [bern2(), ISO3, pytest.param(ISO2, id="iso2")],
-                         ids=lambda s: s.kind)
-def test_block_draws_equal_stepwise_draws(spec):
-    n, steps = 100, 90   # blocks of 40, 40 and 10 steps
+@pytest.mark.parametrize("spec, lengths", [
+    (bern2(), [43, 43, 4]), (iso3(), [24, 24, 24, 18]),
+    (iso2(), [30, 30, 30])],
+    ids=["finite_support", "rotation_invariant", "iso2"])
+def test_block_draws_equal_stepwise_draws(spec, lengths):
+    # 100 replicas: blocks of one fold (W = 43, 24 and 30 steps)
+    n, steps = 100, 90
     blocks = list(draw_blocks(spec, SeededSampler(40), n, steps))
-    assert [len(b) for b in blocks] == [40, 40, 10]
+    assert [len(b) for b in blocks] == lengths
     stream = SeededSampler(40)
     stepwise = np.stack([sample_batch(spec, stream, n) for _ in range(steps)])
     assert np.array_equal(np.concatenate(blocks), stepwise)
@@ -118,7 +114,7 @@ def matrix_path(spec, bases, steps, sampler):
     """evolve_flags through drawn matrices, the path of rotation_invariant."""
     logs = 0.0
     for block in draw_blocks(spec, sampler, len(bases), steps):
-        bases, block_logs = advance(bases, block)
+        bases, block_logs = advance(spec, bases, block)
         logs = logs + block_logs
     return bases, logs
 
@@ -144,14 +140,14 @@ SEVENTEEN = rotations("seventeen", 2, 17)
 
 
 @pytest.mark.parametrize("spec", [bern2(), diag3eps(), THREE, SEVENTEEN,
-                                  ISO3, ISO2], ids=lambda s: s.name)
+                                  iso3(), iso2()], ids=lambda s: s.name)
 @pytest.mark.parametrize("columns", [1, None])
 def test_folded_advance_matches_stepwise(spec, columns):
     # 203 steps: whole folds and a short last one, over several blocks.
     # Finite support folds atom-index words W steps at a time (W = 43 for
-    # bern2), a different association from the matrix path's 8-step
-    # products, so it matches within rounding; rotation_invariant specs
-    # take the matrix path itself, bit for bit
+    # bern2) from tabled sub-words, a different association from the
+    # matrix path's left-to-right products, so it matches within rounding;
+    # rotation_invariant specs take the matrix path itself, bit for bit
     d = spec.dim
     start = np.broadcast_to(np.eye(d)[:, :columns], (50, d, columns or d))
     got = evolve_flags(spec, start, 203, SeededSampler(41))
@@ -198,7 +194,7 @@ def test_word_folds_stay_under_the_cap(spec, width):
     # condition: random words, and the worst tabled word of each length
     # repeated over W steps, the case the bound c_h^q c_r is built from
     h, got_width, prods = dynamics._word_tables(spec)
-    assert got_width == width
+    assert got_width == fold_width(spec) == width
     k = len(spec.params["atoms"])
     idx = np.random.default_rng(48).integers(k, size=(width, 2000))
     for length in range(1, h + 1):
@@ -207,6 +203,24 @@ def test_word_folds_stay_under_the_cap(spec, width):
         idx[:, length - 1] = np.resize(word, width)
     for steps in range(1, width + 1):
         (prod,) = dynamics._word_products(spec, idx[:steps])
+        assert np.max(np.linalg.cond(prod)) <= FOLD_COND_CAP
+
+
+@pytest.mark.parametrize("spec, width", [
+    (iso2(), 30), (iso3(), 24), (rot2(), WORD_FOLD_STEPS)],
+    ids=lambda v: getattr(v, "name", str(v)))
+def test_drawn_folds_stay_under_the_cap(spec, width):
+    # every draw K S has the stretch's singular values, so a product of w
+    # draws has 2-norm condition number at most cond(S)^w: the width read
+    # from that bound keeps random products of every width up to W under
+    # FOLD_COND_CAP
+    assert fold_width(spec) == width
+    d = spec.dim
+    mats = sample_batch(spec, SeededSampler(50), width * 2000).reshape(
+        width, 2000, d, d)
+    prod = np.eye(d)
+    for a in mats:
+        prod = a @ prod
         assert np.max(np.linalg.cond(prod)) <= FOLD_COND_CAP
 
 
@@ -233,7 +247,7 @@ def test_pushed_pin_and_burn_in_match_stepwise():
     want = pool
     for a in pinned:
         want, _ = batched_orthonormalize(a @ want)
-    assert np.max(np.abs(push_flags(pinned, pool) - want)) < 1e-12
+    assert np.max(np.abs(push_flags(pinned, pool, spec) - want)) < 1e-12
     # a window after a pool burn-in draws on the pool's stream, and a
     # prefix of a replica's window, pushed as a pin, reaches its flag
     trace = stationary_orbit(spec, 1, 150, 100, SeededSampler(44), replicas=5)
@@ -244,17 +258,21 @@ def test_pushed_pin_and_burn_in_match_stepwise():
     assert np.array_equal(trace.bases[:, 0], start)
     for r in range(5):
         for k in (1, 20, 150):
-            pushed = push_flags(trace.matrices[r, :k], start[r:r + 1])[0]
+            pushed = push_flags(trace.matrices[r, :k], start[r:r + 1],
+                                spec)[0]
             assert np.max(np.abs(pushed - trace.bases[r, k])) < 1e-12
 
 
-@pytest.mark.parametrize("stretch", [2.0, 3.45])
-def test_ill_conditioned_folds_split_and_match_stepwise(monkeypatch, stretch):
+@pytest.mark.parametrize("stretch, width", [(2.0, 2), (3.45, 1)],
+                         ids=["2.0", "3.45"])
+def test_ill_conditioned_folds_split_and_match_stepwise(monkeypatch, stretch,
+                                                        width):
     # atoms of condition number e^4 ~ 55 and e^6.9 ~ 1e3: eight-step
-    # products reach 1e14 and 1e24, so folds must be cut under
-    # FOLD_COND_CAP, into pairs at the first stretch and single steps at
-    # the second; index words are cut exactly where drawn matrices are
+    # products reach 1e14 and 1e24, so the spec's width keeps folds under
+    # FOLD_COND_CAP, in pairs at the first stretch and single steps at the
+    # second; index words and drawn matrices fold at that one width
     spec = strong2(stretch=stretch)
+    assert fold_width(spec) == width
     calls = []
 
     def counted(mats):
@@ -265,7 +283,8 @@ def test_ill_conditioned_folds_split_and_match_stepwise(monkeypatch, stretch):
     got = evolve_flags(spec, start, 400, SeededSampler(45))
     folds = len(calls)
     drawn = matrix_path(spec, start, 400, SeededSampler(45))
-    assert 400 // FOLD_STEPS < folds == len(calls) - folds
+    # 400 steps in blocks of whole folds
+    assert folds == len(calls) - folds == 400 // width
     monkeypatch.undo()
     assert np.array_equal(got[0], drawn[0])
     assert np.array_equal(got[1], drawn[1])
@@ -293,7 +312,7 @@ def test_rotation_spectrum_is_zero():
 def test_spectrum_sum_rule_isotropic_ensemble():
     # every draw K S has |det| = |det S|, so the exponents of each replica
     # sum to log|det S| = 0.20 - 0.17 exactly, up to rounding
-    est = lyapunov_spectrum(ISO3, 3000, burnin=100, replicas=64,
+    est = lyapunov_spectrum(iso3(), 3000, burnin=100, replicas=64,
                             sampler=SeededSampler(3))
     assert abs(float(np.sum(est.chi)) - 0.03) <= 1e-9
 
@@ -302,7 +321,7 @@ def test_isotropic_spectrum_matches_closed_form():
     # A = K S with K Haar on O(2): the stationary measure is uniform on
     # the circle, so chi_1 = E log|S v| over uniform v = log((s_1 + s_2) / 2)
     # = log cosh 0.15, and chi_1 + chi_2 = log|det S| = 0 in every replica
-    est = lyapunov_spectrum(ISO2, 20_000, burnin=1000, replicas=64,
+    est = lyapunov_spectrum(iso2(), 20_000, burnin=1000, replicas=64,
                             sampler=SeededSampler(9))
     assert abs(est.chi[0] - np.log(np.cosh(0.15))) <= 3 * est.stderr[0]
     # exact to rounding, far inside 3 stderr
@@ -313,9 +332,9 @@ def test_isotropic_d3_spectrum_matches_quadrature():
     # iso3 = Haar(O(3)) diag(e^0.20, 1, e^-0.17): the stationary measure is
     # rotation invariant, so the exponents are sphere averages, computed by
     # quadrature in iso_reference (0.023711, 0.009884, -0.003595)
-    want = iso3_exponents(ISO3.params["stretch"])
+    want = iso3_exponents(iso3().params["stretch"])
     assert np.allclose(want, [0.023711, 0.009884, -0.003595], atol=1e-6)
-    est = lyapunov_spectrum(ISO3, 20_000, burnin=1000, replicas=64,
+    est = lyapunov_spectrum(iso3(), 20_000, burnin=1000, replicas=64,
                             sampler=SeededSampler(7))
     assert np.all(np.abs(est.chi - want) <= 3 * est.stderr)
     # the sum is log|det S| = 0.03 in every replica, to rounding
@@ -382,13 +401,13 @@ def test_forward_orbit_steps_through_maps():
 
 
 @pytest.mark.parametrize("spec, i", [(bern2(), 1), (diag3eps(), 2),
-                                     (strong2(stretch=3.45), 1)],
-                         ids=["bern2", "diag3eps", "strong2-3.45"])
+                                     (strong2(stretch=3.45), 1), (iso3(), 1)],
+                         ids=["bern2", "diag3eps", "strong2-3.45", "iso3"])
 def test_folded_trace_matches_stepwise_qr(spec, i):
     # forward_orbit orthonormalizes each fold's prefix products in one call
     # (W = 43 steps for bern2, 32 for diag3eps, 1 for strong2 at stretch
-    # 3.45); the reference takes one QR step per matrix of the trace, and
-    # the last fold of the 150-step window is a short one
+    # 3.45, 24 for iso3); the reference takes one QR step per matrix of the
+    # trace, and the last fold of the 150-step window is a short one
     trace = stationary_orbit(spec, i, 150, 40, SeededSampler(49), replicas=4)
     bases = [trace.bases[:, 0]]
     for k in range(150):
@@ -728,7 +747,7 @@ def test_decay_slope_stderr_is_the_replica_spread():
         slopes.std(ddof=1) / np.sqrt(len(slopes)), rel=1e-12)
 
 
-@pytest.mark.parametrize("spec", [bern2(), ISO2], ids=lambda s: s.kind)
+@pytest.mark.parametrize("spec", [bern2(), iso2()], ids=lambda s: s.kind)
 def test_stationary_lines_read_replicas_every_thinning_steps(spec):
     # the folded word and matrix paths against one QR step per draw: a
     # read after the burn-in, then one every THINNING steps, the last cut

@@ -4,8 +4,8 @@ import pytest
 from flagdim import ensemble
 from flagdim.ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler,
                               atom_indices, bern2, diag3eps, finite_support,
-                              from_text, mean_log_abs_det, rot2, sample_batch,
-                              to_text, validate)
+                              from_text, iso2, iso3, mean_log_abs_det, rot2,
+                              sample_batch, to_text, validate)
 from flagdim.errors import ConfigError, InvalidSpec
 from flagdim.harness import load_config
 
@@ -105,7 +105,6 @@ def test_two_atom_frequencies_binomial():
 def test_validate_single_atom_moments():
     rep = validate(finite_support("single", [np.diag([2.0, 0.5])], [1.0]))
     assert np.allclose(rep.log_sv_moments, [np.log(2), np.log(2)], rtol=1e-12)
-    assert np.array_equal(rep.moment_stderr, [0.0, 0.0])
     assert "valid" in rep.lines()[0]
 
 
@@ -141,32 +140,23 @@ def test_unknown_kind_rejected(kind):
         EnsembleSpec(name="x", dim=2, kind=kind)
 
 
-# Haar on O(3) times diag(e^0.20, 1, e^-0.17): every draw has the
-# stretch's singular values and |det|
-ISO3 = EnsembleSpec("iso3", 3, "rotation_invariant",
-                    {"stretch": np.diag([np.exp(0.20), 1.0, np.exp(-0.17)])})
-
-
 def test_validate_rotation_invariant_moments_in_closed_form():
-    rep = validate(ISO3)
+    # every draw of iso3 has the stretch's singular values and |det|
+    rep = validate(iso3())
     assert np.allclose(rep.log_sv_moments, [0.20, 0.0, 0.17], rtol=0,
                        atol=1e-12)
-    assert np.array_equal(rep.moment_stderr, [0.0, 0.0, 0.0])
 
 
 def test_mean_log_abs_det_exact_for_benchmarks():
-    value, stderr = mean_log_abs_det(bern2())
-    assert value == pytest.approx(0.0, abs=1e-14) and stderr == 0.0
-    value, stderr = mean_log_abs_det(diag3eps())
-    assert value == pytest.approx(0.03, abs=1e-12) and stderr == 0.0
-    value, stderr = mean_log_abs_det(rot2())
-    assert value == pytest.approx(0.0, abs=1e-12) and stderr == 0.0
-    value, stderr = mean_log_abs_det(ISO3)
-    assert value == pytest.approx(0.03, abs=1e-12) and stderr == 0.0
+    assert mean_log_abs_det(bern2()) == pytest.approx(0.0, abs=1e-14)
+    assert mean_log_abs_det(diag3eps()) == pytest.approx(0.03, abs=1e-12)
+    assert mean_log_abs_det(rot2()) == pytest.approx(0.0, abs=1e-12)
+    assert mean_log_abs_det(iso2()) == pytest.approx(0.0, abs=1e-12)
+    assert mean_log_abs_det(iso3()) == pytest.approx(0.03, abs=1e-12)
 
 
 def test_benchmark_lookup():
-    assert set(BENCHMARKS) == {"rot2", "bern2", "diag3eps"}
+    assert set(BENCHMARKS) == {"rot2", "bern2", "diag3eps", "iso2", "iso3"}
     assert BENCHMARKS["bern2"]().name == "bern2"
     # a name that is neither a benchmark nor a spec file is refused
     with pytest.raises(ConfigError):
@@ -182,7 +172,7 @@ def test_rotation_invariant_samples_are_orthogonal_times_stretch():
 
 
 def test_text_round_trip_all_kinds():
-    for spec in [bern2(), rot2(), diag3eps(), ISO3]:
+    for spec in [bern2(), rot2(), diag3eps(), iso3()]:
         text = to_text(spec)
         back = from_text(text)
         assert (back.name, back.kind, back.dim) == (spec.name, spec.kind,

@@ -101,7 +101,7 @@ def test_conditional_fiber_sample_streams(realizations):
     assert len(got) == realizations
     for r, measure in enumerate(got):
         pool = stationary_flag_pool(spec, tails, entropy.TAIL_BURNIN, pools)
-        want = fiber_coordinates(push_flags(trace.matrices[r], pool),
+        want = fiber_coordinates(push_flags(trace.matrices[r], pool, spec),
                                  trace.frames[r, -1], i)
         assert np.array_equal(
             measure.points, EmpiricalCircleMeasure.from_samples(want).points)

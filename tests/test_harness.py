@@ -36,9 +36,10 @@ FILES = {"verify": {"spectrum.csv", "kappa.csv", "decay.csv",
 
 @pytest.mark.parametrize(
     "command, ensemble",
-    [("verify", "bern2"), ("verify", "diag3eps"),
+    [("verify", "bern2"), ("verify", "diag3eps"), ("verify", "iso2"),
      ("dimension", "bern2"), ("dimension", "diag3eps")],
-    ids=["bern2", "diag3eps", "dimension-bern2", "dimension-diag3eps"])
+    ids=["bern2", "diag3eps", "iso2", "dimension-bern2",
+         "dimension-diag3eps"])
 def test_verify_outputs_repeat_byte_for_byte(command, ensemble, tmp_path):
     # the CSVs and summary.txt depend on (config, seed) alone: not on the
     # run, and not on how many threads run the legs
