@@ -9,11 +9,17 @@ every product's condition number stays under FOLD_COND_CAP, which keeps
 that rounding near machine precision and the Gram-Schmidt step
 orthogonal; no fold is checked or cut while an orbit runs.  Fresh
 matrices come from ``draw_blocks``, one ``sample_batch`` call per block
-of steps.  A finite-support spec evolved without keeping its matrices
-(the spectrum, the stationary pools, every burn-in among them, and the
-d = 2 leading columns) draws atom indices instead, from the same stream,
-and folds them as words.  A per-spec table, built on first use, holds
-every left-associated product of l atoms for l = 1..h, h the largest of
+of whole folds and at most DRAW_BLOCK draws, so a narrow stack such as
+the spectrum's 64 replicas draws many folds per block and a pool of
+thousands one.  Each fold's log|diag R| is added to the stack's running
+sum in fold order, so no sum depends on where blocks end, and the block
+size trades only speed against memory.  A finite-support spec evolved
+without keeping its matrices (the spectrum, the stationary pools, every
+burn-in among them, and the d = 2 leading columns) draws atom indices
+instead, from the same stream, as counts of integer thresholds that the
+bit generator's raw words reach (``ensemble._atom_counts``), and folds
+them as words.  A per-spec table, built on first use, holds every
+left-associated product of l atoms for l = 1..h, h the largest of
 8, 4, 2 and 1 with K^h <= WORD_TABLE, and the largest condition number
 c_l over each length.  A fold of W = q h + r steps is the product, left
 to right, of q tabled h-words and one r-word, so its condition number is
@@ -69,7 +75,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import circle
-from .ensemble import SeededSampler, atom_indices, sample_batch
+from .ensemble import SeededSampler, _atom_counts, sample_batch
 from .errors import (DegenerateBasis, DegenerateFiberPair, GapTooSmall,
                      IntervalWrap)
 from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
@@ -83,7 +89,12 @@ from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
 # it, so no product is checked.
 FOLD_COND_CAP = 1e4
 WORD_FOLD_STEPS = 64      # steps folded into one product at most
-DRAW_BLOCK = 4096         # matrices per draw block, or one fold of the stack
+# Draws per block at most, or one fold of the stack when that is more.  A
+# block's draws live only through its own folds, so this bounds memory;
+# each block costs a fixed overhead, so a larger one speeds up narrow
+# stacks.  Stacks of more than DRAW_BLOCK / W replicas draw one fold per
+# block.  Results do not depend on it (see ``evolve_flags``).
+DRAW_BLOCK = 32768
 WORD_TABLE = 256          # products per word table at most (K^h <= this)
 DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
 DECAY_STABLE_TOL = 1e-2   # stable-line resolution a decay replica must reach
@@ -239,25 +250,26 @@ def _word_products(spec, idx):
     return out
 
 
-def _apply(bases, products):
+def _apply(bases, products, logs):
     """One QR step of the stack (n, d, k) per product, in order.
 
     Each product multiplies the stack into a replica-last stack (Fortran
     order: the replica axis innermost in memory), which
     ``batched_orthonormalize`` keeps, so both run over contiguous replicas
-    whatever order the products come in.  Returns the bases reached and
-    each replica's summed log|diag R|.
+    whatever order the products come in.  Each product's log|diag R| is
+    added to the running sum ``logs`` (n, k) in turn, so a sum over many
+    calls is the same whatever products each call gets.  Returns the bases
+    reached and the new running sum; ``logs`` itself is not written.
     """
     bases = np.asarray(bases, dtype=float)
-    logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
     for p in products:
         bases, logr = batched_orthonormalize(
             np.einsum("...ij,...jk->...ik", p, bases, order="F"))
-        logs += logr
+        logs = logs + logr
     return bases, logs
 
 
-def advance(spec, bases, mats):
+def advance(spec, bases, mats, logs=None):
     """Advance a stack of flag bases through given draws of the spec.
 
     ``mats`` is (T, m, d, d): step t applies mats[t, r] to replica r, or
@@ -268,22 +280,30 @@ def advance(spec, bases, mats):
     multiple) are multiplied out, left-associated, and each product takes
     one QR step.  Returns the bases reached, held replica-last (see
     ``_apply``), and each replica's log|diag R| summed over the steps
-    (n, k), equal to the stepwise sums up to rounding.
+    (n, k), equal to the stepwise sums up to rounding.  The sum runs on
+    from ``logs`` when given (zeros when not) and adds one fold at a
+    time, so advancing a stream of draws in pieces of whole folds gives
+    the sums of one call, bit for bit.
     """
+    if logs is None:
+        logs = np.zeros(np.shape(bases)[:-2] + np.shape(bases)[-1:])
     products = []
     for runs in _runs(np.asarray(mats, dtype=float), fold_width(spec)):
         prod = runs[:, 0]
         for j in range(1, runs.shape[1]):
             prod = runs[:, j] @ prod
         products.extend(prod)
-    return _apply(bases, products)
+    return _apply(bases, products, logs)
 
 
 def _block_steps(n, steps, width):
     """Steps per draw block of an n-stack folded ``width`` steps at a time.
 
-    A block holds at most DRAW_BLOCK draws, or one fold of the stack when
-    that is more, and a whole number of folds except at the end.
+    A block holds as many whole folds as fit in DRAW_BLOCK draws, and at
+    least one: a stack whose fold alone, n * width draws, exceeds
+    DRAW_BLOCK draws one fold per block.  Only the last block may end in a
+    shorter fold, so the blocks cut the steps into the same folds as one
+    block over all of them would.
     """
     per = max(1, DRAW_BLOCK // (max(n, 1) * width)) * width
     for lo in range(0, steps, per):
@@ -310,23 +330,25 @@ def evolve_flags(spec, bases, n_steps, sampler):
     n)`` would, in the blocks of ``draw_blocks``, each folded W =
     ``fold_width(spec)`` steps at a time: about n_steps / W QR steps.  Only
     the draw differs between the kinds.  Finite support draws a block's
-    atom indices on the same stream and folds them as words
+    atom indices on the same stream, as narrow counts
+    (``ensemble._atom_counts``), and folds them as words
     (``_word_products``); rotation_invariant draws the matrices and folds
-    them by ``advance``, whose return value this has.
+    them by ``advance``, whose return value this has.  Each fold's
+    log|diag R| goes into one running sum in fold order, so the bases and
+    sums do not depend on DRAW_BLOCK.
     """
     bases = np.asarray(bases, dtype=float)
     n, d = len(bases), spec.dim
     logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
-    # a block's draws live only through its own fold, so none is held
+    # a block's draws live only through its own folds, so none is held
     # while the next block is drawn
     for t in _block_steps(n, n_steps, fold_width(spec)):
         if spec.kind == "finite_support":
-            bases, block_logs = _apply(bases, _word_products(
-                spec, atom_indices(spec, sampler, t * n).reshape(t, n)))
+            bases, logs = _apply(bases, _word_products(
+                spec, _atom_counts(spec, sampler, t * n).reshape(t, n)), logs)
         else:
-            bases, block_logs = advance(spec, bases, sample_batch(
-                spec, sampler, t * n).reshape(t, n, d, d))
-        logs += block_logs
+            bases, logs = advance(spec, bases, sample_batch(
+                spec, sampler, t * n).reshape(t, n, d, d), logs)
     return bases, logs
 
 

@@ -170,6 +170,28 @@ def _haar_orthogonal(rng, d, n):
     return q * signs[:, None, :]
 
 
+def _atom_counts(spec, sampler, n):
+    """``atom_indices`` in the smallest unsigned type that holds K - 1.
+
+    One byte up to 256 atoms: a word fold reads these counts as they are,
+    without the int64 copy ``atom_indices`` makes.
+    """
+    probs = spec.params["probs"]
+    if not (np.all(probs >= 0) and abs(math.fsum(probs) - 1.0) <= PROB_TOL):
+        raise ValueError(f"atom probabilities {probs} are not a distribution")
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    # choice's uniform from the word w is u = (w >> 11) 2^-53, and u >= c
+    # exactly when w >= ceil(c 2^53) << 11; no u reaches an entry c = 1
+    limits = np.ceil(cdf[:-1] * 2.0 ** 53)
+    limits = limits[limits < 2.0 ** 53].astype(np.uint64) << np.uint64(11)
+    words = sampler.rng.bit_generator.random_raw(n)
+    count = np.zeros(n, dtype=np.min_scalar_type(len(cdf) - 1))
+    for limit in limits:
+        count += words >= limit
+    return count
+
+
 def atom_indices(spec, sampler, n):
     """Draw n atom indices of a finite-support spec by probs.
 
@@ -177,27 +199,21 @@ def atom_indices(spec, sampler, n):
     ``sample_batch(spec, sampler, n)`` returns for finite support, and the
     two leave the stream at the same place.  The draw is that of
     ``rng.choice(K, size=n, p=probs)``, byte for byte and with the same
-    stream use: one uniform u in [0, 1) per index, read as the number of
-    entries of the normalized cdf at or below u (the last entry is 1, so
-    never).  That number is summed from K - 1 comparisons rather than found
-    by choice's binary search, whose branches on random u cost more than
-    the K - 1 passes at the benchmark ensembles' 2 and 4 atoms; the cost
-    grows with K.  The sum runs in the smallest unsigned type that holds
-    K - 1, one byte up to 256 atoms, and is cast to int64 once: less than
-    half the time of adding every comparison into int64.  Probabilities
-    that are negative, NaN or do not sum to 1 within choice's tolerance
-    raise ValueError, as choice does.
+    stream use: one 64-bit word of the bit generator per index, the word
+    from which ``Generator.random`` makes choice's uniform u, read as the
+    number of entries of the normalized cdf at or below u.  No uniform is
+    formed: each cdf entry c below 1 becomes the integer threshold
+    ceil(c 2^53) << 11, which a word reaches exactly when its u reaches c,
+    and an entry equal to 1 (the last, and any reached earlier) is never
+    at or below u, so it adds no comparison.  The count is summed from
+    these comparisons rather than found by choice's binary search, whose
+    branches on random u cost more than the passes at the benchmark
+    ensembles' 2 and 4 atoms; the cost grows with K.  The sum runs in the
+    smallest unsigned type that holds K - 1 (``_atom_counts``) and is cast
+    to int64 once.  Probabilities that are negative, NaN or do not sum to
+    1 within choice's tolerance raise ValueError, as choice does.
     """
-    probs = spec.params["probs"]
-    if not (np.all(probs >= 0) and abs(math.fsum(probs) - 1.0) <= PROB_TOL):
-        raise ValueError(f"atom probabilities {probs} are not a distribution")
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    u = sampler.rng.random(n)
-    count = np.zeros(n, dtype=np.min_scalar_type(len(cdf) - 1))
-    for c in cdf[:-1]:
-        count += u >= c
-    return count.astype(np.int64)
+    return _atom_counts(spec, sampler, n).astype(np.int64)
 
 
 def sample_batch(spec, sampler, n):

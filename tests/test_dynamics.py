@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flagdim import circle, dynamics, harness
 from flagdim.dynamics import (FOLD_COND_CAP, PIECE_BLOCK, THINNING,
@@ -89,8 +91,9 @@ def test_batched_orthonormalize_keeps_the_memory_order(rng, layout):
     (iso2(), [30, 30, 30])],
     ids=["finite_support", "rotation_invariant", "iso2"])
 def test_block_draws_equal_stepwise_draws(spec, lengths):
-    # 100 replicas: blocks of one fold (W = 43, 24 and 30 steps)
-    n, steps = 100, 90
+    # 800 replicas: blocks of one fold (W = 43, 24 and 30 steps), since
+    # two folds of the stack exceed DRAW_BLOCK draws
+    n, steps = 800, 90
     blocks = list(draw_blocks(spec, SeededSampler(40), n, steps))
     assert [len(b) for b in blocks] == lengths
     stream = SeededSampler(40)
@@ -98,6 +101,33 @@ def test_block_draws_equal_stepwise_draws(spec, lengths):
     assert np.array_equal(np.concatenate(blocks), stepwise)
     one_call = sample_batch(spec, SeededSampler(40), steps * n)
     assert np.array_equal(one_call, stepwise.reshape(one_call.shape))
+
+
+@given(st.integers(0, 5000), st.integers(0, 3000),
+       st.integers(1, WORD_FOLD_STEPS))
+def test_block_steps_hold_whole_folds(n, steps, width):
+    # blocks cover the steps, every block but the last holds whole folds,
+    # and none holds more than DRAW_BLOCK draws or one fold of the stack
+    blocks = list(dynamics._block_steps(n, steps, width))
+    assert sum(blocks) == steps
+    assert all(t > 0 for t in blocks)
+    assert all(t % width == 0 for t in blocks[:-1])
+    assert all(t * n <= max(dynamics.DRAW_BLOCK, n * width) for t in blocks)
+
+
+@pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3()],
+                         ids=lambda s: s.name)
+def test_draw_block_size_moves_no_result(monkeypatch, spec):
+    # blocks of one fold, of 4096, 10 000 and DRAW_BLOCK draws: the same
+    # folds, and each fold's log|diag R| added to one running sum in turn
+    start = np.broadcast_to(np.eye(spec.dim), (64, spec.dim, spec.dim))
+    runs = []
+    for block in (1, 4096, 10_000, dynamics.DRAW_BLOCK):
+        monkeypatch.setattr(dynamics, "DRAW_BLOCK", block)
+        runs.append(evolve_flags(spec, start, 700, SeededSampler(51)))
+    for bases, logs in runs[1:]:
+        assert bases.tobytes() == runs[0][0].tobytes()
+        assert logs.tobytes() == runs[0][1].tobytes()
 
 
 def stepwise_advance(spec, bases, steps, sampler):
@@ -112,10 +142,9 @@ def stepwise_advance(spec, bases, steps, sampler):
 
 def matrix_path(spec, bases, steps, sampler):
     """evolve_flags through drawn matrices, the path of rotation_invariant."""
-    logs = 0.0
+    logs = None
     for block in draw_blocks(spec, sampler, len(bases), steps):
-        bases, block_logs = advance(spec, bases, block)
-        logs = logs + block_logs
+        bases, logs = advance(spec, bases, block, logs)
     return bases, logs
 
 

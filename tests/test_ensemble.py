@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -55,12 +57,26 @@ def unequal(name, k):
                           np.arange(1, k + 1) / (k * (k + 1) / 2))
 
 
+def three_atoms(name, probs):
+    """Three scaled identities with the given probabilities."""
+    return finite_support(name, [np.eye(2) * (1.0 + j / 3) for j in range(3)],
+                          probs)
+
+
 @pytest.mark.parametrize("spec", [
     bern2(), diag3eps(), unequal("three", 3), unequal("seventeen", 17),
-    unequal("eighty", 80)], ids=lambda s: s.name)
+    unequal("eighty", 80),
+    # cdf entries that are not multiples of 2^-53
+    three_atoms("tenths", [0.1, 0.2, 0.7]),
+    three_atoms("thirds", [1 / 3, 1 / 3, 1 / 3]),
+    # a cdf entry of 1 before the last, and a repeated entry
+    three_atoms("last-zero", [0.5, 0.5, 0.0]),
+    three_atoms("middle-zero", [0.3, 0.0, 0.7])],
+    ids=lambda s: s.name)
 def test_atom_indices_equal_generator_choice(spec):
     # the counted draw is choice's, byte for byte, and leaves the stream
-    # where choice leaves it
+    # where choice leaves it; the narrow counts gather to sample_batch's
+    # matrices
     probs = spec.params["probs"]
     for seed in range(3):
         ours, theirs = SeededSampler(seed, 49), SeededSampler(seed, 49)
@@ -69,6 +85,31 @@ def test_atom_indices_equal_generator_choice(spec):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         assert ours.rng.random() == theirs.rng.random()
+        counts = ensemble._atom_counts(spec, SeededSampler(seed, 49), 16_000)
+        assert counts.dtype == np.min_scalar_type(len(probs) - 1)
+        assert np.array_equal(
+            spec.params["atoms"][counts],
+            sample_batch(spec, SeededSampler(seed, 49), 16_000))
+
+
+@pytest.mark.parametrize("probs", [
+    [0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0], [0.3, 0.0, 0.7]])
+def test_atom_counts_read_choice_uniforms_at_the_thresholds(probs):
+    # words on either side of each threshold, where a random draw almost
+    # never lands: each counts as choice counts its uniform
+    # u = (w >> 11) 2^-53, cdf.searchsorted(u, side="right")
+    spec = three_atoms("edges", probs)
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    tops = [int(m) for m in np.ceil(cdf * 2.0 ** 53)] + [2 ** 53]
+    words = np.array(sorted({(top + shift) << 11 | low for top in tops
+                             for shift in (-2, -1, 0) for low in (0, 2047)
+                             if 0 <= top + shift < 2 ** 53}), dtype=np.uint64)
+    fake = SimpleNamespace(rng=SimpleNamespace(bit_generator=SimpleNamespace(
+        random_raw=lambda n: words[:n])))
+    u = (words >> np.uint64(11)).astype(float) * 2.0 ** -53
+    assert np.array_equal(ensemble._atom_counts(spec, fake, len(words)),
+                          cdf.searchsorted(u, side="right"))
 
 
 @pytest.mark.parametrize("probs", [[0.5, 0.6], [-0.5, 1.5], [np.nan, 1.0]])
