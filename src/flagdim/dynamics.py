@@ -832,8 +832,9 @@ def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
     window cannot certify the stable line are dropped; the certificate
     involves only maps after time 0, so dropping them leaves the lengths
     unbiased.  A replica is certified when its resolution is at most
-    DECAY_STABLE_TOL.  A grid of fewer than two distinct depths has no
-    slope and raises ValueError.
+    DECAY_STABLE_TOL; fewer than two certified replicas give no spread
+    for the stderr and raise GapTooSmall.  A grid of fewer than two
+    distinct depths has no slope and raises ValueError.
     """
     n_grid = np.asarray(sorted(int(n) for n in n_grid))
     if len(set(n_grid.tolist())) < 2:
@@ -843,15 +844,14 @@ def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
                              sampler, t_end=lookahead, replicas=replicas)
     _, y, resolution = stable_coordinates(trace, lookahead=lookahead)
     keep = np.flatnonzero(resolution <= DECAY_STABLE_TOL)
-    if not len(keep):
+    if len(keep) < 2:
         raise GapTooSmall(
-            f"no replica of {replicas} certified a stable line at "
-            f"lookahead {lookahead}")
+            f"{len(keep)} of {replicas} replicas certified a stable line at "
+            f"lookahead {lookahead}, fewer than the two a stderr needs")
     ks = [trace.index(-n) for n in n_grid]
     arc = interval_pullforward(trace.select(keep), n_grid, y=y[keep][:, ks])
     rows = np.log(arc.length)
     slopes = np.polyfit(n_grid.astype(float), rows.T, 1)[0]
-    stderr = (float(slopes.std(ddof=1) / np.sqrt(len(slopes)))
-              if len(slopes) > 1 else float("inf"))
-    return IntervalDecayReport(n_grid=n_grid, log_lengths=rows,
-                               slope=float(slopes.mean()), slope_stderr=stderr)
+    return IntervalDecayReport(
+        n_grid=n_grid, log_lengths=rows, slope=float(slopes.mean()),
+        slope_stderr=float(slopes.std(ddof=1) / np.sqrt(len(slopes))))

@@ -121,38 +121,63 @@ def _half_pin_diagnostic(spec, pinned, pool, frame, i, coords,
     return float(diag)
 
 
+def tail_pool_pair(spec, tail_replicas, sampler):
+    """Two independent pools of ``tail_replicas`` tail flags, each
+    TAIL_BURNIN steps from the standard flag, on ``sampler.child(1)`` and
+    ``sampler.child(2)``: the pools ``kappa_density_estimator`` and
+    ``kappa_interval_estimator`` draw on ``sampler`` when given none."""
+    return tuple(stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN,
+                                      sampler.child(k)) for k in (1, 2))
+
+
+def tail_pools(spec, count, tail_replicas, sampler):
+    """``count`` pools of ``tail_replicas`` tail flags drawn in turn on
+    ``sampler.child(1)``: the pools ``conditional_fiber_sample`` draws on
+    ``sampler`` when given none, one per realization."""
+    tails = sampler.child(1)
+    return [stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, tails)
+            for _ in range(count)]
+
+
+def report_pools(spec, fiber_index, tail_replicas, sampler):
+    """The PIN_REALIZATIONS pools ``dimension_formula_report`` draws on
+    ``sampler`` for fiber ``fiber_index`` (d >= 3) when given none."""
+    return tail_pools(spec, PIN_REALIZATIONS, tail_replicas,
+                      sampler.child(600, fiber_index))
+
+
 def conditional_fiber_sample(spec, fiber_index, realizations, pin_length=None,
                              tail_replicas=10_000, sampler=None,
-                             realization_burnin=1000):
+                             realization_burnin=1000, pools=None):
     """Empirical conditional measures on the fiber over pinned pasts.
 
     The ``realizations`` pinned pasts are one stack on one stream
     (``sampler.child(0)``): each burns in ``realization_burnin`` steps
     from the standard flag and then runs a window of its ``pin_length``
     pinned steps; the fiber frame at the window's end is its reference.
-    Realization r reads the r-th pool of ``tail_replicas`` tail flags
-    (each TAIL_BURNIN steps from the standard flag) drawn in turn on
-    ``sampler.child(1)``: the pool shares that pinned recent past, differs
-    in the remote past, and is read in the reference's fiber frame.
-    Returns one EmpiricalCircleMeasure per realization.  ``pin_length=None``
-    resolves to 0 when d = 2 and 60 otherwise (a trivial partial flag
-    needs no pin).
+    Realization r reads the r-th of ``pools``, pools of tail flags (full
+    flags, samples of the stationary measure): the pool shares that pinned
+    recent past, differs in the remote past, and is read in the
+    reference's fiber frame.  ``pools=None`` draws ``realizations`` pools
+    of ``tail_replicas`` flags in turn on ``sampler.child(1)``
+    (``tail_pools``); a caller that reads one set of pools for several
+    fibers passes it instead.  Returns one EmpiricalCircleMeasure per
+    realization.  ``pin_length=None`` resolves to 0 when d = 2 and 60
+    otherwise (a trivial partial flag needs no pin).
     """
     sampler = sampler or SeededSampler(0)
     pin_length = _default_pin(spec, pin_length)
+    if pools is None:
+        pools = tail_pools(spec, realizations, tail_replicas, sampler)
     # the burn-in before the pin approximates a stationary start
     trace = stationary_orbit(spec, fiber_index, pin_length, realization_burnin,
                              sampler.child(0), replicas=realizations)
-    tails = sampler.child(1)
-    measures = []
-    for pinned, frame in zip(trace.matrices, trace.frames[:, -1]):
-        pool = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, tails)
-        # the tail replicas carry their own full flags; reading them all in
-        # the one reference frame makes them one empirical measure
-        measures.append(EmpiricalCircleMeasure.from_samples(
-            fiber_coordinates(push_flags(pinned, pool, spec), frame,
-                              fiber_index)))
-    return measures
+    # the tail replicas carry their own full flags; reading them all in
+    # the one reference frame makes them one empirical measure
+    return [EmpiricalCircleMeasure.from_samples(fiber_coordinates(
+                push_flags(pinned, pool, spec), frame, fiber_index))
+            for pinned, frame, pool in zip(trace.matrices, trace.frames[:, -1],
+                                           pools, strict=True)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +198,8 @@ class KappaEstimate:
 def kappa_density_estimator(spec, fiber_index, pin_length=None,
                             tail_replicas=10_000, orbit_samples=100,
                             bandwidth=0.05, sampler=None,
-                            realization_burnin=1000, convergence_tol=None):
+                            realization_burnin=1000, convergence_tol=None,
+                            pools=None):
     """Entropy via kernel density ratios of pushed conditional samples.
 
     The ``orbit_samples`` realizations are one stack on one stream: each
@@ -197,6 +223,13 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
     estimator raises BandwidthTooSmall instead of censoring its way to a
     number.
 
+    ``pools`` is the pair (pool0, pool1) of the times 0 and 1, pools of
+    tail flags (full flags, samples of the stationary measure).  With
+    ``pools=None`` the estimator draws two pools of ``tail_replicas``
+    flags on ``sampler.child(1)`` and ``sampler.child(2)``
+    (``tail_pool_pair``); a caller that reads one pair for several fibers
+    passes it instead.
+
     ``pin_length=None`` resolves to 0 when d = 2 and 60 otherwise: a
     trivial partial flag means the conditional measure is the stationary
     measure itself and any pin would condition on more than the flag.
@@ -204,8 +237,8 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
     sampler = sampler or SeededSampler(0)
     pin_length = _default_pin(spec, pin_length)
     i = fiber_index
-    pool0 = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, sampler.child(1))
-    pool1 = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, sampler.child(2))
+    pool0, pool1 = (tail_pool_pair(spec, tail_replicas, sampler)
+                    if pools is None else pools)
     # every realization's window [-M, 1]; the held-out queries are drawn
     # on the same stream after it
     stream = sampler.child(10)
@@ -265,7 +298,7 @@ def _isometric_fiber_action(trace):
 def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
                              sampler=None, tail_replicas=10_000,
                              realization_burnin=1000, lookahead=600,
-                             stable_tol=0.05):
+                             stable_tol=0.05, pools=None):
     """Entropy via pool masses of pulled-forward stationary intervals.
 
     kappa_r = (log mass_{-n}(I_{-n}) - log mass_0(J_n)) / n over replicas
@@ -294,12 +327,20 @@ def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
     window cannot certify the stable line are dropped and counted; the
     certificate depends only on maps after time 0, so the drop is
     independent of the masses measured on [-n, 0].  The atomic gate reads
-    the first replica that survives these drops.
+    the first replica that survives these drops.  An estimate needs a
+    spread: fewer than two accepted replicas raise NoAcceptedReplicas.
+
+    ``pools`` is the pair (pool_a, pool_b) of the times -n and 0, pools of
+    tail flags (full flags, samples of the stationary measure).  With
+    ``pools=None`` the estimator draws two pools of ``tail_replicas``
+    flags on ``sampler.child(1)`` and ``sampler.child(2)``
+    (``tail_pool_pair``); a caller that reads one pair for several fibers
+    passes it instead.
     """
     sampler = sampler or SeededSampler(0)
     i = fiber_index
-    pool_a = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, sampler.child(1))
-    pool_b = stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, sampler.child(2))
+    pool_a, pool_b = (tail_pool_pair(spec, tail_replicas, sampler)
+                      if pools is None else pools)
     trace = stationary_orbit(spec, i, n + lookahead, realization_burnin,
                              sampler.child(10), t_end=lookahead,
                              replicas=replicas)
@@ -341,16 +382,16 @@ def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
         accepted.append((np.log(mass_i) - np.log(mass_j)) / n)
     degenerate = int(np.count_nonzero(coincide))
     unresolved = int(np.count_nonzero(lost))
-    if not accepted:
+    if len(accepted) < 2:
         raise NoAcceptedReplicas(
-            f"all {replicas} replicas rejected (mass filter {rejected}, "
+            f"{len(accepted)} of {replicas} replicas accepted, fewer than "
+            f"the two a stderr needs (mass filter {rejected}, "
             f"empty image {zero_mass}, degenerate {degenerate}, "
             f"unresolved stable line {unresolved})")
     accepted = np.asarray(accepted)
-    stderr = (float(accepted.std(ddof=1) / np.sqrt(len(accepted)))
-              if len(accepted) > 1 else float("inf"))
     return KappaEstimate(
-        kappa=float(accepted.mean()), stderr=stderr,
+        kappa=float(accepted.mean()),
+        stderr=float(accepted.std(ddof=1) / np.sqrt(len(accepted))),
         method="interval", fiber_index=i,
         diagnostics={"effective_samples": len(accepted), "n": n,
                      "acceptance_rate": len(accepted) / replicas,
@@ -539,7 +580,7 @@ def _slope_distribution(measure, rng, base_points):
 
 def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
                              pin_length=None, tail_replicas=10_000,
-                             burnin=1000):
+                             burnin=1000, pools=None):
     """Local dimension of the fiber measures against kappa over gap.
 
     ``spectrum`` (a SpectrumEstimate) gives the gap and ``kappa`` (a
@@ -566,7 +607,10 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
     d >= 3: the slopes are taken on the PIN_REALIZATIONS conditional
     measures of one ``conditional_fiber_sample`` call (with
     ``pin_length``, ``tail_replicas`` and ``burnin`` as its realization
-    burn-in), each over its own pinned past.
+    burn-in), each over its own pinned past.  The call reads
+    ``pools()``, PIN_REALIZATIONS pools of tail flags; the report calls
+    ``pools`` only once its gates pass, so a refused report draws no
+    pool.  ``pools=None`` draws them on ``sampler`` (``report_pools``).
     """
     sampler = sampler or SeededSampler(0)
     i = fiber_index
@@ -586,7 +630,9 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
         measures = conditional_fiber_sample(
             spec, i, PIN_REALIZATIONS, pin_length=pin_length,
             tail_replicas=tail_replicas, sampler=sampler.child(600, i),
-            realization_burnin=burnin)
+            realization_burnin=burnin,
+            pools=(report_pools(spec, i, tail_replicas, sampler)
+                   if pools is None else pools()))
     per = max(8, BASE_POINTS // len(measures))
     slopes = []
     skipped = 0

@@ -22,6 +22,24 @@ the interval route reads its pools with no pin.  Settings the config does
 not carry (tail-pool burn-ins, query counts, the significance gate, the
 sample sizes and radius grid of every dimension fit) are module constants.
 
+Every route (the density legs, the interval legs, the dimension reports,
+the ball curves) is one job that runs its fibers in order and catches
+each fiber's refusal under that fiber's leg name.  On d >= 3 the job
+draws one bank of tail pools for all its fibers: the density route's
+pair, the interval route's pair, the reports' PIN_REALIZATIONS pools and
+the curves' one pool.  A bank is drawn on the streams fiber 1's leg
+would draw its own pools on, whichever fibers the run covers, so a
+``fiber_index = 2`` run reads the pools of an "all" run and writes its
+fiber-2 rows; fiber 1's rows are those of a leg that draws for itself.
+The reports' bank is drawn at the first report that passes its gates,
+so a refused report draws nothing.  Every bank goes when its job ends,
+but for the ``dimension`` command's density bank, which its reports'
+route reads through ``kappa`` and which goes with the command.  Sharing
+is sound because a tail pool is a sample of the one stationary measure
+on full flags, whichever fiber reads it, and no output combines two
+fibers' estimates; each fiber's stderr leaves out the pools' error, as
+a leg that draws for itself does.
+
 The config format is INI with one [experiment] section and a mandatory
 schema version; unknown sections or keys are hard errors.  Every field
 can be overridden by an environment variable named FLAGDIM_<FIELD> (the
@@ -49,6 +67,7 @@ entry stops the command with InvalidSpec and an error.csv.
 
 import configparser
 import csv
+import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -63,7 +82,8 @@ from .ensemble import (BENCHMARKS, SeededSampler, check_spec, from_text,
                        mean_log_abs_det, validate)
 from .entropy import (LINE_REPLICAS, GapRow, conditional_fiber_sample,
                       dimension_formula_report, furstenberg_entropy_d2,
-                      kappa_density_estimator, kappa_interval_estimator)
+                      kappa_density_estimator, kappa_interval_estimator,
+                      report_pools, tail_pool_pair, tail_pools)
 from .errors import (AtomicFiber, BandwidthTooSmall, ConfigError, GapTooSmall,
                      HypothesisNotMet, NoAcceptedReplicas)
 from .measures import EmpiricalCircleMeasure, ball_mass, default_radius_grid
@@ -303,6 +323,34 @@ def _catching(fn, refusals, leg):
     return run
 
 
+def _route(cfg, spec, name, bank, leg, refusals):
+    """One route's job: ``leg(i, pools)`` for every fiber, in fiber order.
+
+    ``pools()`` returns ``bank()``, drawn at the first call and read by
+    every later fiber; the draw goes when the job ends.  A fiber's
+    refusal is kept as leg "<name> fiber i" and stops that fiber only.
+    Returns {fiber: result} for the fibers not refused.
+    """
+    fibers = cfg.fibers(spec.dim)
+
+    def run():
+        pools = functools.cache(bank)
+        results = {}
+        for i in fibers:
+            try:
+                results[i] = leg(i, pools)
+            except GATE_ERRORS as err:
+                refusals[f"{name} fiber {i}"] = err
+        return results
+    return run
+
+
+def _by_leg(results, *routes):
+    """The route jobs' results keyed by (route, fiber)."""
+    return {(route, i): r for route in routes
+            for i, r in results[route].items()}
+
+
 def _run_diagnostics(spec, spectrum):
     """Checks of the spectrum against the ensemble: sum chi = E log|det A|."""
     return {"sum_chi": float(spectrum.chi.sum()),
@@ -321,8 +369,11 @@ def run_spectrum(cfg, threads=1):
                         diagnostics=_run_diagnostics(spec, spectrum))
 
 
-def _density_leg(cfg, spec, i, sampler):
-    """Density-route kappa of fiber i; the estimator follows the dimension."""
+def _density_leg(cfg, spec, i, sampler, pools):
+    """Density-route kappa of fiber i; the estimator follows the dimension.
+
+    ``pools`` is the route's bank (``_density_bank``), None for d = 2.
+    """
     if spec.dim == 2:
         # cfg.burnin is for single orbits; the replica pool keeps
         # the estimator's own burn-in, as the d >= 3 tail pools do
@@ -333,25 +384,36 @@ def _density_leg(cfg, spec, i, sampler):
     return kappa_density_estimator(
         spec, i, pin_length=cfg.pin_length, tail_replicas=cfg.tail_replicas,
         orbit_samples=cfg.orbit_samples, bandwidth=cfg.bandwidth,
-        sampler=sampler, realization_burnin=cfg.burnin)
+        sampler=sampler, realization_burnin=cfg.burnin, pools=pools)
+
+
+def _density_bank(cfg, spec, sampler):
+    """The density route's pool pair, drawn as fiber 1's leg on ``sampler``
+    would draw it; d = 2's route reads replicas of its own instead."""
+    if spec.dim == 2:
+        return None
+    return tail_pool_pair(spec, cfg.tail_replicas, sampler)
 
 
 def _entropy_jobs(cfg, spec, sampler, refusals):
-    jobs = []
-    for i in cfg.fibers(spec.dim):
-        def density(i=i):
-            return _density_leg(cfg, spec, i, sampler.child(2, i))
-        jobs.append((("density", i), _catching(density, refusals,
-                                               f"entropy density fiber {i}")))
+    def density(i, pools):
+        return _density_leg(cfg, spec, i, sampler.child(2, i), pools())
 
-        def interval(i=i):
-            return kappa_interval_estimator(
-                spec, i, n=cfg.interval_n, replicas=cfg.replicas,
-                tail_replicas=cfg.tail_replicas,
-                realization_burnin=cfg.burnin, sampler=sampler.child(3, i))
-        jobs.append((("interval", i), _catching(interval, refusals,
-                                                f"entropy interval fiber {i}")))
-    return jobs
+    def interval(i, pools):
+        return kappa_interval_estimator(
+            spec, i, n=cfg.interval_n, replicas=cfg.replicas,
+            tail_replicas=cfg.tail_replicas, realization_burnin=cfg.burnin,
+            sampler=sampler.child(3, i), pools=pools())
+    return [
+        ("density", _route(
+            cfg, spec, "entropy density",
+            lambda: _density_bank(cfg, spec, sampler.child(2, 1)),
+            density, refusals)),
+        ("interval", _route(
+            cfg, spec, "entropy interval",
+            lambda: tail_pool_pair(spec, cfg.tail_replicas,
+                                   sampler.child(3, 1)),
+            interval, refusals))]
 
 
 def _entropy_bundle(cfg, spectrum, results, refusals, start):
@@ -391,11 +453,17 @@ def run_entropy(cfg, threads=1):
                                  burnin=cfg.burnin, sampler=sampler.child(1))
     refusals = {}
     results = _run_jobs(_entropy_jobs(cfg, spec, sampler, refusals), threads)
-    return _entropy_bundle(cfg, spectrum, results, refusals, start)
+    return _entropy_bundle(cfg, spectrum,
+                           _by_leg(results, "density", "interval"),
+                           refusals, start)
 
 
-def _ball_curves(cfg, spec, i, sampler):
-    """Radius/mass curves behind the dimension figure (and its CSV)."""
+def _ball_curves(cfg, spec, i, sampler, pools=None):
+    """Radius/mass curves behind the dimension figure (and its CSV).
+
+    d >= 3: the sample reads ``pools``, a list of one tail pool, or with
+    None one it draws on ``sampler.child(1)``.
+    """
     # the curves' centers draw on a stream the sample does not read
     if spec.dim == 2:
         measure = EmpiricalCircleMeasure.from_samples(stationary_lines(
@@ -406,7 +474,7 @@ def _ball_curves(cfg, spec, i, sampler):
         (measure,) = conditional_fiber_sample(
             spec, i, 1, pin_length=cfg.pin_length,
             tail_replicas=cfg.tail_replicas, sampler=sampler,
-            realization_burnin=cfg.burnin)
+            realization_burnin=cfg.burnin, pools=pools)
         centers = sampler.child(2)
     grid = default_radius_grid()
     idx = centers.rng.choice(len(measure.points), size=BALL_CURVE_POINTS,
@@ -421,28 +489,29 @@ def _dimension_legs(cfg, spec, spectrum, kappa, sampler, threads, refusals):
     ``kappa(i)`` returns fiber i's density estimate or raises the gate
     error that refuses the fiber's report.
     """
-    fibers = cfg.fibers(spec.dim)
-    jobs = []
-    for i in fibers:
-        def report(i=i):
-            return dimension_formula_report(
-                spec, i, spectrum, kappa(i), sampler=sampler.child(4, i),
-                pin_length=cfg.pin_length, tail_replicas=cfg.tail_replicas,
-                burnin=cfg.burnin)
-        jobs.append((("dimension", i),
-                     _catching(report, refusals, f"dimension fiber {i}")))
+    def report(i, pools):
+        return dimension_formula_report(
+            spec, i, spectrum, kappa(i), sampler=sampler.child(4, i),
+            pin_length=cfg.pin_length, tail_replicas=cfg.tail_replicas,
+            burnin=cfg.burnin, pools=pools)
 
-        def curves(i=i):
-            return _ball_curves(cfg, spec, i, sampler.child(6, i))
-        jobs.append((("curves", i),
-                     _catching(curves, refusals, f"ball curves fiber {i}")))
+    def curves(i, pools):
+        return _ball_curves(cfg, spec, i, sampler.child(6, i), pools())
+    jobs = [
+        ("dimension", _route(
+            cfg, spec, "dimension",
+            lambda: report_pools(spec, 1, cfg.tail_replicas,
+                                 sampler.child(4, 1)),
+            report, refusals)),
+        # the d = 2 curves read stationary lines, not flag pools
+        ("curves", _route(
+            cfg, spec, "ball curves",
+            lambda: None if spec.dim == 2 else tail_pools(
+                spec, 1, cfg.tail_replicas, sampler.child(6, 1)),
+            curves, refusals))]
     results = _run_jobs(jobs, threads)
-    reports = tuple(results[("dimension", i)] for i in fibers
-                    if results.get(("dimension", i)) is not None)
-    curves = []
-    for i in fibers:
-        curves.extend(results.get(("curves", i)) or ())
-    return reports, tuple(curves)
+    return (tuple(results["dimension"].values()),
+            tuple(c for fiber in results["curves"].values() for c in fiber))
 
 
 def run_dimension(cfg, threads=1):
@@ -452,11 +521,19 @@ def run_dimension(cfg, threads=1):
     spectrum = lyapunov_spectrum(spec, cfg.spectrum_steps, burnin=cfg.burnin,
                                  sampler=sampler.child(1))
 
-    def kappa(i):
+    def stream(i):
         # the streams the report drew its own kappa on, kept so that
         # outputs repeat across versions
-        key = (4, i, 200) if spec.dim == 2 else (4, i, 200, i)
-        return _density_leg(cfg, spec, i, sampler.child(*key))
+        return sampler.child(*((4, i, 200) if spec.dim == 2
+                               else (4, i, 200, i)))
+
+    # the density legs run inside the reports' route, which alone calls
+    # kappa; their bank is drawn at its first fiber and kept to the end
+    density_pools = functools.cache(
+        lambda: _density_bank(cfg, spec, stream(1)))
+
+    def kappa(i):
+        return _density_leg(cfg, spec, i, stream(i), density_pools())
     refusals = {}
     reports, curves = _dimension_legs(cfg, spec, spectrum, kappa, sampler,
                                       threads, refusals)
@@ -480,12 +557,14 @@ def run_verify(cfg, threads=1):
         return interval_decay_curve(spec, cfg.fibers(spec.dim)[0],
                                     cfg.decay_grid(), cfg.replicas,
                                     sampler.child(5), burnin=cfg.burnin)
-    jobs.append((("decay",), _catching(decay, refusals, "interval decay")))
+    jobs.append(("decay", _catching(decay, refusals, "interval decay")))
     results = _run_jobs(jobs, threads)
-    entropy = _entropy_bundle(cfg, spectrum, results, refusals, start)
+    entropy = _entropy_bundle(cfg, spectrum,
+                              _by_leg(results, "density", "interval"),
+                              refusals, start)
 
     def kappa(i):
-        est = results.get(("density", i))
+        est = results["density"].get(i)
         if est is None:
             raise HypothesisNotMet(
                 f"no kappa[{i}]: the leg 'entropy density fiber {i}' "
@@ -499,7 +578,7 @@ def run_verify(cfg, threads=1):
                         gap_rows=entropy.gap_rows,
                         agreement=entropy.agreement,
                         dimension_reports=reports,
-                        decay=results.get(("decay",)),
+                        decay=results["decay"],
                         ball_curves=curves, refusals=refusals,
                         diagnostics=_run_diagnostics(spec, spectrum))
 

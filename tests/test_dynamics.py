@@ -589,6 +589,16 @@ def test_interval_decay_slope_deterministic():
     assert rep.replicas == 3
 
 
+def test_interval_decay_curve_refuses_one_certified_replica():
+    # one certified replica gives a slope but no spread for its stderr
+    c, s = np.cos(0.3), np.sin(0.3)
+    q = np.array([[c, -s], [s, c]])
+    tilted = single("tilted2", q @ np.diag([2.0, 0.5]) @ q.T)
+    with pytest.raises(GapTooSmall, match="1 of 1 replicas certified"):
+        interval_decay_curve(tilted, 1, np.arange(4, 13), 1,
+                             SeededSampler(19), burnin=30, lookahead=60)
+
+
 def test_interval_decay_curve_refuses_a_single_depth():
     # a line through one depth n is no slope; refused before any draw
     with pytest.raises(ValueError, match="two distinct depths"):

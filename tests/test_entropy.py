@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from flagdim.ensemble import SeededSampler, bern2, diag3eps, finite_support, rot
 from flagdim.entropy import (LINE_REPLICAS, KappaEstimate,
                              conditional_fiber_sample,
                              dimension_formula_report, furstenberg_entropy_d2,
-                             kappa_density_estimator, kappa_interval_estimator)
+                             kappa_density_estimator, kappa_interval_estimator,
+                             report_pools, tail_pool_pair, tail_pools)
 from flagdim.errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
                             InsufficientMass, NoAcceptedReplicas)
 from flagdim.dynamics import (SpectrumEstimate, lyapunov_spectrum,
@@ -107,6 +110,67 @@ def test_conditional_fiber_sample_streams(realizations):
             measure.points, EmpiricalCircleMeasure.from_samples(want).points)
 
 
+def _same_estimate(a, b):
+    return (a.kappa, a.stderr, a.diagnostics) == (b.kappa, b.stderr,
+                                                  b.diagnostics)
+
+
+def test_density_estimator_given_its_own_bank_returns_the_same_bits():
+    # a bank drawn on the estimator's own streams is the pair it draws
+    spec, s = diag3eps(), SeededSampler(40)
+    kwargs = dict(tail_replicas=1500, orbit_samples=8, bandwidth=0.1,
+                  realization_burnin=100)
+    own = kappa_density_estimator(spec, 2, sampler=s, **kwargs)
+    banked = kappa_density_estimator(
+        spec, 2, sampler=s, pools=tail_pool_pair(spec, 1500, s), **kwargs)
+    assert _same_estimate(own, banked)
+
+
+def test_interval_estimator_given_its_own_bank_returns_the_same_bits():
+    spec, s = diag3eps(), SeededSampler(41)
+    kwargs = dict(n=20, replicas=4, tail_replicas=1500,
+                  realization_burnin=100)
+    own = kappa_interval_estimator(spec, 2, sampler=s, **kwargs)
+    banked = kappa_interval_estimator(
+        spec, 2, sampler=s, pools=tail_pool_pair(spec, 1500, s), **kwargs)
+    assert _same_estimate(own, banked)
+
+
+def test_conditional_samples_given_their_own_bank_return_the_same_bits():
+    # directly, and through the report, which draws its bank only once
+    # its gates pass
+    spec, s = diag3eps(), SeededSampler(42)
+    own = conditional_fiber_sample(spec, 2, 3, tail_replicas=300, sampler=s,
+                                   realization_burnin=100)
+    banked = conditional_fiber_sample(
+        spec, 2, 3, sampler=s, realization_burnin=100,
+        pools=tail_pools(spec, 3, 300, s))
+    assert all(np.array_equal(a.points, b.points)
+               for a, b in zip(own, banked, strict=True))
+    spectrum = SpectrumEstimate(
+        chi=np.array([0.0, -0.03500, -0.06389]), stderr=np.zeros(3),
+        n_steps=1, burnin=0, replicas=2,
+        gap_stderrs=np.array([0.0001, 0.00009]))
+    kappa = KappaEstimate(kappa=1.0, stderr=0.0, method="density",
+                          fiber_index=2)
+    drawn = []
+
+    def bank():
+        drawn.append(True)
+        return report_pools(spec, 2, 300, s)
+    args = (spec, 2, spectrum, kappa)
+    kwargs = dict(sampler=s, tail_replicas=300, burnin=100)
+    assert (dataclasses.astuple(dimension_formula_report(
+                *args, pools=bank, **kwargs))
+            == dataclasses.astuple(dimension_formula_report(*args, **kwargs)))
+    weak = KappaEstimate(kappa=1.0, stderr=1.0, method="density",
+                         fiber_index=2)
+    with pytest.raises(HypothesisNotMet):
+        dimension_formula_report(spec, 2, spectrum, weak, pools=bank,
+                                 **kwargs)
+    assert len(drawn) == 1
+
+
 @pytest.mark.parametrize("fiber", [1, 2])
 def test_dimension_report_d3_slopes_read_one(fiber):
     # diag3eps's conditional fiber measures have dimension 1 at the
@@ -195,6 +259,18 @@ def test_interval_estimator_gates_on_first_surviving_replica():
     assert est.diagnostics["unresolved_replicas"] >= 1
     assert "pin_diagnostic" not in est.diagnostics
     assert np.isfinite(est.kappa)
+
+
+def test_interval_estimator_refuses_an_estimate_from_one_replica():
+    # one accepted replica has no spread, so no stderr; it is refused
+    # rather than reported with an infinite stderr.  Of two replicas, one
+    # leaves its stable line unresolved here; of three, two are kept
+    kwargs = dict(n=20, tail_replicas=300, lookahead=200,
+                  realization_burnin=100, sampler=SeededSampler(6))
+    assert kappa_interval_estimator(
+        bern2(), 1, replicas=3, **kwargs).diagnostics["effective_samples"] == 2
+    with pytest.raises(NoAcceptedReplicas, match="1 of 2 replicas accepted"):
+        kappa_interval_estimator(bern2(), 1, replicas=2, **kwargs)
 
 
 def test_interval_estimator_rejects_unresolvable_depth():

@@ -19,8 +19,8 @@ TINY = dict(seed=11, spectrum_steps=400, burnin=100, interval_n=20,
             emit_figures=False)
 
 
-def _outputs(command, ensemble, threads, out_dir):
-    cfg = harness.load_config(None, dict(TINY, ensemble=ensemble),
+def _outputs(command, ensemble, threads, out_dir, **overrides):
+    cfg = harness.load_config(None, dict(TINY, ensemble=ensemble, **overrides),
                               environ={})
     runner = {"verify": harness.run_verify,
               "dimension": harness.run_dimension}[command]
@@ -47,6 +47,68 @@ def test_verify_outputs_repeat_byte_for_byte(command, ensemble, tmp_path):
     assert FILES[command] <= set(first)
     assert _outputs(command, ensemble, 1, tmp_path / "b") == first
     assert _outputs(command, ensemble, 2, tmp_path / "c") == first
+
+
+def _fixed_kappa(cfg, spec, i, sampler, pools):
+    # a kappa that passes the reports' significance gate
+    return KappaEstimate(kappa=1.0, stderr=0.0, method="density",
+                         fiber_index=i)
+
+
+def _fiber_two_rows(files):
+    """Fiber 2's rows of the per-fiber CSVs and of diagnostics.csv."""
+    rows = {}
+    for name in ("kappa.csv", "dimension.csv", "ballmass.csv",
+                 "diagnostics.csv"):
+        lines = files.get(name, b"").decode().splitlines()[2:]
+        rows[name] = [line for line in lines
+                      if (line.startswith("2,") if name != "diagnostics.csv"
+                          else "fiber 2" in line)]
+    return rows
+
+
+@pytest.mark.parametrize("fixed", [False, True],
+                         ids=["estimated-kappa", "fixed-kappa"])
+def test_fiber_two_run_writes_the_rows_of_an_all_fiber_run(
+        fixed, monkeypatch, tmp_path):
+    # every route draws its bank of tail pools on fiber 1's streams, so
+    # fiber 2's rows do not depend on the run covering fiber 1.  At this
+    # budget both reports refuse at their kappa gate; a fixed kappa lets
+    # them run
+    if fixed:
+        monkeypatch.setattr(harness, "_density_leg", _fixed_kappa)
+    every = _fiber_two_rows(_outputs("verify", "diag3eps", 1,
+                                     tmp_path / "all"))
+    alone = _fiber_two_rows(_outputs("verify", "diag3eps", 1,
+                                     tmp_path / "two", fiber_index=2))
+    assert alone == every
+    assert every["kappa.csv"] and every["ballmass.csv"]
+    assert bool(every["dimension.csv"]) == fixed
+
+
+def test_verify_draws_each_bank_once_for_both_fibers(monkeypatch):
+    # d = 3: the density and interval routes draw two full-size tail pools
+    # each, the reports PIN_REALIZATIONS and the curves one, for both
+    # fibers together; a leg per fiber drawing its own made twice as many.
+    # A report refused at its kappa gate draws none.
+    sizes = []
+    real = dynamics.stationary_flag_pool
+
+    def spy(spec, count, burnin, sampler):
+        sizes.append(count)
+        return real(spec, count, burnin, sampler)
+    for module in (dynamics, entropy):
+        monkeypatch.setattr(module, "stationary_flag_pool", spy)
+    cfg = harness.load_config(None, dict(TINY, ensemble="diag3eps"),
+                              environ={})
+    refused = harness.run_verify(cfg).refusals
+    assert {"dimension fiber 1", "dimension fiber 2"} <= set(refused)
+    assert sizes.count(cfg.tail_replicas) == 2 + 2 + 1
+    sizes.clear()
+    monkeypatch.setattr(harness, "_density_leg", _fixed_kappa)
+    assert harness.run_verify(cfg).refusals == {}
+    assert sizes.count(cfg.tail_replicas) == (
+        2 + 2 + entropy.PIN_REALIZATIONS + 1)
 
 
 def test_parsers_name_exactly_the_config_fields():
@@ -78,7 +140,7 @@ def test_dimension_report_burns_in_the_configured_steps(monkeypatch):
     monkeypatch.setattr(entropy, "conditional_fiber_sample", spy(
         entropy.conditional_fiber_sample,
         lambda a, k: k["realization_burnin"]))
-    monkeypatch.setattr(harness, "_density_leg", lambda cfg, spec, i, s:
+    monkeypatch.setattr(harness, "_density_leg", lambda cfg, spec, i, s, p:
                         KappaEstimate(kappa=1.0, stderr=0.0,
                                       method="density", fiber_index=i))
     # one orbit for bern2; one stack of six realizations per fiber for
@@ -96,7 +158,7 @@ def test_verify_reports_no_dimension_without_its_density_leg(monkeypatch):
     # second estimate is drawn on another stream
     calls = []
 
-    def refused(cfg, spec, i, sampler):
+    def refused(cfg, spec, i, sampler, pools):
         calls.append(i)
         raise BandwidthTooSmall("stub refusal")
     monkeypatch.setattr(harness, "_density_leg", refused)
