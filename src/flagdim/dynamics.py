@@ -75,7 +75,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import circle
-from .ensemble import SeededSampler, _atom_counts, sample_batch
+from .ensemble import _atom_counts, sample_batch
 from .errors import (DegenerateBasis, DegenerateFiberPair, GapTooSmall,
                      IntervalWrap)
 from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
@@ -413,7 +413,7 @@ class SpectrumEstimate:
         return len(self.chi)
 
 
-def lyapunov_spectrum(spec, n_steps, burnin=1000, replicas=64, sampler=None):
+def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
     """Per-step log determinant increments averaged over time and replicas.
 
     chi_i is the mean i-th diagonal log increment of the QR cocycle after
@@ -423,8 +423,6 @@ def lyapunov_spectrum(spec, n_steps, burnin=1000, replicas=64, sampler=None):
     one replica are correlated (for bern2, chi_1 + chi_2 = E log|det A| in
     every replica), so their errors do not add in quadrature.
     """
-    if sampler is None:
-        sampler = SeededSampler(0)
     # burn-in and measurement are two advances on one stream, so no fold
     # straddles the burn-in
     stream = sampler.child(0xCC)

@@ -41,10 +41,9 @@ import numpy as np
 
 from . import circle
 from .dynamics import (DEGENERATE_DISTANCE, Arc, pull_forward, push_flags,
-                       stable_coordinates, stationary_flag_pool,
-                       stationary_interval, stationary_lines,
-                       stationary_orbit)
-from .ensemble import SeededSampler, sample_batch
+                       stable_coordinates, stationary_interval,
+                       stationary_lines, stationary_orbit)
+from .ensemble import sample_batch
 from .errors import (AtomicFiber, BandwidthTooSmall, GapTooSmall,
                      HypothesisNotMet, NoAcceptedReplicas)
 from .flagcore import (fiber_coordinates, fiber_map_derivative,
@@ -59,7 +58,6 @@ JACKKNIFE_GROUPS = 20
 TAIL_BURNIN = 300        # steps from the standard flag to a stationary tail flag
 EVAL_POINTS = 64         # held-out queries per orbit sample of the density route
 LINE_REPLICAS = 1000     # d = 2 dimension sample: independent replicas read
-PIN_REALIZATIONS = 6     # d >= 3 dimension fits: pinned pasts sampled
 BASE_POINTS = 200        # dimension fits: sample points, shared by the measures
 STATIONARY_SAMPLES = 100_000   # d = 2 dimension fits: stationary angles read
 SIGNIFICANCE = 2.0       # kappa must exceed this many stderrs for a dimension
@@ -102,6 +100,12 @@ def _atomic_gate(coords, context):
             f"{ATOM_RESOLUTION:g} persists across sample sizes")
 
 
+def _pushed_coordinates(spec, pinned, pool, frame, i):
+    """Fiber-i coordinates, in ``frame``, of ``pool`` pushed through the
+    pinned past ``pinned``: the conditional sample given that past."""
+    return fiber_coordinates(push_flags(pinned, pool, spec), frame, i)
+
+
 def _half_pin_diagnostic(spec, pinned, pool, frame, i, coords,
                          convergence_tol=None):
     """Wasserstein distance between the full- and half-pin fiber samples.
@@ -110,8 +114,7 @@ def _half_pin_diagnostic(spec, pinned, pool, frame, i, coords,
     ``frame``; the half-pin sample keeps only the pin's later half.  When
     ``convergence_tol`` is given a larger distance raises GapTooSmall.
     """
-    half = fiber_coordinates(
-        push_flags(pinned[len(pinned) // 2:], pool, spec), frame, i)
+    half = _pushed_coordinates(spec, pinned[len(pinned) // 2:], pool, frame, i)
     diag = wasserstein_circle(EmpiricalCircleMeasure.from_samples(coords),
                               EmpiricalCircleMeasure.from_samples(half))
     if convergence_tol is not None and diag > convergence_tol:
@@ -121,61 +124,29 @@ def _half_pin_diagnostic(spec, pinned, pool, frame, i, coords,
     return float(diag)
 
 
-def tail_pool_pair(spec, tail_replicas, sampler):
-    """Two independent pools of ``tail_replicas`` tail flags, each
-    TAIL_BURNIN steps from the standard flag, on ``sampler.child(1)`` and
-    ``sampler.child(2)``: the pools ``kappa_density_estimator`` and
-    ``kappa_interval_estimator`` draw on ``sampler`` when given none."""
-    return tuple(stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN,
-                                      sampler.child(k)) for k in (1, 2))
-
-
-def tail_pools(spec, count, tail_replicas, sampler):
-    """``count`` pools of ``tail_replicas`` tail flags drawn in turn on
-    ``sampler.child(1)``: the pools ``conditional_fiber_sample`` draws on
-    ``sampler`` when given none, one per realization."""
-    tails = sampler.child(1)
-    return [stationary_flag_pool(spec, tail_replicas, TAIL_BURNIN, tails)
-            for _ in range(count)]
-
-
-def report_pools(spec, fiber_index, tail_replicas, sampler):
-    """The PIN_REALIZATIONS pools ``dimension_formula_report`` draws on
-    ``sampler`` for fiber ``fiber_index`` (d >= 3) when given none."""
-    return tail_pools(spec, PIN_REALIZATIONS, tail_replicas,
-                      sampler.child(600, fiber_index))
-
-
-def conditional_fiber_sample(spec, fiber_index, realizations, pin_length=None,
-                             tail_replicas=10_000, sampler=None,
-                             realization_burnin=1000, pools=None):
+def conditional_fiber_sample(spec, fiber_index, pools, sampler,
+                             pin_length=None, realization_burnin=1000):
     """Empirical conditional measures on the fiber over pinned pasts.
 
-    The ``realizations`` pinned pasts are one stack on one stream
-    (``sampler.child(0)``): each burns in ``realization_burnin`` steps
-    from the standard flag and then runs a window of its ``pin_length``
-    pinned steps; the fiber frame at the window's end is its reference.
-    Realization r reads the r-th of ``pools``, pools of tail flags (full
-    flags, samples of the stationary measure): the pool shares that pinned
-    recent past, differs in the remote past, and is read in the
-    reference's fiber frame.  ``pools=None`` draws ``realizations`` pools
-    of ``tail_replicas`` flags in turn on ``sampler.child(1)``
-    (``tail_pools``); a caller that reads one set of pools for several
-    fibers passes it instead.  Returns one EmpiricalCircleMeasure per
-    realization.  ``pin_length=None`` resolves to 0 when d = 2 and 60
-    otherwise (a trivial partial flag needs no pin).
+    ``pools`` holds one pool of tail flags (full flags, samples of the
+    stationary measure) per realization.  The ``len(pools)`` pinned pasts
+    are one stack on one stream (``sampler.child(0)``): each burns in
+    ``realization_burnin`` steps from the standard flag and then runs a
+    window of its ``pin_length`` pinned steps; the fiber frame at the
+    window's end is its reference.  Realization r reads the r-th pool:
+    the pool shares that pinned recent past, differs in the remote past,
+    and is read in the reference's fiber frame.  Returns one
+    EmpiricalCircleMeasure per realization.  ``pin_length=None`` is 0 when
+    d = 2 and 60 otherwise (a trivial partial flag needs no pin).
     """
-    sampler = sampler or SeededSampler(0)
     pin_length = _default_pin(spec, pin_length)
-    if pools is None:
-        pools = tail_pools(spec, realizations, tail_replicas, sampler)
     # the burn-in before the pin approximates a stationary start
     trace = stationary_orbit(spec, fiber_index, pin_length, realization_burnin,
-                             sampler.child(0), replicas=realizations)
+                             sampler.child(0), replicas=len(pools))
     # the tail replicas carry their own full flags; reading them all in
     # the one reference frame makes them one empirical measure
-    return [EmpiricalCircleMeasure.from_samples(fiber_coordinates(
-                push_flags(pinned, pool, spec), frame, fiber_index))
+    return [EmpiricalCircleMeasure.from_samples(
+                _pushed_coordinates(spec, pinned, pool, frame, fiber_index))
             for pinned, frame, pool in zip(trace.matrices, trace.frames[:, -1],
                                            pools, strict=True)]
 
@@ -195,11 +166,10 @@ class KappaEstimate:
                 f"+- {self.stderr:.5f} ({self.method}; {extra})")
 
 
-def kappa_density_estimator(spec, fiber_index, pin_length=None,
-                            tail_replicas=10_000, orbit_samples=100,
-                            bandwidth=0.05, sampler=None,
-                            realization_burnin=1000, convergence_tol=None,
-                            pools=None):
+def kappa_density_estimator(spec, fiber_index, pools, sampler,
+                            pin_length=None, orbit_samples=100,
+                            bandwidth=0.05, realization_burnin=1000,
+                            convergence_tol=None):
     """Entropy via kernel density ratios of pushed conditional samples.
 
     The ``orbit_samples`` realizations are one stack on one stream: each
@@ -224,21 +194,16 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
     number.
 
     ``pools`` is the pair (pool0, pool1) of the times 0 and 1, pools of
-    tail flags (full flags, samples of the stationary measure).  With
-    ``pools=None`` the estimator draws two pools of ``tail_replicas``
-    flags on ``sampler.child(1)`` and ``sampler.child(2)``
-    (``tail_pool_pair``); a caller that reads one pair for several fibers
-    passes it instead.
+    tail flags (full flags, samples of the stationary measure); the
+    diagnostics report their size as ``tail_replicas``.
 
     ``pin_length=None`` resolves to 0 when d = 2 and 60 otherwise: a
     trivial partial flag means the conditional measure is the stationary
     measure itself and any pin would condition on more than the flag.
     """
-    sampler = sampler or SeededSampler(0)
     pin_length = _default_pin(spec, pin_length)
     i = fiber_index
-    pool0, pool1 = (tail_pool_pair(spec, tail_replicas, sampler)
-                    if pools is None else pools)
+    pool0, pool1 = pools
     # every realization's window [-M, 1]; the held-out queries are drawn
     # on the same stream after it
     stream = sampler.child(10)
@@ -252,8 +217,8 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
         pin1 = trace.matrices[r, 1:]
         frame0, frame1 = trace.frames[r, -2:]
         x1 = float(trace.x[r, -1])
-        coords0 = fiber_coordinates(push_flags(pin0, pool0, spec), frame0, i)
-        coords1 = fiber_coordinates(push_flags(pin1, pool1, spec), frame1, i)
+        coords0 = _pushed_coordinates(spec, pin0, pool0, frame0, i)
+        coords1 = _pushed_coordinates(spec, pin1, pool1, frame1, i)
         if r == 0:
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
             diag = _half_pin_diagnostic(spec, pin1, pool1, frame1, i,
@@ -275,7 +240,7 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
     if skipped > 0.1 * orbit_samples or not kappas:
         raise BandwidthTooSmall(
             f"{skipped} of {orbit_samples} realizations put x_1 where "
-            f"fewer than {KDE_MIN_NEIGHBORS} of {tail_replicas // 2} samples "
+            f"fewer than {KDE_MIN_NEIGHBORS} of {len(pool1) // 2} samples "
             f"sit within bandwidth {bandwidth:g}")
     kappas = np.asarray(kappas)
     return KappaEstimate(
@@ -285,7 +250,7 @@ def kappa_density_estimator(spec, fiber_index, pin_length=None,
         diagnostics={"effective_samples": len(kappas),
                      "undersampled_skips": skipped,
                      "eval_points": EVAL_POINTS, "bandwidth": bandwidth,
-                     "pin_length": pin_length, "tail_replicas": tail_replicas,
+                     "pin_length": pin_length, "tail_replicas": len(pool1),
                      "pin_diagnostic": diag})
 
 
@@ -295,10 +260,9 @@ def _isometric_fiber_action(trace):
     return np.max(logs, axis=1) < 1e-9
 
 
-def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
-                             sampler=None, tail_replicas=10_000,
-                             realization_burnin=1000, lookahead=600,
-                             stable_tol=0.05, pools=None):
+def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
+                             replicas=100, realization_burnin=1000,
+                             lookahead=600, stable_tol=0.05):
     """Entropy via pool masses of pulled-forward stationary intervals.
 
     kappa_r = (log mass_{-n}(I_{-n}) - log mass_0(J_n)) / n over replicas
@@ -331,16 +295,10 @@ def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
     spread: fewer than two accepted replicas raise NoAcceptedReplicas.
 
     ``pools`` is the pair (pool_a, pool_b) of the times -n and 0, pools of
-    tail flags (full flags, samples of the stationary measure).  With
-    ``pools=None`` the estimator draws two pools of ``tail_replicas``
-    flags on ``sampler.child(1)`` and ``sampler.child(2)``
-    (``tail_pool_pair``); a caller that reads one pair for several fibers
-    passes it instead.
+    tail flags (full flags, samples of the stationary measure).
     """
-    sampler = sampler or SeededSampler(0)
     i = fiber_index
-    pool_a, pool_b = (tail_pool_pair(spec, tail_replicas, sampler)
-                      if pools is None else pools)
+    pool_a, pool_b = pools
     trace = stationary_orbit(spec, i, n + lookahead, realization_burnin,
                              sampler.child(10), t_end=lookahead,
                              replicas=replicas)
@@ -401,8 +359,8 @@ def kappa_interval_estimator(spec, fiber_index, n=100, replicas=100,
                      "unresolved_replicas": unresolved})
 
 
-def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
-                           bandwidth=0.05, sampler=None):
+def furstenberg_entropy_d2(spec, sampler, tail_replicas=10_000,
+                           orbit_samples=200, bandwidth=0.05):
     """d = 2 specialization: kappa = E_a KL(a_* nu || nu), nu stationary.
 
     The partial flag is trivial for d = 2, so the fiber measure is the
@@ -442,7 +400,6 @@ def furstenberg_entropy_d2(spec, tail_replicas=10_000, orbit_samples=200,
     """
     if spec.dim != 2:
         raise ValueError("the shortcut applies to d = 2 only")
-    sampler = sampler or SeededSampler(0)
     # one read of every replica: only the line of each flag is used
     x = stationary_lines(spec, tail_replicas, TAIL_BURNIN, tail_replicas,
                          sampler.child(1))
@@ -578,9 +535,8 @@ def _slope_distribution(measure, rng, base_points):
     return slopes[fitted], int(np.count_nonzero(~fitted))
 
 
-def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
-                             pin_length=None, tail_replicas=10_000,
-                             burnin=1000, pools=None):
+def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler,
+                             pools, pin_length=None, burnin=1000):
     """Local dimension of the fiber measures against kappa over gap.
 
     ``spectrum`` (a SpectrumEstimate) gives the gap and ``kappa`` (a
@@ -604,15 +560,13 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
     orbit), so the points of one thinned orbit sample nu poorly, while
     reads of different replicas are independent.
 
-    d >= 3: the slopes are taken on the PIN_REALIZATIONS conditional
-    measures of one ``conditional_fiber_sample`` call (with
-    ``pin_length``, ``tail_replicas`` and ``burnin`` as its realization
-    burn-in), each over its own pinned past.  The call reads
-    ``pools()``, PIN_REALIZATIONS pools of tail flags; the report calls
-    ``pools`` only once its gates pass, so a refused report draws no
-    pool.  ``pools=None`` draws them on ``sampler`` (``report_pools``).
+    d >= 3: the slopes are taken on the conditional measures of one
+    ``conditional_fiber_sample`` call (with ``pin_length``, and ``burnin``
+    as its realization burn-in), each over its own pinned past.  The call
+    reads ``pools()``, one pool of tail flags per pinned past; the report
+    calls ``pools`` only once its gates pass, so a refused report draws
+    no pool, and d = 2 never calls it.
     """
-    sampler = sampler or SeededSampler(0)
     i = fiber_index
     if kappa.kappa <= SIGNIFICANCE * kappa.stderr:
         raise HypothesisNotMet(
@@ -628,11 +582,8 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler=None,
             sampler.child(500)))]
     else:
         measures = conditional_fiber_sample(
-            spec, i, PIN_REALIZATIONS, pin_length=pin_length,
-            tail_replicas=tail_replicas, sampler=sampler.child(600, i),
-            realization_burnin=burnin,
-            pools=(report_pools(spec, i, tail_replicas, sampler)
-                   if pools is None else pools()))
+            spec, i, pools(), sampler.child(600, i), pin_length=pin_length,
+            realization_burnin=burnin)
     per = max(8, BASE_POINTS // len(measures))
     slopes = []
     skipped = 0

@@ -25,20 +25,25 @@ sample sizes and radius grid of every dimension fit) are module constants.
 Every route (the density legs, the interval legs, the dimension reports,
 the ball curves) is one job that runs its fibers in order and catches
 each fiber's refusal under that fiber's leg name.  On d >= 3 the job
-draws one bank of tail pools for all its fibers: the density route's
-pair, the interval route's pair, the reports' PIN_REALIZATIONS pools and
-the curves' one pool.  A bank is drawn on the streams fiber 1's leg
-would draw its own pools on, whichever fibers the run covers, so a
+draws one bank of tail pools for all its fibers (``_tail_pools``); the
+estimators draw none.  The banks' streams, as keys under the run's seed:
+
+    density route            (2, 1, 1) and (2, 1, 2)
+    interval route           (3, 1, 1) and (3, 1, 2)
+    dimension reports        PIN_REALIZATIONS pools in turn on (4, 1, 600, 1, 1)
+    ball curves              (6, 1, 1)
+    ``dimension``'s density  (4, 1, 200, 1, 1) and (4, 1, 200, 1, 2)
+
+A bank's streams do not depend on the fibers the run covers, so a
 ``fiber_index = 2`` run reads the pools of an "all" run and writes its
-fiber-2 rows; fiber 1's rows are those of a leg that draws for itself.
-The reports' bank is drawn at the first report that passes its gates,
-so a refused report draws nothing.  Every bank goes when its job ends,
-but for the ``dimension`` command's density bank, which its reports'
-route reads through ``kappa`` and which goes with the command.  Sharing
-is sound because a tail pool is a sample of the one stationary measure
-on full flags, whichever fiber reads it, and no output combines two
-fibers' estimates; each fiber's stderr leaves out the pools' error, as
-a leg that draws for itself does.
+fiber-2 rows.  The reports' bank is drawn at the first report that
+passes its gates, so a refused report draws nothing.  Every bank goes
+when its job ends, but for the ``dimension`` command's density bank,
+which its reports' route reads through ``kappa`` and which goes with the
+command.  Sharing is sound because a tail pool is a sample of the one
+stationary measure on full flags, whichever fiber reads it, and no
+output combines two fibers' estimates; each fiber's stderr leaves out
+the pools' error.
 
 The config format is INI with one [experiment] section and a mandatory
 schema version; unknown sections or keys are hard errors.  Every field
@@ -77,13 +82,13 @@ import numpy as np
 
 from . import _svg
 from .dynamics import (interval_decay_curve, lyapunov_spectrum,
-                       stationary_lines)
+                       stationary_flag_pool, stationary_lines)
 from .ensemble import (BENCHMARKS, SeededSampler, check_spec, from_text,
                        mean_log_abs_det, validate)
-from .entropy import (LINE_REPLICAS, GapRow, conditional_fiber_sample,
-                      dimension_formula_report, furstenberg_entropy_d2,
-                      kappa_density_estimator, kappa_interval_estimator,
-                      report_pools, tail_pool_pair, tail_pools)
+from .entropy import (LINE_REPLICAS, TAIL_BURNIN, GapRow,
+                      conditional_fiber_sample, dimension_formula_report,
+                      furstenberg_entropy_d2, kappa_density_estimator,
+                      kappa_interval_estimator)
 from .errors import (AtomicFiber, BandwidthTooSmall, ConfigError, GapTooSmall,
                      HypothesisNotMet, NoAcceptedReplicas)
 from .measures import EmpiricalCircleMeasure, ball_mass, default_radius_grid
@@ -93,6 +98,7 @@ SCHEMA_VERSION = 1
 ENV_PREFIX = "FLAGDIM_"
 BALL_CURVE_POINTS = 6    # sample points behind the dimension figure
 BALL_CURVE_SAMPLE = 10_000   # d = 2: stationary angles those points come from
+PIN_REALIZATIONS = 6     # d >= 3 dimension reports: pinned pasts sampled
 
 # estimators refuse rather than report under a violated hypothesis; the
 # CLI maps exactly these to exit code 2
@@ -323,6 +329,14 @@ def _catching(fn, refusals, leg):
     return run
 
 
+def _tail_pools(cfg, spec, *streams):
+    """One pool of ``cfg.tail_replicas`` tail flags per stream, each
+    TAIL_BURNIN steps from the standard flag; a stream named twice draws
+    its pools in turn."""
+    return [stationary_flag_pool(spec, cfg.tail_replicas, TAIL_BURNIN, s)
+            for s in streams]
+
+
 def _route(cfg, spec, name, bank, leg, refusals):
     """One route's job: ``leg(i, pools)`` for every fiber, in fiber order.
 
@@ -378,21 +392,20 @@ def _density_leg(cfg, spec, i, sampler, pools):
         # cfg.burnin is for single orbits; the replica pool keeps
         # the estimator's own burn-in, as the d >= 3 tail pools do
         return furstenberg_entropy_d2(
-            spec, tail_replicas=cfg.tail_replicas,
-            orbit_samples=cfg.orbit_samples, bandwidth=cfg.bandwidth,
-            sampler=sampler)
+            spec, sampler, tail_replicas=cfg.tail_replicas,
+            orbit_samples=cfg.orbit_samples, bandwidth=cfg.bandwidth)
     return kappa_density_estimator(
-        spec, i, pin_length=cfg.pin_length, tail_replicas=cfg.tail_replicas,
+        spec, i, pools, sampler, pin_length=cfg.pin_length,
         orbit_samples=cfg.orbit_samples, bandwidth=cfg.bandwidth,
-        sampler=sampler, realization_burnin=cfg.burnin, pools=pools)
+        realization_burnin=cfg.burnin)
 
 
 def _density_bank(cfg, spec, sampler):
-    """The density route's pool pair, drawn as fiber 1's leg on ``sampler``
-    would draw it; d = 2's route reads replicas of its own instead."""
+    """The density route's pool pair, on ``sampler.child(1)`` and
+    ``sampler.child(2)``; d = 2's route reads replicas of its own instead."""
     if spec.dim == 2:
         return None
-    return tail_pool_pair(spec, cfg.tail_replicas, sampler)
+    return _tail_pools(cfg, spec, sampler.child(1), sampler.child(2))
 
 
 def _entropy_jobs(cfg, spec, sampler, refusals):
@@ -401,9 +414,8 @@ def _entropy_jobs(cfg, spec, sampler, refusals):
 
     def interval(i, pools):
         return kappa_interval_estimator(
-            spec, i, n=cfg.interval_n, replicas=cfg.replicas,
-            tail_replicas=cfg.tail_replicas, realization_burnin=cfg.burnin,
-            sampler=sampler.child(3, i), pools=pools())
+            spec, i, pools(), sampler.child(3, i), n=cfg.interval_n,
+            replicas=cfg.replicas, realization_burnin=cfg.burnin)
     return [
         ("density", _route(
             cfg, spec, "entropy density",
@@ -411,8 +423,8 @@ def _entropy_jobs(cfg, spec, sampler, refusals):
             density, refusals)),
         ("interval", _route(
             cfg, spec, "entropy interval",
-            lambda: tail_pool_pair(spec, cfg.tail_replicas,
-                                   sampler.child(3, 1)),
+            lambda: _tail_pools(cfg, spec, sampler.child(3, 1, 1),
+                                sampler.child(3, 1, 2)),
             interval, refusals))]
 
 
@@ -458,11 +470,11 @@ def run_entropy(cfg, threads=1):
                            refusals, start)
 
 
-def _ball_curves(cfg, spec, i, sampler, pools=None):
+def _ball_curves(cfg, spec, i, sampler, pools):
     """Radius/mass curves behind the dimension figure (and its CSV).
 
-    d >= 3: the sample reads ``pools``, a list of one tail pool, or with
-    None one it draws on ``sampler.child(1)``.
+    d >= 3: the sample reads ``pools``, a list of one tail pool; d = 2
+    reads stationary lines instead.
     """
     # the curves' centers draw on a stream the sample does not read
     if spec.dim == 2:
@@ -470,11 +482,10 @@ def _ball_curves(cfg, spec, i, sampler, pools=None):
             spec, LINE_REPLICAS, cfg.burnin, BALL_CURVE_SAMPLE, sampler))
         centers = sampler.child(1)
     else:
-        # the sample draws on sampler.child(0) and sampler.child(1)
+        # the sample draws on sampler.child(0)
         (measure,) = conditional_fiber_sample(
-            spec, i, 1, pin_length=cfg.pin_length,
-            tail_replicas=cfg.tail_replicas, sampler=sampler,
-            realization_burnin=cfg.burnin, pools=pools)
+            spec, i, pools, sampler, pin_length=cfg.pin_length,
+            realization_burnin=cfg.burnin)
         centers = sampler.child(2)
     grid = default_radius_grid()
     idx = centers.rng.choice(len(measure.points), size=BALL_CURVE_POINTS,
@@ -491,23 +502,22 @@ def _dimension_legs(cfg, spec, spectrum, kappa, sampler, threads, refusals):
     """
     def report(i, pools):
         return dimension_formula_report(
-            spec, i, spectrum, kappa(i), sampler=sampler.child(4, i),
-            pin_length=cfg.pin_length, tail_replicas=cfg.tail_replicas,
-            burnin=cfg.burnin, pools=pools)
+            spec, i, spectrum, kappa(i), sampler.child(4, i), pools,
+            pin_length=cfg.pin_length, burnin=cfg.burnin)
 
     def curves(i, pools):
         return _ball_curves(cfg, spec, i, sampler.child(6, i), pools())
     jobs = [
         ("dimension", _route(
             cfg, spec, "dimension",
-            lambda: report_pools(spec, 1, cfg.tail_replicas,
-                                 sampler.child(4, 1)),
+            lambda: _tail_pools(cfg, spec, *[sampler.child(4, 1, 600, 1, 1)]
+                                * PIN_REALIZATIONS),
             report, refusals)),
         # the d = 2 curves read stationary lines, not flag pools
         ("curves", _route(
             cfg, spec, "ball curves",
-            lambda: None if spec.dim == 2 else tail_pools(
-                spec, 1, cfg.tail_replicas, sampler.child(6, 1)),
+            lambda: None if spec.dim == 2 else _tail_pools(
+                cfg, spec, sampler.child(6, 1, 1)),
             curves, refusals))]
     results = _run_jobs(jobs, threads)
     return (tuple(results["dimension"].values()),

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -8,8 +6,7 @@ from flagdim.ensemble import SeededSampler, bern2, diag3eps, finite_support, rot
 from flagdim.entropy import (LINE_REPLICAS, KappaEstimate,
                              conditional_fiber_sample,
                              dimension_formula_report, furstenberg_entropy_d2,
-                             kappa_density_estimator, kappa_interval_estimator,
-                             report_pools, tail_pool_pair, tail_pools)
+                             kappa_density_estimator, kappa_interval_estimator)
 from flagdim.errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
                             InsufficientMass, NoAcceptedReplicas)
 from flagdim.dynamics import (SpectrumEstimate, lyapunov_spectrum,
@@ -23,10 +20,30 @@ from flagdim.measures import (EmpiricalCircleMeasure, ball_mass,
 from independence_reference import conditional_independence_diagnostic
 
 
+def _pools(spec, size, *streams):
+    """One pool of ``size`` tail flags per stream, as the harness draws
+    its banks; a stream named twice draws its pools in turn."""
+    return [stationary_flag_pool(spec, size, entropy.TAIL_BURNIN, s)
+            for s in streams]
+
+
+def _pair(spec, size, sampler):
+    """The pool pair of the density and interval routes, on
+    ``sampler.child(1)`` and ``sampler.child(2)``."""
+    return _pools(spec, size, sampler.child(1), sampler.child(2))
+
+
+def _report_bank(spec, fiber, size, sampler):
+    """The d >= 3 report's PIN_REALIZATIONS pools, in turn on
+    ``sampler.child(600, fiber).child(1)``."""
+    tails = sampler.child(600, fiber).child(1)
+    return lambda: _pools(spec, size, *[tails] * harness.PIN_REALIZATIONS)
+
+
 def test_rot2_density_kappa_zero():
-    est = kappa_density_estimator(rot2(), 1, tail_replicas=4000,
-                                  orbit_samples=50, bandwidth=0.08,
-                                  sampler=SeededSampler(30))
+    s = SeededSampler(30)
+    est = kappa_density_estimator(rot2(), 1, _pair(rot2(), 4000, s), s,
+                                  orbit_samples=50, bandwidth=0.08)
     assert abs(est.kappa) <= max(2.5 * est.stderr, 0.01)
     assert est.method == "density"
     assert est.diagnostics["pin_length"] == 0
@@ -34,9 +51,9 @@ def test_rot2_density_kappa_zero():
 
 
 def test_rot2_interval_kappa_zero():
-    est = kappa_interval_estimator(rot2(), 1, n=60, replicas=40,
-                                   tail_replicas=4000, lookahead=100,
-                                   sampler=SeededSampler(31))
+    s = SeededSampler(31)
+    est = kappa_interval_estimator(rot2(), 1, _pair(rot2(), 4000, s), s,
+                                   n=60, replicas=40, lookahead=100)
     assert abs(est.kappa) <= max(3 * est.stderr, 5e-3)
     assert est.diagnostics["acceptance_rate"] > 0.8
 
@@ -46,8 +63,9 @@ def test_bern2_conditional_is_stationary_measure():
     # pin reproduces the stationary fiber-coordinate measure
     from flagdim.measures import EmpiricalCircleMeasure, wasserstein_circle
     spec = bern2()
-    (cond,) = conditional_fiber_sample(spec, 1, 1, tail_replicas=4000,
-                                       sampler=SeededSampler(32))
+    s = SeededSampler(32)
+    (cond,) = conditional_fiber_sample(
+        spec, 1, _pools(spec, 4000, s.child(1)), s)
     pool = stationary_flag_pool(spec, 4000, 300, SeededSampler(33))
     ang = np.mod(np.arctan2(pool[:, 1, 0], pool[:, 0, 0]), circle.HALF_TURN)
     direct = EmpiricalCircleMeasure.from_samples(ang)
@@ -61,8 +79,9 @@ def test_pin_length_defaults():
 
 def test_rot2_conditional_uniform():
     # Haar rotations leave the uniform measure invariant on the fiber
-    (cond,) = conditional_fiber_sample(rot2(), 1, 1, tail_replicas=8000,
-                                       sampler=SeededSampler(36))
+    s = SeededSampler(36)
+    (cond,) = conditional_fiber_sample(
+        rot2(), 1, _pools(rot2(), 8000, s.child(1)), s)
     pts = np.sort(cond.points)
     n = len(pts)
     grid = (np.arange(n) + 0.5) / n * circle.HALF_TURN
@@ -73,80 +92,59 @@ def test_rot2_conditional_uniform():
 def test_atomic_fiber_gate():
     # a single hyperbolic atom collapses the conditional to a point mass
     one = finite_support("one", [np.diag([2.0, 0.5])], [1.0])
-    (cond,) = conditional_fiber_sample(one, 1, 1, tail_replicas=200,
-                                       sampler=SeededSampler(37))
+    s = SeededSampler(37)
+    (cond,) = conditional_fiber_sample(one, 1, _pools(one, 200, s.child(1)),
+                                       s)
     assert np.ptp(cond.points) == 0.0
+    s = SeededSampler(38)
     with pytest.raises(AtomicFiber):
-        kappa_density_estimator(one, 1, tail_replicas=200, orbit_samples=5,
-                                sampler=SeededSampler(38))
+        kappa_density_estimator(one, 1, _pair(one, 200, s), s,
+                                orbit_samples=5)
     # tilt the axes so the stable line certifies and the gate is reached
     c, s = np.cos(0.3), np.sin(0.3)
     q = np.array([[c, -s], [s, c]])
     tilted = finite_support("tilted", [q @ np.diag([2.0, 0.5]) @ q.T], [1.0])
+    s = SeededSampler(39)
     with pytest.raises(AtomicFiber):
-        kappa_interval_estimator(tilted, 1, n=20, replicas=5,
-                                 tail_replicas=200, lookahead=40,
-                                 sampler=SeededSampler(39))
+        kappa_interval_estimator(tilted, 1, _pair(tilted, 200, s), s, n=20,
+                                 replicas=5, lookahead=40)
 
 
 @pytest.mark.parametrize("realizations", [3, 1])
 def test_conditional_fiber_sample_streams(realizations):
-    # one stack of pinned pasts on child(0); realization r reads the r-th
-    # pool drawn on child(1).  With one realization this is the single
+    # one stack of pinned pasts on child(0), one per pool; realization r
+    # reads the r-th pool.  With one realization this is the single
     # sample the ball curves read.
     spec, i, burnin, tails = diag3eps(), 2, 200, 300
     s = SeededSampler(44)
-    got = conditional_fiber_sample(spec, i, realizations, tail_replicas=tails,
-                                   sampler=s, realization_burnin=burnin)
+    pools = _pools(spec, tails, *[s.child(1)] * realizations)
+    got = conditional_fiber_sample(spec, i, pools, s,
+                                   realization_burnin=burnin)
     trace = stationary_orbit(spec, i, 60, burnin, s.child(0),
                              replicas=realizations)
-    pools = s.child(1)
     assert len(got) == realizations
-    for r, measure in enumerate(got):
-        pool = stationary_flag_pool(spec, tails, entropy.TAIL_BURNIN, pools)
+    for r, (measure, pool) in enumerate(zip(got, pools)):
         want = fiber_coordinates(push_flags(trace.matrices[r], pool, spec),
                                  trace.frames[r, -1], i)
         assert np.array_equal(
             measure.points, EmpiricalCircleMeasure.from_samples(want).points)
 
 
-def _same_estimate(a, b):
-    return (a.kappa, a.stderr, a.diagnostics) == (b.kappa, b.stderr,
-                                                  b.diagnostics)
+def test_density_route_reports_the_pools_it_read():
+    # the pools' size is read off the pools, not a parameter
+    spec, s = bern2(), SeededSampler(40)
+    pools = _pair(spec, 300, s)
+    est = kappa_density_estimator(spec, 1, pools, s, orbit_samples=8,
+                                  bandwidth=0.3)
+    assert est.diagnostics["tail_replicas"] == 300
+    with pytest.raises(BandwidthTooSmall, match="of 150 samples"):
+        kappa_density_estimator(spec, 1, pools, s, orbit_samples=8,
+                                bandwidth=1e-6)
 
 
-def test_density_estimator_given_its_own_bank_returns_the_same_bits():
-    # a bank drawn on the estimator's own streams is the pair it draws
-    spec, s = diag3eps(), SeededSampler(40)
-    kwargs = dict(tail_replicas=1500, orbit_samples=8, bandwidth=0.1,
-                  realization_burnin=100)
-    own = kappa_density_estimator(spec, 2, sampler=s, **kwargs)
-    banked = kappa_density_estimator(
-        spec, 2, sampler=s, pools=tail_pool_pair(spec, 1500, s), **kwargs)
-    assert _same_estimate(own, banked)
-
-
-def test_interval_estimator_given_its_own_bank_returns_the_same_bits():
-    spec, s = diag3eps(), SeededSampler(41)
-    kwargs = dict(n=20, replicas=4, tail_replicas=1500,
-                  realization_burnin=100)
-    own = kappa_interval_estimator(spec, 2, sampler=s, **kwargs)
-    banked = kappa_interval_estimator(
-        spec, 2, sampler=s, pools=tail_pool_pair(spec, 1500, s), **kwargs)
-    assert _same_estimate(own, banked)
-
-
-def test_conditional_samples_given_their_own_bank_return_the_same_bits():
-    # directly, and through the report, which draws its bank only once
-    # its gates pass
+def test_refused_report_draws_no_bank():
+    # the report draws its bank only once its gates pass
     spec, s = diag3eps(), SeededSampler(42)
-    own = conditional_fiber_sample(spec, 2, 3, tail_replicas=300, sampler=s,
-                                   realization_burnin=100)
-    banked = conditional_fiber_sample(
-        spec, 2, 3, sampler=s, realization_burnin=100,
-        pools=tail_pools(spec, 3, 300, s))
-    assert all(np.array_equal(a.points, b.points)
-               for a, b in zip(own, banked, strict=True))
     spectrum = SpectrumEstimate(
         chi=np.array([0.0, -0.03500, -0.06389]), stderr=np.zeros(3),
         n_steps=1, burnin=0, replicas=2,
@@ -154,20 +152,16 @@ def test_conditional_samples_given_their_own_bank_return_the_same_bits():
     kappa = KappaEstimate(kappa=1.0, stderr=0.0, method="density",
                           fiber_index=2)
     drawn = []
+    pools = _report_bank(spec, 2, 300, s)
 
     def bank():
         drawn.append(True)
-        return report_pools(spec, 2, 300, s)
-    args = (spec, 2, spectrum, kappa)
-    kwargs = dict(sampler=s, tail_replicas=300, burnin=100)
-    assert (dataclasses.astuple(dimension_formula_report(
-                *args, pools=bank, **kwargs))
-            == dataclasses.astuple(dimension_formula_report(*args, **kwargs)))
+        return pools()
+    dimension_formula_report(spec, 2, spectrum, kappa, s, bank, burnin=100)
     weak = KappaEstimate(kappa=1.0, stderr=1.0, method="density",
                          fiber_index=2)
     with pytest.raises(HypothesisNotMet):
-        dimension_formula_report(spec, 2, spectrum, weak, pools=bank,
-                                 **kwargs)
+        dimension_formula_report(spec, 2, spectrum, weak, s, bank, burnin=100)
     assert len(drawn) == 1
 
 
@@ -183,18 +177,18 @@ def test_dimension_report_d3_slopes_read_one(fiber):
         gap_stderrs=np.array([0.0001, 0.00009]))
     kappa = KappaEstimate(kappa=1.0, stderr=0.0, method="density",
                           fiber_index=fiber)
-    rep = dimension_formula_report(diag3eps(), fiber, spectrum, kappa,
-                                   sampler=SeededSampler(3),
-                                   tail_replicas=2000)
+    spec, s = diag3eps(), SeededSampler(3)
+    rep = dimension_formula_report(spec, fiber, spectrum, kappa, s,
+                                   _report_bank(spec, fiber, 2000, s))
     assert abs(rep.mean_slope - 1) < 0.1
     assert rep.n_points >= 150
 
 
 def test_bandwidth_gate():
+    s = SeededSampler(40)
     with pytest.raises(BandwidthTooSmall):
-        kappa_density_estimator(bern2(), 1, tail_replicas=400,
-                                orbit_samples=10, bandwidth=1e-6,
-                                sampler=SeededSampler(40))
+        kappa_density_estimator(bern2(), 1, _pair(bern2(), 400, s), s,
+                                orbit_samples=10, bandwidth=1e-6)
 
 
 def test_scaling_invariance():
@@ -203,21 +197,22 @@ def test_scaling_invariance():
     spec = bern2()
     scaled = finite_support("scaled", [3.0 * a for a in spec.params["atoms"]],
                             spec.params["probs"])
-    a = kappa_density_estimator(spec, 1, tail_replicas=1500, orbit_samples=20,
-                                bandwidth=0.06, sampler=SeededSampler(41))
-    b = kappa_density_estimator(scaled, 1, tail_replicas=1500, orbit_samples=20,
-                                bandwidth=0.06, sampler=SeededSampler(41))
+    s = SeededSampler(41)
+    a = kappa_density_estimator(spec, 1, _pair(spec, 1500, s), s,
+                                orbit_samples=20, bandwidth=0.06)
+    b = kappa_density_estimator(scaled, 1, _pair(scaled, 1500, s), s,
+                                orbit_samples=20, bandwidth=0.06)
     assert a.kappa == pytest.approx(b.kappa, rel=1e-9, abs=1e-12)
     assert a.stderr == pytest.approx(b.stderr, rel=1e-9, abs=1e-12)
 
 
 def test_furstenberg_matches_density_route_d2():
     spec = bern2()
-    fur = furstenberg_entropy_d2(spec, tail_replicas=8000, orbit_samples=300,
-                                 bandwidth=0.03, sampler=SeededSampler(42))
-    den = kappa_density_estimator(spec, 1, tail_replicas=8000,
-                                  orbit_samples=60, bandwidth=0.03,
-                                  sampler=SeededSampler(43))
+    fur = furstenberg_entropy_d2(spec, SeededSampler(42), tail_replicas=8000,
+                                 orbit_samples=300, bandwidth=0.03)
+    s = SeededSampler(43)
+    den = kappa_density_estimator(spec, 1, _pair(spec, 8000, s), s,
+                                  orbit_samples=60, bandwidth=0.03)
     assert fur.kappa > 0
     assert den.kappa > 0
     scale = max(fur.kappa, den.kappa)
@@ -229,9 +224,9 @@ def test_diag3eps_density_respects_gap_bound():
     spec = diag3eps()
     spectrum = lyapunov_spectrum(spec, 8000, replicas=32,
                                  sampler=SeededSampler(44))
-    est = kappa_density_estimator(spec, 1, tail_replicas=3000,
-                                  orbit_samples=30, bandwidth=0.03,
-                                  sampler=SeededSampler(45))
+    s = SeededSampler(45)
+    est = kappa_density_estimator(spec, 1, _pair(spec, 3000, s), s,
+                                  orbit_samples=30, bandwidth=0.03)
     bound = spectrum.gap(1) + 2 * np.hypot(est.stderr, spectrum.gap_stderr(1))
     assert est.kappa <= bound
     assert est.kappa >= -2 * est.stderr
@@ -239,9 +234,9 @@ def test_diag3eps_density_respects_gap_bound():
 
 def test_interval_estimator_diag3eps_positive():
     spec = diag3eps()
-    est = kappa_interval_estimator(spec, 2, n=80, replicas=30,
-                                   tail_replicas=2500, lookahead=900,
-                                   sampler=SeededSampler(46))
+    s = SeededSampler(46)
+    est = kappa_interval_estimator(spec, 2, _pair(spec, 2500, s), s, n=80,
+                                   replicas=30, lookahead=900)
     assert est.kappa > 4 * est.stderr
     # measured gap at fiber 2 is about 0.029; the estimate should sit on
     # that scale, not an order off
@@ -252,10 +247,10 @@ def test_interval_estimator_diag3eps_positive():
 def test_interval_estimator_gates_on_first_surviving_replica():
     # the first replica's stable line stays unresolved at this tolerance;
     # the atomic gate moves to the next replica
-    est = kappa_interval_estimator(bern2(), 1, n=20, replicas=6,
-                                   tail_replicas=300, lookahead=200,
-                                   stable_tol=0.02, realization_burnin=100,
-                                   sampler=SeededSampler(3))
+    s = SeededSampler(3)
+    est = kappa_interval_estimator(bern2(), 1, _pair(bern2(), 300, s), s,
+                                   n=20, replicas=6, lookahead=200,
+                                   stable_tol=0.02, realization_burnin=100)
     assert est.diagnostics["unresolved_replicas"] >= 1
     assert "pin_diagnostic" not in est.diagnostics
     assert np.isfinite(est.kappa)
@@ -265,21 +260,22 @@ def test_interval_estimator_refuses_an_estimate_from_one_replica():
     # one accepted replica has no spread, so no stderr; it is refused
     # rather than reported with an infinite stderr.  Of two replicas, one
     # leaves its stable line unresolved here; of three, two are kept
-    kwargs = dict(n=20, tail_replicas=300, lookahead=200,
-                  realization_burnin=100, sampler=SeededSampler(6))
+    s = SeededSampler(6)
+    args = (bern2(), 1, _pair(bern2(), 300, s), s)
+    kwargs = dict(n=20, lookahead=200, realization_burnin=100)
     assert kappa_interval_estimator(
-        bern2(), 1, replicas=3, **kwargs).diagnostics["effective_samples"] == 2
+        *args, replicas=3, **kwargs).diagnostics["effective_samples"] == 2
     with pytest.raises(NoAcceptedReplicas, match="1 of 2 replicas accepted"):
-        kappa_interval_estimator(bern2(), 1, replicas=2, **kwargs)
+        kappa_interval_estimator(*args, replicas=2, **kwargs)
 
 
 def test_interval_estimator_rejects_unresolvable_depth():
     # at n = 800 the image interval is ~1e-8 of the circle, far below the
     # resolution of a 150-point pool, so every replica lands empty
     with pytest.raises(NoAcceptedReplicas):
-        kappa_interval_estimator(bern2(), 1, n=800, replicas=4,
-                                 tail_replicas=150, lookahead=600,
-                                 sampler=SeededSampler(47))
+        s = SeededSampler(47)
+        kappa_interval_estimator(bern2(), 1, _pair(bern2(), 150, s), s,
+                                 n=800, replicas=4, lookahead=600)
 
 
 def test_conditional_independence_bern2():
@@ -314,7 +310,7 @@ def _report_inputs(spec, seed, spectrum_steps, **density):
     sampler = SeededSampler(seed)
     spectrum = lyapunov_spectrum(spec, spectrum_steps,
                                  sampler=sampler.child(100))
-    kappa = furstenberg_entropy_d2(spec, sampler=sampler.child(200), **density)
+    kappa = furstenberg_entropy_d2(spec, sampler.child(200), **density)
     return sampler, spectrum, kappa
 
 
@@ -323,15 +319,15 @@ def test_dimension_report_refuses_zero_kappa():
         rot2(), 51, 4000, tail_replicas=2000, orbit_samples=25,
         bandwidth=0.08)
     with pytest.raises(HypothesisNotMet):
-        dimension_formula_report(rot2(), 1, spectrum, kappa, sampler=sampler)
+        dimension_formula_report(rot2(), 1, spectrum, kappa, sampler, None)
 
 
 def test_dimension_report_bern2_smoke():
     sampler, spectrum, kappa = _report_inputs(
         bern2(), 52, 8000, tail_replicas=6000, orbit_samples=60,
         bandwidth=0.03)
-    rep = dimension_formula_report(bern2(), 1, spectrum, kappa,
-                                   sampler=sampler)
+    rep = dimension_formula_report(bern2(), 1, spectrum, kappa, sampler,
+                                   None)
     assert 0 < rep.predicted < 1.5
     assert rep.mean_slope > 0
     assert rep.relative_error < 0.5

@@ -97,7 +97,7 @@ def test_verify_draws_each_bank_once_for_both_fibers(monkeypatch):
     def spy(spec, count, burnin, sampler):
         sizes.append(count)
         return real(spec, count, burnin, sampler)
-    for module in (dynamics, entropy):
+    for module in (dynamics, harness):
         monkeypatch.setattr(module, "stationary_flag_pool", spy)
     cfg = harness.load_config(None, dict(TINY, ensemble="diag3eps"),
                               environ={})
@@ -108,7 +108,7 @@ def test_verify_draws_each_bank_once_for_both_fibers(monkeypatch):
     monkeypatch.setattr(harness, "_density_leg", _fixed_kappa)
     assert harness.run_verify(cfg).refusals == {}
     assert sizes.count(cfg.tail_replicas) == (
-        2 + 2 + entropy.PIN_REALIZATIONS + 1)
+        2 + 2 + harness.PIN_REALIZATIONS + 1)
 
 
 def test_parsers_name_exactly_the_config_fields():
@@ -254,7 +254,10 @@ def test_ball_curve_centers_draw_on_a_stream_of_their_own(ensemble):
     # two generators on one key start from the same bits, so the curves'
     # centers would follow the draws of the sample they are picked from
     cfg = harness.load_config(None, dict(TINY, ensemble=ensemble), environ={})
-    sampler = _KeyLog(cfg.seed, (6, 1))
-    curves = harness._ball_curves(cfg, cfg.spec(), 1, sampler)
+    spec, sampler = cfg.spec(), _KeyLog(cfg.seed, (6, 1))
+    # the pool the curves' route draws on the sample's stream child(1)
+    pools = None if spec.dim == 2 else harness._tail_pools(
+        cfg, spec, sampler.child(1))
+    curves = harness._ball_curves(cfg, spec, 1, sampler, pools)
     assert len(curves) == harness.BALL_CURVE_POINTS
     assert len(set(sampler.log)) == len(sampler.log)
