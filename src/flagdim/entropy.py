@@ -57,9 +57,7 @@ ATOM_THRESHOLD = 0.5
 JACKKNIFE_GROUPS = 20
 TAIL_BURNIN = 300        # steps from the standard flag to a stationary tail flag
 EVAL_POINTS = 64         # held-out queries per orbit sample of the density route
-LINE_REPLICAS = 1000     # d = 2 dimension sample: independent replicas read
 BASE_POINTS = 200        # dimension fits: sample points, shared by the measures
-STATIONARY_SAMPLES = 100_000   # d = 2 dimension fits: stationary angles read
 SIGNIFICANCE = 2.0       # kappa must exceed this many stderrs for a dimension
 
 
@@ -400,12 +398,12 @@ def furstenberg_entropy_d2(spec, sampler, tail_replicas=10_000,
     """
     if spec.dim != 2:
         raise ValueError("the shortcut applies to d = 2 only")
+    if not 2 <= orbit_samples <= tail_replicas:
+        raise ValueError("orbit_samples must lie between 2 and tail_replicas")
     # one read of every replica: only the line of each flag is used
     x = stationary_lines(spec, tail_replicas, TAIL_BURNIN, tail_replicas,
                          sampler.child(1))
     _atomic_gate(x, f"{spec.name} stationary measure")
-    if not 2 <= orbit_samples <= tail_replicas:
-        raise ValueError("orbit_samples must lie between 2 and tail_replicas")
     mats = sample_batch(spec, sampler.child(2), orbit_samples)
     owner = np.arange(len(x)) % orbit_samples
     n_groups = min(JACKKNIFE_GROUPS, orbit_samples)
@@ -535,37 +533,24 @@ def _slope_distribution(measure, rng, base_points):
     return slopes[fitted], int(np.count_nonzero(~fitted))
 
 
-def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler,
-                             pools, pin_length=None, burnin=1000):
+def dimension_formula_report(spec, fiber_index, spectrum, kappa, measures,
+                             sampler):
     """Local dimension of the fiber measures against kappa over gap.
 
-    ``spectrum`` (a SpectrumEstimate) gives the gap and ``kappa`` (a
-    KappaEstimate of fiber ``fiber_index``) the entropy; the report does
-    not estimate either.  It refuses (HypothesisNotMet) when kappa <=
-    SIGNIFICANCE * stderr; a dimension number under a failed hypothesis
-    would be noise with a confident face.  The gate reads the stderr the
-    kappa estimate carries, so it is only as sound as that stderr.
+    ``spectrum`` (a SpectrumEstimate) gives the gap, ``kappa`` (a
+    KappaEstimate of fiber ``fiber_index``) the entropy, and ``measures``
+    (EmpiricalCircleMeasures) the fiber's conditional measures; the
+    report samples and estimates none of them, it gates and fits.  It
+    refuses (HypothesisNotMet) when kappa <= SIGNIFICANCE * stderr; a
+    dimension number under a failed hypothesis would be noise with a
+    confident face.  The gate reads the stderr the kappa estimate
+    carries, so it is only as sound as that stderr.
 
     The slopes are fitted on the default radius grid at BASE_POINTS
     sample points in all, shared evenly between the measures (at least 8
     each), as ``local_dimension`` fits them, in one batched pass per
-    measure (``_slope_distribution``).
-
-    d = 2: the fiber measure is the stationary measure itself.  The
-    slopes are fitted on STATIONARY_SAMPLES angles read off
-    LINE_REPLICAS independent replicas (``stationary_lines``), each read
-    after ``burnin`` steps and then every THINNING steps.  Independent
-    replicas rather than one orbit: on bern2 the 4 theta mode barely
-    mixes (cos 4 theta has autocorrelation -0.64 at lag 5 along one
-    orbit), so the points of one thinned orbit sample nu poorly, while
-    reads of different replicas are independent.
-
-    d >= 3: the slopes are taken on the conditional measures of one
-    ``conditional_fiber_sample`` call (with ``pin_length``, and ``burnin``
-    as its realization burn-in), each over its own pinned past.  The call
-    reads ``pools()``, one pool of tail flags per pinned past; the report
-    calls ``pools`` only once its gates pass, so a refused report draws
-    no pool, and d = 2 never calls it.
+    measure (``_slope_distribution``).  The points are drawn on
+    ``sampler.child(400, fiber_index)``.
     """
     i = fiber_index
     if kappa.kappa <= SIGNIFICANCE * kappa.stderr:
@@ -576,14 +561,6 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, sampler,
     if gap <= 0:
         raise HypothesisNotMet(f"exponent gap at fiber {i} is not positive")
     rng = sampler.child(400, i).rng
-    if spec.dim == 2:
-        measures = [EmpiricalCircleMeasure.from_samples(stationary_lines(
-            spec, LINE_REPLICAS, burnin, STATIONARY_SAMPLES,
-            sampler.child(500)))]
-    else:
-        measures = conditional_fiber_sample(
-            spec, i, pools(), sampler.child(600, i), pin_length=pin_length,
-            realization_burnin=burnin)
     per = max(8, BASE_POINTS // len(measures))
     slopes = []
     skipped = 0

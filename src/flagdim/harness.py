@@ -14,36 +14,41 @@ dimension: ``furstenberg_entropy_d2`` for d = 2, ``kappa_density_estimator``
 otherwise.  The dimension report takes the run's spectrum and a density
 kappa as inputs: ``verify`` hands it the estimate of its own density leg
 (a fiber whose density leg was refused gets no report), and ``dimension``
-runs the density leg for the report on streams of its own.  The config's
+runs the density leg for the report on streams of its own.  One
+function (``_dimension_measures``) picks the sample behind each report
+by dimension, as ``_density_leg`` picks the estimator: stationary lines
+for d = 2, the conditionals over PIN_REALIZATIONS pinned pasts
+otherwise.  The report fits those measures and the ball curves read the
+first of them, so each fiber's measures are sampled once.  The config's
 ``pin_length`` governs the d >= 3 density route and the conditional
-samples behind the dimension report (one stack of PIN_REALIZATIONS
-pinned pasts per fiber) and the ball curves (one pinned past per fiber);
-the interval route reads its pools with no pin.  Settings the config does
-not carry (tail-pool burn-ins, query counts, the significance gate, the
-sample sizes and radius grid of every dimension fit) are module constants.
+samples behind the dimension report; the interval route reads its pools
+with no pin.  Settings the config does not carry (tail-pool burn-ins,
+query counts, the significance gate, the sample sizes and radius grid
+of every dimension fit) are module constants.
 
-Every route (the density legs, the interval legs, the dimension reports,
-the ball curves) is one job that runs its fibers in order and catches
-each fiber's refusal under that fiber's leg name.  On d >= 3 the job
-draws one bank of tail pools for all its fibers (``_tail_pools``); the
-estimators draw none.  The banks' streams, as keys under the run's seed:
+Every route (the density legs, the interval legs, the dimension reports
+with their ball curves) is one job that runs its fibers in order and
+catches each fiber's refusal under that fiber's leg name.  On d >= 3 the
+job draws one bank of tail pools for all its fibers (``_tail_pools``) at
+its first fiber; the estimators draw none.  The banks' streams, as keys
+under the run's seed:
 
     density route            (2, 1, 1) and (2, 1, 2)
     interval route           (3, 1, 1) and (3, 1, 2)
     dimension reports        PIN_REALIZATIONS pools in turn on (4, 1, 600, 1, 1)
-    ball curves              (6, 1, 1)
     ``dimension``'s density  (4, 1, 200, 1, 1) and (4, 1, 200, 1, 2)
 
-A bank's streams do not depend on the fibers the run covers, so a
-``fiber_index = 2`` run reads the pools of an "all" run and writes its
-fiber-2 rows.  The reports' bank is drawn at the first report that
-passes its gates, so a refused report draws nothing.  Every bank goes
-when its job ends, but for the ``dimension`` command's density bank,
-which its reports' route reads through ``kappa`` and which goes with the
-command.  Sharing is sound because a tail pool is a sample of the one
-stationary measure on full flags, whichever fiber reads it, and no
-output combines two fibers' estimates; each fiber's stderr leaves out
-the pools' error.
+The ball curves of fiber i pick their centers on (6, i), a stream no
+sample reads.  A bank's streams do not depend on the fibers the run
+covers, so a ``fiber_index = 2`` run reads the pools of an "all" run and
+writes its fiber-2 rows.  The measures are built before the report's
+kappa gate, so the curves are written and the reports' bank is drawn
+even when every report refuses.  Every bank goes when its job ends, but
+for the ``dimension`` command's density bank, which its reports' route
+reads through ``kappa`` and which goes with the command.  Sharing is
+sound because a tail pool is a sample of the one stationary measure on
+full flags, whichever fiber reads it, and no output combines two
+fibers' estimates; each fiber's stderr leaves out the pools' error.
 
 The config format is INI with one [experiment] section and a mandatory
 schema version; unknown sections or keys are hard errors.  Every field
@@ -85,7 +90,7 @@ from .dynamics import (interval_decay_curve, lyapunov_spectrum,
                        stationary_flag_pool, stationary_lines)
 from .ensemble import (BENCHMARKS, SeededSampler, check_spec, from_text,
                        mean_log_abs_det, validate)
-from .entropy import (LINE_REPLICAS, TAIL_BURNIN, GapRow,
+from .entropy import (TAIL_BURNIN, GapRow,
                       conditional_fiber_sample, dimension_formula_report,
                       furstenberg_entropy_d2, kappa_density_estimator,
                       kappa_interval_estimator)
@@ -97,8 +102,9 @@ from .version import __version__
 SCHEMA_VERSION = 1
 ENV_PREFIX = "FLAGDIM_"
 BALL_CURVE_POINTS = 6    # sample points behind the dimension figure
-BALL_CURVE_SAMPLE = 10_000   # d = 2: stationary angles those points come from
 PIN_REALIZATIONS = 6     # d >= 3 dimension reports: pinned pasts sampled
+LINE_REPLICAS = 1000     # d = 2 dimension sample: independent replicas read
+STATIONARY_SAMPLES = 100_000   # d = 2 dimension sample: stationary angles read
 
 # estimators refuse rather than report under a violated hypothesis; the
 # CLI maps exactly these to exit code 2
@@ -165,9 +171,9 @@ class ExperimentConfig:
 
     def decay_grid(self):
         """The depths n of verify's interval decay curve, up to interval_n."""
+        n = int(self.interval_n)
         # a set rather than np.unique, which imports numpy.ma on first use
-        return sorted(set(np.linspace(10, int(self.interval_n), 8,
-                                      dtype=int).tolist()))
+        return sorted(set(np.linspace(min(10, n), n, 8, dtype=int).tolist()))
 
     def fibers(self, d):
         """The fibers a run covers on a spec of dimension ``d``."""
@@ -298,7 +304,7 @@ class ResultBundle:
         they feed each other, each kind fiber by fiber, so neither the leg
         names nor the order threads finish in decide it."""
         kinds = ("entropy density", "entropy interval", "interval decay",
-                 "dimension", "ball curves")
+                 "dimension")
 
         def order(item):
             kind, _, fiber = item[0].partition(" fiber ")
@@ -470,58 +476,66 @@ def run_entropy(cfg, threads=1):
                            refusals, start)
 
 
-def _ball_curves(cfg, spec, i, sampler, pools):
-    """Radius/mass curves behind the dimension figure (and its CSV).
+def _dimension_measures(cfg, spec, i, sampler, pools):
+    """The measures of fiber i that its dimension report fits and its
+    ball curves read; the sample follows the dimension.
 
-    d >= 3: the sample reads ``pools``, a list of one tail pool; d = 2
-    reads stationary lines instead.
+    ``sampler`` is the report's stream and ``pools`` the reports' bank,
+    None for d = 2.  d = 2: the fiber measure is the stationary measure
+    itself, read as STATIONARY_SAMPLES angles off LINE_REPLICAS
+    independent replicas (``stationary_lines``), each read after
+    ``cfg.burnin`` steps and then every THINNING steps.  Independent
+    replicas rather than one orbit: on bern2 the 4 theta mode barely
+    mixes (cos 4 theta has autocorrelation -0.64 at lag 5 along one
+    orbit), so the points of one thinned orbit sample nu poorly, while
+    reads of different replicas are independent.  d >= 3: the
+    conditionals over one pinned past per pool of the bank
+    (``conditional_fiber_sample``).
     """
-    # the curves' centers draw on a stream the sample does not read
     if spec.dim == 2:
-        measure = EmpiricalCircleMeasure.from_samples(stationary_lines(
-            spec, LINE_REPLICAS, cfg.burnin, BALL_CURVE_SAMPLE, sampler))
-        centers = sampler.child(1)
-    else:
-        # the sample draws on sampler.child(0)
-        (measure,) = conditional_fiber_sample(
-            spec, i, pools, sampler, pin_length=cfg.pin_length,
-            realization_burnin=cfg.burnin)
-        centers = sampler.child(2)
+        return [EmpiricalCircleMeasure.from_samples(stationary_lines(
+            spec, LINE_REPLICAS, cfg.burnin, STATIONARY_SAMPLES,
+            sampler.child(500)))]
+    return conditional_fiber_sample(
+        spec, i, pools, sampler.child(600, i), pin_length=cfg.pin_length,
+        realization_burnin=cfg.burnin)
+
+
+def _ball_curves(i, measure, centers):
+    """Radius/mass curves behind the dimension figure (and its CSV): the
+    ball masses of fiber i's ``measure`` around up to BALL_CURVE_POINTS of
+    its points, drawn from ``centers``, a stream no sample reads."""
     grid = default_radius_grid()
-    idx = centers.rng.choice(len(measure.points), size=BALL_CURVE_POINTS,
+    idx = centers.rng.choice(len(measure.points),
+                             size=min(BALL_CURVE_POINTS, len(measure.points)),
                              replace=False)
     return [(i, p, grid, ball_mass(measure, measure.points[k], grid))
             for p, k in enumerate(idx)]
 
 
-def _dimension_legs(cfg, spec, spectrum, kappa, sampler, threads, refusals):
-    """Dimension reports and ball curves of every fiber, in fiber order.
+def _dimension_legs(cfg, spec, spectrum, kappa, sampler, refusals):
+    """Ball curves and dimension reports of every fiber, in fiber order.
 
+    One route job: each fiber's measures are built first, its curves are
+    read off the first measure, and then its report fits them all.
     ``kappa(i)`` returns fiber i's density estimate or raises the gate
-    error that refuses the fiber's report.
+    error that refuses the fiber's report; the curves are written either
+    way.
     """
-    def report(i, pools):
-        return dimension_formula_report(
-            spec, i, spectrum, kappa(i), sampler.child(4, i), pools,
-            pin_length=cfg.pin_length, burnin=cfg.burnin)
+    curves = []
 
-    def curves(i, pools):
-        return _ball_curves(cfg, spec, i, sampler.child(6, i), pools())
-    jobs = [
-        ("dimension", _route(
-            cfg, spec, "dimension",
-            lambda: _tail_pools(cfg, spec, *[sampler.child(4, 1, 600, 1, 1)]
-                                * PIN_REALIZATIONS),
-            report, refusals)),
-        # the d = 2 curves read stationary lines, not flag pools
-        ("curves", _route(
-            cfg, spec, "ball curves",
-            lambda: None if spec.dim == 2 else _tail_pools(
-                cfg, spec, sampler.child(6, 1, 1)),
-            curves, refusals))]
-    results = _run_jobs(jobs, threads)
-    return (tuple(results["dimension"].values()),
-            tuple(c for fiber in results["curves"].values() for c in fiber))
+    def report(i, pools):
+        stream = sampler.child(4, i)
+        measures = _dimension_measures(cfg, spec, i, stream, pools())
+        curves.extend(_ball_curves(i, measures[0], sampler.child(6, i)))
+        return dimension_formula_report(spec, i, spectrum, kappa(i),
+                                        measures, stream)
+    reports = _route(
+        cfg, spec, "dimension",
+        lambda: None if spec.dim == 2 else _tail_pools(
+            cfg, spec, *[sampler.child(4, 1, 600, 1, 1)] * PIN_REALIZATIONS),
+        report, refusals)()
+    return tuple(reports.values()), tuple(curves)
 
 
 def run_dimension(cfg, threads=1):
@@ -546,7 +560,7 @@ def run_dimension(cfg, threads=1):
         return _density_leg(cfg, spec, i, stream(i), density_pools())
     refusals = {}
     reports, curves = _dimension_legs(cfg, spec, spectrum, kappa, sampler,
-                                      threads, refusals)
+                                      refusals)
     return ResultBundle(config=cfg.echo(), version=__version__,
                         wall_time=time.perf_counter() - start,
                         spectrum=spectrum, dimension_reports=reports,
@@ -581,7 +595,7 @@ def run_verify(cfg, threads=1):
                 "was refused")
         return est
     reports, curves = _dimension_legs(cfg, spec, spectrum, kappa, sampler,
-                                      threads, refusals)
+                                      refusals)
     return ResultBundle(config=cfg.echo(), version=__version__,
                         wall_time=time.perf_counter() - start,
                         spectrum=spectrum, kappas=entropy.kappas,

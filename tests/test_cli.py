@@ -54,15 +54,18 @@ def test_out_of_range_setting_exits_one(clean_env, tmp_path, name, value,
 
 
 def test_single_depth_decay_grid_exits_one(clean_env, tmp_path):
-    # interval_n = 10 leaves verify's decay grid at the one depth 10, where
-    # a slope fit is a line through a single point
-    clean_env.setenv("FLAGDIM_INTERVAL_N", "10")
-    code = cli.main(["verify", "--ensemble", "bern2", "--seed", "11",
-                     "--out", str(tmp_path), "--no-figures"])
-    assert code == 1
-    _, row = error_rows(tmp_path)
-    assert row[:2] == ["1", "ConfigError"]
-    assert "decay grid of one depth" in row[2]
+    # interval_n <= 10 leaves verify's decay grid at the one depth
+    # interval_n, where a slope fit is a line through a single point; no
+    # depth exceeds interval_n
+    for interval_n in ("5", "9", "10"):
+        clean_env.setenv("FLAGDIM_INTERVAL_N", interval_n)
+        out = tmp_path / interval_n
+        code = cli.main(["verify", "--ensemble", "bern2", "--seed", "11",
+                         "--out", str(out), "--no-figures"])
+        assert code == 1
+        _, row = error_rows(out)
+        assert row[:2] == ["1", "ConfigError"]
+        assert "decay grid of one depth" in row[2]
 
 
 def test_every_leg_refused_exits_two_with_the_gate_class(clean_env, tmp_path):

@@ -3,8 +3,7 @@ import pytest
 
 from flagdim import circle, entropy, harness, measures
 from flagdim.ensemble import SeededSampler, bern2, diag3eps, finite_support, rot2
-from flagdim.entropy import (LINE_REPLICAS, KappaEstimate,
-                             conditional_fiber_sample,
+from flagdim.entropy import (KappaEstimate, conditional_fiber_sample,
                              dimension_formula_report, furstenberg_entropy_d2,
                              kappa_density_estimator, kappa_interval_estimator)
 from flagdim.errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
@@ -33,11 +32,15 @@ def _pair(spec, size, sampler):
     return _pools(spec, size, sampler.child(1), sampler.child(2))
 
 
-def _report_bank(spec, fiber, size, sampler):
-    """The d >= 3 report's PIN_REALIZATIONS pools, in turn on
-    ``sampler.child(600, fiber).child(1)``."""
-    tails = sampler.child(600, fiber).child(1)
-    return lambda: _pools(spec, size, *[tails] * harness.PIN_REALIZATIONS)
+def _report_measures(spec, fiber, sampler, size=None):
+    """The measures the harness hands the report of ``fiber`` at the
+    default burn-in and pin, ``sampler`` being the report's stream: for
+    d >= 3 over PIN_REALIZATIONS pools of ``size`` tail flags, drawn in
+    turn on ``sampler.child(600, fiber).child(1)``."""
+    cfg = harness.load_config(None, {"seed": 0}, environ={})
+    pools = None if spec.dim == 2 else _pools(
+        spec, size, *[sampler.child(600, fiber, 1)] * harness.PIN_REALIZATIONS)
+    return harness._dimension_measures(cfg, spec, fiber, sampler, pools)
 
 
 def test_rot2_density_kappa_zero():
@@ -113,8 +116,7 @@ def test_atomic_fiber_gate():
 @pytest.mark.parametrize("realizations", [3, 1])
 def test_conditional_fiber_sample_streams(realizations):
     # one stack of pinned pasts on child(0), one per pool; realization r
-    # reads the r-th pool.  With one realization this is the single
-    # sample the ball curves read.
+    # reads the r-th pool, and one realization runs the same stack alone
     spec, i, burnin, tails = diag3eps(), 2, 200, 300
     s = SeededSampler(44)
     pools = _pools(spec, tails, *[s.child(1)] * realizations)
@@ -142,29 +144,6 @@ def test_density_route_reports_the_pools_it_read():
                                 bandwidth=1e-6)
 
 
-def test_refused_report_draws_no_bank():
-    # the report draws its bank only once its gates pass
-    spec, s = diag3eps(), SeededSampler(42)
-    spectrum = SpectrumEstimate(
-        chi=np.array([0.0, -0.03500, -0.06389]), stderr=np.zeros(3),
-        n_steps=1, burnin=0, replicas=2,
-        gap_stderrs=np.array([0.0001, 0.00009]))
-    kappa = KappaEstimate(kappa=1.0, stderr=0.0, method="density",
-                          fiber_index=2)
-    drawn = []
-    pools = _report_bank(spec, 2, 300, s)
-
-    def bank():
-        drawn.append(True)
-        return pools()
-    dimension_formula_report(spec, 2, spectrum, kappa, s, bank, burnin=100)
-    weak = KappaEstimate(kappa=1.0, stderr=1.0, method="density",
-                         fiber_index=2)
-    with pytest.raises(HypothesisNotMet):
-        dimension_formula_report(spec, 2, spectrum, weak, s, bank, burnin=100)
-    assert len(drawn) == 1
-
-
 @pytest.mark.parametrize("fiber", [1, 2])
 def test_dimension_report_d3_slopes_read_one(fiber):
     # diag3eps's conditional fiber measures have dimension 1 at the
@@ -178,8 +157,8 @@ def test_dimension_report_d3_slopes_read_one(fiber):
     kappa = KappaEstimate(kappa=1.0, stderr=0.0, method="density",
                           fiber_index=fiber)
     spec, s = diag3eps(), SeededSampler(3)
-    rep = dimension_formula_report(spec, fiber, spectrum, kappa, s,
-                                   _report_bank(spec, fiber, 2000, s))
+    rep = dimension_formula_report(spec, fiber, spectrum, kappa,
+                                   _report_measures(spec, fiber, s, 2000), s)
     assert abs(rep.mean_slope - 1) < 0.1
     assert rep.n_points >= 150
 
@@ -189,6 +168,18 @@ def test_bandwidth_gate():
     with pytest.raises(BandwidthTooSmall):
         kappa_density_estimator(bern2(), 1, _pair(bern2(), 400, s), s,
                                 orbit_samples=10, bandwidth=1e-6)
+
+
+@pytest.mark.parametrize("orbit_samples", [1, 301])
+def test_d2_route_checks_orbit_samples_before_sampling(orbit_samples,
+                                                       monkeypatch):
+    # a bad count is refused before the stationary sample is drawn
+    def drawn(*args):
+        raise AssertionError("stationary sample drawn")
+    monkeypatch.setattr(entropy, "stationary_lines", drawn)
+    with pytest.raises(ValueError, match="orbit_samples must lie between"):
+        furstenberg_entropy_d2(bern2(), SeededSampler(40), tail_replicas=300,
+                               orbit_samples=orbit_samples)
 
 
 def test_scaling_invariance():
@@ -318,16 +309,18 @@ def test_dimension_report_refuses_zero_kappa():
     sampler, spectrum, kappa = _report_inputs(
         rot2(), 51, 4000, tail_replicas=2000, orbit_samples=25,
         bandwidth=0.08)
+    # the gate refuses before any measure is read
     with pytest.raises(HypothesisNotMet):
-        dimension_formula_report(rot2(), 1, spectrum, kappa, sampler, None)
+        dimension_formula_report(rot2(), 1, spectrum, kappa, None, sampler)
 
 
 def test_dimension_report_bern2_smoke():
     sampler, spectrum, kappa = _report_inputs(
         bern2(), 52, 8000, tail_replicas=6000, orbit_samples=60,
         bandwidth=0.03)
-    rep = dimension_formula_report(bern2(), 1, spectrum, kappa, sampler,
-                                   None)
+    rep = dimension_formula_report(bern2(), 1, spectrum, kappa,
+                                   _report_measures(bern2(), 1, sampler),
+                                   sampler)
     assert 0 < rep.predicted < 1.5
     assert rep.mean_slope > 0
     assert rep.relative_error < 0.5
@@ -352,7 +345,7 @@ def test_batched_slope_fits_match_local_dimension():
     # bern2's measure as the d = 2 report builds it at the default budget
     n = 100_000
     stationary = EmpiricalCircleMeasure.from_samples(stationary_lines(
-        bern2(), LINE_REPLICAS, 1000, n, SeededSampler(500)))
+        bern2(), harness.LINE_REPLICAS, 1000, n, SeededSampler(500)))
     assert len(stationary) == n
     rng = np.random.default_rng(42)
     # an atom of weight 0.95 alone in every ball around it, and a thin rest

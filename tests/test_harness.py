@@ -7,11 +7,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from flagdim import dynamics, entropy, harness
+from flagdim import dynamics, harness, measures
 from flagdim.dynamics import SpectrumEstimate
 from flagdim.ensemble import SeededSampler, bern2, to_text
 from flagdim.entropy import KappaEstimate
 from flagdim.errors import BandwidthTooSmall, ConfigError, HypothesisNotMet
+from flagdim.measures import EmpiricalCircleMeasure
 
 # small enough to run in seconds; refusals are outputs too and must repeat
 TINY = dict(seed=11, spectrum_steps=400, burnin=100, interval_n=20,
@@ -88,9 +89,10 @@ def test_fiber_two_run_writes_the_rows_of_an_all_fiber_run(
 
 def test_verify_draws_each_bank_once_for_both_fibers(monkeypatch):
     # d = 3: the density and interval routes draw two full-size tail pools
-    # each, the reports PIN_REALIZATIONS and the curves one, for both
-    # fibers together; a leg per fiber drawing its own made twice as many.
-    # A report refused at its kappa gate draws none.
+    # each and the reports PIN_REALIZATIONS, for both fibers together; a
+    # leg per fiber drawing its own made twice as many.  The ball curves
+    # read the reports' measures, which are built before the kappa gate,
+    # so a refused report draws its bank too.
     sizes = []
     real = dynamics.stationary_flag_pool
 
@@ -103,12 +105,39 @@ def test_verify_draws_each_bank_once_for_both_fibers(monkeypatch):
                               environ={})
     refused = harness.run_verify(cfg).refusals
     assert {"dimension fiber 1", "dimension fiber 2"} <= set(refused)
-    assert sizes.count(cfg.tail_replicas) == 2 + 2 + 1
+    assert sizes.count(cfg.tail_replicas) == 2 + 2 + harness.PIN_REALIZATIONS
     sizes.clear()
     monkeypatch.setattr(harness, "_density_leg", _fixed_kappa)
     assert harness.run_verify(cfg).refusals == {}
-    assert sizes.count(cfg.tail_replicas) == (
-        2 + 2 + harness.PIN_REALIZATIONS + 1)
+    assert sizes.count(cfg.tail_replicas) == 2 + 2 + harness.PIN_REALIZATIONS
+
+
+@pytest.mark.parametrize("ensemble", ["bern2", "diag3eps"])
+def test_ball_curves_read_the_reports_first_measure(ensemble, monkeypatch,
+                                                    tmp_path):
+    # each ballmass.csv curve is the ball mass of the report's first
+    # measure around one of that measure's points: the fiber measure is
+    # sampled once, for the report and the figure alike
+    fitted = {}
+    real = harness.dimension_formula_report
+
+    def spy(spec, i, spectrum, kappa, measures, sampler):
+        fitted[i] = measures[0]
+        return real(spec, i, spectrum, kappa, measures, sampler)
+    monkeypatch.setattr(harness, "dimension_formula_report", spy)
+    monkeypatch.setattr(harness, "_density_leg", _fixed_kappa)
+    files = _outputs("verify", ensemble, 1, tmp_path)
+    curves = {}
+    for line in files["ballmass.csv"].decode().splitlines()[2:]:
+        fiber, point, _, mass = line.split(",")
+        curves.setdefault((int(fiber), int(point)), []).append(float(mass))
+    grid = measures.default_radius_grid()
+    assert sorted({i for i, _ in curves}) == sorted(fitted)
+    assert len(curves) == harness.BALL_CURVE_POINTS * len(fitted)
+    for (i, _), mass in curves.items():
+        m = fitted[i]
+        at_points = measures._ball_masses(m, m.points, grid)
+        assert np.all(at_points == mass, axis=1).any()
 
 
 def test_parsers_name_exactly_the_config_fields():
@@ -126,8 +155,8 @@ def test_config_file_with_a_radius_key_is_refused(tmp_path):
 
 def test_dimension_report_burns_in_the_configured_steps(monkeypatch):
     # the report's d = 2 replicas and its d >= 3 pinned realizations burn
-    # in cfg.burnin steps, as the ball curves and the entropy legs do; a
-    # fixed kappa keeps the significance gate out of the way
+    # in cfg.burnin steps, as the entropy legs do; a fixed kappa keeps the
+    # significance gate out of the way
     seen = []
 
     def spy(fn, burnin_of):
@@ -135,10 +164,10 @@ def test_dimension_report_burns_in_the_configured_steps(monkeypatch):
             seen.append(burnin_of(args, kwargs))
             return fn(*args, **kwargs)
         return wrapped
-    monkeypatch.setattr(entropy, "stationary_lines", spy(
-        entropy.stationary_lines, lambda a, k: a[2]))
-    monkeypatch.setattr(entropy, "conditional_fiber_sample", spy(
-        entropy.conditional_fiber_sample,
+    monkeypatch.setattr(harness, "stationary_lines", spy(
+        harness.stationary_lines, lambda a, k: a[2]))
+    monkeypatch.setattr(harness, "conditional_fiber_sample", spy(
+        harness.conditional_fiber_sample,
         lambda a, k: k["realization_burnin"]))
     monkeypatch.setattr(harness, "_density_leg", lambda cfg, spec, i, s, p:
                         KappaEstimate(kappa=1.0, stderr=0.0,
@@ -252,12 +281,27 @@ class _KeyLog(SeededSampler):
 @pytest.mark.parametrize("ensemble", ["bern2", "diag3eps"])
 def test_ball_curve_centers_draw_on_a_stream_of_their_own(ensemble):
     # two generators on one key start from the same bits, so the curves'
-    # centers would follow the draws of the sample they are picked from
+    # centers would follow the draws of the sample they are picked from.
+    # A refused kappa still leaves the curves of every fiber
     cfg = harness.load_config(None, dict(TINY, ensemble=ensemble), environ={})
-    spec, sampler = cfg.spec(), _KeyLog(cfg.seed, (6, 1))
-    # the pool the curves' route draws on the sample's stream child(1)
-    pools = None if spec.dim == 2 else harness._tail_pools(
-        cfg, spec, sampler.child(1))
-    curves = harness._ball_curves(cfg, spec, 1, sampler, pools)
-    assert len(curves) == harness.BALL_CURVE_POINTS
+    spec, sampler = cfg.spec(), _KeyLog(cfg.seed)
+
+    def refused(i):
+        raise HypothesisNotMet("stub refusal")
+    refusals = {}
+    reports, curves = harness._dimension_legs(cfg, spec, None, refused,
+                                              sampler, refusals)
+    assert reports == () and len(refusals) == spec.dim - 1
+    assert len(curves) == harness.BALL_CURVE_POINTS * (spec.dim - 1)
+    assert (6, 1) in sampler.log
     assert len(set(sampler.log)) == len(sampler.log)
+
+
+def test_ball_curves_of_a_measure_with_few_points():
+    # a measure with fewer points than BALL_CURVE_POINTS gives one curve
+    # per point, not a crash
+    measure = EmpiricalCircleMeasure.from_samples(np.array([0.1, 0.5, 1.0,
+                                                            2.0]))
+    curves = harness._ball_curves(1, measure, SeededSampler(3))
+    assert len(curves) == 4
+    assert all(mass[-1] > 0 for _, _, _, mass in curves)

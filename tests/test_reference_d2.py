@@ -5,8 +5,8 @@ import pytest
 
 from flagdim.dynamics import lyapunov_spectrum, stationary_lines
 from flagdim.ensemble import SeededSampler, bern2, finite_support
-from flagdim.entropy import LINE_REPLICAS, furstenberg_entropy_d2
-from flagdim.harness import BALL_CURVE_SAMPLE
+from flagdim.entropy import furstenberg_entropy_d2
+from flagdim.harness import LINE_REPLICAS, STATIONARY_SAMPLES
 
 from ulam_reference import ulam_reference
 
@@ -58,14 +58,14 @@ def test_spectrum_gap_matches_ulam_reference(bern2_reference):
             <= 3 * spectrum.gap_stderr(1))
 
 
-@pytest.mark.parametrize("count", [100_000, BALL_CURVE_SAMPLE])
-def test_d2_dimension_sample_matches_ulam_measure(bern2_reference, count):
+def test_d2_dimension_sample_matches_ulam_measure(bern2_reference):
     # the dimension report's sample (and the ball curves') at the default
     # burn-in, in Kolmogorov distance from the oracle's piecewise-linear
     # CDF.  Reads of one replica are correlated, so the bound is DKW at 1%
     # on the effective size count / tau: tau is the batch-means variance
     # ratio of the indicator below each quartile of the reference CDF,
     # each replica's reads one batch, at its largest and at least 1
+    count = STATIONARY_SAMPLES
     raw = stationary_lines(bern2(), LINE_REPLICAS, 1000, count,
                            SeededSampler(62).child(500))
     masses = bern2_reference.masses
