@@ -57,8 +57,7 @@ def _config(args):
     if args.ensemble is not None:
         overrides["ensemble"] = args.ensemble
     if args.fiber is not None:
-        overrides["fiber_index"] = (args.fiber if args.fiber == "all"
-                                    else int(args.fiber))
+        overrides["fiber_index"] = args.fiber
     return load_config(args.config, overrides)
 
 

@@ -277,11 +277,15 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
     interval and the pushed pool, so the estimate would read roughly
     kappa (n - M) / n (measured: M = 60 recovers about half of the M = 0
     value at n = 100).  With no pin the image interval probes the
-    unconditioned fiber-coordinate measure, which scales like the
-    conditionals do at the interval's scale; the residual bias is the
+    unconditioned fiber-coordinate measure, assumed to scale like the
+    conditionals do at the interval's scale; the residual bias is then the
     O(1/n) local-density offset shared with every interval method.  The
+    assumption fails on separated d = 3 pairs, whose conditionals are
+    point masses: there the estimate reads about log 2 where kappa is 0.  The
     replicas are one stack on one stream: each burns in
     ``realization_burnin`` steps and runs its window [-n, lookahead].
+    The stable line is pulled back from the two axes u and w of the
+    completion frame at the window's end (``stable_coordinates``).
 
     Isometric fiber actions have no stable line; there any fixed arc is
     mass-preserved in law, so one anchored at x substitutes and the

@@ -5,6 +5,9 @@ dim S_i = i, stored as a single orthonormal matrix whose first i columns span
 S_i.  Removing the i-dimensional subspace leaves a partial flag whose
 compatible completions form a circle: the candidate S_i are the lines in the
 2-plane between S_{i-1} and S_{i+1}, parameterized by an angle in [0, pi).
+The angle is read in the plane's completion frame (u, w), built by one
+rule (``completion_frames``) from a standard axis close to the plane, with
+w the quarter turn of u, so the frame is as well conditioned as the basis.
 
 The key closed form is ``flag_jacobian``: the density at AF of the rotation
 invariant fiber measure pushed through A, against the rotation invariant
@@ -27,7 +30,6 @@ from .errors import DegenerateBasis
 
 COND_CAP = 1e12          # invertibility threshold for maps and bases
 ORTHO_TOL = 1e-10        # allowed deviation of basis^T basis from identity
-_PROJ_TOL = 1e-8         # minimum projection norm in the completion rule
 
 
 def orthonormalize(basis):
@@ -144,77 +146,35 @@ def flag_jacobian(a, f, i):
     return float(r[i - 1] / r[i])
 
 
-def _completion_pair(plane):
-    """Deterministic orthonormal frame (u, w) of a 2-plane.
-
-    Projects the standard basis vectors onto the plane in order and keeps the
-    first two independent directions, each with its first significant
-    component made positive.  The frame depends only on the plane, so fiber
-    coordinates are reproducible across runs and code paths.
-    """
-    d = plane.shape[0]
-    u = None
-    for j in range(d):
-        p = plane @ plane[j, :]
-        if u is not None:
-            p = p - (u @ p) * u
-        n = np.linalg.norm(p)
-        if n > _PROJ_TOL:
-            p = p / n
-            if u is not None:
-                # small n amplifies roundoff; one more pass restores
-                # orthogonality to machine precision
-                p = p - (u @ p) * u
-                p = p / np.linalg.norm(p)
-            k = np.argmax(np.abs(p) > _PROJ_TOL)
-            if p[k] < 0:
-                p = -p
-            if u is None:
-                u = p
-            else:
-                return u, p
-    raise DegenerateBasis("completion rule found no independent directions")
-
-
 def completion_frames(planes):
-    """``_completion_pair`` over a stack of planes, (..., d, 2) -> (..., d, 2).
+    """Frames (u, w) of a stack of 2-planes, (..., d, 2) -> (..., d, 2).
 
-    The projection of e_j onto a plane with orthonormal columns P is
-    P c_j, c_j being row j of P, so |P c_j| = |c_j|, and its residual
-    against u = P a is |c_j - (a . c_j) a|: the rule's choices of e_j
-    are read off the rows in the plane's own coordinates, with no d x d
-    projector.  The chosen u and w are then formed as the rule forms them.
+    For a plane with orthonormal basis P, u is the normalized projection
+    P P^T e_j of the first axis e_j with |P^T e_j|^2 >= 1/d (the squared
+    rows of P sum to 2, so one exists, and no step divides by a small
+    number).  w is u turned a quarter inside the plane, P (-a_1, a_0) for
+    a = P^T u, with its first component of w_k^2 >= 1/d made positive.
+    The frame depends only on the plane, so fiber coordinates agree across
+    bases and code paths.  For d = 2 every basis gets (e_1, e_2), and a
+    plane of the standard flag gets (e_i, e_{i+1}).
     """
     planes = np.asarray(planes, dtype=float)
     d = planes.shape[-2]
-
-    def projection(j):
-        row = np.take_along_axis(planes, j[..., None, None], axis=-2)[..., 0, :]
-        return np.einsum("...ik,...k->...i", planes, row)
-
-    ju = np.argmax(np.linalg.norm(planes, axis=-1) > _PROJ_TOL, axis=-1)
-    u = projection(ju)
-    u = _first_significant_positive(u / np.linalg.norm(u, axis=-1, keepdims=True))
-    a = np.einsum("...ik,...i->...k", planes, u)
-    along = np.einsum("...jk,...k->...j", planes, a)
-    residual = np.linalg.norm(planes - along[..., None] * a[..., None, :], axis=-1)
-    ok = (residual > _PROJ_TOL) & (np.arange(d) > ju[..., None])
-    if not np.all(np.any(ok, axis=-1)):
-        raise DegenerateBasis("completion rule found no independent directions")
-    w = projection(np.argmax(ok, axis=-1))
-    # small residuals amplify roundoff; the second pass restores
-    # orthogonality to machine precision
-    for _ in range(2):
-        w = w - np.sum(u * w, axis=-1, keepdims=True) * u
-        w = w / np.linalg.norm(w, axis=-1, keepdims=True)
-    return np.stack([u, _first_significant_positive(w)], axis=-1)
-
-
-def _first_significant_positive(v):
-    """Flip each vector so its first component above _PROJ_TOL is positive."""
-    k = np.argmax(np.abs(v) > _PROJ_TOL, axis=-1)
-    lead = np.take_along_axis(v, k[..., None], axis=-1)
-    return np.where(lead < 0, -v, v)
+    close = np.sum(planes * planes, axis=-1) >= 1.0 / d
+    if not np.all(np.any(close, axis=-1)):
+        raise DegenerateBasis("completion rule found no axis near the plane")
+    # P^T e_j is row j of P, so a = P^T u is that row normalized
+    row = np.take_along_axis(planes, np.argmax(close, axis=-1)[..., None, None],
+                             axis=-2)
+    a = row / np.linalg.norm(row, axis=-1, keepdims=True)
+    p, q = planes[..., 0], planes[..., 1]
+    u = p * a[..., 0] + q * a[..., 1]
+    w = q * a[..., 0] - p * a[..., 1]
+    # a unit vector has a component of w_k^2 >= 1/d; when rounding leaves
+    # none, every component is that large and the first one serves
+    k = np.argmax(w * w >= 1.0 / d, axis=-1)
+    lead = np.take_along_axis(w, k[..., None], axis=-1)
+    return np.stack([u, np.where(lead < 0, -w, w)], axis=-1)
 
 
 def fiber_coordinates(bases, frames, i):
@@ -288,7 +248,7 @@ def partial_flag(f, i):
     """Forget the i-dimensional subspace of a complete flag."""
     if not 1 <= i <= f.dim - 1:
         raise ValueError(f"fiber index {i} outside 1..{f.dim - 1}")
-    u, w = _completion_pair(f.basis[:, i - 1 : i + 1])
+    u, w = completion_frames(f.basis[:, i - 1 : i + 1]).T
     basis = np.column_stack([f.basis[:, : i - 1], u, w, f.basis[:, i + 1 :]])
     return PartialFlag(missing=i, basis=basis)
 
@@ -312,11 +272,7 @@ def fiber_coordinate(f, i):
 
 def act_partial(a, fi):
     """Image partial flag with subspaces A(S_j), j != missing."""
-    q = orthonormalize(a.entries @ fi.basis)
-    i = fi.missing
-    u, w = _completion_pair(q[:, i - 1 : i + 1])
-    basis = np.column_stack([q[:, : i - 1], u, w, q[:, i + 1 :]])
-    return PartialFlag(missing=i, basis=basis)
+    return partial_flag(act_flag(a, Flag(fi.basis)), fi.missing)
 
 
 @dataclass(frozen=True, eq=False)

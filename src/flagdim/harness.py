@@ -81,7 +81,7 @@ import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -154,9 +154,6 @@ class ExperimentConfig:
             problems.append("fiber_index must be positive or 'all'")
         if self.pin_length is not None and int(self.pin_length) < 0:
             problems.append("pin_length must be nonnegative")
-        if int(self.interval_n) > 0 and len(self.decay_grid()) < 2:
-            problems.append(f"interval_n {self.interval_n} gives a decay "
-                            "grid of one depth; a slope needs two")
         if problems:
             raise ConfigError("; ".join(problems))
         return self
@@ -208,7 +205,10 @@ _PARSERS = {
 
 
 def load_config(path=None, overrides=None, environ=None):
-    """Config from file, then FLAGDIM_* environment, then overrides."""
+    """Config from file, then FLAGDIM_* environment, then overrides.
+
+    A string from any of the three is parsed as the file's would be.
+    """
     values = {}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -239,16 +239,14 @@ def load_config(path=None, overrides=None, environ=None):
         env = environ.get(ENV_PREFIX + name.upper())
         if env is not None:
             values[name] = env
+    values.update(overrides or {})
     parsed = {}
     for name, raw in values.items():
         try:
             parsed[name] = _PARSERS[name](raw) if isinstance(raw, str) else raw
         except (ValueError, KeyError):
             raise ConfigError(f"bad value for {name}: {raw!r}") from None
-    cfg = ExperimentConfig(**parsed)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    return ExperimentConfig(**parsed).validate()
 
 
 def _refusal(err):
@@ -569,6 +567,9 @@ def run_dimension(cfg, threads=1):
 
 def run_verify(cfg, threads=1):
     """Theorem 1 and Theorem 2 reports end to end, gates allowed."""
+    if len(cfg.decay_grid()) < 2:
+        raise ConfigError(f"interval_n {cfg.interval_n} gives a decay grid "
+                          "of one depth; a slope needs two")
     start = time.perf_counter()
     sampler = SeededSampler(int(cfg.seed))
     spec = cfg.spec()

@@ -68,6 +68,31 @@ def test_single_depth_decay_grid_exits_one(clean_env, tmp_path):
         assert "decay grid of one depth" in row[2]
 
 
+@pytest.mark.parametrize("command", ["entropy", "dimension"])
+def test_single_depth_decay_grid_leaves_other_commands_alone(clean_env,
+                                                             tmp_path, command):
+    # only verify runs the decay curve; an interval route at small n goes
+    # through the entropy command.  The budget is the verify-bern2
+    # workload's, at which the dimension leg's kappa is significant
+    for name, value in (("SPECTRUM_STEPS", "10000"), ("TAIL_REPLICAS", "6000"),
+                        ("ORBIT_SAMPLES", "24"), ("REPLICAS", "12"),
+                        ("INTERVAL_N", "8")):
+        clean_env.setenv("FLAGDIM_" + name, value)
+    code = cli.main([command, "--ensemble", "bern2", "--seed", "7",
+                     "--out", str(tmp_path), "--no-figures"])
+    assert code == 0
+    assert not (tmp_path / "error.csv").exists()
+
+
+def test_bad_fiber_flag_exits_one(clean_env, tmp_path):
+    code = cli.main(["spectrum", "--ensemble", "bern2", "--seed", "1",
+                     "--fiber", "x", "--out", str(tmp_path), "--no-figures"])
+    assert code == 1
+    _, row = error_rows(tmp_path)
+    assert row[:2] == ["1", "ConfigError"]
+    assert "bad value for fiber_index: 'x'" in row[2]
+
+
 def test_every_leg_refused_exits_two_with_the_gate_class(clean_env, tmp_path):
     # rot2 acts isometrically: kappa is zero and the dimension gate refuses
     for name, value in (("SPECTRUM_STEPS", "400"), ("TAIL_REPLICAS", "1500"),

@@ -429,27 +429,34 @@ def test_forward_orbit_steps_through_maps():
                                trace.x[0, k + 1]) < 1e-9
 
 
-@pytest.mark.parametrize("spec, i", [(bern2(), 1), (diag3eps(), 2),
-                                     (strong2(stretch=3.45), 1), (iso3(), 1)],
+@pytest.mark.parametrize("spec, i, seeds",
+                         [(bern2(), 1, [49]), (diag3eps(), 2, range(40, 60)),
+                          (strong2(stretch=3.45), 1, [49]),
+                          (iso3(), 1, range(40, 60))],
                          ids=["bern2", "diag3eps", "strong2-3.45", "iso3"])
-def test_folded_trace_matches_stepwise_qr(spec, i):
+def test_folded_trace_matches_stepwise_qr(spec, i, seeds):
     # forward_orbit orthonormalizes each fold's prefix products in one call
     # (W = 43 steps for bern2, 32 for diag3eps, 1 for strong2 at stretch
     # 3.45, 24 for iso3); the reference takes one QR step per matrix of the
-    # trace, and the last fold of the 150-step window is a short one
-    trace = stationary_orbit(spec, i, 150, 40, SeededSampler(49), replicas=4)
-    bases = [trace.bases[:, 0]]
-    for k in range(150):
-        bases.append(batched_orthonormalize(trace.matrices[:, k] @ bases[-1])[0])
-    bases = np.stack(bases, axis=1)
-    frames = completion_frames(bases[..., i - 1: i + 1])
-    maps = np.einsum("...ki,...kl,...lj->...ij", frames[:, 1:],
-                     trace.matrices, frames[:, :-1])
-    assert np.max(np.abs(trace.bases - bases)) < 1e-12
-    assert np.max(np.abs(trace.frames - frames)) < 1e-12
-    assert np.max(np.abs(trace.maps - maps)) < 1e-12
-    assert np.max(circle.distance(trace.x,
-                                  fiber_coordinates(bases, frames, i))) < 1e-12
+    # trace, and the last fold of the 150-step window is a short one.  The
+    # d = 3 cases sweep seeds: their frames are only as close as the
+    # completion rule keeps the rounding of their bases
+    for seed in seeds:
+        trace = stationary_orbit(spec, i, 150, 40, SeededSampler(seed),
+                                 replicas=4)
+        bases = [trace.bases[:, 0]]
+        for k in range(150):
+            bases.append(
+                batched_orthonormalize(trace.matrices[:, k] @ bases[-1])[0])
+        bases = np.stack(bases, axis=1)
+        frames = completion_frames(bases[..., i - 1: i + 1])
+        maps = np.einsum("...ki,...kl,...lj->...ij", frames[:, 1:],
+                         trace.matrices, frames[:, :-1])
+        assert np.max(np.abs(trace.bases - bases)) < 1e-12
+        assert np.max(np.abs(trace.frames - frames)) < 1e-12
+        assert np.max(np.abs(trace.maps - maps)) < 1e-12
+        assert np.max(circle.distance(
+            trace.x, fiber_coordinates(bases, frames, i))) < 1e-12
 
 
 def test_trace_window_and_index():

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from flagdim import circle
 from flagdim.errors import DegenerateBasis
-from flagdim.flagcore import (CircleMap, Flag, LinearMap, _completion_pair,
-                              act_flag, completion_frames, det_on_subspace,
+from flagdim.flagcore import (CircleMap, Flag, LinearMap, act_flag,
+                              completion_frames, det_on_subspace,
                               fiber_coordinate, fiber_embed, flag_jacobian,
                               induced_circle_map, orthonormalize,
                               partial_flag)
@@ -222,6 +222,23 @@ def test_completion_rule_deterministic(rng):
     assert abs(u @ w) < 1e-12
 
 
+def completion_pair(plane):
+    """The completion rule for one plane, step by step as it is stated.
+
+    u is the normalized projection of the first axis e_j whose projection
+    has squared length at least 1/d; w is u turned a quarter inside the
+    plane, with its first component of square at least 1/d positive.
+    """
+    d = plane.shape[0]
+    projector = plane @ plane.T
+    j = next(j for j in range(d) if projector[:, j] @ projector[:, j] >= 1 / d)
+    u = projector[:, j] / np.linalg.norm(projector[:, j])
+    a = plane.T @ u
+    w = plane @ np.array([-a[1], a[0]])
+    k = next((k for k in range(d) if w[k] ** 2 >= 1 / d), 0)
+    return u, (-w if w[k] < 0 else w)
+
+
 def test_completion_frames_match_scalar_rule(rng):
     # random planes, and planes on coordinate axes, where projections of
     # whole basis vectors vanish and the rule must skip them
@@ -237,8 +254,39 @@ def test_completion_frames_match_scalar_rule(rng):
                            / np.sqrt(2)]
         got = completion_frames(np.stack(planes))
         for plane, frame in zip(planes, got):
-            u, w = _completion_pair(plane)
+            u, w = completion_pair(plane)
             assert np.max(np.abs(frame - np.column_stack([u, w]))) < 1e-12
+
+
+@pytest.mark.parametrize("reach", [1e-3, 1e-5, 1e-7])
+def test_completion_frames_of_a_near_axis_plane_move_with_its_basis(rng,
+                                                                    reach):
+    # the plane's normal leans off e_1 by ``reach``, so e_1 projects onto
+    # it with that length; a second basis, the first moved by rounding-sized
+    # noise and orthonormalized again, must get a frame as close, however
+    # short that projection is
+    phi = rng.uniform(0, 2 * np.pi)
+    normal = np.array([np.sqrt(1 - reach ** 2), reach * np.cos(phi),
+                       reach * np.sin(phi)])
+    q, _ = np.linalg.qr(np.column_stack([normal, rng.standard_normal((3, 2))]))
+    plane = q[:, 1:]
+    assert np.isclose(np.linalg.norm(plane[0]), reach, rtol=1e-6)
+    q, r = np.linalg.qr(plane + 1e-15 * rng.standard_normal((3, 2)))
+    moved = q * np.sign(np.diag(r))
+    assert 0 < np.max(np.abs(moved - plane)) < 1e-14
+    frames = completion_frames(np.stack([plane, moved]))
+    assert np.max(np.abs(frames[0] - frames[1])) < 1e-13
+
+
+def test_completion_frame_of_the_whole_plane_is_the_standard_one(rng):
+    # for d = 2 the fiber plane is R^2 itself, whichever basis carries it
+    angles = np.concatenate([rng.uniform(0, 2 * np.pi, 200),
+                             np.arange(8) * np.pi / 4])
+    c, s = np.cos(angles), np.sin(angles)
+    rotations = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    bases = np.concatenate([rotations, rotations * [1.0, -1.0]])
+    frames = completion_frames(bases)
+    assert np.max(np.abs(frames - np.eye(2))) <= 1e-15
 
 
 def test_induced_circle_map_identity(rng):
