@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation or configuration failure, 2 a
+Exit codes: 0 success, 1 validation, configuration or usage failure, 2 a
 hypothesis gate refused (atomic fibers, entropy indistinguishable from
 zero, unresolvable stable line).  Refusals and failures are also written
-as a machine-readable record to <out>/error.csv.
+as a machine-readable record to <out>/error.csv (out/error.csv for a
+usage error, whose --out may be unreadable).
 """
 
 import argparse
@@ -12,13 +13,21 @@ import os
 import sys
 
 from . import harness
-from .errors import FlagdimError
+from .errors import ConfigError, FlagdimError
 from .harness import GATE_ERRORS, emit_outputs, load_config
 from .version import __version__
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="flagdim",
         description="stationary measures of random matrix products on "
                     "flag manifolds: spectrum, fiber entropy, dimension",
@@ -73,9 +82,10 @@ def _record_error(out_dir, code, err):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
-    out_dir = args.out or "out"
+    out_dir = "out"
     try:
+        args = _parser().parse_args(argv)
+        out_dir = args.out or out_dir
         cfg = _config(args)
         out_dir = cfg.out_dir
         if args.command == "validate":

@@ -98,6 +98,7 @@ DRAW_BLOCK = 32768
 WORD_TABLE = 256          # products per word table at most (K^h <= this)
 DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
 DECAY_STABLE_TOL = 1e-2   # stable-line resolution a decay replica must reach
+INTERVAL_STABLE_TOL = 0.05  # ... and one an interval-route replica must reach
 _TIME_BLOCK = 128         # times per block when a trace derives its frames
 PIECE_BLOCK = 8           # arc offset pieces pushed through a map at once
 THINNING = 5              # d = 2 stationary sample: steps between reads

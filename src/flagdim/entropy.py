@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circle
-from .dynamics import (DEGENERATE_DISTANCE, Arc, pull_forward, push_flags,
-                       stable_coordinates, stationary_interval,
-                       stationary_lines, stationary_orbit)
+from .dynamics import (DEGENERATE_DISTANCE, INTERVAL_STABLE_TOL, Arc,
+                       pull_forward, push_flags, stable_coordinates,
+                       stationary_interval, stationary_lines, stationary_orbit)
 from .ensemble import sample_batch
 from .errors import (AtomicFiber, BandwidthTooSmall, GapTooSmall,
                      HypothesisNotMet, NoAcceptedReplicas)
@@ -258,13 +258,21 @@ def _isometric_fiber_action(trace):
     return np.max(logs, axis=1) < 1e-9
 
 
+def _pool_mass(coords, start, length):
+    """Share of ``coords`` on the closed arc from ``start`` running
+    ``length`` forward: ``EmpiricalCircleMeasure.arc_mass`` with no sort."""
+    return np.count_nonzero(circle.wrap(coords - start) <= length) / len(coords)
+
+
 def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
                              replicas=100, realization_burnin=1000,
-                             lookahead=600, stable_tol=0.05):
+                             lookahead=600):
     """Entropy via pool masses of pulled-forward stationary intervals.
 
     kappa_r = (log mass_{-n}(I_{-n}) - log mass_0(J_n)) / n over replicas
-    whose interval carries at least half the pool mass at time -n.
+    whose interval carries at least half the pool mass at time -n.  A mass
+    is the share of a pool's flags whose fiber coordinate, read in the
+    replica's frame, lies on the arc (``_pool_mass``; no pool is sorted).
     The masses at the two times use independent tail pools (a shared pool
     would make the two masses equal by construction).  Replicas whose
     image interval captures no tail sample are dropped and reported; when
@@ -290,11 +298,12 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
     Isometric fiber actions have no stable line; there any fixed arc is
     mass-preserved in law, so one anchored at x substitutes and the
     estimator correctly reads ~0.  Non-isometric replicas whose future
-    window cannot certify the stable line are dropped and counted; the
-    certificate depends only on maps after time 0, so the drop is
-    independent of the masses measured on [-n, 0].  The atomic gate reads
-    the first replica that survives these drops.  An estimate needs a
-    spread: fewer than two accepted replicas raise NoAcceptedReplicas.
+    window cannot certify the stable line to INTERVAL_STABLE_TOL are
+    dropped and counted; the certificate depends only on maps after time
+    0, so the drop is independent of the masses measured on [-n, 0].  The
+    atomic gate reads the first replica that survives these drops.  An
+    estimate needs a spread: fewer than two accepted replicas raise
+    NoAcceptedReplicas.
 
     ``pools`` is the pair (pool_a, pool_b) of the times -n and 0, pools of
     tail flags (full flags, samples of the stationary measure).
@@ -306,7 +315,7 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
                              replicas=replicas)
     _, y, resolution = stable_coordinates(trace, lookahead=lookahead)
     x, y = trace.x[:, 0], y[:, 0]
-    resolved = resolution <= stable_tol
+    resolved = resolution <= INTERVAL_STABLE_TOL
     lost = ~resolved & ~_isometric_fiber_action(trace)
     coincide = resolved & (circle.distance(x, y) < DEGENERATE_DISTANCE)
     rows = np.flatnonzero(~lost & ~coincide)
@@ -327,16 +336,14 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
         coords_minus = fiber_coordinates(pool_a, trace.frames[r, 0], i)
         if j == 0:
             _atomic_gate(coords_minus, f"{spec.name} fiber {i}")
-        m_minus = EmpiricalCircleMeasure.from_samples(coords_minus)
-        mass_i = m_minus.arc_mass(x[r] + lo[j], hi[j] - lo[j])
+        mass_i = _pool_mass(coords_minus, x[r] + lo[j], hi[j] - lo[j])
         if mass_i < 0.5:
             rejected += 1
             continue
-        coords_zero = fiber_coordinates(pool_b, trace.frames[r, n], i)
-        m_zero = EmpiricalCircleMeasure.from_samples(coords_zero)
-        mass_j = m_zero.arc_mass(images.anchor[j] + images.lo[j],
-                                 images.hi[j] - images.lo[j])
-        if mass_j <= 0:
+        mass_j = _pool_mass(fiber_coordinates(pool_b, trace.frames[r, n], i),
+                            images.anchor[j] + images.lo[j],
+                            images.hi[j] - images.lo[j])
+        if mass_j == 0:
             zero_mass += 1
             continue
         accepted.append((np.log(mass_i) - np.log(mass_j)) / n)

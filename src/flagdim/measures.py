@@ -1,10 +1,10 @@
 """Empirical measures on the fiber circle and their regularity queries.
 
-An empirical measure is a sorted list of coordinates in [0, pi) with
-positive weights summing to one.  Prefix sums make every arc-mass query a
-pair of binary searches, which keeps the dimension fits and cluster
-weights exact rather than binned.  Kernel density queries visit only a
-sorted window around each query point.
+An empirical measure is a sorted list of coordinates in [0, pi), each of
+mass 1/n.  An arc-mass query is a pair of binary searches that counts the
+points on the arc, so dimension fits and cluster weights read exact
+counts over n, neither binned nor rounded.  Kernel density queries visit
+only a sorted window around each query point.
 
 Local dimension is reported as a least-squares slope of log mass against
 log radius over a geometric radius grid; the liminf in the definition is
@@ -29,44 +29,30 @@ KERNEL_PAIR_CHUNK = 1 << 15  # (query, point) pairs expanded at once, ~50 B each
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCircleMeasure:
-    """Weighted point samples on the circle of circumference pi."""
+    """Sorted samples on the circle of circumference pi, each of mass 1/n."""
 
     points: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
         pts = circle.wrap(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 1 or pts.shape != w.shape or len(pts) == 0:
-            raise ValueError("points and weights must be matching nonempty vectors")
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum():.17g}, not 1")
-        order = np.argsort(pts, kind="stable")
-        pts, w = pts[order], w[order]
-        prefix = np.concatenate([[0.0], np.cumsum(w)])
-        prefix[-1] = 1.0
-        for arr in (pts, w, prefix):
-            arr.setflags(write=False)
+        if np.ndim(pts) != 1 or len(pts) == 0:
+            raise ValueError("points must be a nonempty vector")
+        pts = np.sort(pts)
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_prefix", prefix)
 
     @staticmethod
     def from_samples(samples):
-        samples = np.asarray(samples, dtype=float).ravel()
-        n = len(samples)
-        return EmpiricalCircleMeasure(samples, np.full(n, 1.0 / n))
+        return EmpiricalCircleMeasure(np.ravel(samples))
 
     def __len__(self):
         return len(self.points)
 
-    def _segment_mass(self, lo, hi):
-        """Mass of the closed unwrapped segment [lo, hi] inside [0, pi)."""
+    def _segment_count(self, lo, hi):
+        """Count of points on the closed segment [lo, hi] inside [0, pi)."""
         a = np.searchsorted(self.points, lo, side="left")
         b = np.searchsorted(self.points, hi, side="right")
-        return self._prefix[b] - self._prefix[a]
+        return b - a
 
     def arc_mass(self, start, length):
         """Mass of the closed arc from ``start`` running ``length`` forward."""
@@ -74,15 +60,14 @@ class EmpiricalCircleMeasure:
             return 1.0
         lo = float(circle.wrap(start))
         hi = lo + float(length)
-        if hi < circle.HALF_TURN:
-            return float(self._segment_mass(lo, hi))
-        return float(self._segment_mass(lo, np.nextafter(circle.HALF_TURN, np.inf))
-                     + self._segment_mass(0.0, hi - circle.HALF_TURN))
+        count = (self._segment_count(lo, hi) if hi < circle.HALF_TURN else
+                 self._segment_count(lo, np.nextafter(circle.HALF_TURN, np.inf))
+                 + self._segment_count(0.0, hi - circle.HALF_TURN))
+        return int(count) / len(self.points)
 
     def cdf(self, t):
         """Mass of [0, t]; staircase in t."""
-        b = np.searchsorted(self.points, t, side="right")
-        return self._prefix[b]
+        return np.searchsorted(self.points, t, side="right") / len(self.points)
 
 
 def ball_mass(m, x, r):
@@ -122,8 +107,9 @@ class DimensionEstimate:
 def local_dimension(m, x, r_grid=None):
     """Least-squares slope of log ball mass against log radius at x.
 
-    Levels whose mass falls below the floor of 10 samples' worth are
-    dropped (small-count masses are binomial noise), as are levels whose
+    Levels whose ball holds MASS_FLOOR_COUNT = 10 sample points or fewer
+    are dropped (small-count masses are binomial noise; a mass is a count
+    over n, so the floor compares counts exactly), as are levels whose
     ball already holds nearly all the mass (saturation flattens the
     slope); fewer than four surviving levels is an InsufficientMass
     error, not a number.
@@ -206,15 +192,15 @@ def _arc_masses(m, start, length):
     """``m.arc_mass`` over broadcast arrays of starts and lengths under pi.
 
     The same closed-arc and wrap rules: a wrapped start, and an arc that
-    reaches pi split into two closed segments whose masses add in order.
+    reaches pi split into two closed segments whose counts add.
     """
     lo = circle.wrap(start)
     hi = lo + length
     wraps = hi >= circle.HALF_TURN
     end = np.where(wraps, np.nextafter(circle.HALF_TURN, np.inf), hi)
-    mass = m._segment_mass(lo, end)
-    mass[wraps] += m._segment_mass(0.0, hi[wraps] - circle.HALF_TURN)
-    return mass
+    count = m._segment_count(lo, end)
+    count[wraps] += m._segment_count(0.0, hi[wraps] - circle.HALF_TURN)
+    return count / len(m)
 
 
 def max_cluster_weight(m, eps):
@@ -226,8 +212,7 @@ def max_cluster_weight(m, eps):
     if eps >= circle.HALF_TURN:
         return 1.0
     # arc_mass at every sample point at once
-    mass = _arc_masses(m, m.points, float(eps))
-    return float(max(0.0, mass.max()))
+    return float(_arc_masses(m, m.points, float(eps)).max())
 
 
 def _circle_windows(points, x, bandwidth):
@@ -253,23 +238,21 @@ def _circle_windows(points, x, bandwidth):
     return ext, np.tile(order, 3), q, lo, hi
 
 
-def kernel_sums(points, x, bandwidth, weights=None, labels=None, n_labels=1,
-                exclude=None):
+def kernel_sums(points, x, bandwidth, labels=None, n_labels=1, exclude=None):
     """Wrapped triangular kernel sums at each query, split by point label.
 
     Returns (sums, counts), each of shape (len(x), n_labels): sums[q, l]
-    adds w (1 - d/h) / h over the points labelled l at circle distance
+    adds (1 - d/h) / h over the points labelled l at circle distance
     d < h from x[q], and counts[q, l] is how many such points there are.
-    Unit weights and a single label are the defaults; ``exclude`` names,
-    per query, the index of one point to leave out (a leave-one-out
-    density).  Only the points in a sorted window around each query are
-    visited, so the cost grows with the neighbor count rather than with
-    the sample size; per-label sums let a caller drop one label's points
-    from a density without recomputing it.
+    A single label is the default; ``exclude`` names, per query, the
+    index of one point to leave out (a leave-one-out density).  Only the
+    points in a sorted window around each query are visited, so the cost
+    grows with the neighbor count rather than with the sample size;
+    per-label sums let a caller drop one label's points from a density
+    without recomputing it.
     """
     h = float(bandwidth)
     ext, source, q, lo, hi = _circle_windows(points, x, h)
-    w = None if weights is None else np.asarray(weights, dtype=float)
     lab = None if labels is None else np.asarray(labels)
     left_out = None if exclude is None else np.asarray(exclude)
     sums = np.zeros((len(q), n_labels))
@@ -300,8 +283,6 @@ def kernel_sums(points, x, bandwidth, weights=None, labels=None, n_labels=1,
         if left_out is not None:
             keep = point != left_out[start:stop][query]
             kern *= keep
-        if w is not None:
-            kern *= w[point]
         bins = query * n_labels
         if lab is not None:
             bins += lab[point]
@@ -321,14 +302,14 @@ def kde_density(m, x, bandwidth):
     bandwidth of x (the estimate would be dominated by single samples).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    sums, counts = kernel_sums(m.points, x, bandwidth, weights=m.weights)
+    sums, counts = kernel_sums(m.points, x, bandwidth)
     thin = np.flatnonzero(counts[:, 0] < KDE_MIN_NEIGHBORS)
     if len(thin):
         k = thin[0]
         raise BandwidthTooSmall(
             f"{counts[k, 0]} samples within bandwidth {float(bandwidth):g} "
             f"of {float(x[k]):.6f}")
-    out = sums[:, 0]
+    out = sums[:, 0] / len(m)
     return out if out.size > 1 else float(out[0])
 
 

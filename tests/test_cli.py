@@ -93,6 +93,30 @@ def test_bad_fiber_flag_exits_one(clean_env, tmp_path):
     assert "bad value for fiber_index: 'x'" in row[2]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify", "--threads", "x"], "argument --threads: invalid int value"),
+], ids=["unknown_flag", "bad_threads"])
+def test_usage_error_exits_one_not_the_gate_code(clean_env, tmp_path, args,
+                                                  message):
+    # exit 2 means a gate refused; a typo is a configuration failure, and
+    # its record goes to out/ since no --out could be read
+    clean_env.chdir(tmp_path)
+    assert cli.main(args + ["--out", str(tmp_path / "unread")]) == 1
+    _, row = error_rows(tmp_path / "out")
+    assert row[:2] == ["1", "ConfigError"]
+    assert message in row[2]
+
+
+@pytest.mark.parametrize("args", [["--version"], ["verify", "--help"]])
+def test_help_and_version_exit_zero(clean_env, tmp_path, args):
+    clean_env.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(args)
+    assert exit_.value.code == 0
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_leg_refused_exits_two_with_the_gate_class(clean_env, tmp_path):
     # rot2 acts isometrically: kappa is zero and the dimension gate refuses
     for name, value in (("SPECTRUM_STEPS", "400"), ("TAIL_REPLICAS", "1500"),

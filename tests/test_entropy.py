@@ -235,16 +235,30 @@ def test_interval_estimator_diag3eps_positive():
     assert est.diagnostics["acceptance_rate"] > 0.5
 
 
-def test_interval_estimator_gates_on_first_surviving_replica():
+def test_interval_estimator_gates_on_first_surviving_replica(monkeypatch):
     # the first replica's stable line stays unresolved at this tolerance;
     # the atomic gate moves to the next replica
+    monkeypatch.setattr(entropy, "INTERVAL_STABLE_TOL", 0.02)
     s = SeededSampler(3)
     est = kappa_interval_estimator(bern2(), 1, _pair(bern2(), 300, s), s,
                                    n=20, replicas=6, lookahead=200,
-                                   stable_tol=0.02, realization_burnin=100)
+                                   realization_burnin=100)
     assert est.diagnostics["unresolved_replicas"] >= 1
     assert "pin_diagnostic" not in est.diagnostics
     assert np.isfinite(est.kappa)
+
+
+def test_interval_pool_mass_matches_arc_mass(rng):
+    # the interval route counts its pools unsorted; arcs of every length
+    # from starts on both sides of the circle, wrapping ones included
+    coords = rng.uniform(0, np.pi, 3000)
+    m = EmpiricalCircleMeasure.from_samples(coords)
+    starts = rng.uniform(-np.pi, 2 * np.pi, 200)
+    lengths = rng.uniform(0, 1.2 * np.pi, 200)
+    assert np.count_nonzero(circle.wrap(starts) + lengths >= np.pi) > 50
+    for start, length in zip(starts, lengths):
+        assert entropy._pool_mass(coords, start, length) \
+            == m.arc_mass(start, length)
 
 
 def test_interval_estimator_refuses_an_estimate_from_one_replica():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from flagdim import circle
+from flagdim import circle, measures
 from flagdim.dynamics import stationary_flag_pool
 from flagdim.ensemble import SeededSampler, bern2
 from flagdim.errors import BandwidthTooSmall, InsufficientMass
-from flagdim.measures import (EmpiricalCircleMeasure, ball_mass,
-                              default_radius_grid, kde_density,
+from flagdim.measures import (MASS_FLOOR_COUNT, EmpiricalCircleMeasure,
+                              ball_mass, default_radius_grid, kde_density,
                               local_dimension, max_cluster_weight,
                               neighbor_counts, wasserstein_circle)
 
@@ -28,13 +28,26 @@ def cantor_measure(depth):
 
 
 def test_measure_construction_sorts_and_checks():
-    m = EmpiricalCircleMeasure(np.array([2.0, 0.5]), np.array([0.25, 0.75]))
+    m = EmpiricalCircleMeasure(np.array([2.0, 0.5]))
     assert np.array_equal(m.points, [0.5, 2.0])
-    assert np.array_equal(m.weights, [0.75, 0.25])
     with pytest.raises(ValueError):
-        EmpiricalCircleMeasure(np.array([1.0]), np.array([0.5]))
-    with pytest.raises(ValueError):
-        EmpiricalCircleMeasure(np.array([1.0, 2.0]), np.array([1.0, -0.0]))
+        EmpiricalCircleMeasure(np.array([]))
+
+
+def test_arc_holding_the_floor_count_reads_it_exactly(rng):
+    # every arc that holds exactly k of the n points, wrapping ones too,
+    # reads mass k/n, so the dimension fits' floor decides on the count
+    n, k = 2000, MASS_FLOOR_COUNT
+    m = uniform_measure(n, rng)
+    pts = np.concatenate([m.points, m.points[:k + 1] + np.pi])
+    gaps = np.concatenate([[m.points[0] + np.pi - m.points[-1]], np.diff(pts)])
+    # from midway before point j to midway after point j + k - 1
+    start = pts[:n] - gaps[:n] / 2
+    length = pts[k - 1:n + k - 1] - start + gaps[k:n + k] / 2
+    assert np.count_nonzero(circle.wrap(start) + length >= np.pi) >= k
+    masses = [m.arc_mass(a, b) for a, b in zip(start, length)]
+    assert np.all(np.array(masses) == k / n)
+    assert np.all(measures._arc_masses(m, start, length) == k / n)
 
 
 def test_arc_mass_closed_and_wrapping():
@@ -265,7 +278,7 @@ def uniform_cdf_distance(m):
     read off ``m.cdf`` on both sides of each atom."""
     t = m.points
     above = np.abs(m.cdf(t) - t / circle.HALF_TURN)
-    below = np.abs((m.cdf(t) - m.weights) - t / circle.HALF_TURN)
+    below = np.abs((m.cdf(t) - 1 / len(m)) - t / circle.HALF_TURN)
     return float(max(above.max(), below.max()))
 
 
