@@ -33,8 +33,8 @@ from .flagcore import (CircleMap, Flag, LinearMap, PartialFlag, act_flag,
 from .harness import (ExperimentConfig, ResultBundle, emit_outputs,
                       load_config, run_dimension, run_entropy, run_spectrum,
                       run_verify)
-from .measures import (EmpiricalCircleMeasure, ball_mass, kde_density,
-                       local_dimension, wasserstein_circle)
+from .measures import (EmpiricalCircleMeasure, ball_mass, local_dimension,
+                       wasserstein_circle)
 from .version import __version__
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,6 +23,13 @@ Two independent estimators must agree:
   whose interval carries less than half the mass at time -n are filtered
   out, and that acceptance rate is part of the result.
 
+A fiber sample is an array of coordinates in draw order.  Only code that
+counts arc masses (the atomic gate, the half-pin distance and the
+dimension fits) builds an EmpiricalCircleMeasure from it; the density
+route scores its sorted halves with ``kernel_sums``, and the dimension
+fits pick their points by index into the sample, so no pick depends on
+the completion frame that labels the fiber circle.
+
 Estimators refuse (rather than return noise) when fibers are atomic or
 when the stable line needed by the interval route cannot be certified
 on a non-isometric system.
@@ -44,34 +51,21 @@ from .dynamics import (DEGENERATE_DISTANCE, INTERVAL_STABLE_TOL, Arc,
                        pull_forward, push_flags, stable_coordinates,
                        stationary_interval, stationary_lines, stationary_orbit)
 from .ensemble import sample_batch
-from .errors import (AtomicFiber, BandwidthTooSmall, GapTooSmall,
-                     HypothesisNotMet, NoAcceptedReplicas)
+from .errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
+                     NoAcceptedReplicas)
 from .flagcore import (fiber_coordinates, fiber_map_derivative,
                        fiber_map_image)
 from .measures import (KDE_MIN_NEIGHBORS, EmpiricalCircleMeasure,
-                       kde_density, kernel_sums, local_slopes,
-                       max_cluster_weight, neighbor_counts, wasserstein_circle)
+                       kernel_sums, local_slopes, max_cluster_weight,
+                       neighbor_counts, wasserstein_circle)
 
 ATOM_RESOLUTION = 1e-6
 ATOM_THRESHOLD = 0.5
 JACKKNIFE_GROUPS = 20
 TAIL_BURNIN = 300        # steps from the standard flag to a stationary tail flag
 EVAL_POINTS = 64         # held-out queries per orbit sample of the density route
-BASE_POINTS = 200        # dimension fits: sample points, shared by the measures
+BASE_POINTS = 200        # dimension fits: sample points, shared by the samples
 SIGNIFICANCE = 2.0       # kappa must exceed this many stderrs for a dimension
-
-
-def _screened(candidates, measures, bandwidth):
-    """Candidates with enough neighbors under every measure to query a KDE.
-
-    Held-out query points are a variance reduction device; isolated tail
-    points would trip the kernel's neighbor gate without adding signal,
-    so they are dropped up front.  Mandatory queries are never screened.
-    """
-    ok = np.ones(len(candidates), dtype=bool)
-    for m in measures:
-        ok &= neighbor_counts(m, candidates, bandwidth) >= KDE_MIN_NEIGHBORS
-    return candidates[ok]
 
 
 def _default_pin(spec, pin_length):
@@ -104,27 +98,20 @@ def _pushed_coordinates(spec, pinned, pool, frame, i):
     return fiber_coordinates(push_flags(pinned, pool, spec), frame, i)
 
 
-def _half_pin_diagnostic(spec, pinned, pool, frame, i, coords,
-                         convergence_tol=None):
+def _half_pin_diagnostic(spec, pinned, pool, frame, i, coords):
     """Wasserstein distance between the full- and half-pin fiber samples.
 
     ``coords`` is the pool pushed through the whole pin and read in
-    ``frame``; the half-pin sample keeps only the pin's later half.  When
-    ``convergence_tol`` is given a larger distance raises GapTooSmall.
+    ``frame``; the half-pin sample keeps only the pin's later half.
     """
     half = _pushed_coordinates(spec, pinned[len(pinned) // 2:], pool, frame, i)
-    diag = wasserstein_circle(EmpiricalCircleMeasure.from_samples(coords),
+    return wasserstein_circle(EmpiricalCircleMeasure.from_samples(coords),
                               EmpiricalCircleMeasure.from_samples(half))
-    if convergence_tol is not None and diag > convergence_tol:
-        raise GapTooSmall(
-            f"half-pin diagnostic {diag:.4f} exceeds {convergence_tol:g}; "
-            f"pin length {len(pinned)} does not determine the fiber measure")
-    return float(diag)
 
 
 def conditional_fiber_sample(spec, fiber_index, pools, sampler,
                              pin_length=None, realization_burnin=1000):
-    """Empirical conditional measures on the fiber over pinned pasts.
+    """Conditional fiber samples over pinned pasts, one array per pool.
 
     ``pools`` holds one pool of tail flags (full flags, samples of the
     stationary measure) per realization.  The ``len(pools)`` pinned pasts
@@ -133,18 +120,18 @@ def conditional_fiber_sample(spec, fiber_index, pools, sampler,
     window of its ``pin_length`` pinned steps; the fiber frame at the
     window's end is its reference.  Realization r reads the r-th pool:
     the pool shares that pinned recent past, differs in the remote past,
-    and is read in the reference's fiber frame.  Returns one
-    EmpiricalCircleMeasure per realization.  ``pin_length=None`` is 0 when
-    d = 2 and 60 otherwise (a trivial partial flag needs no pin).
+    and is read in the reference's fiber frame.  Returns one array of
+    fiber coordinates per realization, in pool order, so a pick by index
+    follows the draws rather than the frame.  ``pin_length=None`` is 0
+    when d = 2 and 60 otherwise (a trivial partial flag needs no pin).
     """
     pin_length = _default_pin(spec, pin_length)
     # the burn-in before the pin approximates a stationary start
     trace = stationary_orbit(spec, fiber_index, pin_length, realization_burnin,
                              sampler.child(0), replicas=len(pools))
     # the tail replicas carry their own full flags; reading them all in
-    # the one reference frame makes them one empirical measure
-    return [EmpiricalCircleMeasure.from_samples(
-                _pushed_coordinates(spec, pinned, pool, frame, fiber_index))
+    # the one reference frame makes them one conditional sample
+    return [_pushed_coordinates(spec, pinned, pool, frame, fiber_index)
             for pinned, frame, pool in zip(trace.matrices, trace.frames[:, -1],
                                            pools, strict=True)]
 
@@ -166,8 +153,7 @@ class KappaEstimate:
 
 def kappa_density_estimator(spec, fiber_index, pools, sampler,
                             pin_length=None, orbit_samples=100,
-                            bandwidth=0.05, realization_burnin=1000,
-                            convergence_tol=None):
+                            bandwidth=0.05, realization_burnin=1000):
     """Entropy via kernel density ratios of pushed conditional samples.
 
     The ``orbit_samples`` realizations are one stack on one stream: each
@@ -183,13 +169,19 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     with a shared pool the pushed and target samples coincide pointwise
     and the ratio degenerates to one.
 
-    x_1 is itself one more draw from the conditional, so a small fraction
-    of realizations put it where the sample is too thin for the kernel's
-    neighbor gate (tail mass of order the gate count over the pool size).
-    Those realizations are skipped and counted; when more than a tenth of
-    them skip, the bandwidth undersamples the ensemble as such and the
-    estimator raises BandwidthTooSmall instead of censoring its way to a
-    number.
+    A query is scored only where both halves hold at least
+    KDE_MIN_NEIGHBORS points within the bandwidth (``neighbor_counts``,
+    the count of ``kernel_sums``), one pass per half over x_1 and the
+    held-out candidates.  Up to EVAL_POINTS held-out queries are drawn
+    from the candidates that pass, in pool order; none is drawn when
+    none passes.  x_1 is itself one more draw from the conditional, so a
+    small fraction of realizations put it where the sample is too thin
+    for that gate (tail mass of order the gate count over the pool
+    size).  Those realizations are skipped and counted; when more than a
+    tenth of them skip, the bandwidth undersamples the ensemble as such
+    and the estimator raises BandwidthTooSmall instead of censoring its
+    way to a number.  Fewer than two realizations give no stderr and are
+    refused with ValueError before anything is drawn.
 
     ``pools`` is the pair (pool0, pool1) of the times 0 and 1, pools of
     tail flags (full flags, samples of the stationary measure); the
@@ -198,7 +190,10 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     ``pin_length=None`` resolves to 0 when d = 2 and 60 otherwise: a
     trivial partial flag means the conditional measure is the stationary
     measure itself and any pin would condition on more than the flag.
+    The half-pin diagnostic (``pin_diagnostic``) is reported, not enforced.
     """
+    if orbit_samples < 2:
+        raise ValueError("orbit_samples must lie between 2 and tail_replicas")
     pin_length = _default_pin(spec, pin_length)
     i = fiber_index
     pool0, pool1 = pools
@@ -219,22 +214,24 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
         coords1 = _pushed_coordinates(spec, pin1, pool1, frame1, i)
         if r == 0:
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
-            diag = _half_pin_diagnostic(spec, pin1, pool1, frame1, i,
-                                        coords1, convergence_tol)
+            diag = _half_pin_diagnostic(spec, pin1, pool1, frame1, i, coords1)
         pushed_all = fiber_map_image(trace.maps[r, -1], coords0)
-        pushed = EmpiricalCircleMeasure.from_samples(pushed_all[::2])
-        target = EmpiricalCircleMeasure.from_samples(coords1[::2])
-        if len(_screened(np.array([x1]), (pushed, target), bandwidth)) == 0:
+        # the kernel halves, sorted once for the two window searches
+        halves = (np.sort(pushed_all[::2]), np.sort(coords1[::2]))
+        candidates = np.concatenate([[x1], pushed_all[1::2]])
+        ok = np.minimum(*(neighbor_counts(half, candidates, bandwidth)
+                          for half in halves)) >= KDE_MIN_NEIGHBORS
+        if not ok[0]:
             skipped += 1
             continue
-        held_out = _screened(pushed_all[1::2], (pushed, target), bandwidth)
+        held_out = candidates[1:][ok[1:]]
         take = min(EVAL_POINTS, len(held_out))
         queries = np.concatenate(
             [[x1], stream.rng.choice(held_out, size=take, replace=False)]
         ) if take else np.array([x1])
-        vals = (np.log(kde_density(pushed, queries, bandwidth))
-                - np.log(kde_density(target, queries, bandwidth)))
-        kappas.append(vals.mean())
+        pushed, target = (kernel_sums(half, queries, bandwidth)[0][:, 0]
+                          / len(half) for half in halves)
+        kappas.append(np.mean(np.log(pushed) - np.log(target)))
     if skipped > 0.1 * orbit_samples or not kappas:
         raise BandwidthTooSmall(
             f"{skipped} of {orbit_samples} realizations put x_1 where "
@@ -529,39 +526,43 @@ class DimensionReport:
         ]
 
 
-def _slope_distribution(measure, rng, base_points):
-    """Local slopes at up to ``base_points`` sample points, and the skips.
+def _slope_distribution(sample, rng, base_points):
+    """Local slopes at up to ``base_points`` points of a sample, and the skips.
 
-    The points are drawn without replacement from ``rng``; their slopes
-    come from one batched fit (``local_slopes``), which agrees with
-    ``local_dimension`` point by point.  A point ``local_dimension`` would
-    refuse with InsufficientMass is skipped and counted.
+    The points are drawn without replacement from ``rng`` as indices into
+    the sample in draw order, so a rotated frame picks the same points;
+    their slopes come from one batched fit (``local_slopes``) on the
+    sample's measure, which agrees with ``local_dimension`` point by
+    point.  A point ``local_dimension`` would refuse with InsufficientMass
+    is skipped and counted.
     """
-    idx = rng.choice(len(measure.points),
-                     size=min(base_points, len(measure.points)), replace=False)
-    slopes = local_slopes(measure, measure.points[idx])
+    idx = rng.choice(len(sample), size=min(base_points, len(sample)),
+                     replace=False)
+    slopes = local_slopes(EmpiricalCircleMeasure.from_samples(sample),
+                          sample[idx])
     fitted = ~np.isnan(slopes)
     return slopes[fitted], int(np.count_nonzero(~fitted))
 
 
-def dimension_formula_report(spec, fiber_index, spectrum, kappa, measures,
+def dimension_formula_report(spec, fiber_index, spectrum, kappa, samples,
                              sampler):
     """Local dimension of the fiber measures against kappa over gap.
 
     ``spectrum`` (a SpectrumEstimate) gives the gap, ``kappa`` (a
-    KappaEstimate of fiber ``fiber_index``) the entropy, and ``measures``
-    (EmpiricalCircleMeasures) the fiber's conditional measures; the
-    report samples and estimates none of them, it gates and fits.  It
-    refuses (HypothesisNotMet) when kappa <= SIGNIFICANCE * stderr; a
-    dimension number under a failed hypothesis would be noise with a
-    confident face.  The gate reads the stderr the kappa estimate
+    KappaEstimate of fiber ``fiber_index``) the entropy, and ``samples``
+    (arrays of fiber coordinates in draw order) the fiber's conditional
+    measures; the report samples and estimates none of them, it gates and
+    fits.  It refuses (HypothesisNotMet) when kappa <= SIGNIFICANCE *
+    stderr; a dimension number under a failed hypothesis would be noise
+    with a confident face.  The gate reads the stderr the kappa estimate
     carries, so it is only as sound as that stderr.
 
     The slopes are fitted on the default radius grid at BASE_POINTS
-    sample points in all, shared evenly between the measures (at least 8
+    sample points in all, shared evenly between the samples (at least 8
     each), as ``local_dimension`` fits them, in one batched pass per
-    measure (``_slope_distribution``).  The points are drawn on
-    ``sampler.child(400, fiber_index)``.
+    sample (``_slope_distribution``).  The points are drawn on
+    ``sampler.child(400, fiber_index)`` by index into each sample, so the
+    fit does not depend on the completion frame that labels the circle.
     """
     i = fiber_index
     if kappa.kappa <= SIGNIFICANCE * kappa.stderr:
@@ -572,11 +573,11 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, measures,
     if gap <= 0:
         raise HypothesisNotMet(f"exponent gap at fiber {i} is not positive")
     rng = sampler.child(400, i).rng
-    per = max(8, BASE_POINTS // len(measures))
+    per = max(8, BASE_POINTS // len(samples))
     slopes = []
     skipped = 0
-    for measure in measures:
-        s, sk = _slope_distribution(measure, rng, per)
+    for sample in samples:
+        s, sk = _slope_distribution(sample, rng, per)
         slopes.append(s)
         skipped += sk
     slopes = np.concatenate(slopes)

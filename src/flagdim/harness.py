@@ -15,16 +15,19 @@ otherwise.  The dimension report takes the run's spectrum and a density
 kappa as inputs: ``verify`` hands it the estimate of its own density leg
 (a fiber whose density leg was refused gets no report), and ``dimension``
 runs the density leg for the report on streams of its own.  One
-function (``_dimension_measures``) picks the sample behind each report
+function (``_dimension_samples``) picks the samples behind each report
 by dimension, as ``_density_leg`` picks the estimator: stationary lines
 for d = 2, the conditionals over PIN_REALIZATIONS pinned pasts
-otherwise.  The report fits those measures and the ball curves read the
-first of them, so each fiber's measures are sampled once.  The config's
-``pin_length`` governs the d >= 3 density route and the conditional
-samples behind the dimension report; the interval route reads its pools
-with no pin.  Settings the config does not carry (tail-pool burn-ins,
-query counts, the significance gate, the sample sizes and radius grid
-of every dimension fit) are module constants.
+otherwise.  They are arrays of fiber coordinates in draw order.  The
+report fits them and the ball curves read the first of them, so each
+fiber's samples are drawn once; both pick their points by index into a
+sample and build a measure only to count ball masses, so neither pick
+depends on the completion frame.  The config's ``pin_length`` governs
+the d >= 3 density route and the conditional samples behind the
+dimension report; the interval route reads its pools with no pin.
+Settings the config does not carry (tail-pool burn-ins, query counts,
+the significance gate, the sample sizes and radius grid of every
+dimension fit) are module constants.
 
 Every route (the density legs, the interval legs, the dimension reports
 with their ball curves) is one job that runs its fibers in order and
@@ -41,7 +44,7 @@ under the run's seed:
 The ball curves of fiber i pick their centers on (6, i), a stream no
 sample reads.  A bank's streams do not depend on the fibers the run
 covers, so a ``fiber_index = 2`` run reads the pools of an "all" run and
-writes its fiber-2 rows.  The measures are built before the report's
+writes its fiber-2 rows.  The samples are drawn before the report's
 kappa gate, so the curves are written and the reports' bank is drawn
 even when every report refuses.  Every bank goes when its job ends, but
 for the ``dimension`` command's density bank, which its reports' route
@@ -474,9 +477,10 @@ def run_entropy(cfg, threads=1):
                            refusals, start)
 
 
-def _dimension_measures(cfg, spec, i, sampler, pools):
-    """The measures of fiber i that its dimension report fits and its
-    ball curves read; the sample follows the dimension.
+def _dimension_samples(cfg, spec, i, sampler, pools):
+    """The samples of fiber i that its dimension report fits and its
+    ball curves read, arrays of fiber coordinates in draw order; the
+    sample follows the dimension.
 
     ``sampler`` is the report's stream and ``pools`` the reports' bank,
     None for d = 2.  d = 2: the fiber measure is the stationary measure
@@ -486,36 +490,37 @@ def _dimension_measures(cfg, spec, i, sampler, pools):
     replicas rather than one orbit: on bern2 the 4 theta mode barely
     mixes (cos 4 theta has autocorrelation -0.64 at lag 5 along one
     orbit), so the points of one thinned orbit sample nu poorly, while
-    reads of different replicas are independent.  d >= 3: the
-    conditionals over one pinned past per pool of the bank
-    (``conditional_fiber_sample``).
+    reads of different replicas are independent.  The angles stay in the
+    order ``stationary_lines`` draws them.  d >= 3: the conditionals over
+    one pinned past per pool of the bank (``conditional_fiber_sample``).
     """
     if spec.dim == 2:
-        return [EmpiricalCircleMeasure.from_samples(stationary_lines(
-            spec, LINE_REPLICAS, cfg.burnin, STATIONARY_SAMPLES,
-            sampler.child(500)))]
+        return [stationary_lines(spec, LINE_REPLICAS, cfg.burnin,
+                                 STATIONARY_SAMPLES, sampler.child(500))]
     return conditional_fiber_sample(
         spec, i, pools, sampler.child(600, i), pin_length=cfg.pin_length,
         realization_burnin=cfg.burnin)
 
 
-def _ball_curves(i, measure, centers):
+def _ball_curves(i, sample, centers):
     """Radius/mass curves behind the dimension figure (and its CSV): the
-    ball masses of fiber i's ``measure`` around up to BALL_CURVE_POINTS of
-    its points, drawn from ``centers``, a stream no sample reads."""
+    ball masses of fiber i's ``sample`` around up to BALL_CURVE_POINTS of
+    its points, drawn from ``centers``, a stream no sample reads, by index
+    into the sample in draw order."""
     grid = default_radius_grid()
-    idx = centers.rng.choice(len(measure.points),
-                             size=min(BALL_CURVE_POINTS, len(measure.points)),
+    idx = centers.rng.choice(len(sample),
+                             size=min(BALL_CURVE_POINTS, len(sample)),
                              replace=False)
-    return [(i, p, grid, ball_mass(measure, measure.points[k], grid))
+    measure = EmpiricalCircleMeasure.from_samples(sample)
+    return [(i, p, grid, ball_mass(measure, sample[k], grid))
             for p, k in enumerate(idx)]
 
 
 def _dimension_legs(cfg, spec, spectrum, kappa, sampler, refusals):
     """Ball curves and dimension reports of every fiber, in fiber order.
 
-    One route job: each fiber's measures are built first, its curves are
-    read off the first measure, and then its report fits them all.
+    One route job: each fiber's samples are drawn first, its curves are
+    read off the first sample, and then its report fits them all.
     ``kappa(i)`` returns fiber i's density estimate or raises the gate
     error that refuses the fiber's report; the curves are written either
     way.
@@ -524,10 +529,10 @@ def _dimension_legs(cfg, spec, spectrum, kappa, sampler, refusals):
 
     def report(i, pools):
         stream = sampler.child(4, i)
-        measures = _dimension_measures(cfg, spec, i, stream, pools())
-        curves.extend(_ball_curves(i, measures[0], sampler.child(6, i)))
+        samples = _dimension_samples(cfg, spec, i, stream, pools())
+        curves.extend(_ball_curves(i, samples[0], sampler.child(6, i)))
         return dimension_formula_report(spec, i, spectrum, kappa(i),
-                                        measures, stream)
+                                        samples, stream)
     reports = _route(
         cfg, spec, "dimension",
         lambda: None if spec.dim == 2 else _tail_pools(

@@ -1,10 +1,12 @@
 """Empirical measures on the fiber circle and their regularity queries.
 
-An empirical measure is a sorted list of coordinates in [0, pi), each of
-mass 1/n.  An arc-mass query is a pair of binary searches that counts the
-points on the arc, so dimension fits and cluster weights read exact
-counts over n, neither binned nor rounded.  Kernel density queries visit
-only a sorted window around each query point.
+A fiber sample is an array of coordinates in [0, pi) in draw order; only
+code that counts arc masses builds an empirical measure from it, a
+sorted list of the coordinates, each of mass 1/n.  An arc-mass query is
+a pair of binary searches that counts the points on the arc, so
+dimension fits and cluster weights read exact counts over n, neither
+binned nor rounded.  Kernel sums and neighbor counts take the points
+themselves and visit only a sorted window around each query point.
 
 Local dimension is reported as a least-squares slope of log mass against
 log radius over a geometric radius grid; the liminf in the definition is
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circle
-from .errors import BandwidthTooSmall, InsufficientMass
+from .errors import InsufficientMass
 
 MASS_FLOOR_COUNT = 10   # minimum expected sample count per usable radius level
 MASS_CEILING = 0.9      # saturated balls carry no scaling information
@@ -295,32 +297,14 @@ def kernel_sums(points, x, bandwidth, labels=None, n_labels=1, exclude=None):
     return sums, counts
 
 
-def kde_density(m, x, bandwidth):
-    """Wrapped triangular kernel density of m at x, against arc length.
+def neighbor_counts(points, x, bandwidth):
+    """Number of ``points`` strictly within one bandwidth of each query.
 
-    Raises BandwidthTooSmall when fewer than 5 sample points lie within one
-    bandwidth of x (the estimate would be dominated by single samples).
+    The count of ``kernel_sums``, which both density routes gate on at
+    KDE_MIN_NEIGHBORS; two binary searches per query, so callers can
+    screen large candidate sets before committing to kernel evaluations.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    sums, counts = kernel_sums(m.points, x, bandwidth)
-    thin = np.flatnonzero(counts[:, 0] < KDE_MIN_NEIGHBORS)
-    if len(thin):
-        k = thin[0]
-        raise BandwidthTooSmall(
-            f"{counts[k, 0]} samples within bandwidth {float(bandwidth):g} "
-            f"of {float(x[k]):.6f}")
-    out = sums[:, 0] / len(m)
-    return out if out.size > 1 else float(out[0])
-
-
-def neighbor_counts(m, x, bandwidth):
-    """Number of sample points within one bandwidth of each query point.
-
-    The count kde_density gates on; two binary searches per query, so
-    callers can screen large candidate sets before committing to kernel
-    evaluations.
-    """
-    _, _, _, lo, hi = _circle_windows(m.points, x, bandwidth)
+    _, _, _, lo, hi = _circle_windows(points, x, bandwidth)
     return hi - lo
 
 

@@ -32,15 +32,15 @@ def _pair(spec, size, sampler):
     return _pools(spec, size, sampler.child(1), sampler.child(2))
 
 
-def _report_measures(spec, fiber, sampler, size=None):
-    """The measures the harness hands the report of ``fiber`` at the
+def _report_samples(spec, fiber, sampler, size=None):
+    """The samples the harness hands the report of ``fiber`` at the
     default burn-in and pin, ``sampler`` being the report's stream: for
     d >= 3 over PIN_REALIZATIONS pools of ``size`` tail flags, drawn in
     turn on ``sampler.child(600, fiber).child(1)``."""
     cfg = harness.load_config(None, {"seed": 0}, environ={})
     pools = None if spec.dim == 2 else _pools(
         spec, size, *[sampler.child(600, fiber, 1)] * harness.PIN_REALIZATIONS)
-    return harness._dimension_measures(cfg, spec, fiber, sampler, pools)
+    return harness._dimension_samples(cfg, spec, fiber, sampler, pools)
 
 
 def test_rot2_density_kappa_zero():
@@ -72,7 +72,8 @@ def test_bern2_conditional_is_stationary_measure():
     pool = stationary_flag_pool(spec, 4000, 300, SeededSampler(33))
     ang = np.mod(np.arctan2(pool[:, 1, 0], pool[:, 0, 0]), circle.HALF_TURN)
     direct = EmpiricalCircleMeasure.from_samples(ang)
-    assert wasserstein_circle(cond, direct) < 0.03
+    assert wasserstein_circle(EmpiricalCircleMeasure.from_samples(cond),
+                              direct) < 0.03
 
 
 def test_pin_length_defaults():
@@ -85,7 +86,7 @@ def test_rot2_conditional_uniform():
     s = SeededSampler(36)
     (cond,) = conditional_fiber_sample(
         rot2(), 1, _pools(rot2(), 8000, s.child(1)), s)
-    pts = np.sort(cond.points)
+    pts = np.sort(cond)
     n = len(pts)
     grid = (np.arange(n) + 0.5) / n * circle.HALF_TURN
     ks = np.max(np.abs(pts - grid)) / circle.HALF_TURN
@@ -98,7 +99,7 @@ def test_atomic_fiber_gate():
     s = SeededSampler(37)
     (cond,) = conditional_fiber_sample(one, 1, _pools(one, 200, s.child(1)),
                                        s)
-    assert np.ptp(cond.points) == 0.0
+    assert np.ptp(cond) == 0.0
     s = SeededSampler(38)
     with pytest.raises(AtomicFiber):
         kappa_density_estimator(one, 1, _pair(one, 200, s), s,
@@ -116,7 +117,8 @@ def test_atomic_fiber_gate():
 @pytest.mark.parametrize("realizations", [3, 1])
 def test_conditional_fiber_sample_streams(realizations):
     # one stack of pinned pasts on child(0), one per pool; realization r
-    # reads the r-th pool, and one realization runs the same stack alone
+    # reads the r-th pool, in pool order, and one realization runs the
+    # same stack alone
     spec, i, burnin, tails = diag3eps(), 2, 200, 300
     s = SeededSampler(44)
     pools = _pools(spec, tails, *[s.child(1)] * realizations)
@@ -125,11 +127,10 @@ def test_conditional_fiber_sample_streams(realizations):
     trace = stationary_orbit(spec, i, 60, burnin, s.child(0),
                              replicas=realizations)
     assert len(got) == realizations
-    for r, (measure, pool) in enumerate(zip(got, pools)):
+    for r, (sample, pool) in enumerate(zip(got, pools)):
         want = fiber_coordinates(push_flags(trace.matrices[r], pool, spec),
                                  trace.frames[r, -1], i)
-        assert np.array_equal(
-            measure.points, EmpiricalCircleMeasure.from_samples(want).points)
+        assert np.array_equal(sample, want)
 
 
 def test_density_route_reports_the_pools_it_read():
@@ -158,9 +159,36 @@ def test_dimension_report_d3_slopes_read_one(fiber):
                           fiber_index=fiber)
     spec, s = diag3eps(), SeededSampler(3)
     rep = dimension_formula_report(spec, fiber, spectrum, kappa,
-                                   _report_measures(spec, fiber, s, 2000), s)
+                                   _report_samples(spec, fiber, s, 2000), s)
     assert abs(rep.mean_slope - 1) < 0.1
     assert rep.n_points >= 150
+
+
+@pytest.mark.parametrize("c", [0.3, 1.1])
+def test_dimension_picks_do_not_depend_on_the_frame(c, rng):
+    # a completion frame rotated by a constant moves every coordinate by
+    # c; the report's fit points and the curves' centers are indices into
+    # the samples in draw order, so the same points are picked
+    samples = [circle.wrap(np.concatenate([rng.normal(0.2, 0.3, 1500),
+                                           rng.uniform(0, np.pi, 500)]))
+               for _ in range(2)]
+    rotated = [circle.wrap(x + c) for x in samples]
+    spectrum = SpectrumEstimate(
+        chi=np.array([0.0, -0.02]), stderr=np.zeros(2), n_steps=1,
+        burnin=0, replicas=2, gap_stderrs=np.array([0.0001]))
+    kappa = KappaEstimate(kappa=1.0, stderr=0.0, method="density",
+                          fiber_index=1)
+    base, turned = (dimension_formula_report(bern2(), 1, spectrum, kappa, x,
+                                             SeededSampler(3))
+                    for x in (samples, rotated))
+    assert abs(base.mean_slope - turned.mean_slope) < 1e-12
+    assert abs(base.slope_iqr - turned.slope_iqr) < 1e-12
+    assert base.n_points == turned.n_points
+    assert base.skipped_points == turned.skipped_points
+    curves = [harness._ball_curves(1, x[0], SeededSampler(4))
+              for x in (samples, rotated)]
+    for (_, _, _, mass), (_, _, _, turned_mass) in zip(*curves):
+        assert np.array_equal(mass, turned_mass)
 
 
 def test_bandwidth_gate():
@@ -180,6 +208,22 @@ def test_d2_route_checks_orbit_samples_before_sampling(orbit_samples,
     with pytest.raises(ValueError, match="orbit_samples must lie between"):
         furstenberg_entropy_d2(bern2(), SeededSampler(40), tail_replicas=300,
                                orbit_samples=orbit_samples)
+
+
+@pytest.mark.parametrize("orbit_samples", [0, 1])
+def test_density_route_checks_orbit_samples_before_sampling(orbit_samples,
+                                                            monkeypatch):
+    # one realization has no spread, and its NaN stderr would pass the
+    # dimension report's significance gate; refused before any draw
+    spec, s = diag3eps(), SeededSampler(5)
+    pools = _pair(spec, 200, s)
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("realizations drawn")
+    monkeypatch.setattr(entropy, "stationary_orbit", drawn)
+    with pytest.raises(ValueError, match="orbit_samples must lie between"):
+        kappa_density_estimator(spec, 1, pools, s,
+                                orbit_samples=orbit_samples)
 
 
 def test_scaling_invariance():
@@ -333,7 +377,7 @@ def test_dimension_report_bern2_smoke():
         bern2(), 52, 8000, tail_replicas=6000, orbit_samples=60,
         bandwidth=0.03)
     rep = dimension_formula_report(bern2(), 1, spectrum, kappa,
-                                   _report_measures(bern2(), 1, sampler),
+                                   _report_samples(bern2(), 1, sampler),
                                    sampler)
     assert 0 < rep.predicted < 1.5
     assert rep.mean_slope > 0
@@ -341,15 +385,15 @@ def test_dimension_report_bern2_smoke():
     assert rep.n_points > 40
 
 
-def per_point_slopes(measure, rng, base_points):
+def per_point_slopes(sample, rng, base_points):
     """The report's fits one ``local_dimension`` call per point: the slopes
     in draw order and the count of InsufficientMass skips."""
+    measure = EmpiricalCircleMeasure.from_samples(sample)
     slopes, skipped = [], 0
-    for k in rng.choice(len(measure.points),
-                        size=min(base_points, len(measure.points)),
+    for k in rng.choice(len(sample), size=min(base_points, len(sample)),
                         replace=False):
         try:
-            slopes.append(local_dimension(measure, float(measure.points[k])).slope)
+            slopes.append(local_dimension(measure, float(sample[k])).slope)
         except InsufficientMass:
             skipped += 1
     return np.asarray(slopes), skipped
@@ -358,15 +402,16 @@ def per_point_slopes(measure, rng, base_points):
 def test_batched_slope_fits_match_local_dimension():
     # bern2's measure as the d = 2 report builds it at the default budget
     n = 100_000
-    stationary = EmpiricalCircleMeasure.from_samples(stationary_lines(
-        bern2(), harness.LINE_REPLICAS, 1000, n, SeededSampler(500)))
-    assert len(stationary) == n
+    samples = [stationary_lines(bern2(), harness.LINE_REPLICAS, 1000, n,
+                                SeededSampler(500))]
     rng = np.random.default_rng(42)
     # an atom of weight 0.95 alone in every ball around it, and a thin rest
-    atom = EmpiricalCircleMeasure.from_samples(np.concatenate(
-        [np.full(950, 0.3), rng.uniform(1.5, 2.5, 50)]))
+    samples.append(np.concatenate([np.full(950, 0.3),
+                                   rng.uniform(1.5, 2.5, 50)]))
     # so few points that most levels fall under the mass floor
-    small = EmpiricalCircleMeasure.from_samples(rng.uniform(0, np.pi, 30))
+    samples.append(rng.uniform(0, np.pi, 30))
+    stationary, atom, small = map(EmpiricalCircleMeasure.from_samples, samples)
+    assert len(stationary) == n
     near_ends = np.concatenate([stationary.points[:100],
                                 stationary.points[-100:]])
     assert np.all(circle.distance(near_ends, 0.0) < np.pi / 8)
@@ -390,9 +435,11 @@ def test_batched_slope_fits_match_local_dimension():
             flat += slopes[p] == 0.0
     assert fits > 400 and flat >= 1 and refused >= 30
     # the report's draw: the same points, slopes and skip count
-    for m in (stationary, atom, small):
-        got, skipped = entropy._slope_distribution(m, SeededSampler(43).rng, 200)
-        want, want_skipped = per_point_slopes(m, SeededSampler(43).rng, 200)
+    for sample in samples:
+        got, skipped = entropy._slope_distribution(sample, SeededSampler(43).rng,
+                                                   200)
+        want, want_skipped = per_point_slopes(sample, SeededSampler(43).rng,
+                                              200)
         assert skipped == want_skipped
         assert len(got) == len(want)
         assert np.max(np.abs(got - want), initial=0.0) < 1e-12

@@ -116,14 +116,14 @@ def test_verify_draws_each_bank_once_for_both_fibers(monkeypatch):
 def test_ball_curves_read_the_reports_first_measure(ensemble, monkeypatch,
                                                     tmp_path):
     # each ballmass.csv curve is the ball mass of the report's first
-    # measure around one of that measure's points: the fiber measure is
+    # sample around one of that sample's points: the fiber measure is
     # sampled once, for the report and the figure alike
     fitted = {}
     real = harness.dimension_formula_report
 
-    def spy(spec, i, spectrum, kappa, measures, sampler):
-        fitted[i] = measures[0]
-        return real(spec, i, spectrum, kappa, measures, sampler)
+    def spy(spec, i, spectrum, kappa, samples, sampler):
+        fitted[i] = EmpiricalCircleMeasure.from_samples(samples[0])
+        return real(spec, i, spectrum, kappa, samples, sampler)
     monkeypatch.setattr(harness, "dimension_formula_report", spy)
     monkeypatch.setattr(harness, "_density_leg", _fixed_kappa)
     files = _outputs("verify", ensemble, 1, tmp_path)
@@ -298,10 +298,9 @@ def test_ball_curve_centers_draw_on_a_stream_of_their_own(ensemble):
 
 
 def test_ball_curves_of_a_measure_with_few_points():
-    # a measure with fewer points than BALL_CURVE_POINTS gives one curve
+    # a sample with fewer points than BALL_CURVE_POINTS gives one curve
     # per point, not a crash
-    measure = EmpiricalCircleMeasure.from_samples(np.array([0.1, 0.5, 1.0,
-                                                            2.0]))
-    curves = harness._ball_curves(1, measure, SeededSampler(3))
+    curves = harness._ball_curves(1, np.array([0.1, 0.5, 1.0, 2.0]),
+                                  SeededSampler(3))
     assert len(curves) == 4
     assert all(mass[-1] > 0 for _, _, _, mass in curves)

@@ -4,9 +4,9 @@ import pytest
 from flagdim import circle, measures
 from flagdim.dynamics import stationary_flag_pool
 from flagdim.ensemble import SeededSampler, bern2
-from flagdim.errors import BandwidthTooSmall, InsufficientMass
+from flagdim.errors import InsufficientMass
 from flagdim.measures import (MASS_FLOOR_COUNT, EmpiricalCircleMeasure,
-                              ball_mass, default_radius_grid, kde_density,
+                              ball_mass, default_radius_grid, kernel_sums,
                               local_dimension, max_cluster_weight,
                               neighbor_counts, wasserstein_circle)
 
@@ -192,40 +192,46 @@ def test_nonatomicity_bern2_stationary():
     assert weights[-1] < 0.01
 
 
+def kde(points, x, bandwidth):
+    """Wrapped triangular kernel density of the points at x, as the
+    density routes read it: the kernel sums over the sample size."""
+    return kernel_sums(points, x, bandwidth)[0][:, 0] / len(points)
+
+
 def test_kde_density_integrates_to_one(rng):
-    m = uniform_measure(2000, rng)
+    pts = rng.uniform(0, np.pi, 2000)
     grid = np.linspace(0, np.pi, 2048, endpoint=False)
-    vals = kde_density(m, grid, 0.3)
+    vals = kde(pts, grid, 0.3)
     assert np.mean(vals) * np.pi == pytest.approx(1.0, abs=1e-3)
 
 
-def test_kde_gates_on_sparse_neighborhoods():
-    m = EmpiricalCircleMeasure.from_samples(
-        np.concatenate([np.linspace(0.0, 0.5, 50), [2.5]]))
-    with pytest.raises(BandwidthTooSmall):
-        kde_density(m, 2.5, 0.01)
-
-
 def test_neighbor_counts_matches_gate(rng):
-    m = uniform_measure(500, rng)
-    xs = rng.uniform(0, np.pi, 40)
-    counts = neighbor_counts(m, xs, 0.05)
-    for x, c in zip(xs, counts):
-        d = circle.distance(m.points, x)
-        assert c == int(np.count_nonzero(d < 0.05))
+    # both counts the density routes gate on are the points strictly
+    # within h, across the wrap: points on both sides of 0 = pi, queries
+    # at 0 and within h of pi
+    h = 0.05
+    pts = np.concatenate([rng.uniform(0, np.pi, 500),
+                          rng.uniform(0, h, 20),
+                          rng.uniform(np.pi - h, np.pi, 20)])
+    xs = np.concatenate([[0.0, np.pi - 0.01, np.pi - 0.04],
+                         rng.uniform(0, np.pi, 40)])
+    want = [int(np.count_nonzero(circle.distance(pts, x) < h)) for x in xs]
+    assert np.array_equal(neighbor_counts(pts, xs, h), want)
+    assert np.array_equal(kernel_sums(pts, xs, h)[1][:, 0], want)
+    assert min(want[:3]) >= 20
 
 
 def test_density_ratio_of_identical_measure(rng):
-    m = uniform_measure(5000, rng)
+    pts = rng.uniform(0, np.pi, 5000)
     for x in (0.2, 1.0, 2.8):
-        ratio = kde_density(m, x, 0.1) / kde_density(m, x, 0.1)
+        ratio = kde(pts, x, 0.1)[0] / kde(pts, x, 0.1)[0]
         assert ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_density_ratio_uniform_pair(rng):
-    p, q = uniform_measure(20_000, rng), uniform_measure(20_000, rng)
+    p, q = rng.uniform(0, np.pi, 20_000), rng.uniform(0, np.pi, 20_000)
     for x in np.linspace(0.1, 3.0, 7):
-        assert 0.8 < kde_density(p, x, 0.1) / kde_density(q, x, 0.1) < 1.25
+        assert 0.8 < kde(p, x, 0.1)[0] / kde(q, x, 0.1)[0] < 1.25
 
 
 def test_density_ratio_sees_pushforward_jacobian(rng):
@@ -234,13 +240,12 @@ def test_density_ratio_sees_pushforward_jacobian(rng):
     theta = rng.uniform(0, np.pi, 40_000)
     image = np.mod(np.arctan2(0.5 * np.sin(theta), 2.0 * np.cos(theta)),
                    np.pi)
-    pushed = EmpiricalCircleMeasure.from_samples(image)
-    base = uniform_measure(40_000, rng)
+    base = rng.uniform(0, np.pi, 40_000)
     for x0 in (0.6, 1.2, 2.0):
         deriv = 1.0 / (4 * np.cos(x0) ** 2 + 0.25 * np.sin(x0) ** 2)
         y = float(np.mod(np.arctan2(0.5 * np.sin(x0), 2.0 * np.cos(x0)),
                          np.pi))
-        ratio = kde_density(pushed, y, 0.05) / kde_density(base, y, 0.05)
+        ratio = kde(image, y, 0.05)[0] / kde(base, y, 0.05)[0]
         assert ratio == pytest.approx(1.0 / deriv, rel=0.10)
 
 
