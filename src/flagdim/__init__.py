@@ -11,7 +11,9 @@ acting on complete flags of R^d:
 
 ``flagcore`` holds the flag/fiber geometry, ``circle`` the angle
 arithmetic on a fiber, ``ensemble`` the matrix distributions and seeded
-sampling, and ``harness``/``cli`` the reproducible experiment runner.
+sampling, and ``harness``/``cli`` the reproducible experiment runner,
+whose one entry, ``run``, runs each command as a selection of verify's
+legs.
 """
 
 from . import circle
@@ -31,8 +33,7 @@ from .flagcore import (CircleMap, Flag, LinearMap, PartialFlag, act_flag,
                        fiber_coordinate, fiber_embed, flag_jacobian,
                        induced_circle_map, partial_flag)
 from .harness import (ExperimentConfig, ResultBundle, emit_outputs,
-                      load_config, run_dimension, run_entropy, run_spectrum,
-                      run_verify)
+                      load_config, run, run_spectrum, run_verify)
 from .measures import (EmpiricalCircleMeasure, ball_mass, local_dimension,
                        wasserstein_circle)
 from .version import __version__

@@ -41,7 +41,8 @@ def _parser():
             ("spectrum", "Lyapunov spectrum and gaps"),
             ("entropy", "fiber entropy by both estimators, each held "
                         "against its gap"),
-            ("dimension", "local dimension against kappa over gap"),
+            ("dimension", "runs verify's density legs and its dimension "
+                          "reports"),
             ("verify", "spectrum, entropy and dimension end to end, "
                        "gates allowed")):
         s = sub.add_parser(name, help=doc)
@@ -92,20 +93,16 @@ def main(argv=None):
             for line in harness.ensemble_report(cfg).lines():
                 print(line)
             return 0
-        runner = {"spectrum": harness.run_spectrum,
-                  "entropy": harness.run_entropy,
-                  "dimension": harness.run_dimension,
-                  "verify": harness.run_verify}[args.command]
-        bundle = runner(cfg, threads=max(1, int(args.threads)))
+        bundle = harness.run(cfg, args.command,
+                             threads=max(1, int(args.threads)))
         emit_outputs(bundle, cfg.out_dir)
         for line in bundle.summary_lines():
             print(line)
-        refused_all = (
-            (args.command == "dimension" and not bundle.dimension_reports)
-            or (args.command in ("entropy", "verify") and not bundle.kappas))
-        if refused_all:
-            # the gate error of the first refused leg, as a direct raise
-            # would record it
+        _, output = harness.COMMANDS[args.command]
+        if not getattr(bundle, output):
+            # every leg that writes the command's output was refused;
+            # record the gate error of the first refused leg, as a direct
+            # raise would record it
             err = bundle.first_refusal()
             _record_error(cfg.out_dir, 2,
                           FlagdimError("refused") if err is None else err)

@@ -65,7 +65,7 @@ JACKKNIFE_GROUPS = 20
 TAIL_BURNIN = 300        # steps from the standard flag to a stationary tail flag
 EVAL_POINTS = 64         # held-out queries per orbit sample of the density route
 BASE_POINTS = 200        # dimension fits: sample points, shared by the samples
-SIGNIFICANCE = 2.0       # kappa must exceed this many stderrs for a dimension
+SIGNIFICANCE = 2.0       # gap and kappa must exceed this many stderrs
 
 
 def _default_pin(spec, pin_length):
@@ -552,10 +552,13 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, samples,
     KappaEstimate of fiber ``fiber_index``) the entropy, and ``samples``
     (arrays of fiber coordinates in draw order) the fiber's conditional
     measures; the report samples and estimates none of them, it gates and
-    fits.  It refuses (HypothesisNotMet) when kappa <= SIGNIFICANCE *
-    stderr; a dimension number under a failed hypothesis would be noise
-    with a confident face.  The gate reads the stderr the kappa estimate
-    carries, so it is only as sound as that stderr.
+    fits.  It refuses (HypothesisNotMet) when gap <= SIGNIFICANCE * its
+    stderr, and then when kappa <= SIGNIFICANCE * its stderr; a dimension
+    number under a failed hypothesis would be noise with a confident
+    face.  The gap gate comes first: an isometric ensemble has gap exactly
+    0, so its estimate is rounding noise of either sign, and kappa over it
+    means nothing whatever kappa reads.  Each gate reads the stderr its
+    estimate carries, so it is only as sound as that stderr.
 
     The slopes are fitted on the default radius grid at BASE_POINTS
     sample points in all, shared evenly between the samples (at least 8
@@ -565,13 +568,16 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, samples,
     fit does not depend on the completion frame that labels the circle.
     """
     i = fiber_index
+    gap, gap_stderr = spectrum.gap(i), spectrum.gap_stderr(i)
+    if gap <= SIGNIFICANCE * gap_stderr:
+        raise HypothesisNotMet(
+            f"gap[{i}] = {gap:.3g} +- {gap_stderr:.3g} is not significantly "
+            "positive (an isometric ensemble has gap exactly 0); the "
+            "dimension formula does not apply")
     if kappa.kappa <= SIGNIFICANCE * kappa.stderr:
         raise HypothesisNotMet(
             f"kappa[{i}] = {kappa.kappa:.5f} +- {kappa.stderr:.5f} is not "
             "significantly positive; the dimension formula does not apply")
-    gap = spectrum.gap(i)
-    if gap <= 0:
-        raise HypothesisNotMet(f"exponent gap at fiber {i} is not positive")
     rng = sampler.child(400, i).rng
     per = max(8, BASE_POINTS // len(samples))
     slopes = []

@@ -5,16 +5,20 @@ own child sampler keyed by a fixed job tag, cross-job reductions happen
 in tag order, and emitted files carry no clocks or machine identifiers,
 so outputs are byte-identical across repeats and across thread counts.
 
-Each command builds its ensemble spec once and hands that one object to
-the spectrum and to every leg, so a spec file is read and checked once
-per run and its word tables are built once.  Each command runs one
-spectrum and then its legs.  The density leg
-(``_density_leg``) is the one place that picks the entropy estimator by
-dimension: ``furstenberg_entropy_d2`` for d = 2, ``kappa_density_estimator``
-otherwise.  The dimension report takes the run's spectrum and a density
-kappa as inputs: ``verify`` hands it the estimate of its own density leg
-(a fiber whose density leg was refused gets no report), and ``dimension``
-runs the density leg for the report on streams of its own.  One
+Every command is a selection of verify's legs (``COMMANDS``) and runs
+through one function, ``run``, on verify's streams, so a leg writes the
+same rows whichever command selects it.  ``run`` builds the ensemble spec
+once and hands that one object to the spectrum and to every leg, so a
+spec file is read and checked once per run and its word tables are built
+once.  It runs one spectrum, then the selected jobs of the density
+route, the interval route and the decay curve, and then the dimension
+reports: ``spectrum`` selects none, ``entropy`` the two routes,
+``dimension`` the density route and the reports, and ``verify`` all of
+them.  The density leg (``_density_leg``) is the one place that picks
+the entropy estimator by dimension: ``furstenberg_entropy_d2`` for
+d = 2, ``kappa_density_estimator`` otherwise.  The dimension report
+takes the run's spectrum and its density leg's kappa as inputs; a fiber
+whose density leg was refused gets no report.  One
 function (``_dimension_samples``) picks the samples behind each report
 by dimension, as ``_density_leg`` picks the estimator: stationary lines
 for d = 2, the conditionals over PIN_REALIZATIONS pinned pasts
@@ -36,21 +40,18 @@ job draws one bank of tail pools for all its fibers (``_tail_pools``) at
 its first fiber; the estimators draw none.  The banks' streams, as keys
 under the run's seed:
 
-    density route            (2, 1, 1) and (2, 1, 2)
-    interval route           (3, 1, 1) and (3, 1, 2)
-    dimension reports        PIN_REALIZATIONS pools in turn on (4, 1, 600, 1, 1)
-    ``dimension``'s density  (4, 1, 200, 1, 1) and (4, 1, 200, 1, 2)
+    density route       (2, 1, 1) and (2, 1, 2)
+    interval route      (3, 1, 1) and (3, 1, 2)
+    dimension reports   PIN_REALIZATIONS pools in turn on (4, 1, 600, 1, 1)
 
 The ball curves of fiber i pick their centers on (6, i), a stream no
 sample reads.  A bank's streams do not depend on the fibers the run
 covers, so a ``fiber_index = 2`` run reads the pools of an "all" run and
 writes its fiber-2 rows.  The samples are drawn before the report's
-kappa gate, so the curves are written and the reports' bank is drawn
-even when every report refuses.  Every bank goes when its job ends, but
-for the ``dimension`` command's density bank, which its reports' route
-reads through ``kappa`` and which goes with the command.  Sharing is
-sound because a tail pool is a sample of the one stationary measure on
-full flags, whichever fiber reads it, and no output combines two
+gates, so the curves are written and the reports' bank is drawn even
+when every report refuses.  Every bank goes when its job ends.  Sharing
+is sound because a tail pool is a sample of the one stationary measure
+on full flags, whichever fiber reads it, and no output combines two
 fibers' estimates; each fiber's stderr leaves out the pools' error.
 
 The config format is INI with one [experiment] section and a mandatory
@@ -84,7 +85,7 @@ import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -263,28 +264,27 @@ class ResultBundle:
     config: dict
     version: str
     wall_time: float
-    spectrum: object = None
-    kappas: tuple = ()
-    gap_rows: tuple = ()
-    agreement: dict = field(default_factory=dict)
-    dimension_reports: tuple = ()
-    decay: object = None
-    ball_curves: tuple = ()           # (fiber, point, r array, mass array)
-    refusals: dict = field(default_factory=dict)   # leg -> gate error
-    diagnostics: dict = field(default_factory=dict)
+    spectrum: object
+    kappas: tuple
+    gap_rows: tuple
+    agreement: dict
+    dimension_reports: tuple
+    decay: object                     # None: not selected or refused
+    ball_curves: tuple                # (fiber, point, r array, mass array)
+    refusals: dict                    # leg -> gate error
+    diagnostics: dict
 
     def summary_lines(self):
         cfg = self.config
         out = [f"flagdim {self.version} verify-style report",
                f"ensemble {cfg['ensemble']} seed {cfg['seed']}",
                ""]
-        if self.spectrum is not None:
-            s = self.spectrum
-            chis = ", ".join(f"chi_{k + 1} = {c:.6f} +- {e:.6f}"
-                             for k, (c, e) in enumerate(zip(s.chi, s.stderr)))
-            out.append(f"spectrum ({s.n_steps} steps): {chis}")
-            for i in range(1, s.dim):
-                out.append(f"  gap {i}: {s.gap(i):.6f} +- {s.gap_stderr(i):.6f}")
+        s = self.spectrum
+        chis = ", ".join(f"chi_{k + 1} = {c:.6f} +- {e:.6f}"
+                         for k, (c, e) in enumerate(zip(s.chi, s.stderr)))
+        out.append(f"spectrum ({s.n_steps} steps): {chis}")
+        for i in range(1, s.dim):
+            out.append(f"  gap {i}: {s.gap(i):.6f} +- {s.gap_stderr(i):.6f}")
         for k in self.kappas:
             out.append(k.summary())
         for row in self.gap_rows:
@@ -352,12 +352,10 @@ def _route(cfg, spec, name, bank, leg, refusals):
     refusal is kept as leg "<name> fiber i" and stops that fiber only.
     Returns {fiber: result} for the fibers not refused.
     """
-    fibers = cfg.fibers(spec.dim)
-
     def run():
         pools = functools.cache(bank)
         results = {}
-        for i in fibers:
+        for i in cfg.fibers(spec.dim):
             try:
                 results[i] = leg(i, pools)
             except GATE_ERRORS as err:
@@ -366,28 +364,10 @@ def _route(cfg, spec, name, bank, leg, refusals):
     return run
 
 
-def _by_leg(results, *routes):
-    """The route jobs' results keyed by (route, fiber)."""
-    return {(route, i): r for route in routes
-            for i, r in results[route].items()}
-
-
 def _run_diagnostics(spec, spectrum):
     """Checks of the spectrum against the ensemble: sum chi = E log|det A|."""
     return {"sum_chi": float(spectrum.chi.sum()),
             "mean_log_abs_det": mean_log_abs_det(spec)}
-
-
-def run_spectrum(cfg, threads=1):
-    start = time.perf_counter()
-    sampler = SeededSampler(int(cfg.seed))
-    spec = cfg.spec()
-    spectrum = lyapunov_spectrum(spec, cfg.spectrum_steps, burnin=cfg.burnin,
-                                 sampler=sampler.child(1))
-    return ResultBundle(config=cfg.echo(), version=__version__,
-                        wall_time=time.perf_counter() - start,
-                        spectrum=spectrum,
-                        diagnostics=_run_diagnostics(spec, spectrum))
 
 
 def _density_leg(cfg, spec, i, sampler, pools):
@@ -415,7 +395,9 @@ def _density_bank(cfg, spec, sampler):
     return _tail_pools(cfg, spec, sampler.child(1), sampler.child(2))
 
 
-def _entropy_jobs(cfg, spec, sampler, refusals):
+def _jobs(cfg, spec, sampler, refusals):
+    """verify's jobs before its dimension reports, as (tag, callable) in
+    tag order: the density and interval routes and the decay curve."""
     def density(i, pools):
         return _density_leg(cfg, spec, i, sampler.child(2, i), pools())
 
@@ -423,6 +405,11 @@ def _entropy_jobs(cfg, spec, sampler, refusals):
         return kappa_interval_estimator(
             spec, i, pools(), sampler.child(3, i), n=cfg.interval_n,
             replicas=cfg.replicas, realization_burnin=cfg.burnin)
+
+    def decay():
+        return interval_decay_curve(spec, cfg.fibers(spec.dim)[0],
+                                    cfg.decay_grid(), cfg.replicas,
+                                    sampler.child(5), burnin=cfg.burnin)
     return [
         ("density", _route(
             cfg, spec, "entropy density",
@@ -432,16 +419,19 @@ def _entropy_jobs(cfg, spec, sampler, refusals):
             cfg, spec, "entropy interval",
             lambda: _tail_pools(cfg, spec, sampler.child(3, 1, 1),
                                 sampler.child(3, 1, 2)),
-            interval, refusals))]
+            interval, refusals)),
+        ("decay", _catching(decay, refusals, "interval decay"))]
 
 
-def _entropy_bundle(cfg, spectrum, results, refusals, start):
+def _entropy_rows(spectrum, results):
+    """The kappas, gap rows and route agreement of the entropy legs that
+    ran, fiber by fiber; ``results`` maps a route to {fiber: estimate}."""
     kappas = []
     rows = []
     agreement = {}
-    for i in cfg.fibers(spectrum.dim):
-        kd = results.get(("density", i))
-        ki = results.get(("interval", i))
+    density, interval = results.get("density", {}), results.get("interval", {})
+    for i in sorted(density.keys() | interval.keys()):
+        kd, ki = density.get(i), interval.get(i)
         for est in (kd, ki):
             if est is not None:
                 kappas.append(est)
@@ -457,24 +447,7 @@ def _entropy_bundle(cfg, spectrum, results, refusals, start):
                 scale = max(abs(kd.kappa), abs(ki.kappa), 1e-12)
                 agreement[i] = (kd.kappa, ki.kappa,
                                 abs(kd.kappa - ki.kappa) / scale)
-    return ResultBundle(config=cfg.echo(), version=__version__,
-                        wall_time=time.perf_counter() - start,
-                        spectrum=spectrum, kappas=tuple(kappas),
-                        gap_rows=tuple(rows), agreement=agreement,
-                        refusals=refusals)
-
-
-def run_entropy(cfg, threads=1):
-    start = time.perf_counter()
-    sampler = SeededSampler(int(cfg.seed))
-    spec = cfg.spec()
-    spectrum = lyapunov_spectrum(spec, cfg.spectrum_steps,
-                                 burnin=cfg.burnin, sampler=sampler.child(1))
-    refusals = {}
-    results = _run_jobs(_entropy_jobs(cfg, spec, sampler, refusals), threads)
-    return _entropy_bundle(cfg, spectrum,
-                           _by_leg(results, "density", "interval"),
-                           refusals, start)
+    return tuple(kappas), tuple(rows), agreement
 
 
 def _dimension_samples(cfg, spec, i, sampler, pools):
@@ -541,38 +514,25 @@ def _dimension_legs(cfg, spec, spectrum, kappa, sampler, refusals):
     return tuple(reports.values()), tuple(curves)
 
 
-def run_dimension(cfg, threads=1):
-    start = time.perf_counter()
-    sampler = SeededSampler(int(cfg.seed))
-    spec = cfg.spec()
-    spectrum = lyapunov_spectrum(spec, cfg.spectrum_steps, burnin=cfg.burnin,
-                                 sampler=sampler.child(1))
-
-    def stream(i):
-        # the streams the report drew its own kappa on, kept so that
-        # outputs repeat across versions
-        return sampler.child(*((4, i, 200) if spec.dim == 2
-                               else (4, i, 200, i)))
-
-    # the density legs run inside the reports' route, which alone calls
-    # kappa; their bank is drawn at its first fiber and kept to the end
-    density_pools = functools.cache(
-        lambda: _density_bank(cfg, spec, stream(1)))
-
-    def kappa(i):
-        return _density_leg(cfg, spec, i, stream(i), density_pools())
-    refusals = {}
-    reports, curves = _dimension_legs(cfg, spec, spectrum, kappa, sampler,
-                                      refusals)
-    return ResultBundle(config=cfg.echo(), version=__version__,
-                        wall_time=time.perf_counter() - start,
-                        spectrum=spectrum, dimension_reports=reports,
-                        ball_curves=curves, refusals=refusals)
+# each command's legs, a selection of verify's, and the bundle field it
+# must fill: a run that leaves that field empty had every leg that fills
+# it refused, and the command exits 2
+COMMANDS = {"spectrum": ((), "spectrum"),
+            "entropy": (("density", "interval"), "kappas"),
+            "dimension": (("density", "dimension"), "dimension_reports"),
+            "verify": (("density", "interval", "decay", "dimension"),
+                       "kappas")}
 
 
-def run_verify(cfg, threads=1):
-    """Theorem 1 and Theorem 2 reports end to end, gates allowed."""
-    if len(cfg.decay_grid()) < 2:
+def run(cfg, command, threads=1):
+    """Run ``command``: the legs of verify it selects, on verify's streams.
+
+    The selected jobs of ``_jobs`` run on up to ``threads`` threads; the
+    dimension reports run after them, since they read the density legs'
+    kappas.
+    """
+    legs, _ = COMMANDS[command]
+    if "decay" in legs and len(cfg.decay_grid()) < 2:
         raise ConfigError(f"interval_n {cfg.interval_n} gives a decay grid "
                           "of one depth; a slope needs two")
     start = time.perf_counter()
@@ -581,36 +541,36 @@ def run_verify(cfg, threads=1):
     spectrum = lyapunov_spectrum(spec, cfg.spectrum_steps, burnin=cfg.burnin,
                                  sampler=sampler.child(1))
     refusals = {}
-    jobs = _entropy_jobs(cfg, spec, sampler, refusals)
-
-    def decay():
-        return interval_decay_curve(spec, cfg.fibers(spec.dim)[0],
-                                    cfg.decay_grid(), cfg.replicas,
-                                    sampler.child(5), burnin=cfg.burnin)
-    jobs.append(("decay", _catching(decay, refusals, "interval decay")))
-    results = _run_jobs(jobs, threads)
-    entropy = _entropy_bundle(cfg, spectrum,
-                              _by_leg(results, "density", "interval"),
-                              refusals, start)
-
-    def kappa(i):
-        est = results["density"].get(i)
-        if est is None:
-            raise HypothesisNotMet(
-                f"no kappa[{i}]: the leg 'entropy density fiber {i}' "
-                "was refused")
-        return est
-    reports, curves = _dimension_legs(cfg, spec, spectrum, kappa, sampler,
-                                      refusals)
+    results = _run_jobs([job for job in _jobs(cfg, spec, sampler, refusals)
+                         if job[0] in legs], threads)
+    kappas, rows, agreement = _entropy_rows(spectrum, results)
+    reports, curves = (), ()
+    if "dimension" in legs:
+        def kappa(i):
+            est = results["density"].get(i)
+            if est is None:
+                raise HypothesisNotMet(
+                    f"no kappa[{i}]: the leg 'entropy density fiber {i}' "
+                    "was refused")
+            return est
+        reports, curves = _dimension_legs(cfg, spec, spectrum, kappa,
+                                          sampler, refusals)
     return ResultBundle(config=cfg.echo(), version=__version__,
                         wall_time=time.perf_counter() - start,
-                        spectrum=spectrum, kappas=entropy.kappas,
-                        gap_rows=entropy.gap_rows,
-                        agreement=entropy.agreement,
-                        dimension_reports=reports,
-                        decay=results["decay"],
-                        ball_curves=curves, refusals=refusals,
+                        spectrum=spectrum, kappas=kappas, gap_rows=rows,
+                        agreement=agreement, dimension_reports=reports,
+                        decay=results.get("decay"), ball_curves=curves,
+                        refusals=refusals,
                         diagnostics=_run_diagnostics(spec, spectrum))
+
+
+# flagbench/worker.py calls these two by name
+def run_spectrum(cfg, threads=1):
+    return run(cfg, "spectrum", threads)
+
+
+def run_verify(cfg, threads=1):
+    return run(cfg, "verify", threads)
 
 
 def _write_csv(path, schema_tag, header, rows):
@@ -637,14 +597,13 @@ def emit_outputs(bundle, out_dir):
         paths.append(os.path.join(out_dir, name))
         return paths[-1]
 
-    if bundle.spectrum is not None:
-        s = bundle.spectrum
-        rows = [(k + 1, float(s.chi[k]), float(s.stderr[k]),
-                 float(s.gap(k + 1)) if k + 1 < s.dim else "",
-                 float(s.gap_stderr(k + 1)) if k + 1 < s.dim else "")
-                for k in range(s.dim)]
-        _write_csv(out("spectrum.csv"), "spectrum",
-                   ["i", "chi", "stderr", "gap_i", "gap_stderr"], rows)
+    s = bundle.spectrum
+    rows = [(k + 1, float(s.chi[k]), float(s.stderr[k]),
+             float(s.gap(k + 1)) if k + 1 < s.dim else "",
+             float(s.gap_stderr(k + 1)) if k + 1 < s.dim else "")
+            for k in range(s.dim)]
+    _write_csv(out("spectrum.csv"), "spectrum",
+               ["i", "chi", "stderr", "gap_i", "gap_stderr"], rows)
     if bundle.kappas:
         rows = [(k.fiber_index, k.method, float(k.kappa), float(k.stderr),
                  int(k.diagnostics.get("effective_samples", 0)))

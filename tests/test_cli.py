@@ -118,7 +118,8 @@ def test_help_and_version_exit_zero(clean_env, tmp_path, args):
 
 
 def test_every_leg_refused_exits_two_with_the_gate_class(clean_env, tmp_path):
-    # rot2 acts isometrically: kappa is zero and the dimension gate refuses
+    # rot2 acts isometrically: its gap is zero and the dimension report's
+    # gap gate refuses before its kappa gate is read
     for name, value in (("SPECTRUM_STEPS", "400"), ("TAIL_REPLICAS", "1500"),
                         ("ORBIT_SAMPLES", "8"), ("BANDWIDTH", "0.1")):
         clean_env.setenv("FLAGDIM_" + name, value)
@@ -127,7 +128,7 @@ def test_every_leg_refused_exits_two_with_the_gate_class(clean_env, tmp_path):
     assert code == 2
     _, row = error_rows(tmp_path)
     assert row[:2] == ["2", "HypothesisNotMet"]
-    assert row[2].startswith("kappa[1] = ")
+    assert row[2].startswith("gap[1] = ")
 
 
 def test_verify_with_every_kappa_leg_refused_exits_two(clean_env, tmp_path):

@@ -346,7 +346,7 @@ def test_gap_inequality_report_lines():
         ensemble="bern2", seed=50, spectrum_steps=6000, tail_replicas=2000,
         orbit_samples=25, bandwidth=0.04, interval_n=60, replicas=40),
         environ={})
-    rep = harness.run_entropy(cfg)
+    rep = harness.run(cfg, "entropy")
     assert all(r.bound_satisfied for r in rep.gap_rows)
     assert 1 in rep.agreement
     text = "\n".join(rep.summary_lines())
@@ -361,6 +361,23 @@ def _report_inputs(spec, seed, spectrum_steps, **density):
                                  sampler=sampler.child(100))
     kappa = furstenberg_entropy_d2(spec, sampler.child(200), **density)
     return sampler, spectrum, kappa
+
+
+@pytest.mark.parametrize("kappa_stderr", [(1.0, 0.0), (0.0, 1.0)],
+                         ids=["kappa-significant", "kappa-zero"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
+def test_dimension_report_refuses_a_gap_within_its_noise(sign, kappa_stderr):
+    # an isometric ensemble's gap is exactly 0, and its estimate is
+    # rounding noise of either sign; the gap gate reads that noise's
+    # stderr and comes before the kappa gate, whichever way that would go
+    spectrum = SpectrumEstimate(
+        chi=np.array([sign * 1e-19, 0.0]), stderr=np.zeros(2), n_steps=1,
+        burnin=0, replicas=2, gap_stderrs=np.array([1e-18]))
+    kappa = KappaEstimate(kappa=kappa_stderr[0], stderr=kappa_stderr[1],
+                          method="density", fiber_index=1)
+    with pytest.raises(HypothesisNotMet, match=r"^gap\[1\] = "):
+        dimension_formula_report(rot2(), 1, spectrum, kappa, None,
+                                 SeededSampler(3))
 
 
 def test_dimension_report_refuses_zero_kappa():

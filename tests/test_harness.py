@@ -23,9 +23,8 @@ TINY = dict(seed=11, spectrum_steps=400, burnin=100, interval_n=20,
 def _outputs(command, ensemble, threads, out_dir, **overrides):
     cfg = harness.load_config(None, dict(TINY, ensemble=ensemble, **overrides),
                               environ={})
-    runner = {"verify": harness.run_verify,
-              "dimension": harness.run_dimension}[command]
-    paths = harness.emit_outputs(runner(cfg, threads=threads), str(out_dir))
+    paths = harness.emit_outputs(harness.run(cfg, command, threads=threads),
+                                 str(out_dir))
     return {pathlib.Path(p).name: pathlib.Path(p).read_bytes() for p in paths}
 
 
@@ -54,6 +53,37 @@ def _fixed_kappa(cfg, spec, i, sampler, pools):
     # a kappa that passes the reports' significance gate
     return KappaEstimate(kappa=1.0, stderr=0.0, method="density",
                          fiber_index=i)
+
+
+def _is_subsequence(lines, of):
+    rest = iter(of)
+    return all(line in rest for line in lines)
+
+
+@pytest.mark.parametrize("ensemble", ["bern2", "diag3eps"])
+@pytest.mark.parametrize("command", ["spectrum", "entropy", "dimension"])
+def test_each_command_writes_rows_of_verify(command, ensemble, monkeypatch,
+                                            tmp_path):
+    # a command is a selection of verify's legs on verify's streams: each
+    # file it writes holds verify's header and a selection of verify's
+    # rows, in verify's order.  On diag3eps a fixed kappa lets the
+    # reports run
+    if ensemble == "diag3eps":
+        monkeypatch.setattr(harness, "_density_leg", _fixed_kappa)
+    verify = _outputs("verify", ensemble, 1, tmp_path / "verify")
+    files = _outputs(command, ensemble, 1, tmp_path / command)
+    assert set(files) <= set(verify)
+    for name, data in files.items():
+        lines, of = data.splitlines(), verify[name].splitlines()
+        if name.endswith(".csv"):
+            assert lines[:2] == of[:2]
+        assert _is_subsequence(lines, of), name
+    assert files["spectrum.csv"] == verify["spectrum.csv"]
+    if command == "entropy":
+        assert files["kappa.csv"] == verify["kappa.csv"]
+    if command == "dimension":
+        for name in ("dimension.csv", "ballmass.csv"):
+            assert files.get(name) == verify.get(name)
 
 
 def _fiber_two_rows(files):
@@ -178,7 +208,7 @@ def test_dimension_report_burns_in_the_configured_steps(monkeypatch):
         seen.clear()
         cfg = harness.load_config(
             None, dict(TINY, ensemble=ensemble, burnin=250), environ={})
-        harness.run_dimension(cfg)
+        harness.run(cfg, "dimension")
         assert seen == [250] * calls
 
 
@@ -205,19 +235,17 @@ def test_verify_reports_no_dimension_without_its_density_leg(monkeypatch):
 def test_interval_row_above_the_gap_reads_violated():
     # diag3eps at seed 7: the interval kappa_2 sits 2.2 stderr above gap 2
     # while the density kappa_2 sits below it; each route gets its own row
-    cfg = harness.load_config(None, {"ensemble": "diag3eps", "seed": 7,
-                                     "fiber_index": 2}, environ={})
     spectrum = SpectrumEstimate(
         chi=np.array([0.0, -0.03500, -0.06389]), stderr=np.zeros(3),
         n_steps=1, burnin=0, replicas=2,
         gap_stderrs=np.array([0.0001, 0.00009]))
     results = {
-        ("density", 2): KappaEstimate(kappa=0.02554, stderr=0.00434,
-                                      method="density", fiber_index=2),
-        ("interval", 2): KappaEstimate(kappa=0.03356, stderr=0.00215,
-                                       method="interval", fiber_index=2)}
-    bundle = harness._entropy_bundle(cfg, spectrum, results, {}, 0.0)
-    rows = {r.method: r for r in bundle.gap_rows}
+        "density": {2: KappaEstimate(kappa=0.02554, stderr=0.00434,
+                                     method="density", fiber_index=2)},
+        "interval": {2: KappaEstimate(kappa=0.03356, stderr=0.00215,
+                                      method="interval", fiber_index=2)}}
+    _, gap_rows, _ = harness._entropy_rows(spectrum, results)
+    rows = {r.method: r for r in gap_rows}
     assert set(rows) == {"density", "interval"}
     assert rows["density"].bound_satisfied
     assert not rows["interval"].bound_satisfied
