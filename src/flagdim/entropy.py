@@ -26,7 +26,8 @@ Two independent estimators must agree:
 A fiber sample is an array of coordinates in draw order.  Only code that
 counts arc masses (the atomic gate, the half-pin distance and the
 dimension fits) builds an EmpiricalCircleMeasure from it; the density
-route scores its sorted halves with ``kernel_sums``, and the dimension
+route lays each kernel half out once (``CircleTurns``), screens and
+scores its queries on it, and the dimension
 fits pick their points by index into the sample, so no pick depends on
 the completion frame that labels the fiber circle.
 
@@ -55,9 +56,9 @@ from .errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
                      NoAcceptedReplicas)
 from .flagcore import (fiber_coordinates, fiber_map_derivative,
                        fiber_map_image)
-from .measures import (KDE_MIN_NEIGHBORS, EmpiricalCircleMeasure,
-                       kernel_sums, local_slopes, max_cluster_weight,
-                       neighbor_counts, wasserstein_circle)
+from .measures import (KDE_MIN_NEIGHBORS, CircleTurns,
+                       EmpiricalCircleMeasure, kernel_sums, local_slopes,
+                       max_cluster_weight, wasserstein_circle)
 
 ATOM_RESOLUTION = 1e-6
 ATOM_THRESHOLD = 0.5
@@ -94,8 +95,12 @@ def _atomic_gate(coords, context):
 
 def _pushed_coordinates(spec, pinned, pool, frame, i):
     """Fiber-i coordinates, in ``frame``, of ``pool`` pushed through the
-    pinned past ``pinned``: the conditional sample given that past."""
-    return fiber_coordinates(push_flags(pinned, pool, spec), frame, i)
+    pinned past ``pinned``: the conditional sample given that past.
+
+    Only the leading i columns are pushed: the coordinate reads column i,
+    and Gram-Schmidt never reads a later one.
+    """
+    return fiber_coordinates(push_flags(pinned, pool[..., :i], spec), frame, i)
 
 
 def _half_pin_diagnostic(spec, pinned, pool, frame, i, coords):
@@ -170,9 +175,11 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     and the ratio degenerates to one.
 
     A query is scored only where both halves hold at least
-    KDE_MIN_NEIGHBORS points within the bandwidth (``neighbor_counts``,
+    KDE_MIN_NEIGHBORS points within the bandwidth (``CircleTurns.counts``,
     the count of ``kernel_sums``), one pass per half over x_1 and the
-    held-out candidates.  Up to EVAL_POINTS held-out queries are drawn
+    held-out candidates, searched in sorted order and read back in draw
+    order.  Each half is laid out once for the screen and the scores.
+    Up to EVAL_POINTS held-out queries are drawn
     from the candidates that pass, in pool order; none is drawn when
     none passes.  x_1 is itself one more draw from the conditional, so a
     small fraction of realizations put it where the sample is too thin
@@ -216,11 +223,14 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
             diag = _half_pin_diagnostic(spec, pin1, pool1, frame1, i, coords1)
         pushed_all = fiber_map_image(trace.maps[r, -1], coords0)
-        # the kernel halves, sorted once for the two window searches
-        halves = (np.sort(pushed_all[::2]), np.sort(coords1[::2]))
+        halves = (CircleTurns.of(pushed_all[::2]),
+                  CircleTurns.of(coords1[::2]))
         candidates = np.concatenate([[x1], pushed_all[1::2]])
-        ok = np.minimum(*(neighbor_counts(half, candidates, bandwidth)
-                          for half in halves)) >= KDE_MIN_NEIGHBORS
+        # one sort of the candidates serves both halves' searches
+        order = np.argsort(candidates)
+        ok = np.empty(len(candidates), dtype=bool)
+        ok[order] = np.minimum(*(half.counts(candidates[order], bandwidth)
+                                 for half in halves)) >= KDE_MIN_NEIGHBORS
         if not ok[0]:
             skipped += 1
             continue

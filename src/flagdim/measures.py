@@ -5,8 +5,9 @@ code that counts arc masses builds an empirical measure from it, a
 sorted list of the coordinates, each of mass 1/n.  An arc-mass query is
 a pair of binary searches that counts the points on the arc, so
 dimension fits and cluster weights read exact counts over n, neither
-binned nor rounded.  Kernel sums and neighbor counts take the points
-themselves and visit only a sorted window around each query point.
+binned nor rounded.  Kernel sums and neighbor counts lay the points out
+sorted on three turns with their running sums (``CircleTurns``), so a
+query costs a few binary searches whatever its neighbor count.
 
 Local dimension is reported as a least-squares slope of log mass against
 log radius over a geometric radius grid; the liminf in the definition is
@@ -26,7 +27,6 @@ MASS_FLOOR_COUNT = 10   # minimum expected sample count per usable radius level
 MASS_CEILING = 0.9      # saturated balls carry no scaling information
 MIN_FIT_LEVELS = 4
 KDE_MIN_NEIGHBORS = 5
-KERNEL_PAIR_CHUNK = 1 << 15  # (query, point) pairs expanded at once, ~50 B each
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,27 +217,61 @@ def max_cluster_weight(m, eps):
     return float(_arc_masses(m, m.points, float(eps)).max())
 
 
-def _circle_windows(points, x, bandwidth):
-    """Sorted copies of the points on three turns and each query's window.
-
-    Returns (ext, source, q, lo, hi): ext holds the sorted points shifted
-    by -pi, 0 and pi, source[k] is the index in ``points`` of ext[k], q
-    the wrapped queries, and ext[lo:hi] the copies strictly within the
-    bandwidth of each query.  A window shorter than pi around a query in
-    [0, pi) meets each point at most once, and the distance to that copy
-    is the circle distance.
-    """
+def _checked_bandwidth(bandwidth):
     h = float(bandwidth)
     if not 0 < h < circle.HALF_TURN / 2:
         raise ValueError("bandwidth must lie in (0, pi/2)")
-    pts = circle.wrap(np.asarray(points, dtype=float))
-    order = np.argsort(pts, kind="stable")
-    ext = np.concatenate([pts[order] - circle.HALF_TURN, pts[order],
-                          pts[order] + circle.HALF_TURN])
-    q = circle.wrap(np.atleast_1d(np.asarray(x, dtype=float)))
-    lo = np.searchsorted(ext, q - h, side="right")
-    hi = np.searchsorted(ext, q + h, side="left")
-    return ext, np.tile(order, 3), q, lo, hi
+    return h
+
+
+@dataclass(frozen=True, eq=False)
+class CircleTurns:
+    """A circle sample sorted and laid out on three turns, with running sums.
+
+    ``ext`` holds the sorted points shifted by -pi, 0 and pi, and
+    ``run[k]`` is the sum of ``ext[:k]``.  A window shorter than pi around
+    a query in [0, pi) meets each point at most once, and the distance to
+    that copy is the circle distance, so binary searches at the window's
+    ends and at the query count the points on either side of it and read
+    their coordinate sums off ``run``.
+    """
+
+    ext: np.ndarray
+    run: np.ndarray
+
+    @staticmethod
+    def of(points):
+        pts = np.sort(circle.wrap(np.asarray(points, dtype=float)))
+        ext = np.concatenate([pts - circle.HALF_TURN, pts,
+                              pts + circle.HALF_TURN])
+        return CircleTurns(ext, np.concatenate([[0.0], np.cumsum(ext)]))
+
+    def __len__(self):
+        return len(self.ext) // 3
+
+    def counts(self, x, bandwidth):
+        """Number of points strictly within one bandwidth of each query.
+
+        The count of ``kernel_sums``, which both density routes gate on at
+        KDE_MIN_NEIGHBORS; sorted queries search fastest.
+        """
+        h = _checked_bandwidth(bandwidth)
+        q = circle.wrap(np.asarray(x, dtype=float))
+        return (np.searchsorted(self.ext, q + h, side="left")
+                - np.searchsorted(self.ext, q - h, side="right"))
+
+    def _window_sums(self, q, h):
+        """h^2 times the kernel sum, and the count, at each query q.
+
+        The n_L copies in (q - h, q] add (h - q) n_L + S_L, the n_R copies
+        in (q, q + h) add (h + q) n_R - S_R, where S is a coordinate sum.
+        """
+        lo = np.searchsorted(self.ext, q - h, side="right")
+        mid = np.searchsorted(self.ext, q, side="right")
+        hi = np.searchsorted(self.ext, q + h, side="left")
+        left, right = mid - lo, hi - mid
+        return ((h - q) * left + (self.run[mid] - self.run[lo])
+                + (h + q) * right - (self.run[hi] - self.run[mid]), hi - lo)
 
 
 def kernel_sums(points, x, bandwidth, labels=None, n_labels=1, exclude=None):
@@ -247,65 +281,45 @@ def kernel_sums(points, x, bandwidth, labels=None, n_labels=1, exclude=None):
     adds (1 - d/h) / h over the points labelled l at circle distance
     d < h from x[q], and counts[q, l] is how many such points there are.
     A single label is the default; ``exclude`` names, per query, the
-    index of one point to leave out (a leave-one-out density).  Only the
-    points in a sorted window around each query are visited, so the cost
-    grows with the neighbor count rather than with the sample size;
+    index of one point to leave out (a leave-one-out density).  Each
+    label's points are sorted on their own (``CircleTurns``), so a query
+    costs three binary searches per label whatever its neighbor count;
     per-label sums let a caller drop one label's points from a density
-    without recomputing it.
+    without recomputing it.  ``points`` may also be the CircleTurns of a
+    sample, built once by a caller that screens queries on it too; it
+    then carries one label and no index to exclude.
     """
-    h = float(bandwidth)
-    ext, source, q, lo, hi = _circle_windows(points, x, h)
-    lab = None if labels is None else np.asarray(labels)
-    left_out = None if exclude is None else np.asarray(exclude)
-    sums = np.zeros((len(q), n_labels))
-    counts = np.zeros((len(q), n_labels), dtype=int)
-    # queries go in chunks of about KERNEL_PAIR_CHUNK (query, point) pairs,
-    # which bounds the memory whatever the sample size and bandwidth
-    reach = np.concatenate([[0], np.cumsum(hi - lo)])
-    start = 0
-    while start < len(q):
-        stop = int(np.searchsorted(reach, reach[start] + KERNEL_PAIR_CHUNK,
-                                   side="right")) - 1
-        stop = max(stop, start + 1)
-        width = hi[start:stop] - lo[start:stop]
-        query = np.repeat(np.arange(stop - start), width)
-        first = np.cumsum(width) - width
-        pair = (np.arange(len(query))
-                - np.repeat(first - lo[start:stop], width))
-        point = source[pair]
-        # (1 - d/h)/h; rounding can put a window's edge a hair past h
-        kern = ext[pair]
-        kern -= q[start:stop][query]
-        np.abs(kern, out=kern)
-        kern *= -1.0 / h
-        kern += 1.0
-        np.maximum(kern, 0.0, out=kern)
-        kern /= h
-        keep = None
-        if left_out is not None:
-            keep = point != left_out[start:stop][query]
-            kern *= keep
-        bins = query * n_labels
-        if lab is not None:
-            bins += lab[point]
-        size = (stop - start) * n_labels
-        sums[start:stop] = np.bincount(
-            bins, weights=kern, minlength=size).reshape(-1, n_labels)
-        counts[start:stop] = np.bincount(
-            bins, weights=keep, minlength=size).reshape(-1, n_labels)
-        start = stop
-    return sums, counts
-
-
-def neighbor_counts(points, x, bandwidth):
-    """Number of ``points`` strictly within one bandwidth of each query.
-
-    The count of ``kernel_sums``, which both density routes gate on at
-    KDE_MIN_NEIGHBORS; two binary searches per query, so callers can
-    screen large candidate sets before committing to kernel evaluations.
-    """
-    _, _, _, lo, hi = _circle_windows(points, x, bandwidth)
-    return hi - lo
+    h = _checked_bandwidth(bandwidth)
+    q = circle.wrap(np.atleast_1d(np.asarray(x, dtype=float)))
+    if isinstance(points, CircleTurns):
+        if labels is not None or exclude is not None:
+            raise ValueError("labels and exclude index a vector of points")
+        tables = [points]
+    else:
+        pts = np.asarray(points, dtype=float)
+        lab = (np.zeros(len(pts), dtype=int) if labels is None
+               else np.asarray(labels))
+        sizes = np.bincount(lab, minlength=n_labels)
+        tables = [CircleTurns.of(part) for part in np.split(
+            pts[np.argsort(lab, kind="stable")], np.cumsum(sizes)[:-1])]
+    # one sort of the queries serves every label's searches
+    order = np.argsort(q)
+    scaled = np.empty((len(q), len(tables)))
+    counts = np.empty((len(q), len(tables)), dtype=int)
+    for label, table in enumerate(tables):
+        scaled[order, label], counts[order, label] = table._window_sums(
+            q[order], h)
+    if exclude is not None:
+        # the excluded point's copies as the tables lay them out; at most
+        # one lies inside the window, where the searches counted it
+        rows, cols = np.arange(len(q)), lab[exclude]
+        copies = (circle.wrap(pts[exclude])[:, None]
+                  + np.array([-circle.HALF_TURN, 0.0, circle.HALF_TURN]))
+        inside = ((copies > (q - h)[:, None]) & (copies < (q + h)[:, None]))
+        scaled[rows, cols] -= np.sum(
+            np.where(inside, h - np.abs(copies - q[:, None]), 0.0), axis=1)
+        counts[rows, cols] -= np.count_nonzero(inside, axis=1)
+    return scaled / (h * h), counts
 
 
 def wasserstein_circle(m1, m2):

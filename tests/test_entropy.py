@@ -115,11 +115,13 @@ def test_atomic_fiber_gate():
 
 
 @pytest.mark.parametrize("realizations", [3, 1])
-def test_conditional_fiber_sample_streams(realizations):
+@pytest.mark.parametrize("i", [1, 2])
+def test_conditional_fiber_sample_streams(i, realizations):
     # one stack of pinned pasts on child(0), one per pool; realization r
     # reads the r-th pool, in pool order, and one realization runs the
-    # same stack alone
-    spec, i, burnin, tails = diag3eps(), 2, 200, 300
+    # same stack alone.  A fiber pushes only the columns it reads, bit for
+    # bit the pushed full flags
+    spec, burnin, tails = diag3eps(), 200, 300
     s = SeededSampler(44)
     pools = _pools(spec, tails, *[s.child(1)] * realizations)
     got = conditional_fiber_sample(spec, i, pools, s,

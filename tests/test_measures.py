@@ -5,10 +5,11 @@ from flagdim import circle, measures
 from flagdim.dynamics import stationary_flag_pool
 from flagdim.ensemble import SeededSampler, bern2
 from flagdim.errors import InsufficientMass
-from flagdim.measures import (MASS_FLOOR_COUNT, EmpiricalCircleMeasure,
-                              ball_mass, default_radius_grid, kernel_sums,
+from flagdim.measures import (MASS_FLOOR_COUNT, CircleTurns,
+                              EmpiricalCircleMeasure, ball_mass,
+                              default_radius_grid, kernel_sums,
                               local_dimension, max_cluster_weight,
-                              neighbor_counts, wasserstein_circle)
+                              wasserstein_circle)
 
 
 def uniform_measure(n, rng):
@@ -206,9 +207,9 @@ def test_kde_density_integrates_to_one(rng):
 
 
 def test_neighbor_counts_matches_gate(rng):
-    # both counts the density routes gate on are the points strictly
-    # within h, across the wrap: points on both sides of 0 = pi, queries
-    # at 0 and within h of pi
+    # both counts the density routes gate on, the screen's and the kernel
+    # sums', are the points strictly within h, across the wrap: points on
+    # both sides of 0 = pi, queries at 0 and within h of pi
     h = 0.05
     pts = np.concatenate([rng.uniform(0, np.pi, 500),
                           rng.uniform(0, h, 20),
@@ -216,9 +217,102 @@ def test_neighbor_counts_matches_gate(rng):
     xs = np.concatenate([[0.0, np.pi - 0.01, np.pi - 0.04],
                          rng.uniform(0, np.pi, 40)])
     want = [int(np.count_nonzero(circle.distance(pts, x) < h)) for x in xs]
-    assert np.array_equal(neighbor_counts(pts, xs, h), want)
+    assert np.array_equal(CircleTurns.of(pts).counts(xs, h), want)
     assert np.array_equal(kernel_sums(pts, xs, h)[1][:, 0], want)
+    assert np.array_equal(kernel_sums(CircleTurns.of(pts), xs, h)[1][:, 0],
+                          want)
     assert min(want[:3]) >= 20
+
+
+def kernel_reference(points, x, h, labels=None, n_labels=1, exclude=None):
+    """``kernel_sums`` by brute force: every (query, point) pair in turn."""
+    points = circle.wrap(np.asarray(points, dtype=float))
+    labels = np.zeros(len(points), dtype=int) if labels is None else labels
+    sums = np.zeros((len(x), n_labels))
+    counts = np.zeros((len(x), n_labels), dtype=int)
+    for j, q in enumerate(x):
+        for k, p in enumerate(points):
+            d = min(abs(p - q), np.pi - abs(p - q))
+            if d < h and (exclude is None or exclude[j] != k):
+                sums[j, labels[k]] += (1.0 - d / h) / h
+                counts[j, labels[k]] += 1
+    return sums, counts
+
+
+def _kernel_case(name, rng):
+    """(points, queries, bandwidth, keyword arguments) of a named case."""
+    h = 0.05
+    wrap = np.concatenate([rng.uniform(0, np.pi, 200),
+                           rng.uniform(0, h, 15),
+                           rng.uniform(np.pi - h, np.pi, 15)])
+    edge = np.array([0.0, np.pi - 0.01, np.pi - 0.04, np.pi - h / 2])
+    if name == "wrap":
+        return wrap, np.concatenate([edge, rng.uniform(0, np.pi, 30)]), h, {}
+    if name == "labels":
+        # 20 labels, label 7 empty; every query leaves a point out, most
+        # of them inside its window, some across the wrap
+        labels = rng.choice(np.delete(np.arange(20), 7), size=len(wrap))
+        exclude = rng.integers(0, len(wrap), 60)
+        xs = circle.wrap(wrap[exclude] + rng.uniform(-1.5 * h, 1.5 * h, 60))
+        return wrap, np.concatenate([edge, xs]), h, {
+            "labels": labels, "n_labels": 20,
+            "exclude": np.concatenate([[200, 215, 0, 229], exclude])}
+    if name == "cluster":
+        # 40 points within 1e-6 of 1, queries on it and at the window's edge
+        pts = np.concatenate([1.0 + rng.uniform(0, 1e-6, 40),
+                              rng.uniform(0, np.pi, 100)])
+        xs = 1.0 + np.array([0.0, 5e-7, -h + 4e-7, h + 6e-7, 2e-6, -0.02])
+        return pts, xs, h, {}
+    if name == "ties":
+        # points on a grid of step h: every window's ends fall on points,
+        # which lie at distance exactly h and are not counted
+        grid = np.arange(40) / 16
+        return np.concatenate([grid, rng.uniform(0, np.pi, 40)]), \
+            np.concatenate([grid[1:-1], grid[1:-1] + 1 / 32]), 1 / 16, {}
+    # a bandwidth near pi/2: the window all but covers the circle
+    return wrap, np.concatenate([edge, rng.uniform(0, np.pi, 20)]), \
+        np.pi / 2 - 1e-3, {}
+
+
+@pytest.mark.parametrize("case",
+                         ["wrap", "labels", "cluster", "ties", "wide"])
+def test_kernel_sums_match_brute_force(case, rng):
+    pts, xs, h, kw = _kernel_case(case, rng)
+    sums, counts = kernel_sums(pts, xs, h, **kw)
+    want_sums, want_counts = kernel_reference(pts, xs, h, **kw)
+    assert np.array_equal(counts, want_counts)
+    if "exclude" not in kw:
+        # the screen's count, with every label in one sample
+        assert np.array_equal(CircleTurns.of(pts).counts(xs, h),
+                              want_counts.sum(axis=1))
+    # a prefix-sum difference carries the rounding of the running sums, so
+    # a sum near zero (one neighbor at the window's edge) is held to the
+    # scale of the largest sum rather than to its own
+    assert np.allclose(sums, want_sums, rtol=1e-12,
+                       atol=1e-12 * want_sums.max())
+    if case == "labels":
+        assert not counts[:, 7].any() and not sums[:, 7].any()
+        # the excluded point was inside most windows
+        assert np.sum(circle.distance(pts[kw["exclude"]], xs) < h) > 40
+    if case == "cluster":
+        assert counts[0, 0] >= 40 and 0 < counts[2, 0] < counts[0, 0]
+
+
+def test_kernel_sums_check_the_bandwidth(rng):
+    pts = rng.uniform(0, np.pi, 10)
+    for h in (0.0, -0.1, np.pi / 2, 2.0):
+        with pytest.raises(ValueError, match="bandwidth"):
+            kernel_sums(pts, [0.5], h)
+        with pytest.raises(ValueError, match="bandwidth"):
+            CircleTurns.of(pts).counts([0.5], h)
+
+
+def test_laid_out_sample_takes_no_point_indices(rng):
+    # labels and exclude index a vector of points, not its sorted layout
+    turns = CircleTurns.of(rng.uniform(0, np.pi, 10))
+    for kw in ({"labels": np.zeros(10, dtype=int)}, {"exclude": [0]}):
+        with pytest.raises(ValueError, match="index a vector"):
+            kernel_sums(turns, [0.5], 0.1, **kw)
 
 
 def test_density_ratio_of_identical_measure(rng):
