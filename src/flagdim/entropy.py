@@ -58,7 +58,7 @@ from .flagcore import (fiber_coordinates, fiber_map_derivative,
                        fiber_map_image)
 from .measures import (KDE_MIN_NEIGHBORS, CircleTurns,
                        EmpiricalCircleMeasure, kernel_sums, local_slopes,
-                       max_cluster_weight, wasserstein_circle)
+                       max_cluster_weight, pool_mass, wasserstein_circle)
 
 ATOM_RESOLUTION = 1e-6
 ATOM_THRESHOLD = 0.5
@@ -265,12 +265,6 @@ def _isometric_fiber_action(trace):
     return np.max(logs, axis=1) < 1e-9
 
 
-def _pool_mass(coords, start, length):
-    """Share of ``coords`` on the closed arc from ``start`` running
-    ``length`` forward: ``EmpiricalCircleMeasure.arc_mass`` with no sort."""
-    return np.count_nonzero(circle.wrap(coords - start) <= length) / len(coords)
-
-
 def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
                              replicas=100, realization_burnin=1000,
                              lookahead=600):
@@ -279,7 +273,7 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
     kappa_r = (log mass_{-n}(I_{-n}) - log mass_0(J_n)) / n over replicas
     whose interval carries at least half the pool mass at time -n.  A mass
     is the share of a pool's flags whose fiber coordinate, read in the
-    replica's frame, lies on the arc (``_pool_mass``; no pool is sorted).
+    replica's frame, lies on the arc (``pool_mass``; no pool is sorted).
     The masses at the two times use independent tail pools (a shared pool
     would make the two masses equal by construction).  Replicas whose
     image interval captures no tail sample are dropped and reported; when
@@ -343,13 +337,13 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
         coords_minus = fiber_coordinates(pool_a, trace.frames[r, 0], i)
         if j == 0:
             _atomic_gate(coords_minus, f"{spec.name} fiber {i}")
-        mass_i = _pool_mass(coords_minus, x[r] + lo[j], hi[j] - lo[j])
+        mass_i = pool_mass(coords_minus, x[r] + lo[j], hi[j] - lo[j])
         if mass_i < 0.5:
             rejected += 1
             continue
-        mass_j = _pool_mass(fiber_coordinates(pool_b, trace.frames[r, n], i),
-                            images.anchor[j] + images.lo[j],
-                            images.hi[j] - images.lo[j])
+        mass_j = pool_mass(fiber_coordinates(pool_b, trace.frames[r, n], i),
+                           images.anchor[j] + images.lo[j],
+                           images.hi[j] - images.lo[j])
         if mass_j == 0:
             zero_mass += 1
             continue

@@ -146,6 +146,8 @@ class ExperimentConfig:
                 f"({', '.join(sorted(BENCHMARKS))}) nor a spec file")
         if self.seed is None:
             problems.append("seed is mandatory (there is no clock default)")
+        elif int(self.seed) < 0:
+            problems.append("seed must be nonnegative")
         for name in ("spectrum_steps", "burnin", "interval_n", "replicas",
                      "tail_replicas"):
             if int(getattr(self, name)) <= 0:
@@ -484,9 +486,9 @@ def _ball_curves(i, sample, centers):
     idx = centers.rng.choice(len(sample),
                              size=min(BALL_CURVE_POINTS, len(sample)),
                              replace=False)
-    measure = EmpiricalCircleMeasure.from_samples(sample)
-    return [(i, p, grid, ball_mass(measure, sample[k], grid))
-            for p, k in enumerate(idx)]
+    masses = ball_mass(EmpiricalCircleMeasure.from_samples(sample),
+                       sample[idx], grid)
+    return [(i, p, grid, curve) for p, curve in enumerate(masses)]
 
 
 def _dimension_legs(cfg, spec, spectrum, kappa, sampler, refusals):

@@ -2,12 +2,15 @@
 
 A fiber sample is an array of coordinates in [0, pi) in draw order; only
 code that counts arc masses builds an empirical measure from it, a
-sorted list of the coordinates, each of mass 1/n.  An arc-mass query is
-a pair of binary searches that counts the points on the arc, so
-dimension fits and cluster weights read exact counts over n, neither
-binned nor rounded.  Kernel sums and neighbor counts lay the points out
-sorted on three turns with their running sums (``CircleTurns``), so a
-query costs a few binary searches whatever its neighbor count.
+sorted list of the coordinates, each of mass 1/n.  Every mass is a count
+over n, neither binned nor rounded, by one rule (``arc_mass``): the
+closed arc from lo = wrap(start) to hi = lo + length holds the points
+with lo <= p <= hi plus those with p <= hi - pi, and an arc of length pi
+or more holds them all.  No branch splits a wrapping arc: hi - pi counts
+nothing below pi and is exact from pi to 2 pi (Sterbenz's lemma).  Kernel
+sums and neighbor counts lay the points out sorted on three turns with
+their running sums (``CircleTurns``), so a query costs a few binary
+searches whatever its neighbor count.
 
 Local dimension is reported as a least-squares slope of log mass against
 log radius over a geometric radius grid; the liminf in the definition is
@@ -50,45 +53,48 @@ class EmpiricalCircleMeasure:
     def __len__(self):
         return len(self.points)
 
-    def _segment_count(self, lo, hi):
-        """Count of points on the closed segment [lo, hi] inside [0, pi)."""
-        a = np.searchsorted(self.points, lo, side="left")
-        b = np.searchsorted(self.points, hi, side="right")
-        return b - a
-
     def arc_mass(self, start, length):
-        """Mass of the closed arc from ``start`` running ``length`` forward."""
-        if length >= circle.HALF_TURN:
-            return 1.0
-        lo = float(circle.wrap(start))
-        hi = lo + float(length)
-        count = (self._segment_count(lo, hi) if hi < circle.HALF_TURN else
-                 self._segment_count(lo, np.nextafter(circle.HALF_TURN, np.inf))
-                 + self._segment_count(0.0, hi - circle.HALF_TURN))
-        return int(count) / len(self.points)
+        """Mass of the closed arc from ``start`` running ``length`` forward.
 
-    def cdf(self, t):
-        """Mass of [0, t]; staircase in t."""
-        return np.searchsorted(self.points, t, side="right") / len(self.points)
+        Broadcasts over starts and lengths.  The one closed-arc count:
+        with lo = wrap(start) and hi = lo + length, the points in
+        [lo, hi] plus the points in [0, hi - pi], and every point for a
+        length of pi or more.  hi - pi is negative for an arc that stays
+        below pi and exact for one that passes it (hi lies in [pi, 2 pi),
+        Sterbenz's lemma), so no branch splits a wrapping arc.
+        """
+        pts = self.points
+        lo = circle.wrap(start)
+        hi = lo + length
+        count = (np.searchsorted(pts, hi, side="right")
+                 - np.searchsorted(pts, lo, side="left")
+                 + np.searchsorted(pts, hi - circle.HALF_TURN, side="right"))
+        return np.where(length >= circle.HALF_TURN, len(pts), count) / len(pts)
+
+
+def pool_mass(coords, start, length):
+    """``EmpiricalCircleMeasure(coords).arc_mass(start, length)`` for one
+    arc, counted over unsorted coordinates in [0, pi) with the same
+    comparisons, so a pool is never sorted."""
+    if length >= circle.HALF_TURN:
+        return 1.0
+    lo = circle.wrap(start)
+    hi = lo + length
+    count = (np.count_nonzero((lo <= coords) & (coords <= hi))
+             + np.count_nonzero(coords <= hi - circle.HALF_TURN))
+    return count / len(coords)
 
 
 def ball_mass(m, x, r):
     """Mass of the closed ball of radius r around x; monotone in r.
 
-    ``r`` may be an array; balls of radius >= pi/2 cover the circle.
+    Broadcasts to shape x.shape + r.shape; balls of radius >= pi/2 cover
+    the circle.
     """
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    out = np.empty(len(r))
-    for k, rk in enumerate(r):
-        if rk >= circle.HALF_TURN / 2:
-            out[k] = 1.0
-        else:
-            out[k] = m.arc_mass(float(x) - rk, 2.0 * rk)
-    return float(out[0]) if scalar else out
+    return m.arc_mass(np.subtract.outer(x, r), 2.0 * r)
 
 
 def default_radius_grid():
@@ -156,15 +162,15 @@ def local_dimension(m, x, r_grid=None):
 def local_slopes(m, x):
     """``local_dimension``'s slope at every point of ``x``, on the default grid.
 
-    One pass over the (point x radius) grid reads every ball mass
-    (``_ball_masses``, equal to ``ball_mass``).  Each point keeps the
-    levels ``local_dimension`` keeps and gets the closed-form
-    least-squares slope of log mass against log radius over them; a point
-    whose every ball holds the same near-total mass gets slope 0, and a
-    point where ``local_dimension`` raises InsufficientMass gets NaN.
+    One ``ball_mass`` call reads the whole (point x radius) grid.  Each
+    point keeps the levels ``local_dimension`` keeps and gets the
+    closed-form least-squares slope of log mass against log radius over
+    them; a point whose every ball holds the same near-total mass gets
+    slope 0, and a point where ``local_dimension`` raises InsufficientMass
+    gets NaN.
     """
     r = default_radius_grid()
-    masses = _ball_masses(m, x, r)
+    masses = ball_mass(m, x, r)
     keep = (masses > MASS_FLOOR_COUNT / len(m)) & (masses <= MASS_CEILING)
     levels = keep.sum(axis=1)
     slopes = np.full(len(masses), np.nan)
@@ -181,40 +187,13 @@ def local_slopes(m, x):
     return slopes
 
 
-def _ball_masses(m, x, r):
-    """``ball_mass`` of m at every point of x (P,) and radius of r (L,), (P, L).
-
-    Every radius must lie under pi/2, so no ball covers the circle.
-    """
-    r = np.asarray(r, dtype=float)
-    return _arc_masses(m, np.asarray(x, dtype=float)[:, None] - r, 2.0 * r)
-
-
-def _arc_masses(m, start, length):
-    """``m.arc_mass`` over broadcast arrays of starts and lengths under pi.
-
-    The same closed-arc and wrap rules: a wrapped start, and an arc that
-    reaches pi split into two closed segments whose counts add.
-    """
-    lo = circle.wrap(start)
-    hi = lo + length
-    wraps = hi >= circle.HALF_TURN
-    end = np.where(wraps, np.nextafter(circle.HALF_TURN, np.inf), hi)
-    count = m._segment_count(lo, end)
-    count[wraps] += m._segment_count(0.0, hi[wraps] - circle.HALF_TURN)
-    return count / len(m)
-
-
 def max_cluster_weight(m, eps):
     """Largest mass carried by any closed arc of length eps.
 
     For an empirical measure the supremum over arcs is attained by an arc
     whose left endpoint is a sample point, so the sweep is exact.
     """
-    if eps >= circle.HALF_TURN:
-        return 1.0
-    # arc_mass at every sample point at once
-    return float(_arc_masses(m, m.points, float(eps)).max())
+    return float(m.arc_mass(m.points, eps).max())
 
 
 def _checked_bandwidth(bandwidth):
@@ -331,7 +310,7 @@ def wasserstein_circle(m1, m2):
     """
     grid = np.union1d(m1.points, m2.points)
     seg = np.diff(np.concatenate([grid, [grid[0] + circle.HALF_TURN]]))
-    d = m1.cdf(grid) - m2.cdf(grid)
+    d = m1.arc_mass(0.0, grid) - m2.arc_mass(0.0, grid)
     order = np.argsort(d, kind="stable")
     csum = np.cumsum(seg[order])
     k = min(int(np.searchsorted(csum, csum[-1] / 2.0)), len(grid) - 1)

@@ -35,6 +35,15 @@ def test_missing_seed_exits_one(clean_env, tmp_path):
     assert "seed is mandatory" in row[2]
 
 
+def test_negative_seed_exits_one(clean_env, tmp_path):
+    # refused with the config, not by the seed sequence's ValueError
+    assert cli.main(["spectrum", "--ensemble", "bern2", "--seed", "-1",
+                     "--out", str(tmp_path), "--no-figures"]) == 1
+    _, row = error_rows(tmp_path)
+    assert row[:2] == ["1", "ConfigError"]
+    assert "seed must be nonnegative" in row[2]
+
+
 @pytest.mark.parametrize("name, value, message", [
     ("BANDWIDTH", "2", "bandwidth must lie in (0, pi/2)"),
     ("ORBIT_SAMPLES", "1", "orbit_samples must lie between 2 and tail_replicas"),

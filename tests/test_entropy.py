@@ -296,15 +296,21 @@ def test_interval_estimator_gates_on_first_surviving_replica(monkeypatch):
 
 def test_interval_pool_mass_matches_arc_mass(rng):
     # the interval route counts its pools unsorted; arcs of every length
-    # from starts on both sides of the circle, wrapping ones included
+    # from starts on both sides of the circle, wrapping ones included, and
+    # arcs from one sample point to another, whose ends sit on points
     coords = rng.uniform(0, np.pi, 3000)
     m = EmpiricalCircleMeasure.from_samples(coords)
-    starts = rng.uniform(-np.pi, 2 * np.pi, 200)
-    lengths = rng.uniform(0, 1.2 * np.pi, 200)
-    assert np.count_nonzero(circle.wrap(starts) + lengths >= np.pi) > 50
-    for start, length in zip(starts, lengths):
-        assert entropy._pool_mass(coords, start, length) \
-            == m.arc_mass(start, length)
+    ends = rng.choice(coords, size=(2, 3000))
+    starts = np.concatenate([rng.uniform(-np.pi, 2 * np.pi, 200), ends[0]])
+    lengths = np.concatenate([rng.uniform(0, 1.2 * np.pi, 200),
+                              circle.wrap(ends[1] - ends[0])])
+    assert np.count_nonzero(circle.wrap(starts) + lengths >= np.pi) > 1000
+    on_points = np.isin(circle.wrap(starts) + lengths,
+                        np.concatenate([coords, coords + np.pi]))
+    assert np.count_nonzero(on_points) > 1000
+    masses = m.arc_mass(starts, lengths)
+    for start, length, mass in zip(starts, lengths, masses):
+        assert measures.pool_mass(coords, start, length) == mass
 
 
 def test_interval_estimator_refuses_an_estimate_from_one_replica():
@@ -439,7 +445,7 @@ def test_batched_slope_fits_match_local_dimension():
     for m, x in ((stationary, stationary.points[rng.choice(n, 200, replace=False)]),
                  (stationary, near_ends),
                  (atom, atom.points[945:]), (small, small.points)):
-        masses = measures._ball_masses(m, x, grid)
+        masses = ball_mass(m, x, grid)
         slopes = local_slopes(m, x)
         for p, point in enumerate(x):
             assert np.array_equal(masses[p], ball_mass(m, point, grid))

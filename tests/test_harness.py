@@ -166,7 +166,7 @@ def test_ball_curves_read_the_reports_first_measure(ensemble, monkeypatch,
     assert len(curves) == harness.BALL_CURVE_POINTS * len(fitted)
     for (i, _), mass in curves.items():
         m = fitted[i]
-        at_points = measures._ball_masses(m, m.points, grid)
+        at_points = measures.ball_mass(m, m.points, grid)
         assert np.all(at_points == mass, axis=1).any()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flagdim import circle, measures
+from flagdim import circle
 from flagdim.dynamics import stationary_flag_pool
 from flagdim.ensemble import SeededSampler, bern2
 from flagdim.errors import InsufficientMass
@@ -48,7 +48,7 @@ def test_arc_holding_the_floor_count_reads_it_exactly(rng):
     assert np.count_nonzero(circle.wrap(start) + length >= np.pi) >= k
     masses = [m.arc_mass(a, b) for a, b in zip(start, length)]
     assert np.all(np.array(masses) == k / n)
-    assert np.all(measures._arc_masses(m, start, length) == k / n)
+    assert np.all(m.arc_mass(start, length) == k / n)
 
 
 def test_arc_mass_closed_and_wrapping():
@@ -62,6 +62,15 @@ def test_arc_mass_closed_and_wrapping():
 def test_ball_mass_trivials(rng):
     m = uniform_measure(500, rng)
     assert ball_mass(m, 1.0, np.pi / 2) == 1.0
+    # a (points x radii) batch reads the per-point masses, and a ball of
+    # radius pi/2 inside it covers the circle
+    x = np.concatenate([m.points[:3], rng.uniform(0, np.pi, 4)])
+    radii = np.array([0.0, 0.01, 0.3, np.pi / 2, 1.2])
+    batch = ball_mass(m, x, radii)
+    assert batch.shape == (len(x), len(radii))
+    for p, point in enumerate(x):
+        assert np.array_equal(batch[p], ball_mass(m, point, radii))
+    assert np.all(batch[:, 3] == 1.0)
     atom = EmpiricalCircleMeasure.from_samples(np.array([0.4, 0.9]))
     # closed balls: an atom at exactly distance r is inside
     assert ball_mass(atom, 0.4, 0.5) == 1.0
@@ -199,14 +208,14 @@ def kde(points, x, bandwidth):
     return kernel_sums(points, x, bandwidth)[0][:, 0] / len(points)
 
 
-def test_kde_density_integrates_to_one(rng):
+def test_kernel_density_integrates_to_one(rng):
     pts = rng.uniform(0, np.pi, 2000)
     grid = np.linspace(0, np.pi, 2048, endpoint=False)
     vals = kde(pts, grid, 0.3)
     assert np.mean(vals) * np.pi == pytest.approx(1.0, abs=1e-3)
 
 
-def test_neighbor_counts_matches_gate(rng):
+def test_window_counts_match_the_gate(rng):
     # both counts the density routes gate on, the screen's and the kernel
     # sums', are the points strictly within h, across the wrap: points on
     # both sides of 0 = pi, queries at 0 and within h of pi
@@ -374,10 +383,11 @@ def test_wasserstein_rotation_of_grid():
 
 def uniform_cdf_distance(m):
     """Sup distance between the CDF of m and the uniform CDF on [0, pi),
-    read off ``m.cdf`` on both sides of each atom."""
+    read off the mass of [0, t] on both sides of each atom t."""
     t = m.points
-    above = np.abs(m.cdf(t) - t / circle.HALF_TURN)
-    below = np.abs((m.cdf(t) - 1 / len(m)) - t / circle.HALF_TURN)
+    cdf = m.arc_mass(0.0, t)
+    above = np.abs(cdf - t / circle.HALF_TURN)
+    below = np.abs((cdf - 1 / len(m)) - t / circle.HALF_TURN)
     return float(max(above.max(), below.max()))
 
 
