@@ -49,11 +49,10 @@ fiber maps (R, T, 2, 2) and the fiber coordinates (R, T+1).  A trace
 keeps every flag of its window, so it cannot skip the times inside a
 fold: it forms each fold's prefix products and orthonormalizes them, all
 the fold's times at once, in one QR call per fold of the spec's width.
-The stable-line pass and the interval pushes then run over every replica
-at once, with each step's inverse, determinant and condition number
-formed for many steps in one vectorized pass before their loops;
-per-step Flag, PartialFlag and CircleMap objects are built only on
-demand, for checking one step.
+The stable-line pass folds the same way backward: each fold's suffix
+products of inverses, for every replica at once, and one renormalization
+per fold.  Per-step Flag, PartialFlag and CircleMap objects are built
+only on demand, for checking one step.
 A d = 2 sample of the stationary measure needs nothing but the
 line of each flag: ``stationary_lines`` runs leading columns (R, 2, 1)
 from e_1 through ``evolve_flags`` and reads their angles after a burn-in
@@ -61,12 +60,19 @@ and again every THINNING steps, off independent replicas rather than one
 orbit: on bern2, cos 4 theta has autocorrelation -0.64 at lag 5 along
 one orbit, so the points of one thinned orbit sample nu poorly.
 
-Composed circle maps are never formed as long matrix products in the
-interval pushes.  Intervals are carried as an anchor plus two signed
-offsets and pushed one step at a time through each map's closed-form
-offset formula, both ends in one pass, so lengths that decay like
-e^(-gap n) stay fully resolved long after the endpoints' absolute
-coordinates have collapsed onto one double.
+Intervals are carried as an anchor plus two signed offsets, never as
+absolute endpoints.  A map B at the anchor u acts on an offset delta
+through its offset map: (sin delta, cos delta) goes, up to a positive
+factor, to N (sin delta, cos delta) with N = [[det B, 0], [<Bu, Bu_perp>,
+|Bu|^2]] / |Bu|^2, read off by one atan2 in the frame of Bu.  Offset maps
+are lower triangular with unit corner, so the maps along an orbit
+compose by two multiply-adds per step into one [[D, 0], [G, 1]], whose D
+is the product of the steps' derivatives at the anchors.  Lengths that
+decay like e^(-gap n) thus stay fully resolved long after the endpoints'
+absolute coordinates have collapsed onto one double.  The image cross
+product is det B sin delta, so the atan2 is exact for every |delta| < pi
+and no offset is cut into pieces.  ``CircleMap.map_offset`` keeps its
+per-map pieces, as an independent check of one step.
 """
 
 import weakref
@@ -79,8 +85,7 @@ from .ensemble import _atom_counts, sample_batch
 from .errors import (DegenerateBasis, DegenerateFiberPair, GapTooSmall,
                      IntervalWrap)
 from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
-                       completion_frames, det2, fiber_coordinates,
-                       fiber_map_image)
+                       completion_frames, det2, fiber_coordinates)
 
 # Cap on the condition number of a product folded before one QR step:
 # its rounding and the Gram-Schmidt loss of orthogonality grow like
@@ -100,7 +105,6 @@ DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interva
 DECAY_STABLE_TOL = 1e-2   # stable-line resolution a decay replica must reach
 INTERVAL_STABLE_TOL = 0.05  # ... and one an interval-route replica must reach
 _TIME_BLOCK = 128         # times per block when a trace derives its frames
-PIECE_BLOCK = 8           # arc offset pieces pushed through a map at once
 THINNING = 5              # d = 2 stationary sample: steps between reads
 
 
@@ -446,19 +450,6 @@ def _max_deviation(frames):
     return np.max(np.abs(gram, out=gram), initial=0.0)
 
 
-def _cond2(b):
-    """Condition numbers of a stack of 2x2 matrices, in closed form.
-
-    With f = |B|_F^2 and D = |det B| the squared singular values are
-    (f +- sqrt(f^2 - 4 D^2)) / 2, so cond = (f + sqrt(f^2 - 4 D^2)) / 2D.
-    """
-    f = np.sum(b * b, axis=(-2, -1))
-    det = np.abs(det2(b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = np.sqrt(np.maximum((f - 2 * det) * (f + 2 * det), 0.0))
-        return (f + disc) / (2 * det)
-
-
 def circle_map_between(a_entries, src, dst):
     """CircleMap of a matrix between two already-built partial flags."""
     su, sw = src.frame
@@ -476,10 +467,13 @@ class OrbitTrace:
     matrices[r, k] maps it to bases[r, k+1]; frames[r, k] holds the
     completion frame (u, w) of its fiber plane as columns; maps[r, k] is
     the induced fiber map between consecutive frames; x[r, k] is the fiber
-    coordinate of the flag's own i-dimensional subspace.
+    coordinate of the flag's own i-dimensional subspace.  fold_width is
+    the spec's ``fold_width``: the steps whose product keeps its condition
+    number under FOLD_COND_CAP, which the stable-line pass folds too.
     """
 
     fiber_index: int
+    fold_width: int
     times: np.ndarray      # (T+1,)
     matrices: np.ndarray   # (R, T, d, d)
     bases: np.ndarray      # (R, T+1, d, d)
@@ -559,7 +553,8 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
     # time-major blocks, read replica-major: each step's stack stays contiguous
     mats = np.concatenate([np.empty((0, len(start), d, d)), *draw_blocks(
         spec, sampler, len(start), n_steps)]).swapaxes(0, 1)
-    bases = _fold_trace(start, mats, fold_width(spec))
+    width = fold_width(spec)
+    bases = _fold_trace(start, mats, width)
     # frames and coordinates a block of times at a time, so temporaries
     # stay small next to the trace itself
     frames = np.empty((len(start), n_steps + 1, d, 2))
@@ -578,7 +573,8 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
     det = det2(maps)
     if not np.all(np.isfinite(det) & (det != 0.0)):
         raise DegenerateBasis("induced fiber map is singular")
-    return OrbitTrace(fiber_index=i, times=np.arange(t0, t0 + n_steps + 1),
+    return OrbitTrace(fiber_index=i, fold_width=width,
+                      times=np.arange(t0, t0 + n_steps + 1),
                       matrices=mats, bases=bases, frames=frames, maps=maps,
                       x=x)
 
@@ -597,6 +593,11 @@ def stationary_orbit(spec, fiber_index, n_steps, burnin, sampler, t_end=0,
                          fiber_index=fiber_index, t0=t_end - n_steps)
 
 
+def _unit_columns(pairs):
+    """A stack of 2x2 matrices with each column scaled to unit length."""
+    return pairs / np.sqrt(np.sum(pairs * pairs, axis=-2, keepdims=True))
+
+
 def stable_coordinates(trace, lookahead):
     """Stable-line coordinates on the window's prefix, with certificates.
 
@@ -607,10 +608,19 @@ def stable_coordinates(trace, lookahead):
     time only contracts further.  The anchor sits ``lookahead`` steps
     before the window's end, so the certifying event is a function of the
     maps after the anchor alone; callers that drop uncertified replicas
-    do not bias statistics collected before it.  The steps' inverses
-    (adjugate over determinant) are formed in one vectorized pass per
-    block of _TIME_BLOCK steps; the backward loop then steps every replica
-    back at once, one 2x2 product and one renormalization per step.
+    do not bias statistics collected before it.
+
+    The pass folds back from the window's end in folds of the trace's
+    ``fold_width``, as ``_fold_trace`` folds forward.  The steps' inverses
+    (adjugate over determinant) are turned in place into each fold's
+    suffix products, every fold and replica at once, in fold_width
+    iterations.  The pair is then carried from fold end to fold end, one
+    product and one renormalization per fold, and the pairs up to the
+    anchor are one product each with their fold's end.  A fold's product
+    keeps its condition number under FOLD_COND_CAP: a product of fiber
+    maps is a diagonal block of the triangular flag product, so its
+    singular values lie within that product's.  The pairs are thus the
+    stepwise ones up to rounding.
 
     Returns (times, y, resolution): y[r] holds replica r's coordinates at
     times[: anchor + 1] and resolution[r] its resolution at the anchor,
@@ -622,26 +632,32 @@ def stable_coordinates(trace, lookahead):
     anchor_k = n_maps - lookahead
     if anchor_k < 0:
         raise ValueError("window shorter than the requested lookahead")
-    pair = np.broadcast_to(np.eye(2), (count, 2, 2))
+    width = trace.fold_width
+    # suffix[:, k] = inverse_k ... inverse_{e-1}, e the end of k's fold;
+    # folds are counted back from the window's end, so read backward they
+    # are prefixes, formed as _fold_trace forms its own
+    suffix = np.empty(maps.shape)
+    suffix[..., 0, 0] = maps[..., 1, 1]
+    suffix[..., 0, 1] = -maps[..., 0, 1]
+    suffix[..., 1, 0] = -maps[..., 1, 0]
+    suffix[..., 1, 1] = maps[..., 0, 0]
+    suffix /= det2(maps)[..., None, None]
+    back = suffix[:, ::-1]
+    for w in range(1, width):
+        later = back[:, w::width]
+        later[...] = later @ back[:, w - 1::width][:, :later.shape[1]]
+    # ends[:, j] is the pair at n_maps - j * width, the end of fold j
+    folds = -(-n_maps // width)
+    ends = np.empty((count, max(folds, 1), 2, 2))
+    ends[:, 0] = np.eye(2)
+    for j in range(1, folds):
+        ends[:, j] = _unit_columns(suffix[:, n_maps - j * width] @ ends[:, j - 1])
     kept = np.empty((count, anchor_k + 1, 2, 2))
+    head = min(anchor_k + 1, n_maps)
+    kept[:, :head] = _unit_columns(
+        suffix[:, :head] @ ends[:, (n_maps - 1 - np.arange(head)) // width])
     if anchor_k == n_maps:
-        kept[:, anchor_k] = pair
-    # the inverses a block of steps at a time, time-major so that each
-    # step's stack is contiguous, and small next to the trace
-    for top in range(n_maps, 0, -_TIME_BLOCK):
-        bottom = max(top - _TIME_BLOCK, 0)
-        steps = maps[:, bottom:top].swapaxes(0, 1)
-        inverse = np.empty(steps.shape)
-        inverse[..., 0, 0] = steps[..., 1, 1]
-        inverse[..., 0, 1] = -steps[..., 0, 1]
-        inverse[..., 1, 0] = -steps[..., 1, 0]
-        inverse[..., 1, 1] = steps[..., 0, 0]
-        inverse /= det2(steps)[..., None, None]
-        for k in range(top - 1, bottom - 1, -1):
-            pair = inverse[k - bottom] @ pair
-            pair = pair / np.sqrt(np.sum(pair * pair, axis=-2, keepdims=True))
-            if k <= anchor_k:
-                kept[:, k] = pair
+        kept[:, anchor_k] = np.eye(2)
     angles = circle.wrap(np.arctan2(kept[..., 1, :], kept[..., 0, :]))
     resolution = circle.distance(angles[:, anchor_k, 0], angles[:, anchor_k, 1])
     return trace.times[: anchor_k + 1], angles[..., 0], resolution
@@ -703,58 +719,37 @@ def stationary_interval(trace, t, y):
     return Arc(anchor=x, lo=lo, hi=lo + (circle.HALF_TURN - rho))
 
 
-def _map_offsets(b, anchor, delta, det, cond):
-    """``CircleMap.map_offset`` over broadcast stacks of maps and offsets.
+def _offset_maps(b, cos, sin):
+    """Offset maps of 2x2 maps at unit anchors, broadcasting.
 
-    ``det`` and ``cond`` are the maps' determinants and condition numbers
-    (``det2`` and ``_cond2`` of ``b``).  The closed form is exact while the
-    image offset stays under pi/2, which holds when cond(B) |delta| < 1;
-    larger offsets are cut into ceil(cond(B) |delta|) + 1 pieces, as
-    map_offset cuts them.  An offset that needs fewer pieces than the
-    largest adds exact zeros for the rest, so each offset's image does not
-    depend on what it is stacked with.
+    ``b`` (..., 2, 2) acts in the completion frames and the anchor's unit
+    vector is u = (cos, sin).  Returns (d, g, Bu): the offset map N /
+    |Bu|^2 is [[d, 0], [g, 1]] with d = det B / |Bu|^2, the map's signed
+    derivative at the anchor, and g = <Bu, Bu_perp> / |Bu|^2.
     """
-    span = np.abs(delta) * cond
-    pieces = np.where(span < 1.0, 1.0, np.ceil(span) + 1.0)
-    sub = delta / pieces
-    c, s = np.cos(sub), np.sin(sub)
-    sdet = s * det
-    shape = np.broadcast(anchor, sub).shape
-    total = np.zeros(shape)
-    theta = np.broadcast_to(anchor, shape)
     b00, b01, b10, b11 = (b[..., j, k] for j in (0, 1) for k in (0, 1))
-    count = int(np.max(pieces, initial=1.0))
-    # up to PIECE_BLOCK pieces at once: their start angles by a running
-    # sum, the same additions one piece at a time would make
-    for first in range(0, count, PIECE_BLOCK):
-        m = np.arange(first, min(first + PIECE_BLOCK, count))
-        thetas = np.empty((len(m),) + shape)
-        thetas[0] = theta
-        thetas[1:] = sub
-        np.cumsum(thetas, axis=0, out=thetas)
-        # B u and B u_perp for u = (cos theta, sin theta), u_perp = (-sin, cos)
-        cos, sin = np.cos(thetas), np.sin(thetas)
-        p, q = b00 * cos + b01 * sin, b10 * cos + b11 * sin
-        pp, qp = b01 * cos - b00 * sin, b11 * cos - b10 * sin
-        terms = np.arctan2(sdet, c * (p * p + q * q) + s * (p * pp + q * qp))
-        terms = np.where(m.reshape((-1,) + (1,) * len(shape)) < pieces, terms, 0.0)
-        for term in terms:
-            total = total + term
-        theta = thetas[-1] + sub
-    return total
+    x, y = b00 * cos + b01 * sin, b10 * cos + b11 * sin
+    # B u_perp for u_perp = (-sin, cos)
+    xp, yp = b01 * cos - b00 * sin, b11 * cos - b10 * sin
+    norm2 = x * x + y * y
+    return det2(b) / norm2, (x * xp + y * yp) / norm2, (x, y)
 
 
-def _push(b, anchor, lo, hi, det, cond):
-    """Image of the arcs (anchor, lo, hi) under b; both ends in one pass."""
-    d1, d2 = _map_offsets(b, anchor, np.stack([lo, hi]), det, cond)
-    return Arc(anchor=fiber_map_image(b, anchor), lo=np.minimum(d1, d2),
-               hi=np.maximum(d1, d2))
+def _image_arc(bu, d, g, lo, hi):
+    """The arc anchored at the angle of bu = (x, y) whose offsets are the
+    images of lo and hi under the offset map [[d, 0], [g, 1]]: each is
+    atan2(d sin delta, g sin delta + cos delta), exact for |delta| < pi."""
+    ends = np.stack([lo, hi])
+    sin = np.sin(ends)
+    ends = np.arctan2(d * sin, g * sin + np.cos(ends))
+    return Arc(anchor=circle.wrap(np.arctan2(bu[1], bu[0])),
+               lo=np.minimum(*ends), hi=np.maximum(*ends))
 
 
 def push_arc(cmap, arc):
     """Image of an arc under one circle map, anchored offsets throughout."""
-    b = cmap.matrix
-    return _push(b, arc.anchor, arc.lo, arc.hi, det2(b), _cond2(b))
+    d, g, bu = _offset_maps(cmap.matrix, np.cos(arc.anchor), np.sin(arc.anchor))
+    return _image_arc(bu, d, g, arc.lo, arc.hi)
 
 
 def pull_forward(trace, arc, t):
@@ -762,27 +757,43 @@ def pull_forward(trace, arc, t):
 
     ``arc`` holds one arc per replica for one time ``t``, or per replica
     and time for a sequence of times.  Each arc is pushed through its own
-    replica's maps T_t, ..., T_{-1}; all arcs advance together, each from
-    the step its time comes up, both ends in one ``_map_offsets`` pass per
-    step.  The window's determinants and condition numbers are computed
-    once, before the steps.  The anchor rides at x, so every image
-    contains x_0 by construction, and the Arc invariant is asserted at
-    every step.
+    replica's maps T_t, ..., T_{-1}.  Its anchor rides by its own images,
+    one normalized 2-vector step per map, all arcs at once; an arc whose
+    time has not come keeps its anchor.  Each step's offset map at its
+    anchor is then formed for every step in one vectorized pass, identity
+    before the arc's time, and the maps are composed per arc, last step
+    first: D <- D d_t and G <- G d_t + g_t.  Each end's image is one
+    atan2 of the composed map, exact for any offset under a half turn, so
+    every image contains its anchor by construction.
     """
     starts = np.array([trace.index(s) for s in np.ravel(t)])
     shape = np.shape(arc.anchor)
-    anchor, lo, hi = (np.array(np.broadcast_to(v, shape), dtype=float)
-                      .reshape(len(trace.maps), len(starts))
+    anchor, lo, hi = (np.broadcast_to(v, shape).reshape(len(trace.maps), len(starts))
                       for v in (arc.anchor, arc.lo, arc.hi))
-    det, cond = det2(trace.maps), _cond2(trace.maps)
-    for step in range(int(starts.min()), trace.index(0)):
-        live = starts <= step
-        pushed = _push(trace.maps[:, step, None], anchor[:, live],
-                       lo[:, live], hi[:, live], det[:, step, None],
-                       cond[:, step, None])
-        anchor[:, live], lo[:, live], hi[:, live] = pushed.anchor, pushed.lo, pushed.hi
-    return Arc(anchor=anchor.reshape(shape), lo=lo.reshape(shape),
-               hi=hi.reshape(shape))
+    first, end = int(starts.min()), trace.index(0)
+    maps = trace.maps[:, first:end, None]
+    live = starts <= np.arange(first, end)[:, None]
+    # every arc's anchor before each step: the step's map takes the anchor
+    # to (x, y), and the anchor of an arc whose time has come moves there
+    cos, sin = np.empty((2,) + maps.shape[:2] + anchor.shape[1:])
+    x, y = np.cos(anchor), np.sin(anchor)
+    b00, b01, b10, b11 = (maps[..., j, k] for j in (0, 1) for k in (0, 1))
+    for s in range(end - first):
+        cos[:, s], sin[:, s] = x, y
+        x = b00[:, s] * cos[:, s] + b01[:, s] * sin[:, s]
+        y = b10[:, s] * cos[:, s] + b11[:, s] * sin[:, s]
+        norm = np.hypot(x, y)
+        x = np.where(live[s], x / norm, cos[:, s])
+        y = np.where(live[s], y / norm, sin[:, s])
+    d, g, _ = _offset_maps(maps, cos, sin)
+    d, g = np.where(live, d, 1.0), np.where(live, g, 0.0)
+    big_d, big_g = np.ones(anchor.shape), np.zeros(anchor.shape)
+    for s in range(end - first - 1, -1, -1):
+        big_g = big_g * d[:, s] + g[:, s]
+        big_d = big_d * d[:, s]
+    image = _image_arc((x, y), big_d, big_g, lo, hi)
+    return Arc(anchor=image.anchor.reshape(shape), lo=image.lo.reshape(shape),
+               hi=image.hi.reshape(shape))
 
 
 def interval_pullforward(trace, n, y):

@@ -317,8 +317,11 @@ class CircleMap:
 
             atan2(sin(d) det B, cos(d) |Bv|^2 + sin(d) <Bv, B v_perp>)
 
-        is exact for |image offset| < pi/2; larger steps are subdivided,
-        with the worst-case expansion rate cond(B) bounding each piece.
+        is exact for any |d| < pi: the image of v + d has cross product
+        det B sin(d) with Bv, so its sign never leaves the atan2 branch.
+        This per-object reference still cuts d into pieces, with the
+        worst-case expansion rate cond(B) bounding each piece, so that it
+        checks the one-atan2 pushes of ``dynamics`` independently.
         """
         delta = float(delta)
         steps = int(np.ceil(abs(delta) * self._cond / 1.0)) + 1
