@@ -26,6 +26,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _thread_count(text):
+    """A --threads value: a whole number of threads, at least one."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _parser():
     p = _Parser(
         prog="flagdim",
@@ -49,7 +61,8 @@ def _parser():
         s.add_argument("--config", metavar="PATH", default=None)
         s.add_argument("--seed", metavar="U64", type=int, default=None)
         s.add_argument("--out", metavar="DIR", default=None)
-        s.add_argument("--threads", metavar="N", type=int, default=1)
+        s.add_argument("--threads", metavar="N", type=_thread_count,
+                       default=1)
         s.add_argument("--no-figures", action="store_true")
         s.add_argument("--ensemble", metavar="NAME", default=None)
         s.add_argument("--fiber", metavar="I", default=None)
@@ -93,8 +106,7 @@ def main(argv=None):
             for line in harness.ensemble_report(cfg).lines():
                 print(line)
             return 0
-        bundle = harness.run(cfg, args.command,
-                             threads=max(1, int(args.threads)))
+        bundle = harness.run(cfg, args.command, threads=args.threads)
         emit_outputs(bundle, cfg.out_dir)
         for line in bundle.summary_lines():
             print(line)

@@ -390,7 +390,14 @@ def furstenberg_entropy_d2(spec, sampler, tail_replicas=10_000,
     ratio of two kernel densities, a_* nu from the images of the other
     replicas and nu from the other replicas themselves, so no query is
     scored against a kernel it helped build; kappa is the mean over the
-    matrices of their blocks' mean log ratios.  Queries with fewer than
+    matrices of their blocks' mean log ratios.  One kernel pass reads nu
+    at every block's images.  Draws of one matrix (equal bit for bit, as
+    a finite-support ensemble repeats its atoms) share one pushed sample
+    a_* nu and one kernel pass over all their blocks, so a finite-support
+    ensemble pushes the sample once per atom drawn and a Haar ensemble
+    once per draw; each query's sums are its own (``kernel_sums``), and
+    the blocks are reduced in matrix order, so the grouping moves no
+    value.  Queries with fewer than
     KDE_MIN_NEIGHBORS kernel neighbors under either density (also with
     any jackknife group left out) are dropped and counted; when more than
     a tenth drop, the bandwidth undersamples nu and BandwidthTooSmall is
@@ -431,34 +438,47 @@ def furstenberg_entropy_d2(spec, sampler, tail_replicas=10_000,
     # of the counts, keep the fewest neighbors left with one group out
     ct = ct.sum(1) - ct.max(1)
     cuts = np.cumsum([len(rows) for rows in asked])[:-1]
+    st, ct = np.split(st, cuts), np.split(ct, cuts)
+    # draws of one matrix share one pushed sample a_* nu and one kernel
+    # pass over all their queries; keyed by bytes, a group's draws are
+    # equal bit for bit (np.unique would merge -0.0 with 0.0, and it
+    # imports numpy.ma on first use)
+    draws = {}
+    for r, a in enumerate(mats):
+        draws.setdefault(a.tobytes(), []).append(r)
     # per-matrix mean log ratios: with every replica, and with each
     # jackknife group's replicas left out of the kernel sums
-    owners = []
-    full = []
-    left_out = []
+    scores = {}
     queries = len(x)
     dropped = 0
-    for r, (a, rows, image, st_r, ct_r) in enumerate(zip(
-            mats, asked, images, np.split(st, cuts), np.split(ct, cuts))):
-        sp, cp = kernel_sums(fiber_map_image(a, x), image, h, labels=group,
-                             n_labels=n_groups, exclude=rows)
-        ok = np.minimum(cp.sum(1) - cp.max(1), ct_r) >= KDE_MIN_NEIGHBORS
-        dropped += int(np.count_nonzero(~ok))
-        if not ok.any():
-            continue
-        sp, st_r = sp[ok], st_r[ok]
-        tp, tt = sp.sum(1), st_r.sum(1)
-        owners.append(r % n_groups)
-        full.append(np.mean(np.log(tp) - np.log(tt)))
-        left_out.append(np.mean(np.log(tp[:, None] - sp)
-                                - np.log(tt[:, None] - st_r), axis=0))
+    for same in draws.values():
+        sp, cp = kernel_sums(
+            fiber_map_image(mats[same[0]], x),
+            np.concatenate([images[r] for r in same]), h, labels=group,
+            n_labels=n_groups, exclude=np.concatenate([asked[r] for r in same]))
+        cp = cp.sum(1) - cp.max(1)
+        split = np.cumsum([len(asked[r]) for r in same])[:-1]
+        for r, sp_r, cp_r in zip(same, np.split(sp, split),
+                                 np.split(cp, split)):
+            ok = np.minimum(cp_r, ct[r]) >= KDE_MIN_NEIGHBORS
+            dropped += int(np.count_nonzero(~ok))
+            if not ok.any():
+                continue
+            sp_r, st_r = sp_r[ok], st[r][ok]
+            tp, tt = sp_r.sum(1), st_r.sum(1)
+            scores[r] = (np.mean(np.log(tp) - np.log(tt)),
+                         np.mean(np.log(tp[:, None] - sp_r)
+                                 - np.log(tt[:, None] - st_r), axis=0))
     if dropped > 0.1 * queries:
         raise BandwidthTooSmall(
             f"{dropped} of {queries} queries have fewer than "
             f"{KDE_MIN_NEIGHBORS} of {tail_replicas} samples within "
             f"bandwidth {h:g}")
-    owners = np.array(owners)
-    left_out = np.array(left_out)
+    # reduced in matrix order, as the draws came
+    kept = sorted(scores)
+    owners = np.array([r % n_groups for r in kept])
+    full = [scores[r][0] for r in kept]
+    left_out = np.array([scores[r][1] for r in kept])
     # group g's estimate drops its own matrices and reads the others'
     # log ratios with its replicas out of the kernels
     jack = np.array([left_out[owners != g, g].mean()

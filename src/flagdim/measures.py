@@ -264,7 +264,11 @@ def kernel_sums(points, x, bandwidth, labels=None, n_labels=1, exclude=None):
     label's points are sorted on their own (``CircleTurns``), so a query
     costs three binary searches per label whatever its neighbor count;
     per-label sums let a caller drop one label's points from a density
-    without recomputing it.  ``points`` may also be the CircleTurns of a
+    without recomputing it.  Queries are independent: each row reads its
+    own searches and its own excluded point, so one call over
+    concatenated query blocks returns the per-block calls' rows bit for
+    bit, and a caller may batch queries against one sample.  ``points``
+    may also be the CircleTurns of a
     sample, built once by a caller that screens queries on it too; it
     then carries one label and no index to exclude.
     """

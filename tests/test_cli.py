@@ -105,7 +105,9 @@ def test_bad_fiber_flag_exits_one(clean_env, tmp_path):
 @pytest.mark.parametrize("args, message", [
     (["verify", "--bogus"], "unrecognized arguments: --bogus"),
     (["verify", "--threads", "x"], "argument --threads: invalid int value"),
-], ids=["unknown_flag", "bad_threads"])
+    (["verify", "--threads", "0"], "argument --threads: must be at least 1"),
+    (["verify", "--threads", "-1"], "argument --threads: must be at least 1"),
+], ids=["unknown_flag", "bad_threads", "zero_threads", "negative_threads"])
 def test_usage_error_exits_one_not_the_gate_code(clean_env, tmp_path, args,
                                                   message):
     # exit 2 means a gate refused; a typo is a configuration failure, and

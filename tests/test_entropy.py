@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from flagdim import circle, entropy, harness, measures
-from flagdim.ensemble import SeededSampler, bern2, diag3eps, finite_support, rot2
+from flagdim.ensemble import (SeededSampler, bern2, diag3eps, finite_support,
+                              iso2, rot2)
 from flagdim.entropy import (KappaEstimate, conditional_fiber_sample,
                              dimension_formula_report, furstenberg_entropy_d2,
                              kappa_density_estimator, kappa_interval_estimator)
@@ -16,6 +17,7 @@ from flagdim.measures import (EmpiricalCircleMeasure, ball_mass,
                               default_radius_grid, local_dimension,
                               local_slopes)
 
+from furstenberg_d2_reference import furstenberg_d2_reference
 from independence_reference import conditional_independence_diagnostic
 
 
@@ -241,6 +243,43 @@ def test_scaling_invariance():
                                 orbit_samples=20, bandwidth=0.06)
     assert a.kappa == pytest.approx(b.kappa, rel=1e-9, abs=1e-12)
     assert a.stderr == pytest.approx(b.stderr, rel=1e-9, abs=1e-12)
+
+
+def _three_atoms():
+    """bern2's two atoms and a third with its own stretch and turn."""
+    c, s = np.cos(2.0), np.sin(2.0)
+    third = np.array([[c, -s], [s, c]]) @ np.diag([np.exp(0.25),
+                                                   np.exp(-0.25)])
+    return finite_support("three2", [*bern2().params["atoms"], third],
+                          [0.4, 0.4, 0.2])
+
+
+@pytest.mark.parametrize("spec, size, passes", [
+    (bern2(), (2000, 40, 0.01), 3),       # 132 queries dropped
+    (bern2(), (1000, 500, 0.02), 3),      # two matrices drop every query
+    (iso2(), (800, 24, 0.05), 25),        # Haar draws are all distinct
+    (_three_atoms(), (2000, 40, 0.01), 4),
+], ids=["bern2", "bern2-empty-blocks", "iso2", "three-atoms"])
+def test_d2_route_equals_the_per_matrix_reference(spec, size, passes,
+                                                  monkeypatch):
+    # the route scores each distinct matrix with one pushed sample and
+    # one kernel pass; the per-matrix loop it replaced reads the same
+    # per-query sums and reduces in the same order, so nothing moves
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return measures.kernel_sums(*args, **kwargs)
+    monkeypatch.setattr(entropy, "kernel_sums", counted)
+    got = furstenberg_entropy_d2(spec, SeededSampler(7), *size)
+    want = furstenberg_d2_reference(spec, SeededSampler(7), *size)
+    assert got.kappa == want.kappa
+    assert got.stderr == want.stderr
+    assert got.diagnostics == want.diagnostics
+    # one pass for nu, then one per distinct matrix; each replica is
+    # queried once in each
+    assert len(calls) == passes
+    assert calls[0] == sum(calls[1:]) == size[0]
 
 
 def test_furstenberg_matches_density_route_d2():

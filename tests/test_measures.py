@@ -307,6 +307,35 @@ def test_kernel_sums_match_brute_force(case, rng):
         assert counts[0, 0] >= 40 and 0 < counts[2, 0] < counts[0, 0]
 
 
+def test_kernel_sums_score_each_query_on_its_own(rng):
+    # one call over concatenated query blocks equals one call per block
+    # bit for bit, labels and exclusions included, so a caller may batch
+    # queries: each reads its own binary searches and its own left-out point
+    pts, xs, h, kw = _kernel_case("labels", rng)
+    labels, exclude = kw["labels"], kw["exclude"]
+    # queries within one bandwidth of 0 and of pi, each leaving out its
+    # nearest point across the wrap (points 200-214 lie in [0, h), points
+    # 215-229 in [pi - h, pi)); the last repeats a query of the second
+    # block with another point left out
+    near = np.array([h / 3, 1e-9, np.pi - h / 3, np.pi - 1e-9, xs[10]])
+    across = [215 + np.argmin(circle.distance(pts[215:230], q))
+              for q in near[:2]]
+    across += [200 + np.argmin(circle.distance(pts[200:215], q))
+               for q in near[2:4]]
+    blocks = [(xs[:4], exclude[:4]), (xs[4:40], exclude[4:40]),
+              (xs[40:], exclude[40:]), (near, across + [3])]
+    parts = [kernel_sums(pts, q, h, labels=labels, n_labels=20, exclude=e)
+             for q, e in blocks]
+    sums, counts = kernel_sums(
+        pts, np.concatenate([q for q, _ in blocks]), h, labels=labels,
+        n_labels=20, exclude=np.concatenate([e for _, e in blocks]))
+    assert np.array_equal(sums, np.concatenate([s for s, _ in parts]))
+    assert np.array_equal(counts, np.concatenate([c for _, c in parts]))
+    left_out = pts[np.concatenate([e for _, e in blocks])]
+    inside = circle.distance(left_out, np.concatenate([q for q, _ in blocks]))
+    assert np.sum(inside < h) > 40 and np.all(inside[-5:-1] < h)
+
+
 def test_kernel_sums_check_the_bandwidth(rng):
     pts = rng.uniform(0, np.pi, 10)
     for h in (0.0, -0.1, np.pi / 2, 2.0):
