@@ -26,8 +26,8 @@ Two independent estimators must agree:
 A fiber sample is an array of coordinates in draw order.  Only code that
 counts arc masses (the atomic gate, the half-pin distance and the
 dimension fits) builds an EmpiricalCircleMeasure from it; the density
-route lays each kernel half out once (``CircleTurns``), screens and
-scores its queries on it, and the dimension
+route reads each kernel half once (``kernel_sums``) at every query it may
+score, gates and scores on those sums, and the dimension
 fits pick their points by index into the sample, so no pick depends on
 the completion frame that labels the fiber circle.
 
@@ -39,8 +39,8 @@ Pin length matters in both directions: too short and the reference fiber
 is not pinned down across tails, too long and the resampled coordinate
 collapses below the working resolution (the fiber synchronizes at rate
 gap_i, so gap_i * M should stay around one while the other gaps pin the
-base).  The defaults suit the benchmark ensembles; M is a parameter of
-every pinned estimator.
+base).  M is PIN_LENGTH steps, which suits the benchmark ensembles, and
+0 when d = 2.
 """
 
 from dataclasses import dataclass, field
@@ -56,9 +56,9 @@ from .errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
                      NoAcceptedReplicas)
 from .flagcore import (fiber_coordinates, fiber_map_derivative,
                        fiber_map_image)
-from .measures import (KDE_MIN_NEIGHBORS, CircleTurns,
-                       EmpiricalCircleMeasure, kernel_sums, local_slopes,
-                       max_cluster_weight, pool_mass, wasserstein_circle)
+from .measures import (KDE_MIN_NEIGHBORS, EmpiricalCircleMeasure,
+                       kernel_sums, local_slopes, max_cluster_weight,
+                       pool_mass, wasserstein_circle)
 
 ATOM_RESOLUTION = 1e-6
 ATOM_THRESHOLD = 0.5
@@ -67,18 +67,7 @@ TAIL_BURNIN = 300        # steps from the standard flag to a stationary tail fla
 EVAL_POINTS = 64         # held-out queries per orbit sample of the density route
 BASE_POINTS = 200        # dimension fits: sample points, shared by the samples
 SIGNIFICANCE = 2.0       # gap and kappa must exceed this many stderrs
-
-
-def _default_pin(spec, pin_length):
-    """Resolve a None pin length: 0 when the partial flag is trivial.
-
-    For d = 2 the partial flag carries no data, the disintegration is the
-    stationary measure itself, and a pin would condition the fiber on a
-    recent past the definition does not condition on.
-    """
-    if pin_length is not None:
-        return int(pin_length)
-    return 0 if spec.dim == 2 else 60
+PIN_LENGTH = 60          # d >= 3: pinned steps M of every realization
 
 
 def _atomic_gate(coords, context):
@@ -115,22 +104,22 @@ def _half_pin_diagnostic(spec, pinned, pool, frame, i, coords):
 
 
 def conditional_fiber_sample(spec, fiber_index, pools, sampler,
-                             pin_length=None, realization_burnin=1000):
+                             realization_burnin=1000):
     """Conditional fiber samples over pinned pasts, one array per pool.
 
     ``pools`` holds one pool of tail flags (full flags, samples of the
     stationary measure) per realization.  The ``len(pools)`` pinned pasts
     are one stack on one stream (``sampler.child(0)``): each burns in
     ``realization_burnin`` steps from the standard flag and then runs a
-    window of its ``pin_length`` pinned steps; the fiber frame at the
-    window's end is its reference.  Realization r reads the r-th pool:
-    the pool shares that pinned recent past, differs in the remote past,
-    and is read in the reference's fiber frame.  Returns one array of
-    fiber coordinates per realization, in pool order, so a pick by index
-    follows the draws rather than the frame.  ``pin_length=None`` is 0
-    when d = 2 and 60 otherwise (a trivial partial flag needs no pin).
+    window of its M pinned steps (PIN_LENGTH, and 0 when d = 2: a trivial
+    partial flag needs no pin); the fiber frame at the window's end is
+    its reference.  Realization r reads the r-th pool: the pool shares
+    that pinned recent past, differs in the remote past, and is read in
+    the reference's fiber frame.  Returns one array of fiber coordinates
+    per realization, in pool order, so a pick by index follows the draws
+    rather than the frame.
     """
-    pin_length = _default_pin(spec, pin_length)
+    pin_length = 0 if spec.dim == 2 else PIN_LENGTH
     # the burn-in before the pin approximates a stationary start
     trace = stationary_orbit(spec, fiber_index, pin_length, realization_burnin,
                              sampler.child(0), replicas=len(pools))
@@ -157,8 +146,8 @@ class KappaEstimate:
 
 
 def kappa_density_estimator(spec, fiber_index, pools, sampler,
-                            pin_length=None, orbit_samples=100,
-                            bandwidth=0.05, realization_burnin=1000):
+                            orbit_samples=100, bandwidth=0.05,
+                            realization_burnin=1000):
     """Entropy via kernel density ratios of pushed conditional samples.
 
     The ``orbit_samples`` realizations are one stack on one stream: each
@@ -174,34 +163,32 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     with a shared pool the pushed and target samples coincide pointwise
     and the ratio degenerates to one.
 
-    A query is scored only where both halves hold at least
-    KDE_MIN_NEIGHBORS points within the bandwidth (``CircleTurns.counts``,
-    the count of ``kernel_sums``), one pass per half over x_1 and the
-    held-out candidates, searched in sorted order and read back in draw
-    order.  Each half is laid out once for the screen and the scores.
-    Up to EVAL_POINTS held-out queries are drawn
-    from the candidates that pass, in pool order; none is drawn when
-    none passes.  x_1 is itself one more draw from the conditional, so a
-    small fraction of realizations put it where the sample is too thin
-    for that gate (tail mass of order the gate count over the pool
-    size).  Those realizations are skipped and counted; when more than a
-    tenth of them skip, the bandwidth undersamples the ensemble as such
-    and the estimator raises BandwidthTooSmall instead of censoring its
-    way to a number.  Fewer than two realizations give no stderr and are
-    refused with ValueError before anything is drawn.
+    Each half makes one ``kernel_sums`` pass over x_1 and every held-out
+    candidate.  A query is scored only where both halves hold at least
+    KDE_MIN_NEIGHBORS points within the bandwidth (the passes' counts),
+    and its score reads the passes' sums.  Up to EVAL_POINTS held-out
+    queries are drawn from the candidates that pass, in pool order; none
+    is drawn when none passes.  x_1 is itself one more draw from the
+    conditional, so a small fraction of realizations put it where the
+    sample is too thin for that gate (tail mass of order the gate count
+    over the pool size).  Those realizations are skipped and counted;
+    when more than a tenth of them skip, the bandwidth undersamples the
+    ensemble as such and the estimator raises BandwidthTooSmall instead
+    of censoring its way to a number.  Fewer than two realizations give
+    no stderr and are refused with ValueError before anything is drawn.
 
     ``pools`` is the pair (pool0, pool1) of the times 0 and 1, pools of
     tail flags (full flags, samples of the stationary measure); the
     diagnostics report their size as ``tail_replicas``.
 
-    ``pin_length=None`` resolves to 0 when d = 2 and 60 otherwise: a
-    trivial partial flag means the conditional measure is the stationary
-    measure itself and any pin would condition on more than the flag.
-    The half-pin diagnostic (``pin_diagnostic``) is reported, not enforced.
+    M is PIN_LENGTH, and 0 when d = 2: a trivial partial flag means the
+    conditional measure is the stationary measure itself and any pin
+    would condition on more than the flag.  The half-pin diagnostic
+    (``pin_diagnostic``) is reported, not enforced.
     """
     if orbit_samples < 2:
         raise ValueError("orbit_samples must lie between 2 and tail_replicas")
-    pin_length = _default_pin(spec, pin_length)
+    pin_length = 0 if spec.dim == 2 else PIN_LENGTH
     i = fiber_index
     pool0, pool1 = pools
     # every realization's window [-M, 1]; the held-out queries are drawn
@@ -223,24 +210,22 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
             diag = _half_pin_diagnostic(spec, pin1, pool1, frame1, i, coords1)
         pushed_all = fiber_map_image(trace.maps[r, -1], coords0)
-        halves = (CircleTurns.of(pushed_all[::2]),
-                  CircleTurns.of(coords1[::2]))
+        halves = (pushed_all[::2], coords1[::2])
         candidates = np.concatenate([[x1], pushed_all[1::2]])
-        # one sort of the candidates serves both halves' searches
-        order = np.argsort(candidates)
-        ok = np.empty(len(candidates), dtype=bool)
-        ok[order] = np.minimum(*(half.counts(candidates[order], bandwidth)
-                                 for half in halves)) >= KDE_MIN_NEIGHBORS
+        (sp, cp), (st, ct) = (kernel_sums(half, candidates, bandwidth)
+                              for half in halves)
+        ok = np.minimum(cp[:, 0], ct[:, 0]) >= KDE_MIN_NEIGHBORS
         if not ok[0]:
             skipped += 1
             continue
-        held_out = candidates[1:][ok[1:]]
-        take = min(EVAL_POINTS, len(held_out))
-        queries = np.concatenate(
-            [[x1], stream.rng.choice(held_out, size=take, replace=False)]
-        ) if take else np.array([x1])
-        pushed, target = (kernel_sums(half, queries, bandwidth)[0][:, 0]
-                          / len(half) for half in halves)
+        passing = np.flatnonzero(ok[1:])
+        take = min(EVAL_POINTS, len(passing))
+        # x_1, then the held-out queries in the order they are drawn
+        rows = np.concatenate(
+            [[0], 1 + stream.rng.choice(passing, size=take, replace=False)]
+        ) if take else np.array([0])
+        pushed, target = (sums[rows, 0] / len(half)
+                          for sums, half in zip((sp, st), halves))
         kappas.append(np.mean(np.log(pushed) - np.log(target)))
     if skipped > 0.1 * orbit_samples or not kappas:
         raise BandwidthTooSmall(

@@ -26,18 +26,19 @@ otherwise.  They are arrays of fiber coordinates in draw order.  The
 report fits them and the ball curves read the first of them, so each
 fiber's samples are drawn once; both pick their points by index into a
 sample and build a measure only to count ball masses, so neither pick
-depends on the completion frame.  The config's ``pin_length`` governs
-the d >= 3 density route and the conditional samples behind the
-dimension report; the interval route reads its pools with no pin.
-Settings the config does not carry (tail-pool burn-ins, query counts,
-the significance gate, the sample sizes and radius grid of every
-dimension fit) are module constants.
+depends on the completion frame.  The d >= 3 density route and the
+conditional samples behind the dimension report pin entropy.PIN_LENGTH
+steps; the interval route reads its pools with no pin.  Settings the
+config does not carry (the pin, tail-pool burn-ins, query counts, the
+significance gate, the sample sizes and radius grid of every dimension
+fit) are module constants.
 
 Every route (the density legs, the interval legs, the dimension reports
 with their ball curves) is one job that runs its fibers in order and
-catches each fiber's refusal under that fiber's leg name.  On d >= 3 the
-job draws one bank of tail pools for all its fibers (``_tail_pools``) at
-its first fiber; the estimators draw none.  The banks' streams, as keys
+catches each fiber's refusal under that fiber's leg name.  Each job
+holds one bank of tail pools for all its fibers (``_tail_pools``), drawn
+at its first read; the estimators draw none, and the density and
+dimension legs read theirs only on d >= 3.  The banks' streams, as keys
 under the run's seed:
 
     density route       (2, 1, 1) and (2, 1, 2)
@@ -132,7 +133,6 @@ class ExperimentConfig:
     replicas: int = 100
     orbit_samples: int = 100
     tail_replicas: int = 10_000
-    pin_length: object = None       # None: per-estimator default
     bandwidth: float = 0.05
     seed: object = None
     out_dir: str = "out"
@@ -158,8 +158,6 @@ class ExperimentConfig:
             problems.append("bandwidth must lie in (0, pi/2)")
         if self.fiber_index != "all" and int(self.fiber_index) < 1:
             problems.append("fiber_index must be positive or 'all'")
-        if self.pin_length is not None and int(self.pin_length) < 0:
-            problems.append("pin_length must be nonnegative")
         if problems:
             raise ConfigError("; ".join(problems))
         return self
@@ -200,7 +198,6 @@ _PARSERS = {
     "replicas": int,
     "orbit_samples": int,
     "tail_replicas": int,
-    "pin_length": lambda s: None if s == "auto" else int(s),
     "bandwidth": float,
     "seed": int,
     "out_dir": str,
@@ -350,9 +347,10 @@ def _route(cfg, spec, name, bank, leg, refusals):
     """One route's job: ``leg(i, pools)`` for every fiber, in fiber order.
 
     ``pools()`` returns ``bank()``, drawn at the first call and read by
-    every later fiber; the draw goes when the job ends.  A fiber's
-    refusal is kept as leg "<name> fiber i" and stops that fiber only.
-    Returns {fiber: result} for the fibers not refused.
+    every later fiber; a leg that never calls it draws no bank, and the
+    draw goes when the job ends.  A fiber's refusal is kept as leg
+    "<name> fiber i" and stops that fiber only.  Returns {fiber: result}
+    for the fibers not refused.
     """
     def run():
         pools = functools.cache(bank)
@@ -375,7 +373,8 @@ def _run_diagnostics(spec, spectrum):
 def _density_leg(cfg, spec, i, sampler, pools):
     """Density-route kappa of fiber i; the estimator follows the dimension.
 
-    ``pools`` is the route's bank (``_density_bank``), None for d = 2.
+    ``pools()`` returns the route's bank, which only the d >= 3 estimator
+    reads.
     """
     if spec.dim == 2:
         # cfg.burnin is for single orbits; the replica pool keeps
@@ -384,24 +383,15 @@ def _density_leg(cfg, spec, i, sampler, pools):
             spec, sampler, tail_replicas=cfg.tail_replicas,
             orbit_samples=cfg.orbit_samples, bandwidth=cfg.bandwidth)
     return kappa_density_estimator(
-        spec, i, pools, sampler, pin_length=cfg.pin_length,
-        orbit_samples=cfg.orbit_samples, bandwidth=cfg.bandwidth,
-        realization_burnin=cfg.burnin)
-
-
-def _density_bank(cfg, spec, sampler):
-    """The density route's pool pair, on ``sampler.child(1)`` and
-    ``sampler.child(2)``; d = 2's route reads replicas of its own instead."""
-    if spec.dim == 2:
-        return None
-    return _tail_pools(cfg, spec, sampler.child(1), sampler.child(2))
+        spec, i, pools(), sampler, orbit_samples=cfg.orbit_samples,
+        bandwidth=cfg.bandwidth, realization_burnin=cfg.burnin)
 
 
 def _jobs(cfg, spec, sampler, refusals):
     """verify's jobs before its dimension reports, as (tag, callable) in
     tag order: the density and interval routes and the decay curve."""
     def density(i, pools):
-        return _density_leg(cfg, spec, i, sampler.child(2, i), pools())
+        return _density_leg(cfg, spec, i, sampler.child(2, i), pools)
 
     def interval(i, pools):
         return kappa_interval_estimator(
@@ -415,7 +405,8 @@ def _jobs(cfg, spec, sampler, refusals):
     return [
         ("density", _route(
             cfg, spec, "entropy density",
-            lambda: _density_bank(cfg, spec, sampler.child(2, 1)),
+            lambda: _tail_pools(cfg, spec, sampler.child(2, 1, 1),
+                                sampler.child(2, 1, 2)),
             density, refusals)),
         ("interval", _route(
             cfg, spec, "entropy interval",
@@ -457,8 +448,8 @@ def _dimension_samples(cfg, spec, i, sampler, pools):
     ball curves read, arrays of fiber coordinates in draw order; the
     sample follows the dimension.
 
-    ``sampler`` is the report's stream and ``pools`` the reports' bank,
-    None for d = 2.  d = 2: the fiber measure is the stationary measure
+    ``sampler`` is the report's stream and ``pools()`` the reports' bank,
+    read only when d >= 3.  d = 2: the fiber measure is the stationary measure
     itself, read as STATIONARY_SAMPLES angles off LINE_REPLICAS
     independent replicas (``stationary_lines``), each read after
     ``cfg.burnin`` steps and then every THINNING steps.  Independent
@@ -472,9 +463,8 @@ def _dimension_samples(cfg, spec, i, sampler, pools):
     if spec.dim == 2:
         return [stationary_lines(spec, LINE_REPLICAS, cfg.burnin,
                                  STATIONARY_SAMPLES, sampler.child(500))]
-    return conditional_fiber_sample(
-        spec, i, pools, sampler.child(600, i), pin_length=cfg.pin_length,
-        realization_burnin=cfg.burnin)
+    return conditional_fiber_sample(spec, i, pools(), sampler.child(600, i),
+                                    realization_burnin=cfg.burnin)
 
 
 def _ball_curves(i, sample, centers):
@@ -504,14 +494,14 @@ def _dimension_legs(cfg, spec, spectrum, kappa, sampler, refusals):
 
     def report(i, pools):
         stream = sampler.child(4, i)
-        samples = _dimension_samples(cfg, spec, i, stream, pools())
+        samples = _dimension_samples(cfg, spec, i, stream, pools)
         curves.extend(_ball_curves(i, samples[0], sampler.child(6, i)))
         return dimension_formula_report(spec, i, spectrum, kappa(i),
                                         samples, stream)
     reports = _route(
         cfg, spec, "dimension",
-        lambda: None if spec.dim == 2 else _tail_pools(
-            cfg, spec, *[sampler.child(4, 1, 600, 1, 1)] * PIN_REALIZATIONS),
+        lambda: _tail_pools(cfg, spec, *[sampler.child(4, 1, 600, 1, 1)]
+                            * PIN_REALIZATIONS),
         report, refusals)()
     return tuple(reports.values()), tuple(curves)
 

@@ -8,9 +8,9 @@ closed arc from lo = wrap(start) to hi = lo + length holds the points
 with lo <= p <= hi plus those with p <= hi - pi, and an arc of length pi
 or more holds them all.  No branch splits a wrapping arc: hi - pi counts
 nothing below pi and is exact from pi to 2 pi (Sterbenz's lemma).  Kernel
-sums and neighbor counts lay the points out sorted on three turns with
-their running sums (``CircleTurns``), so a query costs a few binary
-searches whatever its neighbor count.
+sums, with the neighbor counts that gate them, lay the points out sorted
+on three turns with their running sums (``kernel_sums``), so a query
+costs a few binary searches whatever its neighbor count.
 
 Local dimension is reported as a least-squares slope of log mass against
 log radius over a geometric radius grid; the liminf in the definition is
@@ -205,7 +205,8 @@ def _checked_bandwidth(bandwidth):
 
 @dataclass(frozen=True, eq=False)
 class CircleTurns:
-    """A circle sample sorted and laid out on three turns, with running sums.
+    """``kernel_sums``' layout of a circle sample: sorted and laid out on
+    three turns, with running sums.
 
     ``ext`` holds the sorted points shifted by -pi, 0 and pi, and
     ``run[k]`` is the sum of ``ext[:k]``.  A window shorter than pi around
@@ -224,20 +225,6 @@ class CircleTurns:
         ext = np.concatenate([pts - circle.HALF_TURN, pts,
                               pts + circle.HALF_TURN])
         return CircleTurns(ext, np.concatenate([[0.0], np.cumsum(ext)]))
-
-    def __len__(self):
-        return len(self.ext) // 3
-
-    def counts(self, x, bandwidth):
-        """Number of points strictly within one bandwidth of each query.
-
-        The count of ``kernel_sums``, which both density routes gate on at
-        KDE_MIN_NEIGHBORS; sorted queries search fastest.
-        """
-        h = _checked_bandwidth(bandwidth)
-        q = circle.wrap(np.asarray(x, dtype=float))
-        return (np.searchsorted(self.ext, q + h, side="left")
-                - np.searchsorted(self.ext, q - h, side="right"))
 
     def _window_sums(self, q, h):
         """h^2 times the kernel sum, and the count, at each query q.
@@ -267,24 +254,18 @@ def kernel_sums(points, x, bandwidth, labels=None, n_labels=1, exclude=None):
     without recomputing it.  Queries are independent: each row reads its
     own searches and its own excluded point, so one call over
     concatenated query blocks returns the per-block calls' rows bit for
-    bit, and a caller may batch queries against one sample.  ``points``
-    may also be the CircleTurns of a
-    sample, built once by a caller that screens queries on it too; it
-    then carries one label and no index to exclude.
+    bit, and a caller may batch queries against one sample.  Both density
+    routes gate a query on its counts (at KDE_MIN_NEIGHBORS) and score it
+    on its sums from the same call.
     """
     h = _checked_bandwidth(bandwidth)
     q = circle.wrap(np.atleast_1d(np.asarray(x, dtype=float)))
-    if isinstance(points, CircleTurns):
-        if labels is not None or exclude is not None:
-            raise ValueError("labels and exclude index a vector of points")
-        tables = [points]
-    else:
-        pts = np.asarray(points, dtype=float)
-        lab = (np.zeros(len(pts), dtype=int) if labels is None
-               else np.asarray(labels))
-        sizes = np.bincount(lab, minlength=n_labels)
-        tables = [CircleTurns.of(part) for part in np.split(
-            pts[np.argsort(lab, kind="stable")], np.cumsum(sizes)[:-1])]
+    pts = np.asarray(points, dtype=float)
+    lab = (np.zeros(len(pts), dtype=int) if labels is None
+           else np.asarray(labels))
+    sizes = np.bincount(lab, minlength=n_labels)
+    tables = [CircleTurns.of(part) for part in np.split(
+        pts[np.argsort(lab, kind="stable")], np.cumsum(sizes)[:-1])]
     # one sort of the queries serves every label's searches
     order = np.argsort(q)
     scaled = np.empty((len(q), len(tables)))

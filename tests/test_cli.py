@@ -211,3 +211,18 @@ def test_config_precedence_file_then_environment_then_flags(clean_env,
     assert cfg.replicas == 5            # file over default
     assert cfg.orbit_samples == 16      # environment over file
     assert (cfg.seed, cfg.ensemble) == (3, "bern2")   # flags over both
+
+
+def test_config_file_with_a_pin_length_exits_one(clean_env, tmp_path):
+    # the pin is entropy.PIN_LENGTH, not a setting: the key is unknown in
+    # a file, and FLAGDIM_PIN_LENGTH names no field, so it is not read
+    path = tmp_path / "run.ini"
+    path.write_text("[experiment]\nschema = 1\nseed = 1\npin_length = 60\n")
+    assert cli.main(["verify", "--config", str(path),
+                     "--out", str(tmp_path)]) == 1
+    _, row = error_rows(tmp_path)
+    assert row[:2] == ["1", "ConfigError"]
+    assert "unknown keys: pin_length" in row[2]
+    clean_env.setenv("FLAGDIM_PIN_LENGTH", "-1")
+    args = cli._parser().parse_args(["verify", "--seed", "1"])
+    assert cli._config(args).seed == 1

@@ -17,6 +17,7 @@ from flagdim.measures import (EmpiricalCircleMeasure, ball_mass,
                               default_radius_grid, local_dimension,
                               local_slopes)
 
+from density_route_reference import density_route_reference
 from furstenberg_d2_reference import furstenberg_d2_reference
 from independence_reference import conditional_independence_diagnostic
 
@@ -40,9 +41,10 @@ def _report_samples(spec, fiber, sampler, size=None):
     d >= 3 over PIN_REALIZATIONS pools of ``size`` tail flags, drawn in
     turn on ``sampler.child(600, fiber).child(1)``."""
     cfg = harness.load_config(None, {"seed": 0}, environ={})
-    pools = None if spec.dim == 2 else _pools(
-        spec, size, *[sampler.child(600, fiber, 1)] * harness.PIN_REALIZATIONS)
-    return harness._dimension_samples(cfg, spec, fiber, sampler, pools)
+    return harness._dimension_samples(
+        cfg, spec, fiber, sampler, lambda: _pools(
+            spec, size,
+            *[sampler.child(600, fiber, 1)] * harness.PIN_REALIZATIONS))
 
 
 def test_rot2_density_kappa_zero():
@@ -78,9 +80,25 @@ def test_bern2_conditional_is_stationary_measure():
                               direct) < 0.03
 
 
-def test_pin_length_defaults():
-    assert entropy._default_pin(bern2(), None) == 0
-    assert entropy._default_pin(diag3eps(), None) == 60
+def test_pin_length_defaults(monkeypatch):
+    # both pinned estimators pin PIN_LENGTH = 60 steps when d >= 3 and
+    # none when d = 2, whose partial flag is trivial; the density route's
+    # window runs one step past its pin
+    steps = []
+
+    class Drawn(Exception):
+        pass
+
+    def spy(spec, i, n_steps, *args, **kwargs):
+        steps.append(n_steps)
+        raise Drawn
+    monkeypatch.setattr(entropy, "stationary_orbit", spy)
+    for spec in (bern2(), diag3eps()):
+        for estimator in (conditional_fiber_sample, kappa_density_estimator):
+            with pytest.raises(Drawn):
+                estimator(spec, 1, [None, None], SeededSampler(0))
+    assert entropy.PIN_LENGTH == 60
+    assert steps == [0, 1, 60, 61]
 
 
 def test_rot2_conditional_uniform():
@@ -280,6 +298,44 @@ def test_d2_route_equals_the_per_matrix_reference(spec, size, passes,
     # queried once in each
     assert len(calls) == passes
     assert calls[0] == sum(calls[1:]) == size[0]
+
+
+@pytest.mark.parametrize("spec, fiber", [
+    (diag3eps(), 1), (diag3eps(), 2), (bern2(), 1),
+], ids=["diag3eps-1", "diag3eps-2", "bern2-pin0"])
+def test_density_route_equals_the_two_pass_reference(spec, fiber,
+                                                     monkeypatch):
+    # one kernel pass per half over x_1 and every held-out candidate both
+    # gates and scores; the screen-then-score loop it replaced draws the
+    # same queries and reads the same per-query sums, so nothing moves
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return measures.kernel_sums(*args, **kwargs)
+    monkeypatch.setattr(entropy, "kernel_sums", counted)
+    s = SeededSampler(7)
+    pools = _pair(spec, 1000, s)
+    size = dict(orbit_samples=12, bandwidth=0.1, realization_burnin=200)
+    got = kappa_density_estimator(spec, fiber, pools, s, **size)
+    want = density_route_reference(spec, fiber, pools, s, **size)
+    assert got.kappa == want.kappa
+    assert got.stderr == want.stderr
+    assert got.diagnostics == want.diagnostics
+    assert got.diagnostics["effective_samples"] >= 10
+    # two passes per realization, each over x_1 and the 500 candidates
+    assert calls == [501] * 2 * 12
+
+
+def test_d2_route_reads_the_iso2_entropy():
+    # iso2 is Haar times diag(e^0.15, e^-0.15): nu is uniform and kappa
+    # is the gap, 2 log cosh 0.15, exactly.  At this budget (the default
+    # verify's) seeds 1-16 read a mean of 0.02151, each within 1.7 stderr
+    est = furstenberg_entropy_d2(iso2(), SeededSampler(7).child(2, 1),
+                                 tail_replicas=10_000, orbit_samples=100,
+                                 bandwidth=0.05)
+    exact = 2 * np.log(np.cosh(0.15))
+    assert abs(est.kappa - exact) < 3 * est.stderr
 
 
 def test_furstenberg_matches_density_route_d2():

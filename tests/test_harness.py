@@ -117,12 +117,8 @@ def test_fiber_two_run_writes_the_rows_of_an_all_fiber_run(
     assert bool(every["dimension.csv"]) == fixed
 
 
-def test_verify_draws_each_bank_once_for_both_fibers(monkeypatch):
-    # d = 3: the density and interval routes draw two full-size tail pools
-    # each and the reports PIN_REALIZATIONS, for both fibers together; a
-    # leg per fiber drawing its own made twice as many.  The ball curves
-    # read the reports' measures, which are built before the kappa gate,
-    # so a refused report draws its bank too.
+def _pool_sizes(monkeypatch):
+    """The size of every ``stationary_flag_pool`` draw, in draw order."""
     sizes = []
     real = dynamics.stationary_flag_pool
 
@@ -131,15 +127,42 @@ def test_verify_draws_each_bank_once_for_both_fibers(monkeypatch):
         return real(spec, count, burnin, sampler)
     for module in (dynamics, harness):
         monkeypatch.setattr(module, "stationary_flag_pool", spy)
+    return sizes
+
+
+def test_verify_draws_each_bank_once_for_both_fibers(monkeypatch):
+    # d = 3: the density and interval routes draw two full-size tail pools
+    # each and the reports PIN_REALIZATIONS, for both fibers together; a
+    # leg per fiber drawing its own made twice as many.  The ball curves
+    # read the reports' measures, which are built before the kappa gate,
+    # so a refused report draws its bank too.
+    sizes = _pool_sizes(monkeypatch)
     cfg = harness.load_config(None, dict(TINY, ensemble="diag3eps"),
                               environ={})
     refused = harness.run_verify(cfg).refusals
     assert {"dimension fiber 1", "dimension fiber 2"} <= set(refused)
     assert sizes.count(cfg.tail_replicas) == 2 + 2 + harness.PIN_REALIZATIONS
     sizes.clear()
+    # a density leg that reads no pools leaves its route's bank undrawn
     monkeypatch.setattr(harness, "_density_leg", _fixed_kappa)
     assert harness.run_verify(cfg).refusals == {}
-    assert sizes.count(cfg.tail_replicas) == 2 + 2 + harness.PIN_REALIZATIONS
+    assert sizes.count(cfg.tail_replicas) == 2 + harness.PIN_REALIZATIONS
+
+
+def test_d2_density_and_dimension_legs_draw_no_bank(monkeypatch):
+    # d = 2: the density leg and the dimension report read replicas of
+    # their own and never call their routes' banks.  The dimension command
+    # runs only those two legs, so the one pool drawn is the spectrum's
+    # 64 replicas; verify adds the interval route's pair, which every d
+    # reads
+    sizes = _pool_sizes(monkeypatch)
+    cfg = harness.load_config(None, dict(TINY, ensemble="bern2"), environ={})
+    bundle = harness.run(cfg, "dimension")
+    assert bundle.kappas and bundle.ball_curves
+    assert sizes == [64]
+    sizes.clear()
+    harness.run_verify(cfg)
+    assert sizes.count(cfg.tail_replicas) == 2
 
 
 @pytest.mark.parametrize("ensemble", ["bern2", "diag3eps"])

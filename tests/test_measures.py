@@ -5,9 +5,8 @@ from flagdim import circle
 from flagdim.dynamics import stationary_flag_pool
 from flagdim.ensemble import SeededSampler, bern2
 from flagdim.errors import InsufficientMass
-from flagdim.measures import (MASS_FLOOR_COUNT, CircleTurns,
-                              EmpiricalCircleMeasure, ball_mass,
-                              default_radius_grid, kernel_sums,
+from flagdim.measures import (MASS_FLOOR_COUNT, EmpiricalCircleMeasure,
+                              ball_mass, default_radius_grid, kernel_sums,
                               local_dimension, max_cluster_weight,
                               wasserstein_circle)
 
@@ -216,9 +215,9 @@ def test_kernel_density_integrates_to_one(rng):
 
 
 def test_window_counts_match_the_gate(rng):
-    # both counts the density routes gate on, the screen's and the kernel
-    # sums', are the points strictly within h, across the wrap: points on
-    # both sides of 0 = pi, queries at 0 and within h of pi
+    # the count both density routes gate on, the kernel sums', is the
+    # points strictly within h, across the wrap: points on both sides of
+    # 0 = pi, queries at 0 and within h of pi
     h = 0.05
     pts = np.concatenate([rng.uniform(0, np.pi, 500),
                           rng.uniform(0, h, 20),
@@ -226,10 +225,7 @@ def test_window_counts_match_the_gate(rng):
     xs = np.concatenate([[0.0, np.pi - 0.01, np.pi - 0.04],
                          rng.uniform(0, np.pi, 40)])
     want = [int(np.count_nonzero(circle.distance(pts, x) < h)) for x in xs]
-    assert np.array_equal(CircleTurns.of(pts).counts(xs, h), want)
     assert np.array_equal(kernel_sums(pts, xs, h)[1][:, 0], want)
-    assert np.array_equal(kernel_sums(CircleTurns.of(pts), xs, h)[1][:, 0],
-                          want)
     assert min(want[:3]) >= 20
 
 
@@ -290,10 +286,10 @@ def test_kernel_sums_match_brute_force(case, rng):
     sums, counts = kernel_sums(pts, xs, h, **kw)
     want_sums, want_counts = kernel_reference(pts, xs, h, **kw)
     assert np.array_equal(counts, want_counts)
-    if "exclude" not in kw:
-        # the screen's count, with every label in one sample
-        assert np.array_equal(CircleTurns.of(pts).counts(xs, h),
-                              want_counts.sum(axis=1))
+    # the gate's count, with every label in one sample and no point left
+    # out
+    assert np.array_equal(kernel_sums(pts, xs, h)[1][:, 0],
+                          kernel_reference(pts, xs, h)[1][:, 0])
     # a prefix-sum difference carries the rounding of the running sums, so
     # a sum near zero (one neighbor at the window's edge) is held to the
     # scale of the largest sum rather than to its own
@@ -341,16 +337,6 @@ def test_kernel_sums_check_the_bandwidth(rng):
     for h in (0.0, -0.1, np.pi / 2, 2.0):
         with pytest.raises(ValueError, match="bandwidth"):
             kernel_sums(pts, [0.5], h)
-        with pytest.raises(ValueError, match="bandwidth"):
-            CircleTurns.of(pts).counts([0.5], h)
-
-
-def test_laid_out_sample_takes_no_point_indices(rng):
-    # labels and exclude index a vector of points, not its sorted layout
-    turns = CircleTurns.of(rng.uniform(0, np.pi, 10))
-    for kw in ({"labels": np.zeros(10, dtype=int)}, {"exclude": [0]}):
-        with pytest.raises(ValueError, match="index a vector"):
-            kernel_sums(turns, [0.5], 0.1, **kw)
 
 
 def test_density_ratio_of_identical_measure(rng):
