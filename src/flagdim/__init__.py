@@ -18,9 +18,8 @@ legs.
 
 from . import circle
 from .dynamics import (Arc, OrbitTrace, SpectrumEstimate, forward_orbit,
-                       interval_decay_curve, interval_pullforward,
-                       lyapunov_spectrum, pull_forward, push_arc,
-                       stable_coordinates, stationary_interval,
+                       interval_decay_curve, lyapunov_spectrum, pull_forward,
+                       push_arc, stable_coordinates, stationary_interval,
                        stationary_orbit)
 from .ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler, bern2,
                        diag3eps, finite_support, from_text, rot2,
@@ -30,8 +29,8 @@ from .entropy import (KappaEstimate, conditional_fiber_sample,
                       kappa_density_estimator, kappa_interval_estimator)
 from .errors import FlagdimError
 from .flagcore import (CircleMap, Flag, LinearMap, PartialFlag, act_flag,
-                       fiber_coordinate, fiber_embed, flag_jacobian,
-                       induced_circle_map, partial_flag)
+                       fiber_embed, flag_jacobian, induced_circle_map,
+                       partial_flag)
 from .harness import (ExperimentConfig, ResultBundle, emit_outputs,
                       load_config, run, run_spectrum, run_verify)
 from .measures import (EmpiricalCircleMeasure, ball_mass, local_dimension,

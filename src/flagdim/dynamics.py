@@ -51,8 +51,7 @@ fold: it forms each fold's prefix products and orthonormalizes them, all
 the fold's times at once, in one QR call per fold of the spec's width.
 The stable-line pass folds the same way backward: each fold's suffix
 products of inverses, for every replica at once, and one renormalization
-per fold.  Per-step Flag, PartialFlag and CircleMap objects are built
-only on demand, for checking one step.
+per fold.  One routine, ``_fold_products``, forms both passes' products.
 A d = 2 sample of the stationary measure needs nothing but the
 line of each flag: ``stationary_lines`` runs leading columns (R, 2, 1)
 from e_1 through ``evolve_flags`` and reads their angles after a burn-in
@@ -84,8 +83,8 @@ from . import circle
 from .ensemble import _atom_counts, sample_batch
 from .errors import (DegenerateBasis, DegenerateFiberPair, GapTooSmall,
                      IntervalWrap)
-from .flagcore import (ORTHO_TOL, CircleMap, Flag, PartialFlag,
-                       completion_frames, det2, fiber_coordinates)
+from .flagcore import (ORTHO_TOL, CircleMap, completion_frames, det2,
+                       fiber_coordinates)
 
 # Cap on the condition number of a product folded before one QR step:
 # its rounding and the Gram-Schmidt loss of orthogonality grow like
@@ -495,36 +494,28 @@ class OrbitTrace:
                        bases=self.bases[rows], frames=self.frames[rows],
                        maps=self.maps[rows], x=self.x[rows])
 
-    # per-step objects, built on demand to check single steps
-    def flag(self, k, r=0):
-        return Flag(self.bases[r, k])
 
-    def partial(self, k, r=0):
-        i = self.fiber_index
-        b = self.bases[r, k]
-        return PartialFlag(missing=i, basis=np.column_stack(
-            [b[:, : i - 1], self.frames[r, k], b[:, i + 1:]]))
-
-    def circle_map(self, k, r=0):
-        return CircleMap(source=self.partial(k, r),
-                         target=self.partial(k + 1, r), matrix=self.maps[r, k])
+def _fold_products(steps, width):
+    """Turn steps (R, T, m, m) in place into running products per fold:
+    steps[:, t] becomes steps[:, t] ... steps[:, lo], lo the first step of
+    t's fold of ``width`` steps, for every fold and replica at once."""
+    for w in range(1, width):
+        later = steps[:, w::width]
+        later[...] = later @ steps[:, w - 1::width][:, :later.shape[1]]
+    return steps
 
 
 def _fold_trace(start, mats, width):
     """Bases (R, T+1, d, d) of start (R, d, d) under mats (R, T, d, d).
 
     The window is cut into folds of ``width`` steps.  A fold's prefix
-    products (its first w matrices, w = 1..width) are formed first; the
-    flags at the fold's times are then one ``batched_orthonormalize`` call
-    on those products times the flag the fold starts from, the stepwise
-    flags up to rounding, since ``fold_width`` keeps every product under
-    FOLD_COND_CAP.
+    products (its first w matrices, w = 1..width, ``_fold_products``) are
+    formed first; the flags at the fold's times are then one
+    ``batched_orthonormalize`` call on those products times the flag the
+    fold starts from, the stepwise flags up to rounding, since
+    ``fold_width`` keeps every product under FOLD_COND_CAP.
     """
-    # prefix[:, t] = mats[:, t] ... mats[:, lo], lo the start of t's fold
-    prefix = mats.copy()
-    for w in range(1, width):
-        later = mats[:, w::width]
-        prefix[:, w::width] = later @ prefix[:, w - 1::width][:, :later.shape[1]]
+    prefix = _fold_products(mats.copy(), width)
     count, n_steps = mats.shape[:2]
     bases = np.empty((count, n_steps + 1) + start.shape[1:])
     bases[:, 0] = start
@@ -538,18 +529,18 @@ def _fold_trace(start, mats, width):
 def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
     """Run the cocycle from given flags, keeping the full trace.
 
-    ``f0`` is one Flag or a stack of R bases; the window's n_steps
+    ``f0`` is one basis (d, d) or a stack of R bases; the window's n_steps
     matrices per replica are the next draws on ``sampler``, in the blocks
     of ``draw_blocks``.  The flags are formed one fold of W =
     ``fold_width(spec)`` steps at a time (``_fold_trace``), as every other
-    stack of the spec folds.  Every basis and frame must be orthonormal,
-    as Flag and PartialFlag require, and every fiber map invertible.
+    stack of the spec folds.  Every basis and frame must be orthonormal to
+    ORTHO_TOL, and every fiber map invertible.
     """
     i = fiber_index
     d = spec.dim
     if not 1 <= i <= d - 1:
         raise ValueError(f"fiber index {i} outside 1..{d - 1}")
-    start = np.reshape(f0.basis if isinstance(f0, Flag) else f0, (-1, d, d))
+    start = np.reshape(f0, (-1, d, d))
     # time-major blocks, read replica-major: each step's stack stays contiguous
     mats = np.concatenate([np.empty((0, len(start), d, d)), *draw_blocks(
         spec, sampler, len(start), n_steps)]).swapaxes(0, 1)
@@ -612,20 +603,20 @@ def stable_coordinates(trace, lookahead):
 
     The pass folds back from the window's end in folds of the trace's
     ``fold_width``, as ``_fold_trace`` folds forward.  The steps' inverses
-    (adjugate over determinant) are turned in place into each fold's
-    suffix products, every fold and replica at once, in fold_width
-    iterations.  The pair is then carried from fold end to fold end, one
-    product and one renormalization per fold, and the pairs up to the
-    anchor are one product each with their fold's end.  A fold's product
+    (adjugate over determinant), read backward, are turned in place into
+    each fold's suffix products by ``_fold_products``.  The pair is then
+    carried from fold end to fold end, one product and one renormalization
+    per fold, and the pairs up to the anchor are one product each with
+    their fold's end.  A fold's product
     keeps its condition number under FOLD_COND_CAP: a product of fiber
     maps is a diagonal block of the triangular flag product, so its
     singular values lie within that product's.  The pairs are thus the
     stepwise ones up to rounding.
 
-    Returns (times, y, resolution): y[r] holds replica r's coordinates at
-    times[: anchor + 1] and resolution[r] its resolution at the anchor,
-    which callers hold against their tolerance (an isometric action has
-    no stable line and never resolves).
+    Returns (y, resolution): y[r] holds replica r's coordinates at
+    trace.times[: anchor + 1] and resolution[r] its resolution at the
+    anchor, which callers hold against their tolerance (an isometric
+    action has no stable line and never resolves).
     """
     maps = trace.maps
     count, n_maps = maps.shape[:2]
@@ -633,19 +624,15 @@ def stable_coordinates(trace, lookahead):
     if anchor_k < 0:
         raise ValueError("window shorter than the requested lookahead")
     width = trace.fold_width
-    # suffix[:, k] = inverse_k ... inverse_{e-1}, e the end of k's fold;
-    # folds are counted back from the window's end, so read backward they
-    # are prefixes, formed as _fold_trace forms its own
+    # suffix[:, k] = inverse_k ... inverse_{e-1}, e the end of k's fold
+    # (folds count back from the window's end: read backward, prefixes)
     suffix = np.empty(maps.shape)
     suffix[..., 0, 0] = maps[..., 1, 1]
     suffix[..., 0, 1] = -maps[..., 0, 1]
     suffix[..., 1, 0] = -maps[..., 1, 0]
     suffix[..., 1, 1] = maps[..., 0, 0]
     suffix /= det2(maps)[..., None, None]
-    back = suffix[:, ::-1]
-    for w in range(1, width):
-        later = back[:, w::width]
-        later[...] = later @ back[:, w - 1::width][:, :later.shape[1]]
+    _fold_products(suffix[:, ::-1], width)
     # ends[:, j] is the pair at n_maps - j * width, the end of fold j
     folds = -(-n_maps // width)
     ends = np.empty((count, max(folds, 1), 2, 2))
@@ -660,7 +647,7 @@ def stable_coordinates(trace, lookahead):
         kept[:, anchor_k] = np.eye(2)
     angles = circle.wrap(np.arctan2(kept[..., 1, :], kept[..., 0, :]))
     resolution = circle.distance(angles[:, anchor_k, 0], angles[:, anchor_k, 1])
-    return trace.times[: anchor_k + 1], angles[..., 0], resolution
+    return angles[..., 0], resolution
 
 
 @dataclass(frozen=True, eq=False)
@@ -686,11 +673,6 @@ class Arc:
     @property
     def length(self):
         return self.hi - self.lo
-
-    @property
-    def endpoints(self):
-        return (circle.wrap(self.anchor + self.lo),
-                circle.wrap(self.anchor + self.hi))
 
     def contains(self, theta):
         d = np.mod(np.asarray(theta, dtype=float) - (self.anchor + self.lo),
@@ -796,19 +778,6 @@ def pull_forward(trace, arc, t):
                hi=image.hi.reshape(shape))
 
 
-def interval_pullforward(trace, n, y):
-    """Images at time 0 of the stationary intervals at times -n.
-
-    ``n`` is one depth or a grid of them and ``y`` the stable-line
-    coordinates at -n; the stationary interval at -n is pushed by
-    T_{-n}, ..., T_{-1} (see pull_forward).
-    """
-    n = np.asarray(n)
-    if np.any(n < 1):
-        raise ValueError("need n >= 1")
-    return pull_forward(trace, stationary_interval(trace, -n, y), -n)
-
-
 @dataclass(frozen=True, eq=False)
 class IntervalDecayReport:
     n_grid: np.ndarray
@@ -844,22 +813,27 @@ def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
     unbiased.  A replica is certified when its resolution is at most
     DECAY_STABLE_TOL; fewer than two certified replicas give no spread
     for the stderr and raise GapTooSmall.  A grid of fewer than two
-    distinct depths has no slope and raises ValueError.
+    distinct depths has no slope, and a depth below 1 no interval to
+    push; both raise ValueError before any draw.
     """
     n_grid = np.asarray(sorted(int(n) for n in n_grid))
     if len(set(n_grid.tolist())) < 2:
         raise ValueError(f"need two distinct depths n, got {n_grid.tolist()}")
+    if n_grid[0] < 1:
+        raise ValueError("need n >= 1")
     n_max = int(n_grid[-1])
     trace = stationary_orbit(spec, fiber_index, n_max + lookahead, burnin,
                              sampler, t_end=lookahead, replicas=replicas)
-    _, y, resolution = stable_coordinates(trace, lookahead=lookahead)
+    y, resolution = stable_coordinates(trace, lookahead=lookahead)
     keep = np.flatnonzero(resolution <= DECAY_STABLE_TOL)
     if len(keep) < 2:
         raise GapTooSmall(
             f"{len(keep)} of {replicas} replicas certified a stable line at "
             f"lookahead {lookahead}, fewer than the two a stderr needs")
     ks = [trace.index(-n) for n in n_grid]
-    arc = interval_pullforward(trace.select(keep), n_grid, y=y[keep][:, ks])
+    kept = trace.select(keep)
+    arc = pull_forward(kept, stationary_interval(kept, -n_grid, y[keep][:, ks]),
+                       -n_grid)
     rows = np.log(arc.length)
     slopes = np.polyfit(n_grid.astype(float), rows.T, 1)[0]
     return IntervalDecayReport(

@@ -299,7 +299,7 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
     trace = stationary_orbit(spec, i, n + lookahead, realization_burnin,
                              sampler.child(10), t_end=lookahead,
                              replicas=replicas)
-    _, y, resolution = stable_coordinates(trace, lookahead=lookahead)
+    y, resolution = stable_coordinates(trace, lookahead=lookahead)
     x, y = trace.x[:, 0], y[:, 0]
     resolved = resolution <= INTERVAL_STABLE_TOL
     lost = ~resolved & ~_isometric_fiber_action(trace)

@@ -264,12 +264,6 @@ def fiber_embed(fi, theta):
     return Flag(basis)
 
 
-def fiber_coordinate(f, i):
-    """Position of S_i within the fiber circle over the rest of the flag."""
-    fi = partial_flag(f, i)
-    return float(fiber_coordinates(f.basis, np.column_stack(fi.frame), i))
-
-
 def act_partial(a, fi):
     """Image partial flag with subspaces A(S_j), j != missing."""
     return partial_flag(act_flag(a, Flag(fi.basis)), fi.missing)

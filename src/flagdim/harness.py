@@ -530,6 +530,7 @@ def run(cfg, command, threads=1):
     start = time.perf_counter()
     sampler = SeededSampler(int(cfg.seed))
     spec = cfg.spec()
+    cfg.fibers(spec.dim)   # an out-of-range fiber is refused before any draw
     spectrum = lyapunov_spectrum(spec, cfg.spectrum_steps, burnin=cfg.burnin,
                                  sampler=sampler.child(1))
     refusals = {}

@@ -28,7 +28,7 @@ def conditional_independence_diagnostic(spec, fiber_index, pin_length,
     trace = forward_orbit(spec, push_flags(pinned, pool, spec), future_steps,
                           sampler.child(2), fiber_index=fiber_index)
     # no certificate: the correlation is read whatever the resolution
-    _, y, _ = stable_coordinates(trace, lookahead=future_steps)
+    y, _ = stable_coordinates(trace, lookahead=future_steps)
     xs, ys = trace.x[:, 0], y[:, 0]
     ex = np.stack([np.cos(2 * xs), np.sin(2 * xs)])
     ey = np.stack([np.cos(2 * ys), np.sin(2 * ys)])

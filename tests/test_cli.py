@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from flagdim import cli
+from flagdim import cli, harness
 from flagdim.ensemble import finite_support, to_text
 
 
@@ -20,6 +20,28 @@ def clean_env(monkeypatch):
 def error_rows(out_dir):
     with open(out_dir / "error.csv", newline="") as fh:
         return list(csv.reader(fh))
+
+
+def data_rows(path):
+    """The rows of an output CSV below its schema line and header."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[2:]
+
+
+def diag4eps():
+    """diag3eps's recipe one dimension up: a diagonal stretch behind
+    sign-flipped rotations on the three adjacent coordinate planes."""
+    def rotation(a, angle):
+        r = np.eye(4)
+        c, s = np.cos(angle), np.sin(angle)
+        r[[a, a, a + 1, a + 1], [a, a + 1, a, a + 1]] = [c, -s, s, c]
+        return r
+
+    stretch = np.diag(np.exp([0.20, 0.07, -0.05, -0.17]))
+    atoms = [rotation(0, s1 * 0.7) @ rotation(1, s2 * 0.8)
+             @ rotation(2, s3 * 0.6) @ stretch
+             for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
+    return finite_support("diag4eps", atoms, np.full(8, 0.125))
 
 
 def test_validate_exits_zero(clean_env, tmp_path):
@@ -100,6 +122,23 @@ def test_bad_fiber_flag_exits_one(clean_env, tmp_path):
     _, row = error_rows(tmp_path)
     assert row[:2] == ["1", "ConfigError"]
     assert "bad value for fiber_index: 'x'" in row[2]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "entropy", "dimension",
+                                     "verify"])
+def test_out_of_range_fiber_exits_one_before_any_draw(clean_env, tmp_path,
+                                                      command):
+    # bern2 has the one fiber 1: fiber 2 is refused as the run starts, so
+    # the spectrum, the first draw of every command, never runs
+    calls = []
+    clean_env.setattr(harness, "lyapunov_spectrum",
+                      lambda *args, **kwargs: calls.append(args))
+    code = cli.main([command, "--ensemble", "bern2", "--seed", "7",
+                     "--fiber", "2", "--out", str(tmp_path), "--no-figures"])
+    assert code == 1
+    _, row = error_rows(tmp_path)
+    assert row == ["1", "ConfigError", "fiber_index 2 out of range for d = 2"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("args, message", [
@@ -226,3 +265,37 @@ def test_config_file_with_a_pin_length_exits_one(clean_env, tmp_path):
     clean_env.setenv("FLAGDIM_PIN_LENGTH", "-1")
     args = cli._parser().parse_args(["verify", "--seed", "1"])
     assert cli._config(args).seed == 1
+
+
+def test_every_command_runs_d4_from_a_spec_file(clean_env, tmp_path):
+    # at d = 4 fiber 2's base has a subspace on each side; the budget is
+    # the verify-diag3eps workload's.  Shapes only, not values
+    path = tmp_path / "diag4eps.spec"
+    path.write_text(to_text(diag4eps()))
+    for name, value in (("SPECTRUM_STEPS", "5000"), ("TAIL_REPLICAS", "2000"),
+                        ("ORBIT_SAMPLES", "24"), ("REPLICAS", "12"),
+                        ("INTERVAL_N", "60")):
+        clean_env.setenv("FLAGDIM_" + name, value)
+    for command in ("spectrum", "entropy", "dimension", "verify"):
+        out = tmp_path / command
+        args = [command, "--ensemble", str(path), "--seed", "7",
+                "--out", str(out)]
+        assert cli.main(args if command == "verify"
+                        else args + ["--no-figures"]) == 0
+        assert not (out / "error.csv").exists()
+    both = [[str(i), method] for i in (1, 2, 3)
+            for method in ("density", "interval")]
+    for command in ("entropy", "verify"):
+        kappa = data_rows(tmp_path / command / "kappa.csv")
+        assert [row[:2] for row in kappa] == both
+    for command in ("dimension", "verify"):
+        out = tmp_path / command
+        assert [row[0] for row in data_rows(out / "dimension.csv")] == \
+            ["1", "2", "3"]
+        assert len(data_rows(out / "ballmass.csv")) == 216
+    for command in ("spectrum", "entropy", "dimension", "verify"):
+        spectrum = data_rows(tmp_path / command / "spectrum.csv")
+        assert [row[0] for row in spectrum] == ["1", "2", "3", "4"]
+    for figure in ("kappa_gap.svg", "interval_decay.svg",
+                   "dimension_slopes.svg"):
+        assert (tmp_path / "verify" / figure).stat().st_size > 0

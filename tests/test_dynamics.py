@@ -9,16 +9,16 @@ from flagdim.dynamics import (FOLD_COND_CAP, THINNING,
                               batched_orthonormalize, circle_map_between,
                               draw_blocks, evolve_flags, fold_width,
                               forward_orbit, interval_decay_curve,
-                              interval_pullforward, lyapunov_spectrum,
-                              push_arc, push_flags, stable_coordinates,
+                              lyapunov_spectrum, pull_forward, push_arc,
+                              push_flags, stable_coordinates,
                               stationary_flag_pool, stationary_interval,
                               stationary_lines, stationary_orbit)
 from flagdim.ensemble import (SeededSampler, bern2, diag3eps, finite_support,
                               from_text, iso2, iso3, rot2, sample_batch,
                               to_text)
 from flagdim.errors import (DegenerateFiberPair, GapTooSmall, IntervalWrap)
-from flagdim.flagcore import (Flag, LinearMap, act_flag, completion_frames,
-                              det2, fiber_coordinate, fiber_coordinates,
+from flagdim.flagcore import (CircleMap, Flag, LinearMap, act_flag,
+                              completion_frames, det2, fiber_coordinates,
                               fiber_map_image, partial_flag)
 
 from conftest import random_invertible
@@ -411,21 +411,21 @@ def test_spectrum_matches_norm_growth_oracle():
 
 def test_forward_orbit_composition_invariant(rng):
     spec = bern2()
-    trace = forward_orbit(spec, Flag.standard(2), 25, SeededSampler(7))
+    trace = forward_orbit(spec, np.eye(2), 25, SeededSampler(7))
     prod = np.eye(2)
     for k in range(25):
         prod = trace.matrices[0, k] @ prod
-        direct = act_flag(LinearMap(prod), trace.flag(0))
+        direct = act_flag(LinearMap(prod), Flag(trace.bases[0, 0]))
         p1 = direct.basis[:, :1] @ direct.basis[:, :1].T
         p2 = trace.bases[0, k + 1][:, :1] @ trace.bases[0, k + 1][:, :1].T
         assert np.max(np.abs(p1 - p2)) < 1e-8
 
 
 def test_forward_orbit_steps_through_maps():
-    trace = forward_orbit(diag3eps(), Flag.standard(3), 40, SeededSampler(8),
+    trace = forward_orbit(diag3eps(), np.eye(3), 40, SeededSampler(8),
                           fiber_index=2)
     for k in range(40):
-        assert circle.distance(trace.circle_map(k)(trace.x[0, k]),
+        assert circle.distance(fiber_map_image(trace.maps[0, k], trace.x[0, k]),
                                trace.x[0, k + 1]) < 1e-9
 
 
@@ -468,7 +468,7 @@ def test_trace_window_and_index():
 
 
 def test_stable_line_deterministic_d3():
-    trace = forward_orbit(HYPER3, Flag.standard(3), 60, SeededSampler(10),
+    trace = forward_orbit(HYPER3, np.eye(3), 60, SeededSampler(10),
                           fiber_index=1)
     line = oseledets_stable_line(trace, 0, lookahead=40)
     # within the fiber over span(e1, e2) the contracted direction is e2
@@ -477,35 +477,36 @@ def test_stable_line_deterministic_d3():
 
 
 def test_stable_line_deterministic_d2():
-    trace = forward_orbit(HYPER2, Flag.standard(2), 60, SeededSampler(11))
+    trace = forward_orbit(HYPER2, np.eye(2), 60, SeededSampler(11))
     line = oseledets_stable_line(trace, 0, lookahead=50)
     assert circle.distance(line.coordinate, np.pi / 2) < 1e-9
 
 
 def test_stable_line_gate_on_isometries():
-    trace = forward_orbit(rot2(), Flag.standard(2), 80, SeededSampler(12))
+    trace = forward_orbit(rot2(), np.eye(2), 80, SeededSampler(12))
     with pytest.raises(GapTooSmall):
         oseledets_stable_line(trace, 0, lookahead=60)
 
 
 def test_stable_coordinates_certified(rng):
-    trace = forward_orbit(strong2(), Flag.standard(2), 140, SeededSampler(13))
-    times, y, resolution = stable_coordinates(trace, lookahead=60)
+    trace = forward_orbit(strong2(), np.eye(2), 140, SeededSampler(13))
+    y, resolution = stable_coordinates(trace, lookahead=60)
     assert resolution[0] <= 1e-2
-    assert len(times) == len(y[0]) > 0
+    # the coordinates run up to the anchor, 60 steps before the end
+    assert y.shape == (1, len(trace.times) - 60)
     # recompute one point directly
-    line = oseledets_stable_line(trace, int(times[3]), lookahead=60)
+    line = oseledets_stable_line(trace, int(trace.times[3]), lookahead=60)
     assert circle.distance(y[0, 3], line.coordinate) < 1e-9
 
 
 def log_distance_slope(trace, lookahead):
     """Slope of log dist(x_n, y_n) against n on the first replica, with its
     least-squares stderr; y_n are the certified stable coordinates."""
-    times, y, resolution = stable_coordinates(trace, lookahead=lookahead)
+    y, resolution = stable_coordinates(trace, lookahead=lookahead)
     assert resolution[0] <= 1e-2
-    d = circle.distance(trace.x[0, : len(times)], y[0])
+    d = circle.distance(trace.x[0, : y.shape[1]], y[0])
     assert np.all(d > 0)
-    t = times.astype(float)
+    t = trace.times[: y.shape[1]].astype(float)
     logd = np.log(d)
     slope, intercept = np.polyfit(t, logd, 1)
     resid = logd - (slope * t + intercept)
@@ -521,14 +522,14 @@ def test_angle_decay_slope_near_zero_deterministic():
     c, s = np.cos(0.3), np.sin(0.3)
     q = np.array([[c, -s], [s, c]])
     tilted = single("tilted2", q @ np.diag([2.0, 0.5]) @ q.T)
-    f0 = Flag.from_matrix(np.array([[1.0, 0.0], [0.7, 1.0]]))
+    f0 = Flag.from_matrix(np.array([[1.0, 0.0], [0.7, 1.0]])).basis
     trace = forward_orbit(tilted, f0, 120, SeededSampler(14))
     slope, _ = log_distance_slope(trace, lookahead=40)
     assert abs(slope) < 5e-3
 
 
 def test_angle_decay_slope_near_zero_strong2():
-    trace = forward_orbit(strong2(), Flag.standard(2), 400,
+    trace = forward_orbit(strong2(), np.eye(2), 400,
                           SeededSampler(15))
     slope, stderr = log_distance_slope(trace, lookahead=80)
     lo, hi = slope - 2 * stderr, slope + 2 * stderr
@@ -544,18 +545,18 @@ def test_arc_invariants():
     assert arc.length == pytest.approx(0.75)
     assert arc.contains(1.0) and arc.contains(0.6) and arc.contains(1.2)
     assert not arc.contains(1.3)
-    lo, hi = arc.endpoints
+    lo, hi = circle.wrap(arc.anchor + np.array([arc.lo, arc.hi]))
     assert lo == pytest.approx(0.5) and hi == pytest.approx(1.25)
 
 
 def test_stationary_interval_worked_example():
     # x = 0 and y = pi/2 give the arc from 3pi/4 of length pi/2
-    trace = forward_orbit(HYPER2, Flag.standard(2), 60, SeededSampler(16))
+    trace = forward_orbit(HYPER2, np.eye(2), 60, SeededSampler(16))
     y = oseledets_stable_line(trace, 0, lookahead=50).coordinate
     arc = stationary_interval(trace, 0, y)
     assert circle.distance(trace.x[0, 0], 0.0) < 1e-12
     assert arc.length == pytest.approx(np.pi / 2, abs=1e-9)
-    lo, hi = arc.endpoints
+    lo, hi = circle.wrap(arc.anchor + np.array([arc.lo, arc.hi]))
     assert lo == pytest.approx(3 * np.pi / 4, abs=1e-9)
     assert hi == pytest.approx(np.pi / 4, abs=1e-9)
     assert arc.contains(0.0) and arc.contains(np.pi / 8)
@@ -564,23 +565,23 @@ def test_stationary_interval_worked_example():
 
 
 def test_stationary_interval_rejects_coinciding_pair():
-    trace = forward_orbit(HYPER2, Flag.standard(2), 60, SeededSampler(17))
+    trace = forward_orbit(HYPER2, np.eye(2), 60, SeededSampler(17))
     with pytest.raises(DegenerateFiberPair):
         stationary_interval(trace, 0, y=float(trace.x[0, trace.index(0)]))
 
 
 def test_mobius_contraction_closed_form():
     # diag(2, 1/2) pulls the symmetric arc to half-width atan(4^-n)
-    trace = forward_orbit(HYPER2, Flag.standard(2), 80, SeededSampler(18),
+    trace = forward_orbit(HYPER2, np.eye(2), 80, SeededSampler(18),
                           t0=-40)
     y = np.pi / 2
     for n in (1, 3, 6, 10, 20):
-        arc = interval_pullforward(trace, n, y=y)
+        arc = pull_forward(trace, stationary_interval(trace, -n, y), -n)
         want = 2 * np.arctan(4.0 ** -n)
         assert arc.length == pytest.approx(want, rel=1e-9)
     # lengths far below the anchor's own resolution stay exact
     for n in (25, 40):
-        tiny = interval_pullforward(trace, n, y=y)
+        tiny = pull_forward(trace, stationary_interval(trace, -n, y), -n)
         assert tiny.length == pytest.approx(2 * np.arctan(4.0 ** -n), rel=1e-12)
         assert tiny.length < 1e-14
 
@@ -593,7 +594,7 @@ def test_push_beyond_a_quarter_turn_matches_closed_form():
     c, s = np.cos(rot), np.sin(rot)
     q = np.array([[c, -s], [s, c]])
     tilted = single("tilted2", q @ np.diag([2.0, 0.5]) @ q.T)
-    trace = forward_orbit(tilted, Flag.standard(2), 40, SeededSampler(29),
+    trace = forward_orbit(tilted, np.eye(2), 40, SeededSampler(29),
                           t0=-40)
     phi = 0.7
     hi = np.pi / 2 - 0.12 - phi
@@ -646,7 +647,8 @@ def test_pullforward_contains_x_and_excludes_y():
         for n in range(2, 100, 7):
             try:
                 y = oseledets_stable_line(trace, -n, lookahead=55).coordinate
-                arc = interval_pullforward(trace, n, y)
+                arc = pull_forward(trace, stationary_interval(trace, -n, y),
+                                   -n)
             except IntervalWrap:
                 wrapped += 1
                 continue
@@ -662,7 +664,7 @@ def test_pullforward_contains_x_bern2():
                              t_end=1550)
     for n in (20, 80, 140):
         y = oseledets_stable_line(trace, -n, lookahead=1500).coordinate
-        arc = interval_pullforward(trace, n, y)
+        arc = pull_forward(trace, stationary_interval(trace, -n, y), -n)
         assert arc.contains(float(trace.x[0, trace.index(0)]))
 
 
@@ -674,16 +676,17 @@ def test_trace_arrays_match_per_step_objects(spec, i):
     # CircleMap.map_offset
     trace = stationary_orbit(spec, i, 80, 40, SeededSampler(24), t_end=50,
                              replicas=3)
-    _, y, _ = stable_coordinates(trace, lookahead=50)
+    y, _ = stable_coordinates(trace, lookahead=50)
     n = 30
-    arcs = interval_pullforward(trace, n, y=y[:, trace.index(-n)])
+    arcs = pull_forward(trace, stationary_interval(
+        trace, -n, y[:, trace.index(-n)]), -n)
     for r in range(3):
-        partials = [partial_flag(trace.flag(k, r), i) for k in range(81)]
+        partials = [partial_flag(Flag(trace.bases[r, k]), i) for k in range(81)]
         for k in range(80):
-            assert np.max(np.abs(trace.frames[r, k]
-                                 - np.column_stack(partials[k].frame))) < 1e-12
-            assert circle.distance(trace.x[r, k],
-                                   fiber_coordinate(trace.flag(k, r), i)) < 1e-12
+            frame = np.column_stack(partials[k].frame)
+            assert np.max(np.abs(trace.frames[r, k] - frame)) < 1e-12
+            assert circle.distance(trace.x[r, k], fiber_coordinates(
+                trace.bases[r, k], frame, i)) < 1e-12
             want = circle_map_between(trace.matrices[r, k], partials[k],
                                       partials[k + 1]).matrix
             assert np.max(np.abs(trace.maps[r, k] - want)) < 1e-12
@@ -697,7 +700,8 @@ def test_trace_arrays_match_per_step_objects(spec, i):
         arc = stationary_interval(trace.select([r]), -n, y=y[r, trace.index(-n)])
         anchor, lo, hi = float(arc.anchor[0]), float(arc.lo[0]), float(arc.hi[0])
         for k in range(trace.index(-n), trace.index(0)):
-            cmap = trace.circle_map(k, r)
+            cmap = CircleMap(source=partials[k], target=partials[k + 1],
+                             matrix=trace.maps[r, k])
             d1, d2 = cmap.map_offset(anchor, lo), cmap.map_offset(anchor, hi)
             anchor, lo, hi = cmap(anchor), min(d1, d2), max(d1, d2)
         assert circle.distance(anchor, arcs.anchor[r]) < 1e-12
@@ -706,7 +710,7 @@ def test_trace_arrays_match_per_step_objects(spec, i):
 
 def stepwise_stable_coordinates(trace, lookahead):
     """The backward pass forming each step's adjugate solve at that step;
-    returns (times, y, resolution) as ``stable_coordinates`` does."""
+    returns (y, resolution) as ``stable_coordinates`` does."""
     count, n_maps = trace.maps.shape[:2]
     anchor_k = n_maps - lookahead
     pair = np.broadcast_to(np.eye(2), (count, 2, 2))
@@ -723,7 +727,7 @@ def stepwise_stable_coordinates(trace, lookahead):
             kept[:, k] = pair
     angles = circle.wrap(np.arctan2(kept[..., 1, :], kept[..., 0, :]))
     resolution = circle.distance(angles[:, anchor_k, 0], angles[:, anchor_k, 1])
-    return trace.times[: anchor_k + 1], angles[..., 0], resolution
+    return angles[..., 0], resolution
 
 
 def piecewise_map_offsets(b, anchor, delta):
@@ -780,17 +784,19 @@ def stepwise_pull_forward(trace, arc, t):
 def test_folded_backward_pass_and_composed_pushes_match_stepwise(
         spec, i, widest_at_least):
     # the backward pass folded at the trace's fold width against one
-    # renormalized solve per step, and the pushes through one composed
-    # offset map per arc against per-map pushes cut into pieces
+    # renormalized solve per step, also with the anchor at the window's
+    # end (lookahead 0), and the pushes through one composed offset map
+    # per arc against per-map pushes cut into pieces
     n, lookahead = 60, 200
     trace = stationary_orbit(spec, i, n + lookahead, 100, SeededSampler(28),
                              t_end=lookahead, replicas=5)
-    got = stable_coordinates(trace, lookahead=lookahead)
-    want = stepwise_stable_coordinates(trace, lookahead)
-    assert np.array_equal(got[0], want[0])
-    assert np.max(circle.distance(got[1], want[1])) < 1e-12
-    assert np.max(np.abs(got[2] - want[2])) < 1e-12
-    y = got[1]
+    for ahead in (0, lookahead):
+        y, resolution = stable_coordinates(trace, lookahead=ahead)
+        want_y, want_resolution = stepwise_stable_coordinates(trace, ahead)
+        assert y.shape == want_y.shape == (5, n + lookahead - ahead + 1)
+        assert np.max(circle.distance(y, want_y)) < 1e-12
+        assert np.max(np.abs(resolution - want_resolution)) < 1e-12
+    # the pushes read the coordinates of the last pass, at the lookahead
     grid = np.array([3, 10, 25, 60])
     arcs = stationary_interval(trace, -grid, y[:, [trace.index(-m) for m in grid]])
     one = stationary_interval(trace, -n, y[:, trace.index(-n)])

@@ -7,7 +7,7 @@ from flagdim import circle
 from flagdim.errors import DegenerateBasis
 from flagdim.flagcore import (CircleMap, Flag, LinearMap, act_flag,
                               completion_frames, det_on_subspace,
-                              fiber_coordinate, fiber_embed, flag_jacobian,
+                              fiber_coordinates, fiber_embed, flag_jacobian,
                               induced_circle_map, orthonormalize,
                               partial_flag)
 
@@ -187,7 +187,9 @@ def test_fiber_round_trip(rng):
         i = int(rng.integers(1, d))
         fi = partial_flag(f, i)
         theta = float(rng.uniform(0, np.pi))
-        back = fiber_coordinate(fiber_embed(fi, theta), i)
+        g = fiber_embed(fi, theta)
+        back = fiber_coordinates(g.basis, np.column_stack(
+            partial_flag(g, i).frame), i)
         assert circle.distance(back, theta) < 1e-10
 
 
@@ -316,7 +318,7 @@ def test_induced_map_matches_jacobian(rng):
         f = random_flag(rng, d)
         i = int(rng.integers(1, d))
         fi = partial_flag(f, i)
-        theta = fiber_coordinate(f, i)
+        theta = fiber_coordinates(f.basis, np.column_stack(fi.frame), i)
         t = induced_circle_map(LinearMap(a), fi)
         deriv = t.derivative(theta)
         dens = flag_jacobian(LinearMap(a), f, i)
@@ -384,8 +386,10 @@ def test_rotated_completion_rule_gives_same_map(rng):
 def angle_between_lines(a, b):
     """Angle between the lines R a and R b of the plane: the circle distance
     of the fiber coordinates of the flags they start."""
-    coords = [fiber_coordinate(Flag.from_matrix(np.column_stack([v, [-v[1], v[0]]])), 1)
-              for v in (a, b)]
+    flags = [Flag.from_matrix(np.column_stack([v, [-v[1], v[0]]]))
+             for v in (a, b)]
+    coords = [fiber_coordinates(f.basis, np.column_stack(
+        partial_flag(f, 1).frame), 1) for f in flags]
     return float(circle.distance(*coords))
 
 
