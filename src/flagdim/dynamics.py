@@ -28,6 +28,17 @@ diag3eps 32.  A rotation_invariant draw K S has the singular values of
 S, so the bound is cond(S)^W: iso2 folds 30 steps, iso3 24 and rot2 64.
 A pinned past is a sequence of the spec's draws and folds at W too.
 
+The spectrum's 64 replicas burn in as full flags and then advance as a
+stack (64, d, d - 1) of leading columns: V_d = R^d in every flag, and
+Gram-Schmidt never reads a later column, so chi_1 ... chi_{d-1} are
+those of full flags bit for bit.  Q is orthogonal, so every folded
+product P has sum_j log r_jj = log|det P|, the sum of its draws'
+log|det A_t|.  Each replica's chi_d is therefore the sum of log|det A_t|
+over its draws, less its d - 1 log|diag R| sums, over the steps.  Finite
+support reads a fold's log|det| from per-word tables at the fold's word
+codes (``_word_log_dets``); every rotation_invariant draw K S has
+log|det S|.  No other stack sums log|det|.
+
 Stacks that advance this way (pools of thousands of replicas, the
 spectrum's 64) keep their shape (n, d, k) but are held replica-last: the
 replica axis is innermost in memory.  Word tables are (d, d, K^l)
@@ -80,7 +91,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import circle
-from .ensemble import _atom_counts, sample_batch
+from .ensemble import _atom_counts, mean_log_abs_det, sample_batch
 from .errors import (DegenerateBasis, DegenerateFiberPair, GapTooSmall,
                      IntervalWrap)
 from .flagcore import (ORTHO_TOL, CircleMap, completion_frames, det2,
@@ -142,9 +153,10 @@ def _runs(seq, width):
             yield part.reshape((-1, w) + part.shape[1:])
 
 
-# spec -> _word_tables(spec) and spec -> fold_width(spec): pure functions
-# of the spec, dropped with it
+# spec -> _word_tables(spec), _word_log_dets(spec) and fold_width(spec):
+# pure functions of the spec, dropped with it
 _WORD_TABLES = weakref.WeakKeyDictionary()
+_WORD_LOG_DETS = weakref.WeakKeyDictionary()
 _FOLD_WIDTHS = weakref.WeakKeyDictionary()
 
 
@@ -227,14 +239,33 @@ def _gather(table, codes):
                        (0, 1), (-2, -1))
 
 
-def _word_products(spec, idx):
+def _word_log_dets(spec):
+    """A finite-support spec's log|det| of every tabled word, by length.
+
+    Built on first use, beside the word tables and in their codes: entry
+    i_0 + i_1 K + ... of length l is the sum of log|det a_{i_j}| over the
+    word's atoms.  Only the spectrum reads them (see ``_evolve``).
+    """
+    dets = _WORD_LOG_DETS.get(spec)
+    if dets is None:
+        dets = [np.linalg.slogdet(spec.params["atoms"])[1]]
+        for _ in range(1, _word_tables(spec)[0]):
+            dets.append((dets[0][:, None] + dets[-1][None]).reshape(-1))
+        dets = _WORD_LOG_DETS.setdefault(spec, dets)
+    return dets
+
+
+def _word_products(spec, idx, log_dets=None):
     """Fold products of the atoms idx (T, m) names, read from word tables.
 
     Each run of the spec's fold width W (the last one shorter when T is not
     a multiple) is cut into sub-words of h (see ``_word_tables``); its
     product is the sub-words' tabled products multiplied left to right.
     The width keeps every product under FOLD_COND_CAP, so none is checked
-    or cut.  Returns the (m, d, d) products in order, replica-last.
+    or cut.  Returns the (m, d, d) products in order, replica-last.  With
+    a running sum ``log_dets`` (m,) given, each fold's log|det|, read from
+    ``_word_log_dets`` at the same word codes, is added to it in fold
+    order, and the sum reached is returned after the products.
     """
     h, width, tables = _word_tables(spec)
     weights = len(spec.params["atoms"]) ** np.arange(h)
@@ -242,16 +273,23 @@ def _word_products(spec, idx):
     for runs in _runs(idx, width):
         f, w, m = runs.shape
         q, r = divmod(w, h)
-        words = list(_gather(tables[h - 1], np.einsum(
-            "fqjm,j->qfm", runs[:, :q * h].reshape(f, q, h, m), weights)))
+        codes = [(h, np.einsum("fqjm,j->qfm", runs[:, :q * h].reshape(
+            f, q, h, m), weights))]
         if r:
-            words.append(_gather(tables[r - 1], np.einsum(
-                "fjm,j->fm", runs[:, q * h:], weights[:r])))
+            codes.append((r, np.einsum("fjm,j->fm", runs[:, q * h:],
+                                       weights[:r])[None]))
+        words = [p for length, c in codes
+                 for p in _gather(tables[length - 1], c)]
         prod = words[0]
         for p in words[1:]:
             prod = np.einsum("...ij,...jk->...ik", p, prod)
         out.extend(prod)
-    return out
+        if log_dets is not None:
+            dets = _word_log_dets(spec)
+            for fold in sum(np.take(dets[length - 1], c).sum(axis=0)
+                            for length, c in codes):
+                log_dets = log_dets + fold
+    return out if log_dets is None else (out, log_dets)
 
 
 def _apply(bases, products, logs):
@@ -341,19 +379,37 @@ def evolve_flags(spec, bases, n_steps, sampler):
     log|diag R| goes into one running sum in fold order, so the bases and
     sums do not depend on DRAW_BLOCK.
     """
+    return _evolve(spec, bases, n_steps, sampler)[:2]
+
+
+def _evolve(spec, bases, n_steps, sampler, log_dets=None):
+    """``evolve_flags``, and with a running sum ``log_dets`` (n,) given,
+    each replica's log|det A_t| summed over its draws, returned third.
+
+    Finite support reads each fold's log|det| off its word codes
+    (``_word_products``) and adds it in fold order; every
+    rotation_invariant draw K S has |det| = |det S|.  Only the spectrum
+    asks for the sum, so no other stack pays for it.
+    """
     bases = np.asarray(bases, dtype=float)
     n, d = len(bases), spec.dim
     logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
+    finite = spec.kind == "finite_support"
     # a block's draws live only through its own folds, so none is held
     # while the next block is drawn
     for t in _block_steps(n, n_steps, fold_width(spec)):
-        if spec.kind == "finite_support":
-            bases, logs = _apply(bases, _word_products(
-                spec, _atom_counts(spec, sampler, t * n).reshape(t, n)), logs)
+        if finite:
+            products = _word_products(spec, _atom_counts(
+                spec, sampler, t * n).reshape(t, n), log_dets)
+            if log_dets is not None:
+                products, log_dets = products
+            bases, logs = _apply(bases, products, logs)
         else:
             bases, logs = advance(spec, bases, sample_batch(
                 spec, sampler, t * n).reshape(t, n, d, d), logs)
-    return bases, logs
+    if log_dets is not None and not finite:
+        log_dets = log_dets + n_steps * mean_log_abs_det(spec)
+    return bases, logs, log_dets
 
 
 def push_flags(pinned, bases, spec):
@@ -422,16 +478,24 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
 
     chi_i is the mean i-th diagonal log increment of the QR cocycle after
     burn-in; the standard error comes from the spread of replica means,
-    which are independent by construction.  A gap's standard error comes
+    which are independent by construction.  The replicas burn in as full
+    flags (``stationary_flag_pool``) and then advance their d - 1 leading
+    columns alone, which Gram-Schmidt runs without the last one, so chi_1
+    ... chi_{d-1} are those of full flags bit for bit.  Each replica's
+    chi_d is its draws' summed log|det A_t| less its other log|diag R|
+    sums, over n_steps: Q is orthogonal, so log|det P| is the sum of
+    log|r_jj| for every folded product P.  A gap's standard error comes
     from the spread of the replicas' own gaps: neighbouring exponents of
-    one replica are correlated (for bern2, chi_1 + chi_2 = E log|det A| in
-    every replica), so their errors do not add in quadrature.
+    one replica are correlated (chi_1 + ... + chi_d is the replica's mean
+    log|det A_t|), so their errors do not add in quadrature.
     """
     # burn-in and measurement are two advances on one stream, so no fold
     # straddles the burn-in
     stream = sampler.child(0xCC)
-    bases = stationary_flag_pool(spec, replicas, burnin, stream)
-    _, sums = evolve_flags(spec, bases, n_steps, stream)
+    bases = stationary_flag_pool(spec, replicas, burnin, stream)[..., :-1]
+    _, sums, log_dets = _evolve(spec, bases, n_steps, stream,
+                                np.zeros(replicas))
+    sums = np.column_stack([sums, log_dets - sums.sum(axis=1)])
     means = sums / n_steps
     chi = means.mean(axis=0)
     stderr = means.std(axis=0, ddof=1) / np.sqrt(replicas)
@@ -673,14 +737,6 @@ class Arc:
     @property
     def length(self):
         return self.hi - self.lo
-
-    def contains(self, theta):
-        d = np.mod(np.asarray(theta, dtype=float) - (self.anchor + self.lo),
-                   circle.HALF_TURN)
-        # a point one rounding step below lo wraps to just under a half
-        # turn; fold it back so the slack covers both endpoints
-        d = np.where(d > circle.HALF_TURN - 1e-12, d - circle.HALF_TURN, d)
-        return d <= self.length + 1e-12
 
 
 def stationary_interval(trace, t, y):

@@ -43,6 +43,7 @@ base).  M is PIN_LENGTH steps, which suits the benchmark ensembles, and
 0 when d = 2.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -553,6 +554,26 @@ def _slope_distribution(sample, rng, base_points):
     return slopes[fitted], int(np.count_nonzero(~fitted))
 
 
+def _quartiles(values):
+    """``np.percentile(values, [25, 75])`` by one sort, bit for bit.
+
+    Each quartile interpolates linearly between the order statistics
+    around (n - 1) q, as numpy's default method does, from the lower one
+    when the fraction g is under one half and from the upper one
+    otherwise.  np.percentile imports numpy.ma on first use, about 9 ms
+    of a cold run.
+    """
+    ordered = np.sort(values)
+    out = []
+    for q in (0.25, 0.75):
+        pos = (len(ordered) - 1) * q
+        lo = math.floor(pos)
+        g = pos - lo
+        a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+        out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return out
+
+
 def dimension_formula_report(spec, fiber_index, spectrum, kappa, samples,
                              sampler):
     """Local dimension of the fiber measures against kappa over gap.
@@ -599,7 +620,7 @@ def dimension_formula_report(spec, fiber_index, spectrum, kappa, samples,
     if len(slopes) < 8:
         raise HypothesisNotMet(
             f"only {len(slopes)} usable dimension fits (needed 8)")
-    q25, q75 = np.percentile(slopes, [25, 75])
+    q25, q75 = _quartiles(slopes)
     return DimensionReport(
         spec_name=spec.name, fiber_index=i,
         kappa=kappa.kappa, kappa_stderr=kappa.stderr, gap=gap,

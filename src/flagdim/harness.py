@@ -365,7 +365,13 @@ def _route(cfg, spec, name, bank, leg, refusals):
 
 
 def _run_diagnostics(spec, spectrum):
-    """Checks of the spectrum against the ensemble: sum chi = E log|det A|."""
+    """Checks of the spectrum against the ensemble: sum chi = E log|det A|.
+
+    The spectrum reads chi_d as the draws' summed log|det A_t| less the
+    other exponents' sums (``lyapunov_spectrum``), so sum_chi is the
+    draws' mean log|det A_t| by construction: it checks the draws against
+    E log|det A| summed over the support, not the QR step.
+    """
     return {"sum_chi": float(spectrum.chi.sum()),
             "mean_log_abs_det": mean_log_abs_det(spec)}
 

@@ -286,6 +286,17 @@ def kernel_sums(points, x, bandwidth, labels=None, n_labels=1, exclude=None):
     return scaled / (h * h), counts
 
 
+def _sorted_union(a, b):
+    """``np.union1d(a, b)`` by one sort: the distinct values, ascending.
+
+    np.union1d imports numpy.ma on first use, about 9 ms of a cold run.
+    """
+    values = np.sort(np.concatenate([a, b]))
+    distinct = np.ones(len(values), dtype=bool)
+    distinct[1:] = values[1:] != values[:-1]
+    return values[distinct]
+
+
 def wasserstein_circle(m1, m2):
     """Exact 1-Wasserstein distance between two circle measures.
 
@@ -293,7 +304,7 @@ def wasserstein_circle(m1, m2):
     length-weighted median; the distance is the integral of the recentered
     difference.
     """
-    grid = np.union1d(m1.points, m2.points)
+    grid = _sorted_union(m1.points, m2.points)
     seg = np.diff(np.concatenate([grid, [grid[0] + circle.HALF_TURN]]))
     d = m1.arc_mass(0.0, grid) - m2.arc_mass(0.0, grid)
     order = np.argsort(d, kind="stable")

@@ -22,6 +22,7 @@ from flagdim.flagcore import (CircleMap, Flag, LinearMap, act_flag,
                               fiber_map_image, partial_flag)
 
 from conftest import random_invertible
+from test_cli import diag4eps
 from iso_reference import iso3_exponents
 from stable_line_reference import oseledets_stable_line
 
@@ -115,21 +116,6 @@ def test_block_steps_hold_whole_folds(n, steps, width):
     assert all(t * n <= max(dynamics.DRAW_BLOCK, n * width) for t in blocks)
 
 
-@pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3()],
-                         ids=lambda s: s.name)
-def test_draw_block_size_moves_no_result(monkeypatch, spec):
-    # blocks of one fold, of 4096, 10 000 and DRAW_BLOCK draws: the same
-    # folds, and each fold's log|diag R| added to one running sum in turn
-    start = np.broadcast_to(np.eye(spec.dim), (64, spec.dim, spec.dim))
-    runs = []
-    for block in (1, 4096, 10_000, dynamics.DRAW_BLOCK):
-        monkeypatch.setattr(dynamics, "DRAW_BLOCK", block)
-        runs.append(evolve_flags(spec, start, 700, SeededSampler(51)))
-    for bases, logs in runs[1:]:
-        assert bases.tobytes() == runs[0][0].tobytes()
-        assert logs.tobytes() == runs[0][1].tobytes()
-
-
 def stepwise_advance(spec, bases, steps, sampler):
     """The reference: one draw and one QR step per step."""
     logs = 0.0
@@ -166,6 +152,32 @@ def rotations(name, d, k):
 # word lengths h: 8 for bern2, 4 for diag3eps and THREE, 1 for SEVENTEEN
 THREE = rotations("three", 3, 3)
 SEVENTEEN = rotations("seventeen", 2, 17)
+# THREE's atoms scaled to three different |det|, so each replica's summed
+# log|det A_t| depends on its draws
+SCALED3 = finite_support(
+    "scaled3", [np.exp(c) * a for c, a in zip((0.0, 0.08, -0.05),
+                                              THREE.params["atoms"])],
+    THREE.params["probs"])
+
+
+@pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3(), SCALED3],
+                         ids=lambda s: s.name)
+def test_draw_block_size_moves_no_result(monkeypatch, spec):
+    # blocks of one fold, of 4096, 10 000 and DRAW_BLOCK draws: the same
+    # folds, and each fold's log|diag R| added to one running sum in turn,
+    # as the spectrum adds each fold's log|det|
+    start = np.broadcast_to(np.eye(spec.dim), (64, spec.dim, spec.dim))
+    runs, spectra = [], []
+    for block in (1, 4096, 10_000, dynamics.DRAW_BLOCK):
+        monkeypatch.setattr(dynamics, "DRAW_BLOCK", block)
+        runs.append(evolve_flags(spec, start, 700, SeededSampler(51)))
+        est = lyapunov_spectrum(spec, 700, SeededSampler(51), burnin=50)
+        spectra.append(np.concatenate([est.chi, est.stderr, est.gap_stderrs]))
+    for bases, logs in runs[1:]:
+        assert bases.tobytes() == runs[0][0].tobytes()
+        assert logs.tobytes() == runs[0][1].tobytes()
+    for values in spectra[1:]:
+        assert values.tobytes() == spectra[0].tobytes()
 
 
 @pytest.mark.parametrize("spec", [bern2(), diag3eps(), THREE, SEVENTEEN,
@@ -379,6 +391,40 @@ def test_spectrum_sum_rule_exact_determinant_benchmarks():
         assert float(np.sum(est.chi)) == pytest.approx(want, abs=1e-12)
 
 
+def full_flag_means(spec, n_steps, sampler, burnin, replicas):
+    """The reference: ``lyapunov_spectrum``'s stream advanced as full
+    flags, each exponent read off its own QR column.  Returns every
+    replica's mean log|diag R| (replicas, d)."""
+    stream = sampler.child(0xCC)
+    bases = stationary_flag_pool(spec, replicas, burnin, stream)
+    return evolve_flags(spec, bases, n_steps, stream)[1] / n_steps
+
+
+@pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3(), diag4eps(),
+                                  SCALED3], ids=lambda s: s.name)
+def test_spectrum_reads_chi_d_off_log_det(spec):
+    # the spectrum advances d - 1 columns and reads each replica's chi_d as
+    # its draws' log|det| less its other columns' sums, since Q is
+    # orthogonal: the leading exponents equal the full flags' bit for bit,
+    # and chi_d and every spread that reads it agree to rounding
+    est = lyapunov_spectrum(spec, 3000, SeededSampler(62), burnin=100,
+                            replicas=64)
+    means = full_flag_means(spec, 3000, SeededSampler(62), 100, 64)
+    chi = means.mean(axis=0)
+    stderr = means.std(axis=0, ddof=1) / np.sqrt(64)
+    gaps = means[:, :-1] - means[:, 1:]
+    gap_stderrs = gaps.std(axis=0, ddof=1) / np.sqrt(64)
+    assert np.array_equal(est.chi[:-1], chi[:-1])
+    assert np.array_equal(est.stderr[:-1], stderr[:-1])
+    assert np.array_equal(est.gap_stderrs[:-1], gap_stderrs[:-1])
+    for got, want in ((est.chi[-1], chi[-1]), (est.stderr[-1], stderr[-1]),
+                      (est.gap_stderrs[-1], gap_stderrs[-1])):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    if spec is SCALED3:
+        # the replicas' log|det| sums differ, so chi_d reads the draws
+        assert np.ptp(means.sum(axis=1)) > 1e-3
+
+
 # top exponent of bern2, from renormalized products log||P_n v|| / n at
 # 256 streams x 60k steps (se 2.6e-5); span averages of the increment sequence
 # are heavy-tailed, so short reruns can sit 7e-4 off this with clean-looking
@@ -536,6 +582,16 @@ def test_angle_decay_slope_near_zero_strong2():
     assert lo < 0 < hi or abs(slope) < 0.02
 
 
+def arc_contains(arc, theta):
+    """Whether the closed arc holds theta, with 1e-12 of slack at each end."""
+    d = np.mod(np.asarray(theta, dtype=float) - (arc.anchor + arc.lo),
+               circle.HALF_TURN)
+    # a point one rounding step below lo wraps to just under a half turn;
+    # fold it back so the slack covers both endpoints
+    d = np.where(d > circle.HALF_TURN - 1e-12, d - circle.HALF_TURN, d)
+    return d <= arc.length + 1e-12
+
+
 def test_arc_invariants():
     with pytest.raises(IntervalWrap):
         Arc(anchor=1.0, lo=0.1, hi=0.5)
@@ -543,8 +599,9 @@ def test_arc_invariants():
         Arc(anchor=1.0, lo=-2.0, hi=2.0)
     arc = Arc(anchor=1.0, lo=-0.5, hi=0.25)
     assert arc.length == pytest.approx(0.75)
-    assert arc.contains(1.0) and arc.contains(0.6) and arc.contains(1.2)
-    assert not arc.contains(1.3)
+    assert (arc_contains(arc, 1.0) and arc_contains(arc, 0.6)
+            and arc_contains(arc, 1.2))
+    assert not arc_contains(arc, 1.3)
     lo, hi = circle.wrap(arc.anchor + np.array([arc.lo, arc.hi]))
     assert lo == pytest.approx(0.5) and hi == pytest.approx(1.25)
 
@@ -559,9 +616,9 @@ def test_stationary_interval_worked_example():
     lo, hi = circle.wrap(arc.anchor + np.array([arc.lo, arc.hi]))
     assert lo == pytest.approx(3 * np.pi / 4, abs=1e-9)
     assert hi == pytest.approx(np.pi / 4, abs=1e-9)
-    assert arc.contains(0.0) and arc.contains(np.pi / 8)
-    assert not arc.contains(1.0)
-    assert not arc.contains(np.pi / 2)
+    assert arc_contains(arc, 0.0) and arc_contains(arc, np.pi / 8)
+    assert not arc_contains(arc, 1.0)
+    assert not arc_contains(arc, np.pi / 2)
 
 
 def test_stationary_interval_rejects_coinciding_pair():
@@ -653,9 +710,9 @@ def test_pullforward_contains_x_and_excludes_y():
                 wrapped += 1
                 continue
             x0 = float(trace.x[0, trace.index(0)])
-            assert arc.contains(x0)
+            assert arc_contains(arc, x0)
             if arc.length < circle.distance(x0, y0):
-                assert not arc.contains(y0)
+                assert not arc_contains(arc, y0)
     assert wrapped == 0
 
 
@@ -665,7 +722,7 @@ def test_pullforward_contains_x_bern2():
     for n in (20, 80, 140):
         y = oseledets_stable_line(trace, -n, lookahead=1500).coordinate
         arc = pull_forward(trace, stationary_interval(trace, -n, y), -n)
-        assert arc.contains(float(trace.x[0, trace.index(0)]))
+        assert arc_contains(arc, float(trace.x[0, trace.index(0)]))
 
 
 @pytest.mark.parametrize("spec, i", [(diag3eps(), 2), (hyper3mix(), 1)],

@@ -483,6 +483,20 @@ def test_dimension_report_refuses_a_gap_within_its_noise(sign, kappa_stderr):
                                  SeededSampler(3))
 
 
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_quartiles_are_numpy_percentiles(rng, tied):
+    # every length from 1 to 60, odd and even, with and without ties: the
+    # quartiles read np.percentile's values bit for bit.  Magnitudes from
+    # 1e-3 to 1e3 make the two sides of numpy's interpolation round
+    # differently at some quartiles, so each side is checked
+    for n in range(1, 61):
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        if tied:
+            values = np.round(values, 1)
+        want = np.percentile(values, [25, 75])
+        assert np.array_equal(entropy._quartiles(values), want)
+
+
 def test_dimension_report_refuses_zero_kappa():
     sampler, spectrum, kappa = _report_inputs(
         rot2(), 51, 4000, tail_replicas=2000, orbit_samples=25,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flagdim import circle
+from flagdim import circle, measures
 from flagdim.dynamics import stationary_flag_pool
 from flagdim.ensemble import SeededSampler, bern2
 from flagdim.errors import InsufficientMass
@@ -385,6 +385,22 @@ def test_wasserstein_symmetry_and_triangle(rng):
     d02 = wasserstein_circle(ms[0], ms[2])
     d12 = wasserstein_circle(ms[1], ms[2])
     assert d02 <= d01 + d12 + 1e-12
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+@pytest.mark.parametrize("sizes", [(1, 1), (4, 7), (10, 10), (33, 64)],
+                         ids=str)
+def test_sorted_union_is_union1d(rng, tied, sizes):
+    # odd and even totals, ties within and between the two arrays, and
+    # signed zeros, which compare equal
+    for _ in range(20):
+        a, b = (rng.uniform(0, np.pi, n) for n in sizes)
+        if tied:
+            a, b = (np.round(v * 2) / 2 * rng.choice([-1.0, 1.0], len(v))
+                    for v in (a, b))
+        want = np.union1d(a, b)
+        got = measures._sorted_union(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_wasserstein_rotation_of_grid():
