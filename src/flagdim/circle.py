@@ -13,11 +13,27 @@ HALF_TURN = np.pi  # circumference of the fiber circle
 
 
 def wrap(theta):
-    """Reduce an angle (or array of angles) to the fundamental domain [0, pi)."""
-    # np.mod(-eps, pi) rounds up to pi itself for eps below one ulp
-    out = np.mod(theta, HALF_TURN)
-    return np.where(out >= HALF_TURN, 0.0, out) if np.ndim(out) else \
-        (0.0 if out >= HALF_TURN else float(out))
+    """Reduce an angle (or array of angles) to the fundamental domain [0, pi).
+
+    An array whose angles all lie in [-pi, pi], as every atan2 output does,
+    is reduced as where(theta < 0, theta + pi, theta) + 0.0: there fmod is
+    exact, so that is np.mod(theta, pi) bit for bit, -0.0 going to 0.0,
+    at a fraction of its cost.  Any other input takes np.mod.
+    """
+    # np.mod(-eps, pi) rounds up to pi itself for eps below one ulp, and
+    # so does -eps + pi
+    if np.ndim(theta) == 0:
+        out = np.mod(theta, HALF_TURN)
+        return 0.0 if out >= HALF_TURN else float(out)
+    theta = np.asarray(theta)
+    # a NaN fails both comparisons and takes np.mod
+    if -HALF_TURN <= theta.min(initial=0.0) and \
+            theta.max(initial=0.0) <= HALF_TURN:
+        out = np.where(theta < 0.0, theta + HALF_TURN, theta) + 0.0
+    else:
+        out = np.mod(theta, HALF_TURN)
+    out[out >= HALF_TURN] = 0.0
+    return out
 
 
 def distance(a, b):

@@ -26,7 +26,12 @@ to right, of q tabled h-words and one r-word, so its condition number is
 at most c_h^q c_r by submultiplicativity: bern2 folds 43 steps and
 diag3eps 32.  A rotation_invariant draw K S has the singular values of
 S, so the bound is cond(S)^W: iso2 folds 30 steps, iso3 24 and rot2 64.
-A pinned past is a sequence of the spec's draws and folds at W too.
+A pinned past is a sequence of the spec's draws and folds at W too.  The
+pasts of R realizations fold in one chain over (F, R, d, d)
+(``pin_folds``), left-associated in the order ``advance`` uses, so each
+product is the one a push through that past alone forms (``push_flags``)
+bit for bit; each pool is then pushed through its own past's products
+(``push_folds``), one pool at a time.
 
 The spectrum's 64 replicas burn in as full flags and then advance as a
 stack (64, d, d - 1) of leading columns: V_d = R^d in every flag, and
@@ -52,7 +57,11 @@ Every stack of replicas draws from one sampler: step t takes one matrix
 per replica, in replica order, so a replica's draws depend on the stack
 it runs in.  A burn-in is a ``stationary_flag_pool`` on the stack's
 stream; an orbit window (``stationary_orbit``) draws on that stream after
-it, and a realization's pinned past is the start of its own window.  An
+it, and a realization's pinned past is the start of its own window.  A
+tail pool is read at its first d - 1 subspaces alone, so the pools burn
+in as (n, d, d - 1) stacks of leading columns, bit for bit the full
+flags' columns; the orbit windows' and the spectrum's burn-ins run full
+flags.  An
 orbit trace keeps, for R replicas over one window of T steps, arrays with
 the replica on the leading axis: the flag bases (R, T+1, d, d), the
 completion frames of the fiber planes (R, T+1, d, 2), the induced 2x2
@@ -68,7 +77,9 @@ line of each flag: ``stationary_lines`` runs leading columns (R, 2, 1)
 from e_1 through ``evolve_flags`` and reads their angles after a burn-in
 and again every THINNING steps, off independent replicas rather than one
 orbit: on bern2, cos 4 theta has autocorrelation -0.64 at lag 5 along
-one orbit, so the points of one thinned orbit sample nu poorly.
+one orbit, so the points of one thinned orbit sample nu poorly.  The
+thinned reads of a draw block come from one draw, and their
+THINNING-step products are formed (gathered, for finite support) at once.
 
 Intervals are carried as an anchor plus two signed offsets, never as
 absolute endpoints.  A map B at the anchor u acts on an offset delta
@@ -262,10 +273,10 @@ def _word_products(spec, idx, log_dets=None):
     a multiple) is cut into sub-words of h (see ``_word_tables``); its
     product is the sub-words' tabled products multiplied left to right.
     The width keeps every product under FOLD_COND_CAP, so none is checked
-    or cut.  Returns the (m, d, d) products in order, replica-last.  With
-    a running sum ``log_dets`` (m,) given, each fold's log|det|, read from
-    ``_word_log_dets`` at the same word codes, is added to it in fold
-    order, and the sum reached is returned after the products.
+    or cut.  Returns the (m, d, d) products in order, replica-last, and
+    the running sum ``log_dets`` (m,): when given, each fold's log|det|,
+    read from ``_word_log_dets`` at the same word codes, is added to it in
+    fold order; when None, it stays None.
     """
     h, width, tables = _word_tables(spec)
     weights = len(spec.params["atoms"]) ** np.arange(h)
@@ -289,10 +300,10 @@ def _word_products(spec, idx, log_dets=None):
             for fold in sum(np.take(dets[length - 1], c).sum(axis=0)
                             for length, c in codes):
                 log_dets = log_dets + fold
-    return out if log_dets is None else (out, log_dets)
+    return out, log_dets
 
 
-def _apply(bases, products, logs):
+def _apply(bases, products, logs=0.0):
     """One QR step of the stack (n, d, k) per product, in order.
 
     Each product multiplies the stack into a replica-last stack (Fortran
@@ -300,8 +311,9 @@ def _apply(bases, products, logs):
     ``batched_orthonormalize`` keeps, so both run over contiguous replicas
     whatever order the products come in.  Each product's log|diag R| is
     added to the running sum ``logs`` (n, k) in turn, so a sum over many
-    calls is the same whatever products each call gets.  Returns the bases
-    reached and the new running sum; ``logs`` itself is not written.
+    calls is the same whatever products each call gets; a stack whose sums
+    nobody reads starts from 0.0.  Returns the bases reached and the new
+    running sum; ``logs`` itself is not written.
     """
     bases = np.asarray(bases, dtype=float)
     for p in products:
@@ -329,13 +341,26 @@ def advance(spec, bases, mats, logs=None):
     """
     if logs is None:
         logs = np.zeros(np.shape(bases)[:-2] + np.shape(bases)[-1:])
+    return _apply(bases, _fold_chain(np.asarray(mats, dtype=float),
+                                     fold_width(spec)), logs)
+
+
+def _fold_chain(mats, width):
+    """Fold products of draws mats (T, m, d, d), one (m, d, d) per run.
+
+    Each run of ``width`` matrices (the last one shorter when T is not a
+    multiple) is multiplied out left-associated, run[j] @ (... run[0]),
+    over all m stacks at once.  numpy multiplies a stack one 2-d product
+    at a time, so stack j of a product is that of mats[:, j] folded
+    alone, bit for bit.
+    """
     products = []
-    for runs in _runs(np.asarray(mats, dtype=float), fold_width(spec)):
+    for runs in _runs(mats, width):
         prod = runs[:, 0]
         for j in range(1, runs.shape[1]):
             prod = runs[:, j] @ prod
         products.extend(prod)
-    return _apply(bases, products, logs)
+    return products
 
 
 def _block_steps(n, steps, width):
@@ -375,7 +400,8 @@ def evolve_flags(spec, bases, n_steps, sampler):
     atom indices on the same stream, as narrow counts
     (``ensemble._atom_counts``), and folds them as words
     (``_word_products``); rotation_invariant draws the matrices and folds
-    them by ``advance``, whose return value this has.  Each fold's
+    them as ``advance`` does (``_fold_chain``), whose return value this
+    has.  Each fold's
     log|diag R| goes into one running sum in fold order, so the bases and
     sums do not depend on DRAW_BLOCK.
     """
@@ -392,24 +418,39 @@ def _evolve(spec, bases, n_steps, sampler, log_dets=None):
     asks for the sum, so no other stack pays for it.
     """
     bases = np.asarray(bases, dtype=float)
-    n, d = len(bases), spec.dim
+    n = len(bases)
     logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
-    finite = spec.kind == "finite_support"
     # a block's draws live only through its own folds, so none is held
     # while the next block is drawn
     for t in _block_steps(n, n_steps, fold_width(spec)):
-        if finite:
-            products = _word_products(spec, _atom_counts(
-                spec, sampler, t * n).reshape(t, n), log_dets)
-            if log_dets is not None:
-                products, log_dets = products
-            bases, logs = _apply(bases, products, logs)
-        else:
-            bases, logs = advance(spec, bases, sample_batch(
-                spec, sampler, t * n).reshape(t, n, d, d), logs)
-    if log_dets is not None and not finite:
+        products, log_dets = _folds(spec, _draws(spec, sampler, t, n),
+                                    log_dets)
+        bases, logs = _apply(bases, products, logs)
+    if log_dets is not None and spec.kind != "finite_support":
         log_dets = log_dets + n_steps * mean_log_abs_det(spec)
     return bases, logs, log_dets
+
+
+def _draws(spec, sampler, steps, n):
+    """The next ``steps`` draws of an n-stack, step-major: atom counts
+    (steps, n) for finite support (``ensemble._atom_counts``), matrices
+    (steps, n, d, d) otherwise, each as ``sample_batch`` draws them."""
+    if spec.kind == "finite_support":
+        return _atom_counts(spec, sampler, steps * n).reshape(steps, n)
+    return sample_batch(spec, sampler, steps * n).reshape(
+        steps, n, spec.dim, spec.dim)
+
+
+def _folds(spec, draws, log_dets=None):
+    """Fold products of ``_draws`` output (T, m, ...), and the running sum.
+
+    Finite support folds the counts as words (``_word_products``), adding
+    each fold's log|det| to ``log_dets`` when given; matrices fold by
+    ``_fold_chain`` and leave the sum as it is.
+    """
+    if spec.kind == "finite_support":
+        return _word_products(spec, draws, log_dets)
+    return _fold_chain(draws, fold_width(spec)), log_dets
 
 
 def push_flags(pinned, bases, spec):
@@ -422,14 +463,37 @@ def push_flags(pinned, bases, spec):
     return advance(spec, bases, np.asarray(pinned, dtype=float)[:, None])[0]
 
 
-def stationary_flag_pool(spec, count, burnin, sampler):
+def pin_folds(spec, pins):
+    """Fold products of R pinned pasts (R, T, d, d), one list per past.
+
+    All R pasts fold in one left-associated chain (``_fold_chain``), at
+    the spec's fold width, so past r's products are those ``push_flags``
+    forms for it alone, bit for bit.  Each product is a (1, d, d) view, as
+    ``push_flags`` applies it; ``push_folds`` pushes a stack through one
+    past's list.
+    """
+    chain = _fold_chain(np.swapaxes(pins, 0, 1), fold_width(spec))
+    return [[p[r, None] for p in chain] for r in range(len(pins))]
+
+
+def push_folds(folds, bases):
+    """A stack of flag bases pushed through one past's ``pin_folds``
+    products: ``push_flags`` of that past, bit for bit."""
+    return _apply(bases, folds)[0]
+
+
+def stationary_flag_pool(spec, count, burnin, sampler, columns=None):
     """Approximate i.i.d. draws from the stationary flag distribution.
 
     Runs ``count`` independent replicas from the standard flag for
-    ``burnin`` steps; with a positive gap they forget the start exponentially.
+    ``burnin`` steps; with a positive gap they forget the start
+    exponentially.  With ``columns`` = k given, only the k leading columns
+    (count, d, k) run, which are those of the full flags bit for bit:
+    Gram-Schmidt never reads a later column.
     """
-    start = np.broadcast_to(np.eye(spec.dim), (count, spec.dim, spec.dim))
-    return evolve_flags(spec, start, burnin, sampler)[0]
+    start = np.eye(spec.dim)[:, :columns]
+    return evolve_flags(spec, np.broadcast_to(start, (count,) + start.shape),
+                        burnin, sampler)[0]
 
 
 def stationary_lines(spec, replicas, burnin, count, sampler):
@@ -440,15 +504,31 @@ def stationary_lines(spec, replicas, burnin, count, sampler):
     and again every THINNING steps, until ``count`` angles are held (the
     last read cut short).  Reads of one replica are correlated, reads of
     different replicas independent.  Only the angles are kept.
+
+    The thinned reads draw on the same stream as ``evolve_flags`` calls of
+    THINNING steps would, but one draw block of whole reads at a time
+    (``_block_steps``): a block's k reads fold as one stack of k R
+    THINNING-step pasts, read by read, so every word of the block is
+    gathered (or every matrix product formed) at once.  Each read's slice
+    of the stack then takes its QR steps, so the angles are those of the
+    per-read calls bit for bit.
     """
     start = np.zeros((replicas, 2, 1))
     start[:, 0, 0] = 1.0
     # the fiber plane of d = 2 is the whole plane, framed by e_1, e_2
     lines, _ = evolve_flags(spec, start, burnin, sampler)
     reads = [fiber_coordinates(lines, np.eye(2), 1)]
-    for _ in range(1, -(-count // replicas)):
-        lines, _ = evolve_flags(spec, lines, THINNING, sampler)
-        reads.append(fiber_coordinates(lines, np.eye(2), 1))
+    steps = (-(-count // replicas) - 1) * THINNING
+    for t in _block_steps(replicas, steps, THINNING):
+        draws = _draws(spec, sampler, t, replicas)
+        rest = draws.shape[2:]
+        # (THINNING, reads * R): read j's replica r is column j R + r
+        draws = draws.reshape((-1, THINNING, replicas) + rest).swapaxes(
+            0, 1).reshape((THINNING, -1) + rest)
+        products, _ = _folds(spec, draws)
+        for lo in range(0, draws.shape[1], replicas):
+            lines, _ = _apply(lines, [p[lo: lo + replicas] for p in products])
+            reads.append(fiber_coordinates(lines, np.eye(2), 1))
     return np.concatenate(reads)[:count]
 
 

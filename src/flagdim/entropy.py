@@ -50,8 +50,9 @@ import numpy as np
 
 from . import circle
 from .dynamics import (DEGENERATE_DISTANCE, INTERVAL_STABLE_TOL, Arc,
-                       pull_forward, push_flags, stable_coordinates,
-                       stationary_interval, stationary_lines, stationary_orbit)
+                       pin_folds, pull_forward, push_folds,
+                       stable_coordinates, stationary_interval,
+                       stationary_lines, stationary_orbit)
 from .ensemble import sample_batch
 from .errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
                      NoAcceptedReplicas)
@@ -83,23 +84,28 @@ def _atomic_gate(coords, context):
             f"{ATOM_RESOLUTION:g} persists across sample sizes")
 
 
-def _pushed_coordinates(spec, pinned, pool, frame, i):
-    """Fiber-i coordinates, in ``frame``, of ``pool`` pushed through the
-    pinned past ``pinned``: the conditional sample given that past.
+def _pushed_coordinates(folds, pool, frame, i):
+    """Fiber-i coordinates, in ``frame``, of ``pool`` pushed through one
+    pinned past: the conditional sample given that past.
 
+    ``folds`` is the past's list of ``pin_folds`` products; every
+    realization's pin is folded in one chain before any pool is pushed,
+    and each pool is pushed alone, so no stack holds more than one pool.
     Only the leading i columns are pushed: the coordinate reads column i,
     and Gram-Schmidt never reads a later one.
     """
-    return fiber_coordinates(push_flags(pinned, pool[..., :i], spec), frame, i)
+    return fiber_coordinates(push_folds(folds, pool[..., :i]), frame, i)
 
 
 def _half_pin_diagnostic(spec, pinned, pool, frame, i, coords):
     """Wasserstein distance between the full- and half-pin fiber samples.
 
-    ``coords`` is the pool pushed through the whole pin and read in
-    ``frame``; the half-pin sample keeps only the pin's later half.
+    ``coords`` is the pool pushed through the whole pin ``pinned`` (T, d,
+    d) and read in ``frame``; the half-pin sample keeps only the pin's
+    later half.
     """
-    half = _pushed_coordinates(spec, pinned[len(pinned) // 2:], pool, frame, i)
+    (folds,) = pin_folds(spec, pinned[None, len(pinned) // 2:])
+    half = _pushed_coordinates(folds, pool, frame, i)
     return wasserstein_circle(EmpiricalCircleMeasure.from_samples(coords),
                               EmpiricalCircleMeasure.from_samples(half))
 
@@ -108,27 +114,30 @@ def conditional_fiber_sample(spec, fiber_index, pools, sampler,
                              realization_burnin=1000):
     """Conditional fiber samples over pinned pasts, one array per pool.
 
-    ``pools`` holds one pool of tail flags (full flags, samples of the
-    stationary measure) per realization.  The ``len(pools)`` pinned pasts
-    are one stack on one stream (``sampler.child(0)``): each burns in
-    ``realization_burnin`` steps from the standard flag and then runs a
-    window of its M pinned steps (PIN_LENGTH, and 0 when d = 2: a trivial
-    partial flag needs no pin); the fiber frame at the window's end is
-    its reference.  Realization r reads the r-th pool: the pool shares
-    that pinned recent past, differs in the remote past, and is read in
-    the reference's fiber frame.  Returns one array of fiber coordinates
-    per realization, in pool order, so a pick by index follows the draws
-    rather than the frame.
+    ``pools`` holds one pool of tail flags (samples of the stationary
+    measure, full flags or at least their ``fiber_index`` leading columns)
+    per realization.  The ``len(pools)`` pinned pasts are one stack on one
+    stream (``sampler.child(0)``): each burns in ``realization_burnin``
+    steps from the standard flag and then runs a window of its M pinned
+    steps (PIN_LENGTH, and 0 when d = 2: a trivial partial flag needs no
+    pin); the fiber frame at the window's end is its reference.  The pins
+    fold in one chain (``pin_folds``), and realization r then pushes the
+    r-th pool alone: the pool shares that pinned recent past, differs in
+    the remote past, and is read in the reference's fiber frame.  Returns
+    one array of fiber coordinates per realization, in pool order, so a
+    pick by index follows the draws rather than the frame; each equals
+    the pool pushed through its own pin by ``push_flags``, bit for bit.
     """
     pin_length = 0 if spec.dim == 2 else PIN_LENGTH
     # the burn-in before the pin approximates a stationary start
     trace = stationary_orbit(spec, fiber_index, pin_length, realization_burnin,
                              sampler.child(0), replicas=len(pools))
-    # the tail replicas carry their own full flags; reading them all in
-    # the one reference frame makes them one conditional sample
-    return [_pushed_coordinates(spec, pinned, pool, frame, fiber_index)
-            for pinned, frame, pool in zip(trace.matrices, trace.frames[:, -1],
-                                           pools, strict=True)]
+    # the tail replicas carry their own flags; reading them all in the one
+    # reference frame makes them one conditional sample
+    return [_pushed_coordinates(folds, pool, frame, fiber_index)
+            for folds, frame, pool in zip(pin_folds(spec, trace.matrices),
+                                          trace.frames[:, -1], pools,
+                                          strict=True)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +188,12 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     no stderr and are refused with ValueError before anything is drawn.
 
     ``pools`` is the pair (pool0, pool1) of the times 0 and 1, pools of
-    tail flags (full flags, samples of the stationary measure); the
-    diagnostics report their size as ``tail_replicas``.
+    tail flags (samples of the stationary measure, full flags or at least
+    their i leading columns); the diagnostics report their size as
+    ``tail_replicas``.  Every realization's pins at times 0 and 1 fold in
+    one chain each (``pin_folds``) before the loop, and each realization
+    then pushes the two pools through its own products, one pool at a
+    time.
 
     M is PIN_LENGTH, and 0 when d = 2: a trivial partial flag means the
     conditional measure is the stationary measure itself and any pin
@@ -197,19 +210,20 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     stream = sampler.child(10)
     trace = stationary_orbit(spec, i, pin_length + 1, realization_burnin,
                              stream, t_end=1, replicas=orbit_samples)
+    folds0 = pin_folds(spec, trace.matrices[:, :pin_length])
+    folds1 = pin_folds(spec, trace.matrices[:, 1:])
     kappas = []
     skipped = 0
     diag = None
     for r in range(orbit_samples):
-        pin0 = trace.matrices[r, :pin_length]
-        pin1 = trace.matrices[r, 1:]
         frame0, frame1 = trace.frames[r, -2:]
         x1 = float(trace.x[r, -1])
-        coords0 = _pushed_coordinates(spec, pin0, pool0, frame0, i)
-        coords1 = _pushed_coordinates(spec, pin1, pool1, frame1, i)
+        coords0 = _pushed_coordinates(folds0[r], pool0, frame0, i)
+        coords1 = _pushed_coordinates(folds1[r], pool1, frame1, i)
         if r == 0:
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
-            diag = _half_pin_diagnostic(spec, pin1, pool1, frame1, i, coords1)
+            diag = _half_pin_diagnostic(spec, trace.matrices[r, 1:], pool1,
+                                        frame1, i, coords1)
         pushed_all = fiber_map_image(trace.maps[r, -1], coords0)
         halves = (pushed_all[::2], coords1[::2])
         candidates = np.concatenate([[x1], pushed_all[1::2]])
@@ -293,7 +307,8 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
     NoAcceptedReplicas.
 
     ``pools`` is the pair (pool_a, pool_b) of the times -n and 0, pools of
-    tail flags (full flags, samples of the stationary measure).
+    tail flags (samples of the stationary measure, full flags or at least
+    their i leading columns).
     """
     i = fiber_index
     pool_a, pool_b = pools

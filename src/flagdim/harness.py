@@ -52,8 +52,9 @@ writes its fiber-2 rows.  The samples are drawn before the report's
 gates, so the curves are written and the reports' bank is drawn even
 when every report refuses.  Every bank goes when its job ends.  Sharing
 is sound because a tail pool is a sample of the one stationary measure
-on full flags, whichever fiber reads it, and no output combines two
-fibers' estimates; each fiber's stderr leaves out the pools' error.
+on flags, whichever fiber reads it, and no output combines two fibers'
+estimates; each fiber's stderr leaves out the pools' error.  A pool
+holds the d - 1 leading columns of its flags, all any fiber reads.
 
 The config format is INI with one [experiment] section and a mandatory
 schema version; unknown sections or keys are hard errors.  Every field
@@ -338,8 +339,14 @@ def _catching(fn, refusals, leg):
 def _tail_pools(cfg, spec, *streams):
     """One pool of ``cfg.tail_replicas`` tail flags per stream, each
     TAIL_BURNIN steps from the standard flag; a stream named twice draws
-    its pools in turn."""
-    return [stationary_flag_pool(spec, cfg.tail_replicas, TAIL_BURNIN, s)
+    its pools in turn.
+
+    A pool holds each flag's d - 1 leading columns (n, d, d - 1), which
+    are those of full flags bit for bit: V_d = R^d, no reader reads the
+    last column, and Gram-Schmidt never reads a later column.
+    """
+    return [stationary_flag_pool(spec, cfg.tail_replicas, TAIL_BURNIN, s,
+                                 columns=spec.dim - 1)
             for s in streams]
 
 

@@ -7,15 +7,25 @@ replaced: per realization, a count-only screen of every candidate
 against both halves, then a second pass that scores only the queries
 drawn from those that pass.  Both draw the same queries on the same
 stream and read the same per-query sums, so the route must equal this
-reference bit for bit.
+reference bit for bit.  It also pushes each realization's pool through
+its own pin with ``push_flags`` and reads it with ``fiber_coordinates``,
+one pin at a time, where the route folds every realization's pin in one
+chain first (``pin_folds``), so the chain is held to per-pin pushes too.
 """
 
 import numpy as np
 
+from flagdim.dynamics import push_flags
 from flagdim.entropy import (EVAL_POINTS, KDE_MIN_NEIGHBORS, PIN_LENGTH,
                              BandwidthTooSmall, KappaEstimate, _atomic_gate,
-                             _half_pin_diagnostic, _pushed_coordinates,
                              fiber_map_image, kernel_sums, stationary_orbit)
+from flagdim.flagcore import fiber_coordinates
+from flagdim.measures import EmpiricalCircleMeasure, wasserstein_circle
+
+
+def _pushed(spec, pinned, pool, frame, i):
+    """Fiber-i coordinates of the whole pool pushed through one pin."""
+    return fiber_coordinates(push_flags(pinned, pool, spec), frame, i)
 
 
 def density_route_reference(spec, fiber_index, pools, sampler,
@@ -38,11 +48,14 @@ def density_route_reference(spec, fiber_index, pools, sampler,
         pin1 = trace.matrices[r, 1:]
         frame0, frame1 = trace.frames[r, -2:]
         x1 = float(trace.x[r, -1])
-        coords0 = _pushed_coordinates(spec, pin0, pool0, frame0, i)
-        coords1 = _pushed_coordinates(spec, pin1, pool1, frame1, i)
+        coords0 = _pushed(spec, pin0, pool0, frame0, i)
+        coords1 = _pushed(spec, pin1, pool1, frame1, i)
         if r == 0:
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
-            diag = _half_pin_diagnostic(spec, pin1, pool1, frame1, i, coords1)
+            half = _pushed(spec, pin1[len(pin1) // 2:], pool1, frame1, i)
+            diag = wasserstein_circle(
+                EmpiricalCircleMeasure.from_samples(coords1),
+                EmpiricalCircleMeasure.from_samples(half))
         pushed_all = fiber_map_image(trace.maps[r, -1], coords0)
         halves = (pushed_all[::2], coords1[::2])
         candidates = np.concatenate([[x1], pushed_all[1::2]])

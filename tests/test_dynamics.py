@@ -243,7 +243,7 @@ def test_word_folds_stay_under_the_cap(spec, width):
         word = [worst // k ** j % k for j in range(length)]
         idx[:, length - 1] = np.resize(word, width)
     for steps in range(1, width + 1):
-        (prod,) = dynamics._word_products(spec, idx[:steps])
+        (prod,), _ = dynamics._word_products(spec, idx[:steps])
         assert np.max(np.linalg.cond(prod)) <= FOLD_COND_CAP
 
 
@@ -899,3 +899,54 @@ def test_stationary_lines_read_replicas_every_thinning_steps(spec):
     want = circle.wrap(np.concatenate(want)[:count])
     assert len(got) == count
     assert np.max(circle.distance(got, want)) < 1e-12
+
+
+def _lines_per_read(spec, replicas, burnin, count, sampler):
+    """``stationary_lines`` as one ``evolve_flags`` call per thinned read."""
+    lines = np.zeros((replicas, 2, 1))
+    lines[:, 0, 0] = 1.0
+    lines, _ = evolve_flags(spec, lines, burnin, sampler)
+    reads = [fiber_coordinates(lines, np.eye(2), 1)]
+    for _ in range(1, -(-count // replicas)):
+        lines, _ = evolve_flags(spec, lines, THINNING, sampler)
+        reads.append(fiber_coordinates(lines, np.eye(2), 1))
+    return np.concatenate(reads)[:count]
+
+
+def three2():
+    # three atoms: words of h = 4 steps, so a THINNING-step read folds a
+    # 4-word and a 1-word
+    return finite_support("three2", [strong2(0.9).params["atoms"][0],
+                                     strong2(0.4).params["atoms"][1],
+                                     strong2(1.7, 0.3).params["atoms"][0]],
+                          [0.5, 0.3, 0.2])
+
+
+@pytest.mark.parametrize("spec, replicas, count", [
+    (bern2(), 7, 31), (iso2(), 7, 31), (three2(), 7, 31),
+    # fold width 2: a read folds in runs of 2, 2 and 1
+    (strong2(stretch=2.0), 7, 31),
+    # 2 reads of 3000 replicas per draw block: 7 thinned reads in 4 blocks
+    (bern2(), 3000, 8 * 3000 - 5), (iso2(), 3000, 8 * 3000 - 5),
+], ids=["bern2", "iso2", "three-atoms", "width-2", "bern2-blocks",
+        "iso2-blocks"])
+def test_stationary_lines_equal_per_read_evolve_flags(spec, replicas, count):
+    # a draw block's reads fold as one stack and take their QR steps read
+    # by read: the angles of one evolve_flags call per read, bit for bit
+    got = stationary_lines(spec, replicas, 30, count, SeededSampler(46))
+    want = _lines_per_read(spec, replicas, 30, count, SeededSampler(46))
+    assert len(got) == count
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3(), diag4eps()],
+                         ids=lambda s: s.name)
+def test_narrow_pools_are_the_leading_columns_of_full_pools(spec):
+    # Gram-Schmidt never reads a later column, so a pool of d - 1 leading
+    # columns burns in to the full pool's, bit for bit, on the same stream
+    d = spec.dim
+    full = stationary_flag_pool(spec, 500, 300, SeededSampler(48))
+    narrow = stationary_flag_pool(spec, 500, 300, SeededSampler(48),
+                                  columns=d - 1)
+    assert narrow.shape == (500, d, d - 1)
+    assert narrow.tobytes() == full[..., :-1].tobytes()

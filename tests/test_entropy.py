@@ -3,7 +3,7 @@ import pytest
 
 from flagdim import circle, entropy, harness, measures
 from flagdim.ensemble import (SeededSampler, bern2, diag3eps, finite_support,
-                              iso2, rot2)
+                              iso2, iso3, rot2)
 from flagdim.entropy import (KappaEstimate, conditional_fiber_sample,
                              dimension_formula_report, furstenberg_entropy_d2,
                              kappa_density_estimator, kappa_interval_estimator)
@@ -20,6 +20,7 @@ from flagdim.measures import (EmpiricalCircleMeasure, ball_mass,
 from density_route_reference import density_route_reference
 from furstenberg_d2_reference import furstenberg_d2_reference
 from independence_reference import conditional_independence_diagnostic
+from test_cli import diag4eps
 
 
 def _pools(spec, size, *streams):
@@ -135,13 +136,17 @@ def test_atomic_fiber_gate():
 
 
 @pytest.mark.parametrize("realizations", [3, 1])
-@pytest.mark.parametrize("i", [1, 2])
-def test_conditional_fiber_sample_streams(i, realizations):
+@pytest.mark.parametrize("spec, i", [
+    (diag3eps(), 1), (diag3eps(), 2), (iso3(), 2), (diag4eps(), 2),
+    (diag4eps(), 3),
+], ids=["1", "2", "iso3-2", "diag4eps-2", "diag4eps-3"])
+def test_conditional_fiber_sample_streams(spec, i, realizations):
     # one stack of pinned pasts on child(0), one per pool; realization r
     # reads the r-th pool, in pool order, and one realization runs the
-    # same stack alone.  A fiber pushes only the columns it reads, bit for
-    # bit the pushed full flags
-    spec, burnin, tails = diag3eps(), 200, 300
+    # same stack alone.  The pins fold in one chain; each sample equals
+    # its pool pushed through its own pin alone (push_flags), and a fiber
+    # pushes only the columns it reads, bit for bit the pushed full flags
+    burnin, tails = 200, 300
     s = SeededSampler(44)
     pools = _pools(spec, tails, *[s.child(1)] * realizations)
     got = conditional_fiber_sample(spec, i, pools, s,
@@ -301,13 +306,18 @@ def test_d2_route_equals_the_per_matrix_reference(spec, size, passes,
 
 
 @pytest.mark.parametrize("spec, fiber", [
-    (diag3eps(), 1), (diag3eps(), 2), (bern2(), 1),
-], ids=["diag3eps-1", "diag3eps-2", "bern2-pin0"])
+    (diag3eps(), 1), (diag3eps(), 2), (bern2(), 1), (iso3(), 1),
+    (diag4eps(), 2), (diag4eps(), 3),
+], ids=["diag3eps-1", "diag3eps-2", "bern2-pin0", "iso3-1", "diag4eps-2",
+        "diag4eps-3"])
 def test_density_route_equals_the_two_pass_reference(spec, fiber,
                                                      monkeypatch):
     # one kernel pass per half over x_1 and every held-out candidate both
     # gates and scores; the screen-then-score loop it replaced draws the
-    # same queries and reads the same per-query sums, so nothing moves
+    # same queries and reads the same per-query sums, so nothing moves.
+    # The route folds all pins in one chain, the reference pushes each
+    # pool through its own pin (push_flags), and the pools are full flags
+    # where the route pushes their leading columns
     calls = []
 
     def counted(*args, **kwargs):

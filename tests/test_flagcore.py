@@ -421,6 +421,30 @@ def test_circle_wrap_range(theta):
         abs(np.cos(theta)) < 1e-3
 
 
+def test_circle_wrap_equals_np_mod_bit_for_bit(rng):
+    # inputs in [-pi, pi] skip np.mod; the result is np.mod's bit for bit,
+    # signed zeros, a tiny negative rounding up to pi and NaN included
+    tiny = np.nextafter(0.0, -1.0)
+    edges = np.array([0.0, -0.0, np.pi, -np.pi, np.nextafter(np.pi, 0.0),
+                      -np.nextafter(np.pi, 0.0), tiny, -1e-17, -1e-300,
+                      1e-300])
+    beyond = np.array([3.2, -3.2, 7.0, -1e6, 4 * np.pi, -np.inf, np.nan])
+    atan2 = np.arctan2(rng.standard_normal(10 ** 5),
+                       rng.standard_normal(10 ** 5))
+    atan2[:4] = np.arctan2([0.0, -0.0, 0.0, -0.0], [1.0, 1.0, -1.0, -1.0])
+
+    def mod(theta):
+        out = np.mod(theta, np.pi)
+        return np.where(out >= np.pi, 0.0, out)
+    with np.errstate(invalid="ignore"):
+        for theta in (edges, beyond, np.concatenate([edges, beyond]), atan2,
+                      atan2.reshape(100, 1000), np.empty(0)):
+            assert circle.wrap(theta).tobytes() == mod(theta).tobytes()
+        for theta in np.concatenate([edges, beyond]):
+            assert np.float64(circle.wrap(theta)).tobytes() == \
+                mod(theta).tobytes()
+
+
 IDENTITY_FIBER_MAP = induced_circle_map(LinearMap(np.eye(2)),
                                         partial_flag(Flag.standard(2), 1))
 

@@ -122,9 +122,9 @@ def _pool_sizes(monkeypatch):
     sizes = []
     real = dynamics.stationary_flag_pool
 
-    def spy(spec, count, burnin, sampler):
+    def spy(spec, count, burnin, sampler, **kwargs):
         sizes.append(count)
-        return real(spec, count, burnin, sampler)
+        return real(spec, count, burnin, sampler, **kwargs)
     for module in (dynamics, harness):
         monkeypatch.setattr(module, "stationary_flag_pool", spy)
     return sizes
