@@ -7,42 +7,47 @@ is the product of the per-step diagonals, so log|diag R| sums are those
 of the stepwise orbit up to rounding.  W is derived from the spec so that
 every product's condition number stays under FOLD_COND_CAP, which keeps
 that rounding near machine precision and the Gram-Schmidt step
-orthogonal; no fold is checked or cut while an orbit runs.  Fresh
-matrices come from ``draw_blocks``, one ``sample_batch`` call per block
-of whole folds and at most DRAW_BLOCK draws, so a narrow stack such as
-the spectrum's 64 replicas draws many folds per block and a pool of
+orthogonal; no fold is checked or cut while an orbit runs.  A stack that
+keeps no matrices (``evolve_flags``) draws one block of whole folds and
+at most DRAW_BLOCK draws at a time (``_draws``), so a narrow stack such
+as the spectrum's 64 replicas draws many folds per block and a pool of
 thousands one.  Each fold's log|diag R| is added to the stack's running
 sum in fold order, so no sum depends on where blocks end, and the block
 size trades only speed against memory.  A finite-support spec evolved
-without keeping its matrices (the spectrum, the stationary pools, every
-burn-in among them, and the d = 2 leading columns) draws atom indices
-instead, from the same stream, as counts of integer thresholds that the
-bit generator's raw words reach (``ensemble._atom_counts``), and folds
-them as words.  A per-spec table, built on first use, holds every
-left-associated product of l atoms for l = 1..h, h the largest of
-8, 4, 2 and 1 with K^h <= WORD_TABLE, and the largest condition number
-c_l over each length.  A fold of W = q h + r steps is the product, left
-to right, of q tabled h-words and one r-word, so its condition number is
-at most c_h^q c_r by submultiplicativity: bern2 folds 43 steps and
-diag3eps 32.  A rotation_invariant draw K S has the singular values of
-S, so the bound is cond(S)^W: iso2 folds 30 steps, iso3 24 and rot2 64.
-A pinned past is a sequence of the spec's draws and folds at W too.  The
-pasts of R realizations fold in one chain over (F, R, d, d)
-(``pin_folds``), left-associated in the order ``advance`` uses, so each
-product is the one a push through that past alone forms (``push_flags``)
-bit for bit; each pool is then pushed through its own past's products
-(``push_folds``), one pool at a time.
+this way (the spectrum, the stationary pools, every burn-in among them,
+and the d = 2 leading columns) draws atom indices instead, from the same
+stream, as counts of integer thresholds that the bit generator's raw
+words reach (``ensemble._atom_counts``), and folds them as words.  A
+per-spec table, built on first use, holds every left-associated product
+of l atoms for l = 1..h, h the largest of 8, 4, 2 and 1 with K^h <=
+WORD_TABLE, and the largest condition number c_l over each length.  A
+fold of W = q h + r steps is the product, left to right, of q tabled
+h-words and one r-word, so its condition number is at most c_h^q c_r by
+submultiplicativity: bern2 folds 43 steps and diag3eps 32.  A
+rotation_invariant draw K S has the singular values of S, so the bound
+is cond(S)^W: iso2 folds 30 steps, iso3 24 and rot2 64.
 
-The spectrum's 64 replicas burn in as full flags and then advance as a
-stack (64, d, d - 1) of leading columns: V_d = R^d in every flag, and
-Gram-Schmidt never reads a later column, so chi_1 ... chi_{d-1} are
-those of full flags bit for bit.  Q is orthogonal, so every folded
-product P has sum_j log r_jj = log|det P|, the sum of its draws'
-log|det A_t|.  Each replica's chi_d is therefore the sum of log|det A_t|
-over its draws, less its d - 1 log|diag R| sums, over the steps.  Finite
-support reads a fold's log|det| from per-word tables at the fold's word
-codes (``_word_log_dets``); every rotation_invariant draw K S has
-log|det S|.  No other stack sums log|det|.
+Every fold of matrices, as against words of atom indices, is formed by
+one routine, ``_fold_products``: each fold's running products,
+left-associated, for every fold and replica at once.  It folds a stack's
+drawn matrices (``_folds``), the pinned pasts, and the windows of orbit
+traces.  A pinned past is a sequence of the spec's draws and folds at W
+too.  The pasts of R realizations fold at once, on a copy of the pins
+(``pin_folds``); numpy multiplies a stack one 2-d product at a time, so
+each product is the one a push through that past alone forms
+(``push_flags``) bit for bit.  Each pool is then pushed through its own
+past's products (``push_folds``), one pool at a time.
+
+The spectrum's 64 replicas burn in and advance as a stack (64, d, d - 1)
+of leading columns: V_d = R^d in every flag, and Gram-Schmidt never
+reads a later column, so chi_1 ... chi_{d-1} are those of full flags bit
+for bit.  Q is orthogonal, so every folded product P has sum_j log r_jj
+= log|det P|, the sum of its draws' log|det A_t|.  Each replica's chi_d
+is therefore the sum of log|det A_t| over its draws, less its d - 1
+log|diag R| sums, over the steps.  Finite support reads a fold's
+log|det| from per-word tables at the fold's word codes
+(``_word_log_dets``); every rotation_invariant draw K S has log|det S|.
+No other stack sums log|det|.
 
 Stacks that advance this way (pools of thousands of replicas, the
 spectrum's 64) keep their shape (n, d, k) but are held replica-last: the
@@ -60,26 +65,26 @@ stream; an orbit window (``stationary_orbit``) draws on that stream after
 it, and a realization's pinned past is the start of its own window.  A
 tail pool is read at its first d - 1 subspaces alone, so the pools burn
 in as (n, d, d - 1) stacks of leading columns, bit for bit the full
-flags' columns; the orbit windows' and the spectrum's burn-ins run full
-flags.  An
-orbit trace keeps, for R replicas over one window of T steps, arrays with
-the replica on the leading axis: the flag bases (R, T+1, d, d), the
-completion frames of the fiber planes (R, T+1, d, 2), the induced 2x2
-fiber maps (R, T, 2, 2) and the fiber coordinates (R, T+1).  A trace
+flags' columns; the orbit windows' burn-ins run full flags.  An orbit
+trace draws its whole window in one ``sample_batch`` call and keeps, for
+R replicas over one window of T steps, arrays with the replica on the
+leading axis: the matrices (R, T, d, d), the flag bases (R, T+1, d, d),
+the completion frames of the fiber planes (R, T+1, d, 2), the induced
+2x2 fiber maps (R, T, 2, 2) and the fiber coordinates (R, T+1).  A trace
 keeps every flag of its window, so it cannot skip the times inside a
-fold: it forms each fold's prefix products and orthonormalizes them, all
-the fold's times at once, in one QR call per fold of the spec's width.
-The stable-line pass folds the same way backward: each fold's suffix
-products of inverses, for every replica at once, and one renormalization
-per fold.  One routine, ``_fold_products``, forms both passes' products.
-A d = 2 sample of the stationary measure needs nothing but the
-line of each flag: ``stationary_lines`` runs leading columns (R, 2, 1)
-from e_1 through ``evolve_flags`` and reads their angles after a burn-in
-and again every THINNING steps, off independent replicas rather than one
-orbit: on bern2, cos 4 theta has autocorrelation -0.64 at lag 5 along
-one orbit, so the points of one thinned orbit sample nu poorly.  The
-thinned reads of a draw block come from one draw, and their
-THINNING-step products are formed (gathered, for finite support) at once.
+fold: it forms each fold's prefix products (``_fold_products``) and
+orthonormalizes them, all the fold's times at once, in one QR call per
+fold of the spec's width.  The stable-line pass folds the same way
+backward: each fold's suffix products of inverses, for every replica at
+once, and one renormalization per fold.  A d = 2 sample of the
+stationary measure needs nothing but the line of each flag:
+``stationary_lines`` runs leading columns (R, 2, 1) from e_1 through
+``evolve_flags`` and reads their angles after a burn-in and again every
+THINNING steps, off independent replicas rather than one orbit: on bern2,
+cos 4 theta has autocorrelation -0.64 at lag 5 along one orbit, so the
+points of one thinned orbit sample nu poorly.  The thinned reads of a
+draw block come from one draw, and their THINNING-step products are
+formed (gathered, for finite support) at once.
 
 Intervals are carried as an anchor plus two signed offsets, never as
 absolute endpoints.  A map B at the anchor u acts on an offset delta
@@ -197,13 +202,14 @@ def _word_tables(spec):
     Built on first use.  For each length l = 1..h the table holds the
     product of every word of l atom indices (i_0, ..., i_{l-1}), i_0 acting
     first, at its base-K code i_0 + i_1 K + ... + i_{l-1} K^(l-1), as the
-    left-associated a_{i_{l-1}} (... (a_{i_1} a_{i_0})) that ``advance``
-    forms.  h is the largest of 8, 4, 2 and 1 with K^h <= WORD_TABLE, so
-    no table holds more than WORD_TABLE products except the atoms
-    themselves when K exceeds it.  The fold width comes from each length's
-    largest 2-norm condition number (see ``_fold_width``).  Each table is
-    a (d, d, K^l) buffer read through a (K^l, d, d) view, so that a
-    gather along its last axis (``_gather``) comes out replica-last.
+    left-associated a_{i_{l-1}} (... (a_{i_1} a_{i_0})) that
+    ``_fold_products`` forms.  h is the largest of 8, 4, 2 and 1 with K^h
+    <= WORD_TABLE, so no table holds more than WORD_TABLE products except
+    the atoms themselves when K exceeds it.  The fold width comes from
+    each length's largest 2-norm condition number (see ``_fold_width``).
+    Each table is a (d, d, K^l) buffer read through a (K^l, d, d) view, so
+    that a gather along its last axis (``_gather``) comes out
+    replica-last.
     """
     tables = _WORD_TABLES.get(spec)
     if tables is None:
@@ -323,46 +329,6 @@ def _apply(bases, products, logs=0.0):
     return bases, logs
 
 
-def advance(spec, bases, mats, logs=None):
-    """Advance a stack of flag bases through given draws of the spec.
-
-    ``mats`` is (T, m, d, d): step t applies mats[t, r] to replica r, or
-    mats[t, 0] to every replica when m = 1.  A stack of leading columns,
-    shape (n, d, k) with k < d, advances the first k subspaces of each
-    flag: Gram-Schmidt never reads a later column.  Runs of
-    ``fold_width(spec)`` matrices (the last one shorter when T is not a
-    multiple) are multiplied out, left-associated, and each product takes
-    one QR step.  Returns the bases reached, held replica-last (see
-    ``_apply``), and each replica's log|diag R| summed over the steps
-    (n, k), equal to the stepwise sums up to rounding.  The sum runs on
-    from ``logs`` when given (zeros when not) and adds one fold at a
-    time, so advancing a stream of draws in pieces of whole folds gives
-    the sums of one call, bit for bit.
-    """
-    if logs is None:
-        logs = np.zeros(np.shape(bases)[:-2] + np.shape(bases)[-1:])
-    return _apply(bases, _fold_chain(np.asarray(mats, dtype=float),
-                                     fold_width(spec)), logs)
-
-
-def _fold_chain(mats, width):
-    """Fold products of draws mats (T, m, d, d), one (m, d, d) per run.
-
-    Each run of ``width`` matrices (the last one shorter when T is not a
-    multiple) is multiplied out left-associated, run[j] @ (... run[0]),
-    over all m stacks at once.  numpy multiplies a stack one 2-d product
-    at a time, so stack j of a product is that of mats[:, j] folded
-    alone, bit for bit.
-    """
-    products = []
-    for runs in _runs(mats, width):
-        prod = runs[:, 0]
-        for j in range(1, runs.shape[1]):
-            prod = runs[:, j] @ prod
-        products.extend(prod)
-    return products
-
-
 def _block_steps(n, steps, width):
     """Steps per draw block of an n-stack folded ``width`` steps at a time.
 
@@ -377,33 +343,21 @@ def _block_steps(n, steps, width):
         yield min(per, steps - lo)
 
 
-def draw_blocks(spec, sampler, n, steps):
-    """The next ``steps`` draws of an n-stack, as blocks (T, n, d, d).
-
-    Each block is one ``sample_batch(spec, sampler, T n)`` call, which
-    reproduces T calls of ``sample_batch(spec, sampler, n)`` byte for byte:
-    both kinds consume their stream in draw order.  Blocks hold whole folds
-    of ``fold_width(spec)`` steps (see ``_block_steps``).
-    """
-    d = spec.dim
-    for t in _block_steps(n, steps, fold_width(spec)):
-        yield sample_batch(spec, sampler, t * n).reshape(t, n, d, d)
-
-
 def evolve_flags(spec, bases, n_steps, sampler):
     """Advance a stack of flag bases n_steps with fresh draws.
 
     Step t draws one matrix per replica, as ``sample_batch(spec, sampler,
-    n)`` would, in the blocks of ``draw_blocks``, each folded W =
-    ``fold_width(spec)`` steps at a time: about n_steps / W QR steps.  Only
-    the draw differs between the kinds.  Finite support draws a block's
-    atom indices on the same stream, as narrow counts
+    n)`` would, in blocks of whole folds (``_block_steps``), each folded W
+    = ``fold_width(spec)`` steps at a time: about n_steps / W QR steps.
+    Only the draw differs between the kinds (``_draws``).  Finite support
+    draws a block's atom indices on the same stream, as narrow counts
     (``ensemble._atom_counts``), and folds them as words
     (``_word_products``); rotation_invariant draws the matrices and folds
-    them as ``advance`` does (``_fold_chain``), whose return value this
-    has.  Each fold's
-    log|diag R| goes into one running sum in fold order, so the bases and
-    sums do not depend on DRAW_BLOCK.
+    them in place (``_fold_products``).  Returns the bases reached, held
+    replica-last (see ``_apply``), and each replica's log|diag R| summed
+    over the steps (n, k), equal to the stepwise sums up to rounding.
+    Each fold's log|diag R| goes into one running sum in fold order, so
+    the bases and sums do not depend on DRAW_BLOCK.
     """
     return _evolve(spec, bases, n_steps, sampler)[:2]
 
@@ -441,38 +395,69 @@ def _draws(spec, sampler, steps, n):
         steps, n, spec.dim, spec.dim)
 
 
+def _fold_products(steps, width):
+    """Turn steps (R, T, m, m) in place into running products per fold.
+
+    steps[:, t] becomes steps[:, t] (... steps[:, lo]), left-associated, lo
+    the first step of t's fold of ``width`` steps, for every fold and
+    replica at once.  numpy multiplies a stack one 2-d product at a time,
+    so replica r's products are those of its steps folded alone, bit for
+    bit.  Returns ``steps``.
+    """
+    for w in range(1, width):
+        later = steps[:, w::width]
+        later[...] = later @ steps[:, w - 1::width][:, :later.shape[1]]
+    return steps
+
+
+def _fold_ends(steps, width):
+    """Each fold's product of steps (R, T, d, d), formed in place by
+    ``_fold_products``: a new (F, R, d, d) stack, one product per fold in
+    order, the last fold shorter when T is not a multiple of ``width``.
+    It holds no view of ``steps``, so a block's draws are freed once
+    folded."""
+    n = steps.shape[1]
+    ends = [min(lo + width, n) - 1 for lo in range(0, n, width)]
+    return _fold_products(steps, width)[:, ends].swapaxes(0, 1).copy()
+
+
 def _folds(spec, draws, log_dets=None):
     """Fold products of ``_draws`` output (T, m, ...), and the running sum.
 
     Finite support folds the counts as words (``_word_products``), adding
-    each fold's log|det| to ``log_dets`` when given; matrices fold by
-    ``_fold_chain`` and leave the sum as it is.
+    each fold's log|det| to ``log_dets`` when given; matrices fold in
+    place (``_fold_ends``) and leave the sum as it is.
     """
     if spec.kind == "finite_support":
         return _word_products(spec, draws, log_dets)
-    return _fold_chain(draws, fold_width(spec)), log_dets
+    return _fold_ends(draws.swapaxes(0, 1), fold_width(spec)), log_dets
 
 
 def push_flags(pinned, bases, spec):
     """Apply a fixed sequence of the spec's draws to every base in the stack.
 
-    The sequence folds ``fold_width(spec)`` steps at a time, as any draws
-    of the spec do, so a push costs one QR step of the stack per fold
-    rather than one per matrix.
+    One past (T, d, d) through ``pin_folds`` and ``push_folds``: the
+    sequence folds ``fold_width(spec)`` steps at a time, as any draws of
+    the spec do, so a push costs one QR step of the stack per fold rather
+    than one per matrix.  The package pushes its pools through
+    ``pin_folds`` products directly; this per-past push is the reference
+    the tests hold that batched chain to, and keeps its name for the
+    benchmark's tracer.
     """
-    return advance(spec, bases, np.asarray(pinned, dtype=float)[:, None])[0]
+    (folds,) = pin_folds(spec, np.asarray(pinned, dtype=float)[None])
+    return push_folds(folds, bases)
 
 
 def pin_folds(spec, pins):
     """Fold products of R pinned pasts (R, T, d, d), one list per past.
 
-    All R pasts fold in one left-associated chain (``_fold_chain``), at
-    the spec's fold width, so past r's products are those ``push_flags``
-    forms for it alone, bit for bit.  Each product is a (1, d, d) view, as
-    ``push_flags`` applies it; ``push_folds`` pushes a stack through one
-    past's list.
+    All R pasts fold at once (``_fold_ends``), at the spec's fold width,
+    on a copy, so ``pins`` (a trace's matrices, say) is never written.
+    Past r's products are those of its steps folded alone, bit for bit.
+    Each product is a (1, d, d) view; ``push_folds`` pushes a stack
+    through one past's list.
     """
-    chain = _fold_chain(np.swapaxes(pins, 0, 1), fold_width(spec))
+    chain = _fold_ends(np.array(pins, dtype=float), fold_width(spec))
     return [[p[r, None] for p in chain] for r in range(len(pins))]
 
 
@@ -558,10 +543,10 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
 
     chi_i is the mean i-th diagonal log increment of the QR cocycle after
     burn-in; the standard error comes from the spread of replica means,
-    which are independent by construction.  The replicas burn in as full
-    flags (``stationary_flag_pool``) and then advance their d - 1 leading
-    columns alone, which Gram-Schmidt runs without the last one, so chi_1
-    ... chi_{d-1} are those of full flags bit for bit.  Each replica's
+    which are independent by construction.  The replicas burn in
+    (``stationary_flag_pool``) and advance their d - 1 leading columns
+    alone, which Gram-Schmidt runs without the last one, so chi_1 ...
+    chi_{d-1} are those of full flags bit for bit.  Each replica's
     chi_d is its draws' summed log|det A_t| less its other log|diag R|
     sums, over n_steps: Q is orthogonal, so log|det P| is the sum of
     log|r_jj| for every folded product P.  A gap's standard error comes
@@ -572,7 +557,8 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
     # burn-in and measurement are two advances on one stream, so no fold
     # straddles the burn-in
     stream = sampler.child(0xCC)
-    bases = stationary_flag_pool(spec, replicas, burnin, stream)[..., :-1]
+    bases = stationary_flag_pool(spec, replicas, burnin, stream,
+                                 columns=spec.dim - 1)
     _, sums, log_dets = _evolve(spec, bases, n_steps, stream,
                                 np.zeros(replicas))
     sums = np.column_stack([sums, log_dets - sums.sum(axis=1)])
@@ -639,16 +625,6 @@ class OrbitTrace:
                        maps=self.maps[rows], x=self.x[rows])
 
 
-def _fold_products(steps, width):
-    """Turn steps (R, T, m, m) in place into running products per fold:
-    steps[:, t] becomes steps[:, t] ... steps[:, lo], lo the first step of
-    t's fold of ``width`` steps, for every fold and replica at once."""
-    for w in range(1, width):
-        later = steps[:, w::width]
-        later[...] = later @ steps[:, w - 1::width][:, :later.shape[1]]
-    return steps
-
-
 def _fold_trace(start, mats, width):
     """Bases (R, T+1, d, d) of start (R, d, d) under mats (R, T, d, d).
 
@@ -674,8 +650,9 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
     """Run the cocycle from given flags, keeping the full trace.
 
     ``f0`` is one basis (d, d) or a stack of R bases; the window's n_steps
-    matrices per replica are the next draws on ``sampler``, in the blocks
-    of ``draw_blocks``.  The flags are formed one fold of W =
+    matrices per replica are the next draws on ``sampler``, one
+    ``sample_batch`` call of n_steps R draws, which are those of n_steps
+    calls of R draws in turn.  The flags are formed one fold of W =
     ``fold_width(spec)`` steps at a time (``_fold_trace``), as every other
     stack of the spec folds.  Every basis and frame must be orthonormal to
     ORTHO_TOL, and every fiber map invertible.
@@ -685,9 +662,9 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
     if not 1 <= i <= d - 1:
         raise ValueError(f"fiber index {i} outside 1..{d - 1}")
     start = np.reshape(f0, (-1, d, d))
-    # time-major blocks, read replica-major: each step's stack stays contiguous
-    mats = np.concatenate([np.empty((0, len(start), d, d)), *draw_blocks(
-        spec, sampler, len(start), n_steps)]).swapaxes(0, 1)
+    # drawn time-major, read replica-major: each step's stack stays contiguous
+    mats = sample_batch(spec, sampler, n_steps * len(start)).reshape(
+        n_steps, len(start), d, d).swapaxes(0, 1)
     width = fold_width(spec)
     bases = _fold_trace(start, mats, width)
     # frames and coordinates a block of times at a time, so temporaries

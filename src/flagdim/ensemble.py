@@ -171,10 +171,26 @@ def _haar_orthogonal(rng, d, n):
 
 
 def _atom_counts(spec, sampler, n):
-    """``atom_indices`` in the smallest unsigned type that holds K - 1.
+    """Draw n atom indices of a finite-support spec by probs.
 
-    One byte up to 256 atoms: a word fold reads these counts as they are,
-    without the int64 copy ``atom_indices`` makes.
+    ``spec.params["atoms"][_atom_counts(spec, sampler, n)]`` is what
+    ``sample_batch(spec, sampler, n)`` returns for finite support, and the
+    two leave the stream at the same place.  The draw is that of
+    ``rng.choice(K, size=n, p=probs)``, value for value and with the same
+    stream use: one 64-bit word of the bit generator per index, the word
+    from which ``Generator.random`` makes choice's uniform u, read as the
+    number of entries of the normalized cdf at or below u.  No uniform is
+    formed: each cdf entry c below 1 becomes the integer threshold
+    ceil(c 2^53) << 11, which a word reaches exactly when its u reaches c,
+    and an entry equal to 1 (the last, and any reached earlier) is never
+    at or below u, so it adds no comparison.  The count is summed from
+    these comparisons rather than found by choice's binary search, whose
+    branches on random u cost more than the passes at the benchmark
+    ensembles' 2 and 4 atoms; the cost grows with K.  The sum runs in the
+    smallest unsigned type that holds K - 1, one byte up to 256 atoms, so
+    a word fold reads the counts as they are.  Probabilities that are
+    negative, NaN or do not sum to 1 within choice's tolerance raise
+    ValueError, as choice does.
     """
     probs = spec.params["probs"]
     if not (np.all(probs >= 0) and abs(math.fsum(probs) - 1.0) <= PROB_TOL):
@@ -192,38 +208,16 @@ def _atom_counts(spec, sampler, n):
     return count
 
 
-def atom_indices(spec, sampler, n):
-    """Draw n atom indices of a finite-support spec by probs.
-
-    ``spec.params["atoms"][atom_indices(spec, sampler, n)]`` is what
-    ``sample_batch(spec, sampler, n)`` returns for finite support, and the
-    two leave the stream at the same place.  The draw is that of
-    ``rng.choice(K, size=n, p=probs)``, byte for byte and with the same
-    stream use: one 64-bit word of the bit generator per index, the word
-    from which ``Generator.random`` makes choice's uniform u, read as the
-    number of entries of the normalized cdf at or below u.  No uniform is
-    formed: each cdf entry c below 1 becomes the integer threshold
-    ceil(c 2^53) << 11, which a word reaches exactly when its u reaches c,
-    and an entry equal to 1 (the last, and any reached earlier) is never
-    at or below u, so it adds no comparison.  The count is summed from
-    these comparisons rather than found by choice's binary search, whose
-    branches on random u cost more than the passes at the benchmark
-    ensembles' 2 and 4 atoms; the cost grows with K.  The sum runs in the
-    smallest unsigned type that holds K - 1 (``_atom_counts``) and is cast
-    to int64 once.  Probabilities that are negative, NaN or do not sum to
-    1 within choice's tolerance raise ValueError, as choice does.
-    """
-    return _atom_counts(spec, sampler, n).astype(np.int64)
-
-
 def sample_batch(spec, sampler, n):
     """Draw n matrices as an (n, d, d) array.
 
     Consumes the sampler's stream once per call in a fixed pattern, so a
     given (seed, stream, call sequence) always yields the same bytes.
+    Both kinds consume their stream in draw order, so one call of T n
+    draws returns those of T calls of n draws in turn, byte for byte.
     """
     if spec.kind == "finite_support":
-        return np.take(spec.params["atoms"], atom_indices(spec, sampler, n),
+        return np.take(spec.params["atoms"], _atom_counts(spec, sampler, n),
                        axis=0)
     return _haar_orthogonal(sampler.rng, spec.dim, n) @ spec.params["stretch"]
 

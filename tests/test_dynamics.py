@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from flagdim import circle, dynamics, harness
 from flagdim.dynamics import (FOLD_COND_CAP, THINNING,
-                              WORD_FOLD_STEPS, WORD_TABLE, Arc, advance,
+                              WORD_FOLD_STEPS, WORD_TABLE, Arc,
                               batched_orthonormalize, circle_map_between,
-                              draw_blocks, evolve_flags, fold_width,
-                              forward_orbit, interval_decay_curve,
-                              lyapunov_spectrum, pull_forward, push_arc,
+                              evolve_flags, fold_width, forward_orbit,
+                              interval_decay_curve, lyapunov_spectrum,
+                              pin_folds, pull_forward, push_arc,
                               push_flags, stable_coordinates,
                               stationary_flag_pool, stationary_interval,
                               stationary_lines, stationary_orbit)
@@ -87,19 +87,15 @@ def test_batched_orthonormalize_keeps_the_memory_order(rng, layout):
     assert np.max(np.abs(got_logr - logr)) < 1e-14
 
 
-@pytest.mark.parametrize("spec, lengths", [
-    (bern2(), [43, 43, 4]), (iso3(), [24, 24, 24, 18]),
-    (iso2(), [30, 30, 30])],
-    ids=["finite_support", "rotation_invariant", "iso2"])
-def test_block_draws_equal_stepwise_draws(spec, lengths):
-    # 800 replicas: blocks of one fold (W = 43, 24 and 30 steps), since
-    # two folds of the stack exceed DRAW_BLOCK draws
+@pytest.mark.parametrize("spec", [bern2(), iso3(), iso2()],
+                         ids=["finite_support", "rotation_invariant", "iso2"])
+def test_block_draws_equal_stepwise_draws(spec):
+    # 800 replicas over 90 steps, more draws than DRAW_BLOCK: one call
+    # draws what a call per step draws, which is what lets an orbit window
+    # draw in one call and a stack in blocks of any size
     n, steps = 800, 90
-    blocks = list(draw_blocks(spec, SeededSampler(40), n, steps))
-    assert [len(b) for b in blocks] == lengths
     stream = SeededSampler(40)
     stepwise = np.stack([sample_batch(spec, stream, n) for _ in range(steps)])
-    assert np.array_equal(np.concatenate(blocks), stepwise)
     one_call = sample_batch(spec, SeededSampler(40), steps * n)
     assert np.array_equal(one_call, stepwise.reshape(one_call.shape))
 
@@ -126,12 +122,25 @@ def stepwise_advance(spec, bases, steps, sampler):
     return bases, logs
 
 
+def left_folds(mats, width):
+    """The products of mats (T, ...), ``width`` steps at a time and the
+    last fold shorter, each multiplied out left-associated, one by one."""
+    products = []
+    for lo in range(0, len(mats), width):
+        prod = mats[lo]
+        for a in mats[lo + 1: lo + width]:
+            prod = a @ prod
+        products.append(prod)
+    return products
+
+
 def matrix_path(spec, bases, steps, sampler):
-    """evolve_flags through drawn matrices, the path of rotation_invariant."""
-    logs = None
-    for block in draw_blocks(spec, sampler, len(bases), steps):
-        bases, logs = advance(spec, bases, block, logs)
-    return bases, logs
+    """evolve_flags through drawn matrices, the path of rotation_invariant:
+    the steps' draws in one call, folded by ``left_folds`` at the spec's
+    fold width, and one QR step per fold."""
+    n, d = len(bases), spec.dim
+    mats = sample_batch(spec, sampler, steps * n).reshape(steps, n, d, d)
+    return dynamics._apply(bases, left_folds(mats, fold_width(spec)))
 
 
 def assert_matches_stepwise(got, want):
@@ -294,14 +303,41 @@ def test_pushed_pin_and_burn_in_match_stepwise():
     trace = stationary_orbit(spec, 1, 150, 100, SeededSampler(44), replicas=5)
     stream = SeededSampler(44)
     start = stationary_flag_pool(spec, 5, 100, stream)
-    blocks = np.concatenate(list(draw_blocks(spec, stream, 5, 150)))
-    assert np.array_equal(trace.matrices, blocks.swapaxes(0, 1))
+    window = sample_batch(spec, stream, 5 * 150).reshape(150, 5, 3, 3)
+    assert np.array_equal(trace.matrices, window.swapaxes(0, 1))
     assert np.array_equal(trace.bases[:, 0], start)
     for r in range(5):
         for k in (1, 20, 150):
             pushed = push_flags(trace.matrices[r, :k], start[r:r + 1],
                                 spec)[0]
             assert np.max(np.abs(pushed - trace.bases[r, k])) < 1e-12
+
+
+def test_orbit_window_is_one_draw_call():
+    # 100 replicas over 700 steps: 70 000 draws, more than DRAW_BLOCK, are
+    # one sample_batch call read step-major
+    spec = bern2()
+    start = np.broadcast_to(np.eye(2), (100, 2, 2))
+    trace = forward_orbit(spec, start, 700, SeededSampler(53))
+    window = sample_batch(spec, SeededSampler(53), 700 * 100)
+    assert np.array_equal(trace.matrices,
+                          window.reshape(700, 100, 2, 2).swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("spec", [diag3eps(), iso3()], ids=lambda s: s.name)
+def test_pin_folds_fold_each_past_alone_and_keep_the_pins(spec):
+    # six pasts of 99 steps, a trace's matrices, fold at once: past r's
+    # products are its own steps multiplied out left-associated, W at a
+    # time and a short last fold, bit for bit; the pins are not written
+    trace = stationary_orbit(spec, 1, 100, 20, SeededSampler(52), replicas=6)
+    pins = trace.matrices[:, 1:]
+    before = trace.matrices.tobytes()
+    folds = pin_folds(spec, pins)
+    assert trace.matrices.tobytes() == before
+    for past, got in zip(pins, folds, strict=True):
+        want = left_folds(past, fold_width(spec))
+        assert [p.shape for p in got] == [(1, 3, 3)] * len(want)
+        assert all(p[0].tobytes() == w.tobytes() for p, w in zip(got, want))
 
 
 @pytest.mark.parametrize("stretch, width", [(2.0, 2), (3.45, 1)],

@@ -5,7 +5,7 @@ import pytest
 
 from flagdim import ensemble
 from flagdim.ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler,
-                              atom_indices, bern2, diag3eps, finite_support,
+                              bern2, diag3eps, finite_support,
                               from_text, iso2, iso3, mean_log_abs_det, rot2,
                               sample_batch, to_text, validate)
 from flagdim.errors import ConfigError, InvalidSpec
@@ -43,7 +43,7 @@ def test_single_atom_sample_is_constant():
 @pytest.mark.parametrize("spec", [bern2(), diag3eps()], ids=lambda s: s.name)
 def test_atom_indices_gather_to_sample_batch(spec):
     by_index, by_matrix = SeededSampler(46), SeededSampler(46)
-    idx = atom_indices(spec, by_index, 1000)
+    idx = ensemble._atom_counts(spec, by_index, 1000)
     assert np.array_equal(spec.params["atoms"][idx],
                           sample_batch(spec, by_matrix, 1000))
     # both leave the stream at the same place
@@ -74,19 +74,17 @@ def three_atoms(name, probs):
     three_atoms("middle-zero", [0.3, 0.0, 0.7])],
     ids=lambda s: s.name)
 def test_atom_indices_equal_generator_choice(spec):
-    # the counted draw is choice's, byte for byte, and leaves the stream
-    # where choice leaves it; the narrow counts gather to sample_batch's
-    # matrices
+    # the counted draw is choice's, byte for byte once widened to its
+    # int64, and leaves the stream where choice leaves it; the narrow
+    # counts gather to sample_batch's matrices
     probs = spec.params["probs"]
     for seed in range(3):
         ours, theirs = SeededSampler(seed, 49), SeededSampler(seed, 49)
-        got = atom_indices(spec, ours, 16_000)
+        counts = ensemble._atom_counts(spec, ours, 16_000)
         want = theirs.rng.choice(len(probs), size=16_000, p=probs)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-        assert ours.rng.random() == theirs.rng.random()
-        counts = ensemble._atom_counts(spec, SeededSampler(seed, 49), 16_000)
         assert counts.dtype == np.min_scalar_type(len(probs) - 1)
+        assert counts.astype(want.dtype).tobytes() == want.tobytes()
+        assert ours.rng.random() == theirs.rng.random()
         assert np.array_equal(
             spec.params["atoms"][counts],
             sample_batch(spec, SeededSampler(seed, 49), 16_000))
@@ -120,7 +118,7 @@ def test_atom_indices_refuse_what_choice_refuses(probs):
     with pytest.raises(ValueError):
         SeededSampler(0).rng.choice(2, size=4, p=spec.params["probs"])
     with pytest.raises(ValueError):
-        atom_indices(spec, SeededSampler(0), 4)
+        ensemble._atom_counts(spec, SeededSampler(0), 4)
 
 
 @pytest.mark.parametrize("kind, params", [
