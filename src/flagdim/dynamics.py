@@ -58,6 +58,19 @@ order, and ``batched_orthonormalize`` returns Q in its input's order.
 Every elementwise step of the fold, the product and Gram-Schmidt then
 runs over contiguous replicas instead of once per 3x3 matrix.
 
+A narrow stack, such as the spectrum's 64 replicas, is bound by numpy's
+fixed cost per call rather than by its arithmetic: the flops of one fold
+of 64 3x3 products are a small share of the calls that form it.  Two
+rules keep that cost down without changing one floating-point operation.
+The fold loop makes no dispatched numpy call: every einsum of the module
+goes through one binding, ``_einsum``, numpy's undispatched einsum (the
+``_implementation`` numpy attaches to each ``__array_function__``
+function), and the word tables and their log|det| are read by the
+arrays' own ``take`` and ``transpose`` (``_gather``).  Word codes are
+formed by Horner's rule in the counts' own unsigned dtype
+(``_word_codes``), one byte up to 256 atoms, rather than by an int64
+einsum: a code is below K^h <= WORD_TABLE, so it never wraps.
+
 Every stack of replicas draws from one sampler: step t takes one matrix
 per replica, in replica order, so a replica's draws depend on the stack
 it runs in.  A burn-in is a ``stationary_flag_pool`` on the stack's
@@ -132,6 +145,9 @@ DECAY_STABLE_TOL = 1e-2   # stable-line resolution a decay replica must reach
 INTERVAL_STABLE_TOL = 0.05  # ... and one an interval-route replica must reach
 _TIME_BLOCK = 128         # times per block when a trace derives its frames
 THINNING = 5              # d = 2 stationary sample: steps between reads
+# einsum without the __array_function__ dispatch of each call, the same
+# computation; every einsum of the module calls it
+_einsum = np.einsum._implementation
 
 
 def batched_orthonormalize(mats):
@@ -145,6 +161,11 @@ def batched_orthonormalize(mats):
     through it once per folded product (see ``_apply``), so a call stands
     for up to the spec's fold width of steps; a trace orthonormalizes the
     prefix products of a whole fold in one call (see ``forward_orbit``).
+    A narrow stack pays numpy's fixed cost per call more than its
+    arithmetic, so the loop makes no call it can spare: its einsums are
+    undispatched (``_einsum``), each column's |r_jj| is written straight
+    into the result, and one log over the result takes every column's
+    log|r_jj| at once.
     """
     mats = np.asarray(mats, dtype=float)
     k = mats.shape[-1]
@@ -154,11 +175,11 @@ def batched_orthonormalize(mats):
         col = mats[..., :, j]
         for i in range(j):
             prev = q[..., :, i]
-            col = col - np.einsum("...i,...i->...", prev, col)[..., None] * prev
-        nrm = np.sqrt(np.einsum("...i,...i->...", col, col))
+            col = col - _einsum("...i,...i->...", prev, col)[..., None] * prev
+        # |r_jj| goes into the result, which one log turns into log|r_jj|
+        nrm = np.sqrt(_einsum("...i,...i->...", col, col), out=logs[..., j])
         np.divide(col, nrm[..., None], out=q[..., :, j])
-        logs[..., j] = np.log(nrm)
-    return q, logs
+    return q, np.log(logs, out=logs)
 
 
 def _runs(seq, width):
@@ -248,12 +269,15 @@ def fold_width(spec):
 def _gather(table, codes):
     """``table[codes]``, shape (*codes.shape, d, d), held replica-last.
 
-    ``np.take`` along the last axis of the table's (d, d, K^l) buffer
-    writes each entry's words contiguously, so the codes' axes, the
-    replica axis among them, are innermost in memory.
+    A take along the last axis of the table's (d, d, K^l) buffer writes
+    each entry's words contiguously, so the codes' axes, the replica axis
+    among them, are innermost in memory.  The axes are moved by
+    ``transpose`` and the take is the array's method: the same views and
+    copy as ``np.moveaxis`` and ``np.take`` without their per-call
+    dispatch.
     """
-    return np.moveaxis(np.take(np.moveaxis(table, 0, -1), codes, axis=-1),
-                       (0, 1), (-2, -1))
+    words = table.transpose(1, 2, 0).take(codes, axis=-1)
+    return words.transpose(tuple(range(2, words.ndim)) + (0, 1))
 
 
 def _word_log_dets(spec):
@@ -272,6 +296,18 @@ def _word_log_dets(spec):
     return dets
 
 
+def _word_codes(words, k):
+    """Base-K codes (..., m) of words (..., l, m) of atom indices, i_0 +
+    i_1 K + ... + i_{l-1} K^(l-1), by Horner's rule in the indices' own
+    dtype.  Every partial sum is below K^l <= WORD_TABLE when l > 1 (see
+    ``_word_tables``), so one unsigned byte never wraps; at l = 1 the code
+    is the index itself."""
+    code = words[..., -1, :]
+    for j in range(words.shape[-2] - 2, -1, -1):
+        code = code * k + words[..., j, :]
+    return code
+
+
 def _word_products(spec, idx, log_dets=None):
     """Fold products of the atoms idx (T, m) names, read from word tables.
 
@@ -285,25 +321,24 @@ def _word_products(spec, idx, log_dets=None):
     fold order; when None, it stays None.
     """
     h, width, tables = _word_tables(spec)
-    weights = len(spec.params["atoms"]) ** np.arange(h)
+    k = len(spec.params["atoms"])
     out = []
     for runs in _runs(idx, width):
         f, w, m = runs.shape
         q, r = divmod(w, h)
-        codes = [(h, np.einsum("fqjm,j->qfm", runs[:, :q * h].reshape(
-            f, q, h, m), weights))]
+        codes = [(h, _word_codes(runs[:, :q * h].reshape(
+            f, q, h, m).swapaxes(0, 1), k))]
         if r:
-            codes.append((r, np.einsum("fjm,j->fm", runs[:, q * h:],
-                                       weights[:r])[None]))
+            codes.append((r, _word_codes(runs[:, q * h:], k)[None]))
         words = [p for length, c in codes
                  for p in _gather(tables[length - 1], c)]
         prod = words[0]
         for p in words[1:]:
-            prod = np.einsum("...ij,...jk->...ik", p, prod)
+            prod = _einsum("...ij,...jk->...ik", p, prod)
         out.extend(prod)
         if log_dets is not None:
             dets = _word_log_dets(spec)
-            for fold in sum(np.take(dets[length - 1], c).sum(axis=0)
+            for fold in sum(dets[length - 1].take(c).sum(axis=0)
                             for length, c in codes):
                 log_dets = log_dets + fold
     return out, log_dets
@@ -324,7 +359,7 @@ def _apply(bases, products, logs=0.0):
     bases = np.asarray(bases, dtype=float)
     for p in products:
         bases, logr = batched_orthonormalize(
-            np.einsum("...ij,...jk->...ik", p, bases, order="F"))
+            _einsum("...ij,...jk->...ik", p, bases, order="F"))
         logs = logs + logr
     return bases, logs
 
@@ -574,7 +609,7 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
 
 def _max_deviation(frames):
     """Largest entry of |F^T F - I| over a stack of orthonormal frames."""
-    gram = np.einsum("...ki,...kj->...ij", frames, frames)
+    gram = _einsum("...ki,...kj->...ij", frames, frames)
     gram -= np.eye(frames.shape[-1])
     return np.max(np.abs(gram, out=gram), initial=0.0)
 

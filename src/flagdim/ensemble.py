@@ -19,6 +19,7 @@ any order or thread count with identical output; the replicas of one
 stack share the stack's stream (see ``dynamics``).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -188,22 +189,30 @@ def _atom_counts(spec, sampler, n):
     branches on random u cost more than the passes at the benchmark
     ensembles' 2 and 4 atoms; the cost grows with K.  The sum runs in the
     smallest unsigned type that holds K - 1, one byte up to 256 atoms, so
-    a word fold reads the counts as they are.  Probabilities that are
-    negative, NaN or do not sum to 1 within choice's tolerance raise
+    a word fold reads the counts as they are and forms its word codes in
+    the same type (``dynamics._word_codes``).  A narrow stack draws a
+    block at a time, so the call's fixed cost counts: the thresholds are
+    formed from the K probabilities in Python floats, the very sums and
+    quotients of ``np.cumsum`` and a division, and the first comparison
+    writes the counts, each later one adding to them.  Probabilities that
+    are negative, NaN or do not sum to 1 within choice's tolerance raise
     ValueError, as choice does.
     """
-    probs = spec.params["probs"]
-    if not (np.all(probs >= 0) and abs(math.fsum(probs) - 1.0) <= PROB_TOL):
+    probs = spec.params["probs"].tolist()
+    if not (all(p >= 0 for p in probs)
+            and abs(math.fsum(probs) - 1.0) <= PROB_TOL):
         raise ValueError(f"atom probabilities {probs} are not a distribution")
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
+    cdf = list(itertools.accumulate(probs))
     # choice's uniform from the word w is u = (w >> 11) 2^-53, and u >= c
     # exactly when w >= ceil(c 2^53) << 11; no u reaches an entry c = 1
-    limits = np.ceil(cdf[:-1] * 2.0 ** 53)
-    limits = limits[limits < 2.0 ** 53].astype(np.uint64) << np.uint64(11)
+    limits = [math.ceil(c / cdf[-1] * 2.0 ** 53) for c in cdf[:-1]]
+    limits = [np.uint64(c << 11) for c in limits if c < 2 ** 53]
     words = sampler.rng.bit_generator.random_raw(n)
-    count = np.zeros(n, dtype=np.min_scalar_type(len(cdf) - 1))
-    for limit in limits:
+    dtype = np.min_scalar_type(len(cdf) - 1)
+    if not limits:
+        return np.zeros(n, dtype)
+    count = np.greater_equal(words, limits[0], out=np.empty(n, dtype))
+    for limit in limits[1:]:
         count += words >= limit
     return count
 

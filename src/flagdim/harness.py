@@ -86,7 +86,6 @@ import csv
 import functools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -321,6 +320,9 @@ def _run_jobs(jobs, threads):
     """
     if threads <= 1 or len(jobs) <= 1:
         return {tag: fn() for tag, fn in jobs}
+    # imported here: a one-thread run never loads it, nor the logging
+    # module it imports
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [(tag, pool.submit(fn)) for tag, fn in jobs]
         return {tag: f.result() for tag, f in futures}
@@ -592,7 +594,8 @@ def _write_csv(path, schema_tag, header, rows):
 
 def emit_outputs(bundle, out_dir):
     """CSV tables, a text summary, and SVG figures unless the config's
-    ``emit_figures`` is off.
+    ``emit_figures`` is off.  Any other flagdim output in ``out_dir`` (an
+    earlier run's, ``error.csv`` among them) is removed.
 
     Every figure's numbers are also present in one of the CSVs.
     """
@@ -652,6 +655,15 @@ def emit_outputs(bundle, out_dir):
         fh.write("\n".join(bundle.summary_lines()) + "\n")
     if bundle.config["emit_figures"]:
         _emit_figures(bundle, out_dir, out)
+    # an earlier run's file that this run does not write would read as
+    # this run's (a stale error.csv as a refusal): every file written only
+    # by some runs, and the CLI's error record, goes unless written above
+    for name in ("kappa.csv", "dimension.csv", "decay.csv", "ballmass.csv",
+                 "error.csv", "kappa_gap.svg", "interval_decay.svg",
+                 "dimension_slopes.svg"):
+        path = os.path.join(out_dir, name)
+        if path not in paths and os.path.isfile(path):
+            os.remove(path)
     return paths
 
 

@@ -181,6 +181,22 @@ def test_every_leg_refused_exits_two_with_the_gate_class(clean_env, tmp_path):
     assert row[2].startswith("gap[1] = ")
 
 
+def test_a_run_removes_an_earlier_runs_outputs(clean_env, tmp_path):
+    # a refused dimension run writes kappa.csv, ballmass.csv and
+    # error.csv; a spectrum run into the same directory then succeeds and
+    # writes none of them, so none may stay to read as its own
+    for name, value in (("SPECTRUM_STEPS", "400"), ("TAIL_REPLICAS", "1500"),
+                        ("ORBIT_SAMPLES", "8")):
+        clean_env.setenv("FLAGDIM_" + name, value)
+    args = ["--ensemble", "rot2", "--seed", "3", "--out", str(tmp_path)]
+    assert cli.main(["dimension"] + args) == 2
+    assert {"error.csv", "kappa.csv", "ballmass.csv"} <= set(
+        os.listdir(tmp_path))
+    assert cli.main(["spectrum"] + args) == 0
+    assert sorted(os.listdir(tmp_path)) == ["diagnostics.csv",
+                                            "spectrum.csv", "summary.txt"]
+
+
 def test_verify_with_every_kappa_leg_refused_exits_two(clean_env, tmp_path):
     # two commuting diagonal atoms fix the coordinate flag: every fiber is
     # atomic, so no density or interval leg of any fiber yields a kappa

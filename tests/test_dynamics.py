@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flagdim import circle, dynamics, harness
+from flagdim import circle, dynamics, ensemble, harness
 from flagdim.dynamics import (FOLD_COND_CAP, THINNING,
                               WORD_FOLD_STEPS, WORD_TABLE, Arc,
                               batched_orthonormalize, circle_map_between,
@@ -21,6 +21,7 @@ from flagdim.flagcore import (CircleMap, Flag, LinearMap, act_flag,
                               completion_frames, det2, fiber_coordinates,
                               fiber_map_image, partial_flag)
 
+import fold_loop_reference
 from conftest import random_invertible
 from test_cli import diag4eps
 from iso_reference import iso3_exponents
@@ -254,6 +255,55 @@ def test_word_folds_stay_under_the_cap(spec, width):
     for steps in range(1, width + 1):
         (prod,), _ = dynamics._word_products(spec, idx[:steps])
         assert np.max(np.linalg.cond(prod)) <= FOLD_COND_CAP
+
+
+@pytest.mark.parametrize("n", [64, 2000])
+@pytest.mark.parametrize("spec, dtype", [
+    (bern2(), None), (diag3eps(), None), (THREE, None), (SEVENTEEN, None),
+    (diag3eps(), np.int64)],
+    ids=lambda v: getattr(v, "name", getattr(v, "__name__", "counts")))
+def test_fold_loop_is_the_dispatched_loop_bit_for_bit(spec, dtype, n):
+    # the spectrum's 64 replicas and a pool's 2000, over two whole folds
+    # and a short one: codes by Horner's rule in the counts' own dtype,
+    # undispatched einsums and one log per QR step give the bytes of the
+    # plain loop.  The first replica's first word is all K - 1, the
+    # largest code (255 for bern2); int64 indices are what
+    # test_word_folds_stay_under_the_cap folds
+    h, width, _ = dynamics._word_tables(spec)
+    k, d = len(spec.params["atoms"]), spec.dim
+    idx = ensemble._atom_counts(spec, SeededSampler(52),
+                                (2 * width + 5) * n).reshape(-1, n)
+    idx[:h, 0] = k - 1
+    if dtype is not None:
+        idx = idx.astype(dtype)
+    q = width // h
+    codes = dynamics._word_codes(idx[:q * h].reshape(q, h, n), k)
+    (_, want), *_ = fold_loop_reference.word_codes(idx[None, :q * h], h, k)
+    assert codes.dtype == idx.dtype
+    assert np.array_equal(codes, want[:, 0])
+    assert want.max() == k ** h - 1
+    products, log_dets = dynamics._word_products(spec, idx, np.zeros(n))
+    want, want_dets = fold_loop_reference.word_products(spec, idx,
+                                                        np.zeros(n))
+    assert len(products) == len(want) == 3
+    for got, ref in zip(products, want):
+        assert got.tobytes() == ref.tobytes()
+        assert got.strides == ref.strides
+    assert log_dets.tobytes() == want_dets.tobytes()
+    start = np.linalg.qr(np.random.default_rng(53).standard_normal(
+        (n, d, d)))[0]
+    for columns in (d - 1, d):
+        bases = start[..., :columns]
+        got = dynamics._apply(bases, products, np.zeros((n, columns)))
+        ref = fold_loop_reference.apply(bases, products,
+                                        np.zeros((n, columns)))
+        # replica-last, as every stack advances, and C order, as a
+        # trace's prefix products are orthonormalized
+        got += dynamics.batched_orthonormalize(products[0] @ bases)
+        ref += fold_loop_reference.batched_orthonormalize(
+            products[0] @ bases)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("spec, width", [
