@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 validation, configuration or usage failure, 2 a
 hypothesis gate refused (atomic fibers, entropy indistinguishable from
 zero, unresolvable stable line).  Refusals and failures are also written
 as a machine-readable record to <out>/error.csv (out/error.csv for a
-usage error, whose --out may be unreadable).
+usage error, whose --out may be unreadable).  A run that stops before
+writing its outputs leaves error.csv alone in <out>: an earlier run's
+outputs there are removed, except in a usage error's fallback out/.
 """
 
 import argparse
@@ -84,9 +86,14 @@ def _config(args):
     return load_config(args.config, overrides)
 
 
-def _record_error(out_dir, code, err):
+def _record_error(out_dir, code, err, clear=False):
+    """Write error.csv into out_dir; with ``clear``, first remove every
+    other flagdim output there, so no earlier run's file reads as this
+    run's."""
     try:
         os.makedirs(out_dir, exist_ok=True)
+        if clear:
+            harness.remove_outputs(out_dir)
         with open(os.path.join(out_dir, "error.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["exit_code", "error_type", "message"])
@@ -96,10 +103,12 @@ def _record_error(out_dir, code, err):
 
 
 def main(argv=None):
-    out_dir = "out"
+    # None until --out or the config names the out dir: a usage error's
+    # record goes to the fallback out/, whose other files stay
+    out_dir = None
     try:
         args = _parser().parse_args(argv)
-        out_dir = args.out or out_dir
+        out_dir = args.out
         cfg = _config(args)
         out_dir = cfg.out_dir
         if args.command == "validate":
@@ -122,11 +131,11 @@ def main(argv=None):
         return 0
     except GATE_ERRORS as err:
         print(f"refused: {err}", file=sys.stderr)
-        _record_error(out_dir, 2, err)
+        _record_error(out_dir or "out", 2, err, clear=out_dir is not None)
         return 2
     except FlagdimError as err:
         print(f"error: {err}", file=sys.stderr)
-        _record_error(out_dir, 1, err)
+        _record_error(out_dir or "out", 1, err, clear=out_dir is not None)
         return 1
 
 

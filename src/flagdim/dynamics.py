@@ -38,23 +38,26 @@ each product is the one a push through that past alone forms
 (``push_flags``) bit for bit.  Each pool is then pushed through its own
 past's products (``push_folds``), one pool at a time.
 
-The spectrum's 64 replicas burn in and advance as a stack (64, d, d - 1)
-of leading columns: V_d = R^d in every flag, and Gram-Schmidt never
-reads a later column, so chi_1 ... chi_{d-1} are those of full flags bit
-for bit.  Q is orthogonal, so every folded product P has sum_j log r_jj
-= log|det P|, the sum of its draws' log|det A_t|.  Each replica's chi_d
-is therefore the sum of log|det A_t| over its draws, less its d - 1
-log|diag R| sums, over the steps.  Finite support reads a fold's
+The spectrum's 64 replicas burn in as a stack (64, d, d - 1) of leading
+columns and then take no QR step: chi_1 + ... + chi_j is the growth rate
+of the j-volume of a flag's first j columns, to which the QR cocycle's
+sums of log r_11 ... log r_jj telescope (Oseledets; Bougerol-Lacroix,
+ch. III).  Each replica carries the vector x_j of j x j minors of its
+first j columns and advances it by the compound matrix C_j(P) of every
+fold product P, one matrix-vector einsum per fold (``_compounds``,
+``lyapunov_spectrum``).  Each replica's chi_d is its draws' summed
+log|det A_t| less its x_{d-1} growth.  Finite support reads a fold's
 log|det| from per-word tables at the fold's word codes
 (``_word_log_dets``); every rotation_invariant draw K S has log|det S|.
 No other stack sums log|det|.
 
 Stacks that advance this way (pools of thousands of replicas, the
-spectrum's 64) keep their shape (n, d, k) but are held replica-last: the
-replica axis is innermost in memory.  Word tables are (d, d, K^l)
-buffers, so a gather of words comes out replica-last; the words are
-folded by ``einsum``, each product times the stack is formed in Fortran
-order, and ``batched_orthonormalize`` returns Q in its input's order.
+spectrum's burn-in) keep their shape (n, d, k) but are held
+replica-last: the replica axis is innermost in memory.  Word tables are
+(d, d, K^l) buffers, so a gather of words comes out replica-last; the
+words are folded by ``einsum``, each product times the stack is formed
+in Fortran order, and ``batched_orthonormalize`` returns Q in its input's
+order.
 Every elementwise step of the fold, the product and Gram-Schmidt then
 runs over contiguous replicas instead of once per 3x3 matrix.
 
@@ -114,13 +117,17 @@ and no offset is cut into pieces.  ``CircleMap.map_offset`` keeps its
 per-map pieces, as an independent check of one step.
 """
 
+import functools
 import weakref
 from dataclasses import dataclass, replace
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from . import circle
-from .ensemble import _atom_counts, mean_log_abs_det, sample_batch
+from .ensemble import (_atom_counts, _support, mean_log_abs_det,
+                       sample_batch)
 from .errors import (DegenerateBasis, DegenerateFiberPair, GapTooSmall,
                      IntervalWrap)
 from .flagcore import (ORTHO_TOL, CircleMap, completion_frames, det2,
@@ -285,7 +292,7 @@ def _word_log_dets(spec):
 
     Built on first use, beside the word tables and in their codes: entry
     i_0 + i_1 K + ... of length l is the sum of log|det a_{i_j}| over the
-    word's atoms.  Only the spectrum reads them (see ``_evolve``).
+    word's atoms.  Only the spectrum reads them (``lyapunov_spectrum``).
     """
     dets = _WORD_LOG_DETS.get(spec)
     if dets is None:
@@ -392,19 +399,9 @@ def evolve_flags(spec, bases, n_steps, sampler):
     replica-last (see ``_apply``), and each replica's log|diag R| summed
     over the steps (n, k), equal to the stepwise sums up to rounding.
     Each fold's log|diag R| goes into one running sum in fold order, so
-    the bases and sums do not depend on DRAW_BLOCK.
-    """
-    return _evolve(spec, bases, n_steps, sampler)[:2]
-
-
-def _evolve(spec, bases, n_steps, sampler, log_dets=None):
-    """``evolve_flags``, and with a running sum ``log_dets`` (n,) given,
-    each replica's log|det A_t| summed over its draws, returned third.
-
-    Finite support reads each fold's log|det| off its word codes
-    (``_word_products``) and adds it in fold order; every
-    rotation_invariant draw K S has |det| = |det S|.  Only the spectrum
-    asks for the sum, so no other stack pays for it.
+    the bases and sums do not depend on DRAW_BLOCK.  The spectrum draws
+    and folds the same way but takes no QR step after its burn-in (see
+    ``lyapunov_spectrum``).
     """
     bases = np.asarray(bases, dtype=float)
     n = len(bases)
@@ -412,12 +409,9 @@ def _evolve(spec, bases, n_steps, sampler, log_dets=None):
     # a block's draws live only through its own folds, so none is held
     # while the next block is drawn
     for t in _block_steps(n, n_steps, fold_width(spec)):
-        products, log_dets = _folds(spec, _draws(spec, sampler, t, n),
-                                    log_dets)
-        bases, logs = _apply(bases, products, logs)
-    if log_dets is not None and spec.kind != "finite_support":
-        log_dets = log_dets + n_steps * mean_log_abs_det(spec)
-    return bases, logs, log_dets
+        bases, logs = _apply(bases, _folds(spec, _draws(spec, sampler, t, n)),
+                             logs)
+    return bases, logs
 
 
 def _draws(spec, sampler, steps, n):
@@ -456,16 +450,13 @@ def _fold_ends(steps, width):
     return _fold_products(steps, width)[:, ends].swapaxes(0, 1).copy()
 
 
-def _folds(spec, draws, log_dets=None):
-    """Fold products of ``_draws`` output (T, m, ...), and the running sum.
-
-    Finite support folds the counts as words (``_word_products``), adding
-    each fold's log|det| to ``log_dets`` when given; matrices fold in
-    place (``_fold_ends``) and leave the sum as it is.
-    """
+def _folds(spec, draws):
+    """Fold products of ``_draws`` output (T, m, ...): finite support folds
+    the counts as words (``_word_products``), matrices fold in place
+    (``_fold_ends``)."""
     if spec.kind == "finite_support":
-        return _word_products(spec, draws, log_dets)
-    return _fold_ends(draws.swapaxes(0, 1), fold_width(spec)), log_dets
+        return _word_products(spec, draws)[0]
+    return _fold_ends(draws.swapaxes(0, 1), fold_width(spec))
 
 
 def push_flags(pinned, bases, spec):
@@ -545,7 +536,7 @@ def stationary_lines(spec, replicas, burnin, count, sampler):
         # (THINNING, reads * R): read j's replica r is column j R + r
         draws = draws.reshape((-1, THINNING, replicas) + rest).swapaxes(
             0, 1).reshape((THINNING, -1) + rest)
-        products, _ = _folds(spec, draws)
+        products = _folds(spec, draws)
         for lo in range(0, draws.shape[1], replicas):
             lines, _ = _apply(lines, [p[lo: lo + replicas] for p in products])
             reads.append(fiber_coordinates(lines, np.eye(2), 1))
@@ -573,31 +564,141 @@ class SpectrumEstimate:
         return len(self.chi)
 
 
-def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
-    """Per-step log determinant increments averaged over time and replicas.
+@functools.lru_cache(maxsize=None)
+def _laplace(d, e, j):
+    """Flat indices (j, |I|, |J|) of the entries and (j - 1)-minors that
+    expand each j x j minor (I, J) of a d x e matrix along its last column:
+    term a is entry (I[a], J[-1]) times minor (I without I[a], J[:-1]),
+    signed (-1)^(a + j - 1).  Subsets are in lexicographic order."""
+    rows, cols = combinations(range(d), j), list(combinations(range(e), j))
+    below = [{s: n for n, s in enumerate(combinations(range(k), j - 1))}
+             for k in (d, e)]
+    entry, minor = np.empty((2, j, comb(d, j), len(cols)), dtype=np.intp)
+    for r, row in enumerate(rows):
+        for a in range(j):
+            entry[a, r] = [row[a] * e + col[-1] for col in cols]
+            minor[a, r] = [below[0][row[:a] + row[a + 1:]] * len(below[1])
+                           + below[1][col[:-1]] for col in cols]
+    return entry, minor
 
-    chi_i is the mean i-th diagonal log increment of the QR cocycle after
-    burn-in; the standard error comes from the spread of replica means,
-    which are independent by construction.  The replicas burn in
-    (``stationary_flag_pool``) and advance their d - 1 leading columns
-    alone, which Gram-Schmidt runs without the last one, so chi_1 ...
-    chi_{d-1} are those of full flags bit for bit.  Each replica's
-    chi_d is its draws' summed log|det A_t| less its other log|diag R|
-    sums, over n_steps: Q is orthogonal, so log|det P| is the sum of
-    log|r_jj| for every folded product P.  A gap's standard error comes
-    from the spread of the replicas' own gaps: neighbouring exponents of
-    one replica are correlated (chi_1 + ... + chi_d is the replica's mean
+
+def _compounds(mats, top):
+    """The compound matrices C_1 ... C_top of a stack mats (F, d, e, m).
+
+    C_j[f, I, J, r] is the minor det mats[f, I, J, r] over the j-subsets I
+    of rows and J of columns, in lexicographic order, so C_1 is ``mats``.
+    C_j is formed from C_{j-1} by Laplace expansion along each minor's last
+    column (``_laplace``), alternating signs summed in one fixed order, so
+    each minor is a function of its own matrix alone.  The m replicas
+    stay innermost, as each fold's advance reads them.
+    """
+    f, d, e, m = mats.shape
+    out = [mats]
+    for j in range(2, top + 1):
+        entry, minor = _laplace(d, e, j)
+        terms = (mats.reshape(f, d * e, m).take(entry, axis=1)
+                 * out[-1].reshape(f, -1, m).take(minor, axis=1))
+        c = terms[:, 0]
+        for a in range(1, j):
+            c = terms[:, a] - c
+        out.append(c)
+    return out
+
+
+def _rescale(x, exponents):
+    """x (k, N, m) scaled by a power of two per vector, its largest entry
+    into [1/2, 1): exact, so no mantissa moves.  The powers taken out are
+    added to ``exponents`` (k, m)."""
+    e = np.frexp(np.abs(x).max(axis=1))[1]
+    exponents += e
+    return np.ldexp(x, -e[:, None])
+
+
+def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
+    """Per-step log growth of flag volumes averaged over time and replicas.
+
+    chi_1 + ... + chi_j is the growth rate of j-volumes, (1/n) log|Lambda^j
+    (A_n ... A_1) (b_1 ^ ... ^ b_j)|, for the first j columns of a
+    stationary flag; the standard error comes from the spread of replica
+    means, which are independent by construction.  The replicas burn in as
+    d - 1 leading columns (``stationary_flag_pool``).  Each then carries,
+    for j = 1..d-1, the Pluecker coordinates x_j of its first j columns (its
+    j x j minors) and advances them by the compound matrix C_j(P) of every
+    folded product P (``_compounds``, formed once per draw block): one
+    ``einsum`` per fold, stacked over the j whose C(d, j) agree.  This is
+    the QR cocycle's log|diag R| sum without its Gram-Schmidt chain: the
+    sum over folds of log r_11 + ... + log r_jj telescopes to the growth
+    of log|x_j|.  Each replica's chi_d is its draws' summed log|det A_t|
+    (finite support reads each fold's off its word codes; every K S has
+    log|det S|) less its x_{d-1} growth.
+
+    Each x_j is scaled by a power of two (``_rescale``) every ``per``
+    folds, counted from the first, and once more before the final norms,
+    so that |x_j|^2 cannot overflow.  The scaling is exact, so no result
+    depends on the schedule or on DRAW_BLOCK.  The schedule comes from the
+    draws' singular values: one fold changes |x_j| by at most W times the
+    largest |log| of a draw's top or bottom j singular values, and ``per``
+    folds of that keep the largest entry of an x_j rescaled into [1/2, 1)
+    a normal double.
+
+    Accuracy: a fold's C_2 minors carry the cancellation eps s_1 / s_2
+    that Gram-Schmidt's r_22 does, at most eps FOLD_COND_CAP; for j >= 3
+    the bound is eps cond(P)^(j - 1).  A gap's standard error comes from
+    the spread of the replicas' own gaps: neighbouring exponents of one
+    replica are correlated (chi_1 + ... + chi_d is the replica's mean
     log|det A_t|), so their errors do not add in quadrature.
     """
+    d = spec.dim
     # burn-in and measurement are two advances on one stream, so no fold
     # straddles the burn-in
     stream = sampler.child(0xCC)
     bases = stationary_flag_pool(spec, replicas, burnin, stream,
-                                 columns=spec.dim - 1)
-    _, sums, log_dets = _evolve(spec, bases, n_steps, stream,
-                                np.zeros(replicas))
-    sums = np.column_stack([sums, log_dets - sums.sum(axis=1)])
-    means = sums / n_steps
+                                 columns=d - 1)
+    sizes = [comb(d, j) for j in range(1, d)]
+    groups = [[j for j in range(1, d) if sizes[j - 1] == n]
+              for n in dict.fromkeys(sizes)]
+    minors = _compounds(bases.transpose(1, 2, 0)[None], d - 1)
+    starts = xs = [np.stack([minors[j - 1][0, :, 0] for j in js])
+                   for js in groups]
+    exponents = [np.zeros((len(js), replicas), dtype=np.int64)
+                 for js in groups]
+    width = fold_width(spec)
+    # a rescaled x_j's largest entry, in [1/2, 1), stays a normal double
+    # through 1021 binary orders, less the sqrt(C(d, j)) between it and
+    # |x_j|, of growth or decay
+    logs = np.log(np.linalg.svd(_support(spec)[0], compute_uv=False))
+    rate = width * max(np.abs(np.cumsum(logs, axis=1)).max(),
+                       np.abs(np.cumsum(logs[:, ::-1], axis=1)).max())
+    room = (-np.finfo(float).minexp - 1 - np.log2(max(sizes)) / 2) * np.log(2)
+    per = max(1, int(room // rate)) if rate > 0 else None
+    log_dets = np.zeros(replicas)
+    folds = 0
+    for t in _block_steps(replicas, n_steps, width):
+        draws = _draws(spec, stream, t, replicas)
+        if spec.kind == "finite_support":
+            products, log_dets = _word_products(spec, draws, log_dets)
+        else:
+            products = _folds(spec, draws)
+        comps = _compounds(np.stack([p.transpose(1, 2, 0) for p in products]),
+                           d - 1)
+        blocks = [np.stack([comps[j - 1] for j in js], axis=1)
+                  for js in groups]
+        for f in range(len(products)):
+            xs = [_einsum("kijm,kjm->kim", c[f], x)
+                  for c, x in zip(blocks, xs)]
+            folds += 1
+            if per and folds % per == 0:
+                xs = [_rescale(x, e) for x, e in zip(xs, exponents)]
+    if spec.kind != "finite_support":
+        log_dets = log_dets + n_steps * mean_log_abs_det(spec)
+    xs = [_rescale(x, e) for x, e in zip(xs, exponents)]
+    growth = np.empty((d - 1, replicas))
+    for js, x, x0, e in zip(groups, xs, starts, exponents):
+        growth[np.array(js) - 1] = (
+            np.log(_einsum("kim,kim->km", x, x)) / 2 + e * np.log(2)
+            - np.log(_einsum("kim,kim->km", x0, x0)) / 2)
+    means = np.diff(growth, axis=0, prepend=0.0,
+                    append=log_dets[None]).T / n_steps
     chi = means.mean(axis=0)
     stderr = means.std(axis=0, ddof=1) / np.sqrt(replicas)
     gaps = means[:, :-1] - means[:, 1:]

@@ -85,7 +85,6 @@ import configparser
 import csv
 import functools
 import os
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -262,7 +261,6 @@ class ResultBundle:
 
     config: dict
     version: str
-    wall_time: float
     spectrum: object
     kappas: tuple
     gap_rows: tuple
@@ -377,9 +375,9 @@ def _run_diagnostics(spec, spectrum):
     """Checks of the spectrum against the ensemble: sum chi = E log|det A|.
 
     The spectrum reads chi_d as the draws' summed log|det A_t| less the
-    other exponents' sums (``lyapunov_spectrum``), so sum_chi is the
+    other exponents' sum (``lyapunov_spectrum``), so sum_chi is the
     draws' mean log|det A_t| by construction: it checks the draws against
-    E log|det A| summed over the support, not the QR step.
+    E log|det A| summed over the support, not the spectrum's advance.
     """
     return {"sum_chi": float(spectrum.chi.sum()),
             "mean_log_abs_det": mean_log_abs_det(spec)}
@@ -542,7 +540,6 @@ def run(cfg, command, threads=1):
     if "decay" in legs and len(cfg.decay_grid()) < 2:
         raise ConfigError(f"interval_n {cfg.interval_n} gives a decay grid "
                           "of one depth; a slope needs two")
-    start = time.perf_counter()
     sampler = SeededSampler(int(cfg.seed))
     spec = cfg.spec()
     cfg.fibers(spec.dim)   # an out-of-range fiber is refused before any draw
@@ -564,7 +561,6 @@ def run(cfg, command, threads=1):
         reports, curves = _dimension_legs(cfg, spec, spectrum, kappa,
                                           sampler, refusals)
     return ResultBundle(config=cfg.echo(), version=__version__,
-                        wall_time=time.perf_counter() - start,
                         spectrum=spectrum, kappas=kappas, gap_rows=rows,
                         agreement=agreement, dimension_reports=reports,
                         decay=results.get("decay"), ball_curves=curves,
@@ -655,16 +651,26 @@ def emit_outputs(bundle, out_dir):
         fh.write("\n".join(bundle.summary_lines()) + "\n")
     if bundle.config["emit_figures"]:
         _emit_figures(bundle, out_dir, out)
-    # an earlier run's file that this run does not write would read as
-    # this run's (a stale error.csv as a refusal): every file written only
-    # by some runs, and the CLI's error record, goes unless written above
-    for name in ("kappa.csv", "dimension.csv", "decay.csv", "ballmass.csv",
-                 "error.csv", "kappa_gap.svg", "interval_decay.svg",
-                 "dimension_slopes.svg"):
-        path = os.path.join(out_dir, name)
-        if path not in paths and os.path.isfile(path):
-            os.remove(path)
+    remove_outputs(out_dir, keep=paths)
     return paths
+
+
+# every file a run or its error record writes into the out dir
+OUTPUT_NAMES = ("spectrum.csv", "kappa.csv", "dimension.csv",
+                "diagnostics.csv", "decay.csv", "ballmass.csv", "summary.txt",
+                "error.csv", "kappa_gap.svg", "interval_decay.svg",
+                "dimension_slopes.svg")
+
+
+def remove_outputs(out_dir, keep=()):
+    """Remove every flagdim output in ``out_dir`` whose path is not in
+    ``keep``.  An earlier run's file that this run does not write would
+    read as this run's (a stale error.csv as a refusal), so a run keeps
+    only what it wrote, and a failed run none of them."""
+    for name in OUTPUT_NAMES:
+        path = os.path.join(out_dir, name)
+        if path not in keep and os.path.isfile(path):
+            os.remove(path)
 
 
 def _emit_figures(bundle, out_dir, out):

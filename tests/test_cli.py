@@ -197,6 +197,24 @@ def test_a_run_removes_an_earlier_runs_outputs(clean_env, tmp_path):
                                             "spectrum.csv", "summary.txt"]
 
 
+def test_a_failed_run_removes_an_earlier_runs_outputs(clean_env, tmp_path):
+    # a verify writes every output and its figures; a spectrum run into
+    # the same directory then fails as it starts (bern2 has no fiber 2)
+    # and must leave its error.csv alone, with nothing to read as its own
+    for name, value in (("SPECTRUM_STEPS", "400"), ("TAIL_REPLICAS", "1500"),
+                        ("ORBIT_SAMPLES", "8"), ("REPLICAS", "4"),
+                        ("INTERVAL_N", "20")):
+        clean_env.setenv("FLAGDIM_" + name, value)
+    args = ["--ensemble", "bern2", "--seed", "7", "--out", str(tmp_path)]
+    cli.main(["verify"] + args)
+    assert {"kappa.csv", "decay.csv", "ballmass.csv", "spectrum.csv",
+            "summary.txt", "kappa_gap.svg"} <= set(os.listdir(tmp_path))
+    assert cli.main(["spectrum", "--fiber", "2"] + args) == 1
+    assert os.listdir(tmp_path) == ["error.csv"]
+    _, row = error_rows(tmp_path)
+    assert row == ["1", "ConfigError", "fiber_index 2 out of range for d = 2"]
+
+
 def test_verify_with_every_kappa_leg_refused_exits_two(clean_env, tmp_path):
     # two commuting diagonal atoms fix the coordinate flag: every fiber is
     # atomic, so no density or interval leg of any fiber yields a kappa

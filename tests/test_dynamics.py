@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -486,29 +488,102 @@ def full_flag_means(spec, n_steps, sampler, burnin, replicas):
     return evolve_flags(spec, bases, n_steps, stream)[1] / n_steps
 
 
+def assert_spectrum_matches(est, means, rel, abs_=0.0):
+    """est's exponents, stderrs and gap stderrs within ``rel`` relative
+    (or ``abs_`` absolute) of those of the replica means (replicas, d)."""
+    root = np.sqrt(len(means))
+    gaps = means[:, :-1] - means[:, 1:]
+    for got, want in ((est.chi, means.mean(axis=0)),
+                      (est.stderr, means.std(axis=0, ddof=1) / root),
+                      (est.gap_stderrs, gaps.std(axis=0, ddof=1) / root)):
+        assert np.all(np.abs(got - want) <= np.maximum(rel * np.abs(want),
+                                                       abs_))
+
+
 @pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3(), diag4eps(),
                                   SCALED3], ids=lambda s: s.name)
 def test_spectrum_reads_chi_d_off_log_det(spec):
-    # the spectrum advances d - 1 columns and reads each replica's chi_d as
-    # its draws' log|det| less its other columns' sums, since Q is
-    # orthogonal: the leading exponents equal the full flags' bit for bit,
-    # and chi_d and every spread that reads it agree to rounding
+    # the spectrum reads chi_1 + ... + chi_j off the growth of the first j
+    # columns' compound vector, with no QR chain, and each replica's chi_d
+    # as its draws' log|det| less the d - 1 volume's growth: every exponent
+    # and every spread agrees with the full flags' QR columns to rounding
     est = lyapunov_spectrum(spec, 3000, SeededSampler(62), burnin=100,
                             replicas=64)
     means = full_flag_means(spec, 3000, SeededSampler(62), 100, 64)
-    chi = means.mean(axis=0)
-    stderr = means.std(axis=0, ddof=1) / np.sqrt(64)
-    gaps = means[:, :-1] - means[:, 1:]
-    gap_stderrs = gaps.std(axis=0, ddof=1) / np.sqrt(64)
-    assert np.array_equal(est.chi[:-1], chi[:-1])
-    assert np.array_equal(est.stderr[:-1], stderr[:-1])
-    assert np.array_equal(est.gap_stderrs[:-1], gap_stderrs[:-1])
-    for got, want in ((est.chi[-1], chi[-1]), (est.stderr[-1], stderr[-1]),
-                      (est.gap_stderrs[-1], gap_stderrs[-1])):
-        assert abs(got - want) <= 1e-12 * abs(want)
+    assert_spectrum_matches(est, means, 1e-12)
     if spec is SCALED3:
         # the replicas' log|det| sums differ, so chi_d reads the draws
         assert np.ptp(means.sum(axis=1)) > 1e-3
+
+
+@pytest.mark.parametrize("stretch, width", [(2.0, 2), (3.45, 1)])
+def test_spectrum_matches_the_qr_chain_at_narrow_folds(stretch, width):
+    # strong2's draws stretch by e^stretch, so the compound vector grows
+    # by up to e^(3.45 W) a fold and is rescaled every 205 folds at W = 1:
+    # its |x|^2 would overflow at the end without the final rescale.  Each
+    # replica mean carries rounding of about eps |chi| from either chain,
+    # which spreads of 1e-6 to 1e-4 read at an absolute 1e-14
+    spec = strong2(stretch=stretch)
+    assert fold_width(spec) == width
+    est = lyapunov_spectrum(spec, 3000, SeededSampler(62), burnin=100,
+                            replicas=64)
+    means = full_flag_means(spec, 3000, SeededSampler(62), 100, 64)
+    assert_spectrum_matches(est, means, 1e-12, 1e-14)
+
+
+def test_rotation_spectrum_matches_the_qr_chain():
+    # every rot2 draw is orthogonal: the compound vector keeps its norm and
+    # every exponent and spread is zero up to rounding in both chains
+    est = lyapunov_spectrum(rot2(), 3000, SeededSampler(62), burnin=100,
+                            replicas=64)
+    means = full_flag_means(rot2(), 3000, SeededSampler(62), 100, 64)
+    assert_spectrum_matches(est, means, 0.0, 1e-15)
+    assert np.all(np.abs(est.chi) <= 1e-15)
+
+
+def minors(mats, j):
+    """Every j x j minor of mats (F, d, e, m) by np.linalg.det of its
+    sub-block: (F, C(d, j), C(e, j), m), subsets in lexicographic order."""
+    rows = list(itertools.combinations(range(mats.shape[1]), j))
+    cols = list(itertools.combinations(range(mats.shape[2]), j))
+    return np.stack([np.stack([np.linalg.det(
+        mats[:, r][:, :, c].transpose(0, 3, 1, 2)) for c in cols], axis=1)
+        for r in rows], axis=1)
+
+
+def assert_compounds_are_minors(mats):
+    # each compound within 1e-13 of the largest minor of its matrix: a
+    # minor of a product with condition number c may lose eps c of its
+    # own size to cancellation, by either route
+    for j, got in enumerate(dynamics._compounds(mats, min(mats.shape[1:3])),
+                            start=1):
+        want = minors(mats, j)
+        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("columns", ["square", "leading"])
+def test_compounds_are_the_minors_of_random_matrices(rng, d, columns):
+    # square matrices, as the folds, and d x (d - 1) ones, as the
+    # spectrum's burned-in leading columns
+    e = d if columns == "square" else d - 1
+    mats = rng.standard_normal((5, d, e, 7)) + 3 * np.eye(d, e)[:, :, None]
+    assert_compounds_are_minors(mats)
+
+
+@pytest.mark.parametrize("spec", [bern2(), diag3eps(), THREE, diag4eps(),
+                                  rotations("five", 5, 3)],
+                         ids=lambda s: s.name)
+def test_compounds_are_the_minors_of_fold_products(spec):
+    # whole folds of the spec's width, up to FOLD_COND_CAP in condition,
+    # and the tabled words they are made of
+    _, width, tables = dynamics._word_tables(spec)
+    draws = dynamics._draws(spec, SeededSampler(63), 3 * width, 16)
+    folds = dynamics._word_products(spec, draws)[0]
+    assert_compounds_are_minors(np.stack([p.transpose(1, 2, 0)
+                                          for p in folds]))
+    assert_compounds_are_minors(tables[-1].transpose(1, 2, 0)[None])
 
 
 # top exponent of bern2, from renormalized products log||P_n v|| / n at
