@@ -86,14 +86,17 @@ def _config(args):
     return load_config(args.config, overrides)
 
 
-def _record_error(out_dir, code, err, clear=False):
-    """Write error.csv into out_dir; with ``clear``, first remove every
-    other flagdim output there, so no earlier run's file reads as this
-    run's."""
+def _record_error(out_dir, code, err, keep=()):
+    """Write error.csv into out_dir, first removing every other flagdim
+    output there but the paths in ``keep`` (what this run wrote), so no
+    earlier run's file reads as this run's.  With no out dir named yet (a
+    usage error), write into out/ and remove nothing."""
     try:
+        if out_dir is None:
+            out_dir = "out"
+        else:
+            harness.remove_outputs(out_dir, keep)
         os.makedirs(out_dir, exist_ok=True)
-        if clear:
-            harness.remove_outputs(out_dir)
         with open(os.path.join(out_dir, "error.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["exit_code", "error_type", "message"])
@@ -116,7 +119,7 @@ def main(argv=None):
                 print(line)
             return 0
         bundle = harness.run(cfg, args.command, threads=args.threads)
-        emit_outputs(bundle, cfg.out_dir)
+        paths = emit_outputs(bundle, cfg.out_dir)
         for line in bundle.summary_lines():
             print(line)
         _, output = harness.COMMANDS[args.command]
@@ -126,16 +129,17 @@ def main(argv=None):
             # raise would record it
             err = bundle.first_refusal()
             _record_error(cfg.out_dir, 2,
-                          FlagdimError("refused") if err is None else err)
+                          FlagdimError("refused") if err is None else err,
+                          keep=paths)
             return 2
         return 0
     except GATE_ERRORS as err:
         print(f"refused: {err}", file=sys.stderr)
-        _record_error(out_dir or "out", 2, err, clear=out_dir is not None)
+        _record_error(out_dir, 2, err)
         return 2
     except FlagdimError as err:
         print(f"error: {err}", file=sys.stderr)
-        _record_error(out_dir or "out", 1, err, clear=out_dir is not None)
+        _record_error(out_dir, 1, err)
         return 1
 
 

@@ -39,25 +39,28 @@ each product is the one a push through that past alone forms
 past's products (``push_folds``), one pool at a time.
 
 The spectrum's 64 replicas burn in as a stack (64, d, d - 1) of leading
-columns and then take no QR step: chi_1 + ... + chi_j is the growth rate
-of the j-volume of a flag's first j columns, to which the QR cocycle's
-sums of log r_11 ... log r_jj telescope (Oseledets; Bougerol-Lacroix,
-ch. III).  Each replica carries the vector x_j of j x j minors of its
-first j columns and advances it by the compound matrix C_j(P) of every
-fold product P, one matrix-vector einsum per fold (``_compounds``,
-``lyapunov_spectrum``).  Each replica's chi_d is its draws' summed
-log|det A_t| less its x_{d-1} growth.  Finite support reads a fold's
-log|det| from per-word tables at the fold's word codes
+columns.  chi_1 + ... + chi_j is the growth rate of the j-volume of a
+flag's first j columns, to which the QR cocycle's sums of log r_11 ...
+log r_jj telescope (Oseledets; Bougerol-Lacroix, ch. III).  At d <= 3
+the replicas then take no QR step: each carries its first column x_1
+and, at d = 3, the 2 x 2 minors x_2 of its first two columns, and
+advances them by every fold product P and its second compound C_2(P),
+one matrix-vector einsum per fold (``_minors2``,
+``lyapunov_spectrum``).  At d >= 4 the d - 1 columns run the QR chain:
+Gram-Schmidt never reads a later column, so chi_1 ... chi_{d-1} are
+those of full flags bit for bit.  Each replica's chi_d is its draws'
+summed log|det A_t| less its d - 1 volume's growth.  Finite support
+reads a fold's log|det| from per-word tables at the fold's word codes
 (``_word_log_dets``); every rotation_invariant draw K S has log|det S|.
 No other stack sums log|det|.
 
 Stacks that advance this way (pools of thousands of replicas, the
-spectrum's burn-in) keep their shape (n, d, k) but are held
-replica-last: the replica axis is innermost in memory.  Word tables are
-(d, d, K^l) buffers, so a gather of words comes out replica-last; the
-words are folded by ``einsum``, each product times the stack is formed
-in Fortran order, and ``batched_orthonormalize`` returns Q in its input's
-order.
+spectrum's burn-in and its d >= 4 chain) keep their shape (n, d, k) but
+are held replica-last: the replica axis is innermost in memory.  Word
+tables are (d, d, K^l) buffers, so a gather of words comes out
+replica-last; the words are folded by ``einsum``, each product times the
+stack is formed in Fortran order, and ``batched_orthonormalize`` returns
+Q in its input's order.
 Every elementwise step of the fold, the product and Gram-Schmidt then
 runs over contiguous replicas instead of once per 3x3 matrix.
 
@@ -121,7 +124,6 @@ import functools
 import weakref
 from dataclasses import dataclass, replace
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -135,7 +137,10 @@ from .flagcore import (ORTHO_TOL, CircleMap, completion_frames, det2,
 
 # Cap on the condition number of a product folded before one QR step:
 # its rounding and the Gram-Schmidt loss of orthogonality grow like
-# eps * cond(P) = 2e-12 at the cap, far below ORTHO_TOL.  Every spec's
+# eps * cond(P) = 2e-12 at the cap, far below ORTHO_TOL.  The d <= 3
+# spectrum's 2 x 2 minors of a fold lose the same eps * cond(P); a j x j
+# minor for j >= 3 would lose eps * cond(P)^(j - 1), so no larger
+# compound is formed (``lyapunov_spectrum``).  Every spec's
 # fold width (``fold_width``) keeps a bound on that condition number under
 # it, so no product is checked.
 FOLD_COND_CAP = 1e4
@@ -565,44 +570,27 @@ class SpectrumEstimate:
 
 
 @functools.lru_cache(maxsize=None)
-def _laplace(d, e, j):
-    """Flat indices (j, |I|, |J|) of the entries and (j - 1)-minors that
-    expand each j x j minor (I, J) of a d x e matrix along its last column:
-    term a is entry (I[a], J[-1]) times minor (I without I[a], J[:-1]),
-    signed (-1)^(a + j - 1).  Subsets are in lexicographic order."""
-    rows, cols = combinations(range(d), j), list(combinations(range(e), j))
-    below = [{s: n for n, s in enumerate(combinations(range(k), j - 1))}
-             for k in (d, e)]
-    entry, minor = np.empty((2, j, comb(d, j), len(cols)), dtype=np.intp)
-    for r, row in enumerate(rows):
-        for a in range(j):
-            entry[a, r] = [row[a] * e + col[-1] for col in cols]
-            minor[a, r] = [below[0][row[:a] + row[a + 1:]] * len(below[1])
-                           + below[1][col[:-1]] for col in cols]
-    return entry, minor
+def _pair_entries(d, e):
+    """Flat indices (2, 2, C(d, 2), C(e, 2)) into a d x e matrix: for the
+    row pair I and column pair J, [0] holds entries (I0, J0) and (I0, J1),
+    [1] the entries (I1, J1) and (I1, J0) they multiply.  Pairs are in
+    lexicographic order."""
+    (i, k), (j, l) = (np.array(list(combinations(range(n), 2))).T
+                      for n in (d, e))
+    i, k = i[:, None] * e, k[:, None] * e
+    return np.array([[i + j, i + l], [k + l, k + j]])
 
 
-def _compounds(mats, top):
-    """The compound matrices C_1 ... C_top of a stack mats (F, d, e, m).
-
-    C_j[f, I, J, r] is the minor det mats[f, I, J, r] over the j-subsets I
-    of rows and J of columns, in lexicographic order, so C_1 is ``mats``.
-    C_j is formed from C_{j-1} by Laplace expansion along each minor's last
-    column (``_laplace``), alternating signs summed in one fixed order, so
-    each minor is a function of its own matrix alone.  The m replicas
-    stay innermost, as each fold's advance reads them.
-    """
+def _minors2(mats):
+    """Every 2 x 2 minor of a stack mats (F, d, e, m), (F, C(d, 2), C(e, 2),
+    m): entry [f, I, J, r] is det mats[f, I, J, r] over the row pair I and
+    column pair J (``_pair_entries``), with the m replicas innermost, as
+    each fold's advance reads them."""
     f, d, e, m = mats.shape
-    out = [mats]
-    for j in range(2, top + 1):
-        entry, minor = _laplace(d, e, j)
-        terms = (mats.reshape(f, d * e, m).take(entry, axis=1)
-                 * out[-1].reshape(f, -1, m).take(minor, axis=1))
-        c = terms[:, 0]
-        for a in range(1, j):
-            c = terms[:, a] - c
-        out.append(c)
-    return out
+    flat = mats.reshape(f, d * e, m)
+    first, second = _pair_entries(d, e)
+    products = flat.take(first, axis=1) * flat.take(second, axis=1)
+    return products[:, 0] - products[:, 1]
 
 
 def _rescale(x, exponents):
@@ -621,32 +609,39 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
     (A_n ... A_1) (b_1 ^ ... ^ b_j)|, for the first j columns of a
     stationary flag; the standard error comes from the spread of replica
     means, which are independent by construction.  The replicas burn in as
-    d - 1 leading columns (``stationary_flag_pool``).  Each then carries,
-    for j = 1..d-1, the Pluecker coordinates x_j of its first j columns (its
-    j x j minors) and advances them by the compound matrix C_j(P) of every
-    folded product P (``_compounds``, formed once per draw block): one
-    ``einsum`` per fold, stacked over the j whose C(d, j) agree.  This is
-    the QR cocycle's log|diag R| sum without its Gram-Schmidt chain: the
-    sum over folds of log r_11 + ... + log r_jj telescopes to the growth
-    of log|x_j|.  Each replica's chi_d is its draws' summed log|det A_t|
-    (finite support reads each fold's off its word codes; every K S has
-    log|det S|) less its x_{d-1} growth.
+    d - 1 leading columns (``stationary_flag_pool``) and advance by the
+    folded products P.  Each replica's chi_d is its draws' summed
+    log|det A_t| (finite support reads each fold's off its word codes;
+    every K S has log|det S|) less its d - 1 volume's growth.
 
-    Each x_j is scaled by a power of two (``_rescale``) every ``per``
-    folds, counted from the first, and once more before the final norms,
-    so that |x_j|^2 cannot overflow.  The scaling is exact, so no result
-    depends on the schedule or on DRAW_BLOCK.  The schedule comes from the
-    draws' singular values: one fold changes |x_j| by at most W times the
-    largest |log| of a draw's top or bottom j singular values, and ``per``
-    folds of that keep the largest entry of an x_j rescaled into [1/2, 1)
-    a normal double.
+    At d <= 3 each replica carries, for j = 1..d-1, the Pluecker
+    coordinates x_j of its first j columns: x_1 the first column, x_2 its
+    2 x 2 minors (``_minors2``), C(d, j) = d entries each.  Both advance
+    by one stacked ``einsum`` per fold, x_1 by P and x_2 by P's second
+    compound C_2(P): the QR cocycle's sum over folds of log r_11 + ... +
+    log r_jj telescopes to the growth of log|x_j|, so no Gram-Schmidt
+    chain runs.  Each x_j is scaled by a power of two (``_rescale``) every
+    ``per`` folds, counted from the first, and once more before the final
+    norms, so that |x_j|^2 cannot overflow.  The scaling is exact, so no
+    result depends on the schedule or on DRAW_BLOCK.  The schedule comes
+    from the draws' singular values: one fold changes |x_j| by at most W
+    times the largest |log| of a draw's top or bottom j singular values,
+    and ``per`` folds of that keep the largest entry of an x_j rescaled
+    into [1/2, 1) a normal double.  A fold's C_2 minors carry the
+    cancellation eps s_1 / s_2 that Gram-Schmidt's r_22 does, at most
+    eps FOLD_COND_CAP.
 
-    Accuracy: a fold's C_2 minors carry the cancellation eps s_1 / s_2
-    that Gram-Schmidt's r_22 does, at most eps FOLD_COND_CAP; for j >= 3
-    the bound is eps cond(P)^(j - 1).  A gap's standard error comes from
-    the spread of the replicas' own gaps: neighbouring exponents of one
-    replica are correlated (chi_1 + ... + chi_d is the replica's mean
-    log|det A_t|), so their errors do not add in quadrature.
+    At d >= 4 the d - 1 columns run the QR chain (``_apply``) and chi_j
+    is the mean log r_jj, bit for bit that of full flags, since
+    Gram-Schmidt never reads a later column.  A compound C_j for j >= 3
+    would lose up to eps cond(P)^(j - 1) of its size per fold, well above
+    the QR step's eps cond(P), and C(d, j)^2 entries a fold; it is not
+    formed.
+
+    A gap's standard error comes from the spread of the replicas' own
+    gaps: neighbouring exponents of one replica are correlated (chi_1 +
+    ... + chi_d is the replica's mean log|det A_t|), so their errors do
+    not add in quadrature.
     """
     d = spec.dim
     # burn-in and measurement are two advances on one stream, so no fold
@@ -654,51 +649,58 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
     stream = sampler.child(0xCC)
     bases = stationary_flag_pool(spec, replicas, burnin, stream,
                                  columns=d - 1)
-    sizes = [comb(d, j) for j in range(1, d)]
-    groups = [[j for j in range(1, d) if sizes[j - 1] == n]
-              for n in dict.fromkeys(sizes)]
-    minors = _compounds(bases.transpose(1, 2, 0)[None], d - 1)
-    starts = xs = [np.stack([minors[j - 1][0, :, 0] for j in js])
-                   for js in groups]
-    exponents = [np.zeros((len(js), replicas), dtype=np.int64)
-                 for js in groups]
     width = fold_width(spec)
-    # a rescaled x_j's largest entry, in [1/2, 1), stays a normal double
-    # through 1021 binary orders, less the sqrt(C(d, j)) between it and
-    # |x_j|, of growth or decay
-    logs = np.log(np.linalg.svd(_support(spec)[0], compute_uv=False))
-    rate = width * max(np.abs(np.cumsum(logs, axis=1)).max(),
-                       np.abs(np.cumsum(logs[:, ::-1], axis=1)).max())
-    room = (-np.finfo(float).minexp - 1 - np.log2(max(sizes)) / 2) * np.log(2)
-    per = max(1, int(room // rate)) if rate > 0 else None
+    logs = np.zeros((replicas, d - 1))
+    chain = d > 3
+    if not chain:
+        # (d - 1, d, m): x_1 and, at d = 3, x_2
+        cols = bases.transpose(1, 2, 0)
+        x = start = cols[None, :, 0]
+        if d == 3:
+            x = start = np.concatenate([x, _minors2(cols[None])[:, :, 0]])
+        exponents = np.zeros((d - 1, replicas), dtype=np.int64)
+        # a rescaled x_j's largest entry, in [1/2, 1), stays a normal
+        # double through 1021 binary orders, less the sqrt(d) between it
+        # and |x_j|, of growth or decay
+        sv = np.log(np.linalg.svd(_support(spec)[0], compute_uv=False))
+        rate = width * max(np.abs(np.cumsum(sv, axis=1)).max(),
+                           np.abs(np.cumsum(sv[:, ::-1], axis=1)).max())
+        room = (-np.finfo(float).minexp - 1 - np.log2(d) / 2) * np.log(2)
+        per = max(1, int(room // rate)) if rate > 0 else None
+        folds = 0
     log_dets = np.zeros(replicas)
-    folds = 0
     for t in _block_steps(replicas, n_steps, width):
         draws = _draws(spec, stream, t, replicas)
         if spec.kind == "finite_support":
             products, log_dets = _word_products(spec, draws, log_dets)
         else:
             products = _folds(spec, draws)
-        comps = _compounds(np.stack([p.transpose(1, 2, 0) for p in products]),
-                           d - 1)
-        blocks = [np.stack([comps[j - 1] for j in js], axis=1)
-                  for js in groups]
-        for f in range(len(products)):
-            xs = [_einsum("kijm,kjm->kim", c[f], x)
-                  for c, x in zip(blocks, xs)]
+        # a block's draws live only until they are folded, as in
+        # ``evolve_flags``
+        del draws
+        if chain:
+            bases, logs = _apply(bases, products, logs)
+            continue
+        mats = np.stack([p.transpose(1, 2, 0) for p in products])
+        # (F, d - 1, d, d, m): P and, at d = 3, C_2(P), for every fold
+        comps = (mats[:, None] if d == 2
+                 else np.stack([mats, _minors2(mats)], axis=1))
+        for c in comps:
+            x = _einsum("kijm,kjm->kim", c, x)
             folds += 1
             if per and folds % per == 0:
-                xs = [_rescale(x, e) for x, e in zip(xs, exponents)]
+                x = _rescale(x, exponents)
     if spec.kind != "finite_support":
         log_dets = log_dets + n_steps * mean_log_abs_det(spec)
-    xs = [_rescale(x, e) for x, e in zip(xs, exponents)]
-    growth = np.empty((d - 1, replicas))
-    for js, x, x0, e in zip(groups, xs, starts, exponents):
-        growth[np.array(js) - 1] = (
-            np.log(_einsum("kim,kim->km", x, x)) / 2 + e * np.log(2)
-            - np.log(_einsum("kim,kim->km", x0, x0)) / 2)
-    means = np.diff(growth, axis=0, prepend=0.0,
-                    append=log_dets[None]).T / n_steps
+    if chain:
+        total = logs.sum(axis=1)
+    else:
+        x = _rescale(x, exponents)
+        growth = (np.log(_einsum("kim,kim->km", x, x)) / 2
+                  + exponents * np.log(2)
+                  - np.log(_einsum("kim,kim->km", start, start)) / 2)
+        logs, total = np.diff(growth, axis=0, prepend=0.0).T, growth[-1]
+    means = np.column_stack([logs, log_dets - total]) / n_steps
     chi = means.mean(axis=0)
     stderr = means.std(axis=0, ddof=1) / np.sqrt(replicas)
     gaps = means[:, :-1] - means[:, 1:]

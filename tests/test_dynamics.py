@@ -503,14 +503,18 @@ def assert_spectrum_matches(est, means, rel, abs_=0.0):
 @pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3(), diag4eps(),
                                   SCALED3], ids=lambda s: s.name)
 def test_spectrum_reads_chi_d_off_log_det(spec):
-    # the spectrum reads chi_1 + ... + chi_j off the growth of the first j
-    # columns' compound vector, with no QR chain, and each replica's chi_d
-    # as its draws' log|det| less the d - 1 volume's growth: every exponent
-    # and every spread agrees with the full flags' QR columns to rounding
+    # at d <= 3 the spectrum reads chi_1 + ... + chi_j off the growth of
+    # the first j columns' compound vector, with no QR chain, and at
+    # d >= 4 off the QR chain of d - 1 columns; each replica's chi_d is its
+    # draws' log|det| less the d - 1 volume's growth: every exponent and
+    # every spread agrees with the full flags' QR columns to rounding
     est = lyapunov_spectrum(spec, 3000, SeededSampler(62), burnin=100,
                             replicas=64)
     means = full_flag_means(spec, 3000, SeededSampler(62), 100, 64)
     assert_spectrum_matches(est, means, 1e-12)
+    if spec.dim > 3:
+        # Gram-Schmidt never reads the last column
+        assert np.array_equal(est.chi[:-1], means.mean(axis=0)[:-1])
     if spec is SCALED3:
         # the replicas' log|det| sums differ, so chi_d reads the draws
         assert np.ptp(means.sum(axis=1)) > 1e-3
@@ -531,6 +535,24 @@ def test_spectrum_matches_the_qr_chain_at_narrow_folds(stretch, width):
     assert_spectrum_matches(est, means, 1e-12, 1e-14)
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_spectrum_matches_the_qr_chain_with_one_dominant_stretch(d):
+    # Haar times diag(e^9.2, 1, ..., 1): every draw is a fold, with
+    # condition number 9897, just under FOLD_COND_CAP, all of it in one
+    # direction.  A fold's 2 x 2 minors lose eps cond to cancellation, as
+    # Gram-Schmidt does; a 3 x 3 minor by Laplace expansion would lose
+    # eps cond^2, which puts chi_3 and chi_4 of d = 4 about 2e-12 off.
+    # Either chain's per-fold loss leaves about 5e-14 in each replica mean,
+    # which spreads of 5e-4 to 2e-3 read at an absolute 1e-13
+    spec = ensemble._haar_times("dominant", (9.2,) + (0.0,) * (d - 1))
+    assert fold_width(spec) == 1
+    assert 0.98 * FOLD_COND_CAP < np.exp(9.2) < FOLD_COND_CAP
+    est = lyapunov_spectrum(spec, 3000, SeededSampler(62), burnin=100,
+                            replicas=64)
+    means = full_flag_means(spec, 3000, SeededSampler(62), 100, 64)
+    assert_spectrum_matches(est, means, 1e-12, 1e-13)
+
+
 def test_rotation_spectrum_matches_the_qr_chain():
     # every rot2 draw is orthogonal: the compound vector keeps its norm and
     # every exponent and spread is zero up to rounding in both chains
@@ -541,49 +563,40 @@ def test_rotation_spectrum_matches_the_qr_chain():
     assert np.all(np.abs(est.chi) <= 1e-15)
 
 
-def minors(mats, j):
-    """Every j x j minor of mats (F, d, e, m) by np.linalg.det of its
-    sub-block: (F, C(d, j), C(e, j), m), subsets in lexicographic order."""
-    rows = list(itertools.combinations(range(mats.shape[1]), j))
-    cols = list(itertools.combinations(range(mats.shape[2]), j))
-    return np.stack([np.stack([np.linalg.det(
-        mats[:, r][:, :, c].transpose(0, 3, 1, 2)) for c in cols], axis=1)
-        for r in rows], axis=1)
+def assert_minors2(mats):
+    """``_minors2`` of mats (F, d, e, m) within 1e-13 of the largest minor
+    of each matrix, against np.linalg.det of every 2 x 2 sub-block: a
+    minor of a product with condition number c may lose eps c of its own
+    size to cancellation, by either route."""
+    pairs = [list(itertools.combinations(range(n), 2))
+             for n in mats.shape[1:3]]
+    want = np.stack([np.stack([np.linalg.det(
+        mats[:, r][:, :, c].transpose(0, 3, 1, 2)) for c in pairs[1]],
+        axis=1) for r in pairs[0]], axis=1)
+    scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(dynamics._minors2(mats) - want) <= 1e-13 * scale)
 
 
-def assert_compounds_are_minors(mats):
-    # each compound within 1e-13 of the largest minor of its matrix: a
-    # minor of a product with condition number c may lose eps c of its
-    # own size to cancellation, by either route
-    for j, got in enumerate(dynamics._compounds(mats, min(mats.shape[1:3])),
-                            start=1):
-        want = minors(mats, j)
-        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
-        assert np.all(np.abs(got - want) <= 1e-13 * scale)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-@pytest.mark.parametrize("columns", ["square", "leading"])
-def test_compounds_are_the_minors_of_random_matrices(rng, d, columns):
+@pytest.mark.parametrize("d, e", [(2, 2), (3, 3), (3, 2), (4, 4), (4, 3),
+                                  (5, 5), (5, 4)])
+def test_minors2_of_random_matrices(rng, d, e):
     # square matrices, as the folds, and d x (d - 1) ones, as the
     # spectrum's burned-in leading columns
-    e = d if columns == "square" else d - 1
     mats = rng.standard_normal((5, d, e, 7)) + 3 * np.eye(d, e)[:, :, None]
-    assert_compounds_are_minors(mats)
+    assert_minors2(mats)
 
 
 @pytest.mark.parametrize("spec", [bern2(), diag3eps(), THREE, diag4eps(),
                                   rotations("five", 5, 3)],
                          ids=lambda s: s.name)
-def test_compounds_are_the_minors_of_fold_products(spec):
+def test_minors2_of_fold_products(spec):
     # whole folds of the spec's width, up to FOLD_COND_CAP in condition,
     # and the tabled words they are made of
     _, width, tables = dynamics._word_tables(spec)
     draws = dynamics._draws(spec, SeededSampler(63), 3 * width, 16)
     folds = dynamics._word_products(spec, draws)[0]
-    assert_compounds_are_minors(np.stack([p.transpose(1, 2, 0)
-                                          for p in folds]))
-    assert_compounds_are_minors(tables[-1].transpose(1, 2, 0)[None])
+    assert_minors2(np.stack([p.transpose(1, 2, 0) for p in folds]))
+    assert_minors2(tables[-1].transpose(1, 2, 0)[None])
 
 
 # top exponent of bern2, from renormalized products log||P_n v|| / n at
