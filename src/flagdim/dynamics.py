@@ -30,13 +30,13 @@ is cond(S)^W: iso2 folds 30 steps, iso3 24 and rot2 64.
 Every fold of matrices, as against words of atom indices, is formed by
 one routine, ``_fold_products``: each fold's running products,
 left-associated, for every fold and replica at once.  It folds a stack's
-drawn matrices (``_folds``), the pinned pasts, and the windows of orbit
-traces.  A pinned past is a sequence of the spec's draws and folds at W
-too.  The pasts of R realizations fold at once, on a copy of the pins
-(``pin_folds``); numpy multiplies a stack one 2-d product at a time, so
-each product is the one a push through that past alone forms
-(``push_flags``) bit for bit.  Each pool is then pushed through its own
-past's products (``push_folds``), one pool at a time.
+drawn matrices (``_folds``), the pinned pasts, the windows of orbit
+traces and the lookaheads past them.  A pinned past is a sequence of the
+spec's draws and folds at W too.  The pasts of R realizations fold at
+once, on a copy of the pins (``pin_folds``); numpy multiplies a stack one
+2-d product at a time, so each product is the one a push through that
+past alone forms (``push_flags``) bit for bit.  Each pool is then pushed
+through its own past's products (``push_folds``), one pool at a time.
 
 The spectrum's 64 replicas burn in as a stack (64, d, d - 1) of leading
 columns.  chi_1 + ... + chi_j is the growth rate of the j-volume of a
@@ -95,13 +95,19 @@ fold: it forms each fold's prefix products (``_fold_products``) and
 orthonormalizes them, all the fold's times at once, in one QR call per
 fold of the spec's width.  The stable-line pass folds the same way
 backward: each fold's suffix products of inverses, for every replica at
-once, and one renormalization per fold.  A d = 2 sample of the
-stationary measure needs nothing but the line of each flag:
-``stationary_lines`` runs leading columns (R, 2, 1) from e_1 through
-``evolve_flags`` and reads their angles after a burn-in and again every
-THINNING steps, off independent replicas rather than one orbit: on bern2,
-cos 4 theta has autocorrelation -0.64 at lag 5 along one orbit, so the
-points of one thinned orbit sample nu poorly.  The thinned reads of a
+once, and one renormalization per fold.  The stable line of a window
+ending at time 0 is certified by the maps after it, which nothing else
+reads, so the interval route and the decay curve keep steps only up to
+time 0 and run their lookahead past it a fold at a time
+(``lookahead_folds``): one QR step and one 2x2 fiber map per fold, which
+the stable-line pass crosses before it enters the window.
+
+A d = 2 sample of the stationary measure needs nothing but the line of
+each flag: ``stationary_lines`` runs leading columns (R, 2, 1) from e_1
+through ``evolve_flags`` and reads their angles after a burn-in and again
+every THINNING steps, off independent replicas rather than one orbit: on
+bern2, cos 4 theta has autocorrelation -0.64 at lag 5 along one orbit, so
+the points of one thinned orbit sample nu poorly.  The thinned reads of a
 draw block come from one draw, and their THINNING-step products are
 formed (gathered, for finite support) at once.
 
@@ -717,6 +723,30 @@ def _max_deviation(frames):
     return np.max(np.abs(gram, out=gram), initial=0.0)
 
 
+def _fiber_orbit(bases, mats, i):
+    """Completion frames (R, T+1, d, 2), fiber coordinates (R, T+1) and
+    fiber maps (R, T, 2, 2) of bases (R, T+1, d, d) under mats (R, T, d,
+    d), the frames and coordinates a block of times at a time, so that
+    temporaries stay small next to the bases.  Every basis and frame must
+    be orthonormal to ORTHO_TOL, and every fiber map invertible."""
+    frames = np.empty(bases.shape[:-1] + (2,))
+    x = np.empty(bases.shape[:2])
+    for lo in range(0, bases.shape[1], _TIME_BLOCK):
+        block = bases[:, lo: lo + _TIME_BLOCK]
+        frames[:, lo: lo + _TIME_BLOCK] = completion_frames(block[..., i - 1: i + 1])
+        x[:, lo: lo + _TIME_BLOCK] = fiber_coordinates(
+            block, frames[:, lo: lo + _TIME_BLOCK], i)
+        err = max(_max_deviation(block),
+                  _max_deviation(frames[:, lo: lo + _TIME_BLOCK]))
+        if not err < ORTHO_TOL:
+            raise DegenerateBasis(f"basis is not orthonormal (deviation {err:.3e})")
+    maps = frames[:, 1:].swapaxes(-1, -2) @ (mats @ frames[:, :-1])
+    det = det2(maps)
+    if not np.all(np.isfinite(det) & (det != 0.0)):
+        raise DegenerateBasis("induced fiber map is singular")
+    return frames, x, maps
+
+
 def circle_map_between(a_entries, src, dst):
     """CircleMap of a matrix between two already-built partial flags."""
     su, sw = src.frame
@@ -805,24 +835,7 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
         n_steps, len(start), d, d).swapaxes(0, 1)
     width = fold_width(spec)
     bases = _fold_trace(start, mats, width)
-    # frames and coordinates a block of times at a time, so temporaries
-    # stay small next to the trace itself
-    frames = np.empty((len(start), n_steps + 1, d, 2))
-    x = np.empty((len(start), n_steps + 1))
-    err = 0.0
-    for lo in range(0, n_steps + 1, _TIME_BLOCK):
-        block = bases[:, lo: lo + _TIME_BLOCK]
-        frames[:, lo: lo + _TIME_BLOCK] = completion_frames(block[..., i - 1: i + 1])
-        x[:, lo: lo + _TIME_BLOCK] = fiber_coordinates(
-            block, frames[:, lo: lo + _TIME_BLOCK], i)
-        err = max(err, _max_deviation(block),
-                  _max_deviation(frames[:, lo: lo + _TIME_BLOCK]))
-    if not err < ORTHO_TOL:
-        raise DegenerateBasis(f"basis is not orthonormal (deviation {err:.3e})")
-    maps = frames[:, 1:].swapaxes(-1, -2) @ (mats @ frames[:, :-1])
-    det = det2(maps)
-    if not np.all(np.isfinite(det) & (det != 0.0)):
-        raise DegenerateBasis("induced fiber map is singular")
+    frames, x, maps = _fiber_orbit(bases, mats, i)
     return OrbitTrace(fiber_index=i, fold_width=width,
                       times=np.arange(t0, t0 + n_steps + 1),
                       matrices=mats, bases=bases, frames=frames, maps=maps,
@@ -843,22 +856,63 @@ def stationary_orbit(spec, fiber_index, n_steps, burnin, sampler, t_end=0,
                          fiber_index=fiber_index, t0=t_end - n_steps)
 
 
+def lookahead_folds(spec, trace, lookahead, sampler):
+    """Fiber maps of ``lookahead`` steps past a trace's end, a fold at a time.
+
+    The replicas advance from the flags at the trace's end on the next
+    draws of ``sampler``, one ``sample_batch`` call of ``lookahead`` R
+    draws: those a window running on past the end would draw.  No step's
+    flag is kept.  Each fold of the trace's width (``_fold_ends``) takes
+    one QR step, and its fiber map F_end^T P F_start between the
+    completion frames at its ends is the fold's quotient map, in exact
+    arithmetic the product of its steps' maps.  The products are run as a
+    window of single steps (``_fold_trace`` and ``_fiber_orbit`` at width
+    1), so the bases and frames at the fold ends must be orthonormal to
+    ORTHO_TOL, and each fold's map invertible, as in a trace.  Returns the
+    fold maps (R, F, 2, 2) in time order and the fiber coordinates (R,
+    F+1) at the trace's end and at every fold end.
+    """
+    count, d = trace.bases.shape[0], trace.bases.shape[-1]
+    draws = sample_batch(spec, sampler, lookahead * count).reshape(
+        lookahead, count, d, d).swapaxes(0, 1)
+    products = _fold_ends(draws, trace.fold_width).swapaxes(0, 1)
+    bases = _fold_trace(trace.bases[:, -1], products, 1)
+    _, x, maps = _fiber_orbit(bases, products, trace.fiber_index)
+    return maps, x
+
+
 def _unit_columns(pairs):
     """A stack of 2x2 matrices with each column scaled to unit length."""
     return pairs / np.sqrt(np.sum(pairs * pairs, axis=-2, keepdims=True))
 
 
-def stable_coordinates(trace, lookahead):
+def _inverses(maps):
+    """Inverses of a stack of 2x2 maps (..., 2, 2): the adjugate [[d, -b],
+    [-c, a]] (each map with both axes reversed, transposed and signed)
+    over the determinant."""
+    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    adjugate = maps[..., ::-1, ::-1].swapaxes(-1, -2) * signs
+    return adjugate / det2(maps)[..., None, None]
+
+
+def stable_coordinates(trace, lookahead=0, folds=None):
     """Stable-line coordinates on the window's prefix, with certificates.
 
-    Two transverse directions pulled back from the window's end both
-    converge to the stable line (backward iteration contracts toward it at
-    the rate the forward cocycle expands away from it); their distance at
-    the anchor index is the realized resolution there, and every earlier
-    time only contracts further.  The anchor sits ``lookahead`` steps
-    before the window's end, so the certifying event is a function of the
-    maps after the anchor alone; callers that drop uncertified replicas
-    do not bias statistics collected before it.
+    Two transverse directions pulled back from the window's end, or from
+    the end of the lookahead ``folds`` after it, both converge to the
+    stable line (backward iteration contracts toward it at the rate the
+    forward cocycle expands away from it); their distance at the anchor
+    index is the realized resolution there, and every earlier time only
+    contracts further.  The anchor sits ``lookahead`` steps before the
+    window's end, so the certifying event is a function of the maps after
+    the anchor alone; callers that drop uncertified replicas do not bias
+    statistics collected before it.  ``folds`` (R, F, 2, 2), when given,
+    are fiber maps of folds after the window's end, in time order
+    (``lookahead_folds``): the pair starts at the last fold's end and is
+    pulled back through them, one inverse and one renormalization per
+    fold, before it enters the window.  A fold map read off its fold's d x
+    d product P carries P's rounding, eps cond(P) <= eps FOLD_COND_CAP of
+    its size, where a step's map carries its step's.
 
     The pass folds back from the window's end in folds of the trace's
     ``fold_width``, as ``_fold_trace`` folds forward.  The steps' inverses
@@ -883,27 +937,27 @@ def stable_coordinates(trace, lookahead):
     if anchor_k < 0:
         raise ValueError("window shorter than the requested lookahead")
     width = trace.fold_width
+    # the pair at the window's end
+    pair = np.broadcast_to(np.eye(2), (count, 2, 2))
+    if folds is not None:
+        for inverse in _inverses(folds)[:, ::-1].swapaxes(0, 1):
+            pair = _unit_columns(inverse @ pair)
     # suffix[:, k] = inverse_k ... inverse_{e-1}, e the end of k's fold
     # (folds count back from the window's end: read backward, prefixes)
-    suffix = np.empty(maps.shape)
-    suffix[..., 0, 0] = maps[..., 1, 1]
-    suffix[..., 0, 1] = -maps[..., 0, 1]
-    suffix[..., 1, 0] = -maps[..., 1, 0]
-    suffix[..., 1, 1] = maps[..., 0, 0]
-    suffix /= det2(maps)[..., None, None]
+    suffix = _inverses(maps)
     _fold_products(suffix[:, ::-1], width)
     # ends[:, j] is the pair at n_maps - j * width, the end of fold j
-    folds = -(-n_maps // width)
-    ends = np.empty((count, max(folds, 1), 2, 2))
-    ends[:, 0] = np.eye(2)
-    for j in range(1, folds):
+    n_folds = -(-n_maps // width)
+    ends = np.empty((count, max(n_folds, 1), 2, 2))
+    ends[:, 0] = pair
+    for j in range(1, n_folds):
         ends[:, j] = _unit_columns(suffix[:, n_maps - j * width] @ ends[:, j - 1])
     kept = np.empty((count, anchor_k + 1, 2, 2))
     head = min(anchor_k + 1, n_maps)
     kept[:, :head] = _unit_columns(
         suffix[:, :head] @ ends[:, (n_maps - 1 - np.arange(head)) // width])
     if anchor_k == n_maps:
-        kept[:, anchor_k] = np.eye(2)
+        kept[:, anchor_k] = pair
     angles = circle.wrap(np.arctan2(kept[..., 1, :], kept[..., 0, :]))
     resolution = circle.distance(angles[:, anchor_k, 0], angles[:, anchor_k, 1])
     return angles[..., 0], resolution
@@ -1053,29 +1107,30 @@ def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
                          burnin=1000, lookahead=900):
     """Log lengths of pulled-forward stationary intervals on a grid of n.
 
-    Each replica runs one stationary window covering [-max n, lookahead]
-    and contributes every grid point; the slope should match the negative
-    exponent gap.  The slope is the mean of the replicas' own least-squares
-    slopes (equal to the slope fitted to the mean curve, least squares
-    being linear in the data) and its stderr their spread over sqrt(R),
-    so the variation between replicas is counted.  Replicas whose future
-    window cannot certify the stable line are dropped; the certificate
-    involves only maps after time 0, so dropping them leaves the lengths
-    unbiased.  A replica is certified when its resolution is at most
-    DECAY_STABLE_TOL; fewer than two certified replicas give no spread
-    for the stderr and raise GapTooSmall.  A grid of fewer than two
-    distinct depths has no slope, and a depth below 1 no interval to
-    push; both raise ValueError before any draw.
+    Each replica runs one stationary window covering [-max n, 0], then
+    ``lookahead`` steps on the same stream a fold at a time
+    (``lookahead_folds``), and contributes every grid point; the slope
+    should match the negative exponent gap.  The slope is the mean of the
+    replicas' own least-squares slopes (equal to the slope fitted to the
+    mean curve, least squares being linear in the data) and its stderr
+    their spread over sqrt(R), so the variation between replicas is
+    counted.  Replicas whose lookahead cannot certify the stable line are
+    dropped; the certificate involves only maps after time 0, so dropping
+    them leaves the lengths unbiased.  A replica is certified when its
+    resolution is at most DECAY_STABLE_TOL; fewer than two certified
+    replicas give no spread for the stderr and raise GapTooSmall.  A grid
+    of fewer than two distinct depths has no slope, and a depth below 1
+    no interval to push; both raise ValueError before any draw.
     """
     n_grid = np.asarray(sorted(int(n) for n in n_grid))
     if len(set(n_grid.tolist())) < 2:
         raise ValueError(f"need two distinct depths n, got {n_grid.tolist()}")
     if n_grid[0] < 1:
         raise ValueError("need n >= 1")
-    n_max = int(n_grid[-1])
-    trace = stationary_orbit(spec, fiber_index, n_max + lookahead, burnin,
-                             sampler, t_end=lookahead, replicas=replicas)
-    y, resolution = stable_coordinates(trace, lookahead=lookahead)
+    trace = stationary_orbit(spec, fiber_index, int(n_grid[-1]), burnin,
+                             sampler, replicas=replicas)
+    y, resolution = stable_coordinates(
+        trace, folds=lookahead_folds(spec, trace, lookahead, sampler)[0])
     keep = np.flatnonzero(resolution <= DECAY_STABLE_TOL)
     if len(keep) < 2:
         raise GapTooSmall(

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import circle
 from .dynamics import (DEGENERATE_DISTANCE, INTERVAL_STABLE_TOL, Arc,
-                       pin_folds, pull_forward, push_folds,
+                       lookahead_folds, pin_folds, pull_forward, push_folds,
                        stable_coordinates, stationary_interval,
                        stationary_lines, stationary_orbit)
 from .ensemble import sample_batch
@@ -259,10 +259,14 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
                      "pin_diagnostic": diag})
 
 
-def _isometric_fiber_action(trace):
-    """Per replica: True when every step's fiber map has unit metric derivative."""
-    logs = np.abs(np.log(fiber_map_derivative(trace.maps, trace.x[:, :-1])))
-    return np.max(logs, axis=1) < 1e-9
+def _isometric_fiber_action(trace, folds, fold_x):
+    """Per replica: True when every fiber map has unit metric derivative at
+    its start coordinate, each step's on the trace and each fold's after it
+    (``lookahead_folds``: maps ``folds``, coordinates ``fold_x``).  A fold
+    map's derivative there is the product of its steps' derivatives."""
+    logs = [np.abs(np.log(fiber_map_derivative(maps, x[:, :-1])))
+            for maps, x in ((trace.maps, trace.x), (folds, fold_x))]
+    return np.max(np.concatenate(logs, axis=1), axis=1, initial=0.0) < 1e-9
 
 
 def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
@@ -292,16 +296,18 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
     assumption fails on separated d = 3 pairs, whose conditionals are
     point masses: there the estimate reads about log 2 where kappa is 0.  The
     replicas are one stack on one stream: each burns in
-    ``realization_burnin`` steps and runs its window [-n, lookahead].
-    The stable line is pulled back from the two axes u and w of the
-    completion frame at the window's end (``stable_coordinates``).
+    ``realization_burnin`` steps, keeps every step of its window [-n, 0]
+    and then runs ``lookahead`` steps on the same stream a fold at a time
+    (``lookahead_folds``).  The stable line is pulled back from the two
+    axes u and w of the completion frame at the lookahead's end, through
+    the folds' maps and then the window's (``stable_coordinates``).
 
     Isometric fiber actions have no stable line; there any fixed arc is
     mass-preserved in law, so one anchored at x substitutes and the
-    estimator correctly reads ~0.  Non-isometric replicas whose future
-    window cannot certify the stable line to INTERVAL_STABLE_TOL are
-    dropped and counted; the certificate depends only on maps after time
-    0, so the drop is independent of the masses measured on [-n, 0].  The
+    estimator correctly reads ~0.  Non-isometric replicas whose lookahead
+    cannot certify the stable line to INTERVAL_STABLE_TOL are dropped and
+    counted; the certificate depends only on maps after time 0, so the
+    drop is independent of the masses measured on [-n, 0].  The
     atomic gate reads the first replica that survives these drops.  An
     estimate needs a spread: fewer than two accepted replicas raise
     NoAcceptedReplicas.
@@ -312,13 +318,14 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
     """
     i = fiber_index
     pool_a, pool_b = pools
-    trace = stationary_orbit(spec, i, n + lookahead, realization_burnin,
-                             sampler.child(10), t_end=lookahead,
+    stream = sampler.child(10)
+    trace = stationary_orbit(spec, i, n, realization_burnin, stream,
                              replicas=replicas)
-    y, resolution = stable_coordinates(trace, lookahead=lookahead)
+    folds, fold_x = lookahead_folds(spec, trace, lookahead, stream)
+    y, resolution = stable_coordinates(trace, folds=folds)
     x, y = trace.x[:, 0], y[:, 0]
     resolved = resolution <= INTERVAL_STABLE_TOL
-    lost = ~resolved & ~_isometric_fiber_action(trace)
+    lost = ~resolved & ~_isometric_fiber_action(trace, folds, fold_x)
     coincide = resolved & (circle.distance(x, y) < DEGENERATE_DISTANCE)
     rows = np.flatnonzero(~lost & ~coincide)
     # the isometric substitute arc, replaced where the line is certified

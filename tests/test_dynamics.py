@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flagdim import circle, dynamics, ensemble, harness
-from flagdim.dynamics import (FOLD_COND_CAP, THINNING,
+from flagdim import circle, dynamics, ensemble, entropy, harness
+from flagdim.dynamics import (DECAY_STABLE_TOL, FOLD_COND_CAP,
+                              INTERVAL_STABLE_TOL, THINNING,
                               WORD_FOLD_STEPS, WORD_TABLE, Arc,
                               batched_orthonormalize, circle_map_between,
                               evolve_flags, fold_width, forward_orbit,
-                              interval_decay_curve, lyapunov_spectrum,
-                              pin_folds, pull_forward, push_arc,
-                              push_flags, stable_coordinates,
+                              interval_decay_curve, lookahead_folds,
+                              lyapunov_spectrum, pin_folds, pull_forward,
+                              push_arc, push_flags, stable_coordinates,
                               stationary_flag_pool, stationary_interval,
                               stationary_lines, stationary_orbit)
 from flagdim.ensemble import (SeededSampler, bern2, diag3eps, finite_support,
@@ -1039,6 +1040,93 @@ def test_folded_backward_pass_and_composed_pushes_match_stepwise(
         for f in ("lo", "hi"):
             assert np.all(np.abs(getattr(pushed, f) - getattr(reference, f))
                           <= 1e-10 * reference.length)
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("leg", ["interval", "decay"])
+@pytest.mark.parametrize("spec, i", [
+    (bern2(), 1), (diag3eps(), 1), (diag3eps(), 2), (iso3(), 2)],
+    ids=["bern2", "diag3eps-1", "diag3eps-2", "iso3"])
+def test_lookahead_draws_continue_the_window(monkeypatch, spec, i, leg):
+    # the legs keep a per-step trace over [-n, 0] and draw the lookahead
+    # after it on the same stream: the window's arrays are those of one
+    # per-step window over [-n, lookahead], byte for byte, and the stream
+    # ends where that window's does
+    n, lookahead, replicas, burnin = 40, 150, 3, 60
+    seen = []
+
+    def spy(spec, trace, steps, sampler):
+        lookahead_folds(spec, trace, steps, sampler)
+        seen.append((trace, steps, sampler.rng.bit_generator.random_raw()))
+        raise _Stop
+    monkeypatch.setattr(dynamics, "lookahead_folds", spy)
+    monkeypatch.setattr(entropy, "lookahead_folds", spy)
+    with pytest.raises(_Stop):
+        if leg == "interval":
+            entropy.kappa_interval_estimator(
+                spec, i, (None, None), SeededSampler(41), n=n,
+                replicas=replicas, realization_burnin=burnin,
+                lookahead=lookahead)
+        else:
+            interval_decay_curve(spec, i, [10, n], replicas, SeededSampler(41),
+                                 burnin=burnin, lookahead=lookahead)
+    ((trace, steps, word),) = seen
+    stream = SeededSampler(41)
+    if leg == "interval":
+        stream = stream.child(10)
+    whole = stationary_orbit(spec, i, n + lookahead, burnin, stream,
+                             t_end=lookahead, replicas=replicas)
+    assert steps == lookahead and trace.times.tolist() == list(range(-n, 1))
+    for name, k in (("matrices", n), ("frames", n + 1), ("maps", n),
+                    ("x", n + 1)):
+        assert (getattr(trace, name).tobytes()
+                == getattr(whole, name)[:, :k].tobytes()), name
+    assert word == stream.rng.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("spec, i", [
+    (bern2(), 1), (diag3eps(), 1), (diag3eps(), 2), (iso3(), 2),
+    (strong2(stretch=2.0), 1), (rot2(), 1)],
+    ids=["bern2", "diag3eps-1", "diag3eps-2", "iso3", "strong2", "rot2"])
+def test_fold_level_lookahead_matches_the_stepwise_pass(spec, i):
+    # the pair pulled back through the lookahead's fold maps and then the
+    # window's steps, against one solve per step over the per-step window
+    # [-n, lookahead] on the same stream.  A fold map is read off the
+    # fold's d x d product, whose rounding is eps cond(P) <= eps
+    # FOLD_COND_CAP of its size (FOLD_COND_CAP's note); pulling back
+    # contracts toward the stable line, so the pair carries at most one
+    # such error per fold it crosses, lookahead and window alike.
+    # Measured at seeds 0-4, 20 replicas, n = 100 and lookaheads 600 and
+    # 900: y within 9.9e-12 on diag3eps fiber 2 (33 folds, a bound of
+    # 7.3e-11) and 6.6e-13 elsewhere, the resolution within 5.1e-13.  The
+    # folded pass over the per-step window stays within 1.1e-13 there: a
+    # step's map carries only its step's rounding
+    n, lookahead, replicas = 100, 900, 5
+    stream = SeededSampler(42)
+    window = stationary_orbit(spec, i, n, 200, stream, replicas=replicas)
+    folds, fold_x = lookahead_folds(spec, window, lookahead, stream)
+    whole = stationary_orbit(spec, i, n + lookahead, 200, SeededSampler(42),
+                             t_end=lookahead, replicas=replicas)
+    width = fold_width(spec)
+    assert folds.shape == (replicas, -(-lookahead // width), 2, 2)
+    assert fold_x.shape == (replicas, folds.shape[1] + 1)
+    y, resolution = stable_coordinates(window, folds=folds)
+    want_y, want_resolution = stepwise_stable_coordinates(whole, lookahead)
+    crossed = folds.shape[1] + -(-n // width)
+    tol = crossed * np.finfo(float).eps * FOLD_COND_CAP
+    assert y.shape == want_y.shape == (replicas, n + 1)
+    assert np.max(circle.distance(y, want_y)) < tol
+    assert np.max(np.abs(resolution - want_resolution)) < 1e-12
+    for stable_tol in (DECAY_STABLE_TOL, INTERVAL_STABLE_TOL):
+        assert np.array_equal(resolution <= stable_tol,
+                              want_resolution <= stable_tol)
+    # the coordinates at the fold ends, which the isometry test reads, are
+    # the per-step window's: the forward flags carry the same rounding
+    ends = np.minimum(np.arange(folds.shape[1] + 1) * width, lookahead)
+    assert np.max(circle.distance(fold_x, whole.x[:, n + ends])) < tol
 
 
 def test_decay_slope_stderr_is_the_replica_spread():

@@ -9,10 +9,11 @@ from flagdim.entropy import (KappaEstimate, conditional_fiber_sample,
                              kappa_density_estimator, kappa_interval_estimator)
 from flagdim.errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
                             InsufficientMass, NoAcceptedReplicas)
-from flagdim.dynamics import (SpectrumEstimate, lyapunov_spectrum,
-                              push_flags, stationary_flag_pool,
-                              stationary_lines, stationary_orbit)
-from flagdim.flagcore import fiber_coordinates
+from flagdim.dynamics import (SpectrumEstimate, lookahead_folds,
+                              lyapunov_spectrum, push_flags,
+                              stationary_flag_pool, stationary_lines,
+                              stationary_orbit)
+from flagdim.flagcore import fiber_coordinates, fiber_map_derivative
 from flagdim.measures import (EmpiricalCircleMeasure, ball_mass,
                               default_radius_grid, local_dimension,
                               local_slopes)
@@ -64,6 +65,32 @@ def test_rot2_interval_kappa_zero():
                                    n=60, replicas=40, lookahead=100)
     assert abs(est.kappa) <= max(3 * est.stderr, 5e-3)
     assert est.diagnostics["acceptance_rate"] > 0.8
+
+
+def _window_and_lookahead(spec):
+    """An interval leg's window over [-40, 0] and its 300-step lookahead."""
+    stream = SeededSampler(43)
+    trace = stationary_orbit(spec, 1, 40, 100, stream, replicas=4)
+    return (trace, *lookahead_folds(spec, trace, 300, stream))
+
+
+def test_isometry_check_reads_the_lookahead_folds():
+    trace, folds, fold_x = _window_and_lookahead(rot2())
+    assert entropy._isometric_fiber_action(trace, folds, fold_x).all()
+    assert not entropy._isometric_fiber_action(
+        *_window_and_lookahead(bern2())).any()
+    # behind an isometric window, one fold map of replica 1 made to stretch
+    # by 1 + 1e-6 at its start coordinate: it fixes that direction u and
+    # scales its normal
+    theta = fold_x[1, 2]
+    u = circle.unit_vector(theta)
+    frame = np.column_stack([u, [-u[1], u[0]]])
+    bent = folds.copy()
+    bent[1, 2] = folds[1, 2] @ frame @ np.diag([1.0, 1.0 + 1e-6]) @ frame.T
+    assert fiber_map_derivative(bent[1, 2], theta) == pytest.approx(
+        1.0 + 1e-6, rel=1e-9)
+    assert entropy._isometric_fiber_action(trace, bent, fold_x).tolist() == [
+        True, False, True, True]
 
 
 def test_bern2_conditional_is_stationary_measure():
