@@ -18,10 +18,9 @@ legs.
 
 from . import circle
 from .dynamics import (Arc, OrbitTrace, SpectrumEstimate, forward_orbit,
-                       interval_decay_curve, lookahead_folds,
-                       lyapunov_spectrum, pull_forward, push_arc,
-                       stable_coordinates, stationary_interval,
-                       stationary_orbit)
+                       interval_decay_curve, lyapunov_spectrum,
+                       pull_forward, push_arc, stable_coordinates,
+                       stationary_interval, stationary_orbit)
 from .ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler, bern2,
                        diag3eps, finite_support, from_text, rot2,
                        sample_batch, to_text, validate)

@@ -30,9 +30,9 @@ is cond(S)^W: iso2 folds 30 steps, iso3 24 and rot2 64.
 Every fold of matrices, as against words of atom indices, is formed by
 one routine, ``_fold_products``: each fold's running products,
 left-associated, for every fold and replica at once.  It folds a stack's
-drawn matrices (``_folds``), the pinned pasts, the windows of orbit
-traces and the lookaheads past them.  A pinned past is a sequence of the
-spec's draws and folds at W too.  The pasts of R realizations fold at
+drawn matrices (``_folds``), which the orbit traces' folds are too, and
+the pinned pasts.  A pinned past is a sequence of the spec's draws and
+folds at W too.  The pasts of R realizations fold at
 once, on a copy of the pins (``pin_folds``); numpy multiplies a stack one
 2-d product at a time, so each product is the one a push through that
 past alone forms (``push_flags``) bit for bit.  Each pool is then pushed
@@ -85,22 +85,26 @@ it, and a realization's pinned past is the start of its own window.  A
 tail pool is read at its first d - 1 subspaces alone, so the pools burn
 in as (n, d, d - 1) stacks of leading columns, bit for bit the full
 flags' columns; the orbit windows' burn-ins run full flags.  An orbit
-trace draws its whole window in one ``sample_batch`` call and keeps, for
-R replicas over one window of T steps, arrays with the replica on the
-leading axis: the matrices (R, T, d, d), the flag bases (R, T+1, d, d),
-the completion frames of the fiber planes (R, T+1, d, 2), the induced
-2x2 fiber maps (R, T, 2, 2) and the fiber coordinates (R, T+1).  A trace
-keeps every flag of its window, so it cannot skip the times inside a
-fold: it forms each fold's prefix products (``_fold_products``) and
-orthonormalizes them, all the fold's times at once, in one QR call per
-fold of the spec's width.  The stable-line pass folds the same way
-backward: each fold's suffix products of inverses, for every replica at
-once, and one renormalization per fold.  The stable line of a window
-ending at time 0 is certified by the maps after it, which nothing else
-reads, so the interval route and the decay curve keep steps only up to
-time 0 and run their lookahead past it a fold at a time
-(``lookahead_folds``): one QR step and one 2x2 fiber map per fold, which
-the stable-line pass crosses before it enters the window.
+trace (``forward_orbit``) draws its whole window of T steps in one
+``_draws`` call and keeps the draws, which the pins read as matrices.
+Its reader names the times it reads, and the window's ends are always
+named: the interval route names -n and 0, the decay curve its grid
+depths and 0, the density route 0 and 1, the conditional samples the
+window's end.  The steps between consecutive named times fold at W as
+any stack's draws do (``_folds``), so that no fold straddles a named
+time, and each fold takes one QR step.  The trace keeps, for R replicas
+and the K times of its start and fold ends, arrays with the replica on
+the leading axis: the flag bases (R, K, d, d), the completion frames of
+the fiber planes (R, K, d, 2), the fiber coordinates (R, K) and each
+fold's 2x2 fiber map F_end^T P F_start (R, K-1, 2, 2), P the fold's
+product.  Naming every time gives folds of one step, the stepwise trace
+that the tests hold the folds to.  The stable line of a window ending at
+time 0 is certified by the maps after it, which nothing else reads: the
+interval route and the decay curve continue their window past 0 by a
+second ``forward_orbit`` call on the same stream, which names only its
+ends, and the stable-line pass (``stable_coordinates``) pulls its pair
+back through every fold map of the continuation and then of the window,
+one renormalization per fold.
 
 A d = 2 sample of the stationary measure needs nothing but the line of
 each flag: ``stationary_lines`` runs leading columns (R, 2, 1) from e_1
@@ -117,8 +121,10 @@ through its offset map: (sin delta, cos delta) goes, up to a positive
 factor, to N (sin delta, cos delta) with N = [[det B, 0], [<Bu, Bu_perp>,
 |Bu|^2]] / |Bu|^2, read off by one atan2 in the frame of Bu.  Offset maps
 are lower triangular with unit corner, so the maps along an orbit
-compose by two multiply-adds per step into one [[D, 0], [G, 1]], whose D
-is the product of the steps' derivatives at the anchors.  Lengths that
+compose by two multiply-adds per fold into one [[D, 0], [G, 1]], whose D
+is the product of the folds' derivatives at the anchors.  An interval is
+anchored at its replica's fiber coordinate, so a trace's own coordinates
+are the anchors at every fold start (``pull_forward``).  Lengths that
 decay like e^(-gap n) thus stay fully resolved long after the endpoints'
 absolute coordinates have collapsed onto one double.  The image cross
 product is det B sin delta, so the atan2 is exact for every |delta| < pi
@@ -159,9 +165,9 @@ WORD_FOLD_STEPS = 64      # steps folded into one product at most
 DRAW_BLOCK = 32768
 WORD_TABLE = 256          # products per word table at most (K^h <= this)
 DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
+ANCHOR_TOL = 1e-12        # an arc anchored further than this from x is refused
 DECAY_STABLE_TOL = 1e-2   # stable-line resolution a decay replica must reach
 INTERVAL_STABLE_TOL = 0.05  # ... and one an interval-route replica must reach
-_TIME_BLOCK = 128         # times per block when a trace derives its frames
 THINNING = 5              # d = 2 stationary sample: steps between reads
 # einsum without the __array_function__ dispatch of each call, the same
 # computation; every einsum of the module calls it
@@ -177,8 +183,8 @@ def batched_orthonormalize(mats):
     a replica-last stack (see ``_apply``) stays replica-last, and every
     column operation then runs over contiguous replicas.  Stacks advance
     through it once per folded product (see ``_apply``), so a call stands
-    for up to the spec's fold width of steps; a trace orthonormalizes the
-    prefix products of a whole fold in one call (see ``forward_orbit``).
+    for up to the spec's fold width of steps; an orbit trace takes one
+    call per fold as well (see ``forward_orbit``).
     A narrow stack pays numpy's fixed cost per call more than its
     arithmetic, so the loop makes no call it can spare: its einsums are
     undispatched (``_einsum``), each column's |r_jj| is written straight
@@ -326,17 +332,18 @@ def _word_codes(words, k):
     return code
 
 
-def _word_products(spec, idx, log_dets=None):
+def _word_runs(spec, idx, log_dets=None):
     """Fold products of the atoms idx (T, m) names, read from word tables.
 
     Each run of the spec's fold width W (the last one shorter when T is not
     a multiple) is cut into sub-words of h (see ``_word_tables``); its
     product is the sub-words' tabled products multiplied left to right.
     The width keeps every product under FOLD_COND_CAP, so none is checked
-    or cut.  Returns the (m, d, d) products in order, replica-last, and
-    the running sum ``log_dets`` (m,): when given, each fold's log|det|,
-    read from ``_word_log_dets`` at the same word codes, is added to it in
-    fold order; when None, it stays None.
+    or cut.  Returns one (f, m, d, d) array of products per run of
+    ``_runs``, replica-last, and the running sum ``log_dets`` (m,): when
+    given, each fold's log|det|, read from ``_word_log_dets`` at the same
+    word codes, is added to it in fold order (one sequential
+    ``np.add.accumulate``); when None, it stays None.
     """
     h, width, tables = _word_tables(spec)
     k = len(spec.params["atoms"])
@@ -353,13 +360,20 @@ def _word_products(spec, idx, log_dets=None):
         prod = words[0]
         for p in words[1:]:
             prod = _einsum("...ij,...jk->...ik", p, prod)
-        out.extend(prod)
+        out.append(prod)
         if log_dets is not None:
             dets = _word_log_dets(spec)
-            for fold in sum(dets[length - 1].take(c).sum(axis=0)
-                            for length, c in codes):
-                log_dets = log_dets + fold
+            folds = sum(dets[length - 1].take(c).sum(axis=0)
+                        for length, c in codes)
+            log_dets = np.add.accumulate(
+                np.concatenate([log_dets[None], folds]))[-1]
     return out, log_dets
+
+
+def _word_products(spec, idx, log_dets=None):
+    """``_word_runs`` as one list of (m, d, d) products in fold order."""
+    runs, log_dets = _word_runs(spec, idx, log_dets)
+    return [p for run in runs for p in run], log_dets
 
 
 def _apply(bases, products, logs=0.0):
@@ -587,16 +601,17 @@ def _pair_entries(d, e):
     return np.array([[i + j, i + l], [k + l, k + j]])
 
 
-def _minors2(mats):
+def _minors2(mats, out=None):
     """Every 2 x 2 minor of a stack mats (F, d, e, m), (F, C(d, 2), C(e, 2),
     m): entry [f, I, J, r] is det mats[f, I, J, r] over the row pair I and
     column pair J (``_pair_entries``), with the m replicas innermost, as
-    each fold's advance reads them."""
+    each fold's advance reads them; written into ``out`` when given."""
     f, d, e, m = mats.shape
     flat = mats.reshape(f, d * e, m)
     first, second = _pair_entries(d, e)
-    products = flat.take(first, axis=1) * flat.take(second, axis=1)
-    return products[:, 0] - products[:, 1]
+    products = flat.take(first, axis=1)
+    products *= flat.take(second, axis=1)
+    return np.subtract(products[:, 0], products[:, 1], out=out)
 
 
 def _rescale(x, exponents):
@@ -678,19 +693,26 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
     for t in _block_steps(replicas, n_steps, width):
         draws = _draws(spec, stream, t, replicas)
         if spec.kind == "finite_support":
-            products, log_dets = _word_products(spec, draws, log_dets)
+            runs, log_dets = _word_runs(spec, draws, log_dets)
         else:
-            products = _folds(spec, draws)
+            runs = [_folds(spec, draws)]
         # a block's draws live only until they are folded, as in
         # ``evolve_flags``
         del draws
         if chain:
-            bases, logs = _apply(bases, products, logs)
+            bases, logs = _apply(bases, (p for run in runs for p in run),
+                                 logs)
             continue
-        mats = np.stack([p.transpose(1, 2, 0) for p in products])
-        # (F, d - 1, d, d, m): P and, at d = 3, C_2(P), for every fold
-        comps = (mats[:, None] if d == 2
-                 else np.stack([mats, _minors2(mats)], axis=1))
+        # (F, d - 1, d, d, m): P and, at d = 3, C_2(P), for every fold,
+        # written in place so that no other copy of the block is held
+        comps = np.empty((-(-t // width), d - 1, d, d, replicas))
+        f = 0
+        for run in runs:
+            comps[f: f + len(run), 0] = run.transpose(0, 2, 3, 1)
+            f += len(run)
+        del runs, run
+        if d == 3:
+            _minors2(comps[:, 0], out=comps[:, 1])
         for c in comps:
             x = _einsum("kijm,kjm->kim", c, x)
             folds += 1
@@ -723,30 +745,6 @@ def _max_deviation(frames):
     return np.max(np.abs(gram, out=gram), initial=0.0)
 
 
-def _fiber_orbit(bases, mats, i):
-    """Completion frames (R, T+1, d, 2), fiber coordinates (R, T+1) and
-    fiber maps (R, T, 2, 2) of bases (R, T+1, d, d) under mats (R, T, d,
-    d), the frames and coordinates a block of times at a time, so that
-    temporaries stay small next to the bases.  Every basis and frame must
-    be orthonormal to ORTHO_TOL, and every fiber map invertible."""
-    frames = np.empty(bases.shape[:-1] + (2,))
-    x = np.empty(bases.shape[:2])
-    for lo in range(0, bases.shape[1], _TIME_BLOCK):
-        block = bases[:, lo: lo + _TIME_BLOCK]
-        frames[:, lo: lo + _TIME_BLOCK] = completion_frames(block[..., i - 1: i + 1])
-        x[:, lo: lo + _TIME_BLOCK] = fiber_coordinates(
-            block, frames[:, lo: lo + _TIME_BLOCK], i)
-        err = max(_max_deviation(block),
-                  _max_deviation(frames[:, lo: lo + _TIME_BLOCK]))
-        if not err < ORTHO_TOL:
-            raise DegenerateBasis(f"basis is not orthonormal (deviation {err:.3e})")
-    maps = frames[:, 1:].swapaxes(-1, -2) @ (mats @ frames[:, :-1])
-    det = det2(maps)
-    if not np.all(np.isfinite(det) & (det != 0.0)):
-        raise DegenerateBasis("induced fiber map is singular")
-    return frames, x, maps
-
-
 def circle_map_between(a_entries, src, dst):
     """CircleMap of a matrix between two already-built partial flags."""
     su, sw = src.frame
@@ -758,127 +756,118 @@ def circle_map_between(a_entries, src, dst):
 
 @dataclass(frozen=True, eq=False)
 class OrbitTrace:
-    """Realizations of R replicas over one window of consecutive times.
+    """Realizations of R replicas over one window, kept at its fold ends.
 
-    Replica r's flag at time times[k] has basis bases[r, k];
-    matrices[r, k] maps it to bases[r, k+1]; frames[r, k] holds the
-    completion frame (u, w) of its fiber plane as columns; maps[r, k] is
-    the induced fiber map between consecutive frames; x[r, k] is the fiber
-    coordinate of the flag's own i-dimensional subspace.  fold_width is
-    the spec's ``fold_width``: the steps whose product keeps its condition
-    number under FOLD_COND_CAP, which the stable-line pass folds too.
+    The window's flags are kept only at times[k]: its start and the end
+    of every fold, the times its reader named among them (see
+    ``forward_orbit``).  Replica r's flag there has basis bases[r, k];
+    frames[r, k] holds the completion frame (u, w) of its fiber plane as
+    columns and x[r, k] the fiber coordinate of its i-dimensional
+    subspace.  maps[r, k] is the fold's 2x2 fiber map F_{k+1}^T P F_k
+    between the frames at its ends, P the fold's product: in exact
+    arithmetic the product of its steps' maps.  draws[r] are the window's
+    draws in step order, atom indices for finite support and matrices
+    otherwise, which ``matrices`` reads as matrices.
     """
 
-    fiber_index: int
-    fold_width: int
-    times: np.ndarray      # (T+1,)
-    matrices: np.ndarray   # (R, T, d, d)
-    bases: np.ndarray      # (R, T+1, d, d)
-    frames: np.ndarray     # (R, T+1, d, 2)
-    maps: np.ndarray       # (R, T, 2, 2)
-    x: np.ndarray          # (R, T+1)
+    spec: object
+    times: np.ndarray      # (K,)
+    draws: np.ndarray      # (R, T) atom indices, or (R, T, d, d)
+    bases: np.ndarray      # (R, K, d, d)
+    frames: np.ndarray     # (R, K, d, 2)
+    maps: np.ndarray       # (R, K-1, 2, 2)
+    x: np.ndarray          # (R, K)
+
+    @property
+    def matrices(self):
+        """Each step's matrix (R, T, d, d), bit for bit ``sample_batch``'s
+        draws: finite support takes its atoms at the drawn indices."""
+        if self.spec.kind == "finite_support":
+            return self.spec.params["atoms"].take(self.draws, axis=0)
+        return self.draws
 
     def index(self, t):
-        k = int(t) - int(self.times[0])
-        if not 0 <= k < len(self.times):
-            raise IndexError(f"time {t} outside window [{self.times[0]}, {self.times[-1]}]")
+        k = int(np.searchsorted(self.times, t))
+        if k == len(self.times) or self.times[k] != t:
+            raise IndexError(f"time {t} is not kept in window "
+                             f"[{self.times[0]}, {self.times[-1]}]")
         return k
 
     def select(self, rows):
         """The trace of the replicas ``rows`` alone (itself when all, in order)."""
         if np.array_equal(rows, np.arange(len(self.x))):
             return self
-        return replace(self, matrices=self.matrices[rows],
-                       bases=self.bases[rows], frames=self.frames[rows],
-                       maps=self.maps[rows], x=self.x[rows])
+        return replace(self, draws=self.draws[rows], bases=self.bases[rows],
+                       frames=self.frames[rows], maps=self.maps[rows],
+                       x=self.x[rows])
 
 
-def _fold_trace(start, mats, width):
-    """Bases (R, T+1, d, d) of start (R, d, d) under mats (R, T, d, d).
-
-    The window is cut into folds of ``width`` steps.  A fold's prefix
-    products (its first w matrices, w = 1..width, ``_fold_products``) are
-    formed first; the flags at the fold's times are then one
-    ``batched_orthonormalize`` call on those products times the flag the
-    fold starts from, the stepwise flags up to rounding, since
-    ``fold_width`` keeps every product under FOLD_COND_CAP.
-    """
-    prefix = _fold_products(mats.copy(), width)
-    count, n_steps = mats.shape[:2]
-    bases = np.empty((count, n_steps + 1) + start.shape[1:])
-    bases[:, 0] = start
-    for lo in range(0, n_steps, width):
-        hi = min(lo + width, n_steps)
-        bases[:, lo + 1: hi + 1] = batched_orthonormalize(
-            prefix[:, lo:hi] @ bases[:, lo, None])[0]
-    return bases
-
-
-def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0):
-    """Run the cocycle from given flags, keeping the full trace.
+def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0, times=()):
+    """Run the cocycle from given flags over the window [t0, t0 + n_steps].
 
     ``f0`` is one basis (d, d) or a stack of R bases; the window's n_steps
-    matrices per replica are the next draws on ``sampler``, one
-    ``sample_batch`` call of n_steps R draws, which are those of n_steps
-    calls of R draws in turn.  The flags are formed one fold of W =
-    ``fold_width(spec)`` steps at a time (``_fold_trace``), as every other
-    stack of the spec folds.  Every basis and frame must be orthonormal to
-    ORTHO_TOL, and every fiber map invertible.
+    draws per replica are the next on ``sampler``, one ``_draws`` call, as
+    one ``sample_batch`` call of n_steps R draws would draw them.  The
+    steps between consecutive named times, the window's ends and
+    ``times``, fold at the spec's width W = ``fold_width(spec)``
+    (``_folds``), so that no fold straddles a named time, and each fold
+    takes one QR step, as every other stack of the spec folds.  The trace
+    keeps the flags at the fold ends only (``OrbitTrace``); naming every
+    time gives folds of one step, the stepwise trace.  A second call from
+    the trace's last bases on the same sampler continues it.  Every basis
+    and frame must be orthonormal to ORTHO_TOL, and every fold map
+    invertible.
     """
     i = fiber_index
     d = spec.dim
     if not 1 <= i <= d - 1:
         raise ValueError(f"fiber index {i} outside 1..{d - 1}")
     start = np.reshape(f0, (-1, d, d))
-    # drawn time-major, read replica-major: each step's stack stays contiguous
-    mats = sample_batch(spec, sampler, n_steps * len(start)).reshape(
-        n_steps, len(start), d, d).swapaxes(0, 1)
+    cuts = sorted({0, n_steps, *(int(t) - t0 for t in np.ravel(times))})
+    if cuts[0] < 0 or cuts[-1] > n_steps:
+        raise ValueError(
+            f"named times outside the window [{t0}, {t0 + n_steps}]")
     width = fold_width(spec)
-    bases = _fold_trace(start, mats, width)
-    frames, x, maps = _fiber_orbit(bases, mats, i)
-    return OrbitTrace(fiber_index=i, fold_width=width,
-                      times=np.arange(t0, t0 + n_steps + 1),
-                      matrices=mats, bases=bases, frames=frames, maps=maps,
-                      x=x)
+    ends = [min(k + width, hi) for lo, hi in zip(cuts, cuts[1:])
+            for k in range(lo, hi, width)]
+    draws = _draws(spec, sampler, n_steps, len(start))
+    bases = np.empty((len(start), len(ends) + 1, d, d))
+    bases[:, 0] = start
+    folds = np.empty((len(start), len(ends), d, d))
+    f = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        # drawn matrices fold in place: a copy keeps the trace's draws
+        for p in _folds(spec, draws[lo:hi].copy()):
+            folds[:, f] = p
+            bases[:, f + 1] = _apply(bases[:, f], [p])[0]
+            f += 1
+    frames = completion_frames(bases[..., i - 1: i + 1])
+    err = max(_max_deviation(bases), _max_deviation(frames))
+    if not err < ORTHO_TOL:
+        raise DegenerateBasis(f"basis is not orthonormal (deviation {err:.3e})")
+    maps = frames[:, 1:].swapaxes(-1, -2) @ (folds @ frames[:, :-1])
+    det = det2(maps)
+    if not np.all(np.isfinite(det) & (det != 0.0)):
+        raise DegenerateBasis("induced fiber map is singular")
+    return OrbitTrace(spec=spec, times=t0 + np.array([0] + ends),
+                      draws=draws.swapaxes(0, 1), bases=bases, frames=frames,
+                      maps=maps, x=fiber_coordinates(bases, frames, i))
 
 
 def stationary_orbit(spec, fiber_index, n_steps, burnin, sampler, t_end=0,
-                     replicas=1):
+                     replicas=1, times=()):
     """Traces of ``replicas`` replicas whose window ends at ``t_end``.
 
     The replicas burn in from the standard flag as a
     ``stationary_flag_pool`` on ``sampler``, which approximates drawing
     the first window flag from the stationary distribution; the window,
-    covering times [t_end - n_steps, t_end], draws on the same stream.
+    covering times [t_end - n_steps, t_end] and kept at the named
+    ``times`` (``forward_orbit``), draws on the same stream.
     """
     start = stationary_flag_pool(spec, replicas, burnin, sampler)
     return forward_orbit(spec, start, n_steps, sampler,
-                         fiber_index=fiber_index, t0=t_end - n_steps)
-
-
-def lookahead_folds(spec, trace, lookahead, sampler):
-    """Fiber maps of ``lookahead`` steps past a trace's end, a fold at a time.
-
-    The replicas advance from the flags at the trace's end on the next
-    draws of ``sampler``, one ``sample_batch`` call of ``lookahead`` R
-    draws: those a window running on past the end would draw.  No step's
-    flag is kept.  Each fold of the trace's width (``_fold_ends``) takes
-    one QR step, and its fiber map F_end^T P F_start between the
-    completion frames at its ends is the fold's quotient map, in exact
-    arithmetic the product of its steps' maps.  The products are run as a
-    window of single steps (``_fold_trace`` and ``_fiber_orbit`` at width
-    1), so the bases and frames at the fold ends must be orthonormal to
-    ORTHO_TOL, and each fold's map invertible, as in a trace.  Returns the
-    fold maps (R, F, 2, 2) in time order and the fiber coordinates (R,
-    F+1) at the trace's end and at every fold end.
-    """
-    count, d = trace.bases.shape[0], trace.bases.shape[-1]
-    draws = sample_batch(spec, sampler, lookahead * count).reshape(
-        lookahead, count, d, d).swapaxes(0, 1)
-    products = _fold_ends(draws, trace.fold_width).swapaxes(0, 1)
-    bases = _fold_trace(trace.bases[:, -1], products, 1)
-    _, x, maps = _fiber_orbit(bases, products, trace.fiber_index)
-    return maps, x
+                         fiber_index=fiber_index, t0=t_end - n_steps,
+                         times=times)
 
 
 def _unit_columns(pairs):
@@ -895,72 +884,42 @@ def _inverses(maps):
     return adjugate / det2(maps)[..., None, None]
 
 
-def stable_coordinates(trace, lookahead=0, folds=None):
-    """Stable-line coordinates on the window's prefix, with certificates.
+def stable_coordinates(trace, ahead):
+    """Stable-line coordinates at a trace's kept times, with certificates.
 
-    Two transverse directions pulled back from the window's end, or from
-    the end of the lookahead ``folds`` after it, both converge to the
-    stable line (backward iteration contracts toward it at the rate the
-    forward cocycle expands away from it); their distance at the anchor
-    index is the realized resolution there, and every earlier time only
-    contracts further.  The anchor sits ``lookahead`` steps before the
-    window's end, so the certifying event is a function of the maps after
-    the anchor alone; callers that drop uncertified replicas do not bias
-    statistics collected before it.  ``folds`` (R, F, 2, 2), when given,
-    are fiber maps of folds after the window's end, in time order
-    (``lookahead_folds``): the pair starts at the last fold's end and is
-    pulled back through them, one inverse and one renormalization per
-    fold, before it enters the window.  A fold map read off its fold's d x
-    d product P carries P's rounding, eps cond(P) <= eps FOLD_COND_CAP of
-    its size, where a step's map carries its step's.
+    ``ahead`` continues the trace on its stream from its last flags
+    (``forward_orbit``).  Two transverse directions, the axes u and w of
+    the completion frame at ahead's end, are pulled back through ahead's
+    fold maps and then the trace's, one inverse and one renormalization
+    per fold.  Both converge to the stable line (backward iteration
+    contracts toward it at the rate the forward cocycle expands away from
+    it); their distance at the trace's end is the realized resolution
+    there, and every earlier time only contracts further.  The certifying
+    event is thus a function of ahead's maps alone, so callers that drop
+    uncertified replicas do not bias statistics collected on the trace.
+    A fold map read off its fold's d x d product P carries P's rounding,
+    eps cond(P) <= eps FOLD_COND_CAP of its size: a product of fiber maps
+    is a diagonal block of the triangular flag product, so its singular
+    values lie within P's.
 
-    The pass folds back from the window's end in folds of the trace's
-    ``fold_width``, as ``_fold_trace`` folds forward.  The steps' inverses
-    (adjugate over determinant), read backward, are turned in place into
-    each fold's suffix products by ``_fold_products``.  The pair is then
-    carried from fold end to fold end, one product and one renormalization
-    per fold, and the pairs up to the anchor are one product each with
-    their fold's end.  A fold's product
-    keeps its condition number under FOLD_COND_CAP: a product of fiber
-    maps is a diagonal block of the triangular flag product, so its
-    singular values lie within that product's.  The pairs are thus the
-    stepwise ones up to rounding.
-
-    Returns (y, resolution): y[r] holds replica r's coordinates at
-    trace.times[: anchor + 1] and resolution[r] its resolution at the
-    anchor, which callers hold against their tolerance (an isometric
-    action has no stable line and never resolves).
+    Returns (y, resolution): y[r, k] is replica r's coordinate at
+    trace.times[k] and resolution[r] its resolution at the trace's end,
+    which callers hold against their tolerance (an isometric action has
+    no stable line and never resolves).  An ``ahead`` that does not start
+    at the trace's end time from its last bases is refused.
     """
-    maps = trace.maps
-    count, n_maps = maps.shape[:2]
-    anchor_k = n_maps - lookahead
-    if anchor_k < 0:
-        raise ValueError("window shorter than the requested lookahead")
-    width = trace.fold_width
-    # the pair at the window's end
-    pair = np.broadcast_to(np.eye(2), (count, 2, 2))
-    if folds is not None:
-        for inverse in _inverses(folds)[:, ::-1].swapaxes(0, 1):
-            pair = _unit_columns(inverse @ pair)
-    # suffix[:, k] = inverse_k ... inverse_{e-1}, e the end of k's fold
-    # (folds count back from the window's end: read backward, prefixes)
-    suffix = _inverses(maps)
-    _fold_products(suffix[:, ::-1], width)
-    # ends[:, j] is the pair at n_maps - j * width, the end of fold j
-    n_folds = -(-n_maps // width)
-    ends = np.empty((count, max(n_folds, 1), 2, 2))
-    ends[:, 0] = pair
-    for j in range(1, n_folds):
-        ends[:, j] = _unit_columns(suffix[:, n_maps - j * width] @ ends[:, j - 1])
-    kept = np.empty((count, anchor_k + 1, 2, 2))
-    head = min(anchor_k + 1, n_maps)
-    kept[:, :head] = _unit_columns(
-        suffix[:, :head] @ ends[:, (n_maps - 1 - np.arange(head)) // width])
-    if anchor_k == n_maps:
-        kept[:, anchor_k] = pair
+    if not (ahead.times[0] == trace.times[-1]
+            and np.array_equal(ahead.bases[:, 0], trace.bases[:, -1])):
+        raise ValueError("ahead does not continue the trace from its last "
+                         f"flags at time {trace.times[-1]}")
+    maps = np.concatenate([trace.maps, ahead.maps], axis=1)
+    pairs = [np.broadcast_to(np.eye(2), (len(maps), 2, 2))]
+    for inverse in _inverses(maps)[:, ::-1].swapaxes(0, 1):
+        pairs.append(_unit_columns(inverse @ pairs[-1]))
+    # the pairs at the trace's kept times, earliest first
+    kept = np.stack(pairs[:-len(trace.times) - 1:-1], axis=1)
     angles = circle.wrap(np.arctan2(kept[..., 1, :], kept[..., 0, :]))
-    resolution = circle.distance(angles[:, anchor_k, 0], angles[:, anchor_k, 1])
-    return angles[..., 0], resolution
+    return angles[..., 0], circle.distance(angles[:, -1, 0], angles[:, -1, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -1022,63 +981,60 @@ def _offset_maps(b, cos, sin):
     return det2(b) / norm2, (x * xp + y * yp) / norm2, (x, y)
 
 
-def _image_arc(bu, d, g, lo, hi):
-    """The arc anchored at the angle of bu = (x, y) whose offsets are the
-    images of lo and hi under the offset map [[d, 0], [g, 1]]: each is
-    atan2(d sin delta, g sin delta + cos delta), exact for |delta| < pi."""
+def _image_arc(anchor, d, g, lo, hi):
+    """The arc at ``anchor`` whose offsets are the images of lo and hi
+    under the offset map [[d, 0], [g, 1]]: each is atan2(d sin delta, g sin
+    delta + cos delta), exact for |delta| < pi."""
     ends = np.stack([lo, hi])
     sin = np.sin(ends)
     ends = np.arctan2(d * sin, g * sin + np.cos(ends))
-    return Arc(anchor=circle.wrap(np.arctan2(bu[1], bu[0])),
-               lo=np.minimum(*ends), hi=np.maximum(*ends))
+    return Arc(anchor=anchor, lo=np.minimum(*ends), hi=np.maximum(*ends))
 
 
 def push_arc(cmap, arc):
     """Image of an arc under one circle map, anchored offsets throughout."""
     d, g, bu = _offset_maps(cmap.matrix, np.cos(arc.anchor), np.sin(arc.anchor))
-    return _image_arc(bu, d, g, arc.lo, arc.hi)
+    return _image_arc(circle.wrap(np.arctan2(bu[1], bu[0])), d, g, arc.lo,
+                      arc.hi)
 
 
 def pull_forward(trace, arc, t):
-    """Images at time 0 of arcs given at times t <= 0, replica by replica.
+    """Images at time 0 of arcs given at kept times t <= 0, replica by replica.
 
     ``arc`` holds one arc per replica for one time ``t``, or per replica
-    and time for a sequence of times.  Each arc is pushed through its own
-    replica's maps T_t, ..., T_{-1}.  Its anchor rides by its own images,
-    one normalized 2-vector step per map, all arcs at once; an arc whose
-    time has not come keeps its anchor.  Each step's offset map at its
-    anchor is then formed for every step in one vectorized pass, identity
-    before the arc's time, and the maps are composed per arc, last step
-    first: D <- D d_t and G <- G d_t + g_t.  Each end's image is one
-    atan2 of the composed map, exact for any offset under a half turn, so
-    every image contains its anchor by construction.
+    and time for a sequence of times, each anchored at its replica's
+    fiber coordinate there; an anchor further than ANCHOR_TOL from it is
+    refused.  A fold map takes
+    the coordinate at its start to the one at its end, so the trace's own
+    coordinates are the anchors of every fold: each fold's offset map at
+    its start coordinate is formed for every fold in one vectorized pass,
+    and the maps are composed last fold first, D <- D d_f and G <- G d_f
+    + g_f, keeping the composite from every fold on; an arc reads the one
+    from its own time.  Each end's image is one atan2 of the composed map,
+    exact for any offset under a half turn, so every image contains its
+    anchor, the coordinate at time 0, by construction.
     """
     starts = np.array([trace.index(s) for s in np.ravel(t)])
-    shape = np.shape(arc.anchor)
-    anchor, lo, hi = (np.broadcast_to(v, shape).reshape(len(trace.maps), len(starts))
+    shape = np.shape(arc.lo)
+    anchor, lo, hi = (np.broadcast_to(v, shape).reshape(len(trace.x),
+                                                        len(starts))
                       for v in (arc.anchor, arc.lo, arc.hi))
+    off = circle.distance(anchor, trace.x[:, starts])
+    if not np.all(off <= ANCHOR_TOL):
+        raise ValueError(f"arc anchored {np.max(off):.2e} off the fiber "
+                         "coordinate at its time")
     first, end = int(starts.min()), trace.index(0)
-    maps = trace.maps[:, first:end, None]
-    live = starts <= np.arange(first, end)[:, None]
-    # every arc's anchor before each step: the step's map takes the anchor
-    # to (x, y), and the anchor of an arc whose time has come moves there
-    cos, sin = np.empty((2,) + maps.shape[:2] + anchor.shape[1:])
-    x, y = np.cos(anchor), np.sin(anchor)
-    b00, b01, b10, b11 = (maps[..., j, k] for j in (0, 1) for k in (0, 1))
-    for s in range(end - first):
-        cos[:, s], sin[:, s] = x, y
-        x = b00[:, s] * cos[:, s] + b01[:, s] * sin[:, s]
-        y = b10[:, s] * cos[:, s] + b11[:, s] * sin[:, s]
-        norm = np.hypot(x, y)
-        x = np.where(live[s], x / norm, cos[:, s])
-        y = np.where(live[s], y / norm, sin[:, s])
-    d, g, _ = _offset_maps(maps, cos, sin)
-    d, g = np.where(live, d, 1.0), np.where(live, g, 0.0)
-    big_d, big_g = np.ones(anchor.shape), np.zeros(anchor.shape)
-    for s in range(end - first - 1, -1, -1):
-        big_g = big_g * d[:, s] + g[:, s]
-        big_d = big_d * d[:, s]
-    image = _image_arc((x, y), big_d, big_g, lo, hi)
+    x = trace.x[:, first:end]
+    d, g, _ = _offset_maps(trace.maps[:, first:end], np.cos(x), np.sin(x))
+    # column k composes the folds from first + k on
+    big_d, big_g = np.ones((2, len(x), end - first + 1))
+    big_g[:, -1] = 0.0
+    for k in range(end - first - 1, -1, -1):
+        big_g[:, k] = big_g[:, k + 1] * d[:, k] + g[:, k]
+        big_d[:, k] = big_d[:, k + 1] * d[:, k]
+    k = starts - first
+    image = _image_arc(np.broadcast_to(trace.x[:, end, None], lo.shape),
+                       big_d[:, k], big_g[:, k], lo, hi)
     return Arc(anchor=image.anchor.reshape(shape), lo=image.lo.reshape(shape),
                hi=image.hi.reshape(shape))
 
@@ -1107,10 +1063,11 @@ def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
                          burnin=1000, lookahead=900):
     """Log lengths of pulled-forward stationary intervals on a grid of n.
 
-    Each replica runs one stationary window covering [-max n, 0], then
-    ``lookahead`` steps on the same stream a fold at a time
-    (``lookahead_folds``), and contributes every grid point; the slope
-    should match the negative exponent gap.  The slope is the mean of the
+    Each replica runs one stationary window covering [-max n, 0] that
+    names the grid depths -n and 0, so that its folds end at each of them
+    (``forward_orbit``), continues it ``lookahead`` steps on the same
+    stream, and contributes every grid point; the slope should match the
+    negative exponent gap.  The slope is the mean of the
     replicas' own least-squares slopes (equal to the slope fitted to the
     mean curve, least squares being linear in the data) and its stderr
     their spread over sqrt(R), so the variation between replicas is
@@ -1128,9 +1085,9 @@ def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
     if n_grid[0] < 1:
         raise ValueError("need n >= 1")
     trace = stationary_orbit(spec, fiber_index, int(n_grid[-1]), burnin,
-                             sampler, replicas=replicas)
-    y, resolution = stable_coordinates(
-        trace, folds=lookahead_folds(spec, trace, lookahead, sampler)[0])
+                             sampler, replicas=replicas, times=-n_grid)
+    y, resolution = stable_coordinates(trace, forward_orbit(
+        spec, trace.bases[:, -1], lookahead, sampler, fiber_index))
     keep = np.flatnonzero(resolution <= DECAY_STABLE_TOL)
     if len(keep) < 2:
         raise GapTooSmall(

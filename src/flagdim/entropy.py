@@ -50,7 +50,7 @@ import numpy as np
 
 from . import circle
 from .dynamics import (DEGENERATE_DISTANCE, INTERVAL_STABLE_TOL, Arc,
-                       lookahead_folds, pin_folds, pull_forward, push_folds,
+                       forward_orbit, pin_folds, pull_forward, push_folds,
                        stable_coordinates, stationary_interval,
                        stationary_lines, stationary_orbit)
 from .ensemble import sample_batch
@@ -120,7 +120,8 @@ def conditional_fiber_sample(spec, fiber_index, pools, sampler,
     stream (``sampler.child(0)``): each burns in ``realization_burnin``
     steps from the standard flag and then runs a window of its M pinned
     steps (PIN_LENGTH, and 0 when d = 2: a trivial partial flag needs no
-    pin); the fiber frame at the window's end is its reference.  The pins
+    pin); the fiber frame at the window's end, the one time it reads, is
+    its reference.  The pins
     fold in one chain (``pin_folds``), and realization r then pushes the
     r-th pool alone: the pool shares that pinned recent past, differs in
     the remote past, and is read in the reference's fiber frame.  Returns
@@ -163,7 +164,9 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     The ``orbit_samples`` realizations are one stack on one stream: each
     burns in ``realization_burnin`` steps and runs a window over times
     [-M, 1], whose first M steps are its pinned past at time 0 (and steps
-    1..M its pin at time 1).  Per realization: build the conditional
+    1..M its pin at time 1).  The window names times 0 and 1, the times
+    whose frames, coordinate and one-step fiber map it reads, so its last
+    fold is that step alone (``forward_orbit``).  Per realization: build the conditional
     measures at times 0 and 1 from two independent tail pools, push the
     time-0 sample through the realized matrix, and average the log density
     ratio at points of the pushed sample (x_1 together with held-out
@@ -209,9 +212,11 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     # on the same stream after it
     stream = sampler.child(10)
     trace = stationary_orbit(spec, i, pin_length + 1, realization_burnin,
-                             stream, t_end=1, replicas=orbit_samples)
-    folds0 = pin_folds(spec, trace.matrices[:, :pin_length])
-    folds1 = pin_folds(spec, trace.matrices[:, 1:])
+                             stream, t_end=1, replicas=orbit_samples,
+                             times=(0,))
+    mats = trace.matrices
+    folds0 = pin_folds(spec, mats[:, :pin_length])
+    folds1 = pin_folds(spec, mats[:, 1:])
     kappas = []
     skipped = 0
     diag = None
@@ -222,8 +227,8 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
         coords1 = _pushed_coordinates(folds1[r], pool1, frame1, i)
         if r == 0:
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
-            diag = _half_pin_diagnostic(spec, trace.matrices[r, 1:], pool1,
-                                        frame1, i, coords1)
+            diag = _half_pin_diagnostic(spec, mats[r, 1:], pool1, frame1, i,
+                                        coords1)
         pushed_all = fiber_map_image(trace.maps[r, -1], coords0)
         halves = (pushed_all[::2], coords1[::2])
         candidates = np.concatenate([[x1], pushed_all[1::2]])
@@ -259,13 +264,12 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
                      "pin_diagnostic": diag})
 
 
-def _isometric_fiber_action(trace, folds, fold_x):
-    """Per replica: True when every fiber map has unit metric derivative at
-    its start coordinate, each step's on the trace and each fold's after it
-    (``lookahead_folds``: maps ``folds``, coordinates ``fold_x``).  A fold
-    map's derivative there is the product of its steps' derivatives."""
-    logs = [np.abs(np.log(fiber_map_derivative(maps, x[:, :-1])))
-            for maps, x in ((trace.maps, trace.x), (folds, fold_x))]
+def _isometric_fiber_action(trace, ahead):
+    """Per replica: True when every fold map of the trace and of its
+    continuation ``ahead`` has unit metric derivative at its start
+    coordinate, which is the product of its steps' derivatives there."""
+    logs = [np.abs(np.log(fiber_map_derivative(t.maps, t.x[:, :-1])))
+            for t in (trace, ahead)]
     return np.max(np.concatenate(logs, axis=1), axis=1, initial=0.0) < 1e-9
 
 
@@ -296,15 +300,19 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
     assumption fails on separated d = 3 pairs, whose conditionals are
     point masses: there the estimate reads about log 2 where kappa is 0.  The
     replicas are one stack on one stream: each burns in
-    ``realization_burnin`` steps, keeps every step of its window [-n, 0]
-    and then runs ``lookahead`` steps on the same stream a fold at a time
-    (``lookahead_folds``).  The stable line is pulled back from the two
-    axes u and w of the completion frame at the lookahead's end, through
-    the folds' maps and then the window's (``stable_coordinates``).
+    ``realization_burnin`` steps, runs its window [-n, 0], which names
+    only its ends and so keeps its flags at fold ends alone
+    (``forward_orbit``), and continues it ``lookahead`` steps on the same
+    stream.  The stable line is pulled back from the two axes u and w of
+    the completion frame at the continuation's end, through its fold maps
+    and then the window's (``stable_coordinates``); the arcs are pushed
+    from -n to 0 through the window's fold maps (``pull_forward``).
 
     Isometric fiber actions have no stable line; there any fixed arc is
     mass-preserved in law, so one anchored at x substitutes and the
-    estimator correctly reads ~0.  Non-isometric replicas whose lookahead
+    estimator correctly reads ~0; a replica is isometric when every fold
+    map, the window's and the continuation's, is
+    (``_isometric_fiber_action``).  Non-isometric replicas whose lookahead
     cannot certify the stable line to INTERVAL_STABLE_TOL are dropped and
     counted; the certificate depends only on maps after time 0, so the
     drop is independent of the masses measured on [-n, 0].  The
@@ -321,11 +329,11 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
     stream = sampler.child(10)
     trace = stationary_orbit(spec, i, n, realization_burnin, stream,
                              replicas=replicas)
-    folds, fold_x = lookahead_folds(spec, trace, lookahead, stream)
-    y, resolution = stable_coordinates(trace, folds=folds)
+    ahead = forward_orbit(spec, trace.bases[:, -1], lookahead, stream, i)
+    y, resolution = stable_coordinates(trace, ahead)
     x, y = trace.x[:, 0], y[:, 0]
     resolved = resolution <= INTERVAL_STABLE_TOL
-    lost = ~resolved & ~_isometric_fiber_action(trace, folds, fold_x)
+    lost = ~resolved & ~_isometric_fiber_action(trace, ahead)
     coincide = resolved & (circle.distance(x, y) < DEGENERATE_DISTANCE)
     rows = np.flatnonzero(~lost & ~coincide)
     # the isometric substitute arc, replaced where the line is certified
@@ -349,7 +357,7 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
         if mass_i < 0.5:
             rejected += 1
             continue
-        mass_j = pool_mass(fiber_coordinates(pool_b, trace.frames[r, n], i),
+        mass_j = pool_mass(fiber_coordinates(pool_b, trace.frames[r, -1], i),
                            images.anchor[j] + images.lo[j],
                            images.hi[j] - images.lo[j])
         if mass_j == 0:

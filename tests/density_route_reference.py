@@ -39,13 +39,15 @@ def density_route_reference(spec, fiber_index, pools, sampler,
     pool0, pool1 = pools
     stream = sampler.child(10)
     trace = stationary_orbit(spec, i, pin_length + 1, realization_burnin,
-                             stream, t_end=1, replicas=orbit_samples)
+                             stream, t_end=1, replicas=orbit_samples,
+                             times=(0,))
+    mats = trace.matrices
     kappas = []
     skipped = 0
     diag = None
     for r in range(orbit_samples):
-        pin0 = trace.matrices[r, :pin_length]
-        pin1 = trace.matrices[r, 1:]
+        pin0 = mats[r, :pin_length]
+        pin1 = mats[r, 1:]
         frame0, frame1 = trace.frames[r, -2:]
         x1 = float(trace.x[r, -1])
         coords0 = _pushed(spec, pin0, pool0, frame0, i)

@@ -11,8 +11,8 @@ from flagdim.dynamics import (DECAY_STABLE_TOL, FOLD_COND_CAP,
                               WORD_FOLD_STEPS, WORD_TABLE, Arc,
                               batched_orthonormalize, circle_map_between,
                               evolve_flags, fold_width, forward_orbit,
-                              interval_decay_curve, lookahead_folds,
-                              lyapunov_spectrum, pin_folds, pull_forward,
+                              interval_decay_curve, lyapunov_spectrum,
+                              pin_folds, pull_forward,
                               push_arc, push_flags, stable_coordinates,
                               stationary_flag_pool, stationary_interval,
                               stationary_lines, stationary_orbit)
@@ -33,6 +33,12 @@ from stable_line_reference import oseledets_stable_line
 
 def single(name, mat):
     return finite_support(name, [np.asarray(mat, dtype=float)], [1.0])
+
+
+def every_time(n_steps, t0=0):
+    """Every time of the window [t0, t0 + n_steps]: a trace naming them
+    all folds one step at a time, the stepwise trace."""
+    return np.arange(t0, t0 + n_steps + 1)
 
 
 HYPER2 = single("hyper2", np.diag([2.0, 0.5]))
@@ -352,8 +358,10 @@ def test_pushed_pin_and_burn_in_match_stepwise():
         want, _ = batched_orthonormalize(a @ want)
     assert np.max(np.abs(push_flags(pinned, pool, spec) - want)) < 1e-12
     # a window after a pool burn-in draws on the pool's stream, and a
-    # prefix of a replica's window, pushed as a pin, reaches its flag
-    trace = stationary_orbit(spec, 1, 150, 100, SeededSampler(44), replicas=5)
+    # prefix of a replica's window, pushed as a pin, reaches its flag at
+    # the times the window names and at its end
+    trace = stationary_orbit(spec, 1, 150, 100, SeededSampler(44), replicas=5,
+                             times=(-149, -130))
     stream = SeededSampler(44)
     start = stationary_flag_pool(spec, 5, 100, stream)
     window = sample_batch(spec, stream, 5 * 150).reshape(150, 5, 3, 3)
@@ -363,7 +371,8 @@ def test_pushed_pin_and_burn_in_match_stepwise():
         for k in (1, 20, 150):
             pushed = push_flags(trace.matrices[r, :k], start[r:r + 1],
                                 spec)[0]
-            assert np.max(np.abs(pushed - trace.bases[r, k])) < 1e-12
+            kept = trace.bases[r, trace.index(k - 150)]
+            assert np.max(np.abs(pushed - kept)) < 1e-12
 
 
 def test_orbit_window_is_one_draw_call():
@@ -631,21 +640,30 @@ def test_spectrum_matches_norm_growth_oracle():
 
 
 def test_forward_orbit_composition_invariant(rng):
+    # the flags kept at the named times 5 and 12 and at the window's end
+    # are the start under the product of the draws up to them
     spec = bern2()
-    trace = forward_orbit(spec, np.eye(2), 25, SeededSampler(7))
+    trace = forward_orbit(spec, np.eye(2), 25, SeededSampler(7), times=(5, 12))
+    assert trace.times.tolist() == [0, 5, 12, 25]
     prod = np.eye(2)
     for k in range(25):
         prod = trace.matrices[0, k] @ prod
+        if k + 1 not in trace.times:
+            continue
+        kept = trace.bases[0, trace.index(k + 1)]
         direct = act_flag(LinearMap(prod), Flag(trace.bases[0, 0]))
         p1 = direct.basis[:, :1] @ direct.basis[:, :1].T
-        p2 = trace.bases[0, k + 1][:, :1] @ trace.bases[0, k + 1][:, :1].T
+        p2 = kept[:, :1] @ kept[:, :1].T
         assert np.max(np.abs(p1 - p2)) < 1e-8
 
 
 def test_forward_orbit_steps_through_maps():
+    # each fold map takes the coordinate at its fold's start to the one at
+    # its end; diag3eps folds 32 steps, and the named time 7 cuts a fold
     trace = forward_orbit(diag3eps(), np.eye(3), 40, SeededSampler(8),
-                          fiber_index=2)
-    for k in range(40):
+                          fiber_index=2, times=(7,))
+    assert trace.times.tolist() == [0, 7, 39, 40]
+    for k in range(3):
         assert circle.distance(fiber_map_image(trace.maps[0, k], trace.x[0, k]),
                                trace.x[0, k + 1]) < 1e-9
 
@@ -656,41 +674,65 @@ def test_forward_orbit_steps_through_maps():
                           (iso3(), 1, range(40, 60))],
                          ids=["bern2", "diag3eps", "strong2-3.45", "iso3"])
 def test_folded_trace_matches_stepwise_qr(spec, i, seeds):
-    # forward_orbit orthonormalizes each fold's prefix products in one call
-    # (W = 43 steps for bern2, 32 for diag3eps, 1 for strong2 at stretch
-    # 3.45, 24 for iso3); the reference takes one QR step per matrix of the
-    # trace, and the last fold of the 150-step window is a short one.  The
-    # d = 3 cases sweep seeds: their frames are only as close as the
+    # a trace naming every time folds one step at a time: its bases are
+    # those of one plain QR step per matrix (the dispatched loop of
+    # fold_loop_reference) bit for bit.  The default trace keeps only its
+    # fold ends (W = 43 steps for bern2, 32 for diag3eps, 1 for strong2 at
+    # stretch 3.45, 24 for iso3, and a short last fold of the 150-step
+    # window); there its bases, frames and coordinates lie within 1e-12 of
+    # the stepwise ones, and each fold map within 1e-12 of the product of
+    # its steps' maps, relative to the fold's product.  The d =
+    # 3 cases sweep seeds: their frames are only as close as the
     # completion rule keeps the rounding of their bases
     for seed in seeds:
         trace = stationary_orbit(spec, i, 150, 40, SeededSampler(seed),
                                  replicas=4)
-        bases = [trace.bases[:, 0]]
+        stepwise = stationary_orbit(spec, i, 150, 40, SeededSampler(seed),
+                                    replicas=4, times=every_time(150, -150))
+        assert stepwise.times.tolist() == list(range(-150, 1))
+        bases = [stepwise.bases[:, 0]]
         for k in range(150):
-            bases.append(
-                batched_orthonormalize(trace.matrices[:, k] @ bases[-1])[0])
+            bases.append(fold_loop_reference.apply(
+                bases[-1], [stepwise.matrices[:, k]])[0])
         bases = np.stack(bases, axis=1)
         frames = completion_frames(bases[..., i - 1: i + 1])
         maps = np.einsum("...ki,...kl,...lj->...ij", frames[:, 1:],
-                         trace.matrices, frames[:, :-1])
-        assert np.max(np.abs(trace.bases - bases)) < 1e-12
-        assert np.max(np.abs(trace.frames - frames)) < 1e-12
-        assert np.max(np.abs(trace.maps - maps)) < 1e-12
+                         stepwise.matrices, frames[:, :-1])
+        assert stepwise.bases.tobytes() == bases.tobytes()
+        assert np.max(np.abs(stepwise.maps - maps)) < 1e-12
+        ks = trace.times + 150
+        assert np.max(np.abs(trace.bases - bases[:, ks])) < 1e-12
+        assert np.max(np.abs(trace.frames - frames[:, ks])) < 1e-12
         assert np.max(circle.distance(
-            trace.x, fiber_coordinates(bases, frames, i))) < 1e-12
+            trace.x, fiber_coordinates(bases, frames, i)[:, ks])) < 1e-12
+        for f, (lo, hi) in enumerate(zip(ks, ks[1:])):
+            steps = np.eye(2)
+            prod = np.eye(spec.dim)
+            for k in range(lo, hi):
+                steps = maps[:, k] @ steps
+                prod = stepwise.matrices[:, k] @ prod
+            scale = np.linalg.norm(prod, 2, axis=(-2, -1))[:, None, None]
+            assert np.max(np.abs(trace.maps[:, f] - steps) / scale) < 1e-12
 
 
 def test_trace_window_and_index():
-    trace = stationary_orbit(bern2(), 1, 30, 50, SeededSampler(9), t_end=10)
-    assert trace.times[0] == -20 and trace.times[-1] == 10
-    assert trace.index(0) == 20
-    with pytest.raises(IndexError):
-        trace.index(11)
+    # a window over [-20, 10] keeps its ends, its fold ends and the times
+    # it names, and indexes no other time; it names none outside itself
+    trace = stationary_orbit(bern2(), 1, 30, 50, SeededSampler(9), t_end=10,
+                             times=(0,))
+    assert trace.times.tolist() == [-20, 0, 10]
+    assert trace.index(0) == 1
+    for t in (11, 5):
+        with pytest.raises(IndexError):
+            trace.index(t)
+    with pytest.raises(ValueError, match="outside the window"):
+        stationary_orbit(bern2(), 1, 30, 50, SeededSampler(9), t_end=10,
+                         times=(11,))
 
 
 def test_stable_line_deterministic_d3():
     trace = forward_orbit(HYPER3, np.eye(3), 60, SeededSampler(10),
-                          fiber_index=1)
+                          fiber_index=1, times=every_time(60))
     line = oseledets_stable_line(trace, 0, lookahead=40)
     # within the fiber over span(e1, e2) the contracted direction is e2
     assert circle.distance(line.coordinate, np.pi / 2) < 1e-9
@@ -698,36 +740,47 @@ def test_stable_line_deterministic_d3():
 
 
 def test_stable_line_deterministic_d2():
-    trace = forward_orbit(HYPER2, np.eye(2), 60, SeededSampler(11))
+    trace = forward_orbit(HYPER2, np.eye(2), 60, SeededSampler(11),
+                          times=every_time(60))
     line = oseledets_stable_line(trace, 0, lookahead=50)
     assert circle.distance(line.coordinate, np.pi / 2) < 1e-9
 
 
 def test_stable_line_gate_on_isometries():
-    trace = forward_orbit(rot2(), np.eye(2), 80, SeededSampler(12))
+    trace = forward_orbit(rot2(), np.eye(2), 80, SeededSampler(12),
+                          times=every_time(80))
     with pytest.raises(GapTooSmall):
         oseledets_stable_line(trace, 0, lookahead=60)
 
 
 def test_stable_coordinates_certified(rng):
-    trace = forward_orbit(strong2(), np.eye(2), 140, SeededSampler(13))
-    y, resolution = stable_coordinates(trace, lookahead=60)
+    # an 80-step window naming every time, certified at its end by a
+    # 60-step continuation on its stream
+    s = SeededSampler(13)
+    trace = forward_orbit(strong2(), np.eye(2), 80, s, times=every_time(80))
+    y, resolution = stable_coordinates(
+        trace, forward_orbit(strong2(), trace.bases[:, -1], 60, s, t0=80))
     assert resolution[0] <= 1e-2
-    # the coordinates run up to the anchor, 60 steps before the end
-    assert y.shape == (1, len(trace.times) - 60)
+    # a coordinate at every time the window keeps
+    assert y.shape == (1, 81)
     # recompute one point directly
-    line = oseledets_stable_line(trace, int(trace.times[3]), lookahead=60)
+    line = oseledets_stable_line(trace, 3, lookahead=60)
     assert circle.distance(y[0, 3], line.coordinate) < 1e-9
 
 
-def log_distance_slope(trace, lookahead):
-    """Slope of log dist(x_n, y_n) against n on the first replica, with its
-    least-squares stderr; y_n are the certified stable coordinates."""
-    y, resolution = stable_coordinates(trace, lookahead=lookahead)
+def log_distance_slope(spec, f0, n_steps, lookahead, sampler):
+    """Slope of log dist(x_n, y_n) against n over a window of n_steps
+    naming every time, on the first replica, with its least-squares
+    stderr; y_n are the stable coordinates certified by a continuation of
+    ``lookahead`` steps."""
+    trace = forward_orbit(spec, f0, n_steps, sampler,
+                          times=every_time(n_steps))
+    y, resolution = stable_coordinates(trace, forward_orbit(
+        spec, trace.bases[:, -1], lookahead, sampler, t0=n_steps))
     assert resolution[0] <= 1e-2
-    d = circle.distance(trace.x[0, : y.shape[1]], y[0])
+    d = circle.distance(trace.x[0], y[0])
     assert np.all(d > 0)
-    t = trace.times[: y.shape[1]].astype(float)
+    t = trace.times.astype(float)
     logd = np.log(d)
     slope, intercept = np.polyfit(t, logd, 1)
     resid = logd - (slope * t + intercept)
@@ -744,15 +797,13 @@ def test_angle_decay_slope_near_zero_deterministic():
     q = np.array([[c, -s], [s, c]])
     tilted = single("tilted2", q @ np.diag([2.0, 0.5]) @ q.T)
     f0 = Flag.from_matrix(np.array([[1.0, 0.0], [0.7, 1.0]])).basis
-    trace = forward_orbit(tilted, f0, 120, SeededSampler(14))
-    slope, _ = log_distance_slope(trace, lookahead=40)
+    slope, _ = log_distance_slope(tilted, f0, 80, 40, SeededSampler(14))
     assert abs(slope) < 5e-3
 
 
 def test_angle_decay_slope_near_zero_strong2():
-    trace = forward_orbit(strong2(), np.eye(2), 400,
-                          SeededSampler(15))
-    slope, stderr = log_distance_slope(trace, lookahead=80)
+    slope, stderr = log_distance_slope(strong2(), np.eye(2), 320, 80,
+                                       SeededSampler(15))
     lo, hi = slope - 2 * stderr, slope + 2 * stderr
     assert lo < 0 < hi or abs(slope) < 0.02
 
@@ -783,7 +834,8 @@ def test_arc_invariants():
 
 def test_stationary_interval_worked_example():
     # x = 0 and y = pi/2 give the arc from 3pi/4 of length pi/2
-    trace = forward_orbit(HYPER2, np.eye(2), 60, SeededSampler(16))
+    trace = forward_orbit(HYPER2, np.eye(2), 60, SeededSampler(16),
+                          times=every_time(60))
     y = oseledets_stable_line(trace, 0, lookahead=50).coordinate
     arc = stationary_interval(trace, 0, y)
     assert circle.distance(trace.x[0, 0], 0.0) < 1e-12
@@ -803,9 +855,11 @@ def test_stationary_interval_rejects_coinciding_pair():
 
 
 def test_mobius_contraction_closed_form():
-    # diag(2, 1/2) pulls the symmetric arc to half-width atan(4^-n)
+    # diag(2, 1/2) pulls the symmetric arc to half-width atan(4^-n); the
+    # window names the times it reads, so each push composes the folds
+    # from -n to 0
     trace = forward_orbit(HYPER2, np.eye(2), 80, SeededSampler(18),
-                          t0=-40)
+                          t0=-40, times=(-40, -25, -20, -10, -6, -3, -1, 0))
     y = np.pi / 2
     for n in (1, 3, 6, 10, 20):
         arc = pull_forward(trace, stationary_interval(trace, -n, y), -n)
@@ -826,13 +880,16 @@ def test_push_beyond_a_quarter_turn_matches_closed_form():
     c, s = np.cos(rot), np.sin(rot)
     q = np.array([[c, -s], [s, c]])
     tilted = single("tilted2", q @ np.diag([2.0, 0.5]) @ q.T)
-    trace = forward_orbit(tilted, np.eye(2), 40, SeededSampler(29),
-                          t0=-40)
     phi = 0.7
     hi = np.pi / 2 - 0.12 - phi
     arc = Arc(anchor=rot + phi, lo=hi - 2.9, hi=hi)
     assert -arc.lo > np.pi / 2
+    # each window starts on the arc's anchor, the line at rot + phi
+    c, s = np.cos(rot + phi), np.sin(rot + phi)
+    start = np.array([[c, -s], [s, c]])
     for n in (1, 2, 5, 10, 20, 40):
+        trace = forward_orbit(tilted, start, n, SeededSampler(29), t0=-n)
+        assert circle.distance(trace.x[0, 0], arc.anchor) < 1e-15
         image = dynamics.pull_forward(trace, arc, -n)
         shrink = 4.0 ** -n
         lo, hi = np.arctan(shrink * np.tan(phi + np.array([arc.lo, arc.hi])))
@@ -874,7 +931,7 @@ def test_pullforward_contains_x_and_excludes_y():
     wrapped = 0
     for seed in range(12):
         trace = stationary_orbit(spec, 1, 160, 80, SeededSampler(20, (seed,)),
-                                 t_end=60)
+                                 t_end=60, times=every_time(160, -100))
         y0 = oseledets_stable_line(trace, 0, lookahead=55).coordinate
         for n in range(2, 100, 7):
             try:
@@ -893,7 +950,7 @@ def test_pullforward_contains_x_and_excludes_y():
 
 def test_pullforward_contains_x_bern2():
     trace = stationary_orbit(bern2(), 1, 1700, 200, SeededSampler(21),
-                             t_end=1550)
+                             t_end=1550, times=every_time(1700, -150))
     for n in (20, 80, 140):
         y = oseledets_stable_line(trace, -n, lookahead=1500).coordinate
         arc = pull_forward(trace, stationary_interval(trace, -n, y), -n)
@@ -903,36 +960,45 @@ def test_pullforward_contains_x_bern2():
 @pytest.mark.parametrize("spec, i", [(diag3eps(), 2), (hyper3mix(), 1)],
                          ids=["diag3eps", "hyper3mix"])
 def test_trace_arrays_match_per_step_objects(spec, i):
-    # the arrays against Flag / PartialFlag / CircleMap built step by step,
-    # the backward pass against LU solves, and the pushes against
-    # CircleMap.map_offset
-    trace = stationary_orbit(spec, i, 80, 40, SeededSampler(24), t_end=50,
-                             replicas=3)
-    y, _ = stable_coordinates(trace, lookahead=50)
+    # a window over [-30, 0] and its 50-step continuation, both naming
+    # every time: the arrays against Flag / PartialFlag / CircleMap built
+    # step by step, the backward pass against LU solves, and the pushes
+    # against CircleMap.map_offset
+    s = SeededSampler(24)
     n = 30
+    trace = stationary_orbit(spec, i, n, 40, s, replicas=3,
+                             times=every_time(n, -n))
+    ahead = forward_orbit(spec, trace.bases[:, -1], 50, s, fiber_index=i,
+                          times=every_time(50))
+    y, _ = stable_coordinates(trace, ahead)
     arcs = pull_forward(trace, stationary_interval(
         trace, -n, y[:, trace.index(-n)]), -n)
     for r in range(3):
-        partials = [partial_flag(Flag(trace.bases[r, k]), i) for k in range(81)]
-        for k in range(80):
-            frame = np.column_stack(partials[k].frame)
-            assert np.max(np.abs(trace.frames[r, k] - frame)) < 1e-12
-            assert circle.distance(trace.x[r, k], fiber_coordinates(
-                trace.bases[r, k], frame, i)) < 1e-12
-            want = circle_map_between(trace.matrices[r, k], partials[k],
-                                      partials[k + 1]).matrix
-            assert np.max(np.abs(trace.maps[r, k] - want)) < 1e-12
+        partials = {}
+        for part in (trace, ahead):
+            partials[part] = [partial_flag(Flag(b), i) for b in part.bases[r]]
+            for k in range(len(part.times) - 1):
+                frame = np.column_stack(partials[part][k].frame)
+                assert np.max(np.abs(part.frames[r, k] - frame)) < 1e-12
+                assert circle.distance(part.x[r, k], fiber_coordinates(
+                    part.bases[r, k], frame, i)) < 1e-12
+                want = circle_map_between(part.matrices[r, k],
+                                          partials[part][k],
+                                          partials[part][k + 1]).matrix
+                assert np.max(np.abs(part.maps[r, k] - want)) < 1e-12
         pair = np.eye(2)
+        maps = np.concatenate([trace.maps[r], ahead.maps[r]])
         for k in range(79, -1, -1):
-            pair = np.linalg.solve(trace.maps[r, k], pair)
+            pair = np.linalg.solve(maps[k], pair)
             pair /= np.linalg.norm(pair, axis=0, keepdims=True)
-            if k <= 30:
+            if k <= n:
                 want = circle.wrap(np.arctan2(pair[1, 0], pair[0, 0]))
                 assert circle.distance(y[r, k], want) < 1e-12
         arc = stationary_interval(trace.select([r]), -n, y=y[r, trace.index(-n)])
         anchor, lo, hi = float(arc.anchor[0]), float(arc.lo[0]), float(arc.hi[0])
+        steps = partials[trace]
         for k in range(trace.index(-n), trace.index(0)):
-            cmap = CircleMap(source=partials[k], target=partials[k + 1],
+            cmap = CircleMap(source=steps[k], target=steps[k + 1],
                              matrix=trace.maps[r, k])
             d1, d2 = cmap.map_offset(anchor, lo), cmap.map_offset(anchor, hi)
             anchor, lo, hi = cmap(anchor), min(d1, d2), max(d1, d2)
@@ -1015,31 +1081,92 @@ def stepwise_pull_forward(trace, arc, t):
     ids=["bern2", "diag3eps-1", "diag3eps-2", "strong2"])
 def test_folded_backward_pass_and_composed_pushes_match_stepwise(
         spec, i, widest_at_least):
-    # the backward pass folded at the trace's fold width against one
-    # renormalized solve per step, also with the anchor at the window's
-    # end (lookahead 0), and the pushes through one composed offset map
-    # per arc against per-map pushes cut into pieces
+    # a window over [-n, 0] naming the decay grid and its continuation,
+    # against the trace of [-n, lookahead] naming every time, on one
+    # stream: the backward pass through fold maps against one
+    # renormalized solve per step, also with a continuation of no steps
+    # (lookahead 0), and the pushes through one offset map per fold,
+    # formed at the window's own coordinates and composed per arc,
+    # against per-map pushes cut into pieces
     n, lookahead = 60, 200
-    trace = stationary_orbit(spec, i, n + lookahead, 100, SeededSampler(28),
-                             t_end=lookahead, replicas=5)
-    for ahead in (0, lookahead):
-        y, resolution = stable_coordinates(trace, lookahead=ahead)
-        want_y, want_resolution = stepwise_stable_coordinates(trace, ahead)
-        assert y.shape == want_y.shape == (5, n + lookahead - ahead + 1)
-        assert np.max(circle.distance(y, want_y)) < 1e-12
+    grid = np.array([3, 10, 25, 60])
+    for ahead_steps in (0, lookahead):
+        stream = SeededSampler(28)
+        trace = stationary_orbit(spec, i, n, 100, stream, replicas=5,
+                                 times=-grid)
+        ahead = forward_orbit(spec, trace.bases[:, -1], ahead_steps, stream,
+                              i)
+        whole = stationary_orbit(spec, i, n + ahead_steps, 100,
+                                 SeededSampler(28), t_end=ahead_steps,
+                                 replicas=5,
+                                 times=every_time(n + ahead_steps, -n))
+        y, resolution = stable_coordinates(trace, ahead)
+        want_y, want_resolution = stepwise_stable_coordinates(whole,
+                                                              ahead_steps)
+        assert y.shape == (5, len(trace.times))
+        assert np.max(circle.distance(y, want_y[:, trace.times + n])) < 1e-12
         assert np.max(np.abs(resolution - want_resolution)) < 1e-12
     # the pushes read the coordinates of the last pass, at the lookahead
-    grid = np.array([3, 10, 25, 60])
-    arcs = stationary_interval(trace, -grid, y[:, [trace.index(-m) for m in grid]])
+    arcs = stationary_interval(trace, -grid,
+                               y[:, [trace.index(-m) for m in grid]])
     one = stationary_interval(trace, -n, y[:, trace.index(-n)])
     for arc, t in ((arcs, -grid), (one, -n)):
         pushed = dynamics.pull_forward(trace, arc, t)
-        reference, widest = stepwise_pull_forward(trace, arc, t)
+        reference, widest = stepwise_pull_forward(whole, arc, t)
         assert widest >= widest_at_least
         assert np.max(circle.distance(pushed.anchor, reference.anchor)) < 1e-12
         for f in ("lo", "hi"):
             assert np.all(np.abs(getattr(pushed, f) - getattr(reference, f))
                           <= 1e-10 * reference.length)
+
+
+def test_pushes_and_passes_refuse_what_the_trace_does_not_hold():
+    # pull_forward reads its anchors off the trace's coordinates, so an
+    # arc anchored elsewhere is refused, not pushed from the wrong point;
+    # stable_coordinates refuses a continuation that does not start at
+    # the trace's end from its last flags
+    spec = bern2()
+    stream = SeededSampler(31)
+    trace = stationary_orbit(spec, 1, 40, 50, stream, replicas=3)
+    ahead = forward_orbit(spec, trace.bases[:, -1], 100, stream)
+    y, _ = stable_coordinates(trace, ahead)
+    arc = stationary_interval(trace, -40, y[:, 0])
+    assert np.all(dynamics.pull_forward(trace, arc, -40).length > 0)
+    moved = Arc(anchor=arc.anchor + np.array([0.0, 1e-9, 0.0]), lo=arc.lo,
+                hi=arc.hi)
+    with pytest.raises(ValueError, match="off the fiber coordinate"):
+        dynamics.pull_forward(trace, moved, -40)
+    late = forward_orbit(spec, trace.bases[:, -1], 100, SeededSampler(31),
+                         t0=5)
+    other = stationary_orbit(spec, 1, 40, 50, SeededSampler(32), replicas=3)
+    for wrong in (late, forward_orbit(spec, other.bases[:, -1], 100,
+                                      SeededSampler(31))):
+        with pytest.raises(ValueError, match="does not continue the trace"):
+            stable_coordinates(trace, wrong)
+
+
+@pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3()],
+                         ids=lambda s: s.name)
+def test_named_times_cut_folds_and_share_one_stream(spec):
+    # a named time ends a fold and starts the next one's count; windows
+    # naming different times draw one stream, keep the same draws, leave
+    # the stream at one place and agree, to the rounding of their folds,
+    # at the times both keep
+    width = fold_width(spec)
+    n = 3 * width
+    streams = [SeededSampler(30), SeededSampler(30)]
+    plain, named = (stationary_orbit(spec, 1, n, 50, s, replicas=4,
+                                     times=times)
+                    for s, times in zip(streams, [(), (5 - n, -width)]))
+    assert (plain.times + n).tolist() == [0, width, 2 * width, n]
+    assert (named.times + n).tolist() == [0, 5, 5 + width, 2 * width, n]
+    assert named.matrices.tobytes() == plain.matrices.tobytes()
+    a, b = (s.rng.bit_generator.random_raw() for s in streams)
+    assert a == b
+    for t in (-n, -width, 0):
+        ka, kb = plain.index(t), named.index(t)
+        assert np.max(np.abs(plain.bases[:, ka] - named.bases[:, kb])) < 1e-12
+        assert np.max(circle.distance(plain.x[:, ka], named.x[:, kb])) < 1e-12
 
 
 class _Stop(Exception):
@@ -1051,19 +1178,23 @@ class _Stop(Exception):
     (bern2(), 1), (diag3eps(), 1), (diag3eps(), 2), (iso3(), 2)],
     ids=["bern2", "diag3eps-1", "diag3eps-2", "iso3"])
 def test_lookahead_draws_continue_the_window(monkeypatch, spec, i, leg):
-    # the legs keep a per-step trace over [-n, 0] and draw the lookahead
-    # after it on the same stream: the window's arrays are those of one
-    # per-step window over [-n, lookahead], byte for byte, and the stream
-    # ends where that window's does
+    # each leg runs its window over [-n, 0] and then continues it by a
+    # second forward_orbit call from the window's last flags on the same
+    # stream: the two draw what one window over [-n, lookahead] draws,
+    # byte for byte, and the stream ends where that window's does
     n, lookahead, replicas, burnin = 40, 150, 3, 60
     seen = []
+    folded = dynamics.forward_orbit
 
-    def spy(spec, trace, steps, sampler):
-        lookahead_folds(spec, trace, steps, sampler)
-        seen.append((trace, steps, sampler.rng.bit_generator.random_raw()))
-        raise _Stop
-    monkeypatch.setattr(dynamics, "lookahead_folds", spy)
-    monkeypatch.setattr(entropy, "lookahead_folds", spy)
+    def spy(spec, f0, n_steps, sampler, *args, **kwargs):
+        seen.append((np.array(f0), folded(spec, f0, n_steps, sampler,
+                                          *args, **kwargs)))
+        if len(seen) == 2:
+            seen.append(sampler.rng.bit_generator.random_raw())
+            raise _Stop
+        return seen[-1][1]
+    monkeypatch.setattr(dynamics, "forward_orbit", spy)
+    monkeypatch.setattr(entropy, "forward_orbit", spy)
     with pytest.raises(_Stop):
         if leg == "interval":
             entropy.kappa_interval_estimator(
@@ -1073,17 +1204,17 @@ def test_lookahead_draws_continue_the_window(monkeypatch, spec, i, leg):
         else:
             interval_decay_curve(spec, i, [10, n], replicas, SeededSampler(41),
                                  burnin=burnin, lookahead=lookahead)
-    ((trace, steps, word),) = seen
+    (_, trace), (start, ahead), word = seen
     stream = SeededSampler(41)
     if leg == "interval":
         stream = stream.child(10)
     whole = stationary_orbit(spec, i, n + lookahead, burnin, stream,
                              t_end=lookahead, replicas=replicas)
-    assert steps == lookahead and trace.times.tolist() == list(range(-n, 1))
-    for name, k in (("matrices", n), ("frames", n + 1), ("maps", n),
-                    ("x", n + 1)):
-        assert (getattr(trace, name).tobytes()
-                == getattr(whole, name)[:, :k].tobytes()), name
+    assert trace.times[[0, -1]].tolist() == [-n, 0]
+    assert ahead.times[[0, -1]].tolist() == [0, lookahead]
+    assert start.tobytes() == trace.bases[:, -1].tobytes()
+    assert (np.concatenate([trace.matrices, ahead.matrices], axis=1).tobytes()
+            == whole.matrices.tobytes())
     assert word == stream.rng.bit_generator.random_raw()
 
 
@@ -1092,41 +1223,128 @@ def test_lookahead_draws_continue_the_window(monkeypatch, spec, i, leg):
     (strong2(stretch=2.0), 1), (rot2(), 1)],
     ids=["bern2", "diag3eps-1", "diag3eps-2", "iso3", "strong2", "rot2"])
 def test_fold_level_lookahead_matches_the_stepwise_pass(spec, i):
-    # the pair pulled back through the lookahead's fold maps and then the
-    # window's steps, against one solve per step over the per-step window
-    # [-n, lookahead] on the same stream.  A fold map is read off the
-    # fold's d x d product, whose rounding is eps cond(P) <= eps
-    # FOLD_COND_CAP of its size (FOLD_COND_CAP's note); pulling back
-    # contracts toward the stable line, so the pair carries at most one
-    # such error per fold it crosses, lookahead and window alike.
-    # Measured at seeds 0-4, 20 replicas, n = 100 and lookaheads 600 and
-    # 900: y within 9.9e-12 on diag3eps fiber 2 (33 folds, a bound of
-    # 7.3e-11) and 6.6e-13 elsewhere, the resolution within 5.1e-13.  The
-    # folded pass over the per-step window stays within 1.1e-13 there: a
-    # step's map carries only its step's rounding
+    # an interval leg's window over [-n, 0] and its continuation over [0,
+    # lookahead], both at fold level, against one solve per step over the
+    # trace of [-n, lookahead] naming every time, on the same stream.  A
+    # fold map is read off the fold's d x d product, whose rounding is eps
+    # cond(P) <= eps FOLD_COND_CAP of its size (FOLD_COND_CAP's note);
+    # pulling back contracts toward the stable line, so the pair carries
+    # at most one such error per fold it crosses, and the coordinates at
+    # the fold ends, which the isometry check reads, stay within the same
+    # bound.  Measured on these streams: y within 4.7e-13 on diag3eps
+    # fiber 2 (33 folds, a bound of 7.3e-11) and 1.2e-14 elsewhere, the
+    # resolution within 1.8e-14
     n, lookahead, replicas = 100, 900, 5
     stream = SeededSampler(42)
     window = stationary_orbit(spec, i, n, 200, stream, replicas=replicas)
-    folds, fold_x = lookahead_folds(spec, window, lookahead, stream)
+    ahead = forward_orbit(spec, window.bases[:, -1], lookahead, stream, i)
     whole = stationary_orbit(spec, i, n + lookahead, 200, SeededSampler(42),
-                             t_end=lookahead, replicas=replicas)
+                             t_end=lookahead, replicas=replicas,
+                             times=every_time(n + lookahead, -n))
     width = fold_width(spec)
-    assert folds.shape == (replicas, -(-lookahead // width), 2, 2)
-    assert fold_x.shape == (replicas, folds.shape[1] + 1)
-    y, resolution = stable_coordinates(window, folds=folds)
+    assert ahead.maps.shape == (replicas, -(-lookahead // width), 2, 2)
+    assert ahead.x.shape == (replicas, ahead.maps.shape[1] + 1)
+    y, resolution = stable_coordinates(window, ahead)
     want_y, want_resolution = stepwise_stable_coordinates(whole, lookahead)
-    crossed = folds.shape[1] + -(-n // width)
+    crossed = ahead.maps.shape[1] + window.maps.shape[1]
     tol = crossed * np.finfo(float).eps * FOLD_COND_CAP
-    assert y.shape == want_y.shape == (replicas, n + 1)
-    assert np.max(circle.distance(y, want_y)) < tol
+    assert y.shape == (replicas, len(window.times))
+    assert np.max(circle.distance(y, want_y[:, window.times + n])) < tol
     assert np.max(np.abs(resolution - want_resolution)) < 1e-12
     for stable_tol in (DECAY_STABLE_TOL, INTERVAL_STABLE_TOL):
         assert np.array_equal(resolution <= stable_tol,
                               want_resolution <= stable_tol)
-    # the coordinates at the fold ends, which the isometry test reads, are
-    # the per-step window's: the forward flags carry the same rounding
-    ends = np.minimum(np.arange(folds.shape[1] + 1) * width, lookahead)
-    assert np.max(circle.distance(fold_x, whole.x[:, n + ends])) < tol
+    for part in (window, ahead):
+        assert np.max(circle.distance(part.x, whole.x[:, part.times + n])) < tol
+
+
+def name_every_time(monkeypatch):
+    """Make every trace that dynamics and entropy run name every time of
+    its window, so that the legs run on stepwise traces."""
+    folded = dynamics.forward_orbit
+
+    def stepwise(spec, f0, n_steps, sampler, fiber_index=1, t0=0, times=()):
+        return folded(spec, f0, n_steps, sampler, fiber_index, t0,
+                      every_time(n_steps, t0))
+    monkeypatch.setattr(dynamics, "forward_orbit", stepwise)
+    monkeypatch.setattr(entropy, "forward_orbit", stepwise)
+
+
+def assert_interval_legs_match_stepwise(spec, i, seed, tails, n, replicas,
+                                        burnin, grid):
+    """Fiber i's interval kappa and decay curve on verify's streams at
+    program seed ``seed``, once on fold-level traces and once on traces
+    naming every time: the same refusals, and the same certified
+    replicas and mass counts, so the same kappa and stderr bit for bit;
+    each log length within eps FOLD_COND_CAP per fold its fold-level
+    traces hold (FOLD_COND_CAP's note).  Measured at seed 7: within
+    6.8e-13 at the reduced budget of the test below, and 8.5e-14 (bern2),
+    5.6e-12 and 4.5e-12 (diag3eps fibers 1 and 2) at the default one, so
+    1e-12 does not hold there."""
+    sampler = SeededSampler(seed)
+    pools = [stationary_flag_pool(spec, tails, entropy.TAIL_BURNIN,
+                                  sampler.child(3, 1, k), columns=spec.dim - 1)
+             for k in (1, 2)]
+    legs = [lambda: entropy.kappa_interval_estimator(
+                spec, i, pools, sampler.child(3, i), n=n, replicas=replicas,
+                realization_burnin=burnin),
+            lambda: interval_decay_curve(spec, i, grid, replicas,
+                                         sampler.child(5), burnin=burnin)]
+    runs = []
+    for stepwise in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if stepwise:
+                name_every_time(mp)
+            traces = []
+            inner = dynamics.forward_orbit
+
+            def kept(*args, **kwargs):
+                traces.append(inner(*args, **kwargs))
+                return traces[-1]
+            mp.setattr(dynamics, "forward_orbit", kept)
+            mp.setattr(entropy, "forward_orbit", kept)
+            run = []
+            for leg in legs:
+                del traces[:]
+                try:
+                    run.append(leg())
+                except harness.GATE_ERRORS as err:
+                    run.append(err)
+            runs.append(run)
+            if not stepwise:
+                folds = sum(t.maps.shape[1] for t in traces)
+    (kappa, decay), (want_kappa, want_decay) = runs
+    for got, want in zip(runs[0], runs[1]):
+        assert type(got) is type(want)
+        if isinstance(want, Exception):
+            assert str(got) == str(want)
+    if isinstance(want_kappa, entropy.KappaEstimate):
+        assert (kappa.kappa, kappa.stderr) == (want_kappa.kappa,
+                                               want_kappa.stderr)
+        assert kappa.diagnostics == want_kappa.diagnostics
+    if isinstance(want_decay, dynamics.IntervalDecayReport):
+        assert decay.replicas == want_decay.replicas
+        assert np.max(np.abs(decay.log_lengths - want_decay.log_lengths)) < (
+            folds * np.finfo(float).eps * FOLD_COND_CAP)
+    return runs
+
+
+@pytest.mark.parametrize("spec, i, n", [
+    (bern2(), 1, 60), (diag3eps(), 1, 60), (diag3eps(), 2, 60),
+    (iso3(), 2, 60), (strong2(stretch=2.0), 1, 10), (rot2(), 1, 60)],
+    ids=["bern2", "diag3eps-1", "diag3eps-2", "iso3", "strong2", "rot2"])
+def test_interval_legs_match_the_all_times_trace(spec, i, n):
+    # at a reduced budget; CI runs the default one on bern2 and diag3eps.
+    # strong2's intervals shrink by about e^-2 a step, so its depth is
+    # short enough for their images to hold pool mass.  rot2 reads its
+    # interval kappa off the isometric substitute and its decay curve
+    # refuses, on both traces alike
+    (kappa, decay), _ = assert_interval_legs_match_stepwise(
+        spec, i, 7, tails=1000, n=n, replicas=12, burnin=200,
+        grid=np.linspace(n // 6, n, 4).astype(int))
+    assert isinstance(kappa, entropy.KappaEstimate)
+    assert isinstance(decay, GapTooSmall if spec.name == "rot2"
+                      else dynamics.IntervalDecayReport)
 
 
 def test_decay_slope_stderr_is_the_replica_spread():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from flagdim.entropy import (KappaEstimate, conditional_fiber_sample,
                              kappa_density_estimator, kappa_interval_estimator)
 from flagdim.errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
                             InsufficientMass, NoAcceptedReplicas)
-from flagdim.dynamics import (SpectrumEstimate, lookahead_folds,
+from flagdim.dynamics import (SpectrumEstimate, forward_orbit,
                               lyapunov_spectrum, push_flags,
                               stationary_flag_pool, stationary_lines,
                               stationary_orbit)
@@ -68,29 +70,30 @@ def test_rot2_interval_kappa_zero():
 
 
 def _window_and_lookahead(spec):
-    """An interval leg's window over [-40, 0] and its 300-step lookahead."""
+    """An interval leg's window over [-40, 0] and its 300-step
+    continuation, both kept at fold ends."""
     stream = SeededSampler(43)
     trace = stationary_orbit(spec, 1, 40, 100, stream, replicas=4)
-    return (trace, *lookahead_folds(spec, trace, 300, stream))
+    return trace, forward_orbit(spec, trace.bases[:, -1], 300, stream)
 
 
 def test_isometry_check_reads_the_lookahead_folds():
-    trace, folds, fold_x = _window_and_lookahead(rot2())
-    assert entropy._isometric_fiber_action(trace, folds, fold_x).all()
+    trace, ahead = _window_and_lookahead(rot2())
+    assert entropy._isometric_fiber_action(trace, ahead).all()
     assert not entropy._isometric_fiber_action(
         *_window_and_lookahead(bern2())).any()
-    # behind an isometric window, one fold map of replica 1 made to stretch
-    # by 1 + 1e-6 at its start coordinate: it fixes that direction u and
-    # scales its normal
-    theta = fold_x[1, 2]
+    # behind an isometric window, one fold map of replica 1's continuation
+    # made to stretch by 1 + 1e-6 at its start coordinate: it fixes that
+    # direction u and scales its normal
+    theta = ahead.x[1, 2]
     u = circle.unit_vector(theta)
     frame = np.column_stack([u, [-u[1], u[0]]])
-    bent = folds.copy()
-    bent[1, 2] = folds[1, 2] @ frame @ np.diag([1.0, 1.0 + 1e-6]) @ frame.T
+    bent = ahead.maps.copy()
+    bent[1, 2] = bent[1, 2] @ frame @ np.diag([1.0, 1.0 + 1e-6]) @ frame.T
     assert fiber_map_derivative(bent[1, 2], theta) == pytest.approx(
         1.0 + 1e-6, rel=1e-9)
-    assert entropy._isometric_fiber_action(trace, bent, fold_x).tolist() == [
-        True, False, True, True]
+    assert entropy._isometric_fiber_action(
+        trace, replace(ahead, maps=bent)).tolist() == [True, False, True, True]
 
 
 def test_bern2_conditional_is_stationary_measure():
