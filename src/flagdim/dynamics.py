@@ -14,10 +14,16 @@ as the spectrum's 64 replicas draws many folds per block and a pool of
 thousands one.  Each fold's log|diag R| is added to the stack's running
 sum in fold order, so no sum depends on where blocks end, and the block
 size trades only speed against memory.  A finite-support spec evolved
-this way (the spectrum, the stationary pools, every burn-in among them,
-and the d = 2 leading columns) draws atom indices instead, from the same
-stream, as counts of integer thresholds that the bit generator's raw
-words reach (``ensemble._atom_counts``), and folds them as words.  A
+this way (the stationary pools, every burn-in among them, the spectrum's
+burn-in and the d = 2 leading columns) draws atom indices instead, from
+the same stream, as counts of integer thresholds that the bit
+generator's raw words reach, one word an index
+(``ensemble._atom_counts``), and folds them as words.  The spectrum's
+measurement alone, on a spec of 2^b equiprobable atoms, b = 1, 2, 4 or
+8, draws packed indices: each step spends ceil(n b / 64) words, 64 / b
+indices a word (``ensemble._packed_atom_counts``, ``_spectrum_draws``).
+Both draws spend a fixed number of words a step, so neither depends on
+where blocks end.  A
 per-spec table, built on first use, holds every left-associated product
 of l atoms for l = 1..h, h the largest of 8, 4, 2 and 1 with K^h <=
 WORD_TABLE, and the largest condition number c_l over each length.  A
@@ -39,10 +45,11 @@ past alone forms (``push_flags``) bit for bit.  Each pool is then pushed
 through its own past's products (``push_folds``), one pool at a time.
 
 The spectrum's 64 replicas burn in as a stack (64, d, d - 1) of leading
-columns.  chi_1 + ... + chi_j is the growth rate of the j-volume of a
-flag's first j columns, to which the QR cocycle's sums of log r_11 ...
-log r_jj telescope (Oseledets; Bougerol-Lacroix, ch. III).  At d <= 3
-the replicas then take no QR step: each carries its first column x_1
+columns, and then measure on the burn-in's stream, on packed atom
+indices where the spec has them.  chi_1 + ... + chi_j is the growth
+rate of the j-volume of a flag's first j columns, to which the QR
+cocycle's sums of log r_11 ... log r_jj telescope (Oseledets;
+Bougerol-Lacroix, ch. III).  At d <= 3 the replicas then take no QR step: each carries its first column x_1
 and, at d = 3, the 2 x 2 minors x_2 of its first two columns, and
 advances them by every fold product P and its second compound C_2(P),
 one matrix-vector einsum per fold (``_minors2``,
@@ -140,8 +147,8 @@ from itertools import combinations
 import numpy as np
 
 from . import circle
-from .ensemble import (_atom_counts, _support, mean_log_abs_det,
-                       sample_batch)
+from .ensemble import (_atom_counts, _packed_atom_counts, _packed_bits,
+                       _support, mean_log_abs_det, sample_batch)
 from .errors import (DegenerateBasis, DegenerateFiberPair, GapTooSmall,
                      IntervalWrap)
 from .flagcore import (ORTHO_TOL, CircleMap, completion_frames, det2,
@@ -424,9 +431,10 @@ def evolve_flags(spec, bases, n_steps, sampler):
     replica-last (see ``_apply``), and each replica's log|diag R| summed
     over the steps (n, k), equal to the stepwise sums up to rounding.
     Each fold's log|diag R| goes into one running sum in fold order, so
-    the bases and sums do not depend on DRAW_BLOCK.  The spectrum draws
-    and folds the same way but takes no QR step after its burn-in (see
-    ``lyapunov_spectrum``).
+    the bases and sums do not depend on DRAW_BLOCK.  The spectrum folds
+    the same way, but its measurement draws packed atom indices where the
+    spec has them (``_spectrum_draws``) and at d <= 3 takes no QR step
+    (see ``lyapunov_spectrum``).
     """
     bases = np.asarray(bases, dtype=float)
     n = len(bases)
@@ -447,6 +455,16 @@ def _draws(spec, sampler, steps, n):
         return _atom_counts(spec, sampler, steps * n).reshape(steps, n)
     return sample_batch(spec, sampler, steps * n).reshape(
         steps, n, spec.dim, spec.dim)
+
+
+def _spectrum_draws(spec, sampler, steps, n):
+    """The spectrum's measurement draws, as ``_draws`` returns them: packed
+    atom indices for 2^b equiprobable atoms (``ensemble._packed_bits``),
+    ceil(n b / 64) raw words a step (``ensemble._packed_atom_counts``),
+    and ``_draws`` for every other spec."""
+    if _packed_bits(spec):
+        return _packed_atom_counts(spec, sampler, steps, n)
+    return _draws(spec, sampler, steps, n)
 
 
 def _fold_products(steps, width):
@@ -631,9 +649,12 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
     stationary flag; the standard error comes from the spread of replica
     means, which are independent by construction.  The replicas burn in as
     d - 1 leading columns (``stationary_flag_pool``) and advance by the
-    folded products P.  Each replica's chi_d is its draws' summed
-    log|det A_t| (finite support reads each fold's off its word codes;
-    every K S has log|det S|) less its d - 1 volume's growth.
+    folded products P.  The measurement draws on the burn-in's stream
+    after it, at d <= 3 and at d >= 4 alike, through ``_spectrum_draws``:
+    packed atom indices for 2^b equiprobable atoms, 64 / b a raw word, and
+    the burn-in's draw for every other spec.  Each replica's chi_d is its
+    draws' summed log|det A_t| (finite support reads each fold's off its
+    word codes; every K S has log|det S|) less its d - 1 volume's growth.
 
     At d <= 3 each replica carries, for j = 1..d-1, the Pluecker
     coordinates x_j of its first j columns: x_1 the first column, x_2 its
@@ -643,8 +664,9 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
     log r_jj telescopes to the growth of log|x_j|, so no Gram-Schmidt
     chain runs.  Each x_j is scaled by a power of two (``_rescale``) every
     ``per`` folds, counted from the first, and once more before the final
-    norms, so that |x_j|^2 cannot overflow.  The scaling is exact, so no
-    result depends on the schedule or on DRAW_BLOCK.  The schedule comes
+    norms, so that |x_j|^2 cannot overflow.  The scaling is exact and
+    each step's draw spends a fixed number of raw words, so no result
+    depends on the schedule or on DRAW_BLOCK.  The schedule comes
     from the draws' singular values: one fold changes |x_j| by at most W
     times the largest |log| of a draw's top or bottom j singular values,
     and ``per`` folds of that keep the largest entry of an x_j rescaled
@@ -691,7 +713,7 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
         folds = 0
     log_dets = np.zeros(replicas)
     for t in _block_steps(replicas, n_steps, width):
-        draws = _draws(spec, stream, t, replicas)
+        draws = _spectrum_draws(spec, stream, t, replicas)
         if spec.kind == "finite_support":
             runs, log_dets = _word_runs(spec, draws, log_dets)
         else:

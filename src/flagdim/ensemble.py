@@ -14,9 +14,12 @@ A Haar matrix K times the stretch S has the singular values and the
 finite list of matrices (``_support``) and is read in closed form.
 
 Sampling is counter-based: a (seed, stream) pair fully determines every
-draw.  Each job of a run draws on streams of its own, so jobs can run in
-any order or thread count with identical output; the replicas of one
-stack share the stack's stream (see ``dynamics``).
+draw.  Finite support draws atom indices by thresholds, one raw word an
+index (``_atom_counts``); the spectrum's measurement on 2^b equiprobable
+atoms reads 64 / b packed indices a word (``_packed_atom_counts``).
+Each job of a run draws on streams of its own, so jobs can run in any
+order or thread count with identical output; the replicas of one stack
+share the stack's stream (see ``dynamics``).
 """
 
 import itertools
@@ -197,6 +200,12 @@ def _atom_counts(spec, sampler, n):
     writes the counts, each later one adding to them.  Probabilities that
     are negative, NaN or do not sum to 1 within choice's tolerance raise
     ValueError, as choice does.
+
+    Every stack of the package draws its atoms this way, whatever their
+    weights, but for the spectrum's measurement on 2^b equiprobable atoms,
+    which draws packed indices of the same law (``_packed_atom_counts``).
+    Either draw spends a fixed number of words per index or per step, so
+    no result depends on how a stack's steps are cut into calls.
     """
     probs = spec.params["probs"].tolist()
     if not (all(p >= 0 for p in probs)
@@ -217,6 +226,50 @@ def _atom_counts(spec, sampler, n):
     return count
 
 
+# b -> the b-bit fields of every byte, lowest bits first, one byte per
+# field, as the 256 little-endian words of 8 / b bytes that a byte indexes
+_FIELD_TABLES = {b: ((np.arange(256)[:, None] >> (b * np.arange(8 // b)))
+                     & (2 ** b - 1)).astype(np.uint8).view(f"<u{8 // b}")[:, 0]
+                 for b in (1, 2, 4, 8)}
+
+
+def _packed_bits(spec):
+    """Bits b per atom index of a packed draw, or None when the spec has
+    none: finite support of K = 2^b atoms, b in 1, 2, 4 or 8, each of
+    probability exactly 1/K (``_packed_atom_counts``)."""
+    if spec.kind != "finite_support":
+        return None
+    probs = spec.params["probs"]
+    b = len(probs).bit_length() - 1
+    if (b in _FIELD_TABLES and len(probs) == 2 ** b
+            and np.all(probs == 2.0 ** -b)):
+        return b
+    return None
+
+
+def _packed_atom_counts(spec, sampler, steps, n):
+    """The next ``steps`` steps of atom indices of an n-stack, (steps, n),
+    for a spec of 2^b equiprobable atoms (``_packed_bits``).
+
+    Each step spends ceil(n b / 64) raw 64-bit words of the bit generator,
+    in step order, and replica r reads the b-bit field r mod (64 / b) of
+    the step's word r div (64 / b), lowest bits first.  The words are read
+    as little-endian bytes, so the indices do not depend on the host, and
+    a byte's fields are looked up in one table (``_FIELD_TABLES``).  A
+    step's words depend on nothing but the steps before it, so one call
+    of T steps draws what T calls of one step draw and leaves the stream
+    where they leave it.  The indices are uniform on the K atoms, the law
+    of ``_atom_counts``, which spends a word per index, but a different
+    draw of it.  Returns the counts in ``_atom_counts``'s dtype, one byte.
+    """
+    b = _packed_bits(spec)
+    words = -(-n * b // 64)
+    raw = sampler.rng.bit_generator.random_raw(steps * words)
+    octets = raw.astype("<u8", copy=False).view(np.uint8)
+    fields = _FIELD_TABLES[b].take(octets).view(np.uint8)
+    return fields.reshape(steps, words * 64 // b)[:, :n]
+
+
 def sample_batch(spec, sampler, n):
     """Draw n matrices as an (n, d, d) array.
 
@@ -224,6 +277,9 @@ def sample_batch(spec, sampler, n):
     given (seed, stream, call sequence) always yields the same bytes.
     Both kinds consume their stream in draw order, so one call of T n
     draws returns those of T calls of n draws in turn, byte for byte.
+    Finite support draws by ``_atom_counts``, one word per matrix,
+    whatever its weights: only the spectrum's measurement draws packed
+    indices (``_packed_atom_counts``), and it draws no matrices.
     """
     if spec.kind == "finite_support":
         return np.take(spec.params["atoms"], _atom_counts(spec, sampler, n),

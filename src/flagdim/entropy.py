@@ -204,7 +204,7 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     (``pin_diagnostic``) is reported, not enforced.
     """
     if orbit_samples < 2:
-        raise ValueError("orbit_samples must lie between 2 and tail_replicas")
+        raise ValueError(f"orbit_samples must be at least 2, got {orbit_samples}")
     pin_length = 0 if spec.dim == 2 else PIN_LENGTH
     i = fiber_index
     pool0, pool1 = pools

@@ -33,7 +33,7 @@ def density_route_reference(spec, fiber_index, pools, sampler,
                             realization_burnin=1000):
     """``kappa_density_estimator`` with a screen pass and a score pass."""
     if orbit_samples < 2:
-        raise ValueError("orbit_samples must lie between 2 and tail_replicas")
+        raise ValueError(f"orbit_samples must be at least 2, got {orbit_samples}")
     pin_length = 0 if spec.dim == 2 else PIN_LENGTH
     i = fiber_index
     pool0, pool1 = pools

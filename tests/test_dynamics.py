@@ -491,11 +491,18 @@ def test_spectrum_sum_rule_exact_determinant_benchmarks():
 
 def full_flag_means(spec, n_steps, sampler, burnin, replicas):
     """The reference: ``lyapunov_spectrum``'s stream advanced as full
-    flags, each exponent read off its own QR column.  Returns every
-    replica's mean log|diag R| (replicas, d)."""
+    flags, each exponent read off its own QR column.  The measurement
+    draws what the spectrum's draws (``_spectrum_draws``), in the same
+    blocks of whole folds as ``evolve_flags``.  Returns every replica's
+    mean log|diag R| (replicas, d)."""
     stream = sampler.child(0xCC)
     bases = stationary_flag_pool(spec, replicas, burnin, stream)
-    return evolve_flags(spec, bases, n_steps, stream)[1] / n_steps
+    logs = 0.0
+    for t in dynamics._block_steps(replicas, n_steps, fold_width(spec)):
+        draws = dynamics._spectrum_draws(spec, stream, t, replicas)
+        bases, logs = dynamics._apply(bases, dynamics._folds(spec, draws),
+                                      logs)
+    return logs / n_steps
 
 
 def assert_spectrum_matches(est, means, rel, abs_=0.0):
@@ -510,8 +517,14 @@ def assert_spectrum_matches(est, means, rel, abs_=0.0):
                                                        abs_))
 
 
+# four of diag4eps's eight atoms, equiprobable: a d = 4 chain on packed
+# atom indices (diag4eps itself has 8 = 2^3 atoms and draws thresholds)
+QUAD4 = finite_support("quad4", diag4eps().params["atoms"][::2],
+                       np.full(4, 0.25))
+
+
 @pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3(), diag4eps(),
-                                  SCALED3], ids=lambda s: s.name)
+                                  SCALED3, QUAD4], ids=lambda s: s.name)
 def test_spectrum_reads_chi_d_off_log_det(spec):
     # at d <= 3 the spectrum reads chi_1 + ... + chi_j off the growth of
     # the first j columns' compound vector, with no QR chain, and at
@@ -528,6 +541,26 @@ def test_spectrum_reads_chi_d_off_log_det(spec):
     if spec is SCALED3:
         # the replicas' log|det| sums differ, so chi_d reads the draws
         assert np.ptp(means.sum(axis=1)) > 1e-3
+
+
+@pytest.mark.parametrize("spec", [
+    SCALED3, finite_support("skew", bern2().params["atoms"], [0.75, 0.25]),
+    iso3(), diag4eps()], ids=lambda s: s.name)
+def test_spectrum_draws_thresholds_outside_equal_dyadic_weights(
+        monkeypatch, spec):
+    # unequal weights, 3 or 8 atoms, or Haar draws: the measurement draws
+    # what ``_draws`` draws, so the spectrum is that of the threshold draw
+    # bit for bit; bern2's packed draw reads other indices of the same law
+    def spectrum(s):
+        est = lyapunov_spectrum(s, 700, SeededSampler(57), burnin=50,
+                                replicas=16)
+        return np.concatenate([est.chi, est.stderr, est.gap_stderrs])
+
+    packed = [spectrum(s) for s in (spec, bern2())]
+    monkeypatch.setattr(dynamics, "_spectrum_draws", dynamics._draws)
+    drawn = [spectrum(s) for s in (spec, bern2())]
+    assert packed[0].tobytes() == drawn[0].tobytes()
+    assert packed[1].tobytes() != drawn[1].tobytes()
 
 
 @pytest.mark.parametrize("stretch, width", [(2.0, 2), (3.45, 1)])

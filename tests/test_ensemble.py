@@ -110,6 +110,72 @@ def test_atom_counts_read_choice_uniforms_at_the_thresholds(probs):
                           cdf.searchsorted(u, side="right"))
 
 
+def equiprobable(k):
+    """k scaled identities, each of probability 1/k."""
+    return finite_support(f"equal{k}", [np.eye(2) * (1.0 + j / k)
+                                        for j in range(k)], np.full(k, 1 / k))
+
+
+# one spec for each packed width b = 1, 2, 4 and 8
+PACKED = [bern2(), diag3eps(), equiprobable(16), equiprobable(256)]
+
+
+@pytest.mark.parametrize("spec, bits", [
+    (bern2(), 1), (diag3eps(), 2), (equiprobable(16), 4),
+    (equiprobable(256), 8), (equiprobable(8), None), (equiprobable(1), None),
+    (unequal("three", 3), None), (three_atoms("thirds", [1 / 3] * 3), None),
+    (finite_support("skew", bern2().params["atoms"], [0.75, 0.25]), None),
+    (iso3(), None), (rot2(), None)], ids=lambda v: getattr(v, "name", v))
+def test_packed_draws_take_only_dyadic_equal_weights(spec, bits):
+    assert ensemble._packed_bits(spec) == bits
+
+
+@pytest.mark.parametrize("spec", PACKED, ids=lambda s: s.name)
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 200])
+def test_packed_draw_of_t_steps_equals_t_one_step_draws(spec, n):
+    # each step spends its own words, so any split of the steps into
+    # calls draws the same indices and leaves the stream at one place
+    stepwise, one_call = SeededSampler(53, 1), SeededSampler(53, 1)
+    steps = np.concatenate([ensemble._packed_atom_counts(spec, stepwise, 1, n)
+                            for _ in range(30)])
+    got = ensemble._packed_atom_counts(spec, one_call, 30, n)
+    assert got.shape == (30, n) and got.dtype == np.uint8
+    assert np.array_equal(got, steps)
+    assert (stepwise.rng.bit_generator.random_raw()
+            == one_call.rng.bit_generator.random_raw())
+
+
+@pytest.mark.parametrize("spec", PACKED, ids=lambda s: s.name)
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 200])
+def test_packed_draw_reads_shifts_and_masks_of_its_raw_words(spec, n):
+    # T ceil(n b / 64) words, and replica r reads the b-bit field
+    # r mod (64 / b) of its step's word r div (64 / b), lowest bits first
+    b = ensemble._packed_bits(spec)
+    words, per = -(-n * b // 64), 64 // b
+    drawn, fresh = SeededSampler(54), SeededSampler(54)
+    got = ensemble._packed_atom_counts(spec, drawn, 30, n)
+    raw = fresh.rng.bit_generator.random_raw(30 * words).reshape(30, words)
+    r = np.arange(n)
+    want = (raw[:, r // per] >> (b * (r % per)).astype(np.uint64)) & (2 ** b - 1)
+    assert np.array_equal(got, want)
+    assert (drawn.rng.bit_generator.random_raw()
+            == fresh.rng.bit_generator.random_raw())
+
+
+@pytest.mark.parametrize("spec, critical", [(bern2(), 10.83),
+                                            (diag3eps(), 16.27)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_packed_indices_are_uniform(spec, critical):
+    # chi-square of 64 000 indices against 1/K each, below its 0.999
+    # quantile (1 and 3 degrees of freedom)
+    idx = ensemble._packed_atom_counts(spec, SeededSampler(55), 1000, 64)
+    k = len(spec.params["probs"])
+    counts = np.bincount(idx.ravel(), minlength=k)
+    expected = idx.size / k
+    assert len(counts) == k
+    assert np.sum((counts - expected) ** 2 / expected) < critical
+
+
 @pytest.mark.parametrize("probs", [[0.5, 0.6], [-0.5, 1.5], [np.nan, 1.0]])
 def test_atom_indices_refuse_what_choice_refuses(probs):
     # a spec built in code runs without validate, so the draw keeps
