@@ -37,12 +37,13 @@ Every fold of matrices, as against words of atom indices, is formed by
 one routine, ``_fold_products``: each fold's running products,
 left-associated, for every fold and replica at once.  It folds a stack's
 drawn matrices (``_folds``), which the orbit traces' folds are too, and
-the pinned pasts.  A pinned past is a sequence of the spec's draws and
-folds at W too.  The pasts of R realizations fold at
-once, on a copy of the pins (``pin_folds``); numpy multiplies a stack one
-2-d product at a time, so each product is the one a push through that
-past alone forms (``push_flags``) bit for bit.  Each pool is then pushed
-through its own past's products (``push_folds``), one pool at a time.
+the pinned pasts.  A pinned past is a stretch of a realization's orbit
+window and folds at W too: ``pinned_samples`` folds the pasts of all of
+a trace's realizations at once, on a copy of the draws.  numpy multiplies
+a stack one 2-d product at a time, so each product is the one a push
+through that past alone forms (``push_flags``) bit for bit.  Each pool
+is then pushed through its own past, one pool at a time, and read in the
+frame the trace keeps at the past's end.
 
 The spectrum's 64 replicas burn in as a stack (64, d, d - 1) of leading
 columns, and then measure on the burn-in's stream, on packed atom
@@ -114,9 +115,9 @@ back through every fold map of the continuation and then of the window,
 one renormalization per fold.
 
 A d = 2 sample of the stationary measure needs nothing but the line of
-each flag: ``stationary_lines`` runs leading columns (R, 2, 1) from e_1
-through ``evolve_flags`` and reads their angles after a burn-in and again
-every THINNING steps, off independent replicas rather than one orbit: on
+each flag: ``stationary_lines`` burns in a ``stationary_flag_pool`` of
+leading columns (R, 2, 1) and reads their angles then and again every
+THINNING steps, off independent replicas rather than one orbit: on
 bern2, cos 4 theta has autocorrelation -0.64 at lag 5 along one orbit, so
 the points of one thinned orbit sample nu poorly.  The thinned reads of a
 draw block come from one draw, and their THINNING-step products are
@@ -505,35 +506,40 @@ def _folds(spec, draws):
 def push_flags(pinned, bases, spec):
     """Apply a fixed sequence of the spec's draws to every base in the stack.
 
-    One past (T, d, d) through ``pin_folds`` and ``push_folds``: the
-    sequence folds ``fold_width(spec)`` steps at a time, as any draws of
-    the spec do, so a push costs one QR step of the stack per fold rather
-    than one per matrix.  The package pushes its pools through
-    ``pin_folds`` products directly; this per-past push is the reference
-    the tests hold that batched chain to, and keeps its name for the
-    benchmark's tracer.
+    The sequence (T, d, d) folds ``fold_width(spec)`` steps at a time
+    (``_fold_ends``), as any draws of the spec do, so a push costs one QR
+    step of the stack per fold rather than one per matrix.  The package
+    pushes its pools through ``pinned_samples``; this per-past push is
+    the reference the tests hold that routine to, and keeps its name for
+    the benchmark's tracer.
     """
-    (folds,) = pin_folds(spec, np.asarray(pinned, dtype=float)[None])
-    return push_folds(folds, bases)
+    chain = _fold_ends(np.array(pinned, dtype=float)[None], fold_width(spec))
+    return _apply(bases, chain)[0]
 
 
-def pin_folds(spec, pins):
-    """Fold products of R pinned pasts (R, T, d, d), one list per past.
+def pinned_samples(trace, pools, i, start, end):
+    """Fiber-i coordinates of ``pools[r]`` (tail flags, or their i leading
+    columns) pushed through realization r's steps from ``start`` to
+    ``end`` of the trace's window and read in the frame kept at ``end``.
 
-    All R pasts fold at once (``_fold_ends``), at the spec's fold width,
-    on a copy, so ``pins`` (a trace's matrices, say) is never written.
-    Past r's products are those of its steps folded alone, bit for bit.
-    Each product is a (1, d, d) view; ``push_folds`` pushes a stack
-    through one past's list.
+    Every past folds at once (``_fold_ends``) on a copy, so the trace's
+    draws are never written, and sample r is ``push_flags`` of past r bit
+    for bit.  Only a pool's leading i columns are pushed: Gram-Schmidt
+    never reads a later one.  The samples come as the caller reads them,
+    one pool pushed at a time.  An ``end`` the trace does not keep raises
+    IndexError, a ``start`` before the window or after ``end`` ValueError.
     """
-    chain = _fold_ends(np.array(pins, dtype=float), fold_width(spec))
-    return [[p[r, None] for p in chain] for r in range(len(pins))]
-
-
-def push_folds(folds, bases):
-    """A stack of flag bases pushed through one past's ``pin_folds``
-    products: ``push_flags`` of that past, bit for bit."""
-    return _apply(bases, folds)[0]
+    k = trace.index(end)
+    t0 = int(trace.times[0])
+    if not t0 <= start <= end:
+        raise ValueError(f"pinned past [{start}, {end}] is not in the "
+                         f"window [{t0}, {trace.times[-1]}]")
+    chain = _fold_ends(np.array(trace.matrices[:, start - t0: end - t0],
+                                dtype=float), fold_width(trace.spec))
+    return (fiber_coordinates(_apply(pool[..., :i], past[:, None])[0],
+                              frame, i)
+            for pool, frame, past in zip(pools, trace.frames[:, k],
+                                         chain.swapaxes(0, 1), strict=True))
 
 
 def stationary_flag_pool(spec, count, burnin, sampler, columns=None):
@@ -553,10 +559,10 @@ def stationary_flag_pool(spec, count, burnin, sampler, columns=None):
 def stationary_lines(spec, replicas, burnin, count, sampler):
     """``count`` angles of d = 2 lines, approximate draws from nu.
 
-    ``replicas`` leading columns (R, 2, 1) start at e_1 and run ``burnin``
-    steps through ``evolve_flags``; their fiber coordinates are read then,
-    and again every THINNING steps, until ``count`` angles are held (the
-    last read cut short).  Reads of one replica are correlated, reads of
+    ``replicas`` leading columns (R, 2, 1) burn in ``burnin`` steps as a
+    ``stationary_flag_pool``; their fiber coordinates are read then, and
+    again every THINNING steps, until ``count`` angles are held (the last
+    read cut short).  Reads of one replica are correlated, reads of
     different replicas independent.  Only the angles are kept.
 
     The thinned reads draw on the same stream as ``evolve_flags`` calls of
@@ -567,10 +573,8 @@ def stationary_lines(spec, replicas, burnin, count, sampler):
     of the stack then takes its QR steps, so the angles are those of the
     per-read calls bit for bit.
     """
-    start = np.zeros((replicas, 2, 1))
-    start[:, 0, 0] = 1.0
+    lines = stationary_flag_pool(spec, replicas, burnin, sampler, columns=1)
     # the fiber plane of d = 2 is the whole plane, framed by e_1, e_2
-    lines, _ = evolve_flags(spec, start, burnin, sampler)
     reads = [fiber_coordinates(lines, np.eye(2), 1)]
     steps = (-(-count // replicas) - 1) * THINNING
     for t in _block_steps(replicas, steps, THINNING):

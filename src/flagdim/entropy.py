@@ -50,7 +50,7 @@ import numpy as np
 
 from . import circle
 from .dynamics import (DEGENERATE_DISTANCE, INTERVAL_STABLE_TOL, Arc,
-                       forward_orbit, pin_folds, pull_forward, push_folds,
+                       forward_orbit, pinned_samples, pull_forward,
                        stable_coordinates, stationary_interval,
                        stationary_lines, stationary_orbit)
 from .ensemble import sample_batch
@@ -84,32 +84,6 @@ def _atomic_gate(coords, context):
             f"{ATOM_RESOLUTION:g} persists across sample sizes")
 
 
-def _pushed_coordinates(folds, pool, frame, i):
-    """Fiber-i coordinates, in ``frame``, of ``pool`` pushed through one
-    pinned past: the conditional sample given that past.
-
-    ``folds`` is the past's list of ``pin_folds`` products; every
-    realization's pin is folded in one chain before any pool is pushed,
-    and each pool is pushed alone, so no stack holds more than one pool.
-    Only the leading i columns are pushed: the coordinate reads column i,
-    and Gram-Schmidt never reads a later one.
-    """
-    return fiber_coordinates(push_folds(folds, pool[..., :i]), frame, i)
-
-
-def _half_pin_diagnostic(spec, pinned, pool, frame, i, coords):
-    """Wasserstein distance between the full- and half-pin fiber samples.
-
-    ``coords`` is the pool pushed through the whole pin ``pinned`` (T, d,
-    d) and read in ``frame``; the half-pin sample keeps only the pin's
-    later half.
-    """
-    (folds,) = pin_folds(spec, pinned[None, len(pinned) // 2:])
-    half = _pushed_coordinates(folds, pool, frame, i)
-    return wasserstein_circle(EmpiricalCircleMeasure.from_samples(coords),
-                              EmpiricalCircleMeasure.from_samples(half))
-
-
 def conditional_fiber_sample(spec, fiber_index, pools, sampler,
                              realization_burnin=1000):
     """Conditional fiber samples over pinned pasts, one array per pool.
@@ -121,13 +95,13 @@ def conditional_fiber_sample(spec, fiber_index, pools, sampler,
     steps from the standard flag and then runs a window of its M pinned
     steps (PIN_LENGTH, and 0 when d = 2: a trivial partial flag needs no
     pin); the fiber frame at the window's end, the one time it reads, is
-    its reference.  The pins
-    fold in one chain (``pin_folds``), and realization r then pushes the
-    r-th pool alone: the pool shares that pinned recent past, differs in
-    the remote past, and is read in the reference's fiber frame.  Returns
-    one array of fiber coordinates per realization, in pool order, so a
-    pick by index follows the draws rather than the frame; each equals
-    the pool pushed through its own pin by ``push_flags``, bit for bit.
+    its reference.  Realization r pushes the r-th pool through its pin
+    (``pinned_samples`` over [-M, 0]): the pool shares that pinned recent
+    past, differs in the remote past, and is read in the reference's
+    fiber frame.  Returns one array of fiber coordinates per realization,
+    in pool order, so a pick by index follows the draws rather than the
+    frame; each equals the pool pushed through its own pin by
+    ``push_flags``, bit for bit.
     """
     pin_length = 0 if spec.dim == 2 else PIN_LENGTH
     # the burn-in before the pin approximates a stationary start
@@ -135,10 +109,7 @@ def conditional_fiber_sample(spec, fiber_index, pools, sampler,
                              sampler.child(0), replicas=len(pools))
     # the tail replicas carry their own flags; reading them all in the one
     # reference frame makes them one conditional sample
-    return [_pushed_coordinates(folds, pool, frame, fiber_index)
-            for folds, frame, pool in zip(pin_folds(spec, trace.matrices),
-                                          trace.frames[:, -1], pools,
-                                          strict=True)]
+    return list(pinned_samples(trace, pools, fiber_index, -pin_length, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,15 +164,16 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     ``pools`` is the pair (pool0, pool1) of the times 0 and 1, pools of
     tail flags (samples of the stationary measure, full flags or at least
     their i leading columns); the diagnostics report their size as
-    ``tail_replicas``.  Every realization's pins at times 0 and 1 fold in
-    one chain each (``pin_folds``) before the loop, and each realization
-    then pushes the two pools through its own products, one pool at a
-    time.
+    ``tail_replicas``.  The conditionals at times 0 and 1 are
+    ``pinned_samples`` over [-M, 0] and [1 - M, 1], each realization's
+    pools pushed through its own pins one pool at a time.
 
     M is PIN_LENGTH, and 0 when d = 2: a trivial partial flag means the
     conditional measure is the stationary measure itself and any pin
     would condition on more than the flag.  The half-pin diagnostic
-    (``pin_diagnostic``) is reported, not enforced.
+    (``pin_diagnostic``), the distance between the first realization's
+    time-1 sample and one over the later M - M // 2 steps of its pin, is
+    reported, not enforced.
     """
     if orbit_samples < 2:
         raise ValueError(f"orbit_samples must be at least 2, got {orbit_samples}")
@@ -214,21 +186,22 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     trace = stationary_orbit(spec, i, pin_length + 1, realization_burnin,
                              stream, t_end=1, replicas=orbit_samples,
                              times=(0,))
-    mats = trace.matrices
-    folds0 = pin_folds(spec, mats[:, :pin_length])
-    folds1 = pin_folds(spec, mats[:, 1:])
+    samples0 = pinned_samples(trace, [pool0] * orbit_samples, i,
+                              -pin_length, 0)
+    samples1 = pinned_samples(trace, [pool1] * orbit_samples, i,
+                              1 - pin_length, 1)
     kappas = []
     skipped = 0
     diag = None
-    for r in range(orbit_samples):
-        frame0, frame1 = trace.frames[r, -2:]
+    for r, (coords0, coords1) in enumerate(zip(samples0, samples1)):
         x1 = float(trace.x[r, -1])
-        coords0 = _pushed_coordinates(folds0[r], pool0, frame0, i)
-        coords1 = _pushed_coordinates(folds1[r], pool1, frame1, i)
         if r == 0:
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
-            diag = _half_pin_diagnostic(spec, mats[r, 1:], pool1, frame1, i,
-                                        coords1)
+            (half,) = pinned_samples(trace.select([0]), [pool1], i,
+                                     1 - (pin_length - pin_length // 2), 1)
+            diag = wasserstein_circle(
+                EmpiricalCircleMeasure.from_samples(coords1),
+                EmpiricalCircleMeasure.from_samples(half))
         pushed_all = fiber_map_image(trace.maps[r, -1], coords0)
         halves = (pushed_all[::2], coords1[::2])
         candidates = np.concatenate([[x1], pushed_all[1::2]])
@@ -522,12 +495,13 @@ class GapRow:
 
     @property
     def bound_satisfied(self):
-        slack = 2.0 * float(np.hypot(self.kappa_stderr, self.gap_stderr))
+        slack = SIGNIFICANCE * float(np.hypot(self.kappa_stderr,
+                                              self.gap_stderr))
         return self.kappa <= self.gap + slack
 
     @property
     def zero_consistent(self):
-        return abs(self.kappa) <= 2.0 * self.kappa_stderr
+        return abs(self.kappa) <= SIGNIFICANCE * self.kappa_stderr
 
     def line(self):
         verdict = "ok" if self.bound_satisfied else "VIOLATED"

@@ -94,7 +94,7 @@ from .dynamics import (interval_decay_curve, lyapunov_spectrum,
                        stationary_flag_pool, stationary_lines)
 from .ensemble import (BENCHMARKS, SeededSampler, check_spec, from_text,
                        mean_log_abs_det, validate)
-from .entropy import (TAIL_BURNIN, GapRow,
+from .entropy import (SIGNIFICANCE, TAIL_BURNIN, GapRow,
                       conditional_fiber_sample, dimension_formula_report,
                       furstenberg_entropy_d2, kappa_density_estimator,
                       kappa_interval_estimator)
@@ -446,8 +446,8 @@ def _entropy_rows(spectrum, results):
                                    gap=spectrum.gap(i),
                                    gap_stderr=spectrum.gap_stderr(i)))
         if kd is not None and ki is not None:
-            both_zero = (abs(kd.kappa) <= 2 * kd.stderr
-                         and abs(ki.kappa) <= 2 * ki.stderr)
+            both_zero = (abs(kd.kappa) <= SIGNIFICANCE * kd.stderr
+                         and abs(ki.kappa) <= SIGNIFICANCE * ki.stderr)
             if not both_zero:
                 # relative agreement is vacuous between two zeros
                 scale = max(abs(kd.kappa), abs(ki.kappa), 1e-12)

@@ -9,8 +9,10 @@ drawn from those that pass.  Both draw the same queries on the same
 stream and read the same per-query sums, so the route must equal this
 reference bit for bit.  It also pushes each realization's pool through
 its own pin with ``push_flags`` and reads it with ``fiber_coordinates``,
-one pin at a time, where the route folds every realization's pin in one
-chain first (``pin_folds``), so the chain is held to per-pin pushes too.
+one pin at a time, and cuts the half pin off that pin, where the route
+reads every pinned sample through ``dynamics.pinned_samples``, which
+folds every realization's pin in one chain first and picks its steps and
+frames by time; so that routine is held to per-pin pushes too.
 """
 
 import numpy as np

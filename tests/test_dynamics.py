@@ -12,7 +12,7 @@ from flagdim.dynamics import (DECAY_STABLE_TOL, FOLD_COND_CAP,
                               batched_orthonormalize, circle_map_between,
                               evolve_flags, fold_width, forward_orbit,
                               interval_decay_curve, lyapunov_spectrum,
-                              pin_folds, pull_forward,
+                              pinned_samples, pull_forward,
                               push_arc, push_flags, stable_coordinates,
                               stationary_flag_pool, stationary_interval,
                               stationary_lines, stationary_orbit)
@@ -387,19 +387,37 @@ def test_orbit_window_is_one_draw_call():
 
 
 @pytest.mark.parametrize("spec", [diag3eps(), iso3()], ids=lambda s: s.name)
-def test_pin_folds_fold_each_past_alone_and_keep_the_pins(spec):
-    # six pasts of 99 steps, a trace's matrices, fold at once: past r's
-    # products are its own steps multiplied out left-associated, W at a
-    # time and a short last fold, bit for bit; the pins are not written
-    trace = stationary_orbit(spec, 1, 100, 20, SeededSampler(52), replicas=6)
-    pins = trace.matrices[:, 1:]
-    before = trace.matrices.tobytes()
-    folds = pin_folds(spec, pins)
-    assert trace.matrices.tobytes() == before
-    for past, got in zip(pins, folds, strict=True):
-        want = left_folds(past, fold_width(spec))
-        assert [p.shape for p in got] == [(1, 3, 3)] * len(want)
-        assert all(p[0].tobytes() == w.tobytes() for p, w in zip(got, want))
+def test_pinned_samples_push_each_pool_through_its_own_past(spec):
+    # four realizations over the window [-60, 1], which names 0: the
+    # samples over [-60, 0] and [-59, 1] are each realization's own pool
+    # pushed through its own steps alone (push_flags) and read in the
+    # frames kept at 0 and 1, bit for bit, and the trace's draws are not
+    # written (a Haar trace's matrices are its draws, and the fold is in
+    # place)
+    m = 60
+    trace = stationary_orbit(spec, 1, m + 1, 20, SeededSampler(52), t_end=1,
+                             replicas=4, times=(0,))
+    pools = [stationary_flag_pool(spec, 50, 30, SeededSampler(60 + r))
+             for r in range(4)]
+    before = trace.draws.tobytes()
+    for i in (1, 2):
+        for start, end, steps in ((-m, 0, slice(0, m)),
+                                  (1 - m, 1, slice(1, m + 1))):
+            got = list(pinned_samples(trace, pools, i, start, end))
+            assert len(got) == 4 and trace.draws.tobytes() == before
+            frames = trace.frames[:, trace.index(end)]
+            for r, sample in enumerate(got):
+                pushed = push_flags(trace.matrices[r, steps], pools[r], spec)
+                want = fiber_coordinates(pushed, frames[r], i)
+                assert sample.tobytes() == want.tobytes()
+    # -1 ends no fold, and 2 is past the window
+    for end in (-1, 2):
+        with pytest.raises(IndexError, match=f"time {end} is not kept"):
+            pinned_samples(trace, pools, 1, -m, end)
+    # a start outside [-60, end] would slice the wrong steps silently
+    for start, end in ((-m - 1, 0), (1, 0), (2, 1)):
+        with pytest.raises(ValueError, match="is not in the window"):
+            pinned_samples(trace, pools, 1, start, end)
 
 
 @pytest.mark.parametrize("stretch, width", [(2.0, 2), (3.45, 1)],

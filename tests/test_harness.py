@@ -150,19 +150,28 @@ def test_verify_draws_each_bank_once_for_both_fibers(monkeypatch):
 
 
 def test_d2_density_and_dimension_legs_draw_no_bank(monkeypatch):
-    # d = 2: the density leg and the dimension report read replicas of
-    # their own and never call their routes' banks.  The dimension command
-    # runs only those two legs, so the one pool drawn is the spectrum's
-    # 64 replicas; verify adds the interval route's pair, which every d
-    # reads
+    # d = 2: the density leg and the dimension report burn in replicas of
+    # their own (stationary_lines) and never call their routes' banks.
+    # The dimension command runs only those two legs, so the pools drawn
+    # are the spectrum's 64 replicas and the two legs' lines, and no bank;
+    # verify adds the interval route's pair, which every d reads
     sizes = _pool_sizes(monkeypatch)
+    banks = []
+    real = harness._tail_pools
+
+    def spy(cfg, spec, *streams):
+        banks.append(len(streams))
+        return real(cfg, spec, *streams)
+    monkeypatch.setattr(harness, "_tail_pools", spy)
     cfg = harness.load_config(None, dict(TINY, ensemble="bern2"), environ={})
     bundle = harness.run(cfg, "dimension")
     assert bundle.kappas and bundle.ball_curves
-    assert sizes == [64]
+    assert sizes == [64, cfg.tail_replicas, harness.LINE_REPLICAS]
+    assert banks == []
     sizes.clear()
     harness.run_verify(cfg)
-    assert sizes.count(cfg.tail_replicas) == 2
+    assert sizes.count(cfg.tail_replicas) == 1 + 2
+    assert banks == [2]
 
 
 @pytest.mark.parametrize("ensemble", ["bern2", "diag3eps"])
