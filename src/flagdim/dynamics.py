@@ -14,16 +14,17 @@ as the spectrum's 64 replicas draws many folds per block and a pool of
 thousands one.  Each fold's log|diag R| is added to the stack's running
 sum in fold order, so no sum depends on where blocks end, and the block
 size trades only speed against memory.  A finite-support spec evolved
-this way (the stationary pools, every burn-in among them, the spectrum's
-burn-in and the d = 2 leading columns) draws atom indices instead, from
-the same stream, as counts of integer thresholds that the bit
-generator's raw words reach, one word an index
-(``ensemble._atom_counts``), and folds them as words.  The spectrum's
-measurement alone, on a spec of 2^b equiprobable atoms, b = 1, 2, 4 or
-8, draws packed indices: each step spends ceil(n b / 64) words, 64 / b
-indices a word (``ensemble._packed_atom_counts``, ``_spectrum_draws``).
-Both draws spend a fixed number of words a step, so neither depends on
-where blocks end.  A
+this way (the stationary pools, the orbit windows' burn-ins and the
+spectrum's burn-in) draws atom indices instead, from the same stream, as
+counts of integer thresholds that the bit generator's raw words reach,
+one word an index (``ensemble._atom_counts``), and folds them as words.
+Two stacks, on a spec of 2^b equiprobable atoms, b = 1, 2, 4 or 8, draw
+packed indices instead: the spectrum's measurement and the d = 2
+stationary sample, its burn-in and its reads.  Each of their steps
+spends ceil(n b / 64) words, 64 / b indices a word
+(``ensemble._packed_atom_counts``, ``_packed_draws``); every other spec
+draws thresholds there too.  Both draws spend a fixed number of words a
+step, so neither depends on where blocks end.  A
 per-spec table, built on first use, holds every left-associated product
 of l atoms for l = 1..h, h the largest of 8, 4, 2 and 1 with K^h <=
 WORD_TABLE, and the largest condition number c_l over each length.  A
@@ -119,9 +120,12 @@ each flag: ``stationary_lines`` burns in a ``stationary_flag_pool`` of
 leading columns (R, 2, 1) and reads their angles then and again every
 THINNING steps, off independent replicas rather than one orbit: on
 bern2, cos 4 theta has autocorrelation -0.64 at lag 5 along one orbit, so
-the points of one thinned orbit sample nu poorly.  The thinned reads of a
-draw block come from one draw, and their THINNING-step products are
-formed (gathered, for finite support) at once.
+the points of one thinned orbit sample nu poorly.  The burn-in and the
+reads draw packed atom indices where the spec has them
+(``_packed_draws``): 6000 bern2 lines spend 94 words a step, not 6000.
+The thinned reads of a draw block come from one draw, and their
+THINNING-step products are formed (gathered, for finite support) at
+once.
 
 Intervals are carried as an anchor plus two signed offsets, never as
 absolute endpoints.  A map B at the anchor u acts on an offset delta
@@ -418,36 +422,6 @@ def _block_steps(n, steps, width):
         yield min(per, steps - lo)
 
 
-def evolve_flags(spec, bases, n_steps, sampler):
-    """Advance a stack of flag bases n_steps with fresh draws.
-
-    Step t draws one matrix per replica, as ``sample_batch(spec, sampler,
-    n)`` would, in blocks of whole folds (``_block_steps``), each folded W
-    = ``fold_width(spec)`` steps at a time: about n_steps / W QR steps.
-    Only the draw differs between the kinds (``_draws``).  Finite support
-    draws a block's atom indices on the same stream, as narrow counts
-    (``ensemble._atom_counts``), and folds them as words
-    (``_word_products``); rotation_invariant draws the matrices and folds
-    them in place (``_fold_products``).  Returns the bases reached, held
-    replica-last (see ``_apply``), and each replica's log|diag R| summed
-    over the steps (n, k), equal to the stepwise sums up to rounding.
-    Each fold's log|diag R| goes into one running sum in fold order, so
-    the bases and sums do not depend on DRAW_BLOCK.  The spectrum folds
-    the same way, but its measurement draws packed atom indices where the
-    spec has them (``_spectrum_draws``) and at d <= 3 takes no QR step
-    (see ``lyapunov_spectrum``).
-    """
-    bases = np.asarray(bases, dtype=float)
-    n = len(bases)
-    logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
-    # a block's draws live only through its own folds, so none is held
-    # while the next block is drawn
-    for t in _block_steps(n, n_steps, fold_width(spec)):
-        bases, logs = _apply(bases, _folds(spec, _draws(spec, sampler, t, n)),
-                             logs)
-    return bases, logs
-
-
 def _draws(spec, sampler, steps, n):
     """The next ``steps`` draws of an n-stack, step-major: atom counts
     (steps, n) for finite support (``ensemble._atom_counts``), matrices
@@ -458,14 +432,47 @@ def _draws(spec, sampler, steps, n):
         steps, n, spec.dim, spec.dim)
 
 
-def _spectrum_draws(spec, sampler, steps, n):
-    """The spectrum's measurement draws, as ``_draws`` returns them: packed
-    atom indices for 2^b equiprobable atoms (``ensemble._packed_bits``),
-    ceil(n b / 64) raw words a step (``ensemble._packed_atom_counts``),
-    and ``_draws`` for every other spec."""
-    if _packed_bits(spec):
-        return _packed_atom_counts(spec, sampler, steps, n)
+def _packed_draws(spec, sampler, steps, n):
+    """``_draws`` on packed atom indices where the spec has them: for 2^b
+    equiprobable atoms (``ensemble._packed_bits``), ceil(n b / 64) raw
+    words a step (``ensemble._packed_atom_counts``), and ``_draws`` for
+    every other spec.  The spectrum's measurement and the d = 2 lines
+    draw this way."""
+    b = _packed_bits(spec)
+    if b:
+        return _packed_atom_counts(sampler, steps, n, b)
     return _draws(spec, sampler, steps, n)
+
+
+def evolve_flags(spec, bases, n_steps, sampler, draw=_draws):
+    """Advance a stack of flag bases n_steps with fresh draws.
+
+    Step t draws one matrix per replica, as ``sample_batch(spec, sampler,
+    n)`` would, in blocks of whole folds (``_block_steps``), each folded W
+    = ``fold_width(spec)`` steps at a time: about n_steps / W QR steps.
+    Only the draw differs between the kinds (``_draws``).  Finite support
+    draws a block's atom indices on the same stream, as narrow counts
+    (``ensemble._atom_counts``), and folds them as words
+    (``_word_products``); rotation_invariant draws the matrices and folds
+    them in place (``_fold_products``).  ``draw`` is the stack's draw
+    routine, ``_draws`` or, for the d = 2 lines, ``_packed_draws``.
+    Returns the bases reached, held replica-last (see ``_apply``), and
+    each replica's log|diag R| summed over the steps (n, k), equal to the
+    stepwise sums up to rounding.  Each fold's log|diag R| goes into one
+    running sum in fold order, so the bases and sums do not depend on
+    DRAW_BLOCK.  The spectrum folds the same way, but its measurement
+    draws packed atom indices where the spec has them (``_packed_draws``)
+    and at d <= 3 takes no QR step (see ``lyapunov_spectrum``).
+    """
+    bases = np.asarray(bases, dtype=float)
+    n = len(bases)
+    logs = np.zeros(bases.shape[:-2] + bases.shape[-1:])
+    # a block's draws live only through its own folds, so none is held
+    # while the next block is drawn
+    for t in _block_steps(n, n_steps, fold_width(spec)):
+        bases, logs = _apply(bases, _folds(spec, draw(spec, sampler, t, n)),
+                             logs)
+    return bases, logs
 
 
 def _fold_products(steps, width):
@@ -542,18 +549,21 @@ def pinned_samples(trace, pools, i, start, end):
                                          chain.swapaxes(0, 1), strict=True))
 
 
-def stationary_flag_pool(spec, count, burnin, sampler, columns=None):
+def stationary_flag_pool(spec, count, burnin, sampler, columns=None,
+                         draw=_draws):
     """Approximate i.i.d. draws from the stationary flag distribution.
 
     Runs ``count`` independent replicas from the standard flag for
     ``burnin`` steps; with a positive gap they forget the start
     exponentially.  With ``columns`` = k given, only the k leading columns
     (count, d, k) run, which are those of the full flags bit for bit:
-    Gram-Schmidt never reads a later column.
+    Gram-Schmidt never reads a later column.  ``draw`` is the stack's draw
+    routine (see ``evolve_flags``): the tail pools and every burn-in but
+    the d = 2 lines' draw thresholds.
     """
     start = np.eye(spec.dim)[:, :columns]
     return evolve_flags(spec, np.broadcast_to(start, (count,) + start.shape),
-                        burnin, sampler)[0]
+                        burnin, sampler, draw)[0]
 
 
 def stationary_lines(spec, replicas, burnin, count, sampler):
@@ -563,8 +573,13 @@ def stationary_lines(spec, replicas, burnin, count, sampler):
     ``stationary_flag_pool``; their fiber coordinates are read then, and
     again every THINNING steps, until ``count`` angles are held (the last
     read cut short).  Reads of one replica are correlated, reads of
-    different replicas independent.  Only the angles are kept.
+    different replicas independent.  Only the angles are kept, written
+    read by read into one array.
 
+    Both the burn-in and the reads draw through ``_packed_draws``: on 2^b
+    equiprobable atoms each step spends ceil(R b / 64) raw words, so the
+    call leaves the stream (burnin + (reads - 1) THINNING) ceil(R b / 64)
+    words on; every other spec draws as ``evolve_flags`` does by default.
     The thinned reads draw on the same stream as ``evolve_flags`` calls of
     THINNING steps would, but one draw block of whole reads at a time
     (``_block_steps``): a block's k reads fold as one stack of k R
@@ -573,12 +588,14 @@ def stationary_lines(spec, replicas, burnin, count, sampler):
     of the stack then takes its QR steps, so the angles are those of the
     per-read calls bit for bit.
     """
-    lines = stationary_flag_pool(spec, replicas, burnin, sampler, columns=1)
+    lines = stationary_flag_pool(spec, replicas, burnin, sampler, columns=1,
+                                 draw=_packed_draws)
+    reads = np.empty((max(1, -(-count // replicas)), replicas))
     # the fiber plane of d = 2 is the whole plane, framed by e_1, e_2
-    reads = [fiber_coordinates(lines, np.eye(2), 1)]
-    steps = (-(-count // replicas) - 1) * THINNING
-    for t in _block_steps(replicas, steps, THINNING):
-        draws = _draws(spec, sampler, t, replicas)
+    reads[0] = fiber_coordinates(lines, np.eye(2), 1)
+    k = 1
+    for t in _block_steps(replicas, (len(reads) - 1) * THINNING, THINNING):
+        draws = _packed_draws(spec, sampler, t, replicas)
         rest = draws.shape[2:]
         # (THINNING, reads * R): read j's replica r is column j R + r
         draws = draws.reshape((-1, THINNING, replicas) + rest).swapaxes(
@@ -586,8 +603,9 @@ def stationary_lines(spec, replicas, burnin, count, sampler):
         products = _folds(spec, draws)
         for lo in range(0, draws.shape[1], replicas):
             lines, _ = _apply(lines, [p[lo: lo + replicas] for p in products])
-            reads.append(fiber_coordinates(lines, np.eye(2), 1))
-    return np.concatenate(reads)[:count]
+            reads[k] = fiber_coordinates(lines, np.eye(2), 1)
+            k += 1
+    return reads.reshape(-1)[:count]
 
 
 @dataclass(frozen=True, eq=False)
@@ -654,7 +672,7 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
     means, which are independent by construction.  The replicas burn in as
     d - 1 leading columns (``stationary_flag_pool``) and advance by the
     folded products P.  The measurement draws on the burn-in's stream
-    after it, at d <= 3 and at d >= 4 alike, through ``_spectrum_draws``:
+    after it, at d <= 3 and at d >= 4 alike, through ``_packed_draws``:
     packed atom indices for 2^b equiprobable atoms, 64 / b a raw word, and
     the burn-in's draw for every other spec.  Each replica's chi_d is its
     draws' summed log|det A_t| (finite support reads each fold's off its
@@ -717,7 +735,7 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
         folds = 0
     log_dets = np.zeros(replicas)
     for t in _block_steps(replicas, n_steps, width):
-        draws = _spectrum_draws(spec, stream, t, replicas)
+        draws = _packed_draws(spec, stream, t, replicas)
         if spec.kind == "finite_support":
             runs, log_dets = _word_runs(spec, draws, log_dets)
         else:

@@ -15,8 +15,9 @@ finite list of matrices (``_support``) and is read in closed form.
 
 Sampling is counter-based: a (seed, stream) pair fully determines every
 draw.  Finite support draws atom indices by thresholds, one raw word an
-index (``_atom_counts``); the spectrum's measurement on 2^b equiprobable
-atoms reads 64 / b packed indices a word (``_packed_atom_counts``).
+index (``_atom_counts``); the spectrum's measurement and the d = 2
+stationary sample, on 2^b equiprobable atoms, read 64 / b packed indices
+a word (``_packed_atom_counts``).
 Each job of a run draws on streams of its own, so jobs can run in any
 order or thread count with identical output; the replicas of one stack
 share the stack's stream (see ``dynamics``).
@@ -202,8 +203,9 @@ def _atom_counts(spec, sampler, n):
     ValueError, as choice does.
 
     Every stack of the package draws its atoms this way, whatever their
-    weights, but for the spectrum's measurement on 2^b equiprobable atoms,
-    which draws packed indices of the same law (``_packed_atom_counts``).
+    weights, but for the spectrum's measurement and the d = 2 stationary
+    sample (``dynamics.stationary_lines``) on 2^b equiprobable atoms,
+    which draw packed indices of the same law (``_packed_atom_counts``).
     Either draw spends a fixed number of words per index or per step, so
     no result depends on how a stack's steps are cut into calls.
     """
@@ -247,9 +249,9 @@ def _packed_bits(spec):
     return None
 
 
-def _packed_atom_counts(spec, sampler, steps, n):
+def _packed_atom_counts(sampler, steps, n, b):
     """The next ``steps`` steps of atom indices of an n-stack, (steps, n),
-    for a spec of 2^b equiprobable atoms (``_packed_bits``).
+    for a spec of 2^b equiprobable atoms, b its ``_packed_bits``.
 
     Each step spends ceil(n b / 64) raw 64-bit words of the bit generator,
     in step order, and replica r reads the b-bit field r mod (64 / b) of
@@ -262,7 +264,6 @@ def _packed_atom_counts(spec, sampler, steps, n):
     of ``_atom_counts``, which spends a word per index, but a different
     draw of it.  Returns the counts in ``_atom_counts``'s dtype, one byte.
     """
-    b = _packed_bits(spec)
     words = -(-n * b // 64)
     raw = sampler.rng.bit_generator.random_raw(steps * words)
     octets = raw.astype("<u8", copy=False).view(np.uint8)
@@ -278,8 +279,9 @@ def sample_batch(spec, sampler, n):
     Both kinds consume their stream in draw order, so one call of T n
     draws returns those of T calls of n draws in turn, byte for byte.
     Finite support draws by ``_atom_counts``, one word per matrix,
-    whatever its weights: only the spectrum's measurement draws packed
-    indices (``_packed_atom_counts``), and it draws no matrices.
+    whatever its weights: only the spectrum's measurement and the d = 2
+    stationary sample draw packed indices (``_packed_atom_counts``), and
+    they draw no matrices.
     """
     if spec.kind == "finite_support":
         return np.take(spec.params["atoms"], _atom_counts(spec, sampler, n),

@@ -283,7 +283,9 @@ def kernel_sums(points, x, bandwidth, labels=None, n_labels=1, exclude=None):
         scaled[rows, cols] -= np.sum(
             np.where(inside, h - np.abs(copies - q[:, None]), 0.0), axis=1)
         counts[rows, cols] -= np.count_nonzero(inside, axis=1)
-    return scaled / (h * h), counts
+    # in place: no second queries x labels array
+    scaled /= h * h
+    return scaled, counts
 
 
 def _sorted_union(a, b):

@@ -122,14 +122,26 @@ def test_block_steps_hold_whole_folds(n, steps, width):
     assert all(t * n <= max(dynamics.DRAW_BLOCK, n * width) for t in blocks)
 
 
-def stepwise_advance(spec, bases, steps, sampler):
-    """The reference: one draw and one QR step per step."""
+def stepwise_advance(spec, bases, steps, sampler, batch=sample_batch):
+    """The reference: one draw and one QR step per step, each step's
+    matrices drawn by ``batch(spec, sampler, n)``."""
     logs = 0.0
     for _ in range(steps):
         bases, logr = batched_orthonormalize(
-            sample_batch(spec, sampler, len(bases)) @ bases)
+            batch(spec, sampler, len(bases)) @ bases)
         logs = logs + logr
     return bases, logs
+
+
+def packed_batch(spec, sampler, n):
+    """One step's n matrices as the d = 2 lines draw them: the atoms at
+    packed indices, ceil(n b / 64) raw words, for 2^b equiprobable atoms,
+    and ``sample_batch`` for every other spec."""
+    b = ensemble._packed_bits(spec)
+    if b is None:
+        return sample_batch(spec, sampler, n)
+    return spec.params["atoms"].take(
+        ensemble._packed_atom_counts(sampler, 1, n, b)[0], axis=0)
 
 
 def left_folds(mats, width):
@@ -510,14 +522,14 @@ def test_spectrum_sum_rule_exact_determinant_benchmarks():
 def full_flag_means(spec, n_steps, sampler, burnin, replicas):
     """The reference: ``lyapunov_spectrum``'s stream advanced as full
     flags, each exponent read off its own QR column.  The measurement
-    draws what the spectrum's draws (``_spectrum_draws``), in the same
+    draws what the spectrum's draws (``_packed_draws``), in the same
     blocks of whole folds as ``evolve_flags``.  Returns every replica's
     mean log|diag R| (replicas, d)."""
     stream = sampler.child(0xCC)
     bases = stationary_flag_pool(spec, replicas, burnin, stream)
     logs = 0.0
     for t in dynamics._block_steps(replicas, n_steps, fold_width(spec)):
-        draws = dynamics._spectrum_draws(spec, stream, t, replicas)
+        draws = dynamics._packed_draws(spec, stream, t, replicas)
         bases, logs = dynamics._apply(bases, dynamics._folds(spec, draws),
                                       logs)
     return logs / n_steps
@@ -575,7 +587,7 @@ def test_spectrum_draws_thresholds_outside_equal_dyadic_weights(
         return np.concatenate([est.chi, est.stderr, est.gap_stderrs])
 
     packed = [spectrum(s) for s in (spec, bern2())]
-    monkeypatch.setattr(dynamics, "_spectrum_draws", dynamics._draws)
+    monkeypatch.setattr(dynamics, "_packed_draws", dynamics._draws)
     drawn = [spectrum(s) for s in (spec, bern2())]
     assert packed[0].tobytes() == drawn[0].tobytes()
     assert packed[1].tobytes() != drawn[1].tobytes()
@@ -1416,30 +1428,34 @@ def test_decay_slope_stderr_is_the_replica_spread():
 @pytest.mark.parametrize("spec", [bern2(), iso2()], ids=lambda s: s.kind)
 def test_stationary_lines_read_replicas_every_thinning_steps(spec):
     # the folded word and matrix paths against one QR step per draw: a
-    # read after the burn-in, then one every THINNING steps, the last cut
+    # read after the burn-in, then one every THINNING steps, the last cut;
+    # bern2 draws packed atom indices, a step at a time
     replicas, burnin, count = 7, 30, 31
     got = stationary_lines(spec, replicas, burnin, count, SeededSampler(45))
     stream = SeededSampler(45)
     lines = np.zeros((replicas, 2, 1))
     lines[:, 0, 0] = 1.0
-    lines = stepwise_advance(spec, lines, burnin, stream)[0]
+    lines = stepwise_advance(spec, lines, burnin, stream, packed_batch)[0]
     want = []
     for _ in range(5):   # four whole reads of 7 replicas and three angles
         want.append(np.arctan2(lines[:, 1, 0], lines[:, 0, 0]))
-        lines = stepwise_advance(spec, lines, THINNING, stream)[0]
+        lines = stepwise_advance(spec, lines, THINNING, stream,
+                                 packed_batch)[0]
     want = circle.wrap(np.concatenate(want)[:count])
     assert len(got) == count
     assert np.max(circle.distance(got, want)) < 1e-12
 
 
 def _lines_per_read(spec, replicas, burnin, count, sampler):
-    """``stationary_lines`` as one ``evolve_flags`` call per thinned read."""
+    """``stationary_lines`` as one ``evolve_flags`` call per thinned read,
+    each drawing as the lines do (``_packed_draws``)."""
+    draw = dynamics._packed_draws
     lines = np.zeros((replicas, 2, 1))
     lines[:, 0, 0] = 1.0
-    lines, _ = evolve_flags(spec, lines, burnin, sampler)
+    lines, _ = evolve_flags(spec, lines, burnin, sampler, draw)
     reads = [fiber_coordinates(lines, np.eye(2), 1)]
     for _ in range(1, -(-count // replicas)):
-        lines, _ = evolve_flags(spec, lines, THINNING, sampler)
+        lines, _ = evolve_flags(spec, lines, THINNING, sampler, draw)
         reads.append(fiber_coordinates(lines, np.eye(2), 1))
     return np.concatenate(reads)[:count]
 
@@ -1468,6 +1484,51 @@ def test_stationary_lines_equal_per_read_evolve_flags(spec, replicas, count):
     want = _lines_per_read(spec, replicas, 30, count, SeededSampler(46))
     assert len(got) == count
     assert got.tobytes() == want.tobytes()
+
+
+# bern2's atoms and their transposes, equiprobable: d = 2 lines on packed
+# indices of b = 2 bits
+QUAD2 = finite_support("quad2", [*bern2().params["atoms"],
+                                 *bern2().params["atoms"].swapaxes(1, 2)],
+                       np.full(4, 0.25))
+
+
+@pytest.mark.parametrize("spec, bits", [(bern2(), 1), (QUAD2, 2)],
+                         ids=lambda v: getattr(v, "name", v))
+@pytest.mark.parametrize("replicas", [64, 200])
+def test_stationary_lines_spend_packed_words_per_step(spec, bits, replicas):
+    # burn-in and reads alike spend ceil(R b / 64) raw words a step, in one
+    # draw block each at 64 replicas and in three or four at 200: the call
+    # leaves the stream (burnin + (reads - 1) THINNING) ceil(R b / 64)
+    # words on
+    assert ensemble._packed_bits(spec) == bits
+    burnin, reads = 400, 100
+    drawn, fresh = SeededSampler(49), SeededSampler(49)
+    got = stationary_lines(spec, replicas, burnin, reads * replicas - 3,
+                           drawn)
+    assert len(got) == reads * replicas - 3
+    fresh.rng.bit_generator.random_raw(
+        (burnin + (reads - 1) * THINNING) * -(-replicas * bits // 64))
+    assert (drawn.rng.bit_generator.random_raw()
+            == fresh.rng.bit_generator.random_raw())
+
+
+@pytest.mark.parametrize("spec", [rot2(), iso2(), three2()],
+                         ids=lambda s: s.name)
+def test_stationary_lines_draw_thresholds_outside_equal_dyadic_weights(
+        monkeypatch, spec):
+    # Haar draws or unequal weights: the burn-in and the reads draw what
+    # ``_draws`` draws, as they did before the lines packed, so the angles
+    # are the threshold draw's bit for bit; bern2's packed draw reads
+    # other indices of the same law
+    def lines(s):
+        return stationary_lines(s, 100, 60, 1000, SeededSampler(47))
+
+    packed = [lines(s) for s in (spec, bern2())]
+    monkeypatch.setattr(dynamics, "_packed_draws", dynamics._draws)
+    drawn = [lines(s) for s in (spec, bern2())]
+    assert packed[0].tobytes() == drawn[0].tobytes()
+    assert packed[1].tobytes() != drawn[1].tobytes()
 
 
 @pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3(), diag4eps()],

@@ -135,10 +135,11 @@ def test_packed_draws_take_only_dyadic_equal_weights(spec, bits):
 def test_packed_draw_of_t_steps_equals_t_one_step_draws(spec, n):
     # each step spends its own words, so any split of the steps into
     # calls draws the same indices and leaves the stream at one place
+    b = ensemble._packed_bits(spec)
     stepwise, one_call = SeededSampler(53, 1), SeededSampler(53, 1)
-    steps = np.concatenate([ensemble._packed_atom_counts(spec, stepwise, 1, n)
+    steps = np.concatenate([ensemble._packed_atom_counts(stepwise, 1, n, b)
                             for _ in range(30)])
-    got = ensemble._packed_atom_counts(spec, one_call, 30, n)
+    got = ensemble._packed_atom_counts(one_call, 30, n, b)
     assert got.shape == (30, n) and got.dtype == np.uint8
     assert np.array_equal(got, steps)
     assert (stepwise.rng.bit_generator.random_raw()
@@ -153,7 +154,7 @@ def test_packed_draw_reads_shifts_and_masks_of_its_raw_words(spec, n):
     b = ensemble._packed_bits(spec)
     words, per = -(-n * b // 64), 64 // b
     drawn, fresh = SeededSampler(54), SeededSampler(54)
-    got = ensemble._packed_atom_counts(spec, drawn, 30, n)
+    got = ensemble._packed_atom_counts(drawn, 30, n, b)
     raw = fresh.rng.bit_generator.random_raw(30 * words).reshape(30, words)
     r = np.arange(n)
     want = (raw[:, r // per] >> (b * (r % per)).astype(np.uint64)) & (2 ** b - 1)
@@ -168,7 +169,8 @@ def test_packed_draw_reads_shifts_and_masks_of_its_raw_words(spec, n):
 def test_packed_indices_are_uniform(spec, critical):
     # chi-square of 64 000 indices against 1/K each, below its 0.999
     # quantile (1 and 3 degrees of freedom)
-    idx = ensemble._packed_atom_counts(spec, SeededSampler(55), 1000, 64)
+    idx = ensemble._packed_atom_counts(SeededSampler(55), 1000, 64,
+                                       ensemble._packed_bits(spec))
     k = len(spec.params["probs"])
     counts = np.bincount(idx.ravel(), minlength=k)
     expected = idx.size / k
