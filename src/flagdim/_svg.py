@@ -128,20 +128,23 @@ def line_plot(path, title, xlabel, ylabel, series):
 
 
 def bar_pairs(path, title, ylabel, categories, first, second, pair_names):
-    """Two bars per category (e.g. kappa next to the exponent gap)."""
+    """Two bars per category (e.g. kappa next to the exponent gap), each
+    drawn from 0 to its value on an axis that spans 0 and every value."""
     first = np.asarray(first, dtype=float)
     second = np.asarray(second, dtype=float)
+    low = float(min(first.min(), second.min(), 0.0))
     top = float(max(first.max(), second.max(), 0.0))
     c = _Canvas(title, "", ylabel, (0.0, float(len(categories))),
-                (0.0, top * 1.15 if top > 0 else 1.0))
+                (low * 1.15 if low < 0 else 0.0,
+                 top * 1.15 if top > low else 1.0))
     width = 0.32
     for k, cat in enumerate(categories):
         for j, (vals, color) in enumerate(((first, PALETTE[0]),
                                            (second, PALETTE[1]))):
             x0 = c.px(k + 0.18 + j * width)
             x1 = c.px(k + 0.18 + (j + 1) * width)
-            y0 = c.py(float(vals[k]))
-            y1 = c.py(0.0)
+            y0 = c.py(max(float(vals[k]), 0.0))
+            y1 = c.py(min(float(vals[k]), 0.0))
             c.parts.append(
                 f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
                 f'height="{y1 - y0:.2f}" fill="{color}"/>')

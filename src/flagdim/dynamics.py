@@ -27,24 +27,26 @@ draws thresholds there too.  Both draws spend a fixed number of words a
 step, so neither depends on where blocks end.  A
 per-spec table, built on first use, holds every left-associated product
 of l atoms for l = 1..h, h the largest of 8, 4, 2 and 1 with K^h <=
-WORD_TABLE, and the largest condition number c_l over each length.  A
-fold of W = q h + r steps is the product, left to right, of q tabled
-h-words and one r-word, so its condition number is at most c_h^q c_r by
-submultiplicativity: bern2 folds 43 steps and diag3eps 32.  A
+WORD_TABLE, its log|det|, and the largest condition number c_l over each
+length.  A fold of W = q h + r steps is the product, left to right, of q
+tabled h-words and one r-word, so its condition number is at most c_h^q
+c_r by submultiplicativity: bern2 folds 43 steps and diag3eps 32.  A
 rotation_invariant draw K S has the singular values of S, so the bound
 is cond(S)^W: iso2 folds 30 steps, iso3 24 and rot2 64.
 
-Every fold of matrices, as against words of atom indices, is formed by
-one routine, ``_fold_products``: each fold's running products,
+Every stack folds its draws through one routine, ``_folds``: the
+evolved stacks, the spectrum, the d = 2 lines and the orbit traces.  It
+returns one (F, m, d, d) stack of fold products for either kind, read
+from the word tables for finite support.  Every fold of matrices is
+formed by ``_fold_products``: each fold's running products,
 left-associated, for every fold and replica at once.  It folds a stack's
-drawn matrices (``_folds``), which the orbit traces' folds are too, and
-the pinned pasts.  A pinned past is a stretch of a realization's orbit
-window and folds at W too: ``pinned_samples`` folds the pasts of all of
-a trace's realizations at once, on a copy of the draws.  numpy multiplies
-a stack one 2-d product at a time, so each product is the one a push
-through that past alone forms (``push_flags``) bit for bit.  Each pool
-is then pushed through its own past, one pool at a time, and read in the
-frame the trace keeps at the past's end.
+drawn matrices and the pinned pasts.  A pinned past is a stretch of a
+realization's orbit window and folds at W too: ``pinned_samples`` folds
+the pasts of all of a trace's realizations at once, on a copy of the
+draws.  numpy multiplies a stack one 2-d product at a time, so each
+product is the one a push through that past alone forms (``push_flags``)
+bit for bit.  Each pool is then pushed through its own past, one pool at
+a time, and read in the frame the trace keeps at the past's end.
 
 The spectrum's 64 replicas burn in as a stack (64, d, d - 1) of leading
 columns, and then measure on the burn-in's stream, on packed atom
@@ -59,17 +61,17 @@ one matrix-vector einsum per fold (``_minors2``,
 Gram-Schmidt never reads a later column, so chi_1 ... chi_{d-1} are
 those of full flags bit for bit.  Each replica's chi_d is its draws'
 summed log|det A_t| less its d - 1 volume's growth.  Finite support
-reads a fold's log|det| from per-word tables at the fold's word codes
-(``_word_log_dets``); every rotation_invariant draw K S has log|det S|.
+reads a fold's log|det| off the word tables at the codes its product is
+read at (``_folds``); every rotation_invariant draw K S has log|det S|.
 No other stack sums log|det|.
 
 Stacks that advance this way (pools of thousands of replicas, the
 spectrum's burn-in and its d >= 4 chain) keep their shape (n, d, k) but
 are held replica-last: the replica axis is innermost in memory.  Word
 tables are (d, d, K^l) buffers, so a gather of words comes out
-replica-last; the words are folded by ``einsum``, each product times the
-stack is formed in Fortran order, and ``batched_orthonormalize`` returns
-Q in its input's order.
+replica-last; the words are folded by ``einsum`` into a (d, d, F, m)
+buffer, each product times the stack is formed in Fortran order, and
+``batched_orthonormalize`` returns Q in its input's order.
 Every elementwise step of the fold, the product and Gram-Schmidt then
 runs over contiguous replicas instead of once per 3x3 matrix.
 
@@ -226,10 +228,9 @@ def _runs(seq, width):
             yield part.reshape((-1, w) + part.shape[1:])
 
 
-# spec -> _word_tables(spec), _word_log_dets(spec) and fold_width(spec):
-# pure functions of the spec, dropped with it
+# spec -> _word_tables(spec) and fold_width(spec): pure functions of the
+# spec, dropped with it
 _WORD_TABLES = weakref.WeakKeyDictionary()
-_WORD_LOG_DETS = weakref.WeakKeyDictionary()
 _FOLD_WIDTHS = weakref.WeakKeyDictionary()
 
 
@@ -254,32 +255,36 @@ def _fold_width(h, conds):
 
 
 def _word_tables(spec):
-    """A finite-support spec's word length h, fold width and tables.
+    """A finite-support spec's word length h, fold width, tables and
+    log|det|s.
 
     Built on first use.  For each length l = 1..h the table holds the
     product of every word of l atom indices (i_0, ..., i_{l-1}), i_0 acting
     first, at its base-K code i_0 + i_1 K + ... + i_{l-1} K^(l-1), as the
     left-associated a_{i_{l-1}} (... (a_{i_1} a_{i_0})) that
-    ``_fold_products`` forms.  h is the largest of 8, 4, 2 and 1 with K^h
-    <= WORD_TABLE, so no table holds more than WORD_TABLE products except
-    the atoms themselves when K exceeds it.  The fold width comes from
-    each length's largest 2-norm condition number (see ``_fold_width``).
-    Each table is a (d, d, K^l) buffer read through a (K^l, d, d) view, so
-    that a gather along its last axis (``_gather``) comes out
-    replica-last.
+    ``_fold_products`` forms, and the log|det| table at the same code the
+    sum of log|det a_{i_j}| over the word's atoms.  h is the largest of 8,
+    4, 2 and 1 with K^h <= WORD_TABLE, so no table holds more than
+    WORD_TABLE products except the atoms themselves when K exceeds it.
+    The fold width comes from each length's largest 2-norm condition
+    number (see ``_fold_width``).  Each table is a (d, d, K^l) buffer read
+    through a (K^l, d, d) view, so that a gather along its last axis
+    (``_gather``) comes out replica-last.
     """
     tables = _WORD_TABLES.get(spec)
     if tables is None:
         atoms = spec.params["atoms"]
         k, d = len(atoms), spec.dim
         h = next(w for w in (8, 4, 2, 1) if k ** w <= WORD_TABLE or w == 1)
-        prods = [atoms]
+        prods, dets = [atoms], [np.linalg.slogdet(atoms)[1]]
         for _ in range(1, h):
             prods.append((atoms[:, None] @ prods[-1][None]).reshape(-1, d, d))
+            dets.append((dets[0][:, None] + dets[-1][None]).reshape(-1))
         conds = [1.0] + [float(np.max(np.linalg.cond(p))) for p in prods]
         views = [np.moveaxis(np.ascontiguousarray(np.moveaxis(p, 0, -1)), -1, 0)
                  for p in prods]
-        tables = _WORD_TABLES.setdefault(spec, (h, _fold_width(h, conds), views))
+        tables = _WORD_TABLES.setdefault(
+            spec, (h, _fold_width(h, conds), views, dets))
     return tables
 
 
@@ -316,22 +321,6 @@ def _gather(table, codes):
     return words.transpose(tuple(range(2, words.ndim)) + (0, 1))
 
 
-def _word_log_dets(spec):
-    """A finite-support spec's log|det| of every tabled word, by length.
-
-    Built on first use, beside the word tables and in their codes: entry
-    i_0 + i_1 K + ... of length l is the sum of log|det a_{i_j}| over the
-    word's atoms.  Only the spectrum reads them (``lyapunov_spectrum``).
-    """
-    dets = _WORD_LOG_DETS.get(spec)
-    if dets is None:
-        dets = [np.linalg.slogdet(spec.params["atoms"])[1]]
-        for _ in range(1, _word_tables(spec)[0]):
-            dets.append((dets[0][:, None] + dets[-1][None]).reshape(-1))
-        dets = _WORD_LOG_DETS.setdefault(spec, dets)
-    return dets
-
-
 def _word_codes(words, k):
     """Base-K codes (..., m) of words (..., l, m) of atom indices, i_0 +
     i_1 K + ... + i_{l-1} K^(l-1), by Horner's rule in the indices' own
@@ -342,50 +331,6 @@ def _word_codes(words, k):
     for j in range(words.shape[-2] - 2, -1, -1):
         code = code * k + words[..., j, :]
     return code
-
-
-def _word_runs(spec, idx, log_dets=None):
-    """Fold products of the atoms idx (T, m) names, read from word tables.
-
-    Each run of the spec's fold width W (the last one shorter when T is not
-    a multiple) is cut into sub-words of h (see ``_word_tables``); its
-    product is the sub-words' tabled products multiplied left to right.
-    The width keeps every product under FOLD_COND_CAP, so none is checked
-    or cut.  Returns one (f, m, d, d) array of products per run of
-    ``_runs``, replica-last, and the running sum ``log_dets`` (m,): when
-    given, each fold's log|det|, read from ``_word_log_dets`` at the same
-    word codes, is added to it in fold order (one sequential
-    ``np.add.accumulate``); when None, it stays None.
-    """
-    h, width, tables = _word_tables(spec)
-    k = len(spec.params["atoms"])
-    out = []
-    for runs in _runs(idx, width):
-        f, w, m = runs.shape
-        q, r = divmod(w, h)
-        codes = [(h, _word_codes(runs[:, :q * h].reshape(
-            f, q, h, m).swapaxes(0, 1), k))]
-        if r:
-            codes.append((r, _word_codes(runs[:, q * h:], k)[None]))
-        words = [p for length, c in codes
-                 for p in _gather(tables[length - 1], c)]
-        prod = words[0]
-        for p in words[1:]:
-            prod = _einsum("...ij,...jk->...ik", p, prod)
-        out.append(prod)
-        if log_dets is not None:
-            dets = _word_log_dets(spec)
-            folds = sum(dets[length - 1].take(c).sum(axis=0)
-                        for length, c in codes)
-            log_dets = np.add.accumulate(
-                np.concatenate([log_dets[None], folds]))[-1]
-    return out, log_dets
-
-
-def _word_products(spec, idx, log_dets=None):
-    """``_word_runs`` as one list of (m, d, d) products in fold order."""
-    runs, log_dets = _word_runs(spec, idx, log_dets)
-    return [p for run in runs for p in run], log_dets
 
 
 def _apply(bases, products, logs=0.0):
@@ -452,9 +397,9 @@ def evolve_flags(spec, bases, n_steps, sampler, draw=_draws):
     = ``fold_width(spec)`` steps at a time: about n_steps / W QR steps.
     Only the draw differs between the kinds (``_draws``).  Finite support
     draws a block's atom indices on the same stream, as narrow counts
-    (``ensemble._atom_counts``), and folds them as words
-    (``_word_products``); rotation_invariant draws the matrices and folds
-    them in place (``_fold_products``).  ``draw`` is the stack's draw
+    (``ensemble._atom_counts``), and rotation_invariant the matrices; one
+    ``_folds`` call turns either into the block's stack of fold products,
+    and the stack takes one QR step per fold.  ``draw`` is the stack's draw
     routine, ``_draws`` or, for the d = 2 lines, ``_packed_draws``.
     Returns the bases reached, held replica-last (see ``_apply``), and
     each replica's log|diag R| summed over the steps (n, k), equal to the
@@ -501,13 +446,49 @@ def _fold_ends(steps, width):
     return _fold_products(steps, width)[:, ends].swapaxes(0, 1).copy()
 
 
-def _folds(spec, draws):
-    """Fold products of ``_draws`` output (T, m, ...): finite support folds
-    the counts as words (``_word_products``), matrices fold in place
-    (``_fold_ends``)."""
-    if spec.kind == "finite_support":
-        return _word_products(spec, draws)[0]
-    return _fold_ends(draws.swapaxes(0, 1), fold_width(spec))
+def _folds(spec, draws, log_dets=None):
+    """Fold products (F, m, d, d) of ``_draws`` output (T, m, ...), W =
+    ``fold_width(spec)`` steps at a time, the last fold shorter when T is
+    not a multiple of W.
+
+    Drawn matrices fold in place (``_fold_ends``).  Finite support reads
+    its folds from the word tables (see ``_word_tables``): each run of
+    ``_runs`` is cut into sub-words of h, and a fold's product is its
+    sub-words' tabled products multiplied left to right, one einsum per
+    sub-word for the run's folds at once.  Each run goes into one stack
+    by one assignment; the stack is a (d, d, F, m) buffer, so every fold
+    is held replica-last.  The width keeps every product under
+    FOLD_COND_CAP, so none is checked or cut.  ``log_dets`` (m,), when
+    given, is a running sum to which each word fold's log|det|, read from
+    the tables at the same codes, is added in fold order, one sequential
+    ``np.add.accumulate`` a run; the folds of matrices leave it alone.
+    """
+    if spec.kind != "finite_support":
+        return _fold_ends(draws.swapaxes(0, 1), fold_width(spec))
+    h, width, tables, dets = _word_tables(spec)
+    k, d, (t, m) = len(tables[0]), spec.dim, draws.shape
+    stack = np.empty((d, d, -(-t // width), m)).transpose(2, 3, 0, 1)
+    lo = 0
+    for runs in _runs(draws, width):
+        f, w, _ = runs.shape
+        q, r = divmod(w, h)
+        codes = [(h, _word_codes(runs[:, :q * h].reshape(
+            f, q, h, m).swapaxes(0, 1), k))]
+        if r:
+            codes.append((r, _word_codes(runs[:, q * h:], k)[None]))
+        words = [p for length, c in codes
+                 for p in _gather(tables[length - 1], c)]
+        prod = words[0]
+        for p in words[1:]:
+            prod = _einsum("...ij,...jk->...ik", p, prod)
+        stack[lo: lo + f] = prod
+        lo += f
+        if log_dets is not None:
+            folds = sum(dets[length - 1].take(c).sum(axis=0)
+                        for length, c in codes)
+            log_dets[...] = np.add.accumulate(
+                np.concatenate([log_dets[None], folds]))[-1]
+    return stack
 
 
 def push_flags(pinned, bases, spec):
@@ -602,7 +583,7 @@ def stationary_lines(spec, replicas, burnin, count, sampler):
             0, 1).reshape((THINNING, -1) + rest)
         products = _folds(spec, draws)
         for lo in range(0, draws.shape[1], replicas):
-            lines, _ = _apply(lines, [p[lo: lo + replicas] for p in products])
+            lines, _ = _apply(lines, products[:, lo: lo + replicas])
             reads[k] = fiber_coordinates(lines, np.eye(2), 1)
             k += 1
     return reads.reshape(-1)[:count]
@@ -675,8 +656,12 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
     after it, at d <= 3 and at d >= 4 alike, through ``_packed_draws``:
     packed atom indices for 2^b equiprobable atoms, 64 / b a raw word, and
     the burn-in's draw for every other spec.  Each replica's chi_d is its
-    draws' summed log|det A_t| (finite support reads each fold's off its
-    word codes; every K S has log|det S|) less its d - 1 volume's growth.
+    draws' summed log|det A_t| (finite support reads each fold's off the
+    word tables, and ``_folds`` adds it to the sum as it folds the block;
+    every K S has log|det S|) less its d - 1 volume's growth.  Each draw
+    block folds in one ``_folds`` call into a stack (F, m, d, d), which
+    the d >= 4 chain takes one QR step per fold and the d <= 3 compounds
+    copy, replica-last, into their block.
 
     At d <= 3 each replica carries, for j = 1..d-1, the Pluecker
     coordinates x_j of its first j columns: x_1 the first column, x_2 its
@@ -735,26 +720,16 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
         folds = 0
     log_dets = np.zeros(replicas)
     for t in _block_steps(replicas, n_steps, width):
-        draws = _packed_draws(spec, stream, t, replicas)
-        if spec.kind == "finite_support":
-            runs, log_dets = _word_runs(spec, draws, log_dets)
-        else:
-            runs = [_folds(spec, draws)]
-        # a block's draws live only until they are folded, as in
-        # ``evolve_flags``
-        del draws
+        prods = _folds(spec, _packed_draws(spec, stream, t, replicas),
+                       log_dets)
         if chain:
-            bases, logs = _apply(bases, (p for run in runs for p in run),
-                                 logs)
+            bases, logs = _apply(bases, prods, logs)
             continue
         # (F, d - 1, d, d, m): P and, at d = 3, C_2(P), for every fold,
         # written in place so that no other copy of the block is held
-        comps = np.empty((-(-t // width), d - 1, d, d, replicas))
-        f = 0
-        for run in runs:
-            comps[f: f + len(run), 0] = run.transpose(0, 2, 3, 1)
-            f += len(run)
-        del runs, run
+        comps = np.empty((len(prods), d - 1, d, d, replicas))
+        comps[:, 0] = prods.transpose(0, 2, 3, 1)
+        del prods
         if d == 3:
             _minors2(comps[:, 0], out=comps[:, 1])
         for c in comps:

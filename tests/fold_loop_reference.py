@@ -53,10 +53,14 @@ def gather(table, codes):
                        (0, 1), (-2, -1))
 
 
-def word_products(spec, idx, log_dets=None):
-    """``dynamics._word_products`` of the atom indices idx (T, m)."""
-    h, width, tables = dynamics._word_tables(spec)
-    out = []
+def folds(spec, idx, log_dets=None):
+    """``dynamics._folds`` of the atom indices idx (T, m): the stack (F, m,
+    d, d) of a (d, d, F, m) buffer, each run's products assigned into it,
+    and ``log_dets`` with each fold's log|det| added to it in turn."""
+    h, width, tables, dets = dynamics._word_tables(spec)
+    (t, m), d = idx.shape, spec.dim
+    stack = np.moveaxis(np.empty((d, d, -(-t // width), m)), (0, 1), (2, 3))
+    lo = 0
     for runs in dynamics._runs(idx, width):
         codes = word_codes(runs, h, len(spec.params["atoms"]))
         words = [p for length, c in codes
@@ -64,13 +68,13 @@ def word_products(spec, idx, log_dets=None):
         prod = words[0]
         for p in words[1:]:
             prod = np.einsum("...ij,...jk->...ik", p, prod)
-        out.extend(prod)
+        stack[lo: lo + len(prod)] = prod
+        lo += len(prod)
         if log_dets is not None:
-            dets = dynamics._word_log_dets(spec)
             for fold in sum(np.take(dets[length - 1], c).sum(axis=0)
                             for length, c in codes):
                 log_dets = log_dets + fold
-    return out, log_dets
+    return stack, log_dets
 
 
 def apply(bases, products, logs=0.0):

@@ -189,14 +189,19 @@ SCALED3 = finite_support(
     "scaled3", [np.exp(c) * a for c, a in zip((0.0, 0.08, -0.05),
                                               THREE.params["atoms"])],
     THREE.params["probs"])
+# four of diag4eps's eight atoms, equiprobable: a d = 4 chain on packed
+# atom indices (diag4eps itself has 8 = 2^3 atoms and draws thresholds)
+QUAD4 = finite_support("quad4", diag4eps().params["atoms"][::2],
+                       np.full(4, 0.25))
 
 
-@pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3(), SCALED3],
-                         ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3(), SCALED3,
+                                  diag4eps(), QUAD4], ids=lambda s: s.name)
 def test_draw_block_size_moves_no_result(monkeypatch, spec):
     # blocks of one fold, of 4096, 10 000 and DRAW_BLOCK draws: the same
     # folds, and each fold's log|diag R| added to one running sum in turn,
-    # as the spectrum adds each fold's log|det|
+    # as the spectrum adds each fold's log|det|; at d = 4 the spectrum's
+    # QR chain and its log|det| sum, on threshold and on packed draws
     start = np.broadcast_to(np.eye(spec.dim), (64, spec.dim, spec.dim))
     runs, spectra = [], []
     for block in (1, 4096, 10_000, dynamics.DRAW_BLOCK):
@@ -236,18 +241,22 @@ def test_folded_advance_matches_stepwise(spec, columns):
                          ids=lambda s: s.name)
 def test_word_tables_hold_left_associated_products(spec):
     # entry i_0 + i_1 K + ... of the length-l table is
-    # a_{i_{l-1}} (... (a_{i_1} a_{i_0})), bit for bit
+    # a_{i_{l-1}} (... (a_{i_1} a_{i_0})), and of its log|det| table the
+    # atoms' log|det a_{i_j}| summed in the same order, bit for bit
     atoms = spec.params["atoms"]
     k = len(atoms)
-    _, _, prods = dynamics._word_tables(spec)
-    for length, table in enumerate(prods, start=1):
-        assert len(table) == k ** length
+    atom_dets = np.linalg.slogdet(atoms)[1]
+    _, _, prods, dets = dynamics._word_tables(spec)
+    for length, (table, det) in enumerate(zip(prods, dets, strict=True),
+                                          start=1):
+        assert len(table) == len(det) == k ** length
         for code, entry in enumerate(table):
             word = [code // k ** j % k for j in range(length)]
-            want = atoms[word[0]]
+            want, want_det = atoms[word[0]], atom_dets[word[0]]
             for i in word[1:]:
-                want = atoms[i] @ want
+                want, want_det = atoms[i] @ want, atom_dets[i] + want_det
             assert np.array_equal(entry, want)
+            assert det[code] == want_det
 
 
 # finite-support rotations: every word has condition number 1, so the
@@ -265,7 +274,7 @@ def test_word_folds_stay_under_the_cap(spec, width):
     # word product of at most W steps under FOLD_COND_CAP in 2-norm
     # condition: random words, and the worst tabled word of each length
     # repeated over W steps, the case the bound c_h^q c_r is built from
-    h, got_width, prods = dynamics._word_tables(spec)
+    h, got_width, prods, _ = dynamics._word_tables(spec)
     assert got_width == fold_width(spec) == width
     k = len(spec.params["atoms"])
     idx = np.random.default_rng(48).integers(k, size=(width, 2000))
@@ -274,7 +283,7 @@ def test_word_folds_stay_under_the_cap(spec, width):
         word = [worst // k ** j % k for j in range(length)]
         idx[:, length - 1] = np.resize(word, width)
     for steps in range(1, width + 1):
-        (prod,), _ = dynamics._word_products(spec, idx[:steps])
+        (prod,) = dynamics._folds(spec, idx[:steps])
         assert np.max(np.linalg.cond(prod)) <= FOLD_COND_CAP
 
 
@@ -290,7 +299,7 @@ def test_fold_loop_is_the_dispatched_loop_bit_for_bit(spec, dtype, n):
     # plain loop.  The first replica's first word is all K - 1, the
     # largest code (255 for bern2); int64 indices are what
     # test_word_folds_stay_under_the_cap folds
-    h, width, _ = dynamics._word_tables(spec)
+    h, width, *_ = dynamics._word_tables(spec)
     k, d = len(spec.params["atoms"]), spec.dim
     idx = ensemble._atom_counts(spec, SeededSampler(52),
                                 (2 * width + 5) * n).reshape(-1, n)
@@ -303,10 +312,11 @@ def test_fold_loop_is_the_dispatched_loop_bit_for_bit(spec, dtype, n):
     assert codes.dtype == idx.dtype
     assert np.array_equal(codes, want[:, 0])
     assert want.max() == k ** h - 1
-    products, log_dets = dynamics._word_products(spec, idx, np.zeros(n))
-    want, want_dets = fold_loop_reference.word_products(spec, idx,
-                                                        np.zeros(n))
+    log_dets = np.zeros(n)
+    products = dynamics._folds(spec, idx, log_dets)
+    want, want_dets = fold_loop_reference.folds(spec, idx, np.zeros(n))
     assert len(products) == len(want) == 3
+    assert products.strides == want.strides
     for got, ref in zip(products, want):
         assert got.tobytes() == ref.tobytes()
         assert got.strides == ref.strides
@@ -355,9 +365,9 @@ def test_specs_and_configs_build_no_word_table():
     for spec in specs:
         evolve_flags(spec, np.eye(spec.dim)[None], 10, SeededSampler(47))
     tables = [dynamics._WORD_TABLES[spec] for spec in specs]
-    assert [h for h, _, _ in tables] == [8, 4, 4, 4, 1]
+    assert [h for h, *_ in tables] == [8, 4, 4, 4, 1]
     assert all(len(table) <= WORD_TABLE
-               for _, _, prods in dynamics._WORD_TABLES.values()
+               for _, _, prods, _ in dynamics._WORD_TABLES.values()
                for table in prods)
 
 
@@ -547,12 +557,6 @@ def assert_spectrum_matches(est, means, rel, abs_=0.0):
                                                        abs_))
 
 
-# four of diag4eps's eight atoms, equiprobable: a d = 4 chain on packed
-# atom indices (diag4eps itself has 8 = 2^3 atoms and draws thresholds)
-QUAD4 = finite_support("quad4", diag4eps().params["atoms"][::2],
-                       np.full(4, 0.25))
-
-
 @pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3(), diag4eps(),
                                   SCALED3, QUAD4], ids=lambda s: s.name)
 def test_spectrum_reads_chi_d_off_log_det(spec):
@@ -665,10 +669,9 @@ def test_minors2_of_random_matrices(rng, d, e):
 def test_minors2_of_fold_products(spec):
     # whole folds of the spec's width, up to FOLD_COND_CAP in condition,
     # and the tabled words they are made of
-    _, width, tables = dynamics._word_tables(spec)
+    _, width, tables, _ = dynamics._word_tables(spec)
     draws = dynamics._draws(spec, SeededSampler(63), 3 * width, 16)
-    folds = dynamics._word_products(spec, draws)[0]
-    assert_minors2(np.stack([p.transpose(1, 2, 0) for p in folds]))
+    assert_minors2(dynamics._folds(spec, draws).transpose(0, 2, 3, 1))
     assert_minors2(tables[-1].transpose(1, 2, 0)[None])
 
 

@@ -11,6 +11,8 @@ from flagdim.ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler,
 from flagdim.errors import ConfigError, InvalidSpec
 from flagdim.harness import load_config
 
+import seed_census
+
 
 def test_sampler_is_reproducible():
     a = sample_batch(bern2(), SeededSampler(123), 50)
@@ -22,6 +24,34 @@ def test_sampler_streams_differ():
     a = sample_batch(bern2(), SeededSampler(123, (0,)), 50)
     b = sample_batch(bern2(), SeededSampler(123, (1,)), 50)
     assert not np.array_equal(a, b)
+
+
+class _Logged(SeededSampler):
+    """A sampler that builds its children from its own seed, as the
+    harness tests' key log does."""
+
+    def child(self, *subkey):
+        return _Logged(self.seed, self.stream + subkey)
+
+
+def test_seed_census_shifts_every_stream_once():
+    # the census moves every stream's seed by its shift exactly once: a
+    # child, and a child of a child, built by ``child`` or from its
+    # parent's ``seed``, draws what an unshifted sampler on the shifted
+    # seed and the same key draws; the shift ends with its context.  The
+    # census runs this test shifted too, so it compares samplers only
+    keys = [(), (3,), (3, 4)]
+    want = [SeededSampler(1007, key).rng.random(4) for key in keys]
+    unshifted = SeededSampler(7).rng.random(4)
+    with seed_census.shift_seeds(1000):
+        for root in (SeededSampler(7), _Logged(7)):
+            line = [root, root.child(3), root.child(3).child(4)]
+            assert [s.seed for s in line] == [7] * 3
+            assert [s.stream for s in line] == keys
+            for sampler, bits in zip(line, want, strict=True):
+                assert np.array_equal(sampler.rng.random(4), bits)
+    assert np.array_equal(SeededSampler(7).rng.random(4), unshifted)
+    assert not np.array_equal(unshifted, want[0])
 
 
 def test_child_key_paths_are_distinct():

@@ -3,11 +3,12 @@ import dataclasses
 import importlib
 import importlib.util
 import pathlib
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from flagdim import dynamics, harness, measures
+from flagdim import _svg, dynamics, harness, measures
 from flagdim.dynamics import SpectrumEstimate
 from flagdim.ensemble import SeededSampler, bern2, to_text
 from flagdim.entropy import KappaEstimate
@@ -364,3 +365,22 @@ def test_ball_curves_of_a_measure_with_few_points():
                                   SeededSampler(3))
     assert len(curves) == 4
     assert all(mass[-1] > 0 for _, _, _, mass in curves)
+
+
+def test_negative_bars_stay_inside_the_figure(tmp_path):
+    # a kappa just below zero, as a default rot2 verify reads at seed 7
+    # (-0.00019), hangs below the zero line: every rect of the figure has
+    # a nonnegative width and height and lies inside the viewBox
+    path = tmp_path / "kappa_gap.svg"
+    _svg.bar_pairs(path, "fiber entropy against exponent gap", "nats/step",
+                   ["fiber 1 density", "fiber 1 interval"], [-0.00019, 0.3],
+                   [0.0, 0.25], ("kappa", "gap"))
+    root = ElementTree.parse(path).getroot()
+    _, _, width, height = map(float, root.get("viewBox").split())
+    rects = root.iter("{http://www.w3.org/2000/svg}rect")
+    boxes = [[float(r.get(key, 0.0)) for key in ("x", "y", "width", "height")]
+             for r in rects]
+    assert len(boxes) == 1 + 4 + 2   # background, bars, legend
+    for x, y, w, h in boxes:
+        assert w >= 0 and h >= 0
+        assert 0 <= x <= x + w <= width and 0 <= y <= y + h <= height
