@@ -455,9 +455,10 @@ def _folds(spec, draws, log_dets=None):
     its folds from the word tables (see ``_word_tables``): each run of
     ``_runs`` is cut into sub-words of h, and a fold's product is its
     sub-words' tabled products multiplied left to right, one einsum per
-    sub-word for the run's folds at once.  Each run goes into one stack
-    by one assignment; the stack is a (d, d, F, m) buffer, so every fold
-    is held replica-last.  The width keeps every product under
+    sub-word for the run's folds at once.  Each run's last einsum writes
+    straight into one stack (a run of one sub-word is assigned to it);
+    the stack is a (d, d, F, m) buffer, so every fold is held
+    replica-last.  The width keeps every product under
     FOLD_COND_CAP, so none is checked or cut.  ``log_dets`` (m,), when
     given, is a running sum to which each word fold's log|det|, read from
     the tables at the same codes, is added in fold order, one sequential
@@ -479,9 +480,13 @@ def _folds(spec, draws, log_dets=None):
         words = [p for length, c in codes
                  for p in _gather(tables[length - 1], c)]
         prod = words[0]
-        for p in words[1:]:
+        for p in words[1:-1]:
             prod = _einsum("...ij,...jk->...ik", p, prod)
-        stack[lo: lo + f] = prod
+        if len(words) == 1:
+            stack[lo: lo + f] = prod
+        else:
+            _einsum("...ij,...jk->...ik", words[-1], prod,
+                    out=stack[lo: lo + f])
         lo += f
         if log_dets is not None:
             folds = sum(dets[length - 1].take(c).sum(axis=0)

@@ -10,7 +10,9 @@ line of each failure's message:
     PYTHONPATH=src:tests python tests/seed_census.py --out CENSUS.json
 
 Each shift runs in its own pytest process with this module as a plugin
-(``-p seed_census --seed-shift S``).  Shift 0 is the suite as committed.
+(``-p seed_census --seed-shift S --census-report FILE``), at the fixed
+shifts 0, 1000, ..., 12000 (``SHIFTS``).  Shift 0 is the suite as
+committed.
 A stream is shifted once: ``seed`` keeps the value it was given, and only
 the generator draws on seed + shift, so a child, built from its parent's
 ``seed``, draws on its parent's shifted seed and is not shifted again.
@@ -68,15 +70,14 @@ class _Recorder:
 
     def pytest_unconfigure(self):
         self.shift.close()
-        if self.path:
-            with open(self.path, "w") as fh:
-                json.dump(self.outcomes, fh, indent=1, sort_keys=True)
+        with open(self.path, "w") as fh:
+            json.dump(self.outcomes, fh, indent=1, sort_keys=True)
 
 
 def pytest_addoption(parser):
     parser.addoption("--seed-shift", type=int, default=0,
                      help="add this to every SeededSampler seed")
-    parser.addoption("--census-report", default=None,
+    parser.addoption("--census-report", required=True,
                      help="write each test's outcome here as JSON")
 
 
@@ -103,17 +104,17 @@ def run_shift(shift):
             return json.load(fh)
 
 
-def census(shifts):
+def census():
     """{"shifts", "passes": test -> shifts passed, "failures": test ->
     {shift: message}} over every test any shift ran."""
-    runs = {shift: run_shift(shift) for shift in shifts}
+    runs = {shift: run_shift(shift) for shift in SHIFTS}
     tests = sorted({test for outcomes in runs.values() for test in outcomes})
-    outcomes = {test: {str(s): runs[s].get(test, "not run") for s in shifts}
+    outcomes = {test: {str(s): runs[s].get(test, "not run") for s in SHIFTS}
                 for test in tests}
     failures = {test: {s: m for s, m in by_shift.items() if m is not None}
                 for test, by_shift in outcomes.items()}
-    return {"shifts": list(shifts), "tests": len(tests),
-            "passes": {test: len(shifts) - len(failures[test])
+    return {"shifts": list(SHIFTS), "tests": len(tests),
+            "passes": {test: len(SHIFTS) - len(failures[test])
                        for test in tests},
             "failures": {test: f for test, f in failures.items() if f}}
 
@@ -121,14 +122,13 @@ def census(shifts):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="census JSON to write")
-    p.add_argument("--shifts", type=int, nargs="+", default=list(SHIFTS))
     args = p.parse_args(argv)
-    result = census(args.shifts)
+    result = census()
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for test, failed in result["failures"].items():
-        print(f"{test}: failed at {len(failed)} of {len(args.shifts)} shifts")
+        print(f"{test}: failed at {len(failed)} of {len(SHIFTS)} shifts")
 
 
 if __name__ == "__main__":
