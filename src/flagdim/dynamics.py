@@ -35,18 +35,19 @@ rotation_invariant draw K S has the singular values of S, so the bound
 is cond(S)^W: iso2 folds 30 steps, iso3 24 and rot2 64.
 
 Every stack folds its draws through one routine, ``_folds``: the
-evolved stacks, the spectrum, the d = 2 lines and the orbit traces.  It
-returns one (F, m, d, d) stack of fold products for either kind, read
-from the word tables for finite support.  Every fold of matrices is
-formed by ``_fold_products``: each fold's running products,
-left-associated, for every fold and replica at once.  It folds a stack's
-drawn matrices and the pinned pasts.  A pinned past is a stretch of a
-realization's orbit window and folds at W too: ``pinned_samples`` folds
-the pasts of all of a trace's realizations at once, on a copy of the
-draws.  numpy multiplies a stack one 2-d product at a time, so each
-product is the one a push through that past alone forms (``push_flags``)
-bit for bit.  Each pool is then pushed through its own past, one pool at
-a time, and read in the frame the trace keeps at the past's end.
+evolved stacks, the spectrum, the d = 2 lines, the orbit traces and the
+pinned pasts.  It returns one (F, m, d, d) stack of fold products with
+one algorithm per kind: finite support reads its folds from the word
+tables, and drawn matrices fold by their running products,
+left-associated, for every fold and replica at once (``_fold_ends``).
+Neither writes the draws.  A pinned past is a stretch of a realization's
+orbit window and folds at W too: ``pinned_samples`` folds the kept
+draws of all of a trace's realizations in one ``_folds`` call.  Each
+replica's products are formed by the same operations whatever the
+stack's width, so each is the one a push through that past alone forms
+(``push_flags``) bit for bit.  Each pool is then pushed through its own
+past, one pool at a time, and read in the frame the trace keeps at the
+past's end.
 
 The spectrum's 64 replicas burn in as a stack (64, d, d - 1) of leading
 columns, and then measure on the burn-in's stream, on packed atom
@@ -97,7 +98,7 @@ tail pool is read at its first d - 1 subspaces alone, so the pools burn
 in as (n, d, d - 1) stacks of leading columns, bit for bit the full
 flags' columns; the orbit windows' burn-ins run full flags.  An orbit
 trace (``forward_orbit``) draws its whole window of T steps in one
-``_draws`` call and keeps the draws, which the pins read as matrices.
+``_draws`` call and keeps the draws, which the pins fold again.
 Its reader names the times it reads, and the window's ends are always
 named: the interval route names -n and 0, the decay curve its grid
 depths and 0, the density route 0 and 1, the conditional samples the
@@ -228,10 +229,8 @@ def _runs(seq, width):
             yield part.reshape((-1, w) + part.shape[1:])
 
 
-# spec -> _word_tables(spec) and fold_width(spec): pure functions of the
-# spec, dropped with it
+# spec -> _word_tables(spec), a pure function of the spec, dropped with it
 _WORD_TABLES = weakref.WeakKeyDictionary()
-_FOLD_WIDTHS = weakref.WeakKeyDictionary()
 
 
 def _fold_width(h, conds):
@@ -261,15 +260,15 @@ def _word_tables(spec):
     Built on first use.  For each length l = 1..h the table holds the
     product of every word of l atom indices (i_0, ..., i_{l-1}), i_0 acting
     first, at its base-K code i_0 + i_1 K + ... + i_{l-1} K^(l-1), as the
-    left-associated a_{i_{l-1}} (... (a_{i_1} a_{i_0})) that
-    ``_fold_products`` forms, and the log|det| table at the same code the
-    sum of log|det a_{i_j}| over the word's atoms.  h is the largest of 8,
-    4, 2 and 1 with K^h <= WORD_TABLE, so no table holds more than
-    WORD_TABLE products except the atoms themselves when K exceeds it.
-    The fold width comes from each length's largest 2-norm condition
-    number (see ``_fold_width``).  Each table is a (d, d, K^l) buffer read
-    through a (K^l, d, d) view, so that a gather along its last axis
-    (``_gather``) comes out replica-last.
+    left-associated a_{i_{l-1}} (... (a_{i_1} a_{i_0})) that a fold of
+    matrices forms (``_fold_ends``), and the log|det| table at the same
+    code the sum of log|det a_{i_j}| over the word's atoms.  h is the
+    largest of 8, 4, 2 and 1 with K^h <= WORD_TABLE, so no table holds
+    more than WORD_TABLE products except the atoms themselves when K
+    exceeds it.  The fold width comes from each length's largest 2-norm
+    condition number (see ``_fold_width``).  Each table is a (d, d, K^l)
+    buffer read through a (K^l, d, d) view, so that a gather along its
+    last axis (``_gather``) comes out replica-last.
     """
     tables = _WORD_TABLES.get(spec)
     if tables is None:
@@ -291,20 +290,14 @@ def _word_tables(spec):
 def fold_width(spec):
     """The steps W that every stack of the spec folds into one product.
 
-    Built on first use.  Finite support takes the word tables' width (see
-    ``_word_tables``).  Every rotation_invariant draw K S has the
-    singular values of S, and 2-norm condition numbers are
-    submultiplicative, so ``_fold_width`` reads c_1 = cond(S) alone.
+    Finite support takes the word tables' width (see ``_word_tables``).
+    Every rotation_invariant draw K S has the singular values of S, and
+    2-norm condition numbers are submultiplicative, so ``_fold_width``
+    reads c_1 = cond(S) alone, one ``np.linalg.cond`` per call.
     """
-    width = _FOLD_WIDTHS.get(spec)
-    if width is None:
-        if spec.kind == "finite_support":
-            width = _word_tables(spec)[1]
-        else:
-            cond = float(np.linalg.cond(spec.params["stretch"]))
-            width = _fold_width(1, [1.0, cond])
-        width = _FOLD_WIDTHS.setdefault(spec, width)
-    return width
+    if spec.kind == "finite_support":
+        return _word_tables(spec)[1]
+    return _fold_width(1, [1.0, float(np.linalg.cond(spec.params["stretch"]))])
 
 
 def _gather(table, codes):
@@ -420,52 +413,47 @@ def evolve_flags(spec, bases, n_steps, sampler, draw=_draws):
     return bases, logs
 
 
-def _fold_products(steps, width):
-    """Turn steps (R, T, m, m) in place into running products per fold.
-
-    steps[:, t] becomes steps[:, t] (... steps[:, lo]), left-associated, lo
-    the first step of t's fold of ``width`` steps, for every fold and
-    replica at once.  numpy multiplies a stack one 2-d product at a time,
-    so replica r's products are those of its steps folded alone, bit for
-    bit.  Returns ``steps``.
-    """
-    for w in range(1, width):
-        later = steps[:, w::width]
-        later[...] = later @ steps[:, w - 1::width][:, :later.shape[1]]
-    return steps
-
-
 def _fold_ends(steps, width):
-    """Each fold's product of steps (R, T, d, d), formed in place by
-    ``_fold_products``: a new (F, R, d, d) stack, one product per fold in
-    order, the last fold shorter when T is not a multiple of ``width``.
-    It holds no view of ``steps``, so a block's draws are freed once
-    folded."""
-    n = steps.shape[1]
-    ends = [min(lo + width, n) - 1 for lo in range(0, n, width)]
-    return _fold_products(steps, width)[:, ends].swapaxes(0, 1).copy()
+    """Each fold's product of drawn matrices steps (T, m, d, d): a new (F,
+    m, d, d) stack, one product per fold in order, the last fold shorter
+    when T is not a multiple of ``width``.
+
+    A fold's running product steps[t] (... steps[lo]), left-associated, lo
+    its first step, is formed for every fold and replica at once on the
+    stack's own copy of the folds' first steps, so ``steps`` is neither
+    written nor held.  numpy multiplies a stack one 2-d product at a time,
+    so replica r's products are those of its steps folded alone, bit for
+    bit.
+    """
+    folds = steps[::width].copy()
+    for w in range(1, width):
+        later = steps[w::width]
+        folds[:len(later)] = later @ folds[:len(later)]
+    return folds
 
 
 def _folds(spec, draws, log_dets=None):
     """Fold products (F, m, d, d) of ``_draws`` output (T, m, ...), W =
     ``fold_width(spec)`` steps at a time, the last fold shorter when T is
-    not a multiple of W.
+    not a multiple of W.  No input is written.
 
-    Drawn matrices fold in place (``_fold_ends``).  Finite support reads
-    its folds from the word tables (see ``_word_tables``): each run of
-    ``_runs`` is cut into sub-words of h, and a fold's product is its
-    sub-words' tabled products multiplied left to right, one einsum per
-    sub-word for the run's folds at once.  Each run's last einsum writes
-    straight into one stack (a run of one sub-word is assigned to it);
-    the stack is a (d, d, F, m) buffer, so every fold is held
-    replica-last.  The width keeps every product under
+    Drawn matrices fold by their running products (``_fold_ends``).
+    Finite support reads its folds from the word tables (see
+    ``_word_tables``): each run of ``_runs`` is cut into sub-words of h,
+    and a fold's product is its sub-words' tabled products multiplied
+    left to right, one einsum per sub-word for the run's folds at once.
+    Each run's last einsum writes straight into one stack (a run of one
+    sub-word is assigned to it); the stack is a (d, d, F, m) buffer, so
+    every fold is held replica-last.  The width keeps every product under
     FOLD_COND_CAP, so none is checked or cut.  ``log_dets`` (m,), when
     given, is a running sum to which each word fold's log|det|, read from
     the tables at the same codes, is added in fold order, one sequential
-    ``np.add.accumulate`` a run; the folds of matrices leave it alone.
+    ``np.add.accumulate`` a run; the new sum is returned after the stack,
+    and the folds of matrices return it as given.
     """
     if spec.kind != "finite_support":
-        return _fold_ends(draws.swapaxes(0, 1), fold_width(spec))
+        stack = _fold_ends(draws, fold_width(spec))
+        return stack if log_dets is None else (stack, log_dets)
     h, width, tables, dets = _word_tables(spec)
     k, d, (t, m) = len(tables[0]), spec.dim, draws.shape
     stack = np.empty((d, d, -(-t // width), m)).transpose(2, 3, 0, 1)
@@ -491,23 +479,23 @@ def _folds(spec, draws, log_dets=None):
         if log_dets is not None:
             folds = sum(dets[length - 1].take(c).sum(axis=0)
                         for length, c in codes)
-            log_dets[...] = np.add.accumulate(
+            log_dets = np.add.accumulate(
                 np.concatenate([log_dets[None], folds]))[-1]
-    return stack
+    return stack if log_dets is None else (stack, log_dets)
 
 
 def push_flags(pinned, bases, spec):
     """Apply a fixed sequence of the spec's draws to every base in the stack.
 
-    The sequence (T, d, d) folds ``fold_width(spec)`` steps at a time
-    (``_fold_ends``), as any draws of the spec do, so a push costs one QR
-    step of the stack per fold rather than one per matrix.  The package
-    pushes its pools through ``pinned_samples``; this per-past push is
-    the reference the tests hold that routine to, and keeps its name for
-    the benchmark's tracer.
+    ``pinned`` holds one replica's draws as ``_draws`` returns them: atom
+    indices (T,) for finite support, matrices (T, d, d) otherwise.  They
+    fold in one ``_folds`` call, as any draws of the spec do, so a push
+    costs one QR step of the stack per fold rather than one per step.  The
+    package pushes its pools through ``pinned_samples``; this per-past push
+    is the reference the tests hold that routine to, and keeps its name
+    for the benchmark's tracer.
     """
-    chain = _fold_ends(np.array(pinned, dtype=float)[None], fold_width(spec))
-    return _apply(bases, chain)[0]
+    return _apply(bases, _folds(spec, pinned[:, None]))[0]
 
 
 def pinned_samples(trace, pools, i, start, end):
@@ -515,9 +503,9 @@ def pinned_samples(trace, pools, i, start, end):
     columns) pushed through realization r's steps from ``start`` to
     ``end`` of the trace's window and read in the frame kept at ``end``.
 
-    Every past folds at once (``_fold_ends``) on a copy, so the trace's
-    draws are never written, and sample r is ``push_flags`` of past r bit
-    for bit.  Only a pool's leading i columns are pushed: Gram-Schmidt
+    Every past folds from the trace's draws in one ``_folds`` call, which
+    writes none of them, and sample r is ``push_flags`` of past r bit for
+    bit.  Only a pool's leading i columns are pushed: Gram-Schmidt
     never reads a later one.  The samples come as the caller reads them,
     one pool pushed at a time.  An ``end`` the trace does not keep raises
     IndexError, a ``start`` before the window or after ``end`` ValueError.
@@ -527,8 +515,8 @@ def pinned_samples(trace, pools, i, start, end):
     if not t0 <= start <= end:
         raise ValueError(f"pinned past [{start}, {end}] is not in the "
                          f"window [{t0}, {trace.times[-1]}]")
-    chain = _fold_ends(np.array(trace.matrices[:, start - t0: end - t0],
-                                dtype=float), fold_width(trace.spec))
+    chain = _folds(trace.spec,
+                   trace.draws[:, start - t0: end - t0].swapaxes(0, 1))
     return (fiber_coordinates(_apply(pool[..., :i], past[:, None])[0],
                               frame, i)
             for pool, frame, past in zip(pools, trace.frames[:, k],
@@ -725,8 +713,8 @@ def lyapunov_spectrum(spec, n_steps, sampler, burnin=1000, replicas=64):
         folds = 0
     log_dets = np.zeros(replicas)
     for t in _block_steps(replicas, n_steps, width):
-        prods = _folds(spec, _packed_draws(spec, stream, t, replicas),
-                       log_dets)
+        prods, log_dets = _folds(
+            spec, _packed_draws(spec, stream, t, replicas), log_dets)
         if chain:
             bases, logs = _apply(bases, prods, logs)
             continue
@@ -791,7 +779,7 @@ class OrbitTrace:
     between the frames at its ends, P the fold's product: in exact
     arithmetic the product of its steps' maps.  draws[r] are the window's
     draws in step order, atom indices for finite support and matrices
-    otherwise, which ``matrices`` reads as matrices.
+    otherwise.
     """
 
     spec: object
@@ -801,14 +789,6 @@ class OrbitTrace:
     frames: np.ndarray     # (R, K, d, 2)
     maps: np.ndarray       # (R, K-1, 2, 2)
     x: np.ndarray          # (R, K)
-
-    @property
-    def matrices(self):
-        """Each step's matrix (R, T, d, d), bit for bit ``sample_batch``'s
-        draws: finite support takes its atoms at the drawn indices."""
-        if self.spec.kind == "finite_support":
-            return self.spec.params["atoms"].take(self.draws, axis=0)
-        return self.draws
 
     def index(self, t):
         k = int(np.searchsorted(self.times, t))
@@ -836,8 +816,9 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0, times=()):
     ``times``, fold at the spec's width W = ``fold_width(spec)``
     (``_folds``), so that no fold straddles a named time, and each fold
     takes one QR step, as every other stack of the spec folds.  The trace
-    keeps the flags at the fold ends only (``OrbitTrace``); naming every
-    time gives folds of one step, the stepwise trace.  A second call from
+    keeps the flags at the fold ends only (``OrbitTrace``), and the draws
+    as drawn, which ``_folds`` never writes; naming every time gives folds
+    of one step, the stepwise trace.  A second call from
     the trace's last bases on the same sampler continues it.  Every basis
     and frame must be orthonormal to ORTHO_TOL, and every fold map
     invertible.
@@ -860,8 +841,7 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0, times=()):
     folds = np.empty((len(start), len(ends), d, d))
     f = 0
     for lo, hi in zip(cuts, cuts[1:]):
-        # drawn matrices fold in place: a copy keeps the trace's draws
-        for p in _folds(spec, draws[lo:hi].copy()):
+        for p in _folds(spec, draws[lo:hi]):
             folds[:, f] = p
             bases[:, f + 1] = _apply(bases[:, f], [p])[0]
             f += 1

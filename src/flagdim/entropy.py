@@ -223,7 +223,7 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     if skipped > 0.1 * orbit_samples or not kappas:
         raise BandwidthTooSmall(
             f"{skipped} of {orbit_samples} realizations put x_1 where "
-            f"fewer than {KDE_MIN_NEIGHBORS} of {len(pool1) // 2} samples "
+            f"fewer than {KDE_MIN_NEIGHBORS} of {len(halves[1])} samples "
             f"sit within bandwidth {bandwidth:g}")
     kappas = np.asarray(kappas)
     return KappaEstimate(

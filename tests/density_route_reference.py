@@ -43,13 +43,13 @@ def density_route_reference(spec, fiber_index, pools, sampler,
     trace = stationary_orbit(spec, i, pin_length + 1, realization_burnin,
                              stream, t_end=1, replicas=orbit_samples,
                              times=(0,))
-    mats = trace.matrices
+    draws = trace.draws
     kappas = []
     skipped = 0
     diag = None
     for r in range(orbit_samples):
-        pin0 = mats[r, :pin_length]
-        pin1 = mats[r, 1:]
+        pin0 = draws[r, :pin_length]
+        pin1 = draws[r, 1:]
         frame0, frame1 = trace.frames[r, -2:]
         x1 = float(trace.x[r, -1])
         coords0 = _pushed(spec, pin0, pool0, frame0, i)
@@ -81,7 +81,7 @@ def density_route_reference(spec, fiber_index, pools, sampler,
     if skipped > 0.1 * orbit_samples or not kappas:
         raise BandwidthTooSmall(
             f"{skipped} of {orbit_samples} realizations put x_1 where "
-            f"fewer than {KDE_MIN_NEIGHBORS} of {len(pool1) // 2} samples "
+            f"fewer than {KDE_MIN_NEIGHBORS} of {len(halves[1])} samples "
             f"sit within bandwidth {bandwidth:g}")
     kappas = np.asarray(kappas)
     return KappaEstimate(

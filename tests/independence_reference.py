@@ -11,9 +11,8 @@ stable coordinate y should then be small.
 
 import numpy as np
 
-from flagdim.dynamics import (forward_orbit, push_flags, stable_coordinates,
-                              stationary_flag_pool)
-from flagdim.ensemble import sample_batch
+from flagdim.dynamics import (_draws, forward_orbit, push_flags,
+                              stable_coordinates, stationary_flag_pool)
 from flagdim.entropy import TAIL_BURNIN
 
 
@@ -23,7 +22,7 @@ def conditional_independence_diagnostic(spec, fiber_index, pin_length,
     of x and y over the replicas, with the pin on ``sampler.child(0)``,
     the remote pasts on ``child(1)`` and the futures on ``child(2)``.
     """
-    pinned = sample_batch(spec, sampler.child(0), pin_length)
+    pinned = _draws(spec, sampler.child(0), pin_length, 1)[:, 0]
     pool = stationary_flag_pool(spec, replicas, TAIL_BURNIN, sampler.child(1))
     # the coordinates at time 0, a window of no steps, and the stable
     # line pulled back from the end of its continuation into the futures

@@ -41,6 +41,15 @@ def every_time(n_steps, t0=0):
     return np.arange(t0, t0 + n_steps + 1)
 
 
+def matrices(trace):
+    """Each step's matrix (R, T, d, d) of a trace, bit for bit
+    ``sample_batch``'s draws: finite support takes its atoms at the drawn
+    indices."""
+    if trace.spec.kind == "finite_support":
+        return trace.spec.params["atoms"].take(trace.draws, axis=0)
+    return trace.draws
+
+
 HYPER2 = single("hyper2", np.diag([2.0, 0.5]))
 HYPER3 = single("hyper3", np.diag([3.0, 1.0, 1 / 3.0]))
 
@@ -312,9 +321,10 @@ def test_fold_loop_is_the_dispatched_loop_bit_for_bit(spec, dtype, n):
     assert codes.dtype == idx.dtype
     assert np.array_equal(codes, want[:, 0])
     assert want.max() == k ** h - 1
-    log_dets = np.zeros(n)
-    products = dynamics._folds(spec, idx, log_dets)
+    zeros = np.zeros(n)
+    products, log_dets = dynamics._folds(spec, idx, zeros)
     want, want_dets = fold_loop_reference.folds(spec, idx, np.zeros(n))
+    assert not zeros.any()
     assert len(products) == len(want) == 3
     assert products.strides == want.strides
     for got, ref in zip(products, want):
@@ -374,9 +384,9 @@ def test_specs_and_configs_build_no_word_table():
 def test_pushed_pin_and_burn_in_match_stepwise():
     spec = diag3eps()
     pool = stationary_flag_pool(spec, 200, 100, SeededSampler(42))
-    pinned = sample_batch(spec, SeededSampler(43), 60)
+    pinned = dynamics._draws(spec, SeededSampler(43), 60, 1)[:, 0]
     want = pool
-    for a in pinned:
+    for a in spec.params["atoms"][pinned]:
         want, _ = batched_orthonormalize(a @ want)
     assert np.max(np.abs(push_flags(pinned, pool, spec) - want)) < 1e-12
     # a window after a pool burn-in draws on the pool's stream, and a
@@ -387,12 +397,11 @@ def test_pushed_pin_and_burn_in_match_stepwise():
     stream = SeededSampler(44)
     start = stationary_flag_pool(spec, 5, 100, stream)
     window = sample_batch(spec, stream, 5 * 150).reshape(150, 5, 3, 3)
-    assert np.array_equal(trace.matrices, window.swapaxes(0, 1))
+    assert np.array_equal(matrices(trace), window.swapaxes(0, 1))
     assert np.array_equal(trace.bases[:, 0], start)
     for r in range(5):
         for k in (1, 20, 150):
-            pushed = push_flags(trace.matrices[r, :k], start[r:r + 1],
-                                spec)[0]
+            pushed = push_flags(trace.draws[r, :k], start[r:r + 1], spec)[0]
             kept = trace.bases[r, trace.index(k - 150)]
             assert np.max(np.abs(pushed - kept)) < 1e-12
 
@@ -404,7 +413,7 @@ def test_orbit_window_is_one_draw_call():
     start = np.broadcast_to(np.eye(2), (100, 2, 2))
     trace = forward_orbit(spec, start, 700, SeededSampler(53))
     window = sample_batch(spec, SeededSampler(53), 700 * 100)
-    assert np.array_equal(trace.matrices,
+    assert np.array_equal(matrices(trace),
                           window.reshape(700, 100, 2, 2).swapaxes(0, 1))
 
 
@@ -414,8 +423,7 @@ def test_pinned_samples_push_each_pool_through_its_own_past(spec):
     # samples over [-60, 0] and [-59, 1] are each realization's own pool
     # pushed through its own steps alone (push_flags) and read in the
     # frames kept at 0 and 1, bit for bit, and the trace's draws are not
-    # written (a Haar trace's matrices are its draws, and the fold is in
-    # place)
+    # written (a Haar trace's matrices are its draws)
     m = 60
     trace = stationary_orbit(spec, 1, m + 1, 20, SeededSampler(52), t_end=1,
                              replicas=4, times=(0,))
@@ -429,7 +437,7 @@ def test_pinned_samples_push_each_pool_through_its_own_past(spec):
             assert len(got) == 4 and trace.draws.tobytes() == before
             frames = trace.frames[:, trace.index(end)]
             for r, sample in enumerate(got):
-                pushed = push_flags(trace.matrices[r, steps], pools[r], spec)
+                pushed = push_flags(trace.draws[r, steps], pools[r], spec)
                 want = fiber_coordinates(pushed, frames[r], i)
                 assert sample.tobytes() == want.tobytes()
     # -1 ends no fold, and 2 is past the window
@@ -713,7 +721,7 @@ def test_forward_orbit_composition_invariant(rng):
     assert trace.times.tolist() == [0, 5, 12, 25]
     prod = np.eye(2)
     for k in range(25):
-        prod = trace.matrices[0, k] @ prod
+        prod = matrices(trace)[0, k] @ prod
         if k + 1 not in trace.times:
             continue
         kept = trace.bases[0, trace.index(k + 1)]
@@ -759,11 +767,11 @@ def test_folded_trace_matches_stepwise_qr(spec, i, seeds):
         bases = [stepwise.bases[:, 0]]
         for k in range(150):
             bases.append(fold_loop_reference.apply(
-                bases[-1], [stepwise.matrices[:, k]])[0])
+                bases[-1], [matrices(stepwise)[:, k]])[0])
         bases = np.stack(bases, axis=1)
         frames = completion_frames(bases[..., i - 1: i + 1])
         maps = np.einsum("...ki,...kl,...lj->...ij", frames[:, 1:],
-                         stepwise.matrices, frames[:, :-1])
+                         matrices(stepwise), frames[:, :-1])
         assert stepwise.bases.tobytes() == bases.tobytes()
         assert np.max(np.abs(stepwise.maps - maps)) < 1e-12
         ks = trace.times + 150
@@ -776,7 +784,7 @@ def test_folded_trace_matches_stepwise_qr(spec, i, seeds):
             prod = np.eye(spec.dim)
             for k in range(lo, hi):
                 steps = maps[:, k] @ steps
-                prod = stepwise.matrices[:, k] @ prod
+                prod = matrices(stepwise)[:, k] @ prod
             scale = np.linalg.norm(prod, 2, axis=(-2, -1))[:, None, None]
             assert np.max(np.abs(trace.maps[:, f] - steps) / scale) < 1e-12
 
@@ -1048,7 +1056,7 @@ def test_trace_arrays_match_per_step_objects(spec, i):
                 assert np.max(np.abs(part.frames[r, k] - frame)) < 1e-12
                 assert circle.distance(part.x[r, k], fiber_coordinates(
                     part.bases[r, k], frame, i)) < 1e-12
-                want = circle_map_between(part.matrices[r, k],
+                want = circle_map_between(matrices(part)[r, k],
                                           partials[part][k],
                                           partials[part][k + 1]).matrix
                 assert np.max(np.abs(part.maps[r, k] - want)) < 1e-12
@@ -1226,7 +1234,7 @@ def test_named_times_cut_folds_and_share_one_stream(spec):
                     for s, times in zip(streams, [(), (5 - n, -width)]))
     assert (plain.times + n).tolist() == [0, width, 2 * width, n]
     assert (named.times + n).tolist() == [0, 5, 5 + width, 2 * width, n]
-    assert named.matrices.tobytes() == plain.matrices.tobytes()
+    assert matrices(named).tobytes() == matrices(plain).tobytes()
     a, b = (s.rng.bit_generator.random_raw() for s in streams)
     assert a == b
     for t in (-n, -width, 0):
@@ -1279,8 +1287,8 @@ def test_lookahead_draws_continue_the_window(monkeypatch, spec, i, leg):
     assert trace.times[[0, -1]].tolist() == [-n, 0]
     assert ahead.times[[0, -1]].tolist() == [0, lookahead]
     assert start.tobytes() == trace.bases[:, -1].tobytes()
-    assert (np.concatenate([trace.matrices, ahead.matrices], axis=1).tobytes()
-            == whole.matrices.tobytes())
+    assert (np.concatenate([matrices(trace), matrices(ahead)], axis=1).tobytes()
+            == matrices(whole).tobytes())
     assert word == stream.rng.bit_generator.random_raw()
 
 

@@ -13,8 +13,8 @@ from flagdim.errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
                             InsufficientMass, NoAcceptedReplicas)
 from flagdim.dynamics import (SpectrumEstimate, forward_orbit,
                               lyapunov_spectrum, push_flags,
-                              stationary_flag_pool, stationary_lines,
-                              stationary_orbit)
+                              stable_coordinates, stationary_flag_pool,
+                              stationary_lines, stationary_orbit)
 from flagdim.flagcore import fiber_coordinates, fiber_map_derivative
 from flagdim.measures import (EmpiricalCircleMeasure, ball_mass,
                               default_radius_grid, local_dimension,
@@ -185,7 +185,7 @@ def test_conditional_fiber_sample_streams(spec, i, realizations):
                              replicas=realizations)
     assert len(got) == realizations
     for r, (sample, pool) in enumerate(zip(got, pools)):
-        want = fiber_coordinates(push_flags(trace.matrices[r], pool, spec),
+        want = fiber_coordinates(push_flags(trace.draws[r], pool, spec),
                                  trace.frames[r, -1], i)
         assert np.array_equal(sample, want)
 
@@ -200,6 +200,17 @@ def test_density_route_reports_the_pools_it_read():
     with pytest.raises(BandwidthTooSmall, match="of 150 samples"):
         kappa_density_estimator(spec, 1, pools, s, orbit_samples=8,
                                 bandwidth=1e-6)
+
+
+def test_density_refusal_counts_the_kernel_half_of_an_odd_pool():
+    # a kernel half is every other pushed flag: 101 of a pool of 201, in
+    # the route and in its two-pass reference alike
+    spec, s = diag3eps(), SeededSampler(40)
+    pools = _pair(spec, 201, s)
+    size = dict(orbit_samples=4, bandwidth=1e-6, realization_burnin=50)
+    for route in (kappa_density_estimator, density_route_reference):
+        with pytest.raises(BandwidthTooSmall, match="of 101 samples"):
+            route(spec, 1, pools, s, **size)
 
 
 @pytest.mark.parametrize("fiber", [1, 2])
@@ -420,17 +431,55 @@ def test_interval_estimator_diag3eps_positive():
     assert est.diagnostics["acceptance_rate"] > 0.5
 
 
+def _interval_resolutions(spec, sampler, replicas, n, lookahead,
+                          realization_burnin):
+    """The trace and stable-line resolutions of the replicas of
+    ``kappa_interval_estimator`` on ``sampler``, drawn as it draws them: a
+    window of n steps and its lookahead on ``sampler.child(10)``."""
+    stream = sampler.child(10)
+    trace = stationary_orbit(spec, 1, n, realization_burnin, stream,
+                             replicas=replicas)
+    ahead = forward_orbit(spec, trace.bases[:, -1], lookahead, stream, 1)
+    return trace, stable_coordinates(trace, ahead)[1]
+
+
+def _between(resolutions, k):
+    """A stable-line tolerance that certifies the k best-resolved
+    replicas alone: midway between the k-th and (k + 1)-th resolution."""
+    return float(np.mean(np.sort(resolutions)[k - 1: k + 1]))
+
+
 def test_interval_estimator_gates_on_first_surviving_replica(monkeypatch):
-    # the first replica's stable line stays unresolved at this tolerance;
-    # the atomic gate moves to the next replica
-    monkeypatch.setattr(entropy, "INTERVAL_STABLE_TOL", 0.02)
-    s = SeededSampler(3)
-    est = kappa_interval_estimator(bern2(), 1, _pair(bern2(), 300, s), s,
-                                   n=20, replicas=6, lookahead=200,
-                                   realization_burnin=100)
+    # the first replica's stable line stays unresolved at a tolerance
+    # between its resolution and the next better one, on the first seed
+    # from 3 whose first replica two others resolve better; the atomic
+    # gate moves to the first replica that resolves
+    kwargs = dict(n=20, lookahead=200, realization_burnin=100)
+    for seed in range(3, 23):
+        trace, res = _interval_resolutions(bern2(), SeededSampler(seed), 6,
+                                           **kwargs)
+        rank = int(np.count_nonzero(res < res[0]))
+        if rank >= 2:
+            break
+    assert rank >= 2, "no seed in 3..22 resolves two replicas better"
+    monkeypatch.setattr(entropy, "INTERVAL_STABLE_TOL", _between(res, rank))
+    gated = []
+    real_gate = entropy._atomic_gate
+
+    def gate(coords, context):
+        gated.append(coords)
+        real_gate(coords, context)
+    monkeypatch.setattr(entropy, "_atomic_gate", gate)
+    s = SeededSampler(seed)
+    pools = _pair(bern2(), 300, s)
+    est = kappa_interval_estimator(bern2(), 1, pools, s, replicas=6,
+                                   **kwargs)
     assert est.diagnostics["unresolved_replicas"] >= 1
     assert "pin_diagnostic" not in est.diagnostics
     assert np.isfinite(est.kappa)
+    first = int(np.argmax(res < res[0]))
+    assert len(gated) == 1 and np.array_equal(
+        gated[0], fiber_coordinates(pools[0], trace.frames[first, 0], 1))
 
 
 def test_interval_pool_mass_matches_arc_mass(rng):
@@ -452,15 +501,25 @@ def test_interval_pool_mass_matches_arc_mass(rng):
         assert measures.pool_mass(coords, start, length) == mass
 
 
-def test_interval_estimator_refuses_an_estimate_from_one_replica():
+def test_interval_estimator_refuses_an_estimate_from_one_replica(
+        monkeypatch):
     # one accepted replica has no spread, so no stderr; it is refused
-    # rather than reported with an infinite stderr.  Of two replicas, one
-    # leaves its stable line unresolved here; of three, two are kept
+    # rather than reported with an infinite stderr.  The tolerance sits
+    # between the replicas' own resolutions: of two replicas, one leaves
+    # its stable line unresolved; of three, two are kept
     s = SeededSampler(6)
     args = (bern2(), 1, _pair(bern2(), 300, s), s)
     kwargs = dict(n=20, lookahead=200, realization_burnin=100)
-    assert kappa_interval_estimator(
-        *args, replicas=3, **kwargs).diagnostics["effective_samples"] == 2
+
+    def certify(replicas, kept):
+        _, res = _interval_resolutions(bern2(), s, replicas, **kwargs)
+        monkeypatch.setattr(entropy, "INTERVAL_STABLE_TOL",
+                            _between(res, kept))
+    certify(3, 2)
+    est = kappa_interval_estimator(*args, replicas=3, **kwargs)
+    assert est.diagnostics["effective_samples"] == 2
+    assert est.diagnostics["unresolved_replicas"] == 1
+    certify(2, 1)
     with pytest.raises(NoAcceptedReplicas, match="1 of 2 replicas accepted"):
         kappa_interval_estimator(*args, replicas=2, **kwargs)
 
