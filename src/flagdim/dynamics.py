@@ -110,13 +110,12 @@ the leading axis: the flag bases (R, K, d, d), the completion frames of
 the fiber planes (R, K, d, 2), the fiber coordinates (R, K) and each
 fold's 2x2 fiber map F_end^T P F_start (R, K-1, 2, 2), P the fold's
 product.  Naming every time gives folds of one step, the stepwise trace
-that the tests hold the folds to.  The stable line of a window ending at
-time 0 is certified by the maps after it, which nothing else reads: the
-interval route and the decay curve continue their window past 0 by a
-second ``forward_orbit`` call on the same stream, which names only its
-ends, and the stable-line pass (``stable_coordinates``) pulls its pair
-back through every fold map of the continuation and then of the window,
-one renormalization per fold.
+that the tests hold the folds to.  The stable line at time 0 is
+certified by the maps after it, which nothing else reads: the interval
+route and the decay curve run one window over [-n, L] that names 0, its
+lookahead the L steps after 0, and the stable-line pass
+(``stable_coordinates``) pulls its pair back from the window's end
+through every fold map, one renormalization per fold.
 
 A d = 2 sample of the stationary measure needs nothing but the line of
 each flag: ``stationary_lines`` burns in a ``stationary_flag_pool`` of
@@ -888,42 +887,35 @@ def _inverses(maps):
     return adjugate / det2(maps)[..., None, None]
 
 
-def stable_coordinates(trace, ahead):
+def stable_coordinates(trace):
     """Stable-line coordinates at a trace's kept times, with certificates.
 
-    ``ahead`` continues the trace on its stream from its last flags
-    (``forward_orbit``).  Two transverse directions, the axes u and w of
-    the completion frame at ahead's end, are pulled back through ahead's
-    fold maps and then the trace's, one inverse and one renormalization
-    per fold.  Both converge to the stable line (backward iteration
-    contracts toward it at the rate the forward cocycle expands away from
-    it); their distance at the trace's end is the realized resolution
-    there, and every earlier time only contracts further.  The certifying
-    event is thus a function of ahead's maps alone, so callers that drop
-    uncertified replicas do not bias statistics collected on the trace.
-    A fold map read off its fold's d x d product P carries P's rounding,
-    eps cond(P) <= eps FOLD_COND_CAP of its size: a product of fiber maps
-    is a diagonal block of the triangular flag product, so its singular
-    values lie within P's.
+    Two transverse directions, the axes u and w of the completion frame
+    at the trace's end, are pulled back through every fold map of the
+    trace, one inverse and one renormalization per fold.  Both converge
+    to the stable line (backward iteration contracts toward it at the
+    rate the forward cocycle expands away from it); their distance at a
+    kept time is the realized resolution there.  The certificate at a
+    time is thus a function of the maps after it alone, so callers that
+    drop the replicas a window's tail leaves uncertified at time 0 do not
+    bias statistics collected on the window before 0.  A fold map read
+    off its fold's d x d product P carries P's rounding, eps cond(P) <=
+    eps FOLD_COND_CAP of its size: a product of fiber maps is a diagonal
+    block of the triangular flag product, so its singular values lie
+    within P's.
 
-    Returns (y, resolution): y[r, k] is replica r's coordinate at
-    trace.times[k] and resolution[r] its resolution at the trace's end,
-    which callers hold against their tolerance (an isometric action has
-    no stable line and never resolves).  An ``ahead`` that does not start
-    at the trace's end time from its last bases is refused.
+    Returns (y, resolution), both (R, K): y[r, k] is replica r's
+    coordinate at trace.times[k] and resolution[r, k] its resolution
+    there, which callers hold against their tolerance (an isometric
+    action has no stable line and never resolves).
     """
-    if not (ahead.times[0] == trace.times[-1]
-            and np.array_equal(ahead.bases[:, 0], trace.bases[:, -1])):
-        raise ValueError("ahead does not continue the trace from its last "
-                         f"flags at time {trace.times[-1]}")
-    maps = np.concatenate([trace.maps, ahead.maps], axis=1)
-    pairs = [np.broadcast_to(np.eye(2), (len(maps), 2, 2))]
-    for inverse in _inverses(maps)[:, ::-1].swapaxes(0, 1):
+    pairs = [np.broadcast_to(np.eye(2), (len(trace.maps), 2, 2))]
+    for inverse in _inverses(trace.maps)[:, ::-1].swapaxes(0, 1):
         pairs.append(_unit_columns(inverse @ pairs[-1]))
     # the pairs at the trace's kept times, earliest first
-    kept = np.stack(pairs[:-len(trace.times) - 1:-1], axis=1)
+    kept = np.stack(pairs[::-1], axis=1)
     angles = circle.wrap(np.arctan2(kept[..., 1, :], kept[..., 0, :]))
-    return angles[..., 0], circle.distance(angles[:, -1, 0], angles[:, -1, 1])
+    return angles[..., 0], circle.distance(angles[..., 0], angles[..., 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -1067,32 +1059,32 @@ def interval_decay_curve(spec, fiber_index, n_grid, replicas, sampler,
                          burnin=1000, lookahead=900):
     """Log lengths of pulled-forward stationary intervals on a grid of n.
 
-    Each replica runs one stationary window covering [-max n, 0] that
-    names the grid depths -n and 0, so that its folds end at each of them
-    (``forward_orbit``), continues it ``lookahead`` steps on the same
-    stream, and contributes every grid point; the slope should match the
-    negative exponent gap.  The slope is the mean of the
-    replicas' own least-squares slopes (equal to the slope fitted to the
-    mean curve, least squares being linear in the data) and its stderr
-    their spread over sqrt(R), so the variation between replicas is
-    counted.  Replicas whose lookahead cannot certify the stable line are
-    dropped; the certificate involves only maps after time 0, so dropping
-    them leaves the lengths unbiased.  A replica is certified when its
-    resolution is at most DECAY_STABLE_TOL; fewer than two certified
-    replicas give no spread for the stderr and raise GapTooSmall.  A grid
-    of fewer than two distinct depths has no slope, and a depth below 1
-    no interval to push; both raise ValueError before any draw.
+    Each replica runs one stationary window covering [-max n,
+    ``lookahead``] that names the grid depths -n and 0, so that its folds
+    end at each of them (``forward_orbit``), and contributes every grid
+    point; the slope should match the negative exponent gap.  The slope is
+    the mean of the replicas' own least-squares slopes (equal to the slope
+    fitted to the mean curve, least squares being linear in the data) and
+    its stderr their spread over sqrt(R), so the variation between
+    replicas is counted.  Replicas whose lookahead cannot certify the
+    stable line are dropped; the certificate at time 0 involves only the
+    window's maps after it, so dropping them leaves the lengths unbiased.
+    A replica is certified when its resolution at time 0 is at most
+    DECAY_STABLE_TOL; fewer than two certified replicas give no spread for
+    the stderr and raise GapTooSmall.  A grid of fewer than two distinct
+    depths has no slope, and a depth below 1 no interval to push; both
+    raise ValueError before any draw.
     """
     n_grid = np.asarray(sorted(int(n) for n in n_grid))
     if len(set(n_grid.tolist())) < 2:
         raise ValueError(f"need two distinct depths n, got {n_grid.tolist()}")
     if n_grid[0] < 1:
         raise ValueError("need n >= 1")
-    trace = stationary_orbit(spec, fiber_index, int(n_grid[-1]), burnin,
-                             sampler, replicas=replicas, times=-n_grid)
-    y, resolution = stable_coordinates(trace, forward_orbit(
-        spec, trace.bases[:, -1], lookahead, sampler, fiber_index))
-    keep = np.flatnonzero(resolution <= DECAY_STABLE_TOL)
+    trace = stationary_orbit(spec, fiber_index, int(n_grid[-1]) + lookahead,
+                             burnin, sampler, t_end=lookahead,
+                             replicas=replicas, times=[*-n_grid, 0])
+    y, resolution = stable_coordinates(trace)
+    keep = np.flatnonzero(resolution[:, trace.index(0)] <= DECAY_STABLE_TOL)
     if len(keep) < 2:
         raise GapTooSmall(
             f"{len(keep)} of {replicas} replicas certified a stable line at "

@@ -50,9 +50,9 @@ import numpy as np
 
 from . import circle
 from .dynamics import (DEGENERATE_DISTANCE, INTERVAL_STABLE_TOL, Arc,
-                       forward_orbit, pinned_samples, pull_forward,
-                       stable_coordinates, stationary_interval,
-                       stationary_lines, stationary_orbit)
+                       pinned_samples, pull_forward, stable_coordinates,
+                       stationary_interval, stationary_lines,
+                       stationary_orbit)
 from .ensemble import sample_batch
 from .errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
                      NoAcceptedReplicas)
@@ -237,13 +237,12 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
                      "pin_diagnostic": diag})
 
 
-def _isometric_fiber_action(trace, ahead):
-    """Per replica: True when every fold map of the trace and of its
-    continuation ``ahead`` has unit metric derivative at its start
-    coordinate, which is the product of its steps' derivatives there."""
-    logs = [np.abs(np.log(fiber_map_derivative(t.maps, t.x[:, :-1])))
-            for t in (trace, ahead)]
-    return np.max(np.concatenate(logs, axis=1), axis=1, initial=0.0) < 1e-9
+def _isometric_fiber_action(trace):
+    """Per replica: True when every fold map of the trace, its lookahead's
+    included, has unit metric derivative at its start coordinate, which
+    is the product of its steps' derivatives there."""
+    logs = np.abs(np.log(fiber_map_derivative(trace.maps, trace.x[:, :-1])))
+    return np.max(logs, axis=1, initial=0.0) < 1e-9
 
 
 def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
@@ -273,22 +272,21 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
     assumption fails on separated d = 3 pairs, whose conditionals are
     point masses: there the estimate reads about log 2 where kappa is 0.  The
     replicas are one stack on one stream: each burns in
-    ``realization_burnin`` steps, runs its window [-n, 0], which names
-    only its ends and so keeps its flags at fold ends alone
-    (``forward_orbit``), and continues it ``lookahead`` steps on the same
-    stream.  The stable line is pulled back from the two axes u and w of
-    the completion frame at the continuation's end, through its fold maps
-    and then the window's (``stable_coordinates``); the arcs are pushed
-    from -n to 0 through the window's fold maps (``pull_forward``).
+    ``realization_burnin`` steps and runs one window [-n, ``lookahead``],
+    which names only its ends and 0 and so keeps its flags at fold ends
+    alone (``forward_orbit``).  The stable line is pulled back from the
+    two axes u and w of the completion frame at the window's end through
+    every fold map (``stable_coordinates``); the arcs are pushed from -n
+    to 0 through the window's fold maps (``pull_forward``).
 
     Isometric fiber actions have no stable line; there any fixed arc is
     mass-preserved in law, so one anchored at x substitutes and the
     estimator correctly reads ~0; a replica is isometric when every fold
-    map, the window's and the continuation's, is
+    map of its window, before 0 and after, is
     (``_isometric_fiber_action``).  Non-isometric replicas whose lookahead
-    cannot certify the stable line to INTERVAL_STABLE_TOL are dropped and
-    counted; the certificate depends only on maps after time 0, so the
-    drop is independent of the masses measured on [-n, 0].  The
+    cannot certify the stable line at time 0 to INTERVAL_STABLE_TOL are
+    dropped and counted; that certificate depends only on the maps after
+    0, so the drop is independent of the masses measured on [-n, 0].  The
     atomic gate reads the first replica that survives these drops.  An
     estimate needs a spread: fewer than two accepted replicas raise
     NoAcceptedReplicas.
@@ -300,13 +298,14 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
     i = fiber_index
     pool_a, pool_b = pools
     stream = sampler.child(10)
-    trace = stationary_orbit(spec, i, n, realization_burnin, stream,
-                             replicas=replicas)
-    ahead = forward_orbit(spec, trace.bases[:, -1], lookahead, stream, i)
-    y, resolution = stable_coordinates(trace, ahead)
+    trace = stationary_orbit(spec, i, n + lookahead, realization_burnin,
+                             stream, t_end=lookahead, replicas=replicas,
+                             times=(0,))
+    now = trace.index(0)
+    y, resolution = stable_coordinates(trace)
     x, y = trace.x[:, 0], y[:, 0]
-    resolved = resolution <= INTERVAL_STABLE_TOL
-    lost = ~resolved & ~_isometric_fiber_action(trace, ahead)
+    resolved = resolution[:, now] <= INTERVAL_STABLE_TOL
+    lost = ~resolved & ~_isometric_fiber_action(trace)
     coincide = resolved & (circle.distance(x, y) < DEGENERATE_DISTANCE)
     rows = np.flatnonzero(~lost & ~coincide)
     # the isometric substitute arc, replaced where the line is certified
@@ -330,7 +329,7 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
         if mass_i < 0.5:
             rejected += 1
             continue
-        mass_j = pool_mass(fiber_coordinates(pool_b, trace.frames[r, -1], i),
+        mass_j = pool_mass(fiber_coordinates(pool_b, trace.frames[r, now], i),
                            images.anchor[j] + images.lo[j],
                            images.hi[j] - images.lo[j])
         if mass_j == 0:

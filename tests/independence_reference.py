@@ -24,15 +24,12 @@ def conditional_independence_diagnostic(spec, fiber_index, pin_length,
     """
     pinned = _draws(spec, sampler.child(0), pin_length, 1)[:, 0]
     pool = stationary_flag_pool(spec, replicas, TAIL_BURNIN, sampler.child(1))
-    # the coordinates at time 0, a window of no steps, and the stable
-    # line pulled back from the end of its continuation into the futures
-    future = sampler.child(2)
-    trace = forward_orbit(spec, push_flags(pinned, pool, spec), 0, future,
-                          fiber_index=fiber_index)
-    ahead = forward_orbit(spec, trace.bases[:, -1], future_steps, future,
-                          fiber_index=fiber_index)
+    # the coordinates at time 0, the start of a window into the futures,
+    # and the stable line pulled back to it from the window's end
+    trace = forward_orbit(spec, push_flags(pinned, pool, spec), future_steps,
+                          sampler.child(2), fiber_index=fiber_index)
     # no certificate: the correlation is read whatever the resolution
-    y, _ = stable_coordinates(trace, ahead)
+    y, _ = stable_coordinates(trace)
     xs, ys = trace.x[:, 0], y[:, 0]
     ex = np.stack([np.cos(2 * xs), np.sin(2 * xs)])
     ey = np.stack([np.cos(2 * ys), np.sin(2 * ys)])

@@ -828,15 +828,15 @@ def test_stable_line_gate_on_isometries():
 
 
 def test_stable_coordinates_certified(rng):
-    # an 80-step window naming every time, certified at its end by a
-    # 60-step continuation on its stream
+    # a 140-step window naming its first 80 times, certified at time 80
+    # by its last 60 steps
     s = SeededSampler(13)
-    trace = forward_orbit(strong2(), np.eye(2), 80, s, times=every_time(80))
-    y, resolution = stable_coordinates(
-        trace, forward_orbit(strong2(), trace.bases[:, -1], 60, s, t0=80))
-    assert resolution[0] <= 1e-2
-    # a coordinate at every time the window keeps
-    assert y.shape == (1, 81)
+    trace = forward_orbit(strong2(), np.eye(2), 140, s, times=every_time(80))
+    y, resolution = stable_coordinates(trace)
+    assert resolution[0, trace.index(80)] <= 1e-2
+    # a coordinate and a resolution at every time the window keeps
+    assert trace.times[:81].tolist() == list(range(81))
+    assert y.shape == resolution.shape == (1, len(trace.times))
     # recompute one point directly
     line = oseledets_stable_line(trace, 3, lookahead=60)
     assert circle.distance(y[0, 3], line.coordinate) < 1e-9
@@ -845,16 +845,16 @@ def test_stable_coordinates_certified(rng):
 def log_distance_slope(spec, f0, n_steps, lookahead, sampler):
     """Slope of log dist(x_n, y_n) against n over a window of n_steps
     naming every time, on the first replica, with its least-squares
-    stderr; y_n are the stable coordinates certified by a continuation of
+    stderr; y_n are the stable coordinates certified by the window's last
     ``lookahead`` steps."""
-    trace = forward_orbit(spec, f0, n_steps, sampler,
+    trace = forward_orbit(spec, f0, n_steps + lookahead, sampler,
                           times=every_time(n_steps))
-    y, resolution = stable_coordinates(trace, forward_orbit(
-        spec, trace.bases[:, -1], lookahead, sampler, t0=n_steps))
-    assert resolution[0] <= 1e-2
-    d = circle.distance(trace.x[0], y[0])
+    y, resolution = stable_coordinates(trace)
+    end = trace.index(n_steps)
+    assert resolution[0, end] <= 1e-2
+    d = circle.distance(trace.x[0, :end + 1], y[0, :end + 1])
     assert np.all(d > 0)
-    t = trace.times.astype(float)
+    t = trace.times[:end + 1].astype(float)
     logd = np.log(d)
     slope, intercept = np.polyfit(t, logd, 1)
     resid = logd - (slope * t + intercept)
@@ -1004,12 +1004,12 @@ def test_pullforward_contains_x_and_excludes_y():
     spec = strong2()
     wrapped = 0
     for seed in range(12):
-        trace = stationary_orbit(spec, 1, 160, 80, SeededSampler(20, (seed,)),
-                                 t_end=60, times=every_time(160, -100))
-        y0 = oseledets_stable_line(trace, 0, lookahead=55).coordinate
+        trace = stationary_orbit(spec, 1, 300, 80, SeededSampler(20, (seed,)),
+                                 t_end=200, times=every_time(300, -100))
+        y0 = oseledets_stable_line(trace, 0, lookahead=195).coordinate
         for n in range(2, 100, 7):
             try:
-                y = oseledets_stable_line(trace, -n, lookahead=55).coordinate
+                y = oseledets_stable_line(trace, -n, lookahead=195).coordinate
                 arc = pull_forward(trace, stationary_interval(trace, -n, y),
                                    -n)
             except IntervalWrap:
@@ -1034,34 +1034,29 @@ def test_pullforward_contains_x_bern2():
 @pytest.mark.parametrize("spec, i", [(diag3eps(), 2), (hyper3mix(), 1)],
                          ids=["diag3eps", "hyper3mix"])
 def test_trace_arrays_match_per_step_objects(spec, i):
-    # a window over [-30, 0] and its 50-step continuation, both naming
-    # every time: the arrays against Flag / PartialFlag / CircleMap built
-    # step by step, the backward pass against LU solves, and the pushes
-    # against CircleMap.map_offset
+    # a window over [-30, 50] naming every time, its lookahead the 50
+    # steps after 0: the arrays against Flag / PartialFlag / CircleMap
+    # built step by step, the backward pass against LU solves, and the
+    # pushes against CircleMap.map_offset
     s = SeededSampler(24)
     n = 30
-    trace = stationary_orbit(spec, i, n, 40, s, replicas=3,
-                             times=every_time(n, -n))
-    ahead = forward_orbit(spec, trace.bases[:, -1], 50, s, fiber_index=i,
-                          times=every_time(50))
-    y, _ = stable_coordinates(trace, ahead)
+    trace = stationary_orbit(spec, i, n + 50, 40, s, t_end=50, replicas=3,
+                             times=every_time(n + 50, -n))
+    y, _ = stable_coordinates(trace)
     arcs = pull_forward(trace, stationary_interval(
         trace, -n, y[:, trace.index(-n)]), -n)
     for r in range(3):
-        partials = {}
-        for part in (trace, ahead):
-            partials[part] = [partial_flag(Flag(b), i) for b in part.bases[r]]
-            for k in range(len(part.times) - 1):
-                frame = np.column_stack(partials[part][k].frame)
-                assert np.max(np.abs(part.frames[r, k] - frame)) < 1e-12
-                assert circle.distance(part.x[r, k], fiber_coordinates(
-                    part.bases[r, k], frame, i)) < 1e-12
-                want = circle_map_between(matrices(part)[r, k],
-                                          partials[part][k],
-                                          partials[part][k + 1]).matrix
-                assert np.max(np.abs(part.maps[r, k] - want)) < 1e-12
+        steps = [partial_flag(Flag(b), i) for b in trace.bases[r]]
+        for k in range(len(trace.times) - 1):
+            frame = np.column_stack(steps[k].frame)
+            assert np.max(np.abs(trace.frames[r, k] - frame)) < 1e-12
+            assert circle.distance(trace.x[r, k], fiber_coordinates(
+                trace.bases[r, k], frame, i)) < 1e-12
+            want = circle_map_between(matrices(trace)[r, k], steps[k],
+                                      steps[k + 1]).matrix
+            assert np.max(np.abs(trace.maps[r, k] - want)) < 1e-12
         pair = np.eye(2)
-        maps = np.concatenate([trace.maps[r], ahead.maps[r]])
+        maps = trace.maps[r]
         for k in range(79, -1, -1):
             pair = np.linalg.solve(maps[k], pair)
             pair /= np.linalg.norm(pair, axis=0, keepdims=True)
@@ -1070,7 +1065,6 @@ def test_trace_arrays_match_per_step_objects(spec, i):
                 assert circle.distance(y[r, k], want) < 1e-12
         arc = stationary_interval(trace.select([r]), -n, y=y[r, trace.index(-n)])
         anchor, lo, hi = float(arc.anchor[0]), float(arc.lo[0]), float(arc.hi[0])
-        steps = partials[trace]
         for k in range(trace.index(-n), trace.index(0)):
             cmap = CircleMap(source=steps[k], target=steps[k + 1],
                              matrix=trace.maps[r, k])
@@ -1080,26 +1074,23 @@ def test_trace_arrays_match_per_step_objects(spec, i):
         assert (hi - lo) == pytest.approx(float(arcs.length[r]), rel=1e-10)
 
 
-def stepwise_stable_coordinates(trace, lookahead):
+def stepwise_stable_coordinates(trace):
     """The backward pass forming each step's adjugate solve at that step;
-    returns (y, resolution) as ``stable_coordinates`` does."""
+    returns (y, resolution) at every kept time, as ``stable_coordinates``
+    does."""
     count, n_maps = trace.maps.shape[:2]
-    anchor_k = n_maps - lookahead
     pair = np.broadcast_to(np.eye(2), (count, 2, 2))
-    kept = np.empty((count, anchor_k + 1, 2, 2))
-    if anchor_k == n_maps:
-        kept[:, anchor_k] = pair
+    kept = np.empty((count, n_maps + 1, 2, 2))
+    kept[:, n_maps] = pair
     for k in range(n_maps - 1, -1, -1):
         (a, b), (c, d) = np.moveaxis(trace.maps[:, k], 0, -1)
         adjugate = np.stack([np.stack([d, -b], axis=-1),
                              np.stack([-c, a], axis=-1)], axis=-2)
         pair = adjugate / det2(trace.maps[:, k])[:, None, None] @ pair
         pair = pair / np.linalg.norm(pair, axis=-2, keepdims=True)
-        if k <= anchor_k:
-            kept[:, k] = pair
+        kept[:, k] = pair
     angles = circle.wrap(np.arctan2(kept[..., 1, :], kept[..., 0, :]))
-    resolution = circle.distance(angles[:, anchor_k, 0], angles[:, anchor_k, 1])
-    return angles[..., 0], resolution
+    return angles[..., 0], circle.distance(angles[..., 0], angles[..., 1])
 
 
 def piecewise_map_offsets(b, anchor, delta):
@@ -1155,31 +1146,28 @@ def stepwise_pull_forward(trace, arc, t):
     ids=["bern2", "diag3eps-1", "diag3eps-2", "strong2"])
 def test_folded_backward_pass_and_composed_pushes_match_stepwise(
         spec, i, widest_at_least):
-    # a window over [-n, 0] naming the decay grid and its continuation,
-    # against the trace of [-n, lookahead] naming every time, on one
-    # stream: the backward pass through fold maps against one
-    # renormalized solve per step, also with a continuation of no steps
-    # (lookahead 0), and the pushes through one offset map per fold,
-    # formed at the window's own coordinates and composed per arc,
-    # against per-map pushes cut into pieces
+    # a window over [-n, lookahead] naming the decay grid and 0, against
+    # the trace of [-n, lookahead] naming every time, on one stream: the
+    # backward pass through fold maps against one renormalized solve per
+    # step at the times up to 0, also with a lookahead of no steps, and
+    # the pushes through one offset map per fold, formed at the window's
+    # own coordinates and composed per arc, against per-map pushes cut
+    # into pieces
     n, lookahead = 60, 200
     grid = np.array([3, 10, 25, 60])
     for ahead_steps in (0, lookahead):
-        stream = SeededSampler(28)
-        trace = stationary_orbit(spec, i, n, 100, stream, replicas=5,
-                                 times=-grid)
-        ahead = forward_orbit(spec, trace.bases[:, -1], ahead_steps, stream,
-                              i)
-        whole = stationary_orbit(spec, i, n + ahead_steps, 100,
-                                 SeededSampler(28), t_end=ahead_steps,
-                                 replicas=5,
-                                 times=every_time(n + ahead_steps, -n))
-        y, resolution = stable_coordinates(trace, ahead)
-        want_y, want_resolution = stepwise_stable_coordinates(whole,
-                                                              ahead_steps)
-        assert y.shape == (5, len(trace.times))
-        assert np.max(circle.distance(y, want_y[:, trace.times + n])) < 1e-12
-        assert np.max(np.abs(resolution - want_resolution)) < 1e-12
+        trace, whole = (stationary_orbit(
+            spec, i, n + ahead_steps, 100, SeededSampler(28),
+            t_end=ahead_steps, replicas=5, times=times)
+            for times in ([*-grid, 0], every_time(n + ahead_steps, -n)))
+        y, resolution = stable_coordinates(trace)
+        want_y, want_resolution = stepwise_stable_coordinates(whole)
+        assert y.shape == resolution.shape == (5, len(trace.times))
+        now = trace.index(0)
+        assert np.max(circle.distance(
+            y[:, :now + 1], want_y[:, trace.times[:now + 1] + n])) < 1e-12
+        assert np.max(np.abs(resolution[:, now]
+                             - want_resolution[:, whole.index(0)])) < 1e-12
     # the pushes read the coordinates of the last pass, at the lookahead
     arcs = stationary_interval(trace, -grid,
                                y[:, [trace.index(-m) for m in grid]])
@@ -1196,27 +1184,17 @@ def test_folded_backward_pass_and_composed_pushes_match_stepwise(
 
 def test_pushes_and_passes_refuse_what_the_trace_does_not_hold():
     # pull_forward reads its anchors off the trace's coordinates, so an
-    # arc anchored elsewhere is refused, not pushed from the wrong point;
-    # stable_coordinates refuses a continuation that does not start at
-    # the trace's end from its last flags
+    # arc anchored elsewhere is refused, not pushed from the wrong point
     spec = bern2()
-    stream = SeededSampler(31)
-    trace = stationary_orbit(spec, 1, 40, 50, stream, replicas=3)
-    ahead = forward_orbit(spec, trace.bases[:, -1], 100, stream)
-    y, _ = stable_coordinates(trace, ahead)
+    trace = stationary_orbit(spec, 1, 140, 50, SeededSampler(31), t_end=100,
+                             replicas=3, times=(0,))
+    y, _ = stable_coordinates(trace)
     arc = stationary_interval(trace, -40, y[:, 0])
     assert np.all(dynamics.pull_forward(trace, arc, -40).length > 0)
     moved = Arc(anchor=arc.anchor + np.array([0.0, 1e-9, 0.0]), lo=arc.lo,
                 hi=arc.hi)
     with pytest.raises(ValueError, match="off the fiber coordinate"):
         dynamics.pull_forward(trace, moved, -40)
-    late = forward_orbit(spec, trace.bases[:, -1], 100, SeededSampler(31),
-                         t0=5)
-    other = stationary_orbit(spec, 1, 40, 50, SeededSampler(32), replicas=3)
-    for wrong in (late, forward_orbit(spec, other.bases[:, -1], 100,
-                                      SeededSampler(31))):
-        with pytest.raises(ValueError, match="does not continue the trace"):
-            stable_coordinates(trace, wrong)
 
 
 @pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3()],
@@ -1251,25 +1229,21 @@ class _Stop(Exception):
 @pytest.mark.parametrize("spec, i", [
     (bern2(), 1), (diag3eps(), 1), (diag3eps(), 2), (iso3(), 2)],
     ids=["bern2", "diag3eps-1", "diag3eps-2", "iso3"])
-def test_lookahead_draws_continue_the_window(monkeypatch, spec, i, leg):
-    # each leg runs its window over [-n, 0] and then continues it by a
-    # second forward_orbit call from the window's last flags on the same
-    # stream: the two draw what one window over [-n, lookahead] draws,
-    # byte for byte, and the stream ends where that window's does
+def test_lookahead_draws_continue_the_window(spec, i, leg):
+    # each leg runs one window over [-n, lookahead] that names 0, its
+    # lookahead the steps after 0: the window draws what
+    # stationary_orbit(..., n + lookahead, t_end=lookahead) draws, byte
+    # for byte, and the stream ends where that window's does
     n, lookahead, replicas, burnin = 40, 150, 3, 60
     seen = []
     folded = dynamics.forward_orbit
 
-    def spy(spec, f0, n_steps, sampler, *args, **kwargs):
-        seen.append((np.array(f0), folded(spec, f0, n_steps, sampler,
-                                          *args, **kwargs)))
-        if len(seen) == 2:
-            seen.append(sampler.rng.bit_generator.random_raw())
-            raise _Stop
-        return seen[-1][1]
-    monkeypatch.setattr(dynamics, "forward_orbit", spy)
-    monkeypatch.setattr(entropy, "forward_orbit", spy)
-    with pytest.raises(_Stop):
+    def spy(*args, **kwargs):
+        seen.append(folded(*args, **kwargs))
+        seen.append(args[3].rng.bit_generator.random_raw())
+        raise _Stop
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(_Stop):
+        mp.setattr(dynamics, "forward_orbit", spy)
         if leg == "interval":
             entropy.kappa_interval_estimator(
                 spec, i, (None, None), SeededSampler(41), n=n,
@@ -1278,17 +1252,15 @@ def test_lookahead_draws_continue_the_window(monkeypatch, spec, i, leg):
         else:
             interval_decay_curve(spec, i, [10, n], replicas, SeededSampler(41),
                                  burnin=burnin, lookahead=lookahead)
-    (_, trace), (start, ahead), word = seen
+    trace, word = seen
     stream = SeededSampler(41)
     if leg == "interval":
         stream = stream.child(10)
     whole = stationary_orbit(spec, i, n + lookahead, burnin, stream,
                              t_end=lookahead, replicas=replicas)
-    assert trace.times[[0, -1]].tolist() == [-n, 0]
-    assert ahead.times[[0, -1]].tolist() == [0, lookahead]
-    assert start.tobytes() == trace.bases[:, -1].tobytes()
-    assert (np.concatenate([matrices(trace), matrices(ahead)], axis=1).tobytes()
-            == matrices(whole).tobytes())
+    assert trace.times[[0, -1]].tolist() == [-n, lookahead]
+    assert trace.times[trace.index(0)] == 0
+    assert matrices(trace).tobytes() == matrices(whole).tobytes()
     assert word == stream.rng.bit_generator.random_raw()
 
 
@@ -1297,9 +1269,9 @@ def test_lookahead_draws_continue_the_window(monkeypatch, spec, i, leg):
     (strong2(stretch=2.0), 1), (rot2(), 1)],
     ids=["bern2", "diag3eps-1", "diag3eps-2", "iso3", "strong2", "rot2"])
 def test_fold_level_lookahead_matches_the_stepwise_pass(spec, i):
-    # an interval leg's window over [-n, 0] and its continuation over [0,
-    # lookahead], both at fold level, against one solve per step over the
-    # trace of [-n, lookahead] naming every time, on the same stream.  A
+    # an interval leg's window over [-n, lookahead] naming 0, at fold
+    # level, against one solve per step over the trace of [-n, lookahead]
+    # naming every time, on the same stream.  A
     # fold map is read off the fold's d x d product, whose rounding is eps
     # cond(P) <= eps FOLD_COND_CAP of its size (FOLD_COND_CAP's note);
     # pulling back contracts toward the stable line, so the pair carries
@@ -1309,39 +1281,60 @@ def test_fold_level_lookahead_matches_the_stepwise_pass(spec, i):
     # fiber 2 (33 folds, a bound of 7.3e-11) and 1.2e-14 elsewhere, the
     # resolution within 1.8e-14
     n, lookahead, replicas = 100, 900, 5
-    stream = SeededSampler(42)
-    window = stationary_orbit(spec, i, n, 200, stream, replicas=replicas)
-    ahead = forward_orbit(spec, window.bases[:, -1], lookahead, stream, i)
-    whole = stationary_orbit(spec, i, n + lookahead, 200, SeededSampler(42),
-                             t_end=lookahead, replicas=replicas,
-                             times=every_time(n + lookahead, -n))
-    width = fold_width(spec)
-    assert ahead.maps.shape == (replicas, -(-lookahead // width), 2, 2)
-    assert ahead.x.shape == (replicas, ahead.maps.shape[1] + 1)
-    y, resolution = stable_coordinates(window, ahead)
-    want_y, want_resolution = stepwise_stable_coordinates(whole, lookahead)
-    crossed = ahead.maps.shape[1] + window.maps.shape[1]
-    tol = crossed * np.finfo(float).eps * FOLD_COND_CAP
+    window, whole = (stationary_orbit(
+        spec, i, n + lookahead, 200, SeededSampler(42), t_end=lookahead,
+        replicas=replicas, times=times)
+        for times in ((0,), every_time(n + lookahead, -n)))
+    width, now = fold_width(spec), window.index(0)
+    assert window.maps.shape[1] - now == -(-lookahead // width)
+    assert window.x.shape == (replicas, window.maps.shape[1] + 1)
+    y, resolution = stable_coordinates(window)
+    want_y, want_resolution = stepwise_stable_coordinates(whole)
+    resolution, want_resolution = resolution[:, now], want_resolution[
+        :, whole.index(0)]
+    tol = window.maps.shape[1] * np.finfo(float).eps * FOLD_COND_CAP
     assert y.shape == (replicas, len(window.times))
-    assert np.max(circle.distance(y, want_y[:, window.times + n])) < tol
+    assert np.max(circle.distance(
+        y[:, :now + 1], want_y[:, window.times[:now + 1] + n])) < tol
     assert np.max(np.abs(resolution - want_resolution)) < 1e-12
     for stable_tol in (DECAY_STABLE_TOL, INTERVAL_STABLE_TOL):
         assert np.array_equal(resolution <= stable_tol,
                               want_resolution <= stable_tol)
-    for part in (window, ahead):
-        assert np.max(circle.distance(part.x, whole.x[:, part.times + n])) < tol
+    assert np.max(circle.distance(window.x, whole.x[:, window.times + n])) < tol
+
+
+@pytest.mark.parametrize("spec, i", [(bern2(), 1), (diag3eps(), 2),
+                                     (iso3(), 2)],
+                         ids=["bern2", "diag3eps-2", "iso3"])
+def test_certificate_at_zero_reads_only_the_maps_after_it(spec, i):
+    # a window over [-n, lookahead] naming 0, and a second window over [0,
+    # lookahead] from its time-0 flags on the stream that drew its first
+    # n steps: the same y and resolution at time 0, bit for bit.  So a
+    # replica's certificate is a function of its draws after 0 alone, and
+    # dropping the uncertified replicas biases nothing read before 0
+    n, lookahead, replicas = 60, 300, 4
+    whole = stationary_orbit(spec, i, n + lookahead, 100, SeededSampler(44),
+                             t_end=lookahead, replicas=replicas, times=(0,))
+    now = whole.index(0)
+    stream = SeededSampler(44)
+    past = stationary_orbit(spec, i, n, 100, stream, replicas=replicas)
+    assert past.bases[:, -1].tobytes() == whole.bases[:, now].tobytes()
+    ahead = forward_orbit(spec, whole.bases[:, now], lookahead, stream, i)
+    (y, resolution), (want_y, want_resolution) = (
+        stable_coordinates(t) for t in (whole, ahead))
+    assert y[:, now].tobytes() == want_y[:, 0].tobytes()
+    assert resolution[:, now].tobytes() == want_resolution[:, 0].tobytes()
 
 
 def name_every_time(monkeypatch):
-    """Make every trace that dynamics and entropy run name every time of
-    its window, so that the legs run on stepwise traces."""
+    """Make every trace that dynamics runs name every time of its window,
+    so that the legs run on stepwise traces."""
     folded = dynamics.forward_orbit
 
     def stepwise(spec, f0, n_steps, sampler, fiber_index=1, t0=0, times=()):
         return folded(spec, f0, n_steps, sampler, fiber_index, t0,
                       every_time(n_steps, t0))
     monkeypatch.setattr(dynamics, "forward_orbit", stepwise)
-    monkeypatch.setattr(entropy, "forward_orbit", stepwise)
 
 
 def assert_interval_legs_match_stepwise(spec, i, seed, tails, n, replicas,
@@ -1376,7 +1369,6 @@ def assert_interval_legs_match_stepwise(spec, i, seed, tails, n, replicas,
                 traces.append(inner(*args, **kwargs))
                 return traces[-1]
             mp.setattr(dynamics, "forward_orbit", kept)
-            mp.setattr(entropy, "forward_orbit", kept)
             run = []
             for leg in legs:
                 del traces[:]

@@ -11,8 +11,7 @@ from flagdim.entropy import (KappaEstimate, conditional_fiber_sample,
                              kappa_density_estimator, kappa_interval_estimator)
 from flagdim.errors import (AtomicFiber, BandwidthTooSmall, HypothesisNotMet,
                             InsufficientMass, NoAcceptedReplicas)
-from flagdim.dynamics import (SpectrumEstimate, forward_orbit,
-                              lyapunov_spectrum, push_flags,
+from flagdim.dynamics import (SpectrumEstimate, lyapunov_spectrum, push_flags,
                               stable_coordinates, stationary_flag_pool,
                               stationary_lines, stationary_orbit)
 from flagdim.flagcore import fiber_coordinates, fiber_map_derivative
@@ -70,30 +69,30 @@ def test_rot2_interval_kappa_zero():
 
 
 def _window_and_lookahead(spec):
-    """An interval leg's window over [-40, 0] and its 300-step
-    continuation, both kept at fold ends."""
-    stream = SeededSampler(43)
-    trace = stationary_orbit(spec, 1, 40, 100, stream, replicas=4)
-    return trace, forward_orbit(spec, trace.bases[:, -1], 300, stream)
+    """An interval leg's window over [-40, 300], its lookahead the 300
+    steps after 0, kept at fold ends and 0."""
+    return stationary_orbit(spec, 1, 340, 100, SeededSampler(43), t_end=300,
+                            replicas=4, times=(0,))
 
 
 def test_isometry_check_reads_the_lookahead_folds():
-    trace, ahead = _window_and_lookahead(rot2())
-    assert entropy._isometric_fiber_action(trace, ahead).all()
+    trace = _window_and_lookahead(rot2())
+    assert entropy._isometric_fiber_action(trace).all()
     assert not entropy._isometric_fiber_action(
-        *_window_and_lookahead(bern2())).any()
-    # behind an isometric window, one fold map of replica 1's continuation
-    # made to stretch by 1 + 1e-6 at its start coordinate: it fixes that
-    # direction u and scales its normal
-    theta = ahead.x[1, 2]
+        _window_and_lookahead(bern2())).any()
+    # in an isometric window, one fold map of replica 1's lookahead made to
+    # stretch by 1 + 1e-6 at its start coordinate: it fixes that direction
+    # u and scales its normal
+    k = trace.index(0) + 2
+    theta = trace.x[1, k]
     u = circle.unit_vector(theta)
     frame = np.column_stack([u, [-u[1], u[0]]])
-    bent = ahead.maps.copy()
-    bent[1, 2] = bent[1, 2] @ frame @ np.diag([1.0, 1.0 + 1e-6]) @ frame.T
-    assert fiber_map_derivative(bent[1, 2], theta) == pytest.approx(
+    bent = trace.maps.copy()
+    bent[1, k] = bent[1, k] @ frame @ np.diag([1.0, 1.0 + 1e-6]) @ frame.T
+    assert fiber_map_derivative(bent[1, k], theta) == pytest.approx(
         1.0 + 1e-6, rel=1e-9)
     assert entropy._isometric_fiber_action(
-        trace, replace(ahead, maps=bent)).tolist() == [True, False, True, True]
+        replace(trace, maps=bent)).tolist() == [True, False, True, True]
 
 
 def test_bern2_conditional_is_stationary_measure():
@@ -433,14 +432,13 @@ def test_interval_estimator_diag3eps_positive():
 
 def _interval_resolutions(spec, sampler, replicas, n, lookahead,
                           realization_burnin):
-    """The trace and stable-line resolutions of the replicas of
-    ``kappa_interval_estimator`` on ``sampler``, drawn as it draws them: a
-    window of n steps and its lookahead on ``sampler.child(10)``."""
-    stream = sampler.child(10)
-    trace = stationary_orbit(spec, 1, n, realization_burnin, stream,
-                             replicas=replicas)
-    ahead = forward_orbit(spec, trace.bases[:, -1], lookahead, stream, 1)
-    return trace, stable_coordinates(trace, ahead)[1]
+    """The trace and time-0 stable-line resolutions of the replicas of
+    ``kappa_interval_estimator`` on ``sampler``, drawn as it draws them:
+    one window over [-n, lookahead] naming 0 on ``sampler.child(10)``."""
+    trace = stationary_orbit(spec, 1, n + lookahead, realization_burnin,
+                             sampler.child(10), t_end=lookahead,
+                             replicas=replicas, times=(0,))
+    return trace, stable_coordinates(trace)[1][:, trace.index(0)]
 
 
 def _between(resolutions, k):
