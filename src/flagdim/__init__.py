@@ -19,7 +19,7 @@ legs.
 from . import circle
 from .dynamics import (Arc, OrbitTrace, SpectrumEstimate, forward_orbit,
                        interval_decay_curve, lyapunov_spectrum,
-                       pull_forward, push_arc, stable_coordinates,
+                       pull_forward, stable_coordinates,
                        stationary_interval, stationary_orbit)
 from .ensemble import (BENCHMARKS, EnsembleSpec, SeededSampler, bern2,
                        diag3eps, finite_support, from_text, rot2,

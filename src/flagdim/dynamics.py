@@ -129,21 +129,21 @@ The thinned reads of a draw block come from one draw, and their
 THINNING-step products are formed (gathered, for finite support) at
 once.
 
-Intervals are carried as an anchor plus two signed offsets, never as
-absolute endpoints.  A map B at the anchor u acts on an offset delta
-through its offset map: (sin delta, cos delta) goes, up to a positive
-factor, to N (sin delta, cos delta) with N = [[det B, 0], [<Bu, Bu_perp>,
-|Bu|^2]] / |Bu|^2, read off by one atan2 in the frame of Bu.  Offset maps
-are lower triangular with unit corner, so the maps along an orbit
-compose by two multiply-adds per fold into one [[D, 0], [G, 1]], whose D
-is the product of the folds' derivatives at the anchors.  An interval is
-anchored at its replica's fiber coordinate, so a trace's own coordinates
-are the anchors at every fold start (``pull_forward``).  Lengths that
-decay like e^(-gap n) thus stay fully resolved long after the endpoints'
-absolute coordinates have collapsed onto one double.  The image cross
-product is det B sin delta, so the atan2 is exact for every |delta| < pi
-and no offset is cut into pieces.  ``CircleMap.map_offset`` keeps its
-per-map pieces, as an independent check of one step.
+An interval at a kept time is two signed offsets (``Arc``) about its
+replica's fiber coordinate there, ``trace.x``, never absolute endpoints.
+A map B at the coordinate u acts on an offset delta through its offset
+map: (sin delta, cos delta) goes, up to a positive factor, to N (sin
+delta, cos delta) with N = [[det B, 0], [<Bu, Bu_perp>, |Bu|^2]] /
+|Bu|^2, read off by one atan2 in the frame of Bu.  Offset maps are lower
+triangular with unit corner, so the maps along an orbit compose by two
+multiply-adds per fold into one [[D, 0], [G, 1]], whose D is the product
+of the folds' derivatives at the trace's coordinates at their starts: the
+image is two offsets about the coordinate at the end (``pull_forward``).
+Lengths that decay like e^(-gap n) thus stay fully resolved long after
+the endpoints' absolute coordinates have collapsed onto one double.  The
+image cross product is det B sin delta, so the atan2 is exact for every
+|delta| < pi and no offset is cut into pieces.  ``CircleMap.map_offset``
+keeps its per-map pieces, as an independent check of one step.
 """
 
 import functools
@@ -179,7 +179,6 @@ WORD_FOLD_STEPS = 64      # steps folded into one product at most
 DRAW_BLOCK = 32768
 WORD_TABLE = 256          # products per word table at most (K^h <= this)
 DEGENERATE_DISTANCE = 1e-12   # x and y closer than this do not bound an interval
-ANCHOR_TOL = 1e-12        # an arc anchored further than this from x is refused
 DECAY_STABLE_TOL = 1e-2   # stable-line resolution a decay replica must reach
 INTERVAL_STABLE_TOL = 0.05  # ... and one an interval-route replica must reach
 THINNING = 5              # d = 2 stationary sample: steps between reads
@@ -497,10 +496,11 @@ def push_flags(pinned, bases, spec):
     return _apply(bases, _folds(spec, pinned[:, None]))[0]
 
 
-def pinned_samples(trace, pools, i, start, end):
-    """Fiber-i coordinates of ``pools[r]`` (tail flags, or their i leading
-    columns) pushed through realization r's steps from ``start`` to
-    ``end`` of the trace's window and read in the frame kept at ``end``.
+def pinned_samples(trace, pools, start, end):
+    """Coordinates on the trace's fiber i = ``trace.fiber_index`` of
+    ``pools[r]`` (tail flags, or their i leading columns) pushed through
+    realization r's steps from ``start`` to ``end`` of the trace's window
+    and read in the frame kept at ``end``.
 
     Every past folds from the trace's draws in one ``_folds`` call, which
     writes none of them, and sample r is ``push_flags`` of past r bit for
@@ -509,8 +509,7 @@ def pinned_samples(trace, pools, i, start, end):
     one pool pushed at a time.  An ``end`` the trace does not keep raises
     IndexError, a ``start`` before the window or after ``end`` ValueError.
     """
-    k = trace.index(end)
-    t0 = int(trace.times[0])
+    i, k, t0 = trace.fiber_index, trace.index(end), int(trace.times[0])
     if not t0 <= start <= end:
         raise ValueError(f"pinned past [{start}, {end}] is not in the "
                          f"window [{t0}, {trace.times[-1]}]")
@@ -774,14 +773,15 @@ class OrbitTrace:
     ``forward_orbit``).  Replica r's flag there has basis bases[r, k];
     frames[r, k] holds the completion frame (u, w) of its fiber plane as
     columns and x[r, k] the fiber coordinate of its i-dimensional
-    subspace.  maps[r, k] is the fold's 2x2 fiber map F_{k+1}^T P F_k
-    between the frames at its ends, P the fold's product: in exact
-    arithmetic the product of its steps' maps.  draws[r] are the window's
-    draws in step order, atom indices for finite support and matrices
-    otherwise.
+    subspace, i = fiber_index.  maps[r, k] is the fold's 2x2 fiber map
+    F_{k+1}^T P F_k between the frames at its ends, P the fold's product:
+    in exact arithmetic the product of its steps' maps.  draws[r] are the
+    window's draws in step order, atom indices for finite support and
+    matrices otherwise.
     """
 
     spec: object
+    fiber_index: int       # i, the fiber of frames, x and maps
     times: np.ndarray      # (K,)
     draws: np.ndarray      # (R, T) atom indices, or (R, T, d, d)
     bases: np.ndarray      # (R, K, d, d)
@@ -852,7 +852,8 @@ def forward_orbit(spec, f0, n_steps, sampler, fiber_index=1, t0=0, times=()):
     det = det2(maps)
     if not np.all(np.isfinite(det) & (det != 0.0)):
         raise DegenerateBasis("induced fiber map is singular")
-    return OrbitTrace(spec=spec, times=t0 + np.array([0] + ends),
+    return OrbitTrace(spec=spec, fiber_index=i,
+                      times=t0 + np.array([0] + ends),
                       draws=draws.swapaxes(0, 1), bases=bases, frames=frames,
                       maps=maps, x=fiber_coordinates(bases, frames, i))
 
@@ -920,20 +921,21 @@ def stable_coordinates(trace):
 
 @dataclass(frozen=True, eq=False)
 class Arc:
-    """Closed arcs {anchor + t : lo <= t <= hi} with lo <= 0 <= hi.
+    """Closed arcs {x + t : lo <= t <= hi} with lo <= 0 <= hi, two offsets
+    about a coordinate x the arc does not hold: an arc at a kept time of
+    a trace is about its replica's ``trace.x`` there.
 
     The fields are floats, or arrays of one shape holding one arc per
-    entry.  Offsets are kept separate from the anchor so lengths far below
-    the anchor's own floating point resolution remain exact.
+    entry.  Offsets are kept apart from x so lengths far below x's own
+    floating point resolution remain exact.
     """
 
-    anchor: object
     lo: object
     hi: object
 
     def __post_init__(self):
         if not np.all((self.lo <= 0.0) & (self.hi >= 0.0)):
-            raise IntervalWrap(f"anchor left the arc: offsets [{self.lo}, {self.hi}]")
+            raise IntervalWrap(f"x left the arc: offsets [{self.lo}, {self.hi}]")
         if np.any(self.hi - self.lo >= circle.HALF_TURN):
             raise IntervalWrap(f"arc of length {np.max(self.hi - self.lo)} "
                                "covers the circle")
@@ -947,8 +949,9 @@ def stationary_interval(trace, t, y):
     """The arcs around x_t excluding the half-distance ball at the stable line.
 
     ``t`` is one time or a sequence; the result holds one arc per replica,
-    and per time for a sequence.  ``y`` holds the stable-line coordinates
-    at those times, as ``stable_coordinates`` reads them.
+    and per time for a sequence, each two offsets about ``trace.x`` there.
+    ``y`` holds the stable-line coordinates at those times, as
+    ``stable_coordinates`` reads them.
     """
     ks = [trace.index(s) for s in np.ravel(t)]
     x = trace.x[:, ks] if np.ndim(t) else trace.x[:, ks[0]]
@@ -958,16 +961,16 @@ def stationary_interval(trace, t, y):
             f"x and y coincide at time {t} (distance {np.min(rho):.2e})")
     start = y + rho / 2.0  # forward endpoint of the excluded ball
     lo = -np.mod(x - start, circle.HALF_TURN)
-    return Arc(anchor=x, lo=lo, hi=lo + (circle.HALF_TURN - rho))
+    return Arc(lo=lo, hi=lo + (circle.HALF_TURN - rho))
 
 
 def _offset_maps(b, cos, sin):
-    """Offset maps of 2x2 maps at unit anchors, broadcasting.
+    """Offset maps of 2x2 maps at unit vectors u, broadcasting.
 
-    ``b`` (..., 2, 2) acts in the completion frames and the anchor's unit
-    vector is u = (cos, sin).  Returns (d, g, Bu): the offset map N /
-    |Bu|^2 is [[d, 0], [g, 1]] with d = det B / |Bu|^2, the map's signed
-    derivative at the anchor, and g = <Bu, Bu_perp> / |Bu|^2.
+    ``b`` (..., 2, 2) acts in the completion frames and u = (cos, sin).
+    Returns (d, g, Bu): the offset map N / |Bu|^2 is [[d, 0], [g, 1]]
+    with d = det B / |Bu|^2, the map's signed derivative at u, and g =
+    <Bu, Bu_perp> / |Bu|^2.
     """
     b00, b01, b10, b11 = (b[..., j, k] for j in (0, 1) for k in (0, 1))
     x, y = b00 * cos + b01 * sin, b10 * cos + b11 * sin
@@ -977,48 +980,40 @@ def _offset_maps(b, cos, sin):
     return det2(b) / norm2, (x * xp + y * yp) / norm2, (x, y)
 
 
-def _image_arc(anchor, d, g, lo, hi):
-    """The arc at ``anchor`` whose offsets are the images of lo and hi
-    under the offset map [[d, 0], [g, 1]]: each is atan2(d sin delta, g sin
-    delta + cos delta), exact for |delta| < pi."""
+def _image_arc(d, g, lo, hi):
+    """The arc whose offsets are the images of lo and hi under the offset
+    map [[d, 0], [g, 1]]: each is atan2(d sin delta, g sin delta + cos
+    delta), exact for |delta| < pi."""
     ends = np.stack([lo, hi])
     sin = np.sin(ends)
     ends = np.arctan2(d * sin, g * sin + np.cos(ends))
-    return Arc(anchor=anchor, lo=np.minimum(*ends), hi=np.maximum(*ends))
+    return Arc(lo=np.minimum(*ends), hi=np.maximum(*ends))
 
 
-def push_arc(cmap, arc):
-    """Image of an arc under one circle map, anchored offsets throughout."""
-    d, g, bu = _offset_maps(cmap.matrix, np.cos(arc.anchor), np.sin(arc.anchor))
-    return _image_arc(circle.wrap(np.arctan2(bu[1], bu[0])), d, g, arc.lo,
-                      arc.hi)
+def push_arc(cmap, x, arc):
+    """The image of x under one circle map, and the image of ``arc``, two
+    offsets about x, as two offsets about it."""
+    d, g, bu = _offset_maps(cmap.matrix, np.cos(x), np.sin(x))
+    image = circle.wrap(np.arctan2(bu[1], bu[0]))
+    return image, _image_arc(d, g, arc.lo, arc.hi)
 
 
 def pull_forward(trace, arc, t):
     """Images at time 0 of arcs given at kept times t <= 0, replica by replica.
 
     ``arc`` holds one arc per replica for one time ``t``, or per replica
-    and time for a sequence of times, each anchored at its replica's
-    fiber coordinate there; an anchor further than ANCHOR_TOL from it is
-    refused.  A fold map takes
-    the coordinate at its start to the one at its end, so the trace's own
-    coordinates are the anchors of every fold: each fold's offset map at
-    its start coordinate is formed for every fold in one vectorized pass,
-    and the maps are composed last fold first, D <- D d_f and G <- G d_f
-    + g_f, keeping the composite from every fold on; an arc reads the one
-    from its own time.  Each end's image is one atan2 of the composed map,
-    exact for any offset under a half turn, so every image contains its
-    anchor, the coordinate at time 0, by construction.
+    and time for a sequence of times, each two offsets about its
+    replica's coordinate ``trace.x`` there.  A fold map takes the
+    coordinate at its start to the one at its end, so each fold's offset
+    map is formed at the trace's coordinate at its start, for every fold
+    in one vectorized pass, and the maps are composed last fold first, D
+    <- D d_f and G <- G d_f + g_f, keeping the composite from every fold
+    on; an arc reads the one from its own time.  Each end's image is one
+    atan2 of the composed map, exact for any offset under a half turn.
+    The images are two offsets about the coordinate at time 0,
+    ``trace.x[:, trace.index(0)]``, so each contains it by construction.
     """
     starts = np.array([trace.index(s) for s in np.ravel(t)])
-    shape = np.shape(arc.lo)
-    anchor, lo, hi = (np.broadcast_to(v, shape).reshape(len(trace.x),
-                                                        len(starts))
-                      for v in (arc.anchor, arc.lo, arc.hi))
-    off = circle.distance(anchor, trace.x[:, starts])
-    if not np.all(off <= ANCHOR_TOL):
-        raise ValueError(f"arc anchored {np.max(off):.2e} off the fiber "
-                         "coordinate at its time")
     first, end = int(starts.min()), trace.index(0)
     x = trace.x[:, first:end]
     d, g, _ = _offset_maps(trace.maps[:, first:end], np.cos(x), np.sin(x))
@@ -1028,11 +1023,9 @@ def pull_forward(trace, arc, t):
     for k in range(end - first - 1, -1, -1):
         big_g[:, k] = big_g[:, k + 1] * d[:, k] + g[:, k]
         big_d[:, k] = big_d[:, k + 1] * d[:, k]
-    k = starts - first
-    image = _image_arc(np.broadcast_to(trace.x[:, end, None], lo.shape),
-                       big_d[:, k], big_g[:, k], lo, hi)
-    return Arc(anchor=image.anchor.reshape(shape), lo=image.lo.reshape(shape),
-               hi=image.hi.reshape(shape))
+    k, shape = starts - first, np.shape(arc.lo)
+    return _image_arc(big_d[:, k].reshape(shape), big_g[:, k].reshape(shape),
+                      arc.lo, arc.hi)
 
 
 @dataclass(frozen=True, eq=False)

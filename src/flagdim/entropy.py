@@ -109,7 +109,7 @@ def conditional_fiber_sample(spec, fiber_index, pools, sampler,
                              sampler.child(0), replicas=len(pools))
     # the tail replicas carry their own flags; reading them all in the one
     # reference frame makes them one conditional sample
-    return list(pinned_samples(trace, pools, fiber_index, -pin_length, 0))
+    return list(pinned_samples(trace, pools, -pin_length, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +186,8 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
     trace = stationary_orbit(spec, i, pin_length + 1, realization_burnin,
                              stream, t_end=1, replicas=orbit_samples,
                              times=(0,))
-    samples0 = pinned_samples(trace, [pool0] * orbit_samples, i,
-                              -pin_length, 0)
-    samples1 = pinned_samples(trace, [pool1] * orbit_samples, i,
+    samples0 = pinned_samples(trace, [pool0] * orbit_samples, -pin_length, 0)
+    samples1 = pinned_samples(trace, [pool1] * orbit_samples,
                               1 - pin_length, 1)
     kappas = []
     skipped = 0
@@ -197,7 +196,7 @@ def kappa_density_estimator(spec, fiber_index, pools, sampler,
         x1 = float(trace.x[r, -1])
         if r == 0:
             _atomic_gate(coords1, f"{spec.name} fiber {i}")
-            (half,) = pinned_samples(trace.select([0]), [pool1], i,
+            (half,) = pinned_samples(trace.select([0]), [pool1],
                                      1 - (pin_length - pin_length // 2), 1)
             diag = wasserstein_circle(
                 EmpiricalCircleMeasure.from_samples(coords1),
@@ -276,11 +275,12 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
     which names only its ends and 0 and so keeps its flags at fold ends
     alone (``forward_orbit``).  The stable line is pulled back from the
     two axes u and w of the completion frame at the window's end through
-    every fold map (``stable_coordinates``); the arcs are pushed from -n
-    to 0 through the window's fold maps (``pull_forward``).
+    every fold map (``stable_coordinates``).  Each arc is two offsets
+    about its replica's coordinate at -n, pushed to two offsets about the
+    one at 0 through the window's fold maps (``pull_forward``).
 
     Isometric fiber actions have no stable line; there any fixed arc is
-    mass-preserved in law, so one anchored at x substitutes and the
+    mass-preserved in law, so one about x substitutes and the
     estimator correctly reads ~0; a replica is isometric when every fold
     map of its window, before 0 and after, is
     (``_isometric_fiber_action``).  Non-isometric replicas whose lookahead
@@ -316,8 +316,7 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
         arc = stationary_interval(trace.select(rows[certified]), -n,
                                   y=y[rows[certified]])
         lo[certified], hi[certified] = arc.lo, arc.hi
-    intervals = Arc(anchor=x[rows], lo=lo, hi=hi)
-    images = pull_forward(trace.select(rows), intervals, -n)
+    images = pull_forward(trace.select(rows), Arc(lo=lo, hi=hi), -n)
     accepted = []
     rejected = 0
     zero_mass = 0
@@ -330,7 +329,7 @@ def kappa_interval_estimator(spec, fiber_index, pools, sampler, n=100,
             rejected += 1
             continue
         mass_j = pool_mass(fiber_coordinates(pool_b, trace.frames[r, now], i),
-                           images.anchor[j] + images.lo[j],
+                           trace.x[r, now] + images.lo[j],
                            images.hi[j] - images.lo[j])
         if mass_j == 0:
             zero_mass += 1

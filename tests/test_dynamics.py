@@ -12,8 +12,8 @@ from flagdim.dynamics import (DECAY_STABLE_TOL, FOLD_COND_CAP,
                               batched_orthonormalize, circle_map_between,
                               evolve_flags, fold_width, forward_orbit,
                               interval_decay_curve, lyapunov_spectrum,
-                              pinned_samples, pull_forward,
-                              push_arc, push_flags, stable_coordinates,
+                              pinned_samples, pull_forward, push_flags,
+                              stable_coordinates,
                               stationary_flag_pool, stationary_interval,
                               stationary_lines, stationary_orbit)
 from flagdim.ensemble import (SeededSampler, bern2, diag3eps, finite_support,
@@ -25,7 +25,6 @@ from flagdim.flagcore import (CircleMap, Flag, LinearMap, act_flag,
                               fiber_map_image, partial_flag)
 
 import fold_loop_reference
-from conftest import random_invertible
 from test_cli import diag4eps
 from iso_reference import iso3_exponents
 from stable_line_reference import oseledets_stable_line
@@ -419,21 +418,23 @@ def test_orbit_window_is_one_draw_call():
 
 @pytest.mark.parametrize("spec", [diag3eps(), iso3()], ids=lambda s: s.name)
 def test_pinned_samples_push_each_pool_through_its_own_past(spec):
-    # four realizations over the window [-60, 1], which names 0: the
-    # samples over [-60, 0] and [-59, 1] are each realization's own pool
-    # pushed through its own steps alone (push_flags) and read in the
-    # frames kept at 0 and 1, bit for bit, and the trace's draws are not
-    # written (a Haar trace's matrices are its draws)
+    # four realizations over the window [-60, 1], which names 0, one
+    # window per fiber i: the samples over [-60, 0] and [-59, 1] are each
+    # realization's own pool pushed through its own steps alone
+    # (push_flags) and read on the trace's fiber in the frames kept at 0
+    # and 1, bit for bit, and the trace's draws are not written (a Haar
+    # trace's matrices are its draws)
     m = 60
-    trace = stationary_orbit(spec, 1, m + 1, 20, SeededSampler(52), t_end=1,
-                             replicas=4, times=(0,))
     pools = [stationary_flag_pool(spec, 50, 30, SeededSampler(60 + r))
              for r in range(4)]
-    before = trace.draws.tobytes()
     for i in (1, 2):
+        trace = stationary_orbit(spec, i, m + 1, 20, SeededSampler(52),
+                                 t_end=1, replicas=4, times=(0,))
+        assert trace.fiber_index == trace.select([1, 3]).fiber_index == i
+        before = trace.draws.tobytes()
         for start, end, steps in ((-m, 0, slice(0, m)),
                                   (1 - m, 1, slice(1, m + 1))):
-            got = list(pinned_samples(trace, pools, i, start, end))
+            got = list(pinned_samples(trace, pools, start, end))
             assert len(got) == 4 and trace.draws.tobytes() == before
             frames = trace.frames[:, trace.index(end)]
             for r, sample in enumerate(got):
@@ -443,11 +444,11 @@ def test_pinned_samples_push_each_pool_through_its_own_past(spec):
     # -1 ends no fold, and 2 is past the window
     for end in (-1, 2):
         with pytest.raises(IndexError, match=f"time {end} is not kept"):
-            pinned_samples(trace, pools, 1, -m, end)
+            pinned_samples(trace, pools, -m, end)
     # a start outside [-60, end] would slice the wrong steps silently
     for start, end in ((-m - 1, 0), (1, 0), (2, 1)):
         with pytest.raises(ValueError, match="is not in the window"):
-            pinned_samples(trace, pools, 1, start, end)
+            pinned_samples(trace, pools, start, end)
 
 
 @pytest.mark.parametrize("stretch, width", [(2.0, 2), (3.45, 1)],
@@ -882,9 +883,10 @@ def test_angle_decay_slope_near_zero_strong2():
     assert lo < 0 < hi or abs(slope) < 0.02
 
 
-def arc_contains(arc, theta):
-    """Whether the closed arc holds theta, with 1e-12 of slack at each end."""
-    d = np.mod(np.asarray(theta, dtype=float) - (arc.anchor + arc.lo),
+def arc_contains(arc, x, theta):
+    """Whether the closed arc, two offsets about the coordinate x, holds
+    theta, with 1e-12 of slack at each end."""
+    d = np.mod(np.asarray(theta, dtype=float) - (x + arc.lo),
                circle.HALF_TURN)
     # a point one rounding step below lo wraps to just under a half turn;
     # fold it back so the slack covers both endpoints
@@ -894,15 +896,16 @@ def arc_contains(arc, theta):
 
 def test_arc_invariants():
     with pytest.raises(IntervalWrap):
-        Arc(anchor=1.0, lo=0.1, hi=0.5)
+        Arc(lo=0.1, hi=0.5)
     with pytest.raises(IntervalWrap):
-        Arc(anchor=1.0, lo=-2.0, hi=2.0)
-    arc = Arc(anchor=1.0, lo=-0.5, hi=0.25)
+        Arc(lo=-2.0, hi=2.0)
+    # two offsets about the coordinate x = 1
+    x, arc = 1.0, Arc(lo=-0.5, hi=0.25)
     assert arc.length == pytest.approx(0.75)
-    assert (arc_contains(arc, 1.0) and arc_contains(arc, 0.6)
-            and arc_contains(arc, 1.2))
-    assert not arc_contains(arc, 1.3)
-    lo, hi = circle.wrap(arc.anchor + np.array([arc.lo, arc.hi]))
+    assert (arc_contains(arc, x, 1.0) and arc_contains(arc, x, 0.6)
+            and arc_contains(arc, x, 1.2))
+    assert not arc_contains(arc, x, 1.3)
+    lo, hi = circle.wrap(x + np.array([arc.lo, arc.hi]))
     assert lo == pytest.approx(0.5) and hi == pytest.approx(1.25)
 
 
@@ -912,14 +915,15 @@ def test_stationary_interval_worked_example():
                           times=every_time(60))
     y = oseledets_stable_line(trace, 0, lookahead=50).coordinate
     arc = stationary_interval(trace, 0, y)
+    x = trace.x[:, trace.index(0)]
     assert circle.distance(trace.x[0, 0], 0.0) < 1e-12
     assert arc.length == pytest.approx(np.pi / 2, abs=1e-9)
-    lo, hi = circle.wrap(arc.anchor + np.array([arc.lo, arc.hi]))
+    lo, hi = circle.wrap(x + np.array([arc.lo, arc.hi]))
     assert lo == pytest.approx(3 * np.pi / 4, abs=1e-9)
     assert hi == pytest.approx(np.pi / 4, abs=1e-9)
-    assert arc_contains(arc, 0.0) and arc_contains(arc, np.pi / 8)
-    assert not arc_contains(arc, 1.0)
-    assert not arc_contains(arc, np.pi / 2)
+    assert arc_contains(arc, x, 0.0) and arc_contains(arc, x, np.pi / 8)
+    assert not arc_contains(arc, x, 1.0)
+    assert not arc_contains(arc, x, np.pi / 2)
 
 
 def test_stationary_interval_rejects_coinciding_pair():
@@ -939,7 +943,7 @@ def test_mobius_contraction_closed_form():
         arc = pull_forward(trace, stationary_interval(trace, -n, y), -n)
         want = 2 * np.arctan(4.0 ** -n)
         assert arc.length == pytest.approx(want, rel=1e-9)
-    # lengths far below the anchor's own resolution stay exact
+    # lengths far below the coordinate's own resolution stay exact
     for n in (25, 40):
         tiny = pull_forward(trace, stationary_interval(trace, -n, y), -n)
         assert tiny.length == pytest.approx(2 * np.arctan(4.0 ** -n), rel=1e-12)
@@ -947,7 +951,7 @@ def test_mobius_contraction_closed_form():
 
 
 def test_push_beyond_a_quarter_turn_matches_closed_form():
-    # an arc of length 2.9 about an anchor off the fixed point, with
+    # an arc of length 2.9 about a coordinate off the fixed point, with
     # offsets up to 2.15, under A = q diag(2, 1/2) q^T: A^n = q diag(2^n,
     # 2^-n) q^T takes the line at rot + phi to rot + atan(4^-n tan phi)
     rot = 0.3
@@ -956,19 +960,20 @@ def test_push_beyond_a_quarter_turn_matches_closed_form():
     tilted = single("tilted2", q @ np.diag([2.0, 0.5]) @ q.T)
     phi = 0.7
     hi = np.pi / 2 - 0.12 - phi
-    arc = Arc(anchor=rot + phi, lo=hi - 2.9, hi=hi)
+    arc = Arc(lo=hi - 2.9, hi=hi)
     assert -arc.lo > np.pi / 2
-    # each window starts on the arc's anchor, the line at rot + phi
+    # each window starts on the arc's coordinate, the line at rot + phi
     c, s = np.cos(rot + phi), np.sin(rot + phi)
     start = np.array([[c, -s], [s, c]])
     for n in (1, 2, 5, 10, 20, 40):
         trace = forward_orbit(tilted, start, n, SeededSampler(29), t0=-n)
-        assert circle.distance(trace.x[0, 0], arc.anchor) < 1e-15
+        assert circle.distance(trace.x[0, 0], rot + phi) < 1e-15
         image = dynamics.pull_forward(trace, arc, -n)
         shrink = 4.0 ** -n
         lo, hi = np.arctan(shrink * np.tan(phi + np.array([arc.lo, arc.hi])))
         assert image.length == pytest.approx(hi - lo, rel=1e-12)
-        assert circle.distance(image.anchor,
+        # the image is two offsets about the trace's coordinate at 0
+        assert circle.distance(trace.x[0, trace.index(0)],
                                rot + np.arctan(shrink * np.tan(phi))) < 1e-12
 
 
@@ -1016,9 +1021,9 @@ def test_pullforward_contains_x_and_excludes_y():
                 wrapped += 1
                 continue
             x0 = float(trace.x[0, trace.index(0)])
-            assert arc_contains(arc, x0)
+            assert arc_contains(arc, x0, x0)
             if arc.length < circle.distance(x0, y0):
-                assert not arc_contains(arc, y0)
+                assert not arc_contains(arc, x0, y0)
     assert wrapped == 0
 
 
@@ -1028,7 +1033,8 @@ def test_pullforward_contains_x_bern2():
     for n in (20, 80, 140):
         y = oseledets_stable_line(trace, -n, lookahead=1500).coordinate
         arc = pull_forward(trace, stationary_interval(trace, -n, y), -n)
-        assert arc_contains(arc, float(trace.x[0, trace.index(0)]))
+        x0 = float(trace.x[0, trace.index(0)])
+        assert arc_contains(arc, x0, x0)
 
 
 @pytest.mark.parametrize("spec, i", [(diag3eps(), 2), (hyper3mix(), 1)],
@@ -1064,13 +1070,16 @@ def test_trace_arrays_match_per_step_objects(spec, i):
                 want = circle.wrap(np.arctan2(pair[1, 0], pair[0, 0]))
                 assert circle.distance(y[r, k], want) < 1e-12
         arc = stationary_interval(trace.select([r]), -n, y=y[r, trace.index(-n)])
-        anchor, lo, hi = float(arc.anchor[0]), float(arc.lo[0]), float(arc.hi[0])
+        # the chain starts at the trace's coordinate at -n and must end
+        # at its coordinate at 0, about which the pushed arcs are
+        x = float(trace.x[r, trace.index(-n)])
+        lo, hi = float(arc.lo[0]), float(arc.hi[0])
         for k in range(trace.index(-n), trace.index(0)):
             cmap = CircleMap(source=steps[k], target=steps[k + 1],
                              matrix=trace.maps[r, k])
-            d1, d2 = cmap.map_offset(anchor, lo), cmap.map_offset(anchor, hi)
-            anchor, lo, hi = cmap(anchor), min(d1, d2), max(d1, d2)
-        assert circle.distance(anchor, arcs.anchor[r]) < 1e-12
+            d1, d2 = cmap.map_offset(x, lo), cmap.map_offset(x, hi)
+            x, lo, hi = cmap(x), min(d1, d2), max(d1, d2)
+        assert circle.distance(x, trace.x[r, trace.index(0)]) < 1e-12
         assert (hi - lo) == pytest.approx(float(arcs.length[r]), rel=1e-10)
 
 
@@ -1116,13 +1125,15 @@ def piecewise_map_offsets(b, anchor, delta):
 
 
 def stepwise_pull_forward(trace, arc, t):
-    """``pull_forward`` one map at a time: each anchor stepped by
-    ``fiber_map_image`` and each arc end pushed on its own, one piece at a
-    time; also returns the largest cond(B) |offset| met."""
+    """``pull_forward`` one map at a time: each anchor, starting at the
+    trace's coordinate at the arc's time, stepped by ``fiber_map_image``
+    and each arc end pushed on its own, one piece at a time.  Returns the
+    arcs, the anchors reached at 0 (one row per replica) and the largest
+    cond(B) |offset| met."""
     starts = np.array([trace.index(s) for s in np.ravel(t)])
-    anchor, lo, hi = (np.array(np.broadcast_to(v, np.shape(arc.anchor)),
-                               dtype=float).reshape(len(trace.maps), -1)
-                      for v in (arc.anchor, arc.lo, arc.hi))
+    anchor = trace.x[:, starts]
+    lo, hi = (np.array(v, dtype=float).reshape(len(trace.maps), -1)
+              for v in (arc.lo, arc.hi))
     widest = 0.0
     for step in range(int(starts.min()), trace.index(0)):
         live = starts <= step
@@ -1133,9 +1144,8 @@ def stepwise_pull_forward(trace, arc, t):
         widest = max(widest, span1, span2)
         anchor[:, live] = fiber_map_image(b, a)
         lo[:, live], hi[:, live] = np.minimum(d1, d2), np.maximum(d1, d2)
-    shape = np.shape(arc.anchor)
-    return (Arc(anchor=anchor.reshape(shape), lo=lo.reshape(shape),
-                hi=hi.reshape(shape)), widest)
+    shape = np.shape(arc.lo)
+    return Arc(lo=lo.reshape(shape), hi=hi.reshape(shape)), anchor, widest
 
 
 # cond(B) |offset| >= 2 cut an offset into three pieces or more in the
@@ -1174,27 +1184,25 @@ def test_folded_backward_pass_and_composed_pushes_match_stepwise(
     one = stationary_interval(trace, -n, y[:, trace.index(-n)])
     for arc, t in ((arcs, -grid), (one, -n)):
         pushed = dynamics.pull_forward(trace, arc, t)
-        reference, widest = stepwise_pull_forward(whole, arc, t)
+        reference, anchor, widest = stepwise_pull_forward(whole, arc, t)
         assert widest >= widest_at_least
-        assert np.max(circle.distance(pushed.anchor, reference.anchor)) < 1e-12
+        # both are about the trace's coordinate at 0
+        assert np.max(circle.distance(
+            anchor, trace.x[:, trace.index(0), None])) < 1e-12
         for f in ("lo", "hi"):
             assert np.all(np.abs(getattr(pushed, f) - getattr(reference, f))
                           <= 1e-10 * reference.length)
 
 
-def test_pushes_and_passes_refuse_what_the_trace_does_not_hold():
-    # pull_forward reads its anchors off the trace's coordinates, so an
-    # arc anchored elsewhere is refused, not pushed from the wrong point
+def test_pulled_forward_stationary_intervals_keep_a_positive_length():
+    # arcs about the trace's coordinates at -40, pulled forward to 0
+    # through a lookahead window's fold maps, keep a positive length
     spec = bern2()
     trace = stationary_orbit(spec, 1, 140, 50, SeededSampler(31), t_end=100,
                              replicas=3, times=(0,))
     y, _ = stable_coordinates(trace)
     arc = stationary_interval(trace, -40, y[:, 0])
     assert np.all(dynamics.pull_forward(trace, arc, -40).length > 0)
-    moved = Arc(anchor=arc.anchor + np.array([0.0, 1e-9, 0.0]), lo=arc.lo,
-                hi=arc.hi)
-    with pytest.raises(ValueError, match="off the fiber coordinate"):
-        dynamics.pull_forward(trace, moved, -40)
 
 
 @pytest.mark.parametrize("spec", [bern2(), diag3eps(), iso3()],

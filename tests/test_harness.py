@@ -56,6 +56,20 @@ def _fixed_kappa(cfg, spec, i, sampler, pools):
                          fiber_index=i)
 
 
+def _insignificant_kappa(monkeypatch):
+    """Make ``harness._density_leg`` run the real estimator, which draws
+    its route's bank as verify's leg does, and return that estimate with
+    its stderr raised to at least |kappa|: every dimension report then
+    refuses at its kappa gate (kappa <= SIGNIFICANCE stderr) whatever the
+    seed, and a refused density leg refuses its report too."""
+    real = harness._density_leg
+
+    def leg(cfg, spec, i, sampler, pools):
+        est = real(cfg, spec, i, sampler, pools)
+        return dataclasses.replace(est, stderr=max(est.stderr, abs(est.kappa)))
+    monkeypatch.setattr(harness, "_density_leg", leg)
+
+
 def _is_subsequence(lines, of):
     rest = iter(of)
     return all(line in rest for line in lines)
@@ -104,11 +118,13 @@ def _fiber_two_rows(files):
 def test_fiber_two_run_writes_the_rows_of_an_all_fiber_run(
         fixed, monkeypatch, tmp_path):
     # every route draws its bank of tail pools on fiber 1's streams, so
-    # fiber 2's rows do not depend on the run covering fiber 1.  At this
-    # budget both reports refuse at their kappa gate; a fixed kappa lets
-    # them run
+    # fiber 2's rows do not depend on the run covering fiber 1.  An
+    # estimated kappa made insignificant refuses both reports at their
+    # kappa gate; a fixed kappa lets them run
     if fixed:
         monkeypatch.setattr(harness, "_density_leg", _fixed_kappa)
+    else:
+        _insignificant_kappa(monkeypatch)
     every = _fiber_two_rows(_outputs("verify", "diag3eps", 1,
                                      tmp_path / "all"))
     alone = _fiber_two_rows(_outputs("verify", "diag3eps", 1,
@@ -136,8 +152,10 @@ def test_verify_draws_each_bank_once_for_both_fibers(monkeypatch):
     # each and the reports PIN_REALIZATIONS, for both fibers together; a
     # leg per fiber drawing its own made twice as many.  The ball curves
     # read the reports' measures, which are built before the kappa gate,
-    # so a refused report draws its bank too.
+    # so a refused report draws its bank too; an insignificant kappa
+    # refuses both reports there.
     sizes = _pool_sizes(monkeypatch)
+    _insignificant_kappa(monkeypatch)
     cfg = harness.load_config(None, dict(TINY, ensemble="diag3eps"),
                               environ={})
     refused = harness.run_verify(cfg).refusals
